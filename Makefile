@@ -2,7 +2,7 @@ GO ?= go
 COVER_FLOOR ?= 45.0
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench cover fuzz-smoke serve-smoke bench-serve ci
+.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench bench-e2e cover fuzz-smoke serve-smoke bench-serve ci
 
 # Tier-1 verification: everything builds, every test passes.
 build:
@@ -53,19 +53,23 @@ race-obs:
 
 # The MVCC snapshot surface under the race detector: the versioned
 # adjacency store, both store-level acquire paths, the engine
-# snapshot/cancellation suite, and the writer-during-long-read twin
-# proof. See DESIGN.md "Snapshot & versioning contract".
+# snapshot/cancellation suite, the writer-during-long-read twin proof, and
+# the patched-vs-full-render differential. The package runs carry the
+# incremental path's work-bound tests (adj TestPatch*, suite
+# TestPinAfterWriteAllocsFlat) and the rejected-mutation regressions. See
+# DESIGN.md "Snapshot & versioning contract".
 race-snapshots:
 	$(GO) test -race ./internal/adj/... ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/suite/
-	$(GO) test -race ./internal/enginetest/diff/ -run TestPinnedSnapshotSurvivesWriterTwins -count=1
+	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPinnedSnapshotSurvivesWriterTwins|TestPatchedSnapshotDifferential' -count=1
 
 # The planner surface under the race detector: cardinality statistics,
-# the cost-based/WCO planner, and the plan-differential + metamorphic
-# twins that prove plan choice never changes answers. See DESIGN.md
-# "Planning & statistics contract".
+# the cost-based/WCO planner, the plan-differential + metamorphic twins
+# that prove plan choice never changes answers, and the differential that
+# holds the block-folded statistics to stats.Build on every store. See
+# DESIGN.md "Planning & statistics contract".
 race-plan:
 	$(GO) test -race ./internal/query/stats/ ./internal/query/plan/
-	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic' -count=1
+	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic|TestPatchedSnapshotDifferential' -count=1
 
 # The networked service under the race detector: session registry,
 # admission gate, and the token-bucket/load-harness pieces that hammer
@@ -80,6 +84,12 @@ bench:
 	$(GO) run ./cmd/gdbbench -parallel -table none -out BENCH_parallel.json
 	$(GO) run ./cmd/gdbbench -cache -table none -out BENCH_cache.json
 	$(GO) run ./cmd/gdbbench -plan -table none -nodes 20000 -degree 6 -out BENCH_plan.json
+
+# The end-to-end ledger: bench/'s four served workloads with every answer
+# checked (BENCHMARK.json; add --workload NAME --trace 1 by hand for the
+# per-layer metrics). Minutes long and timing-sensitive, so outside ci.
+bench-e2e:
+	bash bench/run.sh
 
 # Per-package coverage with a floor: any tested package below COVER_FLOOR
 # fails the build. Packages without tests, command mains and examples are

@@ -6,7 +6,7 @@
 // companion Versioned type (versioned.go) publishes one Snapshot per stable
 // graph epoch with copy-on-write block reuse, so acquiring the current
 // snapshot is O(1) when the store is quiescent and proportional only to the
-// mutated blocks otherwise.
+// mutated records otherwise (patch.go).
 //
 // Snapshots are deeply immutable once built: readers share blocks across
 // versions without synchronization, and the race detector sees no writes.
@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"gdbm/internal/model"
+	"gdbm/internal/query/stats"
 )
 
 // Blocks cover blockSize consecutive IDs; block b holds IDs
@@ -86,17 +87,21 @@ func (r rows) forEach(i int, fn func(model.EdgeID) bool) bool {
 
 // nodeBlock holds the node records of one ID block plus both CSR
 // directions; edgeBlock holds edge records only (adjacency lives with the
-// endpoint nodes).
+// endpoint nodes). Both are immutable once their builder returns, except
+// for part, a write-once memo of the block's planner statistics
+// (planstats.go).
 type nodeBlock struct {
 	dir   directory
 	nodes []model.Node // dense, ascending ID
 	out   rows
 	in    rows
+	part  atomic.Pointer[stats.Partial]
 }
 
 type edgeBlock struct {
 	dir   directory
 	edges []model.Edge // dense, ascending ID
+	part  atomic.Pointer[stats.Partial]
 }
 
 // Snapshot is an immutable model.Graph rendered from a store at one stable

@@ -12,10 +12,13 @@ import (
 // mapSource is a toy Source over plain maps, standing in for a store with
 // its lock held.
 type mapSource struct {
-	nodes map[model.NodeID]model.Node
-	edges map[model.EdgeID]model.Edge
-	maxN  model.NodeID
-	maxE  model.EdgeID
+	nodes         map[model.NodeID]model.Node
+	edges         map[model.EdgeID]model.Edge
+	maxN          model.NodeID
+	maxE          model.EdgeID
+	outIdx, inIdx map[model.NodeID][]model.EdgeID // see incident
+	// calls counts the reads the builder issued (patch_test.go).
+	calls struct{ node, edge, out, in int }
 }
 
 func newMapSource() *mapSource {
@@ -34,6 +37,7 @@ func (s *mapSource) addNode(label string) model.NodeID {
 func (s *mapSource) addEdge(label string, from, to model.NodeID) model.EdgeID {
 	s.maxE++
 	s.edges[s.maxE] = model.Edge{ID: s.maxE, Label: label, From: from, To: to}
+	s.outIdx, s.inIdx = nil, nil
 	return s.maxE
 }
 
@@ -41,33 +45,40 @@ func (s *mapSource) MaxNodeID() (model.NodeID, error) { return s.maxN, nil }
 func (s *mapSource) MaxEdgeID() (model.EdgeID, error) { return s.maxE, nil }
 
 func (s *mapSource) NodeByID(id model.NodeID) (model.Node, bool, error) {
+	s.calls.node++
 	n, ok := s.nodes[id]
 	return n, ok, nil
 }
 
 func (s *mapSource) EdgeByID(id model.EdgeID) (model.Edge, bool, error) {
+	s.calls.edge++
 	e, ok := s.edges[id]
 	return e, ok, nil
 }
 
-func (s *mapSource) OutEdges(id model.NodeID) ([]model.EdgeID, error) {
-	var out []model.EdgeID
-	for eid, e := range s.edges {
-		if e.From == id {
-			out = append(out, eid)
+// incident serves the adjacency lists from an index built on first use;
+// whoever changes edges after that drops it (toyStore does).
+func (s *mapSource) incident() (out, in map[model.NodeID][]model.EdgeID) {
+	if s.outIdx == nil {
+		s.outIdx, s.inIdx = map[model.NodeID][]model.EdgeID{}, map[model.NodeID][]model.EdgeID{}
+		for eid, e := range s.edges {
+			s.outIdx[e.From] = append(s.outIdx[e.From], eid)
+			s.inIdx[e.To] = append(s.inIdx[e.To], eid)
 		}
 	}
-	return out, nil
+	return s.outIdx, s.inIdx
+}
+
+func (s *mapSource) OutEdges(id model.NodeID) ([]model.EdgeID, error) {
+	s.calls.out++
+	out, _ := s.incident()
+	return out[id], nil
 }
 
 func (s *mapSource) InEdges(id model.NodeID) ([]model.EdgeID, error) {
-	var in []model.EdgeID
-	for eid, e := range s.edges {
-		if e.To == id {
-			in = append(in, eid)
-		}
-	}
-	return in, nil
+	s.calls.in++
+	_, in := s.incident()
+	return in[id], nil
 }
 
 // dump renders a snapshot into a canonical string: every record plus every
@@ -77,7 +88,7 @@ func dump(t *testing.T, g model.Graph) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "order=%d size=%d\n", g.Order(), g.Size())
 	err := g.Nodes(func(n model.Node) bool {
-		fmt.Fprintf(&b, "n%d:%s", n.ID, n.Label)
+		fmt.Fprintf(&b, "n%d:%s%v", n.ID, n.Label, n.Props)
 		for _, dir := range []model.Direction{model.Out, model.In, model.Both} {
 			d, err := g.Degree(n.ID, dir)
 			if err != nil {
@@ -100,7 +111,7 @@ func dump(t *testing.T, g model.Graph) string {
 		t.Fatalf("Nodes: %v", err)
 	}
 	err = g.Edges(func(e model.Edge) bool {
-		fmt.Fprintf(&b, "e%d:%s %d->%d\n", e.ID, e.Label, e.From, e.To)
+		fmt.Fprintf(&b, "e%d:%s %d->%d%v\n", e.ID, e.Label, e.From, e.To, e.Props)
 		return true
 	})
 	if err != nil {
@@ -111,7 +122,7 @@ func dump(t *testing.T, g model.Graph) string {
 
 func build(t *testing.T, src Source, layout Layout) *Snapshot {
 	t.Helper()
-	s, err := Build(src, layout, 0, nil, nil, nil, true)
+	s, err := Build(src, layout, 0)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

@@ -2,7 +2,7 @@ package adj
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"gdbm/internal/model"
 )
@@ -36,12 +36,31 @@ func blocksFor(max uint64) int {
 	return int(max>>blockShift) + 1
 }
 
-// Build renders a Snapshot of src at the given stable epoch. When prev is
-// a snapshot of the same layout and full is false, blocks absent from the
-// dirty sets are shared with prev instead of being re-rendered — the
-// copy-on-write path that keeps re-rendering proportional to the mutated
-// region rather than the graph.
-func Build(src Source, layout Layout, epoch uint64, prev *Snapshot, dirtyN, dirtyE map[uint32]struct{}, full bool) (*Snapshot, error) {
+// Build renders every block of src from scratch at the given stable epoch:
+// the first publish of a store, the render after MarkAll or a layout
+// switch, and the reference the incremental path (patch.go) is tested
+// against.
+func Build(src Source, layout Layout, epoch uint64) (*Snapshot, error) {
+	s, err := newSnapshot(src, layout, epoch)
+	if err != nil {
+		return nil, err
+	}
+	for b := range s.nb {
+		if s.nb[b], err = buildNodeBlock(src, layout, uint32(b)); err != nil {
+			return nil, err
+		}
+	}
+	for b := range s.eb {
+		if s.eb[b], err = buildEdgeBlock(src, layout, uint32(b)); err != nil {
+			return nil, err
+		}
+	}
+	s.count()
+	return s, nil
+}
+
+// newSnapshot sizes the block directories to src's ID high-water marks.
+func newSnapshot(src Source, layout Layout, epoch uint64) (*Snapshot, error) {
 	maxN, err := src.MaxNodeID()
 	if err != nil {
 		return nil, err
@@ -50,52 +69,26 @@ func Build(src Source, layout Layout, epoch uint64, prev *Snapshot, dirtyN, dirt
 	if err != nil {
 		return nil, err
 	}
-	reuse := prev != nil && !full && prev.layout == layout
-	s := &Snapshot{
+	return &Snapshot{
 		epoch:  epoch,
 		layout: layout,
 		nb:     make([]*nodeBlock, blocksFor(uint64(maxN))),
 		eb:     make([]*edgeBlock, blocksFor(uint64(maxE))),
-	}
-	for b := range s.nb {
-		if reuse && b < len(prev.nb) {
-			if _, dirty := dirtyN[uint32(b)]; !dirty {
-				s.nb[b] = prev.nb[b]
-				if s.nb[b] != nil {
-					s.order += len(s.nb[b].nodes)
-				}
-				continue
-			}
-		}
-		blk, err := buildNodeBlock(src, layout, uint32(b))
-		if err != nil {
-			return nil, err
-		}
-		s.nb[b] = blk
+	}, nil
+}
+
+// count sets order and size from the blocks.
+func (s *Snapshot) count() {
+	for _, blk := range s.nb {
 		if blk != nil {
 			s.order += len(blk.nodes)
 		}
 	}
-	for b := range s.eb {
-		if reuse && b < len(prev.eb) {
-			if _, dirty := dirtyE[uint32(b)]; !dirty {
-				s.eb[b] = prev.eb[b]
-				if s.eb[b] != nil {
-					s.size += len(s.eb[b].edges)
-				}
-				continue
-			}
-		}
-		blk, err := buildEdgeBlock(src, layout, uint32(b))
-		if err != nil {
-			return nil, err
-		}
-		s.eb[b] = blk
+	for _, blk := range s.eb {
 		if blk != nil {
 			s.size += len(blk.edges)
 		}
 	}
-	return s, nil
 }
 
 func buildNodeBlock(src Source, layout Layout, b uint32) (*nodeBlock, error) {
@@ -160,7 +153,6 @@ func buildEdgeBlock(src Source, layout Layout, b uint32) (*edgeBlock, error) {
 
 // encodeRows builds one CSR direction: per node, the incident edge IDs
 // sorted ascending and delta-uvarint encoded behind a uvarint degree.
-// Sorting owns a scratch copy, never the Source's slice.
 func encodeRows(incident func(model.NodeID) ([]model.EdgeID, error), nodes []model.Node, scratch *[]model.EdgeID) (rows, error) {
 	r := rows{offs: make([]uint32, 1, len(nodes)+1)}
 	for i := range nodes {
@@ -168,16 +160,23 @@ func encodeRows(incident func(model.NodeID) ([]model.EdgeID, error), nodes []mod
 		if err != nil {
 			return rows{}, err
 		}
-		sc := append((*scratch)[:0], eids...)
-		sort.Slice(sc, func(a, b int) bool { return sc[a] < sc[b] })
-		r.buf = binary.AppendUvarint(r.buf, uint64(len(sc)))
-		prev := uint64(0)
-		for _, e := range sc {
-			r.buf = binary.AppendUvarint(r.buf, uint64(e)-prev)
-			prev = uint64(e)
-		}
+		r.buf = appendRow(r.buf, eids, scratch)
 		r.offs = append(r.offs, uint32(len(r.buf)))
-		*scratch = sc
 	}
 	return r, nil
+}
+
+// appendRow encodes one row onto buf. Sorting owns a scratch copy, never
+// the Source's slice.
+func appendRow(buf []byte, eids []model.EdgeID, scratch *[]model.EdgeID) []byte {
+	sc := append((*scratch)[:0], eids...)
+	slices.Sort(sc)
+	buf = binary.AppendUvarint(buf, uint64(len(sc)))
+	prev := uint64(0)
+	for _, e := range sc {
+		buf = binary.AppendUvarint(buf, uint64(e)-prev)
+		prev = uint64(e)
+	}
+	*scratch = sc
+	return buf
 }

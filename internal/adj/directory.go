@@ -58,3 +58,19 @@ func (d *directory) rank(local uint32) (int, bool) {
 	}
 	return 0, false
 }
+
+// locals returns the present local IDs in ascending order. Under the
+// varint layout this is the directory's own array; callers must not
+// modify it.
+func (d *directory) locals() []uint16 {
+	if d.bm == nil {
+		return d.ids
+	}
+	out := make([]uint16, 0, blockSize)
+	for w, word := range d.bm.bits {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, uint16(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return out
+}

@@ -12,8 +12,10 @@ import (
 // cache.Epoch and follows three rules:
 //
 //   - every mutation, while holding the store's exclusive lock, double-bumps
-//     the epoch (odd mid-mutation, even at rest) and calls MarkNode/MarkEdge
-//     for each record it touches (endpoints included for edge mutations);
+//     the epoch (odd mid-mutation, even at rest) and marks each record it
+//     touches: MarkNode for a node added, removed or changed, MarkEdge for
+//     an edge whose properties changed, MarkLink for an edge added or
+//     removed;
 //   - AcquireView first calls TryPin with the current epoch — the O(1) path
 //     that succeeds whenever the published snapshot is already current — and
 //     only on a miss takes the store's reader lock and calls Pin;
@@ -21,16 +23,18 @@ import (
 //     exclusion, so the render sees a quiescent store and the dirty sets
 //     cannot grow mid-build.
 //
-// Mark and SetLayout take an internal mutex, so Versioned is safe even if
-// an owner's locking discipline is looser than the rules above; the rules
-// are what make TryPin's epoch comparison meaningful.
+// Marking more than changed is harmless (the record is re-read and found
+// equal); marking less serves a stale record. Mark and SetLayout take an
+// internal mutex, so Versioned is safe even if an owner's locking
+// discipline is looser than the rules above; the rules are what make
+// TryPin's epoch comparison meaningful.
 type Versioned struct {
 	mu     sync.Mutex
 	layout Layout
 	cur    atomic.Pointer[Snapshot]
-	dirtyN map[uint32]struct{}
-	dirtyE map[uint32]struct{}
-	full   bool
+	dirtyN map[model.NodeID]mark
+	dirtyE map[model.EdgeID]mark
+	full   bool // the next render ignores cur and the dirty sets
 }
 
 // SetLayout selects the directory layout for subsequently built snapshots
@@ -45,29 +49,50 @@ func (v *Versioned) SetLayout(l Layout) {
 	}
 }
 
-// MarkNode records that the block holding node id must be re-rendered.
-func (v *Versioned) MarkNode(id model.NodeID) {
-	if id == 0 {
+// markNode adds m to id's dirty mark. While the next render is a full one
+// anyway — nothing published yet, or MarkAll pending — there is nothing to
+// patch, so a bulk load does not grow a dirty set the size of the graph.
+func (v *Versioned) markNode(id model.NodeID, m mark) {
+	if id == 0 || v.full || v.cur.Load() == nil {
 		return
 	}
-	v.mu.Lock()
 	if v.dirtyN == nil {
-		v.dirtyN = make(map[uint32]struct{})
+		v.dirtyN = make(map[model.NodeID]mark)
 	}
-	v.dirtyN[uint32(uint64(id)>>blockShift)] = struct{}{}
+	v.dirtyN[id] |= m
+}
+
+func (v *Versioned) markEdge(id model.EdgeID) {
+	if id == 0 || v.full || v.cur.Load() == nil {
+		return
+	}
+	if v.dirtyE == nil {
+		v.dirtyE = make(map[model.EdgeID]mark)
+	}
+	v.dirtyE[id] = markRec
+}
+
+// MarkNode records that node id was added, removed or had a property set.
+func (v *Versioned) MarkNode(id model.NodeID) {
+	v.mu.Lock()
+	v.markNode(id, markRec)
 	v.mu.Unlock()
 }
 
-// MarkEdge records that the block holding edge id must be re-rendered.
+// MarkEdge records that edge id had a property set.
 func (v *Versioned) MarkEdge(id model.EdgeID) {
-	if id == 0 {
-		return
-	}
 	v.mu.Lock()
-	if v.dirtyE == nil {
-		v.dirtyE = make(map[uint32]struct{})
-	}
-	v.dirtyE[uint32(uint64(id)>>blockShift)] = struct{}{}
+	v.markEdge(id)
+	v.mu.Unlock()
+}
+
+// MarkLink records that edge id from->to was added or removed: its record
+// and the two adjacency rows it appears in.
+func (v *Versioned) MarkLink(id model.EdgeID, from, to model.NodeID) {
+	v.mu.Lock()
+	v.markEdge(id)
+	v.markNode(from, markOut)
+	v.markNode(to, markIn)
 	v.mu.Unlock()
 }
 
@@ -99,17 +124,24 @@ func (v *Versioned) TryPin(epoch uint64) (*Snapshot, model.ReleaseFunc) {
 	return s, release
 }
 
-// Pin returns a pinned snapshot of src at the given epoch, re-rendering
-// dirty blocks (sharing clean ones with the previous snapshot) when the
-// published version is stale. The caller must hold the store's
-// writer-excluding lock and must have read epoch under it.
+// Pin returns a pinned snapshot of src at the given epoch. When the
+// published version is stale it is patched with the records marked since
+// (patch.go); the first publish, MarkAll and a layout switch render every
+// block. The caller must hold the store's writer-excluding lock and must
+// have read epoch under it.
 func (v *Versioned) Pin(epoch uint64, src Source) (*Snapshot, model.ReleaseFunc, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if s := v.cur.Load(); s != nil && s.epoch == epoch && s.layout == v.layout {
 		return s, s.Pin(), nil
 	}
-	s, err := Build(src, v.layout, epoch, v.cur.Load(), v.dirtyN, v.dirtyE, v.full)
+	var s *Snapshot
+	var err error
+	if prev := v.cur.Load(); prev == nil || v.full {
+		s, err = Build(src, v.layout, epoch)
+	} else {
+		s, err = prev.patch(src, epoch, v.dirtyN, v.dirtyE)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

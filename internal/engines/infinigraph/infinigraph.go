@@ -42,7 +42,7 @@ type partition struct {
 }
 
 // DB is the engine instance. Mutations double-bump epoch and mark the
-// touched ID blocks in ver, which publishes the frozen copy-on-write
+// touched records in ver, which publishes the frozen copy-on-write
 // snapshots AcquireSnapshot pins (see the adj package).
 type DB struct {
 	mu     sync.RWMutex
@@ -192,9 +192,7 @@ func (db *DB) AddEdge(label string, from, to model.NodeID, props model.Propertie
 	}
 	db.nextE++
 	id := db.nextE
-	db.ver.MarkEdge(id)
-	db.ver.MarkNode(from)
-	db.ver.MarkNode(to)
+	db.ver.MarkLink(id, from, to)
 	db.edges[id] = &model.Edge{ID: id, Label: label, From: from, To: to, Props: props.Clone()}
 	fp.out[from] = append(fp.out[from], id)
 	tp.in[to] = append(tp.in[to], id)
@@ -247,9 +245,7 @@ func (db *DB) removeEdgeLocked(id model.EdgeID) {
 	if !ok {
 		return
 	}
-	db.ver.MarkEdge(id)
-	db.ver.MarkNode(e.From)
-	db.ver.MarkNode(e.To)
+	db.ver.MarkLink(id, e.From, e.To)
 	fp, tp := db.shardOf(e.From), db.shardOf(e.To)
 	fp.out[e.From] = removeID(fp.out[e.From], id)
 	tp.in[e.To] = removeID(tp.in[e.To], id)
@@ -612,7 +608,7 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 // contract) at frozen isolation: an immutable copy-on-write snapshot of
 // all shards merged, pinned at the current stable epoch. The fast path is
 // O(1) — one atomic load and a pin when the store is quiescent — and a
-// re-render after mutations touches only the dirty ID blocks, mirroring
+// re-render after mutations re-reads only the records they touched, mirroring
 // InfiniteGraph's concurrent distributed traversal over stable views.
 func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
 	if s, rel := db.ver.TryPin(db.epoch.Current()); rel != nil {

@@ -6,51 +6,14 @@ import (
 	"gdbm/internal/query/stats"
 )
 
-// This file is the engine's planning surface, mirroring memgraph/kvgraph:
-// epoch-keyed cardinality statistics and the sorted-adjacency capability,
-// both served from the pinned merged-shard snapshot so they see one stable
-// epoch and never block writers.
-
-// PlanStats implements stats.Provider. Statistics are keyed on the pinned
-// snapshot's epoch (the same double-bump discipline mutations follow), so
-// any write makes them unreachable and the next call rebuilds from the
-// then-current snapshot. Racing rebuilds are harmless: Publish keeps the
-// newest epoch.
+// PlanStats implements stats.Provider and SortedNeighborIDs implements
+// model.SortedAdjacency, both from the pinned merged-shard snapshot; see adj/planstats.go.
 func (db *DB) PlanStats() (*stats.Stats, error) {
-	g, release, err := db.AcquireSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	snap, ok := g.(*adj.Snapshot)
-	if !ok {
-		return nil, nil
-	}
-	if s := db.pstats.TryGet(snap.Epoch()); s != nil {
-		return s, nil
-	}
-	s, err := stats.Build(snap, snap.Epoch())
-	if err != nil {
-		return nil, err
-	}
-	db.pstats.Publish(s)
-	return s, nil
+	return adj.PlanStats(db.AcquireSnapshot, &db.pstats)
 }
 
-// SortedNeighborIDs implements model.SortedAdjacency from the pinned
-// snapshot, whose CSR rows serve the sorted lists without walking the
-// per-partition edge maps.
 func (db *DB) SortedNeighborIDs(id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	g, release, err := db.AcquireSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sa, ok := g.(model.SortedAdjacency)
-	if !ok {
-		return nil, model.ErrUnsupported
-	}
-	return sa.SortedNeighborIDs(id, dir, label)
+	return adj.SortedNeighborIDs(db.AcquireSnapshot, id, dir, label)
 }
 
 var (

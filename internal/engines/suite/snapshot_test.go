@@ -10,6 +10,7 @@ import (
 	"gdbm/internal/engine"
 	"gdbm/internal/engine/capability"
 	"gdbm/internal/model"
+	"gdbm/internal/query/stats"
 )
 
 // TestEssentialsCtxHonorsCancellation is the dynamic half of the ctxflow
@@ -172,6 +173,98 @@ func BenchmarkAcquireSnapshot(b *testing.B) {
 					b.Fatal(err)
 				}
 				release()
+			}
+		})
+	}
+}
+
+// pinWriteStore opens the neograph engine over memgraph (dir false) or
+// over kvgraph on a disk store, loads a chain of n nodes and warms the
+// view and the planner statistics: the state every write then perturbs.
+func pinWriteStore(tb testing.TB, dir bool, n int) (model.MutableGraph, engine.Concurrent, stats.Provider) {
+	tb.Helper()
+	opts := engine.Options{}
+	if dir {
+		opts.Dir = tb.TempDir()
+	}
+	e, err := engine.Open("neograph", opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { e.Close() })
+	seedChain(tb, e, n)
+	sp := e.(stats.Provider)
+	if _, err := sp.PlanStats(); err != nil {
+		tb.Fatal(err)
+	}
+	return e.(model.MutableGraph), e.(engine.Concurrent), sp
+}
+
+// TestPinAfterWriteAllocsFlat pins the cost model of the statement that
+// follows a write: re-pinning the view and folding the planner statistics
+// allocate for the one block the write touched, not for the graph. From
+// 1k to 100k nodes only the snapshot's block directory and the fold's
+// list of partials get longer — their count stays the same.
+func TestPinAfterWriteAllocsFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 100k-node graph")
+	}
+	allocsAt := func(n int) float64 {
+		g, _, sp := pinWriteStore(t, false, n)
+		v := int64(0)
+		return testing.AllocsPerRun(20, func() {
+			v++
+			if err := g.SetNodeProp(7, "hits", model.Int(v)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sp.PlanStats(); err != nil { // pins the view first
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocsAt(1_000)
+	large := allocsAt(100_000)
+	t.Logf("allocs per write + pin + PlanStats: 1k=%.0f 100k=%.0f", small, large)
+	if large > small {
+		t.Errorf("pin + PlanStats after a write allocate with graph size: 1k=%.0f 100k=%.0f", small, large)
+	}
+}
+
+// BenchmarkPinAfterWrite and BenchmarkPlanStatsAfterWrite time the cold
+// path of the snapshot and statistics publishers on a graph the size of
+// the end-to-end benchmark's rw_disk workload. Each iteration is one
+// SetNodeProp (it is what makes the path cold, and is a few µs) followed
+// by the measured call.
+func BenchmarkPinAfterWrite(b *testing.B) {
+	benchAfterWrite(b, func(con engine.Concurrent, _ stats.Provider) error {
+		_, release, err := con.AcquireSnapshot()
+		if err == nil {
+			release()
+		}
+		return err
+	})
+}
+
+func BenchmarkPlanStatsAfterWrite(b *testing.B) {
+	benchAfterWrite(b, func(_ engine.Concurrent, sp stats.Provider) error {
+		_, err := sp.PlanStats()
+		return err
+	})
+}
+
+func benchAfterWrite(b *testing.B, measured func(engine.Concurrent, stats.Provider) error) {
+	for _, store := range []string{"memgraph", "kvgraph-disk"} {
+		b.Run(store, func(b *testing.B) {
+			g, con, sp := pinWriteStore(b, store == "kvgraph-disk", 6000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := g.SetNodeProp(model.NodeID(i%6000+1), "hits", model.Int(int64(i))); err != nil {
+					b.Fatal(err)
+				}
+				if err := measured(con, sp); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -1,0 +1,257 @@
+package diff
+
+import (
+	"errors"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"gdbm/internal/adj"
+	"gdbm/internal/engine"
+	"gdbm/internal/kvgraph"
+	"gdbm/internal/memgraph"
+	"gdbm/internal/model"
+	"gdbm/internal/query/stats"
+	"gdbm/internal/storage/kv"
+)
+
+// patchSubject is one store under the incremental-snapshot differential:
+// its mutation surface, its view, its planner statistics.
+type patchSubject struct {
+	name     string
+	g        model.MutableGraph
+	loadNode func(label string, props model.Properties) (model.NodeID, error)
+	loadEdge func(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error)
+	acquire  adj.Acquire
+	stats    stats.Provider
+
+	nodes []model.NodeID // alive, ascending
+	edges []model.Edge   // alive, ascending by ID; From/To only
+	maxN  model.NodeID
+	maxE  model.EdgeID
+}
+
+func patchSubjects(t *testing.T) []*patchSubject {
+	t.Helper()
+	mem := func(name string, l adj.Layout) *patchSubject {
+		g := memgraph.New()
+		g.SetViewLayout(l)
+		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g}
+	}
+	kvg := func(name string, st kv.Store, l adj.Layout) *patchSubject {
+		g := kvgraph.New(st)
+		g.SetViewLayout(l)
+		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g}
+	}
+	disk, err := kv.OpenDisk(filepath.Join(t.TempDir(), "patch.pg"), 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	e, err := engine.Open("infinigraph", engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	ld := e.(engine.Loader) // declares labels on the typed archetype
+	return []*patchSubject{
+		mem("memgraph/varint", adj.LayoutVarint),
+		mem("memgraph/bitmap", adj.LayoutBitmap),
+		kvg("kvgraph-mem/varint", kv.NewMemory(), adj.LayoutVarint),
+		kvg("kvgraph-disk/bitmap", disk, adj.LayoutBitmap),
+		{
+			name: "infinigraph", g: e.(model.MutableGraph), loadNode: ld.LoadNode, loadEdge: ld.LoadEdge,
+			acquire: e.(engine.Concurrent).AcquireSnapshot, stats: e.(stats.Provider),
+		},
+	}
+}
+
+// liveSource reads the store itself through its public Graph surface — the
+// input of the full-render oracle, independent of the store's own Source
+// adapter and of its marks.
+type liveSource struct{ s *patchSubject }
+
+func (l liveSource) MaxNodeID() (model.NodeID, error) { return l.s.maxN, nil }
+func (l liveSource) MaxEdgeID() (model.EdgeID, error) { return l.s.maxE, nil }
+
+func (l liveSource) NodeByID(id model.NodeID) (model.Node, bool, error) {
+	n, err := l.s.g.Node(id)
+	if errors.Is(err, model.ErrNotFound) {
+		return model.Node{}, false, nil
+	}
+	return n, err == nil, err
+}
+
+func (l liveSource) EdgeByID(id model.EdgeID) (model.Edge, bool, error) {
+	e, err := l.s.g.Edge(id)
+	if errors.Is(err, model.ErrNotFound) {
+		return model.Edge{}, false, nil
+	}
+	return e, err == nil, err
+}
+
+func (l liveSource) incident(id model.NodeID, dir model.Direction) ([]model.EdgeID, error) {
+	var eids []model.EdgeID
+	err := l.s.g.Neighbors(id, dir, func(e model.Edge, _ model.Node) bool {
+		eids = append(eids, e.ID)
+		return true
+	})
+	return eids, err
+}
+
+func (l liveSource) OutEdges(id model.NodeID) ([]model.EdgeID, error) {
+	return l.incident(id, model.Out)
+}
+func (l liveSource) InEdges(id model.NodeID) ([]model.EdgeID, error) {
+	return l.incident(id, model.In)
+}
+
+func (s *patchSubject) addNode(t *testing.T, rng *rand.Rand) {
+	id, err := s.loadNode(nodeLabels[rng.Intn(len(nodeLabels))], model.Props("rank", rng.Intn(40)))
+	if err != nil {
+		t.Fatalf("add node: %v", err)
+	}
+	s.nodes = append(s.nodes, id)
+	s.maxN = id
+}
+
+func (s *patchSubject) addEdge(t *testing.T, rng *rand.Rand, from, to model.NodeID) {
+	id, err := s.loadEdge(edgeLabels[rng.Intn(len(edgeLabels))], from, to, nil)
+	if err != nil {
+		t.Fatalf("add edge %d->%d: %v", from, to, err)
+	}
+	s.edges = append(s.edges, model.Edge{ID: id, From: from, To: to})
+	s.maxE = id
+}
+
+// pickNode favours the IDs around the first block boundary and the
+// partially filled last block.
+func (s *patchSubject) pickNode(rng *rand.Rand) int {
+	switch rng.Intn(4) {
+	case 0:
+		for i, id := range s.nodes {
+			if id >= 510 {
+				return min(i+rng.Intn(5), len(s.nodes)-1)
+			}
+		}
+	case 1:
+		return len(s.nodes) - 1 - rng.Intn(min(8, len(s.nodes)))
+	}
+	return rng.Intn(len(s.nodes))
+}
+
+func (s *patchSubject) mutate(t *testing.T, rng *rand.Rand) {
+	switch op := rng.Intn(12); {
+	case op < 2:
+		s.addNode(t, rng)
+	case op < 5:
+		from := s.nodes[s.pickNode(rng)]
+		to := s.nodes[s.pickNode(rng)]
+		if rng.Intn(6) == 0 {
+			to = from // self-loop
+		}
+		s.addEdge(t, rng, from, to)
+	case op < 6 && len(s.edges) > 0:
+		i := rng.Intn(len(s.edges))
+		if err := s.g.RemoveEdge(s.edges[i].ID); err != nil {
+			t.Fatalf("RemoveEdge: %v", err)
+		}
+		s.edges = append(s.edges[:i], s.edges[i+1:]...)
+	case op < 7 && len(s.nodes) > 8:
+		// The cascade removes edges that live in whatever edge blocks they
+		// were allocated in and touches rows of nodes in other node blocks.
+		i := s.pickNode(rng)
+		id := s.nodes[i]
+		if err := s.g.RemoveNode(id); err != nil {
+			t.Fatalf("RemoveNode: %v", err)
+		}
+		s.nodes = append(s.nodes[:i], s.nodes[i+1:]...)
+		kept := s.edges[:0]
+		for _, e := range s.edges {
+			if e.From != id && e.To != id {
+				kept = append(kept, e)
+			}
+		}
+		s.edges = kept
+	case op < 10:
+		id := s.nodes[s.pickNode(rng)]
+		if err := s.g.SetNodeProp(id, "rank", model.Int(int64(rng.Intn(40)))); err != nil {
+			t.Fatalf("SetNodeProp: %v", err)
+		}
+	case len(s.edges) > 0:
+		id := s.edges[rng.Intn(len(s.edges))].ID
+		if err := s.g.SetEdgeProp(id, "w", model.Int(int64(rng.Intn(40)))); err != nil {
+			t.Fatalf("SetEdgeProp: %v", err)
+		}
+	}
+}
+
+// TestPatchedSnapshotDifferential is the proof that publishing by patch
+// never changes what a reader sees. Seeded random mutations (replay with
+// -seed=N) run over every store that publishes adj snapshots; after every
+// step the incrementally patched view must render exactly like a full
+// adj.Build of the same store in both layouts, its folded statistics must
+// be stats.Build's of the same snapshot down to the KMV hashes, and the
+// view pinned before the step must still render what it rendered then.
+func TestPatchedSnapshotDifferential(t *testing.T) {
+	seed := SeedOrDefault(0x9A7C4)
+	for _, s := range patchSubjects(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 530; i++ { // one full block and a partial one
+				s.addNode(t, rng)
+			}
+			for i := 0; i < 540; i++ {
+				s.addEdge(t, rng, s.nodes[s.pickNode(rng)], s.nodes[s.pickNode(rng)])
+			}
+			prev, releasePrev, err := s.acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { releasePrev() }()
+			prevRender := renderGraph(t, prev)
+			steps := 40
+			if s.name == "kvgraph-disk/bitmap" {
+				steps = 12 // the oracle re-reads the whole store through the btree each step
+			}
+			for step := 0; step < steps; step++ {
+				for k := rng.Intn(3); k >= 0; k-- {
+					s.mutate(t, rng)
+				}
+				cur, release, err := s.acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := renderGraph(t, cur)
+				for _, l := range []adj.Layout{adj.LayoutVarint, adj.LayoutBitmap} {
+					full, err := adj.Build(liveSource{s}, l, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := renderGraph(t, full); got != want {
+						t.Fatalf("seed %d step %d: patched view differs from a full render (layout %d)\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
+							seed, step, l, got, want, seed)
+					}
+				}
+				folded, err := s.stats.PlanStats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				built, err := stats.Build(cur, cur.(*adj.Snapshot).Epoch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(folded, built) {
+					t.Fatalf("seed %d step %d: folded statistics differ from stats.Build\nfolded: %+v\nbuilt:  %+v\n(replay with -seed=%d)",
+						seed, step, folded, built, seed)
+				}
+				if again := renderGraph(t, prev); again != prevRender {
+					t.Fatalf("seed %d step %d: the view pinned before the step changed (replay with -seed=%d)", seed, step, seed)
+				}
+				releasePrev()
+				prev, releasePrev, prevRender = cur, release, got
+			}
+		})
+	}
+}

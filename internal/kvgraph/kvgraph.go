@@ -32,7 +32,8 @@ import (
 // each is a multi-key read-modify-write sequence (id allocation, record,
 // adjacency entries) that per-key store locking alone cannot keep atomic.
 //
-// Every mutation bumps the graph epoch twice (entry and exit, under mu).
+// Every mutation bumps the graph epoch twice (entry and exit, under mu) —
+// after validating its target, so a rejected mutation invalidates nothing.
 // The optional adjacency cache memoizes decoded neighbor lists keyed on
 // that epoch, publishing an entry only when the epoch stayed stable across
 // the decode; see the cache.Epoch contract. Engines key their query-result
@@ -213,21 +214,19 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	if _, err := g.Node(from); err != nil {
 		return 0, err
 	}
 	if _, err := g.Node(to); err != nil {
 		return 0, err
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	id, err := g.nextID("M!e")
 	if err != nil {
 		return 0, err
 	}
-	g.ver.MarkEdge(model.EdgeID(id))
-	g.ver.MarkNode(from)
-	g.ver.MarkNode(to)
+	g.ver.MarkLink(model.EdgeID(id), from, to)
 	rec, err := encodeEdgeRecord(model.Edge{From: from, To: to, Label: label, Props: props})
 	if err != nil {
 		return 0, err
@@ -277,11 +276,11 @@ func (g *Graph) Edge(id model.EdgeID) (model.Edge, error) {
 func (g *Graph) RemoveNode(id model.NodeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	if _, err := g.Node(id); err != nil {
 		return err
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	seen := map[model.EdgeID]bool{}
 	var eids []model.EdgeID
 	collect := func(prefix string) error {
@@ -301,7 +300,11 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 		return err
 	}
 	for _, eid := range eids {
-		if err := g.removeEdgeLocked(eid); err != nil {
+		e, err := g.Edge(eid)
+		if err != nil {
+			return err
+		}
+		if err := g.removeEdgeLocked(e); err != nil {
 			return err
 		}
 	}
@@ -314,19 +317,20 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 func (g *Graph) RemoveEdge(id model.EdgeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
-	return g.removeEdgeLocked(id)
-}
-
-func (g *Graph) removeEdgeLocked(id model.EdgeID) error {
 	e, err := g.Edge(id)
 	if err != nil {
 		return err
 	}
-	g.ver.MarkEdge(id)
-	g.ver.MarkNode(e.From)
-	g.ver.MarkNode(e.To)
+	g.epoch.Bump()
+	defer g.epoch.Bump()
+	return g.removeEdgeLocked(e)
+}
+
+// removeEdgeLocked deletes e's record and adjacency entries; the caller
+// holds mu and has bumped the epoch.
+func (g *Graph) removeEdgeLocked(e model.Edge) error {
+	id := e.ID
+	g.ver.MarkLink(id, e.From, e.To)
 	if _, err := g.st.Delete(u64key("e!", uint64(id))); err != nil {
 		return err
 	}
@@ -343,12 +347,12 @@ func (g *Graph) removeEdgeLocked(id model.EdgeID) error {
 func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	n, err := g.Node(id)
 	if err != nil {
 		return err
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	g.ver.MarkNode(id)
 	if n.Props == nil {
 		n.Props = model.Properties{}
@@ -365,12 +369,12 @@ func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	e, err := g.Edge(id)
 	if err != nil {
 		return err
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	g.ver.MarkEdge(id)
 	if e.Props == nil {
 		e.Props = model.Properties{}

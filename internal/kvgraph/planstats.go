@@ -1,56 +1,19 @@
 package kvgraph
 
 import (
-	adjpkg "gdbm/internal/adj"
+	"gdbm/internal/adj"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
 
-// This file is the graph's planning surface: epoch-keyed cardinality
-// statistics for the cost-based planner and the sorted-adjacency capability
-// the worst-case-optimal join intersects. Both are served from the pinned
-// copy-on-write view, so they see exactly one stable epoch and never block
-// writers.
-
-// PlanStats implements stats.Provider. The published statistics are keyed
-// on the view's stable epoch — the same double-bump discipline the caches
-// use — so any mutation makes them unreachable and the next call rebuilds
-// from the then-current view. Rebuilds race harmlessly: Publish keeps the
-// newest epoch.
+// PlanStats implements stats.Provider and SortedNeighborIDs implements
+// model.SortedAdjacency, both from the pinned copy-on-write view; see adj/planstats.go.
 func (g *Graph) PlanStats() (*stats.Stats, error) {
-	v, rel, err := g.AcquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer rel()
-	snap, ok := v.(*adjpkg.Snapshot)
-	if !ok {
-		return nil, nil
-	}
-	if s := g.stats.TryGet(snap.Epoch()); s != nil {
-		return s, nil
-	}
-	s, err := stats.Build(snap, snap.Epoch())
-	if err != nil {
-		return nil, err
-	}
-	g.stats.Publish(s)
-	return s, nil
+	return adj.PlanStats(g.AcquireView, &g.stats)
 }
 
-// SortedNeighborIDs implements model.SortedAdjacency from the pinned view,
-// whose CSR rows serve the sorted lists without touching node records.
 func (g *Graph) SortedNeighborIDs(id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	v, rel, err := g.AcquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer rel()
-	snap, ok := v.(model.SortedAdjacency)
-	if !ok {
-		return nil, model.ErrUnsupported
-	}
-	return snap.SortedNeighborIDs(id, dir, label)
+	return adj.SortedNeighborIDs(g.AcquireView, id, dir, label)
 }
 
 var (

@@ -11,8 +11,8 @@ import (
 // copy-on-write views rendered into succinct adjacency snapshots
 // (internal/adj). The mutation epoch kvgraph already double-bumps for the
 // cache layer doubles as the view version: AcquireView pins the published
-// snapshot in O(1) when the epoch is unchanged and re-renders only the
-// dirty ID blocks otherwise, decoding records once into block arrays so
+// snapshot in O(1) when the epoch is unchanged and re-reads only the
+// records written since otherwise, decoding records once into block arrays so
 // the read path never touches the store.
 
 // SetViewLayout selects the snapshot directory layout (the bitmap variant
@@ -24,7 +24,7 @@ func (g *Graph) SetViewLayout(l adj.Layout) { g.ver.SetLayout(l) }
 // path is O(1): when the published snapshot already renders the current
 // stable epoch, acquisition is one atomic load and a pin, independent of
 // graph size. Otherwise the mutation mutex is taken to exclude writers
-// while the dirty blocks re-render from the store. The release must be
+// while the dirty records are re-read from the store. The release must be
 // called exactly once; it is idempotent.
 func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
 	if s, rel := g.ver.TryPin(g.epoch.Current()); rel != nil {

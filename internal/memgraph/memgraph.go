@@ -20,8 +20,10 @@ type adjacency struct {
 
 // Graph is an in-memory attributed directed multigraph. It is safe for
 // concurrent use; reads take a shared lock. Every mutation double-bumps
-// the epoch and marks the touched ID blocks in ver, which publishes the
-// O(1) copy-on-write views of AcquireView (see view.go).
+// the epoch and marks the touched records in ver, which publishes the
+// O(1) copy-on-write views of AcquireView (see view.go). A rejected
+// mutation changes nothing and so does neither: it is validated under mu
+// before the first bump.
 type Graph struct {
 	mu       sync.RWMutex
 	nodes    map[model.NodeID]*model.Node
@@ -76,19 +78,17 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	if _, ok := g.nodes[from]; !ok {
 		return 0, model.NodeNotFound(from)
 	}
 	if _, ok := g.nodes[to]; !ok {
 		return 0, model.NodeNotFound(to)
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	g.nextEdge++
 	id := g.nextEdge
-	g.ver.MarkEdge(id)
-	g.ver.MarkNode(from)
-	g.ver.MarkNode(to)
+	g.ver.MarkLink(id, from, to)
 	g.edges[id] = &model.Edge{ID: id, Label: label, From: from, To: to, Props: props.Clone()}
 	g.adj[from].out = append(g.adj[from].out, id)
 	g.adj[to].in = append(g.adj[to].in, id)
@@ -99,12 +99,12 @@ func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Propert
 func (g *Graph) RemoveNode(id model.NodeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	a, ok := g.adj[id]
 	if !ok {
 		return model.NodeNotFound(id)
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	for _, eid := range append(append([]model.EdgeID(nil), a.out...), a.in...) {
 		g.removeEdgeLocked(eid)
 	}
@@ -118,11 +118,11 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 func (g *Graph) RemoveEdge(id model.EdgeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	if _, ok := g.edges[id]; !ok {
 		return model.EdgeNotFound(id)
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	g.removeEdgeLocked(id)
 	return nil
 }
@@ -132,9 +132,7 @@ func (g *Graph) removeEdgeLocked(id model.EdgeID) {
 	if !ok {
 		return
 	}
-	g.ver.MarkEdge(id)
-	g.ver.MarkNode(e.From)
-	g.ver.MarkNode(e.To)
+	g.ver.MarkLink(id, e.From, e.To)
 	if a := g.adj[e.From]; a != nil {
 		a.out = removeID(a.out, id)
 	}
@@ -182,12 +180,12 @@ func (g *Graph) Edge(id model.EdgeID) (model.Edge, error) {
 func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	n, ok := g.nodes[id]
 	if !ok {
 		return model.NodeNotFound(id)
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	g.ver.MarkNode(id)
 	props := n.Props.Clone()
 	if props == nil {
@@ -203,12 +201,12 @@ func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.epoch.Bump()
-	defer g.epoch.Bump()
 	e, ok := g.edges[id]
 	if !ok {
 		return model.EdgeNotFound(id)
 	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
 	g.ver.MarkEdge(id)
 	props := e.Props.Clone()
 	if props == nil {

@@ -9,9 +9,9 @@ import (
 // copy-on-write views rendered into succinct adjacency snapshots
 // (internal/adj). Every mutation double-bumps the epoch under the write
 // lock (odd mid-mutation, even at rest — the same discipline kvgraph uses
-// for the cache layer) and marks the touched ID blocks dirty; AcquireView
+// for the cache layer) and marks the touched records dirty; AcquireView
 // pins the published snapshot in O(1) when the store is quiescent and
-// re-renders only dirty blocks otherwise.
+// re-reads only the dirty records otherwise.
 
 // Epoch returns the graph's mutation epoch. Stable states are even; the
 // count only moves forward.
@@ -26,7 +26,7 @@ func (g *Graph) SetViewLayout(l adj.Layout) { g.ver.SetLayout(l) }
 // path is O(1): when the published snapshot already renders the current
 // stable epoch, acquisition is one atomic load and a pin, independent of
 // graph size. Otherwise the read lock is taken (excluding writers, not
-// readers) and the dirty blocks are re-rendered. The release must be
+// readers) and the dirty records are re-read. The release must be
 // called exactly once; it is idempotent.
 func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
 	if s, rel := g.ver.TryPin(g.epoch.Current()); rel != nil {

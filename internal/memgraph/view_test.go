@@ -1,6 +1,7 @@
 package memgraph
 
 import (
+	"errors"
 	"testing"
 
 	"gdbm/internal/adj"
@@ -63,5 +64,51 @@ func TestAcquireViewPinsDrain(t *testing.T) {
 	}
 	if v3.Order() != 3 || s1.Order() != 2 {
 		t.Fatalf("orders after mutation: new=%d old=%d, want 3/2", v3.Order(), s1.Order())
+	}
+}
+
+// TestRejectedMutationInvalidatesNothing: a mutation that fails validation
+// changes nothing, so it must leave the epoch, the published snapshot and
+// the published statistics exactly as reachable as they were.
+func TestRejectedMutationInvalidatesNothing(t *testing.T) {
+	g := New()
+	n1, err := g.AddNode("P", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.PlanStats(); err != nil { // publishes snapshot and statistics
+		t.Fatal(err)
+	}
+	epoch, snap, st := g.Epoch(), g.ver.Current(), g.stats.TryGet(g.Epoch())
+	if snap == nil || st == nil {
+		t.Fatal("nothing published")
+	}
+	const ghost = 99
+	rejected := map[string]error{
+		"SetNodeProp": g.SetNodeProp(ghost, "k", model.Int(1)),
+		"SetEdgeProp": g.SetEdgeProp(ghost, "k", model.Int(1)),
+		"RemoveNode":  g.RemoveNode(ghost),
+		"RemoveEdge":  g.RemoveEdge(ghost),
+	}
+	_, rejected["AddEdge from"] = g.AddEdge("e", ghost, n1, nil)
+	_, rejected["AddEdge to"] = g.AddEdge("e", n1, ghost, nil)
+	for op, err := range rejected {
+		if !errors.Is(err, model.ErrNotFound) {
+			t.Errorf("%s on a missing target: %v, want ErrNotFound", op, err)
+		}
+	}
+	if g.Epoch() != epoch {
+		t.Errorf("rejected mutations moved the epoch %d -> %d", epoch, g.Epoch())
+	}
+	if g.ver.Current() != snap {
+		t.Error("rejected mutations replaced the published snapshot")
+	}
+	if g.stats.TryGet(g.Epoch()) != st {
+		t.Error("rejected mutations made the published statistics unreachable")
+	}
+	if s, rel := g.ver.TryPin(g.Epoch()); rel == nil || s != snap {
+		t.Error("the published snapshot no longer pins at the current epoch")
+	} else {
+		rel()
 	}
 }

@@ -137,7 +137,7 @@ type ReleaseFunc func()
 // Since the epoch-versioned copy-on-write views (internal/adj), frozen is
 // the only isolation level: acquisition is O(1) on a quiescent store (one
 // atomic load and a pin — no copying), writers never block pinned readers,
-// and a re-render after mutations touches only the dirty ID blocks. The
+// and a re-render after mutations re-reads only the records they touched. The
 // parallel query kernels (internal/algo/par) rely on the immutability for
 // their determinism guarantee — results identical to the sequential
 // kernels on the pinned state.

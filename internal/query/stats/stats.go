@@ -14,7 +14,6 @@
 package stats
 
 import (
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -247,14 +246,23 @@ func NewKMV(k int) *KMV {
 	return &KMV{k: k}
 }
 
-// AddValue folds one property value into the sketch. The FNV hash is
-// passed through a splitmix64 finalizer: KMV's estimator is an order
-// statistic over the full 64-bit range, and raw FNV of short, similar keys
-// is not uniform enough in the high bits.
+// AddValue folds one property value into the sketch.
 func (m *KMV) AddValue(v model.Value) {
-	h := fnv.New64a()
-	h.Write(v.EncodeKey(nil))
-	m.Add(mix64(h.Sum64()))
+	var buf [32]byte
+	m.Add(hashKey(v.EncodeKey(buf[:0])))
+}
+
+// hashKey is 64-bit FNV-1a of an encoded value passed through a
+// splitmix64 finalizer: KMV's estimator is an order statistic over the
+// full 64-bit range, and raw FNV of short, similar keys is not uniform
+// enough in the high bits.
+func hashKey(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return mix64(h)
 }
 
 func mix64(x uint64) uint64 {
