@@ -32,25 +32,30 @@ lint: vet bin/gdbvet
 	$(GO) vet -vettool=$(CURDIR)/bin/gdbvet ./...
 	./bin/gdbvet -audit -budget .gdbvet-budget ./...
 
-# The whole module runs under the race detector; the storage subset
-# remains as a faster inner-loop target.
+# The whole module runs under the race detector: the one race run in ci.
+# The race-* subsets below are faster inner-loop targets outside ci; every
+# package and every -run filter in them is already inside this run.
 race:
 	$(GO) test -race ./...
 
+# Inner-loop subset, outside ci.
 race-storage:
 	$(GO) test -race ./internal/storage/... ./internal/engines/suite/...
 
+# Inner-loop subset, outside ci.
 # Query kernels and every engine under the race detector — the surface the
 # parallel substrate touches.
 race-kernels:
 	$(GO) test -race ./internal/algo/... ./internal/engines/...
 
+# Inner-loop subset, outside ci.
 # The observability substrate and its differential twins under the race
 # detector: concurrent counter/span traffic plus the trace-on/off and
 # observed/unobserved byte-identity proofs.
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/report/... ./internal/enginetest/diff/...
 
+# Inner-loop subset, outside ci.
 # The MVCC snapshot surface under the race detector: the versioned
 # adjacency store, both store-level acquire paths, the engine
 # snapshot/cancellation suite, the writer-during-long-read twin proof, and
@@ -62,6 +67,7 @@ race-snapshots:
 	$(GO) test -race ./internal/adj/... ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/suite/
 	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPinnedSnapshotSurvivesWriterTwins|TestPatchedSnapshotDifferential' -count=1
 
+# Inner-loop subset, outside ci.
 # The planner surface under the race detector: cardinality statistics,
 # the cost-based/WCO planner, the plan-differential + metamorphic twins
 # that prove plan choice never changes answers, and the differential that
@@ -71,6 +77,7 @@ race-plan:
 	$(GO) test -race ./internal/query/stats/ ./internal/query/plan/
 	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic|TestPatchedSnapshotDifferential' -count=1
 
+# Inner-loop subset, outside ci.
 # The networked service under the race detector: session registry,
 # admission gate, and the token-bucket/load-harness pieces that hammer
 # them concurrently.
@@ -130,4 +137,4 @@ serve-smoke:
 bench-serve:
 	$(GO) run ./cmd/gdbload -selfserve -engine neograph -capacity 100 -proto both -out BENCH_serve.json
 
-ci: lint test race race-kernels race-obs race-snapshots race-server race-plan cover fuzz-smoke serve-smoke
+ci: lint test race cover fuzz-smoke serve-smoke

@@ -117,7 +117,7 @@ func BenchmarkTableII_QLInsert(b *testing.B) {
 	q := e.(gdbm.Querier)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Query(fmt.Sprintf(`CREATE (n:Person {i: %d})`, i)); err != nil {
+		if _, err := gdbm.QueryContext(context.Background(), q, fmt.Sprintf(`CREATE (n:Person {i: %d})`, i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func BenchmarkTableII_DDL(b *testing.B) {
 	q := e.(gdbm.Querier)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Query(fmt.Sprintf(`CREATE VERTEX TYPE T%d (name STRING)`, i)); err != nil {
+		if _, err := gdbm.QueryContext(context.Background(), q, fmt.Sprintf(`CREATE VERTEX TYPE T%d (name STRING)`, i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func BenchmarkTableV_RetrievalQL(b *testing.B) {
 	q := e.(gdbm.Querier)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Query(`MATCH (n:N) WHERE n.idx = 250 RETURN n.idx AS i`); err != nil {
+		if _, err := gdbm.QueryContext(context.Background(), q, `MATCH (n:N) WHERE n.idx = 250 RETURN n.idx AS i`); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func BenchmarkTableV_Reasoning(b *testing.B) {
 func BenchmarkTableV_AnalysisShortestPath(b *testing.B) {
 	e := openEngine(b, "bitmapdb")
 	ids := seedRMAT(b, e, 2000)
-	es := e.Essentials()
+	es := e.Essentials(context.Background())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		es.ShortestPath(ids[i%100], ids[len(ids)-1-(i%100)])
@@ -272,7 +272,7 @@ func BenchmarkTableVI_ConstraintOverhead(b *testing.B) {
 func benchEssential(b *testing.B, op string, run func(b *testing.B, e gdbm.Engine, ids []gdbm.NodeID, es gdbm.Essentials)) {
 	for _, name := range gdbm.Engines() {
 		e := openEngine(b, name)
-		es := e.Essentials()
+		es := e.Essentials(context.Background())
 		exposed := map[string]bool{
 			"adjacency": es.NodeAdjacency != nil,
 			"khood":     es.KNeighborhood != nil,
@@ -388,7 +388,7 @@ func BenchmarkPerfSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n%d", name, nodes), func(b *testing.B) {
 				e := openEngine(b, name)
 				ids := seedRMAT(b, e, nodes)
-				es := e.Essentials()
+				es := e.Essentials(context.Background())
 				if es.KNeighborhood == nil {
 					b.Skip("no traversal surface")
 				}
@@ -544,7 +544,7 @@ func BenchmarkQueryPlanner(b *testing.B) {
 		defer done()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q.Query(`MATCH (p:P {idx: 1500}) RETURN p.idx AS i`)
+			gdbm.QueryContext(context.Background(), q, `MATCH (p:P {idx: 1500}) RETURN p.idx AS i`)
 		}
 	})
 	b.Run("hash-index", func(b *testing.B) {
@@ -552,7 +552,7 @@ func BenchmarkQueryPlanner(b *testing.B) {
 		defer done()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q.Query(`MATCH (p:P {idx: 1500}) RETURN p.idx AS i`)
+			gdbm.QueryContext(context.Background(), q, `MATCH (p:P {idx: 1500}) RETURN p.idx AS i`)
 		}
 	})
 }

@@ -99,31 +99,28 @@ func repl(in io.Reader, out io.Writer, e gdbm.Engine, reg *gdbm.Registry) error 
 	}
 }
 
-// query dispatches one statement, tracing it when :trace is on. The trace
-// never changes the answer — it only adds a record line after the result.
+// query dispatches one statement, tracing it when :trace is on (a nil trace
+// is the off path in internal/obs). The trace never changes the answer — it
+// only adds a record line after the result.
 func (sh *shell) query(out io.Writer, q gdbm.Querier, line string) {
-	if !sh.tracing {
-		res, err := q.Query(line)
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		printResult(out, res)
-		return
+	var tr *gdbm.Trace
+	var before map[string]uint64
+	if sh.tracing {
+		tr, before = gdbm.NewTrace(line), sh.reg.Counters()
 	}
-	before := sh.reg.Counters()
-	tr := gdbm.NewTrace(line)
 	res, err := gdbm.QueryContext(gdbm.WithTrace(context.Background(), tr), q, line)
 	tr.Finish()
-	for k, v := range sh.reg.Counters() {
-		tr.Add(k, int64(v-before[k]))
-	}
 	if err != nil {
 		fmt.Fprintln(out, "error:", err)
 		return
 	}
 	printResult(out, res)
-	fmt.Fprintln(out, tr.Record())
+	if sh.tracing {
+		for k, v := range sh.reg.Counters() {
+			tr.Add(k, int64(v-before[k]))
+		}
+		fmt.Fprintln(out, tr.Record())
+	}
 }
 
 func (sh *shell) command(out io.Writer, line string) (quit bool, err error) {

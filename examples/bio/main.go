@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -71,7 +72,7 @@ func main() {
 	}
 
 	// Node adjacency in the hypergraph sense: shared hyperedge.
-	es := raw.Essentials()
+	es := raw.Essentials(context.Background())
 	sameComplex, _ := es.NodeAdjacency(rpb1, rpb2)
 	crossComplex, _ := es.NodeAdjacency(rpb2, ssl2)
 	fmt.Printf("RPB1 adjacent to RPB2 (same complex): %v\n", sameComplex)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Open the Neo4j-archetype engine in main memory.
 	db, err := gdbm.Open("neograph", gdbm.Options{})
 	if err != nil {
@@ -29,15 +31,15 @@ func main() {
 
 	// Create data through the (partial) query language.
 	q := db.(gdbm.Querier)
-	if _, err := q.Query(`CREATE (d:Person {name: 'dot', age: 52})`); err != nil {
+	if _, err := gdbm.QueryContext(ctx, q, `CREATE (d:Person {name: 'dot', age: 52})`); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := q.Query(`MATCH (c:Person {name: 'cam'}), (d:Person {name: 'dot'}) CREATE (c)-[:knows]->(d)`); err != nil {
+	if _, err := gdbm.QueryContext(ctx, q, `MATCH (c:Person {name: 'cam'}), (d:Person {name: 'dot'}) CREATE (c)-[:knows]->(d)`); err != nil {
 		log.Fatal(err)
 	}
 
 	// Query: who do people over 30 know?
-	res, err := q.Query(`MATCH (a:Person)-[:knows]->(b) WHERE a.age > 30 RETURN a.name AS a, b.name AS b ORDER BY a`)
+	res, err := gdbm.QueryContext(ctx, q, `MATCH (a:Person)-[:knows]->(b) WHERE a.age > 30 RETURN a.name AS a, b.name AS b ORDER BY a`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func main() {
 	}
 
 	// Essential graph queries through the engine's surface (Table VII).
-	es := db.Essentials()
+	es := db.Essentials(ctx)
 	adj, _ := es.NodeAdjacency(ada, bob)
 	fmt.Printf("ada adjacent to bob: %v\n", adj)
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -26,6 +27,7 @@ const data = `
 `
 
 func main() {
+	ctx := context.Background()
 	raw, err := gdbm.Open("triplestore", gdbm.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -43,7 +45,7 @@ func main() {
 	// Query with the SPARQL-like language (Table V marks this QL partial:
 	// it matches triple patterns, not arbitrary graph structure).
 	q := raw.(gdbm.Querier)
-	res, err := q.Query(`SELECT ?x WHERE { ?x <type> <human> . } ORDER BY ?x`)
+	res, err := gdbm.QueryContext(ctx, q, `SELECT ?x WHERE { ?x <type> <human> . } ORDER BY ?x`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("materialized %d inferred statements\n", derived)
 
-	res, err = q.Query(`SELECT ?x WHERE { ?x <type> <mortal> . } ORDER BY ?x`)
+	res, err = gdbm.QueryContext(ctx, q, `SELECT ?x WHERE { ?x <type> <mortal> . } ORDER BY ?x`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func main() {
 	}
 
 	// Joins across triple patterns: students of a human teacher.
-	res, err = q.Query(`SELECT ?t ?s WHERE { ?t <teacherOf> ?s . ?t <type> <human> . } ORDER BY ?t`)
+	res, err = gdbm.QueryContext(ctx, q, `SELECT ?t ?s WHERE { ?t <teacherOf> ?s . ?t <type> <human> . } ORDER BY ?t`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,13 +81,13 @@ func main() {
 	}
 
 	// DML through the language.
-	if _, err := q.Query(`INSERT DATA { <aristotle> <teacherOf> <alexander> . }`); err != nil {
+	if _, err := gdbm.QueryContext(ctx, q, `INSERT DATA { <aristotle> <teacherOf> <alexander> . }`); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("statements after insert: %d\n", db.Count())
 
 	// Filters over literals.
-	res, err = q.Query(`SELECT ?n WHERE { <socrates> <name> ?n . FILTER (?n != "x") }`)
+	res, err = gdbm.QueryContext(ctx, q, `SELECT ?n WHERE { <socrates> <name> ?n . FILTER (?n != "x") }`)
 	if err != nil {
 		log.Fatal(err)
 	}

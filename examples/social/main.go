@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -99,7 +100,7 @@ func main() {
 	}
 
 	// 3. Degrees of separation (shortest social path).
-	es := raw.Essentials()
+	es := raw.Essentials(context.Background())
 	path, err := es.ShortestPath(ids[0], rank[0].id)
 	if err == nil {
 		fmt.Printf("degrees of separation person %d -> top influencer: %d\n", ids[0], path.Len())

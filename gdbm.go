@@ -16,7 +16,7 @@
 //	ada, _ := api.AddNode("Person", gdbm.Props("name", "ada"))
 //	bob, _ := api.AddNode("Person", gdbm.Props("name", "bob"))
 //	api.AddEdge("knows", ada, bob, nil)
-//	res, _ := db.(gdbm.Querier).Query(`MATCH (a)-[:knows]->(b) RETURN b.name AS n`)
+//	res, _ := gdbm.QueryContext(ctx, db.(gdbm.Querier), `MATCH (a)-[:knows]->(b) RETURN b.name AS n`)
 package gdbm
 
 import (
@@ -315,8 +315,6 @@ type (
 	// SlowLog appends slow-query records through the vfs seam; a nil
 	// *SlowLog observes nothing.
 	SlowLog = obs.SlowLog
-	// ContextQuerier is a Querier whose dispatch accepts a traced context.
-	ContextQuerier = engine.ContextQuerier
 )
 
 var (
@@ -330,8 +328,8 @@ var (
 	TraceFromContext = obs.FromContext
 	// OpenSlowLog opens (appending to) a slow-query log through the vfs seam.
 	OpenSlowLog = obs.OpenSlowLog
-	// QueryContext dispatches a statement to a Querier, threading the
-	// context's trace when the engine supports it.
+	// QueryContext runs a statement on a Querier under ctx (deadline,
+	// cancellation and any trace it carries) and materializes the result.
 	QueryContext = engine.QueryContext
 )
 

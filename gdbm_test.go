@@ -1,6 +1,7 @@
 package gdbm_test
 
 import (
+	"context"
 	"testing"
 
 	"gdbm"
@@ -40,7 +41,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if _, err := api.AddEdge("knows", ada, bob, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.(gdbm.Querier).Query(`MATCH (a)-[:knows]->(b) RETURN b.name AS n`)
+	res, err := gdbm.QueryContext(context.Background(), db.(gdbm.Querier), `MATCH (a)-[:knows]->(b) RETURN b.name AS n`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@
 //
 // Kernels fall back to their sequential counterparts below a configurable
 // work-size threshold, where chunking overhead would dominate. Graphs
-// handed to the kernels must be safe for concurrent readers — the
-// model.Snapshotter contract; engines expose conforming views through
-// engine.Concurrent, gated by the capability registry.
+// handed to the kernels must be safe for concurrent readers; engines
+// expose conforming views through engine.Concurrent, gated by the
+// capability registry.
 package par
 
 import (

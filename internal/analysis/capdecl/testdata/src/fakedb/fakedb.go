@@ -4,6 +4,8 @@
 package fakedb
 
 import (
+	"context"
+
 	"gdbm/internal/engine"
 	"gdbm/internal/model"
 	"gdbm/internal/query/plan"
@@ -28,7 +30,7 @@ type DB struct { // want `type DB implements engine\.SchemaHolder, but the "Fake
 type Good struct{}
 
 func (Good) LanguageName() string                  { return "fakeql" }
-func (Good) Query(stmt string) (*plan.Result, error) { return nil, nil }
+func (Good) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error { return nil }
 func (Good) Flush() error                          { return nil }
 
 // probe asserts a capability the profile forbids: relying on reasoning

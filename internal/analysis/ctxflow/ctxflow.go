@@ -5,36 +5,31 @@
 // — proves a threaded context stops a running scan; this check proves
 // the dispatch code actually threads one.
 //
-// Two ways of severing the flow are convicted in server/dispatch scope:
+// One way of severing the flow is convicted in server/dispatch scope:
 //
-//  1. Calling a context-threading query entry point (QueryContext,
-//     ExecCtx, RunCtx) with a fresh context.Background() or
-//     context.TODO() as the context argument. The call compiles and
-//     runs, but the client's deadline and disconnect no longer reach
-//     the kernel, so an abandoned request keeps burning an inflight
-//     slot until the query finishes on its own. Root contexts at
-//     non-query call sites (signal handling, shutdown budgets, outbound
-//     HTTP) are legitimate and not convicted.
+//  1. Calling a context-threading query entry point (QueryStream,
+//     QueryContext, ExecStreamCtx, ExecCtx, RunStreamCtx, RunCtx) with a
+//     fresh context.Background() or context.TODO() as the context
+//     argument. The call compiles and runs, but the client's deadline
+//     and disconnect no longer reach the kernel, so an abandoned request
+//     keeps burning an inflight slot until the query finishes on its
+//     own. Root contexts at non-query call sites (signal handling,
+//     shutdown budgets, outbound HTTP) are legitimate and not convicted.
 //
-//  2. Calling the context-free variant (Query, Exec, Run) on a value
-//     whose type also offers the context-threading sibling. The ctx-free
-//     surface exists for CLI tools and tests; dispatch code that has a
-//     request context must use the sibling.
+// Every query surface takes the context as an argument, so dropping it
+// altogether is a compile error rather than a lint finding.
 //
-// A third shape is convicted in a wider scope that also covers the
+// A second shape is convicted in a wider scope that also covers the
 // engine packages:
 //
-//  3. Calling a parallel query kernel (par.BFS, Reachable, Neighborhood,
+//  2. Calling a parallel query kernel (par.BFS, Reachable, Neighborhood,
 //     EvalPath, FindMatches, AggregateNodeProp, Degrees) with an inline
 //     context.Background()/TODO(). Engines dispatch these kernels from
-//     inside their Essentials closures; minting a fresh root there severs
-//     every caller's deadline at the last hop, exactly where it matters
-//     most — the kernels are the only cancellation-aware code on the
-//     path. Engines must thread the context they were handed
-//     (engine.ContextEssentials); only the ctx-free compatibility
-//     wrappers (Essentials() calling EssentialsCtx(context.Background()))
-//     may start a root, and those call EssentialsCtx, not a kernel, so
-//     they stay unconvicted.
+//     inside the closures built by Essentials(ctx); minting a fresh root
+//     there severs every caller's deadline at the last hop, exactly
+//     where it matters most — the kernels are the cancellation-aware
+//     code on the path. Engines must thread the ctx Essentials was
+//     handed; nothing in engine scope may start a root for a kernel.
 //
 // The check is name-based and flow-insensitive like the rest of the
 // suite: it does not chase a Background() stored in a variable first.
@@ -58,11 +53,10 @@ var scope = []string{
 	"gdbm/cmd/gdbload",
 }
 
-// kernelScope is where rule 3 applies: everywhere rules 1–2 do, plus the
+// kernelScope is where rule 2 applies: everywhere rule 1 does, plus the
 // engine packages, whose Essentials closures are the last dispatch hop
-// before the parallel kernels. Rules 1–2 stay out of engine scope on
-// purpose — engines legitimately expose ctx-free compatibility surfaces
-// (Query wrapping QueryContext, Essentials wrapping EssentialsCtx).
+// before the parallel kernels. Rule 1 stays out of engine scope: engines
+// hold no per-request context of their own, only the one they are handed.
 var kernelScope = []string{
 	"gdbm/internal/engines",
 }
@@ -71,8 +65,7 @@ var kernelScope = []string{
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "server/dispatch code must thread the request context into query entry points: " +
-		"no context.Background()/TODO() at a ctx-taking call, no ctx-free Query/Exec/Run " +
-		"where a context-threading sibling exists",
+		"no context.Background()/TODO() at a ctx-taking query entry point or parallel kernel",
 	AppliesTo: func(pkgPath string) bool {
 		for _, s := range scope {
 			if analysis.PathIsUnder(pkgPath, s) {
@@ -89,24 +82,19 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// ctxSiblings maps a context-free query entry point to the
-// context-threading variant that dispatch code must prefer.
-var ctxSiblings = map[string]string{
-	"Query": "QueryContext",
-	"Exec":  "ExecCtx",
-	"Run":   "RunCtx",
-}
-
 // ctxEntryPoints is the set of context-threading query entry points
 // rule 1 guards; a root context anywhere else (WithTimeout, signal
 // handling, outbound requests) is legitimate.
 var ctxEntryPoints = map[string]bool{
-	"QueryContext": true,
-	"ExecCtx":      true,
-	"RunCtx":       true,
+	"QueryStream":   true,
+	"QueryContext":  true,
+	"ExecStreamCtx": true,
+	"ExecCtx":       true,
+	"RunStreamCtx":  true,
+	"RunCtx":        true,
 }
 
-// parKernels is the set of parallel query kernels rule 3 guards. These
+// parKernels is the set of parallel query kernels rule 2 guards. These
 // are the cancellation-aware leaves of the dispatch chain; feeding them
 // a fresh root discards every deadline accumulated above.
 var parKernels = map[string]bool{
@@ -136,7 +124,7 @@ func takesContextFirst(sig *types.Signature) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	// Rules 1–2 run only in the server/dispatch scope; rule 3 runs
+	// Rule 1 runs only in the server/dispatch scope; rule 2 runs
 	// everywhere the analyzer applies (including the engine packages).
 	dispatchScope := false
 	for _, s := range scope {
@@ -180,7 +168,7 @@ func run(pass *analysis.Pass) error {
 			}
 			name := sel.Sel.Name
 
-			// Rule 3: a parallel kernel fed a fresh root context. Applies
+			// Rule 2: a parallel kernel fed a fresh root context. Applies
 			// in engine scope too — the kernels are the cancellation-aware
 			// leaves, so a root minted here discards the caller's deadline
 			// at the last possible hop.
@@ -188,7 +176,7 @@ func run(pass *analysis.Pass) error {
 				parKernels[name] && takesContextFirst(sig) && len(call.Args) > 0 {
 				if src, fresh := freshContext(call.Args[0]); fresh {
 					pass.Reportf(call.Pos(),
-						"%s severs the caller's context at the parallel kernel %s; thread the ctx handed to the dispatch site (EssentialsCtx) instead",
+						"%s severs the caller's context at the parallel kernel %s; thread the ctx handed to the dispatch site (Essentials) instead",
 						src, name)
 					return true
 				}
@@ -205,28 +193,7 @@ func run(pass *analysis.Pass) error {
 					pass.Reportf(call.Pos(),
 						"%s severs the request context at %s; the deadline and client disconnect no longer reach the kernel — thread the caller's ctx",
 						src, name)
-					return true
 				}
-			}
-
-			// Rule 2: the ctx-free variant used where the ctx sibling exists.
-			sibling, isPlain := ctxSiblings[name]
-			if !isPlain {
-				return true
-			}
-			selection, ok := pass.Info.Selections[sel]
-			if !ok || selection.Kind() != types.MethodVal {
-				return true
-			}
-			obj, _, _ := types.LookupFieldOrMethod(selection.Recv(), true, pass.Pkg, sibling)
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				return true
-			}
-			if takesContextFirst(fn.Type().(*types.Signature)) {
-				pass.Reportf(call.Pos(),
-					"%s has a context-threading sibling %s; dispatch code must call it with the request context",
-					name, sibling)
 			}
 			return true
 		})

@@ -1,6 +1,6 @@
-// Package ctxeng is a ctxflow fixture for rule 3; analysistest presents
+// Package ctxeng is a ctxflow fixture for rule 2; analysistest presents
 // it under a virtual import path inside internal/engines, where only the
-// kernel rule applies — the dispatch rules 1–2 must stay silent here.
+// kernel rule applies — the dispatch rule 1 must stay silent here.
 package ctxeng
 
 import "context"
@@ -21,13 +21,12 @@ func (kern) Degrees(ctx context.Context) (int, error)                   { return
 func (kern) SomethingElse(ctx context.Context, n nodeID) error          { return nil }
 func (kern) Neighbourhood(notCtx int, n nodeID) []nodeID                { return nil } // decoy: no ctx param
 
-// eng mimics an engine with both query surfaces. Rules 1–2 do not apply
-// in engine scope, so none of its calls below are convicted.
+// eng mimics an engine's query surface. Rule 1 does not apply in engine
+// scope, so its call below is not convicted.
 type eng struct{}
 
 type result struct{}
 
-func (eng) Query(stmt string) (result, error) { return result{}, nil }
 func (eng) QueryContext(ctx context.Context, stmt string) (result, error) {
 	return result{}, nil
 }
@@ -70,7 +69,7 @@ func derived(ctx context.Context, p kern) {
 
 func notAKernel(p kern) {
 	// Background at a ctx-taking call that is not a kernel is legitimate
-	// in engine scope (compatibility wrappers, startup code).
+	// in engine scope (startup code).
 	_ = p.SomethingElse(context.Background(), 1)
 }
 
@@ -79,17 +78,10 @@ func wrongShape(p kern) {
 	_ = p.Neighbourhood(0, 1)
 }
 
-func compatWrapper(e eng) (result, error) {
-	// The ctx-free compatibility wrapper idiom: engines expose Query()
-	// forwarding to QueryContext(context.Background(), ...). Rule 1 is
-	// dispatch-scope only, so this is NOT convicted here — the engine
-	// genuinely has no caller context in this surface.
+func entryPointRoot(e eng) (result, error) {
+	// Rule 1 is dispatch-scope only: an engine-scope root at a query
+	// entry point (startup code, self-checks) is NOT convicted here.
 	return e.QueryContext(context.Background(), "q")
-}
-
-func ctxFreeSurface(e eng) {
-	// Rule 2 (sibling preference) is likewise dispatch-scope only.
-	_, _ = e.Query("q")
 }
 
 func sanctioned(p kern) {

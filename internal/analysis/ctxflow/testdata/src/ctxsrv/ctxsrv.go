@@ -6,35 +6,31 @@ import "context"
 
 type result struct{}
 
-// eng mimics an engine with both query surfaces, like the real
-// ContextQuerier engines.
+type sink struct{}
+
+// eng mimics an engine's query surface: the streaming method of
+// engine.Querier plus the buffered helper's shape.
 type eng struct{}
 
-func (eng) Query(stmt string) (result, error) { return result{}, nil }
+func (eng) QueryStream(ctx context.Context, stmt string, s sink) error { return nil }
 func (eng) QueryContext(ctx context.Context, stmt string) (result, error) {
 	return result{}, nil
 }
 
-// lang mimics a query language with Exec/ExecCtx and Run/RunCtx pairs.
+// lang mimics the query languages' entry points: one streaming dispatch
+// and one collecting wrapper each.
 type lang struct{}
 
-func (lang) Exec(stmt string) error                         { return nil }
-func (lang) ExecCtx(ctx context.Context, stmt string) error { return nil }
-func (lang) Run(q string) error                             { return nil }
-func (lang) RunCtx(ctx context.Context, q string) error     { return nil }
+func (lang) ExecStreamCtx(ctx context.Context, stmt string, s sink) error { return nil }
+func (lang) ExecCtx(ctx context.Context, stmt string) error               { return nil }
+func (lang) RunStreamCtx(ctx context.Context, q string, s sink) error     { return nil }
+func (lang) RunCtx(ctx context.Context, q string) error                   { return nil }
 
-// plain has only the ctx-free surface; calling it is not a conviction
-// because there is no sibling to prefer.
-type plain struct{}
-
-func (plain) Query(stmt string) (result, error) { return result{}, nil }
-
-// decoy has a Query/QueryContext pair whose "context" is not
-// context.Context; the sibling rule must not fire on it.
+// decoy has a QueryStream whose first parameter is not context.Context;
+// the sever rule must not fire on it.
 type decoy struct{}
 
-func (decoy) Query(stmt string) error               { return nil }
-func (decoy) QueryContext(n int, stmt string) error { return nil }
+func (decoy) QueryStream(n int, stmt string) error { return nil }
 
 // Violations.
 
@@ -46,31 +42,42 @@ func seversTODO(ctx context.Context, e eng) {
 	e.QueryContext(context.TODO(), "q") // want `context\.TODO\(\) severs the request context`
 }
 
+func seversStream(ctx context.Context, e eng) {
+	// The entry point the server actually uses.
+	e.QueryStream(context.Background(), "q", sink{}) // want `severs the request context at QueryStream`
+}
+
 func seversExec(ctx context.Context, l lang) {
 	l.ExecCtx(context.Background(), "q") // want `severs the request context at ExecCtx`
+}
+
+func seversExecStream(ctx context.Context, l lang) {
+	l.ExecStreamCtx(context.Background(), "q", sink{}) // want `severs the request context at ExecStreamCtx`
 }
 
 func seversRun(ctx context.Context, l lang) {
 	l.RunCtx(context.Background(), "q") // want `severs the request context at RunCtx`
 }
 
-func dropsCtx(ctx context.Context, e eng) {
-	e.Query("q") // want `Query has a context-threading sibling QueryContext`
+func seversRunStream(ctx context.Context, l lang) {
+	l.RunStreamCtx(context.TODO(), "q", sink{}) // want `severs the request context at RunStreamCtx`
 }
 
-func dropsExec(ctx context.Context, l lang) {
-	l.Exec("q") // want `Exec has a context-threading sibling ExecCtx`
-}
-
-func dropsRun(ctx context.Context, l lang) {
-	l.Run("q") // want `Run has a context-threading sibling RunCtx`
+func seversInsideClosure(e eng) {
+	// Traversal descends into function literals.
+	run(func() error {
+		return e.QueryStream(context.Background(), "q", sink{}) // want `severs the request context at QueryStream`
+	})
 }
 
 // Allowed.
 
 func threads(ctx context.Context, e eng, l lang) {
+	_ = e.QueryStream(ctx, "q", sink{})
 	_, _ = e.QueryContext(ctx, "q")
+	_ = l.ExecStreamCtx(ctx, "q", sink{})
 	_ = l.ExecCtx(ctx, "q")
+	_ = l.RunStreamCtx(ctx, "q", sink{})
 	_ = l.RunCtx(ctx, "q")
 }
 
@@ -79,7 +86,7 @@ func derived(ctx context.Context, e eng) {
 	// chain intact; only fresh roots are convicted.
 	c, cancel := context.WithTimeout(ctx, 0)
 	defer cancel()
-	_, _ = e.QueryContext(c, "q")
+	_ = e.QueryStream(c, "q", sink{})
 }
 
 func rootElsewhere(e eng) {
@@ -87,66 +94,32 @@ func rootElsewhere(e eng) {
 	// handling) is legitimate; only the query entry points are guarded.
 	c, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	_, _ = e.QueryContext(c, "q")
+	_ = e.QueryStream(c, "q", sink{})
 }
 
-func noSibling(p plain) {
-	// No QueryContext exists on plain; nothing to prefer.
-	_, _ = p.Query("q")
-}
-
-func wrongShapeSibling(d decoy) {
-	// decoy.QueryContext does not take context.Context; not a sibling.
-	_ = d.Query("q")
-}
-
-func sanctioned(e eng) {
-	_, _ = e.Query("q") //gdbvet:allow(ctxflow): fixture demonstrating the suppression comment
+func wrongShape(d decoy) {
+	// decoy.QueryStream does not take context.Context first.
+	_ = d.QueryStream(0, "q")
 }
 
 func sanctionedSever(e eng) {
-	// Suppression works on the sever rule too: the directive is consumed
-	// (so it does not trip the unused-directive hygiene check) and the
-	// diagnostic is routed to the suppressed set, not reported here.
+	// The directive is consumed (so it does not trip the unused-directive
+	// hygiene check) and the diagnostic is routed to the suppressed set,
+	// not reported here.
 	_, _ = e.QueryContext(context.Background(), "q") //gdbvet:allow(ctxflow): fixture demonstrating suppression of the sever rule
 }
 
-// Known holes — shapes the analyzer deliberately skips, pinned here so
+// Known hole — a shape the analyzer deliberately skips, pinned here so
 // the silence is a tested contract rather than an accident. If the
-// analyzer ever grows flow-sensitivity or callback tracking, these
-// lines acquire want comments instead of surprising downstream code.
+// analyzer ever grows flow-sensitivity, this line acquires a want comment
+// instead of surprising downstream code.
 
 func rootViaVariable(ctx context.Context, e eng) {
 	// The package doc promises flow-insensitivity: a fresh root stored
 	// in a variable before the call is not chased. The dynamic
 	// cancellation tests are the backstop for this hole.
 	c := context.Background()
-	_, _ = e.QueryContext(c, "q")
+	_ = e.QueryStream(c, "q", sink{})
 }
 
-func methodValueCallback(e eng, l lang) {
-	// A ctx-free entry point passed as a method value never appears as
-	// the function of a call expression, so rule 2 cannot see it being
-	// invoked inside the runner.
-	runQueries(e.Query)
-	runHooks(l.Exec, l.Run)
-}
-
-func methodValueThroughVariable(e eng) {
-	// Calling through a bound method value: the call's function is a
-	// plain identifier, not a selector, so the sibling lookup never runs.
-	q := e.Query
-	_, _ = q("q")
-}
-
-func closureCallback(e eng) {
-	// Contrast: a closure wrapping the ctx-free call IS convicted —
-	// traversal descends into function literals. Only the uninvoked
-	// method value escapes the check.
-	runQueries(func(stmt string) (result, error) {
-		return e.Query(stmt) // want `Query has a context-threading sibling QueryContext`
-	})
-}
-
-func runQueries(f func(string) (result, error)) { _, _ = f("q") }
-func runHooks(hooks ...any)                     {}
+func run(f func() error) { _ = f() }

@@ -92,8 +92,11 @@ type Engine interface {
 	SurveyRow() string
 	// Features declares the archetype profile.
 	Features() Features
-	// Essentials exposes the essential-query surface.
-	Essentials() Essentials
+	// Essentials exposes the essential-query surface. The closures run
+	// under ctx: every kernel with a cancellable form observes its
+	// deadline and cancellation, so a caller holding a request context
+	// passes it here rather than severing it at the dispatch site.
+	Essentials(ctx context.Context) Essentials
 	// Close releases resources.
 	Close() error
 }
@@ -118,11 +121,20 @@ type HyperAPI interface {
 }
 
 // Querier is implemented by engines with a database query language.
+// Streaming is the interface: QueryStream is the engine's one execution
+// path, and a buffered result is a plan.Collector at the end of it (the
+// QueryContext helper), never a second dispatch.
 type Querier interface {
 	// LanguageName names the language ("gql", "sparqlish", "gsql").
 	LanguageName() string
-	// Query parses and runs one statement.
-	Query(stmt string) (*plan.Result, error)
+	// QueryStream parses and runs one statement under ctx, delivering
+	// columns and then each row into sink as execution produces them, so
+	// a serving layer can flush chunks before the result is whole. ctx
+	// (and any obs.Trace it carries) is threaded through parse, planning
+	// and execution; the whole dispatch is a "query" span. A sink error
+	// stops execution and is returned unchanged (errors.Is comparisons
+	// still work), so cancelling the consumer cancels the query.
+	QueryStream(ctx context.Context, stmt string, sink plan.Sink) error
 }
 
 // SchemaHolder is implemented by engines with a data definition surface.
@@ -153,27 +165,25 @@ type Persistent interface {
 // capable servers (systems shipped with a transaction/concurrency story,
 // Section II): their read path may be shared by many goroutines at once,
 // and the parallel query kernels of internal/algo/par fan traversals out
-// across it. AcquireSnapshot follows the model.Snapshotter contract at
-// frozen isolation: an immutable, epoch-pinned copy-on-write view that is
-// O(1) to acquire on a quiescent store and safe for unsynchronized
-// concurrent readers; writers never block pinned readers. Engines
-// delegate to their store's model.Pinner (AcquireView) — deliberately a
-// different method name, so embedding a pinning store does not leak this
-// capability onto archetypes whose profile forbids it.
+// across it.
+//
+// AcquireSnapshot returns a Graph that is safe for unsynchronized use by
+// any number of concurrent readers until released, at frozen isolation: the
+// view is an immutable point-in-time rendering, unaffected by later
+// mutations, pinned to the store's stable epoch at acquisition. Since the
+// epoch-versioned copy-on-write views (internal/adj), frozen is the only
+// isolation level: acquisition is O(1) on a quiescent store (one atomic
+// load and a pin — no copying), writers never block pinned readers, and a
+// re-render after mutations re-reads only the records they touched. The
+// parallel kernels rely on the immutability for their determinism guarantee
+// — results identical to the sequential kernels on the pinned state. An
+// engine whose store cannot pin returns an error, never the live graph.
+//
+// The returned release follows the model.ReleaseFunc contract: call it
+// exactly once when done. Engines delegate to their store's model.Pinner,
+// whose comment records why that is a different method name.
 type Concurrent interface {
 	AcquireSnapshot() (model.Graph, model.ReleaseFunc, error)
-}
-
-// ContextEssentials is implemented by engines whose Essentials closures
-// can run under a caller-supplied context. The parallel kernels behind
-// KNeighborhood and Summarization honour cancellation; Essentials()
-// (context-free) is equivalent to EssentialsCtx(context.Background()).
-// Callers holding a request context — the query service, harnesses with
-// deadlines — must use EssentialsCtx so cancellation reaches the kernels
-// instead of being severed at the dispatch site (the shape the ctxflow
-// analyzer convicts inside engine packages).
-type ContextEssentials interface {
-	EssentialsCtx(ctx context.Context) Essentials
 }
 
 // Options configures engine construction.

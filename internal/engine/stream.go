@@ -3,37 +3,21 @@ package engine
 import (
 	"context"
 
-	"gdbm/internal/obs"
 	"gdbm/internal/query/plan"
 )
 
-// StreamQuerier is implemented by Querier engines whose query path can emit
-// result rows incrementally: QueryStream delivers columns and then each row
-// into sink as execution produces them, so a serving layer can flush chunks
-// before the result is whole. The stream must render exactly the rows, in
-// exactly the order, that QueryContext would return for the same statement —
-// streaming is a delivery mode, never a different answer. A sink error stops
-// execution and is returned unchanged (wrapped sentinel comparisons with
-// errors.Is still work), so cancelling the consumer cancels the query.
-type StreamQuerier interface {
-	Querier
-	QueryStream(ctx context.Context, stmt string, sink plan.Sink) error
+// QueryStream runs stmt on q delivering the result into sink.
+func QueryStream(ctx context.Context, q Querier, stmt string, sink plan.Sink) error {
+	return q.QueryStream(ctx, stmt, sink)
 }
 
-// QueryStream dispatches stmt on q delivering the result into sink,
-// preferring the engine's native incremental path. Engines without one run
-// the buffered QueryContext path and replay the materialized result into
-// the sink — the consumer sees the same stream contract either way, just
-// with first-row latency equal to full execution.
-func QueryStream(ctx context.Context, q Querier, stmt string, sink plan.Sink) error {
-	if sq, ok := q.(StreamQuerier); ok {
-		return sq.QueryStream(ctx, stmt, sink)
+// QueryContext runs stmt on q and materializes the result. It is the one
+// buffered form of the engines' single execution path — q.QueryStream into
+// a plan.Collector — so a buffered answer cannot differ from a streamed one.
+func QueryContext(ctx context.Context, q Querier, stmt string) (*plan.Result, error) {
+	var c plan.Collector
+	if err := q.QueryStream(ctx, stmt, &c); err != nil {
+		return nil, err
 	}
-	res, err := QueryContext(ctx, q, stmt)
-	if err != nil {
-		return err
-	}
-	end := obs.FromContext(ctx).StartSpan("emit")
-	defer end()
-	return plan.Replay(res, sink)
+	return &c.Res, nil
 }

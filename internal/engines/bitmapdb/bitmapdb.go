@@ -145,23 +145,6 @@ func (db *DB) Features() engine.Features {
 	}
 }
 
-// Essentials implements engine.Engine: DEX's API composes every essential
-// query class except regular simple paths and pattern matching.
-func (db *DB) Essentials() engine.Essentials {
-	return db.EssentialsCtx(context.Background())
-}
-
-// EssentialsCtx implements engine.ContextEssentials: the parallel kernels
-// run under the caller's context, so deadlines and cancellation reach
-// them instead of being severed by a fresh background root.
-func (db *DB) EssentialsCtx(ctx context.Context) engine.Essentials {
-	es := db.essentialsCtx(ctx)
-	if db.results == nil {
-		return es
-	}
-	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
-}
-
 // CacheStats implements engine.CacheStatser; main-memory instances report
 // no tiers.
 func (db *DB) CacheStats() map[string]cache.Stats {
@@ -180,8 +163,11 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	return out
 }
 
-func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
+// Essentials implements engine.Engine: DEX's API composes every essential
+// query class except regular simple paths and pattern matching. The kernels
+// run under ctx.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
+	es := engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
 		},
@@ -197,10 +183,10 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 			return par.Neighborhood(ctx, g, n, k, model.Both, par.Options{})
 		},
 		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPaths(db.Core, from, to, length, model.Out, 0)
+			return algo.FixedLengthPathsCtx(ctx, db.Core, from, to, length, model.Out, 0)
 		},
 		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPath(db.Core, from, to, model.Out)
+			return algo.ShortestPathCtx(ctx, db.Core, from, to, model.Out)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			g, release, err := db.AcquireSnapshot()
@@ -211,19 +197,16 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 			return par.AggregateNodeProp(ctx, g, label, prop, kind, par.Options{})
 		},
 	}
+	if db.results == nil {
+		return es
+	}
+	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
 }
 
-// AcquireSnapshot implements engine.Concurrent (the model.Snapshotter
-// contract) at frozen isolation, delegating to the store's copy-on-write
-// views (bitmap directory layout): O(1) on a quiescent store, immutable
-// under concurrent writers, in both configurations.
+// AcquireSnapshot implements engine.Concurrent over the store's
+// copy-on-write views (bitmap directory layout), in both configurations.
 func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
-	if p, ok := db.Core.Graph().(model.Pinner); ok {
-		return p.AcquireView()
-	}
-	// Unreachable with the stores in this repository (both implement
-	// model.Pinner); the live graph remains as a defensive fallback.
-	return db.Core.Graph(), func() {}, nil
+	return db.Core.AcquireView()
 }
 
 // Flush implements engine.Persistent for disk-backed instances.
@@ -243,11 +226,10 @@ func (db *DB) Close() error {
 }
 
 var (
-	_ engine.Engine            = (*DB)(nil)
-	_ engine.GraphAPI          = (*DB)(nil)
-	_ engine.SchemaHolder      = (*DB)(nil)
-	_ engine.Loader            = (*DB)(nil)
-	_ engine.CacheStatser      = (*DB)(nil)
-	_ engine.Concurrent        = (*DB)(nil)
-	_ engine.ContextEssentials = (*DB)(nil)
+	_ engine.Engine       = (*DB)(nil)
+	_ engine.GraphAPI     = (*DB)(nil)
+	_ engine.SchemaHolder = (*DB)(nil)
+	_ engine.Loader       = (*DB)(nil)
+	_ engine.CacheStatser = (*DB)(nil)
+	_ engine.Concurrent   = (*DB)(nil)
 )

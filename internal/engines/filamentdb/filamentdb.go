@@ -6,6 +6,7 @@
 package filamentdb
 
 import (
+	"context"
 	"path/filepath"
 
 	"gdbm/internal/algo"
@@ -98,13 +99,9 @@ func (db *DB) Features() engine.Features {
 }
 
 // Essentials implements engine.Engine: adjacency, k-neighborhood and
-// summarization per its Table VII row.
-func (db *DB) Essentials() engine.Essentials {
-	return engine.CachedEssentials(db.Name(), db.essentials(), db.results, db.Graph.Epoch)
-}
-
-func (db *DB) essentials() engine.Essentials {
-	return engine.Essentials{
+// summarization per its Table VII row. The traversal kernel runs under ctx.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
+	return engine.CachedEssentials(db.Name(), engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Graph, a, b, model.Both)
 		},
@@ -112,12 +109,12 @@ func (db *DB) essentials() engine.Essentials {
 			return algo.EdgesAdjacent(db.Graph, e1, e2)
 		},
 		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			return algo.Neighborhood(db.Graph, n, k, model.Both)
+			return algo.NeighborhoodCtx(ctx, db.Graph, n, k, model.Both)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			return algo.AggregateNodeProp(db.Graph, label, prop, kind)
 		},
-	}
+	}, db.results, db.Graph.Epoch)
 }
 
 // LoadNode implements engine.Loader.

@@ -1,6 +1,7 @@
 package filamentdb
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/algo"
@@ -20,7 +21,7 @@ func TestAPIOnlyProfile(t *testing.T) {
 	db.LoadEdge("e", a, b, nil)
 	db.LoadEdge("e", b, c, nil)
 
-	es := db.Essentials()
+	es := db.Essentials(context.Background())
 	if es.FixedLengthPaths != nil || es.ShortestPath != nil {
 		t.Error("Filament's Table VII row exposes no path utilities")
 	}

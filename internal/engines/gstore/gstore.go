@@ -82,28 +82,12 @@ func (db *DB) Graph() model.MutableGraph { return db.g }
 // LanguageName implements engine.Querier.
 func (db *DB) LanguageName() string { return "gsql" }
 
-// Query implements engine.Querier. Read statements (SELECT) are memoized
-// in the query-result cache at the current graph epoch.
-func (db *DB) Query(stmt string) (*plan.Result, error) {
-	return db.QueryContext(context.Background(), stmt)
-}
-
-// QueryContext implements engine.ContextQuerier: the whole dispatch is a
-// "query" span on the trace in ctx, with gsql's "exec" span nested inside
-// on cache misses. Tracing never changes the answer.
-func (db *DB) QueryContext(ctx context.Context, stmt string) (*plan.Result, error) {
-	defer obs.FromContext(ctx).StartSpan("query")()
-	exec := func() (*plan.Result, error) { return gsql.ExecCtx(ctx, stmt, gsqlSurface{db}) }
-	if !engine.ReadOnlyStmt(stmt, "SELECT") {
-		return exec()
-	}
-	return engine.CachedQuery(db.results, db.g.Epoch, db.Name(), "gsql", stmt, exec)
-}
-
-// QueryStream implements engine.StreamQuerier: SELECTs emit rows into sink
-// as the plan produces them. Instances with a result cache keep the cached
-// path (materialize or hit, then replay) so streaming never bypasses cache
-// coherence; the rows are identical either way.
+// QueryStream implements engine.Querier: the whole dispatch is a "query"
+// span on the trace in ctx, with gsql's "exec" span nested inside on cache
+// misses, and SELECTs emit rows into sink as the plan produces them.
+// Instances with a result cache memoize read statements (SELECT) at the
+// current graph epoch (materialize or hit, then replay), so streaming never
+// bypasses cache coherence; the rows are identical either way.
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
 	if db.results == nil || !engine.ReadOnlyStmt(stmt, "SELECT") {
@@ -169,13 +153,9 @@ func (db *DB) Features() engine.Features {
 
 // Essentials implements engine.Engine: G-Store's language carries the graph
 // instructions (PATH, NEIGHBORS, REACH), so all five composable classes of
-// its Table VII row route through Query.
-func (db *DB) Essentials() engine.Essentials {
-	return engine.CachedEssentials(db.Name(), db.essentials(), db.results, db.g.Epoch)
-}
-
-func (db *DB) essentials() engine.Essentials {
-	return engine.Essentials{
+// its Table VII row route through the language or its kernels, under ctx.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
+	return engine.CachedEssentials(db.Name(), engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.g, a, b, model.Both)
 		},
@@ -183,7 +163,7 @@ func (db *DB) essentials() engine.Essentials {
 			return algo.EdgesAdjacent(db.g, e1, e2)
 		},
 		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			res, err := db.Query(fmt.Sprintf("SELECT NEIGHBORS OF %d DEPTH %d", n, k))
+			res, err := engine.QueryContext(ctx, db, fmt.Sprintf("SELECT NEIGHBORS OF %d DEPTH %d", n, k))
 			if err != nil {
 				return nil, err
 			}
@@ -195,15 +175,15 @@ func (db *DB) essentials() engine.Essentials {
 			return out, nil
 		},
 		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPaths(db.g, from, to, length, model.Out, 0)
+			return algo.FixedLengthPathsCtx(ctx, db.g, from, to, length, model.Out, 0)
 		},
 		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPath(db.g, from, to, model.Out)
+			return algo.ShortestPathCtx(ctx, db.g, from, to, model.Out)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			return algo.AggregateNodeProp(db.g, label, prop, kind)
 		},
-	}
+	}, db.results, db.g.Epoch)
 }
 
 // LoadNode implements engine.Loader.
@@ -223,9 +203,8 @@ func (db *DB) Flush() error { return db.disk.Flush() }
 func (db *DB) Close() error { return db.disk.Close() }
 
 var (
-	_ engine.Engine         = (*DB)(nil)
-	_ engine.Querier        = (*DB)(nil)
-	_ engine.ContextQuerier = (*DB)(nil)
-	_ engine.Loader         = (*DB)(nil)
-	_ engine.CacheStatser   = (*DB)(nil)
+	_ engine.Engine       = (*DB)(nil)
+	_ engine.Querier      = (*DB)(nil)
+	_ engine.Loader       = (*DB)(nil)
+	_ engine.CacheStatser = (*DB)(nil)
 )

@@ -1,6 +1,7 @@
 package gstore
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/engine"
@@ -31,11 +32,11 @@ func TestLanguageDDLDMLQuery(t *testing.T) {
 		`INSERT VERTEX City (name = 'basel', pop = 180000)`,
 	}
 	for _, s := range stmts {
-		if _, err := db.Query(s); err != nil {
+		if _, err := engine.QueryContext(context.Background(), db, s); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
-	res, err := db.Query(`SELECT name FROM City WHERE pop > 200000`)
+	res, err := engine.QueryContext(context.Background(), db, `SELECT name FROM City WHERE pop > 200000`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,25 +51,25 @@ func TestLanguageDDLDMLQuery(t *testing.T) {
 func TestGraphInstructions(t *testing.T) {
 	db := openDB(t)
 	for i := 0; i < 4; i++ {
-		if _, err := db.Query(`INSERT VERTEX N`); err != nil {
+		if _, err := engine.QueryContext(context.Background(), db, `INSERT VERTEX N`); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db.Query(`INSERT EDGE e FROM 1 TO 2`)
-	db.Query(`INSERT EDGE e FROM 2 TO 3`)
-	db.Query(`INSERT EDGE e FROM 3 TO 4`)
-	res, err := db.Query(`SELECT PATH FROM 1 TO 4`)
+	engine.QueryContext(context.Background(), db, `INSERT EDGE e FROM 1 TO 2`)
+	engine.QueryContext(context.Background(), db, `INSERT EDGE e FROM 2 TO 3`)
+	engine.QueryContext(context.Background(), db, `INSERT EDGE e FROM 3 TO 4`)
+	res, err := engine.QueryContext(context.Background(), db, `SELECT PATH FROM 1 TO 4`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p, _ := res.Rows[0][0].AsString(); p != "1->2->3->4" {
 		t.Errorf("path = %q", p)
 	}
-	res2, _ := db.Query(`SELECT REACH FROM 4 TO 1`)
+	res2, _ := engine.QueryContext(context.Background(), db, `SELECT REACH FROM 4 TO 1`)
 	if b, _ := res2.Rows[0][0].AsBool(); b {
 		t.Error("4 should not reach 1")
 	}
-	res3, _ := db.Query(`SELECT NEIGHBORS OF 2`)
+	res3, _ := engine.QueryContext(context.Background(), db, `SELECT NEIGHBORS OF 2`)
 	if len(res3.Rows) != 2 {
 		t.Errorf("neighbors = %v", res3.Rows)
 	}
@@ -80,7 +81,7 @@ func TestEverythingOnDiskSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Query(`INSERT VERTEX N (k = 7)`)
+	engine.QueryContext(context.Background(), db, `INSERT VERTEX N (k = 7)`)
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,11 @@ func TestEverythingOnDiskSurvivesReopen(t *testing.T) {
 func TestEssentialsKNeighborhoodRoutesThroughQL(t *testing.T) {
 	db := openDB(t)
 	for i := 0; i < 3; i++ {
-		db.Query(`INSERT VERTEX N`)
+		engine.QueryContext(context.Background(), db, `INSERT VERTEX N`)
 	}
-	db.Query(`INSERT EDGE e FROM 1 TO 2`)
-	db.Query(`INSERT EDGE e FROM 2 TO 3`)
-	es := db.Essentials()
+	engine.QueryContext(context.Background(), db, `INSERT EDGE e FROM 1 TO 2`)
+	engine.QueryContext(context.Background(), db, `INSERT EDGE e FROM 2 TO 3`)
+	es := db.Essentials(context.Background())
 	nb, err := es.KNeighborhood(model.NodeID(1), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@
 package hyperdb
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 
@@ -212,8 +213,9 @@ func (db *DB) Features() engine.Features {
 
 // Essentials implements engine.Engine: the hypergraph API composes node
 // adjacency (shared hyperedge membership) and aggregate summarization;
-// path utilities are not part of its surface (Table VII row).
-func (db *DB) Essentials() engine.Essentials {
+// path utilities are not part of its surface (Table VII row). None of the
+// three is a cancellable kernel, so the context goes unused.
+func (db *DB) Essentials(context.Context) engine.Essentials {
 	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			found := false

@@ -1,6 +1,7 @@
 package hyperdb
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestEssentialsHyperSemantics(t *testing.T) {
 	e1, _ := db.AddLink("x", []model.NodeID{a, b, c}, nil)
 	e2, _ := db.AddLink("y", []model.NodeID{c, d}, nil)
 
-	es := db.Essentials()
+	es := db.Essentials(context.Background())
 	ok, _ := es.NodeAdjacency(a, b)
 	if !ok {
 		t.Error("a,b share a hyperedge")

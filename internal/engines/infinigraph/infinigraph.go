@@ -558,20 +558,9 @@ func (db *DB) Features() engine.Features {
 	}
 }
 
-// Essentials implements engine.Engine; kernels run under a background
-// context. Callers holding a request context should prefer EssentialsCtx.
-func (db *DB) Essentials() engine.Essentials {
-	return db.essentialsCtx(context.Background())
-}
-
-// EssentialsCtx implements engine.ContextEssentials: the parallel kernels
-// run under the caller's context, so deadlines and cancellation reach
-// them instead of being severed by a fresh background root.
-func (db *DB) EssentialsCtx(ctx context.Context) engine.Essentials {
-	return db.essentialsCtx(ctx)
-}
-
-func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
+// Essentials implements engine.Engine; the kernels run under ctx, so
+// deadlines and cancellation reach them.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db, a, b, model.Both)
@@ -588,10 +577,10 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 			return par.Neighborhood(ctx, g, n, k, model.Both, par.Options{})
 		},
 		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPaths(db, from, to, length, model.Out, 0)
+			return algo.FixedLengthPathsCtx(ctx, db, from, to, length, model.Out, 0)
 		},
 		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPath(db, from, to, model.Out)
+			return algo.ShortestPathCtx(ctx, db, from, to, model.Out)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			g, release, err := db.AcquireSnapshot()
@@ -604,12 +593,12 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 	}
 }
 
-// AcquireSnapshot implements engine.Concurrent (the model.Snapshotter
-// contract) at frozen isolation: an immutable copy-on-write snapshot of
-// all shards merged, pinned at the current stable epoch. The fast path is
-// O(1) — one atomic load and a pin when the store is quiescent — and a
-// re-render after mutations re-reads only the records they touched, mirroring
-// InfiniteGraph's concurrent distributed traversal over stable views.
+// AcquireSnapshot implements engine.Concurrent: an immutable copy-on-write
+// snapshot of all shards merged, pinned at the current stable epoch. The
+// fast path is O(1) — one atomic load and a pin when the store is
+// quiescent — and a re-render after mutations re-reads only the records
+// they touched, mirroring InfiniteGraph's concurrent distributed traversal
+// over stable views.
 func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
 	if s, rel := db.ver.TryPin(db.epoch.Current()); rel != nil {
 		return s, rel, nil
@@ -682,11 +671,10 @@ func (db *DB) Close() error {
 }
 
 var (
-	_ engine.Engine            = (*DB)(nil)
-	_ engine.CacheStatser      = (*DB)(nil)
-	_ engine.GraphAPI          = (*DB)(nil)
-	_ engine.Loader            = (*DB)(nil)
-	_ engine.Concurrent        = (*DB)(nil)
-	_ engine.ContextEssentials = (*DB)(nil)
-	_ adj.Source               = igSource{}
+	_ engine.Engine       = (*DB)(nil)
+	_ engine.CacheStatser = (*DB)(nil)
+	_ engine.GraphAPI     = (*DB)(nil)
+	_ engine.Loader       = (*DB)(nil)
+	_ engine.Concurrent   = (*DB)(nil)
+	_ adj.Source          = igSource{}
 )

@@ -138,28 +138,12 @@ func (db *DB) Features() engine.Features {
 // LanguageName implements engine.Querier.
 func (db *DB) LanguageName() string { return "gql" }
 
-// Query implements engine.Querier with the Cypher-like language. On
-// disk-backed instances with a cache budget, read statements (MATCH) are
-// memoized at the current graph epoch.
-func (db *DB) Query(stmt string) (*plan.Result, error) {
-	return db.QueryContext(context.Background(), stmt)
-}
-
-// QueryContext implements engine.ContextQuerier: the whole dispatch is a
-// "query" span on the trace in ctx, with gql's "parse"/"exec" spans nested
-// inside on cache misses. Tracing never changes the answer.
-func (db *DB) QueryContext(ctx context.Context, stmt string) (*plan.Result, error) {
-	defer obs.FromContext(ctx).StartSpan("query")()
-	exec := func() (*plan.Result, error) { return gql.ExecCtx(ctx, stmt, db.Core) }
-	if db.results == nil || !engine.ReadOnlyStmt(stmt, "MATCH") {
-		return exec()
-	}
-	return engine.CachedQuery(db.results, db.kg.Epoch, db.Name(), "gql", stmt, exec)
-}
-
-// QueryStream implements engine.StreamQuerier: read statements emit rows
-// into sink as the plan produces them. Instances with a result cache keep
-// the cached path (materialize or hit, then replay) so streaming never
+// QueryStream implements engine.Querier with the Cypher-like language: the
+// whole dispatch is a "query" span on the trace in ctx, with gql's
+// "parse"/"exec" spans nested inside on cache misses, and read statements
+// emit rows into sink as the plan produces them. On disk-backed instances
+// with a cache budget, read statements (MATCH) are memoized at the current
+// graph epoch (materialize or hit, then replay), so streaming never
 // bypasses cache coherence; the rows are identical either way.
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
@@ -194,24 +178,9 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 
 // Essentials implements engine.Engine: the Neo4j archetype's traversal
 // framework composes adjacency, neighborhoods, fixed-length and shortest
-// paths, and summarization.
-func (db *DB) Essentials() engine.Essentials {
-	return db.EssentialsCtx(context.Background())
-}
-
-// EssentialsCtx implements engine.ContextEssentials: the parallel kernels
-// run under the caller's context, so deadlines and cancellation reach
-// them instead of being severed by a fresh background root.
-func (db *DB) EssentialsCtx(ctx context.Context) engine.Essentials {
-	es := db.essentialsCtx(ctx)
-	if db.results == nil {
-		return es
-	}
-	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
-}
-
-func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
+// paths, and summarization. The kernels run under ctx.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
+	es := engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
 		},
@@ -227,10 +196,10 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 			return par.Neighborhood(ctx, g, n, k, model.Both, par.Options{})
 		},
 		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPaths(db.Core, from, to, length, model.Out, 0)
+			return algo.FixedLengthPathsCtx(ctx, db.Core, from, to, length, model.Out, 0)
 		},
 		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPath(db.Core, from, to, model.Out)
+			return algo.ShortestPathCtx(ctx, db.Core, from, to, model.Out)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			g, release, err := db.AcquireSnapshot()
@@ -241,19 +210,16 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 			return par.AggregateNodeProp(ctx, g, label, prop, kind, par.Options{})
 		},
 	}
+	if db.results == nil {
+		return es
+	}
+	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
 }
 
-// AcquireSnapshot implements engine.Concurrent (the model.Snapshotter
-// contract) at frozen isolation, delegating to the store's copy-on-write
-// views: O(1) on a quiescent store, immutable under concurrent writers,
-// in both configurations.
+// AcquireSnapshot implements engine.Concurrent over the store's
+// copy-on-write views, in both configurations.
 func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
-	if p, ok := db.Core.Graph().(model.Pinner); ok {
-		return p.AcquireView()
-	}
-	// Unreachable with the stores in this repository (both implement
-	// model.Pinner); the live graph remains as a defensive fallback.
-	return db.Core.Graph(), func() {}, nil
+	return db.Core.AcquireView()
 }
 
 // Update implements engine.Transactional for main-memory instances: fn's
@@ -293,12 +259,10 @@ func (db *DB) Close() error {
 }
 
 var (
-	_ engine.Engine            = (*DB)(nil)
-	_ engine.GraphAPI          = (*DB)(nil)
-	_ engine.Querier           = (*DB)(nil)
-	_ engine.ContextQuerier    = (*DB)(nil)
-	_ engine.ContextEssentials = (*DB)(nil)
-	_ engine.Concurrent        = (*DB)(nil)
-	_ engine.Loader            = (*DB)(nil)
-	_ engine.CacheStatser      = (*DB)(nil)
+	_ engine.Engine       = (*DB)(nil)
+	_ engine.GraphAPI     = (*DB)(nil)
+	_ engine.Querier      = (*DB)(nil)
+	_ engine.Concurrent   = (*DB)(nil)
+	_ engine.Loader       = (*DB)(nil)
+	_ engine.CacheStatser = (*DB)(nil)
 )

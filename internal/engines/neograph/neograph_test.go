@@ -1,6 +1,7 @@
 package neograph
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/engine"
@@ -19,16 +20,16 @@ func openDB(t *testing.T) *DB {
 
 func TestQueryLanguageRoundTrip(t *testing.T) {
 	db := openDB(t)
-	if _, err := db.Query(`CREATE (a:P {name: 'ada'})`); err != nil {
+	if _, err := engine.QueryContext(context.Background(), db, `CREATE (a:P {name: 'ada'})`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query(`CREATE (b:P {name: 'bob'})`); err != nil {
+	if _, err := engine.QueryContext(context.Background(), db, `CREATE (b:P {name: 'bob'})`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query(`MATCH (a:P {name: 'ada'}), (b:P {name: 'bob'}) CREATE (a)-[:knows]->(b)`); err != nil {
+	if _, err := engine.QueryContext(context.Background(), db, `MATCH (a:P {name: 'ada'}), (b:P {name: 'bob'}) CREATE (a)-[:knows]->(b)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`MATCH (a)-[:knows]->(b) RETURN b.name AS n`)
+	res, err := engine.QueryContext(context.Background(), db, `MATCH (a)-[:knows]->(b) RETURN b.name AS n`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDiskPersistenceWithLabelIndexRebuild(t *testing.T) {
 	if db2.Order() != 1 {
 		t.Fatalf("order after reopen = %d", db2.Order())
 	}
-	res, err := db2.Query(`MATCH (p:P) RETURN p.name AS n`)
+	res, err := engine.QueryContext(context.Background(), db2, `MATCH (p:P) RETURN p.name AS n`)
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("query after reopen: %v %v", res, err)
 	}

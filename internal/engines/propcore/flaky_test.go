@@ -41,3 +41,22 @@ func TestRemoveNodePropagatesScanError(t *testing.T) {
 		t.Fatalf("edge was removed despite the failed incident-edge scan: %v", err)
 	}
 }
+
+// TestAcquireViewRefusesUnpinnableStore pins the snapshot contract's failure
+// mode: over a storage graph that is not a model.Pinner the core reports an
+// error and hands out no graph — never the live mutable store posing as a
+// frozen view — while a pinning store is delegated to.
+func TestAcquireViewRefusesUnpinnableStore(t *testing.T) {
+	mg := memgraph.New()
+	if g, release, err := New(algotest.NewFlakyMutable(mg, 0)).AcquireView(); err == nil || g != nil || release != nil {
+		t.Fatalf("AcquireView over an unpinnable store = (%v, release set: %v, %v), want an error and nothing else", g, release != nil, err)
+	}
+	g, release, err := New(mg).AcquireView()
+	if err != nil {
+		t.Fatalf("AcquireView over memgraph: %v", err)
+	}
+	defer release()
+	if g == nil {
+		t.Fatal("AcquireView over memgraph returned no view")
+	}
+}

@@ -5,6 +5,7 @@
 package propcore
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -42,6 +43,18 @@ func (c *Core) Graph() model.MutableGraph { return c.g }
 
 // Schema returns the engine schema.
 func (c *Core) Schema() *model.Schema { return c.Sch }
+
+// AcquireView implements model.Pinner by delegating to the storage graph.
+// A store that cannot pin yields an error: handing out the live mutable
+// graph as a frozen view would break every reader that trusts the
+// engine.Concurrent contract.
+func (c *Core) AcquireView() (model.Graph, model.ReleaseFunc, error) {
+	p, ok := c.g.(model.Pinner)
+	if !ok {
+		return nil, nil, fmt.Errorf("propcore: storage graph %T cannot pin a snapshot", c.g)
+	}
+	return p.AcquireView()
+}
 
 // --- model.Graph (reads delegate) ---
 

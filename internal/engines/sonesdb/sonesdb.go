@@ -87,21 +87,10 @@ func (db *DB) Groupings() int { return db.hyper.Size() }
 // LanguageName implements engine.Querier.
 func (db *DB) LanguageName() string { return "gsql" }
 
-// Query implements engine.Querier with the SQL-flavoured graph language.
-func (db *DB) Query(stmt string) (*plan.Result, error) {
-	return db.QueryContext(context.Background(), stmt)
-}
-
-// QueryContext implements engine.ContextQuerier: the whole dispatch is a
-// "query" span on the trace in ctx, with gsql's "exec" span nested inside.
-// Tracing never changes the answer.
-func (db *DB) QueryContext(ctx context.Context, stmt string) (*plan.Result, error) {
-	defer obs.FromContext(ctx).StartSpan("query")()
-	return gsql.ExecCtx(ctx, stmt, gsqlSurface{db})
-}
-
-// QueryStream implements engine.StreamQuerier: SELECTs emit rows into sink
-// as the plan produces them; the rows are identical to QueryContext's.
+// QueryStream implements engine.Querier with the SQL-flavoured graph
+// language: the whole dispatch is a "query" span on the trace in ctx, with
+// gsql's "exec" span nested inside, and SELECTs emit rows into sink as the
+// plan produces them.
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
 	return gsql.ExecStreamCtx(ctx, stmt, gsqlSurface{db}, sink)
@@ -161,8 +150,9 @@ func (db *DB) Features() engine.Features {
 }
 
 // Essentials implements engine.Engine: per the Table VII row, the Sones
-// surface composes node/edge adjacency and summarization only.
-func (db *DB) Essentials() engine.Essentials {
+// surface composes node/edge adjacency and summarization only — none of
+// them a cancellable kernel, so the context goes unused.
+func (db *DB) Essentials(context.Context) engine.Essentials {
 	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
@@ -180,10 +170,9 @@ func (db *DB) Essentials() engine.Essentials {
 func (db *DB) Close() error { return nil }
 
 var (
-	_ engine.Engine         = (*DB)(nil)
-	_ engine.GraphAPI       = (*DB)(nil)
-	_ engine.Querier        = (*DB)(nil)
-	_ engine.ContextQuerier = (*DB)(nil)
-	_ engine.SchemaHolder   = (*DB)(nil)
-	_ engine.Loader         = (*DB)(nil)
+	_ engine.Engine       = (*DB)(nil)
+	_ engine.GraphAPI     = (*DB)(nil)
+	_ engine.Querier      = (*DB)(nil)
+	_ engine.SchemaHolder = (*DB)(nil)
+	_ engine.Loader       = (*DB)(nil)
 )

@@ -1,6 +1,7 @@
 package sonesdb
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -34,11 +35,11 @@ func TestFullLanguageSurface(t *testing.T) {
 		`INSERT EDGE knows FROM 1 TO 2`,
 	}
 	for _, s := range stmts {
-		if _, err := db.Query(s); err != nil {
+		if _, err := engine.QueryContext(context.Background(), db, s); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
-	res, err := db.Query(`SELECT name FROM Person WHERE age > 30 ORDER BY name`)
+	res, err := engine.QueryContext(context.Background(), db, `SELECT name FROM Person WHERE age > 30 ORDER BY name`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestGroupingsAreComplexRelations(t *testing.T) {
 
 func TestEssentialsProfile(t *testing.T) {
 	db := openDB(t)
-	es := db.Essentials()
+	es := db.Essentials(context.Background())
 	if es.NodeAdjacency == nil || es.Summarization == nil {
 		t.Error("adjacency and summarization must be exposed")
 	}

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			es := e.Essentials()
+			es := e.Essentials(context.Background())
 			var wg sync.WaitGroup
 			// One writer keeps inserting.
 			wg.Add(1)
@@ -88,7 +89,7 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	defer e.Close()
 	q := e.(engine.Querier)
-	if _, err := q.Query(`CREATE (a:P {name: 'ada'})`); err != nil {
+	if _, err := engine.QueryContext(context.Background(), q, `CREATE (a:P {name: 'ada'})`); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -99,12 +100,12 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				if w%2 == 0 {
-					if _, err := q.Query(fmt.Sprintf(`CREATE (x:P {name: 'w%d-%d'})`, w, i)); err != nil {
+					if _, err := engine.QueryContext(context.Background(), q, fmt.Sprintf(`CREATE (x:P {name: 'w%d-%d'})`, w, i)); err != nil {
 						errs <- err
 						return
 					}
 				} else {
-					if _, err := q.Query(`MATCH (p:P) RETURN count(*) AS n`); err != nil {
+					if _, err := engine.QueryContext(context.Background(), q, `MATCH (p:P) RETURN count(*) AS n`); err != nil {
 						errs <- err
 						return
 					}
@@ -117,7 +118,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	res, err := q.Query(`MATCH (p:P) RETURN count(*) AS n`)
+	res, err := engine.QueryContext(context.Background(), q, `MATCH (p:P) RETURN count(*) AS n`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestConcurrentEnginesServeReadersUnderWrites(t *testing.T) {
 			}()
 			go func() { // reader: k-neighborhood via snapshot
 				defer wg.Done()
-				kn := e.Essentials().KNeighborhood
+				kn := e.Essentials(context.Background()).KNeighborhood
 				if kn == nil {
 					return
 				}

@@ -8,46 +8,23 @@ import (
 
 	"gdbm/internal/algo"
 	"gdbm/internal/engine"
-	"gdbm/internal/engine/capability"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
 
-// TestEssentialsCtxHonorsCancellation is the dynamic half of the ctxflow
-// kernel rule: every Concurrent engine exposes EssentialsCtx, and a
-// cancelled caller context must reach the parallel kernels behind
-// KNeighborhood and Summarization instead of being severed by a fresh
-// background root at the dispatch site (the pre-fix bug).
-func TestEssentialsCtxHonorsCancellation(t *testing.T) {
-	for _, name := range engine.Names() {
-		prof, ok := capability.ForEngine(name)
-		if !ok || !prof.Allows(capability.Concurrent) {
-			continue
-		}
+// TestEssentialsHonorsCancellation is the dynamic half of the ctxflow
+// kernel rule, over all nine engines: the context handed to Essentials must
+// reach every closure whose kernel has a cancellable form instead of being
+// dropped, or severed by a fresh background root, at the dispatch site.
+// KNeighborhood, FixedLengthPaths and ShortestPath run Ctx kernels on every
+// engine that offers them; Summarization is cancellable where it runs the
+// parallel kernel, i.e. on the Concurrent engines (the sequential
+// algo.AggregateNodeProp has no Ctx form).
+func TestEssentialsHonorsCancellation(t *testing.T) {
+	for name, e := range openAll(t) {
 		t.Run(name, func(t *testing.T) {
-			opts := engine.Options{}
-			if capability.NeedsDir(name) {
-				opts.Dir = t.TempDir()
-			}
-			e, err := engine.Open(name, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
 			ids := seed(t, e)
-			ce, ok := e.(engine.ContextEssentials)
-			if !ok {
-				t.Fatalf("%s allows Concurrent but does not implement engine.ContextEssentials", name)
-			}
-
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			es := ce.EssentialsCtx(ctx)
-			if es.KNeighborhood != nil {
-				if _, err := es.KNeighborhood(ids[0], 2); !errors.Is(err, context.Canceled) {
-					t.Errorf("KNeighborhood under cancelled ctx: err = %v, want context.Canceled", err)
-				}
-			}
+			_, concurrent := e.(engine.Concurrent)
 			// The triple engine's labeled summarization is a sequential
 			// typed-subject scan; its parallel kernel path is the
 			// unlabeled term aggregate.
@@ -55,15 +32,55 @@ func TestEssentialsCtxHonorsCancellation(t *testing.T) {
 			if name == "triplestore" {
 				summLabel = ""
 			}
-			if es.Summarization != nil {
-				if _, err := es.Summarization(algo.AggCount, summLabel, ""); !errors.Is(err, context.Canceled) {
-					t.Errorf("Summarization under cancelled ctx: err = %v, want context.Canceled", err)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			es := e.Essentials(ctx)
+			wantCanceled := func(class string, err error) {
+				t.Helper()
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s under cancelled ctx: err = %v, want context.Canceled", class, err)
 				}
 			}
+			if es.KNeighborhood != nil {
+				_, err := es.KNeighborhood(ids[0], 2)
+				wantCanceled("KNeighborhood", err)
+			}
+			if es.FixedLengthPaths != nil {
+				_, err := es.FixedLengthPaths(ids[0], ids[2], 2)
+				wantCanceled("FixedLengthPaths", err)
+			}
+			if es.ShortestPath != nil {
+				_, err := es.ShortestPath(ids[0], ids[3])
+				wantCanceled("ShortestPath", err)
+			}
+			if es.Summarization != nil && concurrent {
+				_, err := es.Summarization(algo.AggCount, summLabel, "")
+				wantCanceled("Summarization", err)
+			}
 
-			// The cancelled run must not have wedged the engine: a live
-			// context still answers, and with the right values.
-			live := ce.EssentialsCtx(context.Background())
+			// The cancelled run must not have wedged the engine (or left a
+			// cancelled answer in a result cache): a live context still
+			// answers, and with the right values.
+			live := e.Essentials(context.Background())
+			if live.KNeighborhood != nil {
+				nb, err := live.KNeighborhood(ids[0], 2)
+				if err != nil || len(nb) < 4 {
+					t.Errorf("KNeighborhood after cancelled run = %v, %v", nb, err)
+				}
+			}
+			if live.FixedLengthPaths != nil {
+				paths, err := live.FixedLengthPaths(ids[0], ids[2], 2)
+				if err != nil || len(paths) != 1 {
+					t.Errorf("FixedLengthPaths after cancelled run = %v, %v", paths, err)
+				}
+			}
+			if live.ShortestPath != nil {
+				p, err := live.ShortestPath(ids[0], ids[3])
+				if err != nil || p.Len() != 3 {
+					t.Errorf("ShortestPath after cancelled run = %v, %v", p, err)
+				}
+			}
 			if live.Summarization != nil {
 				v, err := live.Summarization(algo.AggCount, summLabel, "")
 				if err != nil {

@@ -4,6 +4,7 @@
 package suite
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestEssentialsMatchDeclaredProfile(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: unknown row %s", name, e.SurveyRow())
 		}
-		es := e.Essentials()
+		es := e.Essentials(context.Background())
 		check := func(what string, got, want bool) {
 			if got != want {
 				t.Errorf("%s: %s exposed=%v, profile says %v", name, what, got, want)
@@ -145,7 +146,7 @@ func TestEssentialsExecuteCorrectly(t *testing.T) {
 	for name, e := range openAll(t) {
 		t.Run(name, func(t *testing.T) {
 			ids := seed(t, e)
-			es := e.Essentials()
+			es := e.Essentials(context.Background())
 			if es.NodeAdjacency != nil {
 				ok, err := es.NodeAdjacency(ids[0], ids[1])
 				if err != nil || !ok {
@@ -228,7 +229,7 @@ func TestPersistence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e2.Close()
-			es := e2.Essentials()
+			es := e2.Essentials(context.Background())
 			v, err := es.Summarization(algo.AggCount, "P", "")
 			if name == "triplestore" {
 				// Triple engines store the label as a statement, not a

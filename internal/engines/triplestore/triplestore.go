@@ -236,34 +236,14 @@ func (db *DB) Materialize() (int, error) {
 // LanguageName implements engine.Querier.
 func (db *DB) LanguageName() string { return "sparqlish" }
 
-// Query implements engine.Querier with the SPARQL-like language. The
-// surface also accepts INSERT DATA { <s> <p> <o> . ... } for DML and the
-// DDL no-ops typical of schema-free triple stores.
-func (db *DB) Query(stmt string) (*plan.Result, error) {
-	return db.QueryContext(context.Background(), stmt)
-}
-
-// QueryContext implements engine.ContextQuerier: the whole dispatch is a
-// "query" span on the trace in ctx, with sparqlish's "parse"/"exec" spans
-// nested inside on cache misses. Tracing never changes the answer.
-func (db *DB) QueryContext(ctx context.Context, stmt string) (*plan.Result, error) {
-	defer obs.FromContext(ctx).StartSpan("query")()
-	trimmed := strings.TrimSpace(stmt)
-	if strings.HasPrefix(strings.ToUpper(trimmed), "INSERT DATA") {
-		return db.insertData(trimmed)
-	}
-	if db.results != nil && engine.ReadOnlyStmt(trimmed, "SELECT", "ASK") {
-		return engine.CachedQuery(db.results, db.kg.Epoch, db.Name(), "sparqlish", trimmed,
-			func() (*plan.Result, error) { return sparqlish.RunCtx(ctx, stmt, db.Core) })
-	}
-	return sparqlish.RunCtx(ctx, stmt, db.Core)
-}
-
-// QueryStream implements engine.StreamQuerier: SELECT/ASK emit rows into
-// sink as the plan produces them. INSERT DATA (one counter row, whole by
-// construction) and the cached read path materialize and replay, so
-// streaming never bypasses cache coherence; the rows are identical to
-// QueryContext's either way.
+// QueryStream implements engine.Querier with the SPARQL-like language; the
+// surface also accepts INSERT DATA { <s> <p> <o> . ... } for DML. The whole
+// dispatch is a "query" span on the trace in ctx, with sparqlish's
+// "parse"/"exec" spans nested inside on cache misses. SELECT/ASK emit rows
+// into sink as the plan produces them; INSERT DATA (one counter row, whole
+// by construction) and the cached read path materialize and replay, so
+// streaming never bypasses cache coherence; the rows are identical either
+// way.
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
 	trimmed := strings.TrimSpace(stmt)
@@ -369,24 +349,6 @@ func (db *DB) Features() engine.Features {
 	}
 }
 
-// Essentials implements engine.Engine: the triple surface composes node
-// adjacency, k-neighborhood and aggregate summarization. Path utilities are
-// not part of its query surface (Table VII row).
-func (db *DB) Essentials() engine.Essentials {
-	return db.EssentialsCtx(context.Background())
-}
-
-// EssentialsCtx implements engine.ContextEssentials: the parallel kernels
-// run under the caller's context, so deadlines and cancellation reach
-// them instead of being severed by a fresh background root.
-func (db *DB) EssentialsCtx(ctx context.Context) engine.Essentials {
-	es := db.essentialsCtx(ctx)
-	if db.results == nil {
-		return es
-	}
-	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
-}
-
 // CacheStats implements engine.CacheStatser; main-memory instances report
 // no tiers.
 func (db *DB) CacheStats() map[string]cache.Stats {
@@ -405,8 +367,12 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	return out
 }
 
-func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
+// Essentials implements engine.Engine: the triple surface composes node
+// adjacency, k-neighborhood and aggregate summarization. Path utilities are
+// not part of its query surface (Table VII row). The parallel kernels run
+// under ctx.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
+	es := engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
 		},
@@ -472,19 +438,16 @@ func (db *DB) essentialsCtx(ctx context.Context) engine.Essentials {
 			return agg.Result(), nil
 		},
 	}
+	if db.results == nil {
+		return es
+	}
+	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
 }
 
-// AcquireSnapshot implements engine.Concurrent (the model.Snapshotter
-// contract) at frozen isolation, delegating to the store's copy-on-write
-// views: O(1) on a quiescent store, immutable under concurrent writers,
-// in both the main-memory and kv-backed configurations.
+// AcquireSnapshot implements engine.Concurrent over the store's
+// copy-on-write views, in both the main-memory and kv-backed configurations.
 func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
-	if p, ok := db.Core.Graph().(model.Pinner); ok {
-		return p.AcquireView()
-	}
-	// Unreachable with the stores in this repository (both implement
-	// model.Pinner); the live graph remains as a defensive fallback.
-	return db.Core.Graph(), func() {}, nil
+	return db.Core.AcquireView()
 }
 
 // LoadNode implements engine.Loader: property-graph nodes become terms; the
@@ -559,12 +522,10 @@ func (db *DB) Close() error {
 }
 
 var (
-	_ engine.Engine            = (*DB)(nil)
-	_ engine.Querier           = (*DB)(nil)
-	_ engine.ContextQuerier    = (*DB)(nil)
-	_ engine.ContextEssentials = (*DB)(nil)
-	_ engine.Concurrent        = (*DB)(nil)
-	_ engine.Reasoner          = (*DB)(nil)
-	_ engine.Loader            = (*DB)(nil)
-	_ engine.CacheStatser      = (*DB)(nil)
+	_ engine.Engine       = (*DB)(nil)
+	_ engine.Querier      = (*DB)(nil)
+	_ engine.Concurrent   = (*DB)(nil)
+	_ engine.Reasoner     = (*DB)(nil)
+	_ engine.Loader       = (*DB)(nil)
+	_ engine.CacheStatser = (*DB)(nil)
 )

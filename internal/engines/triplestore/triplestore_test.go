@@ -1,6 +1,7 @@
 package triplestore
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestSparqlQuery(t *testing.T) {
 	db.AddTriple("ada", "type", "person")
 	db.AddTriple("bob", "type", "person")
 	db.AddTriple("ada", "knows", "bob")
-	res, err := db.Query(`SELECT ?x WHERE { ?x <type> "person" . ?x <knows> ?y . }`)
+	res, err := engine.QueryContext(context.Background(), db, `SELECT ?x WHERE { ?x <type> "person" . ?x <knows> ?y . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSparqlQuery(t *testing.T) {
 
 func TestInsertData(t *testing.T) {
 	db := openMem(t)
-	res, err := db.Query(`INSERT DATA { <a> <p> <b> . <a> <name> "Ada L" . }`)
+	res, err := engine.QueryContext(context.Background(), db, `INSERT DATA { <a> <p> <b> . <a> <name> "Ada L" . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +90,10 @@ func TestInsertData(t *testing.T) {
 	if db.Count() != 2 {
 		t.Errorf("count = %d", db.Count())
 	}
-	if _, err := db.Query(`INSERT DATA <a> <p> <b>`); err == nil {
+	if _, err := engine.QueryContext(context.Background(), db, `INSERT DATA <a> <p> <b>`); err == nil {
 		t.Error("missing braces should fail")
 	}
-	if _, err := db.Query(`INSERT DATA { <a> <p> . }`); err == nil {
+	if _, err := engine.QueryContext(context.Background(), db, `INSERT DATA { <a> <p> . }`); err == nil {
 		t.Error("2-term triple should fail")
 	}
 }
@@ -108,7 +109,7 @@ func TestMaterializeRDFS(t *testing.T) {
 	if n != 1 {
 		t.Errorf("derived = %d", n)
 	}
-	res, _ := db.Query(`SELECT ?x WHERE { ?x <type> <animal> . }`)
+	res, _ := engine.QueryContext(context.Background(), db, `SELECT ?x WHERE { ?x <type> <animal> . }`)
 	if len(res.Rows) != 1 {
 		t.Errorf("inferred type query = %v", res.Rows)
 	}
@@ -134,7 +135,7 @@ func TestCustomRule(t *testing.T) {
 	if _, err := db.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := db.Query(`SELECT ?x WHERE { ?x <grandparent> <c> . }`)
+	res, _ := engine.QueryContext(context.Background(), db, `SELECT ?x WHERE { ?x <grandparent> <c> . }`)
 	if len(res.Rows) != 1 {
 		t.Errorf("grandparent query = %v", res.Rows)
 	}
@@ -173,7 +174,7 @@ func TestPersistenceRebuildsTermsAndIndex(t *testing.T) {
 		t.Errorf("dedup after reopen failed: %d", db2.Count())
 	}
 	// The value index serves queries.
-	res, err := db2.Query(`SELECT ?o WHERE { <ada> <knows> ?o . }`)
+	res, err := engine.QueryContext(context.Background(), db2, `SELECT ?o WHERE { <ada> <knows> ?o . }`)
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("query after reopen: %v %v", res, err)
 	}

@@ -6,6 +6,7 @@
 package vertexkv
 
 import (
+	"context"
 	"path/filepath"
 
 	"gdbm/internal/algo"
@@ -100,13 +101,9 @@ func (db *DB) Features() engine.Features {
 
 // Essentials implements engine.Engine: adjacency, k-neighborhood,
 // fixed-length paths and summarization (no shortest-path utility) per its
-// Table VII row.
-func (db *DB) Essentials() engine.Essentials {
-	return engine.CachedEssentials(db.Name(), db.essentials(), db.results, db.Graph.Epoch)
-}
-
-func (db *DB) essentials() engine.Essentials {
-	return engine.Essentials{
+// Table VII row. The traversal kernels run under ctx.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
+	return engine.CachedEssentials(db.Name(), engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Graph, a, b, model.Both)
 		},
@@ -114,15 +111,15 @@ func (db *DB) essentials() engine.Essentials {
 			return algo.EdgesAdjacent(db.Graph, e1, e2)
 		},
 		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			return algo.Neighborhood(db.Graph, n, k, model.Both)
+			return algo.NeighborhoodCtx(ctx, db.Graph, n, k, model.Both)
 		},
 		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPaths(db.Graph, from, to, length, model.Out, 0)
+			return algo.FixedLengthPathsCtx(ctx, db.Graph, from, to, length, model.Out, 0)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			return algo.AggregateNodeProp(db.Graph, label, prop, kind)
 		},
-	}
+	}, db.results, db.Graph.Epoch)
 }
 
 // LoadNode implements engine.Loader.

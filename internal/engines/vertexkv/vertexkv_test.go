@@ -1,6 +1,7 @@
 package vertexkv
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/algo"
@@ -19,7 +20,7 @@ func TestMemoryModeBasics(t *testing.T) {
 	if _, err := db.LoadEdge("e", a, b, nil); err != nil {
 		t.Fatal(err)
 	}
-	es := db.Essentials()
+	es := db.Essentials(context.Background())
 	ok, _ := es.NodeAdjacency(a, b)
 	if !ok {
 		t.Error("adjacency failed")

@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -64,7 +65,7 @@ func crashRound(e engine.Engine, r int) error {
 // warmCaches runs a few queries between rounds so the crash interrupts an
 // instance with populated caches, not a cold one.
 func warmCaches(e engine.Engine) {
-	es := e.Essentials()
+	es := e.Essentials(context.Background())
 	if es.Summarization != nil {
 		es.Summarization(0, "person", "rank")
 	}
@@ -140,7 +141,7 @@ func crashDump(t *testing.T, e engine.Engine) string {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	es := e.Essentials()
+	es := e.Essentials(context.Background())
 	for _, id := range ids {
 		if es.KNeighborhood != nil {
 			hood, err := es.KNeighborhood(id, 2)

@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"sort"
@@ -50,7 +51,7 @@ func NewInstance(t testing.TB, e engine.Engine) *Instance {
 	t.Helper()
 	in := &Instance{
 		Name: e.Name(),
-		es:   e.Essentials(),
+		es:   e.Essentials(context.Background()),
 		rev:  map[model.NodeID]int{},
 		reve: map[model.EdgeID]int{},
 	}

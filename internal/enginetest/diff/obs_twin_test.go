@@ -129,7 +129,7 @@ func TestTracedUntracedQueryTwins(t *testing.T) {
 					ctx := obs.WithTrace(context.Background(), tr)
 					ra := renderResult(engine.QueryContext(ctx, qt, stmt))
 					tr.Finish()
-					rb := renderResult(qu.Query(stmt))
+					rb := renderResult(engine.QueryContext(context.Background(), qu, stmt))
 					if ra != rb {
 						t.Fatalf("%s pass %d: %q diverged under tracing\n  traced:   %s\n  untraced: %s",
 							name, pass, stmt, ra, rb)

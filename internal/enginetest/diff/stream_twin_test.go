@@ -6,115 +6,77 @@ import (
 
 	"gdbm/internal/engine"
 	"gdbm/internal/gen"
-	"gdbm/internal/model"
-	"gdbm/internal/query/plan"
 
 	_ "gdbm/internal/engines/sonesdb"
 )
 
-// collectSink materializes a streamed result for comparison.
-type collectSink struct {
-	res plan.Result
-}
-
-func (c *collectSink) Cols(cols []string) error {
-	c.res.Cols = append([]string(nil), cols...)
-	return nil
-}
-
-func (c *collectSink) Row(vals []model.Value) error {
-	c.res.Rows = append(c.res.Rows, vals)
-	return nil
-}
-
-// streamTwinEngines are the four language-fronted engines that implement
-// engine.StreamQuerier — one per query surface the server exposes
-// (gql, gsql on disk, gsql in memory, sparqlish).
+// streamTwinEngines are the four language-fronted engines — one per query
+// surface the server exposes (gql, gsql on disk, gsql in memory, sparqlish).
 var streamTwinEngines = []string{"neograph", "gstore", "sonesdb", "triplestore"}
 
-// TestStreamedBufferedTwins runs identical statements through QueryContext
-// (materialize) and QueryStream (incremental emission) on the same engine
-// instance and requires byte-identical renderings: streaming is a delivery
-// change, never a result change. Each statement runs twice so the second
-// pass exercises the result-cache hit path (cached reads replay through the
-// same sink interface).
+// TestStreamedBufferedTwins holds the two deliveries an engine's one
+// QueryStream can take to the same answer. Every buffered entry point is a
+// plan.Collector at the end of QueryStream, so what remains to prove is that
+// the incremental emission (plan.Stream, on an instance without a result
+// cache) and the materialized one (execute whole, publish to the result
+// cache, plan.Replay — and on the second pass a cache hit replayed) render
+// byte-identically over the same seeded load: streaming is a delivery
+// change, never a result change. sonesdb is main-memory only and has no
+// result cache; its pair degenerates to two streamed instances.
 func TestStreamedBufferedTwins(t *testing.T) {
 	for _, name := range streamTwinEngines {
 		t.Run(name, func(t *testing.T) {
-			var eng engine.Engine
-			if name == "sonesdb" {
-				e, err := engine.Open(name, engine.Options{})
+			open := func(cacheBytes int64) engine.Engine {
+				if name != "sonesdb" {
+					return openTwin(t, name, cacheBytes)
+				}
+				e, err := engine.Open(name, engine.Options{CacheBytes: cacheBytes})
 				if err != nil {
 					t.Fatalf("open %s: %v", name, err)
 				}
 				t.Cleanup(func() { e.Close() })
-				eng = e
-			} else {
-				eng = openTwin(t, name, twinCacheBytes)
+				return e
 			}
-			q := eng.(engine.Querier)
-			sq, ok := q.(engine.StreamQuerier)
-			if !ok {
-				t.Fatalf("%s does not implement StreamQuerier; twin is vacuous", name)
-			}
-
+			streamed, cached := open(0), open(twinCacheBytes)
 			spec := gen.Spec{Kind: gen.RMAT, Nodes: 300, EdgesPerNode: 2, Seed: 7}
-			ids, err := gen.Generate(spec, eng.(engine.Loader))
+			ids, err := gen.Generate(spec, streamed.(engine.Loader))
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := gen.Generate(spec, cached.(engine.Loader)); err != nil {
+				t.Fatal(err)
+			}
 
-			stmts := twinStatements(q.LanguageName(), ids)
+			qs, qc := streamed.(engine.Querier), cached.(engine.Querier)
+			stmts := twinStatements(qs.LanguageName(), ids)
 			if len(stmts) == 0 {
-				t.Fatalf("no twin statements for language %q", q.LanguageName())
+				t.Fatalf("no twin statements for language %q", qs.LanguageName())
 			}
 			totalRows := 0
 			for _, stmt := range stmts {
 				for pass := 0; pass < 2; pass++ {
-					buffered := renderResult(engine.QueryContext(context.Background(), q, stmt))
-					var sink collectSink
-					serr := sq.QueryStream(context.Background(), stmt, &sink)
-					streamed := renderResult(&sink.res, serr)
-					if streamed != buffered {
-						t.Fatalf("%s pass %d: %q diverged\n  buffered: %s\n  streamed: %s",
-							name, pass, stmt, buffered, streamed)
+					sres, serr := engine.QueryContext(context.Background(), qs, stmt)
+					rs := renderResult(sres, serr)
+					rc := renderResult(engine.QueryContext(context.Background(), qc, stmt))
+					if rs != rc {
+						t.Fatalf("%s pass %d: %q diverged\n  streamed: %s\n  cached:   %s",
+							name, pass, stmt, rs, rc)
 					}
-					totalRows += len(sink.res.Rows)
+					if serr == nil {
+						totalRows += len(sres.Rows)
+					}
 				}
 			}
-			// Vacuity guard: the workload must actually have streamed rows.
+			// Vacuity guards: the workload must actually have streamed rows,
+			// and the cached side must actually have replayed cache hits.
 			if totalRows == 0 {
 				t.Fatalf("%s: no rows streamed across %d statements", name, len(stmts))
 			}
+			if cs, ok := cached.(engine.CacheStatser); ok {
+				if s := cs.CacheStats()["results"]; s.Hits == 0 {
+					t.Fatalf("%s: cached twin never hit its result cache: %+v", name, s)
+				}
+			}
 		})
-	}
-}
-
-// TestStreamFallbackTwin: engine.QueryStream on a Querier without native
-// streaming must materialize and replay the identical result — the server
-// depends on this to host any engine uniformly.
-func TestStreamFallbackTwin(t *testing.T) {
-	eng := openTwin(t, "vertexkv", twinCacheBytes)
-	q, ok := eng.(engine.Querier)
-	if !ok {
-		t.Skip("vertexkv is API-only in this build")
-	}
-	if _, native := q.(engine.StreamQuerier); native {
-		t.Skip("vertexkv gained native streaming; fallback twin is vacuous")
-	}
-	spec := gen.Spec{Kind: gen.RMAT, Nodes: 100, EdgesPerNode: 2, Seed: 11}
-	ids, err := gen.Generate(spec, eng.(engine.Loader))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stmt := range twinStatements(q.LanguageName(), ids) {
-		buffered := renderResult(engine.QueryContext(context.Background(), q, stmt))
-		var sink collectSink
-		serr := engine.QueryStream(context.Background(), q, stmt, &sink)
-		streamed := renderResult(&sink.res, serr)
-		if streamed != buffered {
-			t.Fatalf("%q diverged through the fallback\n  buffered: %s\n  streamed: %s",
-				stmt, buffered, streamed)
-		}
 	}
 }

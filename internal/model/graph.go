@@ -127,27 +127,6 @@ type Graph interface {
 // more than once is a no-op for the implementations in this repository.
 type ReleaseFunc func()
 
-// Snapshotter is the read-concurrency contract of stores that can expose a
-// read view to many goroutines at once. AcquireSnapshot returns a Graph
-// that is safe for unsynchronized use by any number of concurrent readers
-// until released, at frozen isolation: the view is an immutable
-// point-in-time rendering, unaffected by later mutations, pinned to the
-// store's stable epoch at acquisition.
-//
-// Since the epoch-versioned copy-on-write views (internal/adj), frozen is
-// the only isolation level: acquisition is O(1) on a quiescent store (one
-// atomic load and a pin — no copying), writers never block pinned readers,
-// and a re-render after mutations re-reads only the records they touched. The
-// parallel query kernels (internal/algo/par) rely on the immutability for
-// their determinism guarantee — results identical to the sequential
-// kernels on the pinned state.
-//
-// The returned release follows the ReleaseFunc contract: call it exactly
-// once when done; the implementations here make it idempotent.
-type Snapshotter interface {
-	AcquireSnapshot() (Graph, ReleaseFunc, error)
-}
-
 // SortedAdjacency is an optional Graph capability: the IDs of the
 // neighbors of a node in a direction, filtered by edge label ("" = any),
 // in ascending NodeID order with one entry per matching edge (parallel
@@ -160,14 +139,13 @@ type SortedAdjacency interface {
 	SortedNeighborIDs(id NodeID, dir Direction, label string) ([]NodeID, error)
 }
 
-// Pinner is the store-level face of the same contract, implemented by the
-// mutable stores (memgraph, kvgraph) that render copy-on-write views. It
-// is deliberately a different method name from Snapshotter: engines embed
-// the stores, and the capability registry must stay free to forbid the
-// engine-level Concurrent surface (AcquireSnapshot) on archetypes whose
-// paper profile lacks it without a promoted method leaking it for free.
-// Engines whose profile allows Concurrent delegate AcquireSnapshot to
-// AcquireView.
+// Pinner is implemented by the mutable stores (memgraph, kvgraph) that
+// render copy-on-write views: AcquireView pins the published snapshot under
+// the contract written on engine.Concurrent. The method is deliberately not
+// named AcquireSnapshot: engines embed the stores, and a promoted method of
+// that name would hand the engine-level Concurrent capability to archetypes
+// whose paper profile lacks it. Engines whose profile allows Concurrent
+// delegate AcquireSnapshot to AcquireView explicitly.
 type Pinner interface {
 	AcquireView() (Graph, ReleaseFunc, error)
 }

@@ -22,56 +22,23 @@ type Mutator interface {
 	SetEdgeProp(id model.EdgeID, key string, v model.Value) error
 }
 
-// Query runs a read-only statement against src and materializes the result.
-func Query(input string, src plan.Source) (*plan.Result, error) {
-	st, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	if !st.ReadOnly() {
-		return nil, fmt.Errorf("gql: statement writes; use Exec")
-	}
-	return runRead(st, src)
-}
-
-func runRead(st *Statement, src plan.Source) (*plan.Result, error) {
-	if st.Match == nil {
-		return &plan.Result{}, nil
-	}
-	op, err := plan.CompileFor(st.Match, src)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Collect(op, src, st.Columns())
-}
-
-// Exec runs any statement, applying writes through m. The returned result
-// carries RETURN output when present; write-only statements return counters
-// in the "nodes", "edges", "set", "deleted" columns.
-func Exec(input string, m Mutator) (*plan.Result, error) {
-	return ExecCtx(context.Background(), input, m)
-}
-
-// ExecCtx is Exec with a context. When ctx carries an obs.Trace, parsing and
-// execution are recorded as "parse" and "exec" spans; the answer is always
-// identical to Exec's.
+// ExecCtx runs any statement and materializes the result: it is
+// ExecStreamCtx into a plan.Collector, so buffered and streamed executions
+// are one code path.
 func ExecCtx(ctx context.Context, input string, m Mutator) (*plan.Result, error) {
-	tr := obs.FromContext(ctx)
-	endParse := tr.StartSpan("parse")
-	st, err := Parse(input)
-	endParse()
-	if err != nil {
+	var c plan.Collector
+	if err := ExecStreamCtx(ctx, input, m, &c); err != nil {
 		return nil, err
 	}
-	defer tr.StartSpan("exec")()
-	return execParsed(ctx, st, m)
+	return &c.Res, nil
 }
 
-// ExecStreamCtx is ExecCtx delivering the result into sink incrementally.
-// Read statements stream rows as the operator tree produces them; write
-// statements (whose result is a counter row that only exists after the last
-// mutation) execute fully and replay. The rows and their order are exactly
-// ExecCtx's.
+// ExecStreamCtx parses and runs one statement under ctx, applying writes
+// through m and delivering the result into sink. Read statements stream
+// rows as the operator tree produces them; write statements (whose result
+// is a counter row that only exists after the last mutation) execute fully
+// and replay. When ctx carries an obs.Trace, parsing and execution are
+// recorded as "parse" and "exec" spans; tracing never changes the answer.
 func ExecStreamCtx(ctx context.Context, input string, m Mutator, sink plan.Sink) error {
 	tr := obs.FromContext(ctx)
 	endParse := tr.StartSpan("parse")
@@ -92,18 +59,16 @@ func ExecStreamCtx(ctx context.Context, input string, m Mutator, sink plan.Sink)
 		}
 		return plan.Stream(op, src, st.Columns(), sink)
 	}
-	res, err := execParsed(ctx, st, m)
+	res, err := execWrite(ctx, st, m)
 	if err != nil {
 		return err
 	}
 	return plan.Replay(res, sink)
 }
 
-func execParsed(ctx context.Context, st *Statement, m Mutator) (*plan.Result, error) {
-	if st.ReadOnly() {
-		return runRead(st, plan.WithCancel(ctx, m))
-	}
-
+// execWrite applies a statement with write clauses. The returned result
+// carries the counters in the "nodes", "edges", "set", "deleted" columns.
+func execWrite(ctx context.Context, st *Statement, m Mutator) (*plan.Result, error) {
 	// Materialize binding rows first so mutation does not race iteration.
 	rows := []query.Row{{}}
 	if st.Match != nil {

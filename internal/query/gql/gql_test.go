@@ -1,6 +1,7 @@
 package gql
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/memgraph"
@@ -29,7 +30,7 @@ func seed(t *testing.T, db testDB) {
 		`CREATE (z:City {name: 'zurich'})`,
 	}
 	for _, s := range stmts {
-		if _, err := Exec(s, db); err != nil {
+		if _, err := ExecCtx(context.Background(), s, db); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
@@ -40,7 +41,7 @@ func seed(t *testing.T, db testDB) {
 		`MATCH (c:Person {name: 'cam'}), (z:City) CREATE (c)-[:livesIn]->(z)`,
 	}
 	for _, s := range edges {
-		if _, err := Exec(s, db); err != nil {
+		if _, err := ExecCtx(context.Background(), s, db); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
@@ -48,7 +49,7 @@ func seed(t *testing.T, db testDB) {
 
 func TestCreateAndCount(t *testing.T) {
 	db := newDB(t)
-	res, err := Exec(`CREATE (a:Person {name: 'ada'})`, db)
+	res, err := ExecCtx(context.Background(), `CREATE (a:Person {name: 'ada'})`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestCreateAndCount(t *testing.T) {
 func TestMatchReturn(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := Query(`MATCH (p:Person) WHERE p.age > 30 RETURN p.name AS name ORDER BY name`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (p:Person) WHERE p.age > 30 RETURN p.name AS name ORDER BY name`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestMatchReturn(t *testing.T) {
 func TestMatchEdgePattern(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := Query(`MATCH (a:Person)-[r:knows]->(b:Person) RETURN a.name AS a, b.name AS b, r.since AS since`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (a:Person)-[r:knows]->(b:Person) RETURN a.name AS a, b.name AS b, r.since AS since`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestMatchChainAndReversedArrow(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
 	// Chain: who lives where ada's friends-of-friends live? cam lives in zurich.
-	res, err := Query(`MATCH (a:Person {name: 'ada'})-[:knows]->(b)-[:knows]->(c)-[:livesIn]->(z) RETURN c.name AS c, z.name AS z`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (a:Person {name: 'ada'})-[:knows]->(b)-[:knows]->(c)-[:livesIn]->(z) RETURN c.name AS c, z.name AS z`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestMatchChainAndReversedArrow(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	// Reversed arrow.
-	res2, err := Query(`MATCH (b)<-[:knows]-(a:Person {name: 'ada'}) RETURN b.name AS b`, db)
+	res2, err := ExecCtx(context.Background(), `MATCH (b)<-[:knows]-(a:Person {name: 'ada'}) RETURN b.name AS b`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestMatchChainAndReversedArrow(t *testing.T) {
 func TestUndirectedEdge(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := Query(`MATCH (a:Person {name: 'bob'})-[:knows]-(x) RETURN x.name AS x ORDER BY x`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (a:Person {name: 'bob'})-[:knows]-(x) RETURN x.name AS x ORDER BY x`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestUndirectedEdge(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := Query(`MATCH (p:Person) RETURN count(*) AS n, avg(p.age) AS avgAge, max(p.age) AS maxAge`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (p:Person) RETURN count(*) AS n, avg(p.age) AS avgAge, max(p.age) AS maxAge`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestGroupedAggregate(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
 	// Group persons by whether they live somewhere: count livesIn per city.
-	res, err := Query(`MATCH (p:Person)-[:livesIn]->(c) RETURN c.name AS city, count(*) AS n`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (p:Person)-[:livesIn]->(c) RETURN c.name AS city, count(*) AS n`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +164,14 @@ func TestGroupedAggregate(t *testing.T) {
 func TestDistinctSkipLimit(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := Query(`MATCH (p:Person)-[:livesIn]->(c) RETURN DISTINCT c.name AS city`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (p:Person)-[:livesIn]->(c) RETURN DISTINCT c.name AS city`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
 		t.Errorf("distinct rows = %v", res.Rows)
 	}
-	res2, err := Query(`MATCH (p:Person) RETURN p.name AS n ORDER BY n SKIP 1 LIMIT 1`, db)
+	res2, err := ExecCtx(context.Background(), `MATCH (p:Person) RETURN p.name AS n ORDER BY n SKIP 1 LIMIT 1`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +186,10 @@ func TestDistinctSkipLimit(t *testing.T) {
 func TestSet(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	if _, err := Exec(`MATCH (p:Person {name: 'ada'}) SET p.age = p.age + 1`, db); err != nil {
+	if _, err := ExecCtx(context.Background(), `MATCH (p:Person {name: 'ada'}) SET p.age = p.age + 1`, db); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := Query(`MATCH (p:Person {name: 'ada'}) RETURN p.age AS age`, db)
+	res, _ := ExecCtx(context.Background(), `MATCH (p:Person {name: 'ada'}) RETURN p.age AS age`, db)
 	if !res.Rows[0][0].Equal(model.Int(37)) {
 		t.Errorf("age = %v", res.Rows[0][0])
 	}
@@ -199,10 +200,10 @@ func TestDelete(t *testing.T) {
 	seed(t, db)
 	// Plain DELETE on a connected node cascades in memgraph (engines with
 	// referential constraints veto it; that is tested in the engine suites).
-	if _, err := Exec(`MATCH (p:Person {name: 'cam'}) DETACH DELETE p`, db); err != nil {
+	if _, err := ExecCtx(context.Background(), `MATCH (p:Person {name: 'cam'}) DETACH DELETE p`, db); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := Query(`MATCH (p:Person) RETURN count(*) AS n`, db)
+	res, _ := ExecCtx(context.Background(), `MATCH (p:Person) RETURN count(*) AS n`, db)
 	if !res.Rows[0][0].Equal(model.Int(2)) {
 		t.Errorf("count after delete = %v", res.Rows[0][0])
 	}
@@ -225,22 +226,15 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestQueryRejectsWrites(t *testing.T) {
-	db := newDB(t)
-	if _, err := Query(`CREATE (a:X)`, db); err == nil {
-		t.Error("Query should reject writes")
-	}
-}
-
 func TestExecErrors(t *testing.T) {
 	db := newDB(t)
 	// CREATE edge with unbound endpoint.
-	if _, err := Exec(`CREATE (a)-[:r]->(b)`, db); err == nil {
+	if _, err := ExecCtx(context.Background(), `CREATE (a)-[:r]->(b)`, db); err == nil {
 		t.Error("unbound endpoints should fail")
 	}
 	// SET on unbound var.
 	seed(t, db)
-	if _, err := Exec(`MATCH (p:Person {name:'ada'}) SET q.x = 1`, db); err == nil {
+	if _, err := ExecCtx(context.Background(), `MATCH (p:Person {name:'ada'}) SET q.x = 1`, db); err == nil {
 		t.Error("unbound SET target should fail")
 	}
 }
@@ -248,7 +242,7 @@ func TestExecErrors(t *testing.T) {
 func TestEdgePropertyFilterInPattern(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := Query(`MATCH (a)-[r:knows {since: 2019}]->(b) RETURN b.name AS b`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (a)-[r:knows {since: 2019}]->(b) RETURN b.name AS b`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +259,7 @@ func TestRepeatedVariableUnifies(t *testing.T) {
 	seed(t, db)
 	// (a)-[:livesIn]->(z), (c)-[:livesIn]->(z) with shared z: pairs living
 	// in the same city: (ada,cam) and (cam,ada) and self-pairs.
-	res, err := Query(`MATCH (a:Person)-[:livesIn]->(z), (c:Person)-[:livesIn]->(z) WHERE a.name <> c.name RETURN a.name AS a, c.name AS c`, db)
+	res, err := ExecCtx(context.Background(), `MATCH (a:Person)-[:livesIn]->(z), (c:Person)-[:livesIn]->(z) WHERE a.name <> c.name RETURN a.name AS a, c.name AS c`, db)
 	if err != nil {
 		t.Fatal(err)
 	}

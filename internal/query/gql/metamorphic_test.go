@@ -1,6 +1,7 @@
 package gql
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -92,11 +93,11 @@ func TestIndexedAndScannedResultsAgree(t *testing.T) {
 	}
 	for _, q := range queries {
 		t.Run(q, func(t *testing.T) {
-			r1, err := Query(q, plain)
+			r1, err := ExecCtx(context.Background(), q, plain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := Query(q, indexed)
+			r2, err := ExecCtx(context.Background(), q, indexed)
 			if err != nil {
 				t.Fatal(err)
 			}

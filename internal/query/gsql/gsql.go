@@ -54,45 +54,23 @@ type Engine interface {
 // Result mirrors plan.Result.
 type Result = plan.Result
 
-// Exec parses and runs one gsql statement.
-func Exec(input string, e Engine) (*Result, error) {
-	return ExecCtx(context.Background(), input, e)
-}
-
-// ExecCtx is Exec with a context. gsql parses and executes in one
-// interleaved pass, so a trace carried by ctx records the whole statement as
-// a single "exec" span; the answer is always identical to Exec's.
+// ExecCtx runs one gsql statement and materializes the result: it is
+// ExecStreamCtx into a plan.Collector, so buffered and streamed executions
+// are one code path.
 func ExecCtx(ctx context.Context, input string, e Engine) (*Result, error) {
-	defer obs.FromContext(ctx).StartSpan("exec")()
-	l := query.NewLexer(input)
-	t, err := l.Peek()
-	if err != nil {
+	var c plan.Collector
+	if err := ExecStreamCtx(ctx, input, e, &c); err != nil {
 		return nil, err
 	}
-	if t.Kind != query.TokIdent {
-		return nil, fmt.Errorf("gsql: expected a statement keyword")
-	}
-	switch strings.ToUpper(t.Text) {
-	case "CREATE":
-		return execCreate(l, e)
-	case "DROP":
-		return execDrop(l, e)
-	case "INSERT":
-		return execInsert(l, e)
-	case "UPDATE":
-		return execUpdate(l, e)
-	case "DELETE":
-		return execDelete(l, e)
-	case "SELECT":
-		return execSelect(ctx, l, e)
-	}
-	return nil, fmt.Errorf("gsql: unknown statement %q", t.Text)
+	return &c.Res, nil
 }
 
-// ExecStreamCtx is ExecCtx delivering the result into sink incrementally.
-// The tabular SELECT form streams rows as the plan produces them; graph
-// instructions and DML/DDL (whose single result row exists whole) execute
-// fully and replay. The rows and their order are exactly ExecCtx's.
+// ExecStreamCtx parses and runs one gsql statement under ctx, delivering
+// the result into sink. The tabular SELECT form streams rows as the plan
+// produces them; graph instructions and DML/DDL (whose single result row
+// exists whole) execute fully and replay. gsql parses and executes in one
+// interleaved pass, so a trace carried by ctx records the whole statement
+// as a single "exec" span; tracing never changes the answer.
 func ExecStreamCtx(ctx context.Context, input string, e Engine, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("exec")()
 	l := query.NewLexer(input)
@@ -116,7 +94,7 @@ func ExecStreamCtx(ctx context.Context, input string, e Engine, sink plan.Sink) 
 	case "DELETE":
 		res, err = execDelete(l, e)
 	case "SELECT":
-		res, err = execSelectSink(ctx, l, e, sink)
+		res, err = execSelect(ctx, l, e, sink)
 		if err == nil && res == nil {
 			return nil // the tabular path already streamed into sink
 		}
@@ -445,17 +423,11 @@ func execDelete(l *query.Lexer, e Engine) (*Result, error) {
 
 // --- queries ---
 
-func execSelect(ctx context.Context, l *query.Lexer, e Engine) (*Result, error) {
-	return execSelectSink(ctx, l, e, nil)
-}
-
-// execSelectSink is execSelect with an optional streaming sink. With a nil
-// sink the tabular path materializes through plan.Collect as before. With a
-// sink, the tabular path streams rows through plan.Stream and returns a nil
-// Result; the non-tabular instruction forms (ORDER, SIZE, PATH, ...) whose
-// single row exists whole either way still return a materialized Result for
-// the caller to replay.
-func execSelectSink(ctx context.Context, l *query.Lexer, e Engine, sink plan.Sink) (*Result, error) {
+// execSelect runs a SELECT. The tabular form streams its rows into sink
+// through plan.Stream and returns a nil Result; the instruction forms
+// (ORDER, SIZE, PATH, ...) whose single row exists whole return a
+// materialized Result for the caller to replay.
+func execSelect(ctx context.Context, l *query.Lexer, e Engine, sink plan.Sink) (*Result, error) {
 	l.Next() // SELECT
 	// Graph instructions run the algo kernels with the request context, so a
 	// deadline interrupts the traversal rather than the response alone.
@@ -639,10 +611,7 @@ func execSelectSink(ctx context.Context, l *query.Lexer, e Engine, sink plan.Sin
 	if err != nil {
 		return nil, err
 	}
-	if sink != nil {
-		return nil, plan.Stream(op, plan.WithCancel(ctx, e), cols, sink)
-	}
-	return plan.Collect(op, plan.WithCancel(ctx, e), cols)
+	return nil, plan.Stream(op, plan.WithCancel(ctx, e), cols, sink)
 }
 
 // colOrRowProp resolves an ORDER BY key: first as an output column of the

@@ -1,6 +1,7 @@
 package gsql
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/memgraph"
@@ -25,7 +26,7 @@ func newEngine(t *testing.T) *testEngine {
 
 func mustExec(t *testing.T, e Engine, stmt string) *Result {
 	t.Helper()
-	res, err := Exec(stmt, e)
+	res, err := ExecCtx(context.Background(), stmt, e)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
@@ -64,13 +65,13 @@ func TestDDL(t *testing.T) {
 		t.Error("Person not dropped")
 	}
 	// Errors.
-	if _, err := Exec(`CREATE VERTEX Person`, e); err == nil {
+	if _, err := ExecCtx(context.Background(), `CREATE VERTEX Person`, e); err == nil {
 		t.Error("missing TYPE should fail")
 	}
-	if _, err := Exec(`CREATE VERTEX TYPE X (p BOGUS)`, e); err == nil {
+	if _, err := ExecCtx(context.Background(), `CREATE VERTEX TYPE X (p BOGUS)`, e); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	if _, err := Exec(`DROP VERTEX TYPE Ghost`, e); err == nil {
+	if _, err := ExecCtx(context.Background(), `DROP VERTEX TYPE Ghost`, e); err == nil {
 		t.Error("dropping missing type should fail")
 	}
 }
@@ -98,7 +99,7 @@ func TestSelectStarUsesSchema(t *testing.T) {
 		t.Fatalf("res = %+v", res)
 	}
 	// SELECT * from an undeclared type fails.
-	if _, err := Exec(`SELECT * FROM Ghost`, e); err == nil {
+	if _, err := ExecCtx(context.Background(), `SELECT * FROM Ghost`, e); err == nil {
 		t.Error("SELECT * on unknown type should fail")
 	}
 }
@@ -136,7 +137,7 @@ func TestUpdateAndDelete(t *testing.T) {
 	if e.Order() != 2 {
 		t.Errorf("nodes = %d", e.Order())
 	}
-	if _, err := Exec(`DELETE VERTEX 99`, e); err == nil {
+	if _, err := ExecCtx(context.Background(), `DELETE VERTEX 99`, e); err == nil {
 		t.Error("deleting missing vertex should fail")
 	}
 }
@@ -195,7 +196,7 @@ func TestStatementErrors(t *testing.T) {
 		`UPDATE VERTEX x SET a = 1`,
 		`INSERT EDGE knows FROM 1`,
 	} {
-		if _, err := Exec(bad, e); err == nil {
+		if _, err := ExecCtx(context.Background(), bad, e); err == nil {
 			t.Errorf("exec %q should fail", bad)
 		}
 	}
@@ -204,7 +205,7 @@ func TestStatementErrors(t *testing.T) {
 func TestInsertEdgeMissingEndpoint(t *testing.T) {
 	e := newEngine(t)
 	seed(t, e)
-	if _, err := Exec(`INSERT EDGE knows FROM 1 TO 99`, e); err == nil {
+	if _, err := ExecCtx(context.Background(), `INSERT EDGE knows FROM 1 TO 99`, e); err == nil {
 		t.Error("missing endpoint should fail")
 	}
 }
@@ -236,7 +237,7 @@ func TestSummarizationInstructions(t *testing.T) {
 	if !res.Rows[0][0].Equal(model.Int(2)) {
 		t.Errorf("distance = %v", res.Rows[0][0])
 	}
-	if _, err := Exec(`SELECT DISTANCE FROM 1`, e); err == nil {
+	if _, err := ExecCtx(context.Background(), `SELECT DISTANCE FROM 1`, e); err == nil {
 		t.Error("missing TO should fail")
 	}
 }

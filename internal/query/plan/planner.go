@@ -313,9 +313,9 @@ func (r *Result) Clone() *Result {
 // given column order. It is Stream into an in-memory sink, so collected and
 // streamed executions share one row-production path.
 func Collect(op Op, src Source, cols []string) (*Result, error) {
-	var c collector
+	var c Collector
 	if err := Stream(op, src, cols, &c); err != nil {
 		return nil, err
 	}
-	return &c.res, nil
+	return &c.Res, nil
 }

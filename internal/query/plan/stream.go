@@ -48,16 +48,22 @@ func Replay(res *Result, sink Sink) error {
 	return nil
 }
 
-// collector materializes a stream back into a Result; Collect uses it so
-// the collected and streamed paths cannot drift.
-type collector struct{ res Result }
+// Collector is the buffering Sink: it materializes a stream back into Res.
+// Every buffered entry point (Collect, the languages' ExecCtx/RunCtx,
+// engine.QueryContext) is a stream into a Collector, so the collected and
+// streamed paths cannot drift. It keeps the slices it is handed instead of
+// copying them, which is sound for Stream and Replay: both hand over slices
+// nothing else writes afterwards.
+type Collector struct{ Res Result }
 
-func (c *collector) Cols(cols []string) error {
-	c.res.Cols = cols
+// Cols implements Sink.
+func (c *Collector) Cols(cols []string) error {
+	c.Res.Cols = cols
 	return nil
 }
 
-func (c *collector) Row(vals []model.Value) error {
-	c.res.Rows = append(c.res.Rows, vals)
+// Row implements Sink.
+func (c *Collector) Row(vals []model.Value) error {
+	c.Res.Rows = append(c.Res.Rows, vals)
 	return nil
 }

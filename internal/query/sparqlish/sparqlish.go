@@ -343,33 +343,21 @@ func rewriteVarsToValues(e query.Expr) query.Expr {
 	}
 }
 
-// Run executes the query against a triple source.
-func Run(input string, src plan.Source) (*plan.Result, error) {
-	return RunCtx(context.Background(), input, src)
-}
-
-// RunCtx is Run with a context. When ctx carries an obs.Trace, parsing and
-// execution are recorded as "parse" and "exec" spans; the answer is always
-// identical to Run's.
+// RunCtx executes the query against a triple source and materializes the
+// result: it is RunStreamCtx into a plan.Collector, so buffered and
+// streamed executions are one code path.
 func RunCtx(ctx context.Context, input string, src plan.Source) (*plan.Result, error) {
-	tr := obs.FromContext(ctx)
-	endParse := tr.StartSpan("parse")
-	q, err := Parse(input)
-	endParse()
-	if err != nil {
+	var c plan.Collector
+	if err := RunStreamCtx(ctx, input, src, &c); err != nil {
 		return nil, err
 	}
-	defer tr.StartSpan("exec")()
-	op, err := plan.CompileFor(&q.Spec, src)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Collect(op, plan.WithCancel(ctx, src), q.Vars)
+	return &c.Res, nil
 }
 
-// RunStreamCtx is RunCtx delivering the result into sink incrementally as
-// the operator tree produces rows; the rows and their order are exactly
-// RunCtx's.
+// RunStreamCtx parses and runs the query under ctx, delivering the result
+// into sink as the operator tree produces rows. When ctx carries an
+// obs.Trace, parsing and execution are recorded as "parse" and "exec"
+// spans; tracing never changes the answer.
 func RunStreamCtx(ctx context.Context, input string, src plan.Source, sink plan.Sink) error {
 	tr := obs.FromContext(ctx)
 	endParse := tr.StartSpan("parse")

@@ -1,6 +1,7 @@
 package sparqlish
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/memgraph"
@@ -39,7 +40,7 @@ func tripleGraph(t *testing.T) plan.Source {
 
 func TestBasicBGP(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := Run(`SELECT ?x WHERE { ?x <type> "person" . }`, src)
+	res, err := RunCtx(context.Background(), `SELECT ?x WHERE { ?x <type> "person" . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestBasicBGP(t *testing.T) {
 
 func TestJoinAcrossTriples(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := Run(`SELECT ?name WHERE { ?x <type> "person" . ?x <name> ?name . ?x <livesIn> "zurich" . }`, src)
+	res, err := RunCtx(context.Background(), `SELECT ?name WHERE { ?x <type> "person" . ?x <name> ?name . ?x <livesIn> "zurich" . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestJoinAcrossTriples(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := Run(`SELECT ?n WHERE { ?x <type> "person" . ?x <name> ?n . FILTER (?n != "Bob") }`, src)
+	res, err := RunCtx(context.Background(), `SELECT ?n WHERE { ?x <type> "person" . ?x <name> ?n . FILTER (?n != "Bob") }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestFilter(t *testing.T) {
 
 func TestOrderLimitDistinct(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := Run(`SELECT DISTINCT ?n WHERE { ?x <name> ?n . } ORDER BY ?n LIMIT 1`, src)
+	res, err := RunCtx(context.Background(), `SELECT DISTINCT ?n WHERE { ?x <name> ?n . } ORDER BY ?n LIMIT 1`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestOrderLimitDistinct(t *testing.T) {
 
 func TestIRISubject(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := Run(`SELECT ?o WHERE { <ada> <knows> ?o . }`, src)
+	res, err := RunCtx(context.Background(), `SELECT ?o WHERE { <ada> <knows> ?o . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestIRISubject(t *testing.T) {
 
 func TestSelectStar(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := Run(`SELECT * WHERE { ?s <knows> ?o . }`, src)
+	res, err := RunCtx(context.Background(), `SELECT * WHERE { ?s <knows> ?o . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestTrailingDotOptional(t *testing.T) {
 	src := tripleGraph(t)
-	if _, err := Run(`SELECT ?x WHERE { ?x <type> "person" }`, src); err != nil {
+	if _, err := RunCtx(context.Background(), `SELECT ?x WHERE { ?x <type> "person" }`, src); err != nil {
 		t.Errorf("trailing dot should be optional: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -122,8 +123,8 @@ func RunCacheSweep(open func(name string, cacheBytes int64) (engine.Engine, erro
 			if err != nil {
 				return err
 			}
-			ukern := cacheKernels(uncached.Essentials(), uids)
-			ckern := cacheKernels(cached.Essentials(), cids)
+			ukern := cacheKernels(uncached.Essentials(context.Background()), uids)
+			ckern := cacheKernels(cached.Essentials(context.Background()), cids)
 			for _, kname := range []string{"khood", "adjacency", "summarize"} {
 				up, ok := ukern[kname]
 				if !ok {

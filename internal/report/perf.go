@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -60,7 +61,7 @@ func RunPerf(open func(name string) (engine.Engine, error), names []string, node
 		}
 		out = append(out, PerfResult{Engine: e.Name(), Row: e.SurveyRow(), Op: "ingest", Nodes: nodes, Took: time.Since(start), OpsDone: nodes * (degree + 1)})
 
-		es := e.Essentials()
+		es := e.Essentials(context.Background())
 		// BFS via repeated k-neighborhood expansion when exposed.
 		if es.KNeighborhood != nil {
 			start = time.Now()

@@ -8,6 +8,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -220,7 +221,7 @@ func TableVII(engines []engine.Engine) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: seed: %w", e.Name(), err)
 		}
-		es := e.Essentials()
+		es := e.Essentials(context.Background())
 		// Node/edge adjacency.
 		if es.NodeAdjacency != nil {
 			ok1, err1 := es.NodeAdjacency(ids[0], ids[1])

@@ -20,42 +20,39 @@ import (
 	"gdbm/internal/server/loadgen"
 )
 
-// stubEngine is a controllable ContextQuerier: an optional fixed service
-// time and an optional external block, both interruptible by ctx. It lets
+// stubEngine is a controllable Querier: an optional fixed service time and
+// an optional external block, both interruptible by ctx. It lets
 // the tests pin service behavior precisely (real engines are exercised by
 // the smoke test and cmd/gdbload).
 type stubEngine struct {
 	delay time.Duration
-	block chan struct{} // non-nil: QueryContext waits for close(block)
+	block chan struct{} // non-nil: QueryStream waits for close(block)
 }
 
-func (e *stubEngine) Name() string                  { return "stub" }
-func (e *stubEngine) SurveyRow() string             { return "stub" }
-func (e *stubEngine) Features() engine.Features     { return engine.Features{} }
-func (e *stubEngine) Essentials() engine.Essentials { return engine.Essentials{} }
-func (e *stubEngine) Close() error                  { return nil }
-func (e *stubEngine) LanguageName() string          { return "gsql" }
+func (e *stubEngine) Name() string              { return "stub" }
+func (e *stubEngine) SurveyRow() string         { return "stub" }
+func (e *stubEngine) Features() engine.Features { return engine.Features{} }
+func (e *stubEngine) Close() error              { return nil }
+func (e *stubEngine) LanguageName() string      { return "gsql" }
 
-func (e *stubEngine) Query(stmt string) (*plan.Result, error) {
-	return e.QueryContext(context.Background(), stmt)
-}
+func (e *stubEngine) Essentials(context.Context) engine.Essentials { return engine.Essentials{} }
 
-func (e *stubEngine) QueryContext(ctx context.Context, stmt string) (*plan.Result, error) {
+func (e *stubEngine) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	if e.block != nil {
 		select {
 		case <-e.block:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if e.delay > 0 {
 		select {
 		case <-time.After(e.delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	return &plan.Result{Cols: []string{"echo"}, Rows: nil}, nil
+	return sink.Cols([]string{"echo"})
 }
 
 // newTestServer builds a Server around the stub with tight, test-friendly

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -18,24 +19,25 @@ type langEngine struct {
 	closed atomic.Int64
 }
 
-func (e *langEngine) Name() string                  { return "lang-" + e.lang }
-func (e *langEngine) SurveyRow() string             { return "test" }
-func (e *langEngine) Features() engine.Features     { return engine.Features{} }
-func (e *langEngine) Essentials() engine.Essentials { return engine.Essentials{} }
-func (e *langEngine) Close() error                  { e.closed.Add(1); return nil }
-func (e *langEngine) LanguageName() string          { return e.lang }
-func (e *langEngine) Query(string) (*plan.Result, error) {
-	return &plan.Result{}, nil
-}
+func (e *langEngine) Name() string              { return "lang-" + e.lang }
+func (e *langEngine) SurveyRow() string         { return "test" }
+func (e *langEngine) Features() engine.Features { return engine.Features{} }
+func (e *langEngine) Close() error              { e.closed.Add(1); return nil }
+func (e *langEngine) LanguageName() string      { return e.lang }
+
+func (e *langEngine) Essentials(context.Context) engine.Essentials { return engine.Essentials{} }
+
+func (e *langEngine) QueryStream(context.Context, string, plan.Sink) error { return nil }
 
 // bareEngine has no query language at all.
 type bareEngine struct{}
 
-func (bareEngine) Name() string                  { return "bare" }
-func (bareEngine) SurveyRow() string             { return "test" }
-func (bareEngine) Features() engine.Features     { return engine.Features{} }
-func (bareEngine) Essentials() engine.Essentials { return engine.Essentials{} }
-func (bareEngine) Close() error                  { return nil }
+func (bareEngine) Name() string              { return "bare" }
+func (bareEngine) SurveyRow() string         { return "test" }
+func (bareEngine) Features() engine.Features { return engine.Features{} }
+func (bareEngine) Close() error              { return nil }
+
+func (bareEngine) Essentials(context.Context) engine.Essentials { return engine.Essentials{} }
 
 // TestReadonlyStmt pins the lock-classification contract. The gql cases are
 // the regression for the shared-lock race: every MATCH-headed write must be

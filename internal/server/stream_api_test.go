@@ -20,9 +20,9 @@ import (
 	"gdbm/internal/server/wire"
 )
 
-// streamStub is a stubEngine with native streaming: it emits rows one at a
-// time, honoring ctx between rows, so tests can drive mid-stream behavior
-// (cancellation, failure) that a materializing stub can never produce.
+// streamStub is a stubEngine that emits rows one at a time, honoring ctx
+// between rows, so tests can drive mid-stream behavior (cancellation,
+// failure).
 type streamStub struct {
 	stubEngine
 	rows     int           // emit this many rows; < 0 streams forever
