@@ -257,6 +257,16 @@ func (c *Core) SortedNeighborIDs(id model.NodeID, dir model.Direction, label str
 	return ids, nil
 }
 
+// AppendNeighborIDs implements model.IDAdjacency by forwarding to a storage
+// graph that has it; over any other store it reports unhandled and the
+// operators use Neighbors.
+func (c *Core) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
+	if ia, ok := c.g.(model.IDAdjacency); ok {
+		return ia.AppendNeighborIDs(buf, id, dir, label)
+	}
+	return buf, false, nil
+}
+
 // IndexedNodes implements plan.Source via the index manager.
 func (c *Core) IndexedNodes(label, prop string, v model.Value, fn func(model.Node) bool) (bool, error) {
 	var idx index.Index

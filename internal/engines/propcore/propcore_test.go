@@ -2,6 +2,7 @@ package propcore
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"gdbm/internal/constraint"
@@ -173,5 +174,47 @@ func TestLoaderSurface(t *testing.T) {
 	}
 	if c.Size() != 1 {
 		t.Errorf("size = %d", c.Size())
+	}
+}
+
+// TestAppendNeighborIDsForwards: a Core over a store with id adjacency
+// answers it exactly as its own Neighbors enumerates; over a store without,
+// it reports unhandled and leaves the buffer alone.
+func TestAppendNeighborIDsForwards(t *testing.T) {
+	c := newCore(t)
+	a, _ := c.AddNode("P", nil)
+	b, _ := c.AddNode("P", nil)
+	for _, e := range []struct {
+		label    string
+		from, to model.NodeID
+	}{{"knows", a, b}, {"knows", a, b}, {"likes", b, a}, {"knows", a, a}} {
+		if _, err := c.AddEdge(e.label, e.from, e.to, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dir := range []model.Direction{model.Out, model.In, model.Both} {
+		for _, label := range []string{"", "knows"} {
+			var want []model.NeighborID
+			if err := c.Neighbors(a, dir, func(e model.Edge, n model.Node) bool {
+				if label == "" || e.Label == label {
+					want = append(want, model.NeighborID{Edge: e.ID, Node: n.ID})
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			got, handled, err := c.AppendNeighborIDs(nil, a, dir, label)
+			if err != nil || !handled || !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %q: got %v (handled %v, err %v), want %v", dir, label, got, handled, err, want)
+			}
+		}
+	}
+	if _, _, err := c.AppendNeighborIDs(nil, 9999, model.Both, ""); !errors.Is(err, model.ErrNotFound) {
+		t.Errorf("missing node: err = %v, want ErrNotFound", err)
+	}
+	// Embedding the interface hides the store's capability.
+	bare := New(struct{ model.MutableGraph }{memgraph.New()})
+	if got, handled, err := bare.AppendNeighborIDs(nil, 1, model.Both, ""); handled || err != nil || got != nil {
+		t.Errorf("capability-less store: got %v, handled %v, err %v", got, handled, err)
 	}
 }

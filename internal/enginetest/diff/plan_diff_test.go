@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gdbm/internal/model"
 	"gdbm/internal/query/plan"
 	"gdbm/internal/query/stats"
 )
@@ -86,9 +87,71 @@ func renderPlanResult(res *plan.Result, ordered bool) string {
 	return strings.Join(lines, "\n")
 }
 
+// adjacencyTwin wraps a source for the adjacency-path differential. Node
+// scans, indexed or not, are handed on in ID order (stores scan in map
+// order), so two runs of one plan can be compared row for row; sorted
+// adjacency passes through; id adjacency passes through and is counted
+// when native is set, and is refused — sending the operators to Neighbors
+// — when it is nil.
+type adjacencyTwin struct {
+	plan.Source
+	native *int
+}
+
+func inIDOrder(scan func(func(model.Node) bool) error, fn func(model.Node) bool) error {
+	var nodes []model.Node
+	if err := scan(func(n model.Node) bool {
+		nodes = append(nodes, n)
+		return true
+	}); err != nil {
+		return err
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	for _, n := range nodes {
+		if !fn(n) {
+			break
+		}
+	}
+	return nil
+}
+
+func (a adjacencyTwin) Nodes(fn func(model.Node) bool) error {
+	return inIDOrder(a.Source.Nodes, fn)
+}
+
+func (a adjacencyTwin) IndexedNodes(label, prop string, v model.Value, fn func(model.Node) bool) (handled bool, err error) {
+	err = inIDOrder(func(collect func(model.Node) bool) (err error) {
+		handled, err = a.Source.IndexedNodes(label, prop, v, collect)
+		return err
+	}, fn)
+	return handled, err
+}
+
+func (a adjacencyTwin) SortedNeighborIDs(id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
+	return plan.SortedNeighborIDs(a.Source, id, dir, label)
+}
+
+func (a adjacencyTwin) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
+	ia, ok := a.Source.(model.IDAdjacency)
+	if !ok || a.native == nil {
+		return buf, false, nil
+	}
+	out, handled, err := ia.AppendNeighborIDs(buf, id, dir, label)
+	if handled {
+		*a.native++
+	}
+	return out, handled, err
+}
+
+// nativeAdjacency counts the id-adjacency requests the sources answered
+// across the differential: the vacuity guard of the adjacency twins.
+var nativeAdjacency int
+
 // runPat renders pat under every planner on inst and fails the test unless
-// all three renderings are byte-identical; it returns the agreed rendering
-// and whether any plan used the multiway intersection operator.
+// all three renderings are byte-identical, and unless every plan renders
+// the same rows in the same order with id adjacency as with Neighbors
+// alone; it returns the agreed rendering and whether any plan used the
+// multiway intersection operator.
 func runPat(t *testing.T, inst *planInstance, pi int, pat PlanPat) (string, bool) {
 	t.Helper()
 	var agreed string
@@ -107,6 +170,18 @@ func runPat(t *testing.T, inst *planInstance, pi int, pat PlanPat) (string, bool
 			t.Fatalf("pat %d planner %s run: %v\nplan: %s", pi, pl.name, err, op)
 		}
 		got := renderPlanResult(res, pat.Ordered())
+		var twins [2]string
+		for i, src := range []plan.Source{adjacencyTwin{inst.src, &nativeAdjacency}, adjacencyTwin{inst.src, nil}} {
+			res, err := plan.Collect(op, src, cols)
+			if err != nil {
+				t.Fatalf("pat %d planner %s adjacency twin %d: %v\nplan: %s", pi, pl.name, i, err, op)
+			}
+			twins[i] = renderPlanResult(res, true)
+		}
+		if twins[0] != twins[1] {
+			t.Errorf("pat %d planner %s: id adjacency and Neighbors disagree\nplan: %s\nid pairs:  %q\nNeighbors: %q",
+				pi, pl.name, op, twins[0], twins[1])
+		}
 		if k == 0 {
 			agreed = got
 			continue
@@ -155,6 +230,9 @@ func TestPlanDifferential(t *testing.T) {
 	}
 	if !intersected {
 		t.Errorf("no plan used the Intersect operator; the WCO path went untested")
+	}
+	if nativeAdjacency == 0 {
+		t.Errorf("no source answered an id-adjacency request; the adjacency twins compared Neighbors with itself")
 	}
 	// Cross-engine identity over the engines that completed.
 	base, baseName := []string(nil), ""

@@ -13,7 +13,10 @@ import (
 // cache layer doubles as the view version: AcquireView pins the published
 // snapshot in O(1) when the epoch is unchanged and re-reads only the
 // records written since otherwise, decoding records once into block arrays so
-// the read path never touches the store.
+// that a reader of the view never touches the store. Only the view's
+// readers get that: AcquireSnapshot callers, the planner's statistics and
+// SortedNeighborIDs. Statements execute against the live store — every
+// Node, Edge and Neighbors an operator issues is a B+tree read here.
 
 // SetViewLayout selects the snapshot directory layout (the bitmap variant
 // for the DEX-style engine). Call at construction time, before the graph

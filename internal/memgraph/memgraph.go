@@ -5,6 +5,7 @@
 package memgraph
 
 import (
+	"slices"
 	"sync"
 
 	"gdbm/internal/adj"
@@ -262,19 +263,27 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 		e model.Edge
 		n model.Node
 	}
-	var pairs []pair
-	collect := func(eids []model.EdgeID, far func(*model.Edge) model.NodeID) {
-		for _, eid := range eids {
+	// Sized before the loop: growing by doubling would copy records while
+	// writers wait on the lock.
+	size := 0
+	if dir != model.In {
+		size += len(a.out)
+	}
+	if dir != model.Out {
+		size += len(a.in)
+	}
+	pairs := make([]pair, 0, size)
+	if dir != model.In {
+		for _, eid := range a.out {
 			e := g.edges[eid]
-			n := g.nodes[far(e)]
-			pairs = append(pairs, pair{*e, *n})
+			pairs = append(pairs, pair{*e, *g.nodes[e.To]})
 		}
 	}
-	if dir == model.Out || dir == model.Both {
-		collect(a.out, func(e *model.Edge) model.NodeID { return e.To })
-	}
-	if dir == model.In || dir == model.Both {
-		collect(a.in, func(e *model.Edge) model.NodeID { return e.From })
+	if dir != model.Out {
+		for _, eid := range a.in {
+			e := g.edges[eid]
+			pairs = append(pairs, pair{*e, *g.nodes[e.From]})
+		}
 	}
 	g.mu.RUnlock()
 	for _, p := range pairs {
@@ -283,6 +292,36 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 		}
 	}
 	return nil
+}
+
+// AppendNeighborIDs implements model.IDAdjacency from the live adjacency
+// lists under the read lock: what Neighbors enumerates, in its order, as id
+// pairs — nothing is copied but the ids, and the records an operator still
+// wants are read from the same state.
+func (g *Graph) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	a, ok := g.adj[id]
+	if !ok {
+		return buf, true, model.NodeNotFound(id)
+	}
+	if dir != model.In {
+		buf = slices.Grow(buf, len(a.out)) // once, not by doubling
+		for _, eid := range a.out {
+			if e := g.edges[eid]; label == "" || e.Label == label {
+				buf = append(buf, model.NeighborID{Edge: eid, Node: e.To})
+			}
+		}
+	}
+	if dir != model.Out {
+		buf = slices.Grow(buf, len(a.in))
+		for _, eid := range a.in {
+			if e := g.edges[eid]; label == "" || e.Label == label {
+				buf = append(buf, model.NeighborID{Edge: eid, Node: e.From})
+			}
+		}
+	}
+	return buf, true, nil
 }
 
 // Degree returns the number of incident edges in direction dir.
@@ -304,3 +343,4 @@ func (g *Graph) Degree(id model.NodeID, dir model.Direction) (int, error) {
 }
 
 var _ model.MutableGraph = (*Graph)(nil)
+var _ model.IDAdjacency = (*Graph)(nil)

@@ -211,3 +211,86 @@ func TestDegreeSumInvariantQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wantNeighborIDs renders what Neighbors enumerates as id pairs, filtered
+// by label: the order AppendNeighborIDs promises.
+func wantNeighborIDs(t *testing.T, g *Graph, id model.NodeID, dir model.Direction, label string) []model.NeighborID {
+	t.Helper()
+	var want []model.NeighborID
+	if err := g.Neighbors(id, dir, func(e model.Edge, n model.Node) bool {
+		if label == "" || e.Label == label {
+			want = append(want, model.NeighborID{Edge: e.ID, Node: n.ID})
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestAppendNeighborIDsMatchesNeighbors: the id-adjacency capability and
+// Neighbors are one enumeration — element for element, in order — for
+// every direction, with and without a label, over parallel edges, a
+// self-loop (twice under Both) and lists reordered by swap-removal.
+func TestAppendNeighborIDsMatchesNeighbors(t *testing.T) {
+	g := New()
+	var ids []model.NodeID
+	for i := 0; i < 6; i++ {
+		id, _ := g.AddNode("N", nil)
+		ids = append(ids, id)
+	}
+	var eids []model.EdgeID
+	add := func(label string, a, b int) {
+		eid, err := g.AddEdge(label, ids[a], ids[b], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eids = append(eids, eid)
+	}
+	for j := 0; j < 24; j++ {
+		add([]string{"x", "y", "z"}[j%3], j%6, (j*5+1)%6)
+	}
+	add("x", 0, 1)
+	add("x", 0, 1) // parallel
+	add("y", 2, 2) // self-loop
+	check := func(stage string) {
+		t.Helper()
+		for _, id := range ids {
+			for _, dir := range []model.Direction{model.Out, model.In, model.Both} {
+				for _, label := range []string{"", "x", "y", "none"} {
+					want := wantNeighborIDs(t, g, id, dir, label)
+					got, handled, err := g.AppendNeighborIDs(nil, id, dir, label)
+					if err != nil || !handled {
+						t.Fatalf("%s: node %d %v %q: handled=%v err=%v", stage, id, dir, label, handled, err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: node %d %v %q: %d pairs, want %d", stage, id, dir, label, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: node %d %v %q: pair %d = %v, want %v", stage, id, dir, label, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	check("loaded")
+	// Removing from the front and middle of the lists swaps their tails in.
+	for _, k := range []int{0, 7, 13, 24} {
+		if err := g.RemoveEdge(eids[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after swap-removals")
+
+	// The buffer is appended to, not replaced; a missing node is NotFound.
+	pre := []model.NeighborID{{Edge: 99, Node: 99}}
+	got, _, err := g.AppendNeighborIDs(pre, ids[0], model.Out, "")
+	if err != nil || len(got) < 2 || got[0] != pre[0] {
+		t.Errorf("append onto a non-empty buffer = %v, %v", got, err)
+	}
+	if _, _, err := g.AppendNeighborIDs(nil, 9999, model.Both, ""); !errors.Is(err, model.ErrNotFound) {
+		t.Errorf("missing node: err = %v, want ErrNotFound", err)
+	}
+}

@@ -139,6 +139,24 @@ type SortedAdjacency interface {
 	SortedNeighborIDs(id NodeID, dir Direction, label string) ([]NodeID, error)
 }
 
+// NeighborID is one element of a node's adjacency without its records: the
+// incident edge and the node at its far end.
+type NeighborID struct {
+	Edge EdgeID
+	Node NodeID
+}
+
+// IDAdjacency is an optional Graph capability next to SortedAdjacency: the
+// (edge, far node) id pairs of a node's incident edges in a direction,
+// through edges carrying label ("" = any), appended to buf in exactly the
+// order Neighbors enumerates them — out before in, list order within each —
+// with no record decoded or copied. handled false means the graph cannot
+// answer from adjacency alone (a wrapper over a store without the
+// capability); the caller then uses Neighbors, as with Source.IndexedNodes.
+type IDAdjacency interface {
+	AppendNeighborIDs(buf []NeighborID, id NodeID, dir Direction, label string) (out []NeighborID, handled bool, err error)
+}
+
 // Pinner is implemented by the mutable stores (memgraph, kvgraph) that
 // render copy-on-write views: AcquireView pins the published snapshot under
 // the contract written on engine.Concurrent. The method is deliberately not

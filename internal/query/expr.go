@@ -8,7 +8,9 @@ import (
 	"gdbm/internal/model"
 )
 
-// Entry is one binding in a row: a node, an edge, or a scalar value.
+// Entry is one binding in a row: a node, an edge, or a scalar value. A node
+// or edge entry always carries its ID; the operators fill in Label and
+// Props only for variables in the plan's read-set (Scope.Read).
 type Entry struct {
 	Kind  EntryKind
 	Node  model.Node
@@ -58,16 +60,77 @@ func (e Entry) Prop(name string) model.Value {
 	}
 }
 
-// Row is the binding environment flowing through query operators.
-type Row map[string]Entry
+// Row is the binding environment flowing through query operators: one entry
+// per slot of its plan stage's Scope, written in place.
+type Row []Entry
 
-// Clone copies the row.
-func (r Row) Clone() Row {
-	c := make(Row, len(r)+2)
-	for k, v := range r {
-		c[k] = v
+// Scope maps the variable names visible at one stage of a plan to row
+// slots: Names[i] is held in slot i, and Read[i] puts it in the read-set —
+// a bound expression reads its label or a property, not just its ID.
+type Scope struct {
+	Names []string
+	Read  []bool
+}
+
+// Add appends a slot for name; an earlier slot of the same name is shadowed.
+func (s *Scope) Add(name string) int {
+	s.Names, s.Read = append(s.Names, name), append(s.Read, false)
+	return len(s.Names) - 1
+}
+
+// Slot returns the visible slot of name, or -1.
+func (s *Scope) Slot(name string) (int, bool) {
+	for i := len(s.Names) - 1; i >= 0; i-- {
+		if s.Names[i] == name {
+			return i, true
+		}
 	}
-	return c
+	return -1, false
+}
+
+// Binder is implemented by expressions defined outside this package that
+// read row variables: Bind resolves them against a scope.
+type Binder interface{ Bind(s *Scope) Expr }
+
+// Bind resolves the variables of e to slots of s and marks as read every
+// variable whose property is accessed. A name s does not hold stays unbound
+// and fails when evaluated: a dangling reference errs only if a row gets there.
+func Bind(e Expr, s *Scope) Expr {
+	return Rewrite(e, func(leaf Expr) Expr {
+		switch x := leaf.(type) {
+		case Var:
+			if slot, ok := s.Slot(x.Name); ok {
+				x.slot = slot + 1
+				s.Read[slot] = s.Read[slot] || x.Prop != ""
+			}
+			return x
+		case Binder:
+			return x.Bind(s)
+		}
+		return leaf
+	})
+}
+
+// Rewrite rebuilds e with every leaf (anything but BinOp, Not, Neg and Call)
+// replaced by leaf's result; nil stays nil.
+func Rewrite(e Expr, leaf func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case nil:
+		return nil
+	case BinOp:
+		return BinOp{Op: x.Op, L: Rewrite(x.L, leaf), R: Rewrite(x.R, leaf)}
+	case Not:
+		return Not{E: Rewrite(x.E, leaf)}
+	case Neg:
+		return Neg{E: Rewrite(x.E, leaf)}
+	case Call:
+		args := make([]Expr, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = Rewrite(a, leaf)
+		}
+		return Call{Fn: x.Fn, Args: args}
+	}
+	return leaf(e)
 }
 
 // Expr is an evaluable expression over a Row.
@@ -90,18 +153,20 @@ func (l Lit) String() string {
 	return l.V.String()
 }
 
-// Var references a binding; with Prop set it accesses a property.
+// Var references a binding; with Prop set it accesses a property. Parsers
+// build it by name; Bind resolves the name to a slot.
 type Var struct {
 	Name string
 	Prop string
+	slot int // 1-based; 0 = unbound
 }
 
 // Eval implements Expr.
 func (v Var) Eval(r Row) (model.Value, error) {
-	e, ok := r[v.Name]
-	if !ok {
+	if v.slot == 0 || v.slot > len(r) {
 		return model.Null(), fmt.Errorf("unbound variable %q", v.Name)
 	}
+	e := r[v.slot-1]
 	if v.Prop != "" {
 		return e.Prop(v.Prop), nil
 	}

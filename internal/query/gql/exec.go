@@ -70,19 +70,40 @@ func ExecStreamCtx(ctx context.Context, input string, m Mutator, sink plan.Sink)
 // carries the counters in the "nodes", "edges", "set", "deleted" columns.
 func execWrite(ctx context.Context, st *Statement, m Mutator) (*plan.Result, error) {
 	// Materialize binding rows first so mutation does not race iteration.
-	rows := []query.Row{{}}
+	// The write clauses resolve their variables against the scope of the
+	// rows the match emits, extended by the nodes CREATE binds; binding SET's
+	// expressions before the tree runs puts what they read in its read-set.
+	sc := &query.Scope{}
+	var op plan.Op
 	if st.Match != nil {
 		spec := *st.Match
-		spec.Return = nil
-		spec.Aggs = nil
-		spec.GroupBy = nil
-		op, err := plan.CompileFor(&spec, m)
-		if err != nil {
+		spec.Return, spec.Aggs, spec.GroupBy = nil, nil, nil
+		var err error
+		if op, err = plan.CompileFor(&spec, m); err != nil {
 			return nil, err
 		}
+		sc = plan.ScopeOf(op)
+	}
+	for _, cn := range st.CreateNodes {
+		if cn.Var != "" {
+			sc.Add(cn.Var)
+		}
+	}
+	setExprs := make([]query.Expr, len(st.Sets))
+	for i, set := range st.Sets {
+		setExprs[i] = query.Bind(set.Expr, sc)
+	}
+	entry := func(row query.Row, name string) (e query.Entry, ok bool) {
+		if slot, ok := sc.Slot(name); ok {
+			return row[slot], true
+		}
+		return e, false
+	}
+	rows := []query.Row{make(query.Row, len(sc.Names))}
+	if op != nil {
 		rows = nil
 		if err := op.Run(plan.WithCancel(ctx, m), func(r query.Row) error {
-			rows = append(rows, r)
+			rows = append(rows, append(query.Row(nil), r...))
 			return nil
 		}); err != nil {
 			return nil, err
@@ -109,15 +130,16 @@ func execWrite(ctx context.Context, st *Statement, m Mutator) (*plan.Result, err
 				if err != nil {
 					return nil, err
 				}
-				row[cn.Var] = query.NodeEntry(n)
+				slot, _ := sc.Slot(cn.Var)
+				row[slot] = query.NodeEntry(n)
 			}
 		}
 		for _, ce := range st.CreateEdges {
-			from, ok := row[ce.FromVar]
+			from, ok := entry(row, ce.FromVar)
 			if !ok || from.Kind != query.EntryNode {
 				return nil, fmt.Errorf("gql: CREATE edge source %q is not a bound node", ce.FromVar)
 			}
-			to, ok := row[ce.ToVar]
+			to, ok := entry(row, ce.ToVar)
 			if !ok || to.Kind != query.EntryNode {
 				return nil, fmt.Errorf("gql: CREATE edge target %q is not a bound node", ce.ToVar)
 			}
@@ -126,12 +148,12 @@ func execWrite(ctx context.Context, st *Statement, m Mutator) (*plan.Result, err
 			}
 			edgesCreated++
 		}
-		for _, set := range st.Sets {
-			ent, ok := row[set.Var]
+		for i, set := range st.Sets {
+			ent, ok := entry(row, set.Var)
 			if !ok {
 				return nil, fmt.Errorf("gql: SET target %q is unbound", set.Var)
 			}
-			v, err := set.Expr.Eval(row)
+			v, err := setExprs[i].Eval(row)
 			if err != nil {
 				return nil, err
 			}
@@ -150,7 +172,7 @@ func execWrite(ctx context.Context, st *Statement, m Mutator) (*plan.Result, err
 			propsSet++
 		}
 		for _, dv := range st.Deletes {
-			ent, ok := row[dv]
+			ent, ok := entry(row, dv)
 			if !ok {
 				return nil, fmt.Errorf("gql: DELETE target %q is unbound", dv)
 			}

@@ -618,14 +618,19 @@ func execSelect(ctx context.Context, l *query.Lexer, e Engine, sink plan.Sink) (
 // projection, then as a property of the implicit "row" binding.
 type colOrRowProp struct{ name string }
 
-// Eval implements query.Expr.
-func (c colOrRowProp) Eval(r query.Row) (model.Value, error) {
-	if e, ok := r[c.name]; ok {
-		return e.Scalar(), nil
+// Bind implements query.Binder: whichever of the two the scope holds.
+func (c colOrRowProp) Bind(s *query.Scope) query.Expr {
+	if _, ok := s.Slot(c.name); ok {
+		return query.Bind(query.Var{Name: c.name}, s)
 	}
-	if e, ok := r["row"]; ok {
-		return e.Prop(c.name), nil
+	if _, ok := s.Slot("row"); ok {
+		return query.Bind(query.Var{Name: "row", Prop: c.name}, s)
 	}
+	return c
+}
+
+// Eval implements query.Expr for the key left unbound: neither is in scope.
+func (c colOrRowProp) Eval(query.Row) (model.Value, error) {
 	return model.Null(), fmt.Errorf("gsql: ORDER BY column %q is not in the result", c.name)
 }
 
@@ -635,27 +640,12 @@ func (c colOrRowProp) String() string { return c.name }
 // rewriteBareToRow maps bare identifiers (column names) to properties of the
 // implicit "row" binding, and fixes aggregate ORDER BY aliases.
 func rewriteBareToRow(ex query.Expr) query.Expr {
-	switch x := ex.(type) {
-	case query.Var:
-		if x.Prop == "" && x.Name != "row" {
+	return query.Rewrite(ex, func(leaf query.Expr) query.Expr {
+		if x, ok := leaf.(query.Var); ok && x.Prop == "" && x.Name != "row" {
 			return query.Var{Name: "row", Prop: x.Name}
 		}
-		return x
-	case query.BinOp:
-		return query.BinOp{Op: x.Op, L: rewriteBareToRow(x.L), R: rewriteBareToRow(x.R)}
-	case query.Not:
-		return query.Not{E: rewriteBareToRow(x.E)}
-	case query.Neg:
-		return query.Neg{E: rewriteBareToRow(x.E)}
-	case query.Call:
-		args := make([]query.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = rewriteBareToRow(a)
-		}
-		return query.Call{Fn: x.Fn, Args: args}
-	default:
-		return ex
-	}
+		return leaf
+	})
 }
 
 // execSelectPath implements SELECT PATH FROM a TO b [MAXLEN n].

@@ -134,18 +134,17 @@ func (c *cancelSource) SortedNeighborIDs(id model.NodeID, dir model.Direction, l
 		}
 		return sa.SortedNeighborIDs(id, dir, label)
 	}
-	var ids []model.NodeID
-	err := c.Neighbors(id, dir, func(e model.Edge, n model.Node) bool {
-		if label == "" || e.Label == label {
-			ids = append(ids, n.ID)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
+	return SortedNeighborIDs(UnindexedSource{c}, id, dir, label) // c, its capabilities hidden
+}
+
+// AppendNeighborIDs forwards the id-adjacency capability — the served path
+// always runs under WithCancel, so without it no statement would reach the
+// native lists — without ticking: eachNeighbor ticks per pair it hands on.
+func (c *cancelSource) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
+	if ia, ok := c.src.(model.IDAdjacency); ok {
+		return ia.AppendNeighborIDs(buf, id, dir, label)
 	}
-	sortNodeIDs(ids)
-	return ids, nil
+	return buf, false, nil
 }
 
 // PlanStats forwards the statistics capability so plan selection sees

@@ -3,10 +3,12 @@ package plan
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
+	"gdbm/internal/query"
 )
 
 func cancelTestSource(t *testing.T, n int) Source {
@@ -94,5 +96,138 @@ func TestWithCancelPassesResults(t *testing.T) {
 	}
 	if _, err := wrapped.Node(1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// capable is a Source over a memgraph that keeps the store's optional
+// capabilities — id adjacency above all — which UnindexedSource, embedding
+// the model.Graph interface, hides. nativeCalls counts the id-adjacency
+// requests, so a test can tell which path answered. It scans nodes in ID
+// order — memgraph's own order is Go's map order — so that two runs of one
+// plan can be compared row for row.
+type capable struct {
+	*memgraph.Graph
+	nativeCalls *int
+}
+
+func (c capable) Nodes(fn func(model.Node) bool) error {
+	var nodes []model.Node
+	if err := c.Graph.Nodes(func(n model.Node) bool {
+		nodes = append(nodes, n)
+		return true
+	}); err != nil {
+		return err
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	for _, n := range nodes {
+		if !fn(n) {
+			break
+		}
+	}
+	return nil
+}
+
+func (capable) IndexedNodes(string, string, model.Value, func(model.Node) bool) (bool, error) {
+	return false, nil
+}
+
+func (c capable) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
+	if c.nativeCalls != nil {
+		*c.nativeCalls++
+	}
+	return c.Graph.AppendNeighborIDs(buf, id, dir, label)
+}
+
+// hubSources builds a hub with 10 strides of neighbours and returns it
+// behind both adjacency paths.
+func hubSources(t *testing.T) map[string]Source {
+	t.Helper()
+	g := memgraph.New()
+	hub, err := g.AddNode("Hub", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10*cancelStride; i++ {
+		n, err := g.AddNode("N", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.AddEdge("link", hub, n, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return map[string]Source{"native": capable{Graph: g}, "fallback": UnindexedSource{g}}
+}
+
+// cancellingSink counts rows and cancels its context at row cancelAt.
+type cancellingSink struct {
+	rows, cancelAt int
+	cancel         context.CancelFunc
+}
+
+func (s *cancellingSink) Cols([]string) error { return nil }
+func (s *cancellingSink) Row([]model.Value) error {
+	if s.rows++; s.rows == s.cancelAt {
+		s.cancel()
+	}
+	return nil
+}
+
+func hubExpand(t *testing.T) Op {
+	t.Helper()
+	op, err := Compile(&MatchSpec{
+		Nodes:  []NodePat{{Var: "h", Label: "Hub"}, {Var: "n"}},
+		Edges:  []EdgePat{{Label: "link", From: 0, To: 1, Dir: model.Out}},
+		Return: []Item{{Name: "n", Expr: query.Var{Name: "n"}}},
+		Limit:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+// TestExpandUnderCancelledContext: an expand over a hub under a context
+// that is already cancelled returns context.Canceled and delivers no row,
+// whichever adjacency path the source offers.
+func TestExpandUnderCancelledContext(t *testing.T) {
+	for name, src := range hubSources(t) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		sink := &cancellingSink{}
+		err := Stream(hubExpand(t), WithCancel(ctx, src), []string{"n"}, sink)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, want context.Canceled", name, err)
+		}
+		if sink.rows != 0 {
+			t.Errorf("%s: %d rows delivered under a cancelled context", name, sink.rows)
+		}
+	}
+}
+
+// TestExpandCancelledMidExpansion: cancelling while a hub's neighbours are
+// being delivered stops the expansion within one stride on the id path —
+// whose list is already in the operator's buffer — as on the Neighbors
+// stream, and the native path must be the one the capable source took.
+func TestExpandCancelledMidExpansion(t *testing.T) {
+	native := 0
+	for name, src := range hubSources(t) {
+		if c, ok := src.(capable); ok {
+			c.nativeCalls = &native
+			src = c
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &cancellingSink{cancelAt: 2, cancel: cancel}
+		err := Stream(hubExpand(t), WithCancel(ctx, src), []string{"n"}, sink)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, want context.Canceled", name, err)
+		}
+		if sink.rows < 2 || sink.rows > 2+cancelStride {
+			t.Errorf("%s: %d rows delivered, want between 2 and %d", name, sink.rows, 2+cancelStride)
+		}
+	}
+	if native != 1 {
+		t.Errorf("the capable source answered %d id-adjacency requests, want 1", native)
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
@@ -355,7 +356,9 @@ func (p Planner) Compile(spec *MatchSpec) (Op, Estimate, error) {
 		bound[best.node] = true
 	}
 
-	return applyModifiers(root, spec), est, nil
+	root = applyModifiers(root, spec)
+	bindTree(root)
+	return root, est, nil
 }
 
 // CompileFor compiles spec with the best planner the source supports: when
@@ -391,6 +394,6 @@ func SortedNeighborIDs(g model.Graph, id model.NodeID, dir model.Direction, labe
 	if err != nil {
 		return nil, err
 	}
-	sortNodeIDs(ids)
+	slices.Sort(ids)
 	return ids, nil
 }

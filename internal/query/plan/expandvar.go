@@ -21,6 +21,10 @@ type ExpandVar struct {
 	Dir     model.Direction
 	Min     int
 	Max     int // 0 = unbounded
+
+	stage
+	from, to int // slots; from -1 when absent
+	toBound  bool
 }
 
 // Run implements Op.
@@ -28,49 +32,53 @@ func (x *ExpandVar) Run(src Source, emit func(query.Row) error) error {
 	if x.Min < 0 {
 		return fmt.Errorf("expandvar: negative minimum length")
 	}
+	var buf []model.NeighborID
+	loadTo := !x.toBound && x.sc.Read[x.to]
 	return x.Child.Run(src, func(row query.Row) error {
-		from, ok := row[x.FromVar]
-		if !ok || from.Kind != query.EntryNode {
+		if x.from < 0 || row[x.from].Kind != query.EntryNode {
 			return fmt.Errorf("expandvar: %q is not a bound node", x.FromVar)
 		}
-		bound, toBound := row[x.ToVar]
+		from := row[x.from].Node
 
 		send := func(n model.Node) error {
-			if toBound {
-				if bound.Kind != query.EntryNode || bound.Node.ID != n.ID {
+			if x.toBound {
+				if b := row[x.to]; b.Kind != query.EntryNode || b.Node.ID != n.ID {
 					return nil
 				}
+			} else {
+				row[x.to] = query.NodeEntry(n)
 			}
-			out := row.Clone()
-			if !toBound {
-				out[x.ToVar] = query.NodeEntry(n)
-			}
-			return emit(out)
+			return emit(row)
 		}
 
-		// BFS by level over edges with the label.
-		visited := map[model.NodeID]bool{from.Node.ID: true}
-		frontier := []model.Node{from.Node}
+		// BFS by level over edges with the label, the visited set over ids;
+		// a record is loaded only if ToVar is read and this level binds it.
+		visited := map[model.NodeID]bool{from.ID: true}
+		frontier := []model.Node{from}
 		if x.Min == 0 {
-			if err := send(from.Node); err != nil {
+			if err := send(from); err != nil {
 				return err
 			}
 		}
-		for depth := 1; len(frontier) > 0 && (x.Max == 0 || depth <= x.Max); depth++ {
-			var next []model.Node
+		var next []model.Node
+		depth := 1
+		visit := func(_ model.Edge, n model.Node, records bool) (err error) {
+			if visited[n.ID] {
+				return nil
+			}
+			visited[n.ID] = true
+			if loadTo && !records && depth >= x.Min {
+				if n, err = src.Node(n.ID); err != nil {
+					return err
+				}
+			}
+			next = append(next, n)
+			return nil
+		}
+		for ; len(frontier) > 0 && (x.Max == 0 || depth <= x.Max); depth++ {
+			next = nil
 			for _, cur := range frontier {
-				err := src.Neighbors(cur.ID, x.Dir, func(e model.Edge, n model.Node) bool {
-					if x.Label != "" && e.Label != x.Label {
-						return true
-					}
-					if visited[n.ID] {
-						return true
-					}
-					visited[n.ID] = true
-					next = append(next, n)
-					return true
-				})
-				if err != nil {
+				if err := eachNeighbor(src, &buf, cur.ID, x.Dir, x.Label, visit); err != nil {
 					return err
 				}
 			}

@@ -17,14 +17,16 @@ import (
 // fuzz: no input panics either planner; a spec rejected by one is rejected by
 // the other with the same error text (validation is shared, and a one-sided
 // rejection would make plan choice observable); and any spec both accept
-// must render byte-identical results on a reference graph. Crashing inputs
-// become regression seeds in testdata/fuzz.
+// must render byte-identical results on a reference graph — and each plan
+// must render the same rows in the same order whether the source answers
+// adjacency with id pairs or, its capabilities hidden, with Neighbors.
+// Crashing inputs become regression seeds in testdata/fuzz.
 
 // fuzzGraph is the shared reference graph: small enough that the worst
 // decoded pattern (5 nodes, cross-products) stays cheap, rich enough to
 // reach every operator — three labels, rank properties, a parallel edge
 // and a self-loop for multiplicity, triangles for the intersect path.
-var fuzzGraph = sync.OnceValue(func() Source {
+var fuzzGraph = sync.OnceValue(func() *memgraph.Graph {
 	g := memgraph.New()
 	labels := []string{"person", "place", "thing"}
 	elabels := []string{"knows", "near", "owns"}
@@ -49,7 +51,7 @@ var fuzzGraph = sync.OnceValue(func() Source {
 	add("knows", 0, 2)
 	add("knows", 0, 1) // parallel
 	add("owns", 4, 4)  // self-loop
-	return UnindexedSource{g}
+	return g
 })
 
 // decodeMatchSpec deterministically maps a byte stream onto a MatchSpec.
@@ -144,7 +146,9 @@ func FuzzCompileMatchSpec(f *testing.F) {
 		1, 2, 0, 0, 0, 0, 0, 0}) // triangle-ish with modifiers
 	f.Add([]byte{2, 1, 2, 1, 3, 1, 1, 2, 1, 0, 5, 0, 2, 3}) // var-length
 
-	src := fuzzGraph()
+	native := 0
+	src := capable{Graph: fuzzGraph(), nativeCalls: &native}
+	hidden := UnindexedSource{src}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specA := decodeMatchSpec(data)
 		specB := decodeMatchSpec(data)
@@ -180,6 +184,22 @@ func FuzzCompileMatchSpec(f *testing.F) {
 		ordered := len(specA.OrderBy) > 0
 		if a, b := fuzzRender(resA, ordered), fuzzRender(resB, ordered); a != b {
 			t.Fatalf("results diverged\nnaive plan: %s\ncost plan:  %s\nnaive: %q\ncost:  %q", opA, opB, a, b)
+		}
+		// The two adjacency paths are one answer, order included.
+		for _, c := range []struct {
+			op  Op
+			res *Result
+		}{{opA, resA}, {opB, resB}} {
+			res, err := Collect(c.op, hidden, cols)
+			if err != nil {
+				t.Fatalf("run over Neighbors alone: %v\nplan: %s", err, c.op)
+			}
+			if a, b := fuzzRender(c.res, true), fuzzRender(res, true); a != b {
+				t.Fatalf("adjacency paths diverged\nplan: %s\nid pairs:  %q\nNeighbors: %q", c.op, a, b)
+			}
+		}
+		if len(specA.Edges) > 0 && native == 0 {
+			t.Fatalf("a pattern with edges ran, yet the capable source saw no id-adjacency request")
 		}
 	})
 }

@@ -33,6 +33,10 @@ type IntersectExpand struct {
 	Child  Op
 	Inputs []IntersectInput
 	ToVar  string
+
+	stage
+	from []int // slot per input; -1 when absent
+	to   int
 }
 
 // neighborRuns is one run-length-encoded sorted adjacency list: ids are
@@ -85,13 +89,13 @@ func (x *IntersectExpand) Run(src Source, emit func(query.Row) error) error {
 
 	lists := make([]neighborRuns, len(x.Inputs))
 	ptr := make([]int, len(x.Inputs))
+	loadTo := x.sc.Read[x.to]
 	return x.Child.Run(src, func(row query.Row) error {
 		for i, in := range x.Inputs {
-			from, ok := row[in.FromVar]
-			if !ok || from.Kind != query.EntryNode {
+			if x.from[i] < 0 || row[x.from[i]].Kind != query.EntryNode {
 				return fmt.Errorf("intersect: %q is not a bound node", in.FromVar)
 			}
-			r, err := fetch(from.Node.ID, in.Dir, in.Label)
+			r, err := fetch(row[x.from[i]].Node.ID, in.Dir, in.Label)
 			if err != nil {
 				return err
 			}
@@ -135,14 +139,16 @@ func (x *IntersectExpand) Run(src Source, emit func(query.Row) error) error {
 				mult *= lists[i].counts[ptr[i]]
 				ptr[i]++
 			}
-			n, err := src.Node(hi)
-			if err != nil {
-				return err
+			n := model.Node{ID: hi}
+			if loadTo {
+				var err error
+				if n, err = src.Node(hi); err != nil {
+					return err
+				}
 			}
+			row[x.to] = query.NodeEntry(n)
 			for k := 0; k < mult; k++ {
-				out := row.Clone()
-				out[x.ToVar] = query.NodeEntry(n)
-				if err := emit(out); err != nil {
+				if err := emit(row); err != nil {
 					return err
 				}
 			}
@@ -157,9 +163,4 @@ func (x *IntersectExpand) String() string {
 		parts[i] = fmt.Sprintf("%s-[:%s]%s", in.FromVar, in.Label, in.Dir)
 	}
 	return fmt.Sprintf("%s -> Intersect(%s => %s)", x.Child, strings.Join(parts, " ∩ "), x.ToVar)
-}
-
-// sortNodeIDs sorts ids ascending (duplicates preserved).
-func sortNodeIDs(ids []model.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

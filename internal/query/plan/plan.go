@@ -34,7 +34,8 @@ func (UnindexedSource) IndexedNodes(string, string, model.Value, func(model.Node
 }
 
 // Op is a push-based physical operator: it streams rows to emit. Returning
-// a non-nil error from emit aborts execution with that error.
+// a non-nil error from emit aborts execution with that error. The operator
+// overwrites the row once emit returns: an emit that keeps a row copies it.
 type Op interface {
 	Run(src Source, emit func(query.Row) error) error
 	String() string
@@ -47,81 +48,62 @@ var errStop = fmt.Errorf("plan: stop")
 
 // NodeScan binds Var to every node matching Label and PropEq. With a Child,
 // it expands each input row (cartesian semantics); without, it is a leaf.
+// A scanned node arrives as a record, so Var is always loaded.
 type NodeScan struct {
 	Child  Op // may be nil
 	Var    string
 	Label  string
 	PropEq model.Properties // all must match
+
+	stage
+	slot int
 }
 
 // Run implements Op.
 func (s *NodeScan) Run(src Source, emit func(query.Row) error) error {
-	scanInto := func(base query.Row) error {
-		send := func(n model.Node) error {
-			if s.Label != "" && n.Label != s.Label {
-				return nil
-			}
-			for k, v := range s.PropEq {
-				if !n.Props.Get(k).Equal(v) {
-					return nil
-				}
-			}
-			row := base.Clone()
-			row[s.Var] = query.NodeEntry(n)
-			return emit(row)
-		}
-		// Try one indexed property first.
-		for k, v := range s.PropEq {
-			var innerErr error
-			handled, err := src.IndexedNodes(s.Label, k, v, func(n model.Node) bool {
-				if e := send(n); e != nil {
-					innerErr = e
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if handled {
-				return innerErr
-			}
-			break
-		}
-		// Label-only index.
-		if s.Label != "" {
-			var innerErr error
-			handled, err := src.IndexedNodes(s.Label, "", model.Null(), func(n model.Node) bool {
-				if e := send(n); e != nil {
-					innerErr = e
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if handled {
-				return innerErr
-			}
-		}
-		var innerErr error
-		err := src.Nodes(func(n model.Node) bool {
-			if e := send(n); e != nil {
-				innerErr = e
-				return false
-			}
+	var row query.Row
+	var emitErr error
+	keys := s.PropEq.Keys() // sorted: the index probe order
+	send := func(n model.Node) bool {
+		if s.Label != "" && n.Label != s.Label {
 			return true
-		})
-		if err != nil {
-			return err
 		}
-		return innerErr
+		for k, v := range s.PropEq {
+			if !n.Props.Get(k).Equal(v) {
+				return true
+			}
+		}
+		row[s.slot] = query.NodeEntry(n)
+		emitErr = emit(row)
+		return emitErr == nil
+	}
+	scanInto := func(base query.Row) error {
+		row, emitErr = base, nil
+		// An indexed property first: the keys in sorted order until an
+		// index handles one, then the label index, then the full scan.
+		for _, k := range keys {
+			if handled, err := src.IndexedNodes(s.Label, k, s.PropEq[k], send); err != nil || handled {
+				return firstErr(err, emitErr)
+			}
+		}
+		if s.Label != "" {
+			if handled, err := src.IndexedNodes(s.Label, "", model.Null(), send); err != nil || handled {
+				return firstErr(err, emitErr)
+			}
+		}
+		return firstErr(src.Nodes(send), emitErr)
 	}
 	if s.Child == nil {
-		return scanInto(query.Row{})
+		return scanInto(make(query.Row, len(s.sc.Names)))
 	}
 	return s.Child.Run(src, scanInto)
+}
+
+func firstErr(a, b error) error {
+	if a != nil {
+		return a
+	}
+	return b
 }
 
 // String implements Op.
@@ -137,7 +119,7 @@ func (s *NodeScan) String() string {
 
 // Expand walks edges from the node bound to FromVar. If ToVar is unbound it
 // binds the far node; if bound, it checks connectivity (join). EdgeVar may
-// be empty.
+// be empty. It binds ids, and loads a record only for the read-set.
 type Expand struct {
 	Child   Op
 	FromVar string
@@ -145,43 +127,47 @@ type Expand struct {
 	ToVar   string
 	Label   string
 	Dir     model.Direction
+
+	stage
+	from, to, edge int // slots; from/edge -1 when absent
+	toBound        bool
 }
 
 // Run implements Op.
 func (x *Expand) Run(src Source, emit func(query.Row) error) error {
-	return x.Child.Run(src, func(row query.Row) error {
-		from, ok := row[x.FromVar]
-		if !ok || from.Kind != query.EntryNode {
-			return fmt.Errorf("expand: %q is not a bound node", x.FromVar)
-		}
-		bound, toBound := row[x.ToVar]
-		var innerErr error
-		err := src.Neighbors(from.Node.ID, x.Dir, func(e model.Edge, n model.Node) bool {
-			if x.Label != "" && e.Label != x.Label {
-				return true
+	var buf []model.NeighborID
+	loadTo := !x.toBound && x.sc.Read[x.to]
+	loadEdge := x.edge >= 0 && x.sc.Read[x.edge]
+	var row query.Row
+	visit := func(e model.Edge, n model.Node, records bool) (err error) {
+		if x.toBound {
+			if b := row[x.to]; b.Kind != query.EntryNode || b.Node.ID != n.ID {
+				return nil
 			}
-			if toBound {
-				if bound.Kind != query.EntryNode || bound.Node.ID != n.ID {
-					return true
+		} else {
+			if loadTo && !records {
+				if n, err = src.Node(n.ID); err != nil {
+					return err
 				}
 			}
-			out := row.Clone()
-			if !toBound {
-				out[x.ToVar] = query.NodeEntry(n)
-			}
-			if x.EdgeVar != "" {
-				out[x.EdgeVar] = query.EdgeEntry(e)
-			}
-			if err := emit(out); err != nil {
-				innerErr = err
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
+			row[x.to] = query.NodeEntry(n)
 		}
-		return innerErr
+		if x.edge >= 0 {
+			if loadEdge && !records {
+				if e, err = src.Edge(e.ID); err != nil {
+					return err
+				}
+			}
+			row[x.edge] = query.EdgeEntry(e)
+		}
+		return emit(row)
+	}
+	return x.Child.Run(src, func(r query.Row) error {
+		if x.from < 0 || r[x.from].Kind != query.EntryNode {
+			return fmt.Errorf("expand: %q is not a bound node", x.FromVar)
+		}
+		row = r
+		return eachNeighbor(src, &buf, r[x.from].Node.ID, x.Dir, x.Label, visit)
 	})
 }
 
@@ -196,12 +182,15 @@ func (x *Expand) String() string {
 type Filter struct {
 	Child Op
 	Cond  query.Expr
+
+	stage
+	cond query.Expr // Cond, bound
 }
 
 // Run implements Op.
 func (f *Filter) Run(src Source, emit func(query.Row) error) error {
 	return f.Child.Run(src, func(row query.Row) error {
-		v, err := f.Cond.Eval(row)
+		v, err := f.cond.Eval(row)
 		if err != nil {
 			return err
 		}
@@ -223,22 +212,25 @@ type Item struct {
 	Expr query.Expr
 }
 
-// Project reduces rows to named value columns.
+// Project reduces rows to named value columns: a new stage, a slot per item.
 type Project struct {
 	Child Op
 	Items []Item
+
+	stage
+	exprs []query.Expr
 }
 
 // Run implements Op.
 func (p *Project) Run(src Source, emit func(query.Row) error) error {
+	out := make(query.Row, len(p.exprs))
 	return p.Child.Run(src, func(row query.Row) error {
-		out := make(query.Row, len(p.Items))
-		for _, it := range p.Items {
-			v, err := it.Expr.Eval(row)
+		for i, ex := range p.exprs {
+			v, err := ex.Eval(row)
 			if err != nil {
 				return err
 			}
-			out[it.Name] = query.ValueEntry(v)
+			out[i] = query.ValueEntry(v)
 		}
 		return emit(out)
 	})
@@ -262,11 +254,17 @@ type AggItem struct {
 	Arg  query.Expr
 }
 
-// Aggregate groups rows by the GroupBy items and folds the aggregates.
+// Aggregate groups rows by the GroupBy items and folds the aggregates: a
+// new stage, the group keys' slots then the aggregates'.
 type Aggregate struct {
 	Child   Op
 	GroupBy []Item
 	Aggs    []AggItem
+
+	stage
+	keys []query.Expr
+	args []query.Expr // nil entry: no argument
+	fns  []string     // Aggs' function names, lower-cased once
 }
 
 type aggState struct {
@@ -278,46 +276,58 @@ type aggState struct {
 	counts  []int
 }
 
+func (a *Aggregate) newState(keyVals []model.Value) *aggState {
+	n := len(a.Aggs)
+	return &aggState{
+		keyVals: keyVals,
+		sums:    make([]float64, n),
+		mins:    make([]model.Value, n),
+		maxs:    make([]model.Value, n),
+		counts:  make([]int, n),
+	}
+}
+
 // Run implements Op.
 func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 	groups := map[string]*aggState{}
-	var order []string
+	var order []*aggState
+	var st *aggState // the current row's group
+	if len(a.keys) == 0 {
+		// A global aggregate is one state, there from the start: it needs
+		// no key per row, and over zero rows it still yields one output row.
+		st = a.newState(nil)
+		order = append(order, st)
+	}
 	err := a.Child.Run(src, func(row query.Row) error {
-		keyVals := make([]model.Value, len(a.GroupBy))
-		var kb []byte
-		for i, g := range a.GroupBy {
-			v, err := g.Expr.Eval(row)
-			if err != nil {
-				return err
+		if len(a.keys) > 0 {
+			keyVals := make([]model.Value, len(a.keys))
+			var kb []byte
+			for i, g := range a.keys {
+				v, err := g.Eval(row)
+				if err != nil {
+					return err
+				}
+				keyVals[i] = v
+				kb = v.EncodeKey(kb)
+				kb = append(kb, 0xFF)
 			}
-			keyVals[i] = v
-			kb = v.EncodeKey(kb)
-			kb = append(kb, 0xFF)
-		}
-		key := string(kb)
-		st, ok := groups[key]
-		if !ok {
-			st = &aggState{
-				keyVals: keyVals,
-				sums:    make([]float64, len(a.Aggs)),
-				mins:    make([]model.Value, len(a.Aggs)),
-				maxs:    make([]model.Value, len(a.Aggs)),
-				counts:  make([]int, len(a.Aggs)),
+			if st = groups[string(kb)]; st == nil {
+				st = a.newState(keyVals)
+				groups[string(kb)] = st
+				order = append(order, st)
 			}
-			groups[key] = st
-			order = append(order, key)
 		}
 		st.count++
-		for i, ag := range a.Aggs {
+		for i, arg := range a.args {
 			var v model.Value
-			if ag.Arg != nil {
+			if arg != nil {
 				var err error
-				v, err = ag.Arg.Eval(row)
+				v, err = arg.Eval(row)
 				if err != nil {
 					return err
 				}
 			}
-			if v.IsNull() && strings.ToLower(ag.Fn) != "count" {
+			if v.IsNull() && a.fns[i] != "count" {
 				continue
 			}
 			st.counts[i]++
@@ -336,26 +346,14 @@ func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 	if err != nil {
 		return err
 	}
-	// A global aggregate over zero rows still yields one output row.
-	if len(order) == 0 && len(a.GroupBy) == 0 {
-		st := &aggState{
-			sums:   make([]float64, len(a.Aggs)),
-			mins:   make([]model.Value, len(a.Aggs)),
-			maxs:   make([]model.Value, len(a.Aggs)),
-			counts: make([]int, len(a.Aggs)),
+	out := make(query.Row, len(a.keys)+len(a.fns))
+	for _, st := range order {
+		for i, v := range st.keyVals {
+			out[i] = query.ValueEntry(v)
 		}
-		groups[""] = st
-		order = append(order, "")
-	}
-	for _, key := range order {
-		st := groups[key]
-		out := query.Row{}
-		for i, g := range a.GroupBy {
-			out[g.Name] = query.ValueEntry(st.keyVals[i])
-		}
-		for i, ag := range a.Aggs {
+		for i, fn := range a.fns {
 			var v model.Value
-			switch strings.ToLower(ag.Fn) {
+			switch fn {
 			case "count":
 				v = model.Int(int64(st.count))
 			case "sum":
@@ -371,9 +369,9 @@ func (a *Aggregate) Run(src Source, emit func(query.Row) error) error {
 			case "max":
 				v = st.maxs[i]
 			default:
-				return fmt.Errorf("unknown aggregate %q", ag.Fn)
+				return fmt.Errorf("unknown aggregate %q", a.Aggs[i].Fn)
 			}
-			out[ag.Name] = query.ValueEntry(v)
+			out[len(a.keys)+i] = query.ValueEntry(v)
 		}
 		if err := emit(out); err != nil {
 			return err
@@ -395,10 +393,13 @@ type OrderKey struct {
 	Desc bool
 }
 
-// OrderBy materializes and sorts rows.
+// OrderBy materializes and sorts rows; it keeps them, so it copies them.
 type OrderBy struct {
 	Child Op
 	Keys  []OrderKey
+
+	stage
+	keys []query.Expr
 }
 
 // Run implements Op.
@@ -409,9 +410,9 @@ func (o *OrderBy) Run(src Source, emit func(query.Row) error) error {
 	}
 	var rows []sortable
 	err := o.Child.Run(src, func(row query.Row) error {
-		s := sortable{row: row, keys: make([]model.Value, len(o.Keys))}
-		for i, k := range o.Keys {
-			v, err := k.Expr.Eval(row)
+		s := sortable{row: append(query.Row(nil), row...), keys: make([]model.Value, len(o.keys))}
+		for i, k := range o.keys {
+			v, err := k.Eval(row)
 			if err != nil {
 				return err
 			}
@@ -452,6 +453,8 @@ type Limit struct {
 	Child  Op
 	N      int
 	Offset int
+
+	stage
 }
 
 // Run implements Op.
@@ -486,30 +489,25 @@ func (l *Limit) String() string { return fmt.Sprintf("%s -> Limit(%d, %d)", l.Ch
 // Distinct suppresses duplicate rows (by scalar encoding of all bindings).
 type Distinct struct {
 	Child Op
-	Cols  []string // columns defining identity; empty = all, sorted
+
+	stage
+	slots []int
 }
 
 // Run implements Op.
 func (d *Distinct) Run(src Source, emit func(query.Row) error) error {
 	seen := map[string]bool{}
+	var kb []byte
 	return d.Child.Run(src, func(row query.Row) error {
-		cols := d.Cols
-		if len(cols) == 0 {
-			for k := range row {
-				cols = append(cols, k)
-			}
-			sort.Strings(cols)
-		}
-		var kb []byte
-		for _, c := range cols {
-			kb = row[c].Scalar().EncodeKey(kb)
+		kb = kb[:0]
+		for _, slot := range d.slots {
+			kb = row[slot].Scalar().EncodeKey(kb)
 			kb = append(kb, 0xFF)
 		}
-		key := string(kb)
-		if seen[key] {
+		if seen[string(kb)] {
 			return nil
 		}
-		seen[key] = true
+		seen[string(kb)] = true
 		return emit(row)
 	})
 }

@@ -32,11 +32,18 @@ func people(t *testing.T) (Source, map[string]model.NodeID) {
 	return UnindexedSource{g}, ids
 }
 
-func runAll(t *testing.T, op Op, src Source) []query.Row {
+// runAll binds a hand-built tree the way the planners bind a compiled one,
+// runs it, and returns every row keyed by variable name.
+func runAll(t *testing.T, op Op, src Source) []map[string]query.Entry {
 	t.Helper()
-	var rows []query.Row
+	sc := bindTree(op)
+	var rows []map[string]query.Entry
 	if err := op.Run(src, func(r query.Row) error {
-		rows = append(rows, r)
+		row := map[string]query.Entry{}
+		for slot, e := range r {
+			row[sc.Names[slot]] = e
+		}
+		rows = append(rows, row)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -187,7 +194,7 @@ func TestAggregateGlobalAndGrouped(t *testing.T) {
 	// Grouped by label over all nodes.
 	op2 := &Aggregate{
 		Child:   &NodeScan{Var: "p"},
-		GroupBy: []Item{{Name: "lbl", Expr: labelExpr{"p"}}},
+		GroupBy: []Item{{Name: "lbl", Expr: labelExpr{v: "p"}}},
 		Aggs:    []AggItem{{Name: "n", Fn: "count"}},
 	}
 	rows2 := runAll(t, op2, src)
@@ -197,10 +204,19 @@ func TestAggregateGlobalAndGrouped(t *testing.T) {
 }
 
 // labelExpr extracts a node's label for grouping tests.
-type labelExpr struct{ v string }
+type labelExpr struct {
+	v    string
+	slot int
+}
+
+func (l labelExpr) Bind(s *query.Scope) query.Expr {
+	l.slot, _ = s.Slot(l.v)
+	s.Read[l.slot] = true
+	return l
+}
 
 func (l labelExpr) Eval(r query.Row) (model.Value, error) {
-	return model.Str(r[l.v].Node.Label), nil
+	return model.Str(r[l.slot].Node.Label), nil
 }
 func (l labelExpr) String() string { return "label(" + l.v + ")" }
 
@@ -308,5 +324,55 @@ func TestCompileStartsAtMostSelective(t *testing.T) {
 	// The plan should begin with the selective scan of b.
 	if want := "NodeScan(b:Person"; len(s) < len(want) || s[:len(want)] != want {
 		t.Errorf("plan = %s", s)
+	}
+}
+
+// probeCountingSource serves an index on "idx" alone and counts how each
+// scan was answered.
+type probeCountingSource struct {
+	Source
+	point, label, full int
+}
+
+func (s *probeCountingSource) IndexedNodes(label, prop string, v model.Value, fn func(model.Node) bool) (bool, error) {
+	switch prop {
+	case "idx":
+		s.point++
+		return true, s.Source.Nodes(func(n model.Node) bool {
+			if (label != "" && n.Label != label) || !n.Props.Get("idx").Equal(v) {
+				return true
+			}
+			return fn(n)
+		})
+	case "":
+		s.label++
+	}
+	return false, nil
+}
+
+func (s *probeCountingSource) Nodes(fn func(model.Node) bool) error {
+	s.full++
+	return s.Source.Nodes(fn)
+}
+
+// TestNodeScanProbesEveryPropertyForAnIndex: with two property equalities
+// of which one is indexed, the scan must find that index on every
+// execution — probing one key picked by map order found it on about half.
+func TestNodeScanProbesEveryPropertyForAnIndex(t *testing.T) {
+	g := memgraph.New()
+	for i := 0; i < 50; i++ {
+		if _, err := g.AddNode("N", model.Props("idx", i, "weight", float64(i%2)/2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run := 0; run < 64; run++ {
+		src := &probeCountingSource{Source: UnindexedSource{g}}
+		rows := runAll(t, &NodeScan{Var: "a", Label: "N", PropEq: model.Props("idx", 7, "weight", 0.5)}, src)
+		if len(rows) != 1 || !rows[0]["a"].Node.Props.Get("idx").Equal(model.Int(7)) {
+			t.Fatalf("run %d: rows = %v, want the one node with idx 7", run, rows)
+		}
+		if src.point != 1 || src.label != 0 || src.full != 0 {
+			t.Fatalf("run %d: %d point lookups, %d label scans, %d full scans; want 1, 0, 0", run, src.point, src.label, src.full)
+		}
 	}
 }

@@ -133,7 +133,9 @@ func Compile(spec *MatchSpec) (Op, error) {
 		}
 	}
 
-	return applyModifiers(root, spec), nil
+	root = applyModifiers(root, spec)
+	bindTree(root)
+	return root, nil
 }
 
 // prepare normalizes and validates a MatchSpec in place: anonymous node
@@ -233,19 +235,28 @@ func constrainNode(child Op, n NodePat) Op {
 }
 
 // labelIs tests a bound node's label; labels are not properties, so this is
-// a dedicated expression.
+// a dedicated expression. Binding it puts the variable in the read-set.
 type labelIs struct {
 	v     string
 	label string
+	slot  int // 1-based; 0 = unbound
+}
+
+// Bind implements query.Binder.
+func (l labelIs) Bind(s *query.Scope) query.Expr {
+	if slot, ok := s.Slot(l.v); ok {
+		s.Read[slot] = true
+		l.slot = slot + 1
+	}
+	return l
 }
 
 // Eval implements query.Expr.
 func (l labelIs) Eval(r query.Row) (model.Value, error) {
-	e, ok := r[l.v]
-	if !ok {
+	if l.slot == 0 || l.slot > len(r) {
 		return model.Null(), fmt.Errorf("unbound variable %q", l.v)
 	}
-	switch e.Kind {
+	switch e := r[l.slot-1]; e.Kind {
 	case query.EntryNode:
 		return model.Bool(e.Node.Label == l.label), nil
 	case query.EntryEdge:

@@ -9,8 +9,9 @@ import (
 // for every output row in execution order. Either call may return an error
 // to stop production — the executor propagates it unchanged, so a sink can
 // abort a stream (client disconnect, chunk-budget exhausted) without the
-// operator tree finishing its scan. Implementations must not retain the
-// slices they are handed past the call.
+// operator tree finishing its scan. Every vals slice is fresh — nothing
+// writes it after the call — and the sink owns it: Collector and the
+// server's chunk buffer keep the slices they are handed.
 type Sink interface {
 	Cols(cols []string) error
 	Row(vals []model.Value) error
@@ -24,10 +25,17 @@ func Stream(op Op, src Source, cols []string, sink Sink) error {
 	if err := sink.Cols(cols); err != nil {
 		return err
 	}
+	sc := ScopeOf(op)
+	slots := make([]int, len(cols))
+	for i, c := range cols {
+		slots[i], _ = sc.Slot(c)
+	}
 	return op.Run(src, func(row query.Row) error {
 		out := make([]model.Value, len(cols))
-		for i, c := range cols {
-			out[i] = row[c].Scalar()
+		for i, slot := range slots {
+			if slot >= 0 { // a column the tree does not produce reads null
+				out[i] = row[slot].Scalar()
+			}
 		}
 		return sink.Row(out)
 	})
@@ -51,9 +59,8 @@ func Replay(res *Result, sink Sink) error {
 // Collector is the buffering Sink: it materializes a stream back into Res.
 // Every buffered entry point (Collect, the languages' ExecCtx/RunCtx,
 // engine.QueryContext) is a stream into a Collector, so the collected and
-// streamed paths cannot drift. It keeps the slices it is handed instead of
-// copying them, which is sound for Stream and Replay: both hand over slices
-// nothing else writes afterwards.
+// streamed paths cannot drift. It keeps the slices it is handed, as the
+// Sink contract allows.
 type Collector struct{ Res Result }
 
 // Cols implements Sink.

@@ -183,32 +183,54 @@ func TestExprDivisionByZero(t *testing.T) {
 }
 
 func TestExprVarsAndProps(t *testing.T) {
-	row := Row{
-		"a": NodeEntry(model.Node{ID: 7, Label: "P", Props: model.Props("name", "ada", "age", 36)}),
-		"e": EdgeEntry(model.Edge{ID: 3, Label: "knows", Props: model.Props("w", 0.5)}),
-		"v": ValueEntry(model.Int(5)),
+	sc := &Scope{}
+	a, e, v := sc.Add("a"), sc.Add("e"), sc.Add("v")
+	row := make(Row, len(sc.Names))
+	row[a] = NodeEntry(model.Node{ID: 7, Label: "P", Props: model.Props("name", "ada", "age", 36)})
+	row[e] = EdgeEntry(model.Edge{ID: 3, Label: "knows", Props: model.Props("w", 0.5)})
+	row[v] = ValueEntry(model.Int(5))
+	eval := func(expr string) model.Value {
+		t.Helper()
+		ex, err := ParseExprString(expr)
+		if err != nil {
+			t.Fatalf("parse %q: %v", expr, err)
+		}
+		got, err := Bind(ex, sc).Eval(row)
+		if err != nil {
+			t.Fatalf("eval %q: %v", expr, err)
+		}
+		return got
 	}
-	if got := evalStr(t, "a.name", row); !got.Equal(model.Str("ada")) {
+	if got := eval("a.name"); !got.Equal(model.Str("ada")) {
 		t.Errorf("a.name = %v", got)
 	}
-	if got := evalStr(t, "e.w", row); !got.Equal(model.Float(0.5)) {
+	if got := eval("e.w"); !got.Equal(model.Float(0.5)) {
 		t.Errorf("e.w = %v", got)
 	}
-	if got := evalStr(t, "v + 1", row); !got.Equal(model.Int(6)) {
+	if got := eval("v + 1"); !got.Equal(model.Int(6)) {
 		t.Errorf("v+1 = %v", got)
 	}
 	// Nodes reduce to their IDs.
-	if got := evalStr(t, "id(a)", row); !got.Equal(model.Int(7)) {
+	if got := eval("id(a)"); !got.Equal(model.Int(7)) {
 		t.Errorf("id(a) = %v", got)
 	}
 	// Missing prop is null.
-	if got := evalStr(t, "a.missing", row); !got.IsNull() {
+	if got := eval("a.missing"); !got.IsNull() {
 		t.Errorf("a.missing = %v", got)
 	}
-	// Unbound var errors.
-	e, _ := ParseExprString("zz")
-	if _, err := e.Eval(row); err == nil {
+	// Only a property access puts a variable in the read-set.
+	if !sc.Read[a] || !sc.Read[e] || sc.Read[v] {
+		t.Errorf("read-set = a:%v e:%v v:%v, want a and e only", sc.Read[a], sc.Read[e], sc.Read[v])
+	}
+	// A variable the scope does not hold stays unbound and errors, as does
+	// any variable never bound at all.
+	zz, _ := ParseExprString("zz")
+	if _, err := Bind(zz, sc).Eval(row); err == nil {
 		t.Error("unbound var should fail")
+	}
+	av, _ := ParseExprString("a.name")
+	if _, err := av.Eval(row); err == nil {
+		t.Error("a variable never bound to a slot should fail")
 	}
 }
 
@@ -240,12 +262,16 @@ func TestExprStrings(t *testing.T) {
 	}
 }
 
-func TestRowClone(t *testing.T) {
-	r := Row{"a": ValueEntry(model.Int(1))}
-	c := r.Clone()
-	c["b"] = ValueEntry(model.Int(2))
-	if _, ok := r["b"]; ok {
-		t.Error("Clone should be independent")
+// TestScopeShadowing: a later slot of the same name shadows the earlier
+// one, as a later write to the same map key once did.
+func TestScopeShadowing(t *testing.T) {
+	sc := &Scope{}
+	first, second := sc.Add("v"), sc.Add("v")
+	if slot, ok := sc.Slot("v"); !ok || slot != second || first == second {
+		t.Errorf("Slot(v) = %d, %v; want the later slot %d", slot, ok, second)
+	}
+	if _, ok := sc.Slot("w"); ok {
+		t.Error("Slot of an absent name should report false")
 	}
 }
 

@@ -320,27 +320,12 @@ func (q *Query) compile(patterns []TriplePattern, varSet map[string]bool, star b
 // accesses of the bound term's "value" property, so comparisons see the
 // lexical value rather than the internal node identifier.
 func rewriteVarsToValues(e query.Expr) query.Expr {
-	switch x := e.(type) {
-	case query.Var:
-		if x.Prop == "" {
+	return query.Rewrite(e, func(leaf query.Expr) query.Expr {
+		if x, ok := leaf.(query.Var); ok && x.Prop == "" {
 			return query.Var{Name: x.Name, Prop: "value"}
 		}
-		return x
-	case query.BinOp:
-		return query.BinOp{Op: x.Op, L: rewriteVarsToValues(x.L), R: rewriteVarsToValues(x.R)}
-	case query.Not:
-		return query.Not{E: rewriteVarsToValues(x.E)}
-	case query.Neg:
-		return query.Neg{E: rewriteVarsToValues(x.E)}
-	case query.Call:
-		args := make([]query.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = rewriteVarsToValues(a)
-		}
-		return query.Call{Fn: x.Fn, Args: args}
-	default:
-		return e
-	}
+		return leaf
+	})
 }
 
 // RunCtx executes the query against a triple source and materializes the
