@@ -2,7 +2,7 @@ GO ?= go
 COVER_FLOOR ?= 45.0
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench bench-e2e cover fuzz-smoke serve-smoke bench-serve ci
+.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench bench-e2e cover fuzz-smoke serve-smoke ci
 
 # Tier-1 verification: everything builds, every test passes.
 build:
@@ -53,7 +53,7 @@ race-kernels:
 # detector: concurrent counter/span traffic plus the trace-on/off and
 # observed/unobserved byte-identity proofs.
 race-obs:
-	$(GO) test -race ./internal/obs/... ./internal/report/... ./internal/enginetest/diff/...
+	$(GO) test -race ./internal/obs/... ./internal/enginetest/diff/...
 
 # Inner-loop subset, outside ci.
 # The MVCC snapshot surface under the race detector: the versioned
@@ -86,15 +86,12 @@ race-plan:
 # admission gate, and the token-bucket/load-harness pieces that hammer
 # them concurrently.
 race-server:
-	$(GO) test -race ./internal/server/... ./cmd/gdbserver/... ./cmd/gdbload/...
+	$(GO) test -race ./internal/server/... ./cmd/gdbserver/...
 
-# Parallel kernel sweep and cold/warm cache sweep; both record honest
-# per-host numbers (the parallel JSON carries GOMAXPROCS/NumCPU, the cache
-# JSON carries the budget and hit/miss ledgers).
+# Parallel kernel sweep; records honest per-host numbers (the JSON carries
+# GOMAXPROCS/NumCPU).
 bench:
 	$(GO) run ./cmd/gdbbench -parallel -table none -out BENCH_parallel.json
-	$(GO) run ./cmd/gdbbench -cache -table none -out BENCH_cache.json
-	$(GO) run ./cmd/gdbbench -plan -table none -nodes 20000 -degree 6 -out BENCH_plan.json
 
 # The end-to-end ledger: bench/'s four served workloads with every answer
 # checked (BENCHMARK.json; add --workload NAME --trace 1 by hand for the
@@ -126,19 +123,12 @@ fuzz-smoke:
 	$(GO) test ./internal/format/ -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)
 
-# Overload drill: build the real gdbserver/gdbload binaries, burst at 2×
-# the configured capacity, run a binary-protocol pass and a streamed
-# multi-chunk large result, and assert shed-not-crash plus a clean SIGTERM
-# drain. See DESIGN.md "Overload & degradation contract" and "Wire &
-# streaming contract".
+# Overload drill: build the real gdbserver binary, burst it at 2× the
+# configured capacity with the in-process loadgen client, run a
+# binary-protocol pass and a streamed multi-chunk large result, and assert
+# shed-not-crash plus a clean SIGTERM drain. See DESIGN.md "Overload &
+# degradation contract" and "Wire & streaming contract".
 serve-smoke:
 	$(GO) test ./cmd/gdbserver/ -run TestServeSmoke -count=1 -v
-
-# Closed-loop serve benchmark: in-process server over real TCP, open-loop
-# Poisson arrivals at 0.5×/1×/2× capacity, host-stamped JSON out. -proto
-# both runs the sweep once per response encoding and appends the JSON-vs-
-# binary comparison rows (p50/p99, bytes per query).
-bench-serve:
-	$(GO) run ./cmd/gdbload -selfserve -engine neograph -capacity 100 -proto both -out BENCH_serve.json
 
 ci: lint test race cover fuzz-smoke serve-smoke

@@ -9,11 +9,6 @@
 //	gdbbench -perf -nodes 10000    # performance sweep (HPC-SGAB style)
 //	gdbbench -parallel -table none # parallel kernel sweep
 //	gdbbench -parallel -out BENCH_parallel.json -table none
-//	gdbbench -cache -out BENCH_cache.json -table none
-//	gdbbench -trace -table none    # traced query sweep (per-query spans)
-//	gdbbench -trace -slowlog slow.log -slowms 1 -table none
-//	gdbbench -plan -table none     # planner sweep (naive vs cost vs WCO)
-//	gdbbench -plan -planpatterns triangle,reorder -out BENCH_plan.json -table none
 package main
 
 import (
@@ -23,36 +18,27 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"gdbm"
 	"gdbm/internal/engine/capability"
-	"gdbm/internal/obs"
 	"gdbm/internal/storage/vfs"
 )
 
 // benchConfig is the parsed flag set. Keeping it a value makes the flag
 // matrix testable without re-parsing argv.
 type benchConfig struct {
-	table      string
-	diff       bool
-	perf       bool
-	parallel   bool
-	cacheSweep bool
-	trace      bool
-	planSweep  bool
-	planPats   string // comma-separated subset for -plan; "" = all
-	cacheBytes int64
-	workers    string
-	out        string
-	nodes      int
-	degree     int
-	seed       int64
-	dir        string
-	dirSet     bool   // -dir was given explicitly
-	engines    string // comma-separated subset for -perf/-trace; "" = all
-	slowlog    string
-	slowms     int
+	table    string
+	diff     bool
+	perf     bool
+	parallel bool
+	workers  string
+	out      string
+	nodes    int
+	degree   int
+	seed     int64
+	dir      string
+	dirSet   bool   // -dir was given explicitly
+	engines  string // comma-separated subset for -perf; "" = all
 }
 
 func main() {
@@ -61,20 +47,13 @@ func main() {
 	flag.BoolVar(&cfg.diff, "diff", false, "print the cell-by-cell diff against the paper's matrices")
 	flag.BoolVar(&cfg.perf, "perf", false, "run the performance sweep")
 	flag.BoolVar(&cfg.parallel, "parallel", false, "run the parallel kernel sweep")
-	flag.BoolVar(&cfg.cacheSweep, "cache", false, "run the cold/warm cache sweep")
-	flag.BoolVar(&cfg.trace, "trace", false, "run the traced query sweep (per-query spans)")
-	flag.BoolVar(&cfg.planSweep, "plan", false, "run the query-planner sweep (naive vs cost-based vs WCO)")
-	flag.StringVar(&cfg.planPats, "planpatterns", "", "comma-separated patterns for -plan (default: all)")
-	flag.Int64Var(&cfg.cacheBytes, "cachebytes", 4<<20, "total cache budget per engine for -cache")
 	flag.StringVar(&cfg.workers, "workers", "1,2,4,8", "comma-separated worker counts for -parallel")
-	flag.StringVar(&cfg.out, "out", "", "write the -parallel, -cache or -trace sweep as JSON to this file")
+	flag.StringVar(&cfg.out, "out", "", "write the -parallel sweep as JSON to this file")
 	flag.IntVar(&cfg.nodes, "nodes", 2000, "perf sweep graph size (nodes)")
 	flag.IntVar(&cfg.degree, "degree", 4, "perf sweep edges per node")
 	flag.Int64Var(&cfg.seed, "seed", 42, "workload seed")
 	flag.StringVar(&cfg.dir, "dir", "", "data directory for disk-backed engines (default: temp)")
-	flag.StringVar(&cfg.engines, "engines", "", "comma-separated engines for -perf/-trace (default: all)")
-	flag.StringVar(&cfg.slowlog, "slowlog", "", "with -trace: append slow-query records to this file")
-	flag.IntVar(&cfg.slowms, "slowms", 0, "with -slowlog: record only traces at or above this wall time in ms")
+	flag.StringVar(&cfg.engines, "engines", "", "comma-separated engines for -perf (default: all)")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "dir" {
@@ -90,7 +69,7 @@ func main() {
 
 // validateFlags rejects inconsistent flag combinations before any
 // directory is created or any engine warms up, and resolves the engine
-// subset for -perf/-trace. In particular, explicitly naming an
+// subset for -perf. In particular, explicitly naming an
 // external-memory-only engine (capability.NeedsDir) without an explicit
 // -dir is an error: silently benching a disk-only archetype against a
 // throwaway temp directory misreports what was measured.
@@ -121,26 +100,6 @@ func validateFlags(cfg benchConfig) ([]string, error) {
 				return nil, fmt.Errorf("engine %q is external-memory only (Table I): naming it in -engines requires an explicit -dir", n)
 			}
 		}
-	}
-	if cfg.slowlog != "" && !cfg.trace {
-		return nil, fmt.Errorf("-slowlog only applies to the traced sweep: add -trace")
-	}
-	if cfg.planPats != "" && !cfg.planSweep {
-		return nil, fmt.Errorf("-planpatterns only applies to the planner sweep: add -plan")
-	}
-	if cfg.planSweep {
-		if cfg.nodes <= 0 || cfg.degree <= 0 {
-			return nil, fmt.Errorf("-plan needs positive -nodes and -degree, got nodes=%d degree=%d", cfg.nodes, cfg.degree)
-		}
-		if _, err := planPatternList(cfg.planPats); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.slowms != 0 && cfg.slowlog == "" {
-		return nil, fmt.Errorf("-slowms only applies to a slow-query log: add -slowlog")
-	}
-	if cfg.slowms < 0 {
-		return nil, fmt.Errorf("-slowms must be non-negative, got %d", cfg.slowms)
 	}
 	return names, nil
 }
@@ -264,120 +223,7 @@ func run(cfg benchConfig) error {
 			fmt.Println("wrote", cfg.out)
 		}
 	}
-
-	if cfg.cacheSweep {
-		open := func(name string, budget int64) (gdbm.Engine, error) {
-			d := filepath.Join(dir, fmt.Sprintf("cache-%s-%d", name, budget))
-			if err := vfs.OSFS.RemoveAll(d); err != nil {
-				return nil, err
-			}
-			if err := vfs.OSFS.MkdirAll(d); err != nil {
-				return nil, err
-			}
-			return gdbm.Open(name, gdbm.Options{Dir: d, CacheBytes: budget})
-		}
-		// The three disk-backed engines whose cached configuration the
-		// differential harness proves observationally identical.
-		sweep, err := gdbm.RunCacheSweep(open, []string{"neograph", "vertexkv", "gstore"}, cfg.nodes, cfg.degree, cfg.seed, cfg.cacheBytes)
-		if err != nil {
-			return err
-		}
-		gdbm.RenderCache(os.Stdout, sweep)
-		if cfg.out != "" {
-			if err := gdbm.WriteCacheJSON(vfs.OSFS, cfg.out, sweep); err != nil {
-				return err
-			}
-			fmt.Println("wrote", cfg.out)
-		}
-	}
-
-	if cfg.planSweep {
-		pats, err := planPatternList(cfg.planPats)
-		if err != nil {
-			return err
-		}
-		sweep, err := gdbm.RunPlanSweep(cfg.nodes, cfg.degree, cfg.seed, pats)
-		if err != nil {
-			return err
-		}
-		gdbm.RenderPlan(os.Stdout, sweep)
-		if cfg.out != "" {
-			if err := gdbm.WritePlanJSON(vfs.OSFS, cfg.out, sweep); err != nil {
-				return err
-			}
-			fmt.Println("wrote", cfg.out)
-		}
-	}
-
-	if cfg.trace {
-		var slow *gdbm.SlowLog
-		if cfg.slowlog != "" {
-			s, err := gdbm.OpenSlowLog(vfs.OSFS, cfg.slowlog, time.Duration(cfg.slowms)*time.Millisecond)
-			if err != nil {
-				return err
-			}
-			slow = s
-		}
-		open := func(name string) (gdbm.Engine, *obs.Registry, error) {
-			reg := obs.NewRegistry()
-			opts := gdbm.Options{Metrics: reg}
-			if capability.NeedsDir(name) || name == "vertexkv" {
-				d := filepath.Join(dir, "trace-"+name)
-				if err := vfs.OSFS.RemoveAll(d); err != nil {
-					return nil, nil, err
-				}
-				if err := vfs.OSFS.MkdirAll(d); err != nil {
-					return nil, nil, err
-				}
-				opts.Dir = d
-			}
-			e, err := gdbm.Open(name, opts)
-			return e, reg, err
-		}
-		sweep, err := gdbm.RunTraceSweep(open, names, cfg.nodes, cfg.degree, cfg.seed, slow)
-		if err != nil {
-			slow.Close()
-			return err
-		}
-		if err := slow.Close(); err != nil {
-			return err
-		}
-		gdbm.RenderTrace(os.Stdout, sweep)
-		if cfg.out != "" {
-			if err := gdbm.WriteTraceJSON(vfs.OSFS, cfg.out, sweep); err != nil {
-				return err
-			}
-			fmt.Println("wrote", cfg.out)
-		}
-	}
 	return nil
-}
-
-// planPatternList resolves -planpatterns ("" = every pattern), rejecting
-// names the sweep does not implement.
-func planPatternList(s string) ([]string, error) {
-	if s == "" {
-		return gdbm.PlanPatterns, nil
-	}
-	known := map[string]bool{}
-	for _, p := range gdbm.PlanPatterns {
-		known[p] = true
-	}
-	var pats []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if !known[part] {
-			return nil, fmt.Errorf("unknown pattern %q in -planpatterns (have: %s)", part, strings.Join(gdbm.PlanPatterns, ", "))
-		}
-		pats = append(pats, part)
-	}
-	if len(pats) == 0 {
-		return nil, fmt.Errorf("-planpatterns lists no patterns")
-	}
-	return pats, nil
 }
 
 func parseWorkers(s string) ([]int, error) {

@@ -60,64 +60,6 @@ func TestRunParallelSweepSmall(t *testing.T) {
 	}
 }
 
-func TestRunCacheSweepSmall(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "cache.json")
-	cfg := benchConfig{table: "none", cacheSweep: true, cacheBytes: 1 << 20, out: out,
-		nodes: 300, degree: 2, seed: 1, dir: dir, dirSet: true}
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, out)
-	for _, want := range []string{`"cache_bytes"`, `"kernel": "khood"`, `"warm_speedup_vs_uncached"`, `"tier"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("JSON missing %s:\n%s", want, body)
-		}
-	}
-}
-
-func TestRunTraceSweepSmall(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "trace.json")
-	slowlog := filepath.Join(dir, "slow.log")
-	cfg := benchConfig{table: "none", trace: true, out: out, slowlog: slowlog,
-		engines: "neograph,gstore,triplestore,sonesdb",
-		nodes:   300, degree: 2, seed: 1, dir: dir, dirSet: true}
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, out)
-	for _, want := range []string{`"span_sum_ns"`, `"name": "query"`, `"engine": "gstore"`, `"engine": "sonesdb"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("trace JSON missing %s:\n%s", want, body)
-		}
-	}
-	// Threshold 0 records every traced query in the slow log.
-	log := readAll(t, slowlog)
-	if !strings.Contains(log, "trace=") || !strings.Contains(log, "span=query@0:") {
-		t.Errorf("slow log missing records:\n%s", log)
-	}
-}
-
-func TestRunPlanSweepSmall(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "plan.json")
-	cfg := benchConfig{table: "none", planSweep: true, planPats: "triangle,reorder", out: out,
-		nodes: 400, degree: 3, seed: 7, dir: dir, dirSet: true}
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, out)
-	for _, want := range []string{`"pattern": "triangle"`, `"pattern": "reorder"`, `"planner": "wco"`, `"speedup_vs_naive"`, `"gomaxprocs"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("plan JSON missing %s:\n%s", want, body)
-		}
-	}
-	if strings.Contains(body, `"pattern": "diamond"`) {
-		t.Errorf("plan JSON includes diamond despite -planpatterns subset:\n%s", body)
-	}
-}
-
 // TestValidateFlagMatrix pins the fail-fast contract: inconsistent flag
 // combinations must be rejected before any directory is created or any
 // engine warms up.
@@ -132,19 +74,10 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"named memory engines no dir", benchConfig{table: "none", perf: true, engines: "neograph,vertexkv"}, ""},
 		{"named disk-only engine no dir", benchConfig{table: "none", perf: true, engines: "gstore"}, "-dir"},
 		{"named disk-only engine with dir", benchConfig{table: "none", perf: true, engines: "gstore", dir: "/tmp/x", dirSet: true}, ""},
-		{"disk-only amid others no dir", benchConfig{table: "none", trace: true, engines: "neograph,gstore"}, "-dir"},
+		{"disk-only amid others no dir", benchConfig{table: "none", perf: true, engines: "neograph,gstore"}, "-dir"},
 		{"spaces trimmed", benchConfig{table: "none", perf: true, engines: " neograph , gstore ", dir: "/tmp/x", dirSet: true}, ""},
 		{"unknown engine", benchConfig{table: "none", perf: true, engines: "mongodb"}, "unknown engine"},
 		{"empty engine list", benchConfig{table: "none", perf: true, engines: " , "}, "no engines"},
-		{"slowlog without trace", benchConfig{table: "none", perf: true, slowlog: "s.log"}, "-trace"},
-		{"slowms without slowlog", benchConfig{table: "none", trace: true, slowms: 5}, "-slowlog"},
-		{"negative slowms", benchConfig{table: "none", trace: true, slowlog: "s.log", slowms: -1}, "non-negative"},
-		{"trace with slowlog", benchConfig{table: "none", trace: true, slowlog: "s.log", slowms: 5}, ""},
-		{"planpatterns without plan", benchConfig{table: "none", planPats: "triangle"}, "-plan"},
-		{"plan unknown pattern", benchConfig{table: "none", planSweep: true, nodes: 100, degree: 2, planPats: "bogus"}, "unknown pattern"},
-		{"plan empty pattern list", benchConfig{table: "none", planSweep: true, nodes: 100, degree: 2, planPats: " , "}, "no patterns"},
-		{"plan zero nodes", benchConfig{table: "none", planSweep: true, degree: 2}, "positive"},
-		{"plan pattern subset", benchConfig{table: "none", planSweep: true, nodes: 100, degree: 2, planPats: " triangle , reorder "}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -139,7 +139,7 @@ func run(cfg serverConfig) error {
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 
-	// The smoke test and gdbload -selfserve parse this line for the port.
+	// The smoke test parses this line for the port.
 	fmt.Printf("gdbserver listening on %s engines=%s\n",
 		ln.Addr(), strings.Join(srv.Engines(), ","))
 

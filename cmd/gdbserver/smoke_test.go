@@ -15,28 +15,24 @@ import (
 	"testing"
 	"time"
 
+	"gdbm/internal/server/loadgen"
 	"gdbm/internal/server/wire"
 )
 
 // TestServeSmoke is the end-to-end overload drill `make serve-smoke` runs:
-// build the real binaries, start gdbserver on a loopback port, drive a
-// short gdbload burst at 2× the configured capacity, run a binary-protocol
+// build the real gdbserver binary, start it on a loopback port, drive a
+// short loadgen burst at 2× the configured capacity, run a binary-protocol
 // pass and a streamed multi-chunk large-result request, and SIGTERM the
 // server. Pass criteria: the burst is shed (not crashed into), nothing
 // hard-fails, both encodings deliver complete results, and the drain
 // completes cleanly with exit status 0.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs real binaries")
+		t.Skip("builds and runs the real server binary")
 	}
-	dir := t.TempDir()
-	serverBin := filepath.Join(dir, "gdbserver")
-	loadBin := filepath.Join(dir, "gdbload")
-	for bin, pkg := range map[string]string{serverBin: "gdbm/cmd/gdbserver", loadBin: "gdbm/cmd/gdbload"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
+	serverBin := filepath.Join(t.TempDir(), "gdbserver")
+	if out, err := exec.Command("go", "build", "-o", serverBin, "gdbm/cmd/gdbserver").CombinedOutput(); err != nil {
+		t.Fatalf("build gdbserver: %v\n%s", err, out)
 	}
 
 	const capacity = 50
@@ -95,88 +91,40 @@ func TestServeSmoke(t *testing.T) {
 		restc <- b.String()
 	}()
 
-	// 2× capacity burst through the real client.
-	outJSON := filepath.Join(dir, "smoke_serve.json")
-	load := exec.Command(loadBin,
-		"-addr", "http://"+addr,
-		"-engine", "neograph",
-		"-capacity", fmt.Sprint(capacity),
-		"-multipliers", "2",
-		"-duration", "1500ms",
-		"-retries", "2",
-		"-out", outJSON,
-	)
-	loadOut, err := load.CombinedOutput()
-	if err != nil {
-		t.Fatalf("gdbload: %v\n%s", err, loadOut)
+	// 2× capacity burst through the open-loop client, then a gentle
+	// binary-protocol pass that must complete framed responses and account
+	// response bytes.
+	load := func(mult float64, window time.Duration, proto string) *loadgen.Result {
+		t.Helper()
+		res, err := loadgen.Run(loadgen.Config{
+			Target:     "http://" + addr,
+			Engine:     "neograph",
+			Class:      "interactive",
+			Stmt:       func(int) string { return `MATCH (a:N) RETURN count(*) AS n` },
+			Rate:       capacity * mult,
+			Duration:   window,
+			Seed:       42,
+			MaxRetries: 2,
+			Proto:      proto,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	var sweep struct {
-		Points []struct {
-			Offered      int `json:"offered"`
-			Completed    int `json:"completed"`
-			Failed       int `json:"failed"`
-			ShedAttempts int `json:"shed_attempts"`
-		} `json:"points"`
-	}
-	raw, err := os.ReadFile(outJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &sweep); err != nil {
-		t.Fatalf("parse %s: %v", outJSON, err)
-	}
-	if len(sweep.Points) != 1 {
-		t.Fatalf("points: %d", len(sweep.Points))
-	}
-	p := sweep.Points[0]
+	p := load(2, 1500*time.Millisecond, "json")
 	if p.ShedAttempts == 0 {
 		t.Errorf("2× burst was never shed (offered %d, completed %d); admission control did not engage", p.Offered, p.Completed)
 	}
 	if p.Failed != 0 {
-		t.Errorf("hard failures under overload: %d (shed-not-crash violated)\n%s", p.Failed, loadOut)
+		t.Errorf("hard failures under overload: %d (shed-not-crash violated): %+v", p.Failed, p)
 	}
 	if p.Completed == 0 {
 		t.Error("no request completed at 2× load; server collapsed instead of shedding")
 	}
-
-	// Binary protocol through the real client: a gentle pass must complete
-	// framed responses and account response bytes.
-	binJSON := filepath.Join(dir, "smoke_serve_bin.json")
-	load = exec.Command(loadBin,
-		"-addr", "http://"+addr,
-		"-engine", "neograph",
-		"-capacity", fmt.Sprint(capacity),
-		"-multipliers", "0.5",
-		"-duration", "800ms",
-		"-proto", "binary",
-		"-retries", "2",
-		"-out", binJSON,
-	)
-	loadOut, err = load.CombinedOutput()
-	if err != nil {
-		t.Fatalf("gdbload -proto binary: %v\n%s", err, loadOut)
-	}
-	var binSweep struct {
-		Proto  string `json:"proto"`
-		Points []struct {
-			Completed     int     `json:"completed"`
-			Failed        int     `json:"failed"`
-			BytesPerQuery float64 `json:"bytes_per_query"`
-		} `json:"points"`
-	}
-	raw, err = os.ReadFile(binJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &binSweep); err != nil {
-		t.Fatalf("parse %s: %v", binJSON, err)
-	}
-	if binSweep.Proto != "binary" || len(binSweep.Points) != 1 {
-		t.Fatalf("binary sweep shape: proto=%q points=%d", binSweep.Proto, len(binSweep.Points))
-	}
-	bp := binSweep.Points[0]
+	bp := load(0.5, 800*time.Millisecond, "binary")
 	if bp.Completed == 0 || bp.Failed != 0 {
-		t.Errorf("binary pass: completed=%d failed=%d\n%s", bp.Completed, bp.Failed, loadOut)
+		t.Errorf("binary pass: completed=%d failed=%d: %+v", bp.Completed, bp.Failed, bp)
 	}
 	if bp.BytesPerQuery <= 0 {
 		t.Errorf("binary pass did not account response bytes: %+v", bp)

@@ -274,36 +274,6 @@ var RenderParallel = report.RenderParallel
 // vfs seam.
 var WriteParallelJSON = report.WriteParallelJSON
 
-// CacheSweep is the cold/warm cache benchmark result set.
-type CacheSweep = report.CacheSweep
-
-// RunCacheSweep times identical query passes against cached and uncached
-// engine configurations (uncached / cold / warm).
-var RunCacheSweep = report.RunCacheSweep
-
-// RenderCache prints a cache sweep.
-var RenderCache = report.RenderCache
-
-// WriteCacheJSON writes a cache sweep as JSON through the vfs seam.
-var WriteCacheJSON = report.WriteCacheJSON
-
-// PlanSweep is the query-planner benchmark result set: every pattern timed
-// under the naive, cost-based, and worst-case-optimal planners.
-type PlanSweep = report.PlanSweep
-
-// PlanPatterns names the benchable planner patterns.
-var PlanPatterns = report.PlanPatterns
-
-// RunPlanSweep times each pattern under all three planners on one seeded
-// hub-skewed graph, verifying the planners agree on the answer first.
-var RunPlanSweep = report.RunPlanSweep
-
-// RenderPlan prints a plan sweep.
-var RenderPlan = report.RenderPlan
-
-// WritePlanJSON writes a plan sweep as JSON through the vfs seam.
-var WritePlanJSON = report.WritePlanJSON
-
 // Observability (see internal/obs and DESIGN.md "Observability contract").
 type (
 	// Registry hands out named metric collectors; wire one into an engine
@@ -332,19 +302,6 @@ var (
 	// cancellation and any trace it carries) and materializes the result.
 	QueryContext = engine.QueryContext
 )
-
-// TraceSweep is the traced-query benchmark report.
-type TraceSweep = report.TraceSweep
-
-// RunTraceSweep runs a traced read-only workload in each engine's query
-// language and reports per-query spans and counter deltas.
-var RunTraceSweep = report.RunTraceSweep
-
-// RenderTrace prints a trace sweep.
-var RenderTrace = report.RenderTrace
-
-// WriteTraceJSON writes a trace sweep as JSON through the vfs seam.
-var WriteTraceJSON = report.WriteTraceJSON
 
 // PastLanguages returns the executable Table VIII profiles.
 func PastLanguages() []*PastLanguage { return pastql.Languages() }

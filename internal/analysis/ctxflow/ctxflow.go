@@ -50,7 +50,6 @@ import (
 var scope = []string{
 	"gdbm/internal/server",
 	"gdbm/cmd/gdbserver",
-	"gdbm/cmd/gdbload",
 }
 
 // kernelScope is where rule 2 applies: everywhere rule 1 does, plus the

@@ -20,7 +20,6 @@ func TestScope(t *testing.T) {
 		"gdbm/internal/server",
 		"gdbm/internal/server/loadgen",
 		"gdbm/cmd/gdbserver",
-		"gdbm/cmd/gdbload",
 		// Engine packages are in scope for the kernel rule.
 		"gdbm/internal/engines/neograph",
 		"gdbm/internal/engines/bitmapdb",

@@ -1,7 +1,7 @@
 // Package obsctx is the static twin of the observability contract's
 // differential tests: a span started with StartSpan must be ended on
 // every return path, or the trace it belongs to reports a region that
-// never closes and the wall-time accounting in the traced sweep breaks.
+// never closes and the wall-time accounting of its depth-0 spans breaks.
 // The returned end function is the only way to close a span, so the
 // check is about what happens to that value: discarding it (expression
 // statement, defer/go of the bare StartSpan, blank assignment) or
@@ -23,7 +23,7 @@ import (
 )
 
 // scope: everywhere spans are opened — the engines, the shared storage
-// adapters, the query languages, the kernels, the harness and the tools.
+// adapters, the query languages and the tools.
 // internal/obs itself is excluded: it manipulates raw span state to
 // implement StartSpan.
 var scope = []string{
@@ -31,8 +31,6 @@ var scope = []string{
 	"gdbm/internal/engines",
 	"gdbm/internal/kvgraph",
 	"gdbm/internal/query",
-	"gdbm/internal/par",
-	"gdbm/internal/report",
 	"gdbm/cmd",
 }
 

@@ -17,8 +17,6 @@ func TestScope(t *testing.T) {
 		"gdbm/internal/engines/neograph",
 		"gdbm/internal/kvgraph",
 		"gdbm/internal/query/gql",
-		"gdbm/internal/par",
-		"gdbm/internal/report",
 		"gdbm/cmd/gdbbench",
 	} {
 		if !obsctx.Analyzer.AppliesTo(p) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"gdbm/internal/engine"
 	"gdbm/internal/gen"
@@ -96,7 +97,8 @@ func twinStatements(lang string, ids []model.NodeID) []string {
 // disk-backed Querier twin pair — one dispatch carrying a live trace, the
 // other none — and requires byte-identical renderings. This is the span
 // half of the cardinal rule: the parse/exec spans a trace records must be
-// pure observation.
+// pure observation. It also holds the span accounting: the depth-0 spans
+// of every traced query fit within its wall time.
 func TestTracedUntracedQueryTwins(t *testing.T) {
 	for _, name := range twinEngines {
 		t.Run(name, func(t *testing.T) {
@@ -140,13 +142,23 @@ func TestTracedUntracedQueryTwins(t *testing.T) {
 						t.Fatalf("%s: %q recorded no spans", name, stmt)
 					}
 					found := false
+					var top time.Duration
 					for _, s := range spans {
 						if s.Name == "query" && s.Depth == 0 {
 							found = true
 						}
+						if s.Depth == 0 {
+							top += s.Dur
+						}
 					}
 					if !found {
 						t.Fatalf("%s: %q has no depth-0 query span: %+v", name, stmt, spans)
+					}
+					// Depth-0 spans never overlap, so they must fit inside
+					// the wall time they partition.
+					if top > tr.Wall() {
+						t.Fatalf("%s: %q depth-0 spans sum to %v, more than the %v wall: %+v",
+							name, stmt, top, tr.Wall(), spans)
 					}
 				}
 			}

@@ -1,10 +1,9 @@
-// Package loadgen is the closed-loop measurement half of the overload
-// story: an open-loop arrival process (Poisson or Gamma interarrivals, so
-// offered load does not slow down when the server does — the classic
-// coordinated-omission trap) driving the query API with per-request retry
-// and jittered exponential backoff. It reports goodput, shed rate and
-// latency quantiles, which BENCH_serve.json records at several multiples
-// of configured capacity.
+// Package loadgen is the client half of the overload drill: an open-loop
+// Poisson arrival process (offered load does not slow down when the server
+// does — the classic coordinated-omission trap) driving the query API with
+// per-request retry and jittered exponential backoff. It reports goodput,
+// shed rate and latency quantiles; TestOverloadGoodput and the serve-smoke
+// drill assert on them.
 package loadgen
 
 import (
@@ -20,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"gdbm/internal/report"
 	"gdbm/internal/server/wire"
 )
 
@@ -38,12 +36,6 @@ type Config struct {
 	// Duration bounds the arrival window; requests in flight at the end
 	// are awaited.
 	Duration time.Duration
-	// Arrival selects the interarrival distribution: "poisson" (default)
-	// or "gamma".
-	Arrival string
-	// CV is the coefficient of variation for gamma arrivals; 1 reduces to
-	// Poisson, >1 is burstier. Ignored for poisson.
-	CV float64
 	// Seed makes the arrival process and jitter deterministic.
 	Seed int64
 	// MaxRetries bounds retry attempts after the first try.
@@ -57,8 +49,6 @@ type Config struct {
 	// Proto selects the response encoding: "json" (default) or "binary"
 	// for the length-prefixed frame protocol (Accept: application/x-gdbw).
 	Proto string
-	// Client is the HTTP client; nil uses a dedicated one.
-	Client *http.Client
 }
 
 // binary reports whether the run asks for framed binary responses.
@@ -66,91 +56,25 @@ func (c Config) binary() bool { return c.Proto == "binary" }
 
 // Result summarizes one run.
 type Result struct {
-	OfferedRPS   float64 `json:"offered_rps"`
-	Offered      int     `json:"offered"`
-	Completed    int     `json:"completed"`
-	GaveUp       int     `json:"gave_up"`
-	Failed       int     `json:"failed"`
-	ShedAttempts int     `json:"shed_attempts"`
-	Retries      int     `json:"retries"`
-	DurationSec  float64 `json:"duration_sec"`
-	GoodputRPS   float64 `json:"goodput_rps"`
-	ShedRate     float64 `json:"shed_rate"` // shed attempts / total attempts
-	P50MS        float64 `json:"p50_ms"`
-	P99MS        float64 `json:"p99_ms"`
-	// TTFB quantiles measure request start to first response-body byte of
-	// the final successful attempt — what streaming buys a slow consumer.
-	TTFBP50MS float64 `json:"ttfb_p50_ms"`
-	TTFBP99MS float64 `json:"ttfb_p99_ms"`
-	// BytesPerQuery is mean response-body bytes per completed request —
-	// the framing-efficiency axis of the JSON vs binary comparison.
-	BytesPerQuery float64 `json:"bytes_per_query"`
+	Offered      int
+	Completed    int
+	GaveUp       int
+	Failed       int
+	ShedAttempts int
+	Retries      int
+	GoodputRPS   float64
+	ShedRate     float64 // shed attempts / total attempts
+	P50MS        float64
+	P99MS        float64
+	// BytesPerQuery is mean response-body bytes per completed request.
+	BytesPerQuery float64
 }
 
-// SweepPoint is one capacity multiple of the serve benchmark.
-type SweepPoint struct {
-	Multiplier float64 `json:"multiplier"`
-	Result
-}
-
-// Sweep is the BENCH_serve.json payload.
-type Sweep struct {
-	report.Stamp
-	Engine      string       `json:"engine"`
-	Class       string       `json:"class"`
-	Arrival     string       `json:"arrival"`
-	Proto       string       `json:"proto"`
-	CapacityRPS float64      `json:"capacity_rps"`
-	Note        string       `json:"note"`
-	Points      []SweepPoint `json:"points"`
-}
-
-// interarrival returns a generator of interarrival gaps with mean 1/rate.
-func interarrival(arrival string, rate, cv float64, rng *rand.Rand) (func() time.Duration, error) {
-	switch arrival {
-	case "", "poisson":
-		return func() time.Duration {
-			return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-		}, nil
-	case "gamma":
-		if cv <= 0 {
-			cv = 1
-		}
-		shape := 1 / (cv * cv)
-		scale := 1 / (rate * shape) // mean = shape·scale = 1/rate
-		return func() time.Duration {
-			return time.Duration(gamma(rng, shape) * scale * float64(time.Second))
-		}, nil
-	}
-	return nil, fmt.Errorf("loadgen: unknown arrival process %q", arrival)
-}
-
-// gamma samples Gamma(shape, 1) by Marsaglia–Tsang squeeze, boosting
-// shape < 1 through Gamma(shape+1)·U^(1/shape).
-func gamma(rng *rand.Rand, shape float64) float64 {
-	if shape < 1 {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return gamma(rng, shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
+// poisson returns a generator of exponential interarrival gaps with mean
+// 1/rate.
+func poisson(rate float64, rng *rand.Rand) func() time.Duration {
+	return func() time.Duration {
+		return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 	}
 }
 
@@ -160,8 +84,7 @@ type attemptOutcome struct {
 	retryAfter time.Duration
 	ok         bool
 	err        error
-	ttfb       time.Duration // request start → first body byte (ok only)
-	bytes      int64         // response body size (ok only)
+	bytes      int64 // response body size (ok only)
 }
 
 // Run executes one load run against cfg.Target and blocks until every
@@ -179,25 +102,18 @@ func Run(cfg Config) (*Result, error) {
 	if stmt == nil {
 		stmt = func(int) string { return "SELECT ORDER" }
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	client := &http.Client{Timeout: 30 * time.Second}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	gap, err := interarrival(cfg.Arrival, cfg.Rate, cfg.CV, rng)
-	if err != nil {
-		return nil, err
-	}
+	gap := poisson(cfg.Rate, rng)
 
-	res := &Result{OfferedRPS: cfg.Rate}
+	res := &Result{}
 	var (
 		mu        sync.Mutex
 		latencies []time.Duration
-		ttfbs     []time.Duration
 		bodyBytes int64
 		wg        sync.WaitGroup
 	)
-	record := func(d, ttfb time.Duration, bytes int64, outcome string, sheds, retries int) {
+	record := func(d time.Duration, bytes int64, outcome string, sheds, retries int) {
 		mu.Lock()
 		defer mu.Unlock()
 		res.ShedAttempts += sheds
@@ -206,7 +122,6 @@ func Run(cfg Config) (*Result, error) {
 		case "ok":
 			res.Completed++
 			latencies = append(latencies, d)
-			ttfbs = append(ttfbs, ttfb)
 			bodyBytes += bytes
 		case "gaveup":
 			res.GaveUp++
@@ -232,7 +147,6 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	res.DurationSec = elapsed.Seconds()
 	res.GoodputRPS = float64(res.Completed) / elapsed.Seconds()
 	attempts := res.Offered + res.Retries
 	if attempts > 0 {
@@ -240,8 +154,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.P50MS = quantileMS(latencies, 0.50)
 	res.P99MS = quantileMS(latencies, 0.99)
-	res.TTFBP50MS = quantileMS(ttfbs, 0.50)
-	res.TTFBP99MS = quantileMS(ttfbs, 0.99)
 	if res.Completed > 0 {
 		res.BytesPerQuery = float64(bodyBytes) / float64(res.Completed)
 	}
@@ -252,7 +164,7 @@ func Run(cfg Config) (*Result, error) {
 // with jittered exponential backoff on shed, give up after MaxRetries.
 // Latency is arrival→success, so queueing in retries is charged to the
 // request (no coordinated omission at the request level either).
-func runOne(cfg Config, client *http.Client, stmt string, seed int64, record func(time.Duration, time.Duration, int64, string, int, int)) {
+func runOne(cfg Config, client *http.Client, stmt string, seed int64, record func(time.Duration, int64, string, int, int)) {
 	rng := rand.New(rand.NewSource(seed))
 	base := cfg.RetryBase
 	if base <= 0 {
@@ -263,16 +175,16 @@ func runOne(cfg Config, client *http.Client, stmt string, seed int64, record fun
 	for attempt := 0; ; attempt++ {
 		out := tryQuery(cfg, client, stmt)
 		if out.ok {
-			record(time.Since(arrived), out.ttfb, out.bytes, "ok", sheds, retries)
+			record(time.Since(arrived), out.bytes, "ok", sheds, retries)
 			return
 		}
 		if !out.shed {
-			record(0, 0, 0, "failed", sheds, retries)
+			record(0, 0, "failed", sheds, retries)
 			return
 		}
 		sheds++
 		if attempt >= cfg.MaxRetries {
-			record(0, 0, 0, "gaveup", sheds, retries)
+			record(0, 0, "gaveup", sheds, retries)
 			return
 		}
 		retries++
@@ -284,19 +196,14 @@ func runOne(cfg Config, client *http.Client, stmt string, seed int64, record fun
 	}
 }
 
-// meteredReader counts body bytes and stamps the time of the first one.
+// meteredReader counts body bytes.
 type meteredReader struct {
-	r     io.Reader
-	start time.Time
-	n     int64
-	ttfb  time.Duration
+	r io.Reader
+	n int64
 }
 
 func (m *meteredReader) Read(p []byte) (int, error) {
 	n, err := m.r.Read(p)
-	if n > 0 && m.ttfb == 0 {
-		m.ttfb = time.Since(m.start)
-	}
 	m.n += int64(n)
 	return n, err
 }
@@ -321,7 +228,6 @@ func tryQuery(cfg Config, client *http.Client, stmt string) attemptOutcome {
 	if cfg.binary() {
 		req.Header.Set("Accept", wire.ContentType)
 	}
-	start := time.Now()
 	resp, err := client.Do(req)
 	if err != nil {
 		// Transport errors (conn refused during drain, accept-queue
@@ -334,7 +240,7 @@ func tryQuery(cfg Config, client *http.Client, stmt string) attemptOutcome {
 	}()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		br := &meteredReader{r: resp.Body, start: start}
+		br := &meteredReader{r: resp.Body}
 		if cfg.binary() {
 			// Collect verifies the terminal End/Error frame: a truncated
 			// stream is an attempt failure, never a short success.
@@ -346,7 +252,7 @@ func tryQuery(cfg Config, client *http.Client, stmt string) attemptOutcome {
 			// aborting the connection; surface that as a failed attempt.
 			return attemptOutcome{err: err}
 		}
-		return attemptOutcome{ok: true, ttfb: br.ttfb, bytes: br.n}
+		return attemptOutcome{ok: true, bytes: br.n}
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		var e struct {
 			RetryAfterMS int64 `json:"retry_after_ms"`
@@ -368,35 +274,4 @@ func quantileMS(latencies []time.Duration, q float64) float64 {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	idx := int(q * float64(len(s)-1))
 	return float64(s[idx]) / float64(time.Millisecond)
-}
-
-// RunSweep measures the serve benchmark: one Run per capacity multiplier.
-func RunSweep(cfg Config, capacity float64, multipliers []float64) (*Sweep, error) {
-	sw := &Sweep{
-		Stamp:       report.NewStamp(),
-		Engine:      cfg.Engine,
-		Class:       cfg.Class,
-		Arrival:     cfg.Arrival,
-		Proto:       cfg.Proto,
-		CapacityRPS: capacity,
-		Note: "open-loop arrivals; goodput counts completed requests only; " +
-			"shed_rate is shed attempts over all attempts including retries; " +
-			"latency is arrival to final success including retry backoff",
-	}
-	if sw.Arrival == "" {
-		sw.Arrival = "poisson"
-	}
-	if sw.Proto == "" {
-		sw.Proto = "json"
-	}
-	for _, m := range multipliers {
-		c := cfg
-		c.Rate = capacity * m
-		r, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
-		sw.Points = append(sw.Points, SweepPoint{Multiplier: m, Result: *r})
-	}
-	return sw, nil
 }

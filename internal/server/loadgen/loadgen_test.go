@@ -14,73 +14,25 @@ import (
 	"time"
 )
 
-// TestInterarrivalMean checks both arrival processes produce gaps whose
-// mean matches 1/rate — the open-loop property everything downstream
-// (offered load, shed rate) depends on.
+// TestInterarrivalMean checks the Poisson process produces gaps whose mean
+// matches 1/rate — the open-loop property everything downstream (offered
+// load, shed rate) depends on.
 func TestInterarrivalMean(t *testing.T) {
 	const rate = 200.0
-	for _, tc := range []struct {
-		arrival string
-		cv      float64
-	}{
-		{"poisson", 0},
-		{"gamma", 0.5},
-		{"gamma", 1},
-		{"gamma", 2},
-	} {
-		rng := rand.New(rand.NewSource(7))
-		gap, err := interarrival(tc.arrival, rate, tc.cv, rng)
-		if err != nil {
-			t.Fatalf("%v: %v", tc, err)
+	gap := poisson(rate, rand.New(rand.NewSource(7)))
+	const n = 20000
+	var sum time.Duration
+	for i := 0; i < n; i++ {
+		g := gap()
+		if g < 0 {
+			t.Fatalf("negative gap %v", g)
 		}
-		const n = 20000
-		var sum time.Duration
-		for i := 0; i < n; i++ {
-			g := gap()
-			if g < 0 {
-				t.Fatalf("%v: negative gap %v", tc, g)
-			}
-			sum += g
-		}
-		mean := sum.Seconds() / n
-		want := 1 / rate
-		if math.Abs(mean-want)/want > 0.05 {
-			t.Errorf("%s cv=%g: mean gap %.6fs, want %.6fs ±5%%", tc.arrival, tc.cv, mean, want)
-		}
+		sum += g
 	}
-}
-
-// TestGammaVariance checks the gamma process actually delivers the
-// requested burstiness: CV of the gaps tracks the configured CV.
-func TestGammaVariance(t *testing.T) {
-	for _, cv := range []float64{0.5, 1, 2} {
-		rng := rand.New(rand.NewSource(11))
-		gap, err := interarrival("gamma", 100, cv, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 50000
-		xs := make([]float64, n)
-		var sum float64
-		for i := range xs {
-			xs[i] = gap().Seconds()
-			sum += xs[i]
-		}
-		mean := sum / n
-		var varsum float64
-		for _, x := range xs {
-			varsum += (x - mean) * (x - mean)
-		}
-		got := math.Sqrt(varsum/n) / mean
-		if math.Abs(got-cv)/cv > 0.1 {
-			t.Errorf("cv=%g: measured CV %.3f, want within 10%%", cv, got)
-		}
-	}
-}
-
-func TestInterarrivalRejectsUnknown(t *testing.T) {
-	if _, err := interarrival("uniform", 1, 1, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("unknown arrival process must be rejected")
+	mean := sum.Seconds() / n
+	want := 1 / rate
+	if math.Abs(mean-want)/want > 0.05 {
+		t.Errorf("mean gap %.6fs, want %.6fs ±5%%", mean, want)
 	}
 }
 
@@ -142,7 +94,6 @@ func TestRunAgainstStub(t *testing.T) {
 		Stmt:       func(i int) string { return "OK" },
 		Rate:       200,
 		Duration:   300 * time.Millisecond,
-		Arrival:    "poisson",
 		Seed:       3,
 		MaxRetries: 4,
 		RetryBase:  time.Millisecond,
@@ -172,7 +123,6 @@ func TestRunAgainstStub(t *testing.T) {
 		Stmt:     func(int) string { return "FAIL" },
 		Rate:     100,
 		Duration: 100 * time.Millisecond,
-		Arrival:  "poisson",
 		Seed:     4,
 	})
 	if err != nil {
@@ -180,40 +130,6 @@ func TestRunAgainstStub(t *testing.T) {
 	}
 	if res.Failed != res.Offered || res.Completed != 0 {
 		t.Fatalf("hard failures must not complete or retry: %+v", res)
-	}
-}
-
-// TestRunSweepShape checks RunSweep stamps the host and scales the
-// offered rate per multiplier.
-func TestRunSweepShape(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{}`))
-	}))
-	defer ts.Close()
-	sw, err := RunSweep(Config{
-		Target:   ts.URL,
-		Engine:   "stub",
-		Stmt:     func(int) string { return "OK" },
-		Duration: 100 * time.Millisecond,
-		Seed:     5,
-	}, 100, []float64{0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.GoVersion == "" || sw.GoMaxProcs == 0 {
-		t.Fatalf("sweep is not host-stamped: %+v", sw.Stamp)
-	}
-	if sw.Arrival != "poisson" {
-		t.Fatalf("default arrival: %q", sw.Arrival)
-	}
-	if len(sw.Points) != 2 {
-		t.Fatalf("points: %d", len(sw.Points))
-	}
-	if sw.Points[0].OfferedRPS != 50 || sw.Points[1].OfferedRPS != 100 {
-		t.Fatalf("multipliers not applied: %+v %+v", sw.Points[0].OfferedRPS, sw.Points[1].OfferedRPS)
-	}
-	if sw.Points[0].Multiplier != 0.5 || sw.Points[1].Multiplier != 1 {
-		t.Fatalf("multiplier labels: %+v", sw.Points)
 	}
 }
 
@@ -225,8 +141,8 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Rate: 1, Duration: 0}); err == nil {
 		t.Error("zero duration must be rejected")
 	}
-	if _, err := Run(Config{Rate: 1, Duration: time.Second, Arrival: "bogus"}); err == nil {
-		t.Error("unknown arrival must be rejected")
+	if _, err := Run(Config{Rate: 1, Duration: time.Second, Proto: "bogus"}); err == nil {
+		t.Error("unknown proto must be rejected")
 	}
 }
 

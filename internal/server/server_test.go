@@ -23,7 +23,7 @@ import (
 // stubEngine is a controllable Querier: an optional fixed service time and
 // an optional external block, both interruptible by ctx. It lets
 // the tests pin service behavior precisely (real engines are exercised by
-// the smoke test and cmd/gdbload).
+// the smoke test and bench/).
 type stubEngine struct {
 	delay time.Duration
 	block chan struct{} // non-nil: QueryStream waits for close(block)
