@@ -2,7 +2,7 @@ GO ?= go
 COVER_FLOOR ?= 45.0
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench bench-e2e cover fuzz-smoke serve-smoke ci
+.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench-e2e cover fuzz-smoke serve-smoke ci
 
 # Tier-1 verification: everything builds, every test passes.
 build:
@@ -43,8 +43,8 @@ race-storage:
 	$(GO) test -race ./internal/storage/... ./internal/engines/suite/...
 
 # Inner-loop subset, outside ci.
-# Query kernels and every engine under the race detector — the surface the
-# parallel substrate touches.
+# Query kernels and every engine under the race detector: the Essentials
+# closures, and the snapshots the Concurrent engines pin for them.
 race-kernels:
 	$(GO) test -race ./internal/algo/... ./internal/engines/...
 
@@ -87,11 +87,6 @@ race-plan:
 # them concurrently.
 race-server:
 	$(GO) test -race ./internal/server/... ./cmd/gdbserver/...
-
-# Parallel kernel sweep; records honest per-host numbers (the JSON carries
-# GOMAXPROCS/NumCPU).
-bench:
-	$(GO) run ./cmd/gdbbench -parallel -table none -out BENCH_parallel.json
 
 # The end-to-end ledger: bench/'s four served workloads with every answer
 # checked (BENCHMARK.json; add --workload NAME --trace 1 by hand for the

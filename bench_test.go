@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"gdbm"
-	"gdbm/internal/algo"
-	"gdbm/internal/algo/par"
 	"gdbm/internal/engine/capability"
 	"gdbm/internal/engines/bitmapdb"
 	"gdbm/internal/engines/sonesdb"
@@ -555,75 +553,6 @@ func BenchmarkQueryPlanner(b *testing.B) {
 			gdbm.QueryContext(context.Background(), q, `MATCH (p:P {idx: 1500}) RETURN p.idx AS i`)
 		}
 	})
-}
-
-// BenchmarkParallelKernels compares each parallel kernel against its
-// sequential baseline over a shared R-MAT fixture. `make bench` runs the
-// same kernels through cmd/gdbbench and records BENCH_parallel.json.
-func BenchmarkParallelKernels(b *testing.B) {
-	g := memgraph.New()
-	ids, err := gen.Generate(gen.Spec{Kind: gen.RMAT, Nodes: 3000, EdgesPerNode: 4, Seed: 42}, graphSink{g})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, id := range ids {
-		g.SetNodeProp(id, "idx", model.Int(int64(i)))
-	}
-	pe, err := gdbm.CompilePathExpr("link/link")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	start := ids[0]
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		var opt par.Options
-		name := "sequential"
-		if workers > 0 {
-			pool := par.New(workers)
-			defer pool.Close()
-			opt = par.Options{Workers: workers, Threshold: 1, Pool: pool}
-			name = fmt.Sprintf("workers%d", workers)
-		}
-		b.Run("bfs/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				if workers == 0 {
-					err = algo.BFS(g, start, model.Both, func(model.NodeID, int) bool { return true })
-				} else {
-					err = par.BFS(ctx, g, start, model.Both, opt, func(model.NodeID, int) bool { return true })
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("rpq/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				if workers == 0 {
-					_, err = pe.Eval(g, start)
-				} else {
-					_, err = par.EvalPath(ctx, pe, g, start, opt)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("degrees/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				if workers == 0 {
-					_, err = algo.Degrees(g, model.Both)
-				} else {
-					_, err = par.Degrees(ctx, g, model.Both, opt)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func TestMain(m *testing.M) {

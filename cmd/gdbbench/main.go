@@ -7,8 +7,6 @@
 //	gdbbench -table 7              # print one table
 //	gdbbench -diff                 # cell-by-cell diff vs the paper
 //	gdbbench -perf -nodes 10000    # performance sweep (HPC-SGAB style)
-//	gdbbench -parallel -table none # parallel kernel sweep
-//	gdbbench -parallel -out BENCH_parallel.json -table none
 package main
 
 import (
@@ -16,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"gdbm"
@@ -27,18 +24,15 @@ import (
 // benchConfig is the parsed flag set. Keeping it a value makes the flag
 // matrix testable without re-parsing argv.
 type benchConfig struct {
-	table    string
-	diff     bool
-	perf     bool
-	parallel bool
-	workers  string
-	out      string
-	nodes    int
-	degree   int
-	seed     int64
-	dir      string
-	dirSet   bool   // -dir was given explicitly
-	engines  string // comma-separated subset for -perf; "" = all
+	table   string
+	diff    bool
+	perf    bool
+	nodes   int
+	degree  int
+	seed    int64
+	dir     string
+	dirSet  bool   // -dir was given explicitly
+	engines string // comma-separated subset for -perf; "" = all
 }
 
 func main() {
@@ -46,9 +40,6 @@ func main() {
 	flag.StringVar(&cfg.table, "table", "all", "table to regenerate: 1..8 or 'all' or 'none'")
 	flag.BoolVar(&cfg.diff, "diff", false, "print the cell-by-cell diff against the paper's matrices")
 	flag.BoolVar(&cfg.perf, "perf", false, "run the performance sweep")
-	flag.BoolVar(&cfg.parallel, "parallel", false, "run the parallel kernel sweep")
-	flag.StringVar(&cfg.workers, "workers", "1,2,4,8", "comma-separated worker counts for -parallel")
-	flag.StringVar(&cfg.out, "out", "", "write the -parallel sweep as JSON to this file")
 	flag.IntVar(&cfg.nodes, "nodes", 2000, "perf sweep graph size (nodes)")
 	flag.IntVar(&cfg.degree, "degree", 4, "perf sweep edges per node")
 	flag.Int64Var(&cfg.seed, "seed", 42, "workload seed")
@@ -205,42 +196,5 @@ func run(cfg benchConfig) error {
 		}
 		gdbm.RenderPerf(os.Stdout, results)
 	}
-
-	if cfg.parallel {
-		counts, err := parseWorkers(cfg.workers)
-		if err != nil {
-			return err
-		}
-		sweep, err := gdbm.RunParallelSweep(cfg.nodes, cfg.degree, cfg.seed, counts)
-		if err != nil {
-			return err
-		}
-		gdbm.RenderParallel(os.Stdout, sweep)
-		if cfg.out != "" {
-			if err := gdbm.WriteParallelJSON(vfs.OSFS, cfg.out, sweep); err != nil {
-				return err
-			}
-			fmt.Println("wrote", cfg.out)
-		}
-	}
 	return nil
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -workers entry %q", part)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("-workers lists no counts")
-	}
-	return counts, nil
 }

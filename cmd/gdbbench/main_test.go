@@ -1,29 +1,9 @@
 package main
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"gdbm/internal/storage/vfs"
 )
-
-// readAll slurps a file written through the vfs seam.
-func readAll(t *testing.T, path string) string {
-	t.Helper()
-	f, err := vfs.OSFS.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r, err := vfs.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1<<18)
-	n, _ := r.Read(buf)
-	return string(buf[:n])
-}
 
 func TestRunTablesAndDiff(t *testing.T) {
 	if err := run(benchConfig{table: "all", diff: true, seed: 1, dir: t.TempDir(), dirSet: true}); err != nil {
@@ -41,22 +21,6 @@ func TestRunPerfSweepSmall(t *testing.T) {
 	cfg := benchConfig{table: "none", perf: true, nodes: 300, degree: 2, seed: 1, dir: t.TempDir(), dirSet: true}
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunParallelSweepSmall(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	cfg := benchConfig{table: "none", parallel: true, workers: "1,2", out: out,
-		nodes: 300, degree: 2, seed: 1, dir: dir, dirSet: true}
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, out)
-	for _, want := range []string{`"gomaxprocs"`, `"degraded_host"`, `"kernel": "bfs"`, `"workers": 2`, `"speedup_vs_sequential"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("JSON missing %s:\n%s", want, body)
-		}
 	}
 }
 
@@ -95,21 +59,5 @@ func TestValidateFlagMatrix(t *testing.T) {
 				t.Fatalf("validateFlags(%+v) = %v, want error containing %q", tc.cfg, err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseWorkers(t *testing.T) {
-	if _, err := parseWorkers("0"); err == nil {
-		t.Error("worker count 0 accepted")
-	}
-	if _, err := parseWorkers(""); err == nil {
-		t.Error("empty worker list accepted")
-	}
-	counts, err := parseWorkers(" 1, 4 ,8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 3 || counts[0] != 1 || counts[2] != 8 {
-		t.Errorf("parseWorkers = %v", counts)
 	}
 }

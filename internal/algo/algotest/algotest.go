@@ -1,9 +1,8 @@
 // Package algotest provides shared test helpers for the algorithm layer:
-// random graph and path-expression generators (used by the sequential RPQ
-// quick-checks and the parallel-kernel equivalence properties) and a
-// fault-injecting graph wrapper for error-propagation tests. It lives
-// outside the _test files so internal/algo and internal/algo/par can share
-// one set of generators.
+// random graph and path-expression generators (used by the RPQ
+// quick-checks) and fault-injecting graph wrappers for error-propagation
+// tests. It lives outside the _test files so the algorithm and engine
+// tests can share them.
 package algotest
 
 import (
@@ -77,7 +76,7 @@ var ErrInjected = errors.New("algotest: injected failure")
 
 // FlakyGraph wraps a Graph and makes Nodes, Edges, Neighbors and Degree
 // fail with ErrInjected after budget successful calls (budget 0 fails the
-// first call). The countdown is atomic, so concurrent kernels can share
+// first call). The countdown is atomic, so concurrent readers can share
 // one wrapper.
 type FlakyGraph struct {
 	model.Graph

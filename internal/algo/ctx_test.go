@@ -95,6 +95,10 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 			_, err := FindMatchesSeededCtx(ctx, g, pat, 0, ids[:4])
 			return err
 		},
+		"AggregateNodePropCtx": func() error {
+			_, err := AggregateNodePropCtx(ctx, g, "", "i", AggSum)
+			return err
+		},
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, context.Canceled) {
@@ -149,6 +153,18 @@ func TestCancelMidMatch(t *testing.T) {
 	}
 }
 
+// TestCancelMidAggregate cancels a node scan partway through and checks the
+// fold stops at its next periodic check with ctx.Err() instead of an answer.
+func TestCancelMidAggregate(t *testing.T) {
+	g, _ := grid(t, 64)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cg := &cancelAfterScan{Graph: g, after: 100, cancel: cancel}
+	if _, err := AggregateNodePropCtx(ctx, cg, "", "i", AggAvg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AggregateNodePropCtx after mid-scan cancel: got %v, want context.Canceled", err)
+	}
+}
+
 // TestBackgroundUnaffected guards the compatibility contract: the ctx-free
 // names still work and the Ctx variants with context.Background() answer
 // identically.
@@ -182,4 +198,22 @@ func (c *cancelAfterGraph) Neighbors(id model.NodeID, dir model.Direction, fn fu
 		c.cancel()
 	}
 	return c.Graph.Neighbors(id, dir, fn)
+}
+
+// cancelAfterScan cancels a context once a node scan has yielded a fixed
+// number of nodes, simulating a deadline landing mid-fold.
+type cancelAfterScan struct {
+	model.Graph
+	after  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterScan) Nodes(fn func(model.Node) bool) error {
+	seen := 0
+	return c.Graph.Nodes(func(n model.Node) bool {
+		if seen++; seen == c.after {
+			c.cancel()
+		}
+		return fn(n)
+	})
 }

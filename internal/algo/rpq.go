@@ -212,35 +212,6 @@ func (p *rpqParser) parseAtom() (fragment, error) {
 	return fragment{in, out}, nil
 }
 
-// PathTransition is one exported automaton transition, used by external
-// evaluators (the parallel product-graph kernel in internal/algo/par).
-// Eps transitions consume no edge; non-eps transitions consume one edge
-// whose label equals Label, traversed against direction when Inverse.
-type PathTransition struct {
-	Label   string
-	Inverse bool
-	To      int
-	Eps     bool
-}
-
-// NumStates returns the number of automaton states.
-func (p *PathExpr) NumStates() int { return len(p.a.edges) }
-
-// StartState returns the automaton's start state.
-func (p *PathExpr) StartState() int { return p.a.start }
-
-// FinalState returns the automaton's accepting state.
-func (p *PathExpr) FinalState() int { return p.a.final }
-
-// Transitions returns the outgoing transitions of a state.
-func (p *PathExpr) Transitions(state int) []PathTransition {
-	out := make([]PathTransition, 0, len(p.a.edges[state]))
-	for _, e := range p.a.edges[state] {
-		out = append(out, PathTransition{Label: e.label, Inverse: e.inverse, To: e.to, Eps: e.eps})
-	}
-	return out
-}
-
 // productState pairs a graph node with an automaton state.
 type productState struct {
 	node  model.NodeID

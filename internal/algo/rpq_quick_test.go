@@ -10,8 +10,7 @@ import (
 	"gdbm/internal/model"
 )
 
-// The DAG and expression generators live in algotest so the parallel-kernel
-// equivalence properties (internal/algo/par) can reuse them.
+// The DAG and expression generators live in algotest.
 var (
 	randomDAG  = algotest.RandomDAG
 	randomExpr = algotest.RandomExpr

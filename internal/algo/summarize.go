@@ -182,23 +182,6 @@ func (a *Aggregator) Add(v model.Value) {
 // Kind returns the aggregate the folder computes.
 func (a *Aggregator) Kind() AggKind { return a.kind }
 
-// Merge folds another aggregator of the same kind into a, as if every value
-// added to other had been added to a after a's own values. Count, min and
-// max merge exactly; sums merge by adding the partial sums, so a chunked
-// fold is bit-identical to the sequential fold whenever partial sums are
-// exact (integers), and equal up to float association otherwise.
-func (a *Aggregator) Merge(other *Aggregator) {
-	a.count += other.count
-	a.nonNull += other.nonNull
-	a.sum += other.sum
-	if !other.min.IsNull() && (a.min.IsNull() || other.min.Compare(a.min) < 0) {
-		a.min = other.min
-	}
-	if !other.max.IsNull() && (a.max.IsNull() || other.max.Compare(a.max) > 0) {
-		a.max = other.max
-	}
-}
-
 // Result returns the aggregate value. Avg over zero values is null.
 func (a *Aggregator) Result() model.Value {
 	switch a.kind {
@@ -222,8 +205,26 @@ func (a *Aggregator) Result() model.Value {
 // AggregateNodeProp folds the named property over every node with the given
 // label ("" = all nodes).
 func AggregateNodeProp(g model.Graph, label, prop string, kind AggKind) (model.Value, error) {
+	return AggregateNodePropCtx(context.Background(), g, label, prop, kind)
+}
+
+// AggregateNodePropCtx is AggregateNodeProp with cooperative cancellation:
+// the scan checks ctx before it starts and every 1 024 nodes, and returns
+// ctx.Err() once the context is done. Values fold in scan order, so a sum
+// over non-integer properties is the same float on every host.
+func AggregateNodePropCtx(ctx context.Context, g model.Graph, label, prop string, kind AggKind) (model.Value, error) {
+	if err := ctx.Err(); err != nil {
+		return model.Null(), err
+	}
 	agg := NewAggregator(kind)
+	var ctxErr error
+	scanned := 0
 	err := g.Nodes(func(n model.Node) bool {
+		if scanned++; scanned%1024 == 0 {
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				return false
+			}
+		}
 		if label != "" && n.Label != label {
 			return true
 		}
@@ -236,6 +237,9 @@ func AggregateNodeProp(g model.Graph, label, prop string, kind AggKind) (model.V
 	})
 	if err != nil {
 		return model.Null(), err
+	}
+	if ctxErr != nil {
+		return model.Null(), ctxErr
 	}
 	return agg.Result(), nil
 }

@@ -22,8 +22,10 @@
 // A second shape is convicted in a wider scope that also covers the
 // engine packages:
 //
-//  2. Calling a parallel query kernel (par.BFS, Reachable, Neighborhood,
-//     EvalPath, FindMatches, AggregateNodeProp, Degrees) with an inline
+//  2. Calling a cancellable query kernel of internal/algo (BFSCtx,
+//     ReachableCtx, NeighborhoodCtx, FixedLengthPathsCtx,
+//     ShortestPathCtx, FindMatchesCtx, FindMatchesSeededCtx,
+//     AggregateNodePropCtx, DistanceCtx, DiameterCtx) with an inline
 //     context.Background()/TODO(). Engines dispatch these kernels from
 //     inside the closures built by Essentials(ctx); minting a fresh root
 //     there severs every caller's deadline at the last hop, exactly
@@ -54,7 +56,7 @@ var scope = []string{
 
 // kernelScope is where rule 2 applies: everywhere rule 1 does, plus the
 // engine packages, whose Essentials closures are the last dispatch hop
-// before the parallel kernels. Rule 1 stays out of engine scope: engines
+// before the query kernels. Rule 1 stays out of engine scope: engines
 // hold no per-request context of their own, only the one they are handed.
 var kernelScope = []string{
 	"gdbm/internal/engines",
@@ -64,7 +66,7 @@ var kernelScope = []string{
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "server/dispatch code must thread the request context into query entry points: " +
-		"no context.Background()/TODO() at a ctx-taking query entry point or parallel kernel",
+		"no context.Background()/TODO() at a ctx-taking query entry point or query kernel",
 	AppliesTo: func(pkgPath string) bool {
 		for _, s := range scope {
 			if analysis.PathIsUnder(pkgPath, s) {
@@ -93,17 +95,21 @@ var ctxEntryPoints = map[string]bool{
 	"RunCtx":        true,
 }
 
-// parKernels is the set of parallel query kernels rule 2 guards. These
-// are the cancellation-aware leaves of the dispatch chain; feeding them
-// a fresh root discards every deadline accumulated above.
-var parKernels = map[string]bool{
-	"BFS":               true,
-	"Reachable":         true,
-	"Neighborhood":      true,
-	"EvalPath":          true,
-	"FindMatches":       true,
-	"AggregateNodeProp": true,
-	"Degrees":           true,
+// ctxKernels is the set of query kernels rule 2 guards: the Ctx halves
+// of internal/algo's X/XCtx pairs. These are the cancellation-aware
+// leaves of the dispatch chain; feeding them a fresh root discards every
+// deadline accumulated above.
+var ctxKernels = map[string]bool{
+	"BFSCtx":               true,
+	"ReachableCtx":         true,
+	"NeighborhoodCtx":      true,
+	"FixedLengthPathsCtx":  true,
+	"ShortestPathCtx":      true,
+	"FindMatchesCtx":       true,
+	"FindMatchesSeededCtx": true,
+	"AggregateNodePropCtx": true,
+	"DistanceCtx":          true,
+	"DiameterCtx":          true,
 }
 
 // isContextType reports whether t is context.Context.
@@ -167,15 +173,15 @@ func run(pass *analysis.Pass) error {
 			}
 			name := sel.Sel.Name
 
-			// Rule 2: a parallel kernel fed a fresh root context. Applies
-			// in engine scope too — the kernels are the cancellation-aware
+			// Rule 2: a query kernel fed a fresh root context. Applies in
+			// engine scope too — the kernels are the cancellation-aware
 			// leaves, so a root minted here discards the caller's deadline
 			// at the last possible hop.
 			if sig, ok := pass.Info.TypeOf(call.Fun).(*types.Signature); ok &&
-				parKernels[name] && takesContextFirst(sig) && len(call.Args) > 0 {
+				ctxKernels[name] && takesContextFirst(sig) && len(call.Args) > 0 {
 				if src, fresh := freshContext(call.Args[0]); fresh {
 					pass.Reportf(call.Pos(),
-						"%s severs the caller's context at the parallel kernel %s; thread the ctx handed to the dispatch site (Essentials) instead",
+						"%s severs the caller's context at the query kernel %s; thread the ctx handed to the dispatch site (Essentials) instead",
 						src, name)
 					return true
 				}

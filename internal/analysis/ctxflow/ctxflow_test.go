@@ -35,7 +35,6 @@ func TestScope(t *testing.T) {
 		"gdbm/cmd/gdbbench",
 		"gdbm/internal/query/gql",
 		"gdbm/internal/algo",
-		"gdbm/internal/algo/par",
 	} {
 		if ctxflow.Analyzer.AppliesTo(p) {
 			t.Errorf("%s should be out of ctxflow scope", p)

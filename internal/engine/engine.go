@@ -163,9 +163,9 @@ type Persistent interface {
 
 // Concurrent is implemented by engines the survey profiles as concurrent-
 // capable servers (systems shipped with a transaction/concurrency story,
-// Section II): their read path may be shared by many goroutines at once,
-// and the parallel query kernels of internal/algo/par fan traversals out
-// across it.
+// Section II): their read path may be shared by many goroutines at once.
+// Their Essentials closures pin a snapshot and run the sequential Ctx
+// kernels of internal/algo over it.
 //
 // AcquireSnapshot returns a Graph that is safe for unsynchronized use by
 // any number of concurrent readers until released, at frozen isolation: the
@@ -174,10 +174,9 @@ type Persistent interface {
 // epoch-versioned copy-on-write views (internal/adj), frozen is the only
 // isolation level: acquisition is O(1) on a quiescent store (one atomic
 // load and a pin — no copying), writers never block pinned readers, and a
-// re-render after mutations re-reads only the records they touched. The
-// parallel kernels rely on the immutability for their determinism guarantee
-// — results identical to the sequential kernels on the pinned state. An
-// engine whose store cannot pin returns an error, never the live graph.
+// re-render after mutations re-reads only the records they touched, so a
+// kernel sees one consistent state however long it runs. An engine whose
+// store cannot pin returns an error, never the live graph.
 //
 // The returned release follows the model.ReleaseFunc contract: call it
 // exactly once when done. Engines delegate to their store's model.Pinner,

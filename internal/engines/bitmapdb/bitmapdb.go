@@ -12,7 +12,6 @@ import (
 
 	"gdbm/internal/adj"
 	"gdbm/internal/algo"
-	"gdbm/internal/algo/par"
 	"gdbm/internal/cache"
 	"gdbm/internal/constraint"
 	"gdbm/internal/engine"
@@ -180,7 +179,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 				return nil, err
 			}
 			defer release()
-			return par.Neighborhood(ctx, g, n, k, model.Both, par.Options{})
+			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
 		},
 		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
 			return algo.FixedLengthPathsCtx(ctx, db.Core, from, to, length, model.Out, 0)
@@ -194,7 +193,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 				return model.Null(), err
 			}
 			defer release()
-			return par.AggregateNodeProp(ctx, g, label, prop, kind, par.Options{})
+			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
 		},
 	}
 	if db.results == nil {

@@ -99,7 +99,7 @@ func (db *DB) Features() engine.Features {
 }
 
 // Essentials implements engine.Engine: adjacency, k-neighborhood and
-// summarization per its Table VII row. The traversal kernel runs under ctx.
+// summarization per its Table VII row. The kernels run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 	return engine.CachedEssentials(db.Name(), engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
@@ -112,7 +112,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 			return algo.NeighborhoodCtx(ctx, db.Graph, n, k, model.Both)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodeProp(db.Graph, label, prop, kind)
+			return algo.AggregateNodePropCtx(ctx, db.Graph, label, prop, kind)
 		},
 	}, db.results, db.Graph.Epoch)
 }

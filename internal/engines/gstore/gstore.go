@@ -181,7 +181,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 			return algo.ShortestPathCtx(ctx, db.g, from, to, model.Out)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodeProp(db.g, label, prop, kind)
+			return algo.AggregateNodePropCtx(ctx, db.g, label, prop, kind)
 		},
 	}, db.results, db.g.Epoch)
 }

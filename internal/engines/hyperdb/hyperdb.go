@@ -213,9 +213,9 @@ func (db *DB) Features() engine.Features {
 
 // Essentials implements engine.Engine: the hypergraph API composes node
 // adjacency (shared hyperedge membership) and aggregate summarization;
-// path utilities are not part of its surface (Table VII row). None of the
-// three is a cancellable kernel, so the context goes unused.
-func (db *DB) Essentials(context.Context) engine.Essentials {
+// path utilities are not part of its surface (Table VII row). The
+// summarization fold checks ctx before it scans.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			found := false
@@ -251,6 +251,9 @@ func (db *DB) Essentials(context.Context) engine.Essentials {
 			return false, nil
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
+			if err := ctx.Err(); err != nil {
+				return model.Null(), err
+			}
 			agg := algo.NewAggregator(kind)
 			err := db.h.Nodes(func(n model.Node) bool {
 				if label != "" && n.Label != label {

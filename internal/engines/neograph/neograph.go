@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 
 	"gdbm/internal/algo"
-	"gdbm/internal/algo/par"
 	"gdbm/internal/cache"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
@@ -193,7 +192,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 				return nil, err
 			}
 			defer release()
-			return par.Neighborhood(ctx, g, n, k, model.Both, par.Options{})
+			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
 		},
 		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
 			return algo.FixedLengthPathsCtx(ctx, db.Core, from, to, length, model.Out, 0)
@@ -207,7 +206,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 				return model.Null(), err
 			}
 			defer release()
-			return par.AggregateNodeProp(ctx, g, label, prop, kind, par.Options{})
+			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
 		},
 	}
 	if db.results == nil {

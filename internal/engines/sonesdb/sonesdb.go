@@ -150,9 +150,9 @@ func (db *DB) Features() engine.Features {
 }
 
 // Essentials implements engine.Engine: per the Table VII row, the Sones
-// surface composes node/edge adjacency and summarization only — none of
-// them a cancellable kernel, so the context goes unused.
-func (db *DB) Essentials(context.Context) engine.Essentials {
+// surface composes node/edge adjacency and summarization only; the
+// summarization kernel runs under ctx.
+func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
@@ -161,7 +161,7 @@ func (db *DB) Essentials(context.Context) engine.Essentials {
 			return algo.EdgesAdjacent(db.Core, e1, e2)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodeProp(db.Core, label, prop, kind)
+			return algo.AggregateNodePropCtx(ctx, db.Core, label, prop, kind)
 		},
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"gdbm/internal/algo"
 	"gdbm/internal/engine"
+	"gdbm/internal/gen"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
@@ -16,22 +17,13 @@ import (
 // kernel rule, over all nine engines: the context handed to Essentials must
 // reach every closure whose kernel has a cancellable form instead of being
 // dropped, or severed by a fresh background root, at the dispatch site.
-// KNeighborhood, FixedLengthPaths and ShortestPath run Ctx kernels on every
-// engine that offers them; Summarization is cancellable where it runs the
-// parallel kernel, i.e. on the Concurrent engines (the sequential
-// algo.AggregateNodeProp has no Ctx form).
+// KNeighborhood, FixedLengthPaths, ShortestPath and Summarization run Ctx
+// kernels (or check ctx before their own scan) on every engine that offers
+// them.
 func TestEssentialsHonorsCancellation(t *testing.T) {
 	for name, e := range openAll(t) {
 		t.Run(name, func(t *testing.T) {
 			ids := seed(t, e)
-			_, concurrent := e.(engine.Concurrent)
-			// The triple engine's labeled summarization is a sequential
-			// typed-subject scan; its parallel kernel path is the
-			// unlabeled term aggregate.
-			summLabel := "Thing"
-			if name == "triplestore" {
-				summLabel = ""
-			}
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -54,8 +46,8 @@ func TestEssentialsHonorsCancellation(t *testing.T) {
 				_, err := es.ShortestPath(ids[0], ids[3])
 				wantCanceled("ShortestPath", err)
 			}
-			if es.Summarization != nil && concurrent {
-				_, err := es.Summarization(algo.AggCount, summLabel, "")
+			if es.Summarization != nil {
+				_, err := es.Summarization(algo.AggCount, "Thing", "")
 				wantCanceled("Summarization", err)
 			}
 
@@ -82,12 +74,62 @@ func TestEssentialsHonorsCancellation(t *testing.T) {
 				}
 			}
 			if live.Summarization != nil {
-				v, err := live.Summarization(algo.AggCount, summLabel, "")
+				v, err := live.Summarization(algo.AggCount, "Thing", "")
 				if err != nil {
 					t.Fatalf("Summarization after cancelled run: %v", err)
 				}
 				if n, _ := v.AsInt(); n < 5 {
 					t.Errorf("count after cancelled run = %v", v)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentSummarizationMatchesPinnedFold pins the Concurrent
+// engines' SUM and AVG to the sequential fold: Summarization must answer
+// exactly what algo.AggregateNodePropCtx answers over a view pinned from the
+// same engine. The 1 000 fractional weights make the float sum sensitive to
+// association, so a fold split into per-CPU chunks would differ in the last
+// bit and make the answer depend on the host.
+func TestConcurrentSummarizationMatchesPinnedFold(t *testing.T) {
+	ctx := context.Background()
+	for name, e := range openAll(t) {
+		con, ok := e.(engine.Concurrent)
+		if !ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			ids, err := gen.Generate(gen.Spec{Kind: gen.RMAT, Nodes: 1000, EdgesPerNode: 4, Seed: 7}, e.(engine.Loader))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := e.(model.MutableGraph)
+			for i, id := range ids {
+				if err := g.SetNodeProp(id, "weight", model.Float(0.37*float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			view, release, err := con.AcquireSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			es := e.Essentials(ctx)
+			for _, kind := range []algo.AggKind{algo.AggSum, algo.AggAvg} {
+				want, err := algo.AggregateNodePropCtx(ctx, view, "", "weight", kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := want.AsFloat(); !ok {
+					t.Fatalf("%s over the pinned view = %v, want a number", kind, want)
+				}
+				got, err := es.Summarization(kind, "", "weight")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("Summarization(%s) = %v, sequential fold over the pinned view = %v", kind, got, want)
 				}
 			}
 		})

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"gdbm/internal/algo"
-	"gdbm/internal/algo/par"
 	"gdbm/internal/cache"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
@@ -369,8 +368,8 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 
 // Essentials implements engine.Engine: the triple surface composes node
 // adjacency, k-neighborhood and aggregate summarization. Path utilities are
-// not part of its query surface (Table VII row). The parallel kernels run
-// under ctx.
+// not part of its query surface (Table VII row). Everything runs under ctx;
+// k-neighborhood and the unlabelled aggregate run over a pinned snapshot.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 	es := engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
@@ -385,7 +384,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 				return nil, err
 			}
 			defer release()
-			return par.Neighborhood(ctx, g, n, k, model.Both, par.Options{})
+			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			// In the triple model a "label" is a type statement, not a
@@ -396,7 +395,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 					return model.Null(), err
 				}
 				defer release()
-				return par.AggregateNodeProp(ctx, g, "", prop, kind, par.Options{})
+				return algo.AggregateNodePropCtx(ctx, g, "", prop, kind)
 			}
 			typeTerm, ok := db.TermID(label)
 			if !ok {
@@ -404,6 +403,9 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 					return model.Int(0), nil
 				}
 				return model.Null(), nil
+			}
+			if err := ctx.Err(); err != nil {
+				return model.Null(), err
 			}
 			agg := algo.NewAggregator(kind)
 			var iterErr error

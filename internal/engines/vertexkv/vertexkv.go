@@ -101,7 +101,7 @@ func (db *DB) Features() engine.Features {
 
 // Essentials implements engine.Engine: adjacency, k-neighborhood,
 // fixed-length paths and summarization (no shortest-path utility) per its
-// Table VII row. The traversal kernels run under ctx.
+// Table VII row. The kernels run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 	return engine.CachedEssentials(db.Name(), engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
@@ -117,7 +117,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 			return algo.FixedLengthPathsCtx(ctx, db.Graph, from, to, length, model.Out, 0)
 		},
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodeProp(db.Graph, label, prop, kind)
+			return algo.AggregateNodePropCtx(ctx, db.Graph, label, prop, kind)
 		},
 	}, db.results, db.Graph.Epoch)
 }

@@ -1,8 +1,7 @@
 // Package obs is the observability substrate of the workbench: a
 // lock-cheap metrics registry (atomic counters, gauges and fixed-bucket
 // latency histograms), per-query span tracing carried through
-// context.Context, a slow-query log rendered through the vfs seam, and a
-// pprof-label hook for worker-pool tasks.
+// context.Context, and a slow-query log rendered through the vfs seam.
 //
 // The package is zero-dependency (standard library plus the repo's own
 // vfs seam) and nil-safe throughout: a nil *Registry hands out nil

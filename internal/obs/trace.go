@@ -26,8 +26,8 @@ type Span struct {
 // returns — every method is a cheap no-op on a nil receiver, which is the
 // "tracing off" fast path.
 //
-// Spans must nest within one goroutine; concurrent helpers (worker-pool
-// tasks) contribute through Add, which is safe from any goroutine.
+// Spans must nest within one goroutine; concurrent helpers contribute
+// through Add, which is safe from any goroutine.
 type Trace struct {
 	name  string
 	start time.Time

@@ -133,18 +133,3 @@ func TestNilTraceFastPath(t *testing.T) {
 		t.Fatal("nil trace renders empty")
 	}
 }
-
-func TestProfileRunsFn(t *testing.T) {
-	ran := 0
-	Profile(context.Background(), func(ctx context.Context) { ran++ }, "task", "t1")
-	Profile(nil, func(ctx context.Context) {
-		ran++
-		if ctx == nil {
-			t.Error("Profile must supply a context")
-		}
-	})
-	Profile(context.Background(), func(ctx context.Context) { ran++ }, "odd")
-	if ran != 3 {
-		t.Fatalf("fn ran %d times, want 3", ran)
-	}
-}

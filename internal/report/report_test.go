@@ -251,24 +251,3 @@ func TestTableIVProseConsistency(t *testing.T) {
 		}
 	}
 }
-
-func TestRenderParallelDegradedWarning(t *testing.T) {
-	sweep := &ParallelSweep{
-		Stamp:        Stamp{GoMaxProcs: 1, NumCPU: 1},
-		DegradedHost: true,
-		Note:         "n",
-	}
-	var buf bytes.Buffer
-	RenderParallel(&buf, sweep)
-	if !strings.Contains(buf.String(), "DEGRADED HOST") {
-		t.Errorf("degraded sweep rendered without the warning:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	sweep.DegradedHost = false
-	sweep.GoMaxProcs, sweep.NumCPU = 8, 8
-	RenderParallel(&buf, sweep)
-	if strings.Contains(buf.String(), "DEGRADED HOST") {
-		t.Errorf("healthy sweep rendered with the warning:\n%s", buf.String())
-	}
-}
