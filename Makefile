@@ -14,14 +14,13 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# Static invariants: stock go vet plus the repo's own gdbvet suite
-# (vfsonly, syncerr, capdecl, lockdiscipline, obsctx, ctxflow, itererr,
-# closeleak, lockorder) driven two ways: per-package through the
-# -vettool protocol, then standalone so the summary-driven analyzers see
-# module-wide function summaries (cross-package lock cycles only exist
-# there). The standalone pass also audits every //gdbvet:allow directive
-# and enforces the per-analyzer suppression budget in .gdbvet-budget.
-# See DESIGN.md "Static invariants".
+# Static invariants: stock go vet (its copylocks check included) plus one
+# pass of the repo's own gdbvet suite (vfsonly, syncerr, lockdiscipline,
+# itererr, closeleak, lockorder) over the whole module, so the
+# summary-driven analyzers see module-wide function summaries
+# (cross-package lock cycles only exist there). The same pass audits every
+# //gdbvet:allow directive and enforces the per-analyzer suppression
+# budget in .gdbvet-budget. See DESIGN.md "Static invariants".
 bin/gdbvet: FORCE
 	$(GO) build -o $@ ./cmd/gdbvet
 
@@ -29,7 +28,6 @@ bin/gdbvet: FORCE
 FORCE:
 
 lint: vet bin/gdbvet
-	$(GO) vet -vettool=$(CURDIR)/bin/gdbvet ./...
 	./bin/gdbvet -audit -budget .gdbvet-budget ./...
 
 # The whole module runs under the race detector: the one race run in ci.
@@ -112,11 +110,13 @@ cover:
 
 # Short deterministic fuzz pass over every fuzz target; long enough to
 # catch regressions of previously-found crashers, short enough for ci.
-# go test allows -fuzz for one package per invocation, hence two runs.
+# go test allows -fuzz for one package per invocation, hence one run per
+# target.
 fuzz-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/format/ -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server/wire/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 
 # Overload drill: build the real gdbserver binary, burst it at 2× the
 # configured capacity with the in-process loadgen client, run a

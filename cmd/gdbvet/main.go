@@ -3,61 +3,37 @@
 //
 //	vfsonly         file I/O in storage/engines/cmd must route through vfs.FS
 //	syncerr         Sync/Append/Commit/Flush errors must be checked
-//	capdecl         engines implement only their survey-profile capabilities
-//	lockdiscipline  no lock copies, no Lock without same-function Unlock
-//	obsctx          StartSpan end functions must be called, never discarded
-//	ctxflow         server/dispatch code must thread the request context into queries
+//	lockdiscipline  no Lock without a same-function Unlock
 //	itererr         iteration errors must be checked on every path (CFG dataflow)
 //	closeleak       constructed closeables must be closed or escape on every path
 //	lockorder       program-wide lock ordering: cycles, re-entry, RLock upgrades
 //
-// It runs two ways:
+// It loads the named packages itself and computes cross-package function
+// summaries over everything it loaded, so the summary-driven analyzers
+// (itererr, closeleak, lockorder) see the whole module at once; findings
+// go to stderr and the exit status is 2 when there are any. Suppressions
+// use //gdbvet:allow(<analyzer>): <justification> on or above the line.
 //
-//	gdbvet ./...                       # standalone, loads packages itself
-//	go vet -vettool=$(which gdbvet) ./...  # under the go vet driver
-//
-// Under -vettool the go command hands gdbvet one JSON .cfg file per
-// package (the unitchecker protocol) with pre-built export data; gdbvet
-// type-checks the package from source against that and reports findings
-// on stderr, exiting 2 when any are found. Standalone mode computes
-// cross-package function summaries over everything it loaded, so the
-// summary-driven analyzers (itererr, closeleak, lockorder) see the whole
-// module at once; under -vettool each package is summarized alone.
-// Suppressions use //gdbvet:allow(<analyzer>): <justification> on or
-// above the line.
-//
-// Extra modes:
-//
-//	gdbvet -json ./...                 # machine-readable diagnostics (both drivers)
-//	gdbvet -audit ./...                # list every suppression with its justification
+//	gdbvet ./...                         # report findings
+//	gdbvet -audit ./...                  # list every suppression with its justification
 //	gdbvet -budget .gdbvet-budget ./...  # fail if per-analyzer suppressions grow
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"gdbm/internal/analysis"
-	"gdbm/internal/analysis/capdecl"
 	"gdbm/internal/analysis/closeleak"
-	"gdbm/internal/analysis/ctxflow"
 	"gdbm/internal/analysis/itererr"
 	"gdbm/internal/analysis/load"
 	"gdbm/internal/analysis/lockdiscipline"
 	"gdbm/internal/analysis/lockorder"
-	"gdbm/internal/analysis/obsctx"
 	"gdbm/internal/analysis/syncerr"
 	"gdbm/internal/analysis/vfsonly"
 )
@@ -66,127 +42,29 @@ import (
 var analyzers = []*analysis.Analyzer{
 	vfsonly.Analyzer,
 	syncerr.Analyzer,
-	capdecl.Analyzer,
 	lockdiscipline.Analyzer,
-	obsctx.Analyzer,
-	ctxflow.Analyzer,
 	itererr.Analyzer,
 	closeleak.Analyzer,
 	lockorder.Analyzer,
 }
 
 func main() {
-	// The go vet driver probes the tool before use. The -V=full reply
-	// must end in a buildID=<hex> field (cmd/go caches vet results keyed
-	// on it), so hash the executable like x/tools' unitchecker does. The
-	// -flags reply lists the flags cmd/go may forward; only -json is
-	// meaningful per package.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			id, err := selfID()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gdbvet:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("gdbvet version devel buildID=%s\n", id)
-			return
-		case "-flags", "--flags":
-			fmt.Println(`[{"Name":"json","Bool":true,"Usage":"emit diagnostics as JSON"}]`)
-			return
-		}
-	}
-
 	asPath := flag.String("as", "", "treat the (single) loaded package as this import path (testing aid)")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text")
-	audit := flag.Bool("audit", false, "list every //gdbvet:allow directive with its justification (standalone only)")
-	budgetFile := flag.String("budget", "", "compare per-analyzer suppression counts against this budget `file` and fail on growth (standalone only)")
+	audit := flag.Bool("audit", false, "list every //gdbvet:allow directive with its justification")
+	budgetFile := flag.String("budget", "", "compare per-analyzer suppression counts against this budget `file` and fail on growth")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gdbvet [-json] [-audit] [-budget file] [packages]  |  gdbvet [-json] <unitchecker>.cfg\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: gdbvet [-audit] [-budget file] [packages]\n\nanalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		if *audit || *budgetFile != "" {
-			fmt.Fprintln(os.Stderr, "gdbvet: -audit and -budget need standalone mode, not a vet .cfg")
-			os.Exit(1)
-		}
-		os.Exit(vetTool(args[0], *jsonOut))
-	}
-	os.Exit(standalone(args, *asPath, *jsonOut, *audit, *budgetFile))
+	os.Exit(run(flag.Args(), *asPath, *audit, *budgetFile))
 }
 
-// selfID returns a content hash of the running executable, the buildID
-// cmd/go uses to key its vet result cache.
-func selfID() (string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", err
-	}
-	//gdbvet:allow(vfsonly): hashing our own executable for the go vet handshake, not database I/O
-	f, err := os.Open(exe)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-// jsonDiag is the machine-readable diagnostic shape for -json.
-type jsonDiag struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-func toJSONDiags(ds []analysis.Diagnostic) []jsonDiag {
-	out := make([]jsonDiag, 0, len(ds))
-	for _, d := range ds {
-		out = append(out, jsonDiag{
-			File:       d.Pos.Filename,
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Analyzer:   d.Analyzer,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-		})
-	}
-	return out
-}
-
-// emit prints the run's findings. Text mode prints active findings only;
-// JSON mode includes the suppressed ones, marked, so downstream tooling
-// sees the whole picture. The exit decision stays on active findings.
-func emit(active, suppressed []analysis.Diagnostic, jsonOut bool) {
-	if jsonOut {
-		all := append(append([]analysis.Diagnostic{}, active...), suppressed...)
-		analysis.Sort(all)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(toJSONDiags(all)); err != nil {
-			fmt.Fprintln(os.Stderr, "gdbvet:", err)
-		}
-		return
-	}
-	for _, d := range active {
-		fmt.Fprintln(os.Stderr, d)
-	}
-}
-
-// standalone loads the patterns itself, computes module-wide summaries,
-// and runs every analyzer.
-func standalone(patterns []string, asPath string, jsonOut, audit bool, budgetFile string) int {
+// run loads the patterns, computes module-wide summaries, and runs every
+// analyzer.
+func run(patterns []string, asPath string, audit bool, budgetFile string) int {
 	targets, err := load.Packages("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gdbvet:", err)
@@ -204,7 +82,7 @@ func standalone(patterns []string, asPath string, jsonOut, audit bool, budgetFil
 		t.Summaries = summaries
 	}
 
-	var active, suppressed []analysis.Diagnostic
+	var active []analysis.Diagnostic
 	var allows []analysis.AllowRecord
 	for _, t := range targets {
 		for _, a := range analyzers {
@@ -214,7 +92,6 @@ func standalone(patterns []string, asPath string, jsonOut, audit bool, budgetFil
 				return 1
 			}
 			active = append(active, res.Diags...)
-			suppressed = append(suppressed, res.Suppressed...)
 			allows = append(allows, res.Allows...)
 		}
 	}
@@ -222,11 +99,13 @@ func standalone(patterns []string, asPath string, jsonOut, audit bool, budgetFil
 
 	code := 0
 	if audit {
-		if fail := printAudit(allows, jsonOut); fail {
+		if fail := printAudit(allows); fail {
 			code = 2
 		}
 	} else {
-		emit(active, suppressed, jsonOut)
+		for _, d := range active {
+			fmt.Fprintln(os.Stderr, d)
+		}
 	}
 	if budgetFile != "" {
 		if fail := checkBudget(budgetFile, allows); fail {
@@ -241,7 +120,7 @@ func standalone(patterns []string, asPath string, jsonOut, audit bool, budgetFil
 
 // printAudit lists every //gdbvet:allow directive with its justification
 // and reports whether any directive is unjustified or stale.
-func printAudit(allows []analysis.AllowRecord, jsonOut bool) (fail bool) {
+func printAudit(allows []analysis.AllowRecord) (fail bool) {
 	sort.Slice(allows, func(i, j int) bool {
 		a, b := allows[i], allows[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -252,26 +131,7 @@ func printAudit(allows []analysis.AllowRecord, jsonOut bool) (fail bool) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	if jsonOut {
-		type jsonAllow struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Reason   string `json:"reason"`
-			Used     bool   `json:"used"`
-		}
-		out := make([]jsonAllow, 0, len(allows))
-		for _, a := range allows {
-			out = append(out, jsonAllow{a.Pos.Filename, a.Pos.Line, a.Analyzer, a.Reason, a.Used})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "gdbvet:", err)
-		}
-	} else {
-		fmt.Printf("gdbvet audit: %d suppression directive(s)\n", len(allows))
-	}
+	fmt.Printf("gdbvet audit: %d suppression directive(s)\n", len(allows))
 	for _, a := range allows {
 		status := "used"
 		switch {
@@ -282,11 +142,7 @@ func printAudit(allows []analysis.AllowRecord, jsonOut bool) (fail bool) {
 			status = "STALE"
 			fail = true
 		}
-		if !jsonOut {
-			fmt.Printf("  %s:%d: allow(%s) [%s] %s\n", a.Pos.Filename, a.Pos.Line, a.Analyzer, status, a.Reason)
-		} else if status != "used" {
-			fmt.Fprintf(os.Stderr, "gdbvet audit: %s:%d: allow(%s) is %s\n", a.Pos.Filename, a.Pos.Line, a.Analyzer, status)
-		}
+		fmt.Printf("  %s:%d: allow(%s) [%s] %s\n", a.Pos.Filename, a.Pos.Line, a.Analyzer, status, a.Reason)
 	}
 	return fail
 }
@@ -294,13 +150,19 @@ func printAudit(allows []analysis.AllowRecord, jsonOut bool) (fail bool) {
 // checkBudget compares the per-analyzer suppression counts against the
 // checked-in budget file (lines of `analyzer count`, # comments). More
 // suppressions than budgeted fails: a new suppression must be paid for
-// by raising the budget in the same change, which is the review hook.
+// by raising the budget in the same change, which is the review hook. A
+// line naming an analyzer the suite does not have fails too, so a budget
+// cannot outlive its analyzer.
 func checkBudget(path string, allows []analysis.AllowRecord) (fail bool) {
 	//gdbvet:allow(vfsonly): the lint budget ledger is repo metadata, not database I/O
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gdbvet budget:", err)
 		return true
+	}
+	names := make([]string, 0, len(analyzers))
+	for _, a := range analyzers {
+		names = append(names, a.Name)
 	}
 	budget := map[string]int{}
 	for ln, line := range strings.Split(string(data), "\n") {
@@ -311,6 +173,10 @@ func checkBudget(path string, allows []analysis.AllowRecord) (fail bool) {
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
 			fmt.Fprintf(os.Stderr, "gdbvet budget: %s:%d: want `analyzer count`, got %q\n", path, ln+1, line)
+			return true
+		}
+		if !slices.Contains(names, fields[0]) {
+			fmt.Fprintf(os.Stderr, "gdbvet budget: %s:%d: no analyzer named %q; delete the line\n", path, ln+1, fields[0])
 			return true
 		}
 		n, err := strconv.Atoi(fields[1])
@@ -324,10 +190,6 @@ func checkBudget(path string, allows []analysis.AllowRecord) (fail bool) {
 	counts := map[string]int{}
 	for _, a := range allows {
 		counts[a.Analyzer]++
-	}
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		names = append(names, a.Name)
 	}
 	fmt.Printf("gdbvet budget: suppressions per analyzer (have/allowed)\n")
 	for _, name := range names {
@@ -343,119 +205,4 @@ func checkBudget(path string, allows []analysis.AllowRecord) (fail bool) {
 		fmt.Printf("  %-15s %d/%d%s\n", name, have, allowed, marker)
 	}
 	return fail
-}
-
-// vetConfig is the unitchecker protocol input written by cmd/go.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetTool analyzes one package described by a cmd/go .cfg file.
-func vetTool(cfgPath string, jsonOut bool) int {
-	//gdbvet:allow(vfsonly): unitchecker protocol file handed over by cmd/go, not database I/O
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gdbvet:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "gdbvet: parse %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// gdbvet exchanges no facts, but the driver expects the output file.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			//gdbvet:allow(vfsonly): facts file the go vet driver expects at a path it chose
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintln(os.Stderr, "gdbvet:", err)
-			}
-		}
-	}
-	if cfg.VetxOnly {
-		writeVetx()
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeVetx()
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "gdbvet:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		//gdbvet:allow(vfsonly): compiler export data located by cmd/go, not database I/O
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "gdbvet: typecheck %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	target := &analysis.Target{
-		PkgPath: cfg.ImportPath,
-		Fset:    fset,
-		Files:   files,
-		Pkg:     tpkg,
-		Info:    info,
-	}
-	target.Summaries = analysis.ComputeSummaries([]*analysis.Target{target})
-	var active, suppressed []analysis.Diagnostic
-	for _, a := range analyzers {
-		res, err := analysis.RunAll(a, target)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gdbvet:", err)
-			return 1
-		}
-		active = append(active, res.Diags...)
-		suppressed = append(suppressed, res.Suppressed...)
-	}
-	writeVetx()
-	analysis.Sort(active)
-	emit(active, suppressed, jsonOut)
-	if len(active) > 0 {
-		return 2
-	}
-	return 0
 }

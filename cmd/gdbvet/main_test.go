@@ -29,72 +29,48 @@ func repoRoot(t *testing.T) string {
 	return filepath.Dir(filepath.Dir(wd)) // cmd/gdbvet -> repo root
 }
 
-// TestStandaloneRepoClean is the gate the lint target enforces: the whole
-// repository must be free of unsuppressed findings.
+// TestStandaloneRepoClean is the gate the lint target enforces, run the
+// way make lint runs it: the whole repository must be free of unsuppressed
+// findings, every suppression justified and used, and within budget.
 func TestStandaloneRepoClean(t *testing.T) {
 	bin := buildGdbvet(t)
-	cmd := exec.Command(bin, "./...")
+	cmd := exec.Command(bin, "-audit", "-budget", ".gdbvet-budget", "./...")
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("gdbvet ./... reported findings or failed: %v\n%s", err, out)
+		t.Fatalf("gdbvet -audit -budget .gdbvet-budget ./... reported findings or failed: %v\n%s", err, out)
 	}
 }
 
-// TestStandaloneFindsViolations runs the binary over a known-dirty fixture
-// with -as mapping it into vfsonly's scope and expects exit code 2.
+// TestStandaloneFindsViolations runs the binary over known-bad input and
+// expects exit code 2: a dirty fixture with -as mapping it into vfsonly's
+// scope, and a clean package checked against a budget that names an
+// analyzer the suite does not have — the line a deleted analyzer would
+// leave behind in .gdbvet-budget.
 func TestStandaloneFindsViolations(t *testing.T) {
 	bin := buildGdbvet(t)
-	cmd := exec.Command(bin, "-as", "gdbm/internal/storage/diskio",
-		"./internal/analysis/vfsonly/testdata/src/diskio")
-	cmd.Dir = repoRoot(t)
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &out
-	err := cmd.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("want exit 2 on violation fixture, got %v\n%s", err, out.String())
+	budget := filepath.Join(t.TempDir(), "budget")
+	if err := os.WriteFile(budget, []byte("vfsonly 5\ncapdecl 0\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "[vfsonly]") {
-		t.Errorf("expected vfsonly findings in output:\n%s", out.String())
-	}
-}
-
-// TestVersionHandshake covers the -V=full probe cmd/go performs before
-// trusting a vettool.
-func TestVersionHandshake(t *testing.T) {
-	bin := buildGdbvet(t)
-	out, err := exec.Command(bin, "-V=full").CombinedOutput()
-	if err != nil {
-		t.Fatalf("-V=full: %v\n%s", err, out)
-	}
-	if !strings.HasPrefix(string(out), "gdbvet version ") {
-		t.Errorf("version line must start with %q, got %q", "gdbvet version ", out)
-	}
-}
-
-// TestVettoolProtocol drives gdbvet exactly as cmd/go does: go vet
-// -vettool over a clean package must pass, and over the violation fixture
-// (reachable because testdata is ignored only by wildcards, not explicit
-// arguments) must fail.
-func TestVettoolProtocol(t *testing.T) {
-	bin := buildGdbvet(t)
-	root := repoRoot(t)
-
-	clean := exec.Command("go", "vet", "-vettool="+bin, "./internal/report")
-	clean.Dir = root
-	if out, err := clean.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool over clean package: %v\n%s", err, out)
-	}
-
-	dirty := exec.Command("go", "vet", "-vettool="+bin,
-		"./cmd/gdbvet/testdata/src/dirty")
-	dirty.Dir = root
-	out, err := dirty.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool over dirty fixture should fail\n%s", out)
-	}
-	if !strings.Contains(string(out), "[vfsonly]") {
-		t.Errorf("expected vfsonly findings via vettool, got:\n%s", out)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-as", "gdbm/internal/storage/diskio", "./internal/analysis/vfsonly/testdata/src/diskio"}, "[vfsonly]"},
+		{[]string{"-budget", budget, "./internal/report"}, `no analyzer named "capdecl"`},
+	} {
+		cmd := exec.Command(bin, c.args...)
+		cmd.Dir = repoRoot(t)
+		var out bytes.Buffer
+		cmd.Stdout = &out
+		cmd.Stderr = &out
+		err := cmd.Run()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Fatalf("gdbvet %v: want exit 2, got %v\n%s", c.args, err, out.String())
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("gdbvet %v: output lacks %q:\n%s", c.args, c.want, out.String())
+		}
 	}
 }

@@ -4,10 +4,9 @@
 //
 // The x/tools analysis framework is deliberately not used — the module is
 // dependency-free — so this package reimplements the minimal surface the
-// invariant analyzers (vfsonly, syncerr, capdecl, lockdiscipline,
-// obsctx, ctxflow) need on top of go/ast and go/types. Package load type-checks whole
-// packages via `go list -export`; cmd/gdbvet drives the analyzers both
-// standalone and under `go vet -vettool`.
+// invariant analyzers need on top of go/ast and go/types. Package load
+// type-checks whole packages via `go list -export`; cmd/gdbvet runs every
+// analyzer over everything it loaded in one pass.
 //
 // # Suppression
 //
@@ -50,11 +49,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Suppressed marks a finding silenced by a justified
-	// //gdbvet:allow directive. Run drops suppressed findings; RunAll
-	// returns them separately so gdbvet -json and -audit can surface
-	// them.
-	Suppressed bool
 }
 
 func (d Diagnostic) String() string {
@@ -72,15 +66,13 @@ type Pass struct {
 	Files   []*ast.File
 	Pkg     *types.Package
 	Info    *types.Info
-	// Summaries holds the cross-package function summaries of the load
-	// this package came from: all targets in standalone mode, the lone
-	// package under go vet -vettool. May be nil; the accessor methods
-	// on Summaries are nil-safe.
+	// Summaries holds the cross-package function summaries of every
+	// package in the load this one came from. May be nil; the accessor
+	// methods on Summaries are nil-safe.
 	Summaries *Summaries
 
-	allows     []*allowDirective
-	diags      []Diagnostic
-	suppressed []Diagnostic
+	allows []*allowDirective
+	diags  []Diagnostic
 }
 
 // Reportf records a violation at pos unless a justified
@@ -101,8 +93,6 @@ func (p *Pass) ReportPosf(posn token.Position, format string, args ...any) {
 	for _, a := range p.allows {
 		if a.covers(posn) && a.reason != "" {
 			a.used = true
-			d.Suppressed = true
-			p.suppressed = append(p.suppressed, d)
 			return
 		}
 	}
@@ -194,8 +184,6 @@ type Result struct {
 	// Diags are the active findings, directive-hygiene findings
 	// included, sorted by position.
 	Diags []Diagnostic
-	// Suppressed are the findings silenced by justified directives.
-	Suppressed []Diagnostic
 	// Allows records every directive naming this analyzer.
 	Allows []AllowRecord
 }
@@ -203,45 +191,31 @@ type Result struct {
 // Run executes one analyzer over one package and returns its diagnostics,
 // including directive-hygiene findings (missing justification, unused
 // directive), sorted by position.
-//
-// Test files are exempt: the invariants govern production code, while
-// tests deliberately provoke the conditions the analyzers forbid (fault
-// injection discards failing Sync/Append errors on purpose, crash tests
-// corrupt files through the raw OS). The go vet driver hands gdbvet test
-// files alongside the package's own, so the exemption lives here rather
-// than in the loader.
 func Run(a *Analyzer, t *Target) ([]Diagnostic, error) {
 	res, err := RunAll(a, t)
 	return res.Diags, err
 }
 
-// RunAll is Run plus the suppressed findings and the directive records,
-// for the -json and -audit driver modes.
+// RunAll is Run plus the directive records, for gdbvet -audit and
+// -budget.
 func RunAll(a *Analyzer, t *Target) (Result, error) {
 	if a.AppliesTo != nil && !a.AppliesTo(t.PkgPath) {
 		return Result{}, nil
-	}
-	var files []*ast.File
-	for _, f := range t.Files {
-		if strings.HasSuffix(t.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
-		files = append(files, f)
 	}
 	pass := &Pass{
 		Analyzer:  a,
 		PkgPath:   t.PkgPath,
 		Fset:      t.Fset,
-		Files:     files,
+		Files:     t.Files,
 		Pkg:       t.Pkg,
 		Info:      t.Info,
 		Summaries: t.Summaries,
-		allows:    parseAllows(t.Fset, files, a.Name),
+		allows:    parseAllows(t.Fset, t.Files, a.Name),
 	}
 	if err := a.Run(pass); err != nil {
 		return Result{}, fmt.Errorf("%s: %s: %w", a.Name, t.PkgPath, err)
 	}
-	res := Result{Suppressed: pass.suppressed}
+	var res Result
 	for _, d := range pass.allows {
 		switch {
 		case d.reason == "":

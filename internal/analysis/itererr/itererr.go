@@ -22,7 +22,7 @@
 //     cursor must escape (returned, stored, or passed to a function
 //     that the cross-package summaries cannot prove ignores it).
 //
-// Unlike the older name-based checks (syncerr, obsctx), this analyzer
+// Unlike the older name-based checks (syncerr, vfsonly), this analyzer
 // is path-sensitive: it runs a forward dataflow over the function's
 // CFG, so an error checked in one branch but not the other is caught,
 // and a check that dominates every exit is accepted wherever it

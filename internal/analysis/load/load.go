@@ -4,6 +4,12 @@
 // the target packages are parsed from source, and go/importer's gc
 // importer resolves their imports from the export files. This is the same
 // shape `go vet` uses, without depending on golang.org/x/tools.
+//
+// Only a package's GoFiles are parsed, never its _test.go files: the
+// invariants govern production code, while tests deliberately provoke the
+// conditions the analyzers forbid (fault injection discards failing
+// Sync/Append errors on purpose, crash tests corrupt files through the raw
+// OS).
 package load
 
 import (

@@ -1,10 +1,10 @@
-// Package lockdiscipline enforces two mutex rules in the storage stack
-// and the engines: a sync lock must never be copied by value (a copied
-// mutex guards nothing), and a Lock acquired in a function must be
-// released in that same function — directly or by defer — unless the
-// handoff is annotated. Cross-function lock handoffs (tx.Manager's
-// transaction-lifetime writer lock) are legitimate but must say so with a
-// justified //gdbvet:allow(lockdiscipline) directive.
+// Package lockdiscipline enforces one mutex rule in the storage stack and
+// the engines: a Lock acquired in a function must be released in that same
+// function — directly or by defer — unless the handoff is annotated.
+// Cross-function lock handoffs (tx.Manager's transaction-lifetime writer
+// lock) are legitimate but must say so with a justified
+// //gdbvet:allow(lockdiscipline) directive. Copying a lock by value is
+// stock go vet's copylocks check, which make lint runs too.
 package lockdiscipline
 
 import (
@@ -20,17 +20,11 @@ var scope = []string{
 	"gdbm/internal/kvgraph",
 }
 
-// lockTypes are the sync types that must not be copied once used.
-var lockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "Once": true,
-	"WaitGroup": true, "Cond": true, "Pool": true, "Map": true,
-}
-
 // Analyzer is the lockdiscipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc: "no sync lock copied by value and no Lock without a same-function " +
-		"Unlock (direct or deferred) in the storage and engine packages",
+	Doc: "no Lock without a same-function Unlock (direct or deferred) in the " +
+		"storage and engine packages",
 	AppliesTo: func(pkgPath string) bool {
 		for _, s := range scope {
 			if analysis.PathIsUnder(pkgPath, s) {
@@ -49,139 +43,10 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkCopies(pass, fd)
 			checkLockPairs(pass, fd)
 		}
 	}
 	return nil
-}
-
-// lockName returns the sync type name a value of t embeds by value, or "".
-func lockName(t types.Type) string {
-	switch u := t.(type) {
-	case *types.Named:
-		if obj := u.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockTypes[obj.Name()] {
-			return obj.Name()
-		}
-		return lockName(u.Underlying())
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if n := lockName(u.Field(i).Type()); n != "" {
-				return n
-			}
-		}
-	case *types.Array:
-		return lockName(u.Elem())
-	}
-	return ""
-}
-
-// typeOf resolves an expression's type, falling back to the defining or
-// used object for identifiers (`:=`-introduced range variables live in
-// Info.Defs, not Info.Types).
-func typeOf(pass *analysis.Pass, e ast.Expr) types.Type {
-	if tv, ok := pass.Info.Types[e]; ok {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := pass.Info.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-		if obj := pass.Info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// copyable reports whether the expression produces a fresh value, making
-// the copy harmless (composite literals and new values from calls).
-func copyable(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		return true
-	case *ast.ParenExpr:
-		return copyable(e.X)
-	}
-	return false
-}
-
-// checkCopies flags lock-containing values passed, assigned or returned
-// by value.
-func checkCopies(pass *analysis.Pass, fd *ast.FuncDecl) {
-	// Parameters, results and receiver declared by value.
-	checkField := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := pass.Info.Types[field.Type]
-			if !ok {
-				continue
-			}
-			if n := lockName(tv.Type); n != "" {
-				pass.Reportf(field.Pos(), "%s %s by value carries a sync.%s; use a pointer",
-					fd.Name.Name, what, n)
-			}
-		}
-	}
-	checkField(fd.Recv, "receiver")
-	checkField(fd.Type.Params, "parameter")
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch stmt := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range stmt.Rhs {
-				if copyable(rhs) {
-					continue
-				}
-				tv, ok := pass.Info.Types[rhs]
-				if !ok {
-					continue
-				}
-				if name := lockName(tv.Type); name != "" {
-					pass.Reportf(stmt.Pos(), "assignment copies a value containing sync.%s; use a pointer", name)
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range stmt.Args {
-				if copyable(arg) {
-					continue
-				}
-				tv, ok := pass.Info.Types[arg]
-				if !ok {
-					continue
-				}
-				if name := lockName(tv.Type); name != "" {
-					pass.Reportf(arg.Pos(), "call passes a value containing sync.%s by value; use a pointer", name)
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range stmt.Results {
-				if copyable(res) {
-					continue
-				}
-				tv, ok := pass.Info.Types[res]
-				if !ok {
-					continue
-				}
-				if name := lockName(tv.Type); name != "" {
-					pass.Reportf(res.Pos(), "return copies a value containing sync.%s; return a pointer", name)
-				}
-			}
-		case *ast.RangeStmt:
-			if stmt.Value != nil {
-				if t := typeOf(pass, stmt.Value); t != nil {
-					if name := lockName(t); name != "" {
-						pass.Reportf(stmt.Value.Pos(), "range copies a value containing sync.%s per iteration; iterate by index or pointer", name)
-					}
-				}
-			}
-		}
-		return true
-	})
 }
 
 // mutexCall classifies a call as a sync.Mutex/RWMutex lock-family method

@@ -10,46 +10,6 @@ type store struct {
 	data map[string]string
 }
 
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Copy violations.
-
-func byValueParam(g guarded) int { // want `byValueParam parameter by value carries a sync\.Mutex`
-	return g.n
-}
-
-func byValueReturn(g *guarded) guarded {
-	return *g // want `return copies a value containing sync\.Mutex`
-}
-
-func assignCopy(g *guarded) {
-	cp := *g // want `assignment copies a value containing sync\.Mutex`
-	cp.n++
-}
-
-func argCopy(g *guarded) {
-	byValueParam(*g) // want `call passes a value containing sync\.Mutex by value`
-}
-
-func rangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want `range copies a value containing sync\.Mutex per iteration`
-		total += g.n
-	}
-	return total
-}
-
-// Allowed copies: fresh values.
-
-func freshValue() guarded {
-	g := guarded{n: 1} // composite literal: fresh, no aliasing
-	g.n++
-	return guarded{}
-}
-
 // Lock/Unlock pairing violations.
 
 func lockNoUnlock(s *store) string {

@@ -11,9 +11,8 @@
 //   - A cycle between distinct classes: some code acquires B while
 //     holding A and other code acquires A while holding B. Two such
 //     goroutines deadlock. The edge is reported wherever it was
-//     observed; under `go vet -vettool` only one package is loaded at
-//     a time, so cross-package cycles need the standalone driver
-//     (make lint runs both).
+//     observed. Cross-package cycles are visible only because gdbvet
+//     computes the summaries over every package it loaded at once.
 //
 //   - A definite re-entry: the same lock expression acquired twice on
 //     one path (Lock-then-Lock self-deadlocks; RLock-then-Lock is the

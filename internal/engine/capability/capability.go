@@ -2,20 +2,14 @@
 // interfaces (engine.Loader, engine.Querier, ...) each archetype engine is
 // allowed to implement, derived cell by cell from the survey's Tables I-VII.
 //
-// The registry is enforced from two sides:
-//
-//   - statically, by the gdbvet "capdecl" analyzer, which convicts any type
-//     in an engine package that implements a capability interface its
-//     profile forbids (including accidental implementations picked up by
-//     embedding); and
-//   - dynamically, by this package's conformance test, which opens every
-//     registered engine and checks that the implemented set stays inside
-//     the allowed set and that the allowed set is consistent with the
-//     engine's declared Features.
-//
-// Together they pin the paper's feature matrices to the code: an engine
-// cannot silently grow (or lose) a surface the survey says it should not
-// have.
+// The registry is enforced by this package's conformance tests, which open
+// every registered engine and check that the capability interfaces the
+// engine value satisfies stay inside the allowed set — including ones
+// picked up by embedding — and that the allowed set is consistent with the
+// engine's declared Features. Every table and harness asks these questions
+// of the engine value, so that is where the tests ask them too. Together
+// they pin the paper's feature matrices to the code: an engine cannot
+// silently grow (or lose) a surface the survey says it should not have.
 package capability
 
 import "sort"
@@ -25,7 +19,7 @@ import "sort"
 type Capability = string
 
 // The capability vocabulary. Every entry names an exported interface of
-// gdbm/internal/engine; the capdecl analyzer resolves them by name.
+// gdbm/internal/engine.
 const (
 	Loader        Capability = "Loader"
 	GraphAPI      Capability = "GraphAPI"
@@ -38,21 +32,12 @@ const (
 	Concurrent    Capability = "Concurrent"
 )
 
-// All lists the capability vocabulary in deterministic order.
-func All() []Capability {
-	return []Capability{
-		Loader, GraphAPI, HyperAPI, Querier,
-		SchemaHolder, Reasoner, Transactional, Persistent,
-		Concurrent,
-	}
-}
-
 // Profile is one engine package's allowance.
 type Profile struct {
 	// Row is the survey-table row the package reproduces ("Neo4j", ...).
 	Row string
 	// Allowed is the set of capability interfaces the archetype's paper
-	// profile permits. Anything outside it is a capdecl violation.
+	// profile permits. Anything outside it fails the conformance tests.
 	Allowed []Capability
 	// DiskOnly marks archetypes that live solely in external memory
 	// (Table I blanks their main-memory column): construction requires
@@ -60,10 +45,6 @@ type Profile struct {
 	// names, so newly disk-only engines keep benching against the right
 	// storage.
 	DiskOnly bool
-	// Library marks shared substrate packages that live under
-	// internal/engines/ but are not archetypes themselves; capdecl does
-	// not constrain them.
-	Library bool
 }
 
 // Allows reports whether the profile permits the capability.
@@ -147,10 +128,6 @@ var Profiles = map[string]Profile{
 		Row:     "VertexDB",
 		Allowed: []Capability{Loader, GraphAPI, Persistent},
 	},
-	// Shared substrate packages under internal/engines/ that archetypes
-	// compose; they are not archetypes and carry no paper profile.
-	"gdbm/internal/engines/propcore": {Library: true},
-	"gdbm/internal/engines/suite":    {Library: true},
 }
 
 // ForEngine returns the profile of the engine registered under name (the
@@ -177,10 +154,8 @@ func AllowsDir(name string) bool {
 // Rows returns the registered engine package paths sorted by survey row.
 func Rows() []string {
 	var paths []string
-	for p, prof := range Profiles {
-		if !prof.Library {
-			paths = append(paths, p)
-		}
+	for p := range Profiles {
+		paths = append(paths, p)
 	}
 	sort.Slice(paths, func(i, j int) bool {
 		return Profiles[paths[i]].Row < Profiles[paths[j]].Row

@@ -11,7 +11,8 @@ import (
 )
 
 // implementedBy probes which capability interfaces the live engine value
-// satisfies — the dynamic twin of the capdecl analyzer's static check.
+// satisfies, whether declared on the engine type or promoted through an
+// embedded field.
 func implementedBy(e engine.Engine) map[capability.Capability]bool {
 	caps := map[capability.Capability]bool{}
 	if _, ok := e.(engine.Loader); ok {

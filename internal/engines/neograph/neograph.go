@@ -94,8 +94,8 @@ func New(opts engine.Options) (*DB, error) {
 // *propcore.Core. The Neo4j archetype is schema-free — Table II blanks its
 // DDL column and Table IV blanks every schema row — so DB must not satisfy
 // engine.SchemaHolder; without this shadow the embedding would leak a
-// capability the survey forbids (caught by gdbvet's capdecl analyzer and
-// the capability conformance test). The substrate schema stays reachable
+// capability the survey forbids (caught by the capability conformance
+// test, TestImplementedWithinAllowed). The substrate schema stays reachable
 // as db.Core.Schema() for package-internal use.
 func (db *DB) Schema() {}
 

@@ -13,13 +13,16 @@ import (
 	"gdbm/internal/query/stats"
 )
 
-// TestEssentialsHonorsCancellation is the dynamic half of the ctxflow
-// kernel rule, over all nine engines: the context handed to Essentials must
-// reach every closure whose kernel has a cancellable form instead of being
-// dropped, or severed by a fresh background root, at the dispatch site.
-// KNeighborhood, FixedLengthPaths, ShortestPath and Summarization run Ctx
-// kernels (or check ctx before their own scan) on every engine that offers
-// them.
+// TestEssentialsHonorsCancellation holds the context contract of the
+// Table VII closures over all nine engines: the context handed to
+// Essentials must reach every closure whose kernel has a cancellable form
+// instead of being dropped, or severed by a fresh background root, at the
+// dispatch site. KNeighborhood, FixedLengthPaths, ShortestPath and
+// Summarization run Ctx kernels (or check ctx before their own scan) on
+// every engine that offers them; Summarization is asked both with a label
+// and without one, because an engine may dispatch the two to different
+// kernel calls. Every algo.*Ctx call in an engine package sits on one of
+// these paths, so a context.Background() at any of them fails here.
 func TestEssentialsHonorsCancellation(t *testing.T) {
 	for name, e := range openAll(t) {
 		t.Run(name, func(t *testing.T) {
@@ -49,6 +52,8 @@ func TestEssentialsHonorsCancellation(t *testing.T) {
 			if es.Summarization != nil {
 				_, err := es.Summarization(algo.AggCount, "Thing", "")
 				wantCanceled("Summarization", err)
+				_, err = es.Summarization(algo.AggCount, "", "")
+				wantCanceled("unlabelled Summarization", err)
 			}
 
 			// The cancelled run must not have wedged the engine (or left a

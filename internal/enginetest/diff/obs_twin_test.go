@@ -3,11 +3,13 @@ package diff
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"gdbm/internal/engine"
+	"gdbm/internal/engine/capability"
 	"gdbm/internal/gen"
 	"gdbm/internal/model"
 	"gdbm/internal/obs"
@@ -93,21 +95,63 @@ func twinStatements(lang string, ids []model.NodeID) []string {
 	return nil
 }
 
+// querierEngines are the four engines with a query language. sonesdb is
+// main-memory only, so it runs without a data directory or result cache.
+var querierEngines = []string{"neograph", "gstore", "sonesdb", "triplestore"}
+
+// openQuerier opens name the way openTwin does where its profile allows a
+// data directory, and in memory otherwise.
+func openQuerier(t *testing.T, name string) engine.Engine {
+	t.Helper()
+	if capability.AllowsDir(name) {
+		return openTwin(t, name, twinCacheBytes)
+	}
+	e, err := engine.Open(name, engine.Options{})
+	if err != nil {
+		t.Fatalf("open %s: %v", name, err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// resultHits is the engine's result-cache hit count; zero without a
+// result tier.
+func resultHits(e engine.Engine) uint64 {
+	if cs, ok := e.(engine.CacheStatser); ok {
+		return cs.CacheStats()["results"].Hits
+	}
+	return 0
+}
+
+// wantSpans is the exact span shape of one traced query, as name@depth in
+// the order the spans close. A result-cache hit is the engine's "query"
+// span alone. A miss nests the language's spans inside it: gql and
+// sparqlish close "parse" then "exec"; gsql parses while it executes and
+// records "exec" only.
+func wantSpans(lang string, hit bool) []string {
+	switch {
+	case hit:
+		return []string{"query@0"}
+	case lang == "gsql":
+		return []string{"exec@1", "query@0"}
+	}
+	return []string{"parse@1", "exec@1", "query@0"}
+}
+
 // TestTracedUntracedQueryTwins runs identical statements through each
-// disk-backed Querier twin pair — one dispatch carrying a live trace, the
-// other none — and requires byte-identical renderings. This is the span
-// half of the cardinal rule: the parse/exec spans a trace records must be
-// pure observation. It also holds the span accounting: the depth-0 spans
-// of every traced query fit within its wall time.
+// Querier twin pair — one dispatch carrying a live trace, the other none —
+// and requires byte-identical renderings. This is the span half of the
+// cardinal rule: the spans a trace records must be pure observation. It
+// also holds the span accounting: every traced query records exactly the
+// spans wantSpans names, so an end function that is discarded or never
+// called at any StartSpan site fails here, and the depth-0 spans fit
+// within the wall time.
 func TestTracedUntracedQueryTwins(t *testing.T) {
-	for _, name := range twinEngines {
+	for _, name := range querierEngines {
 		t.Run(name, func(t *testing.T) {
-			traced := openTwin(t, name, twinCacheBytes)
-			untraced := openTwin(t, name, twinCacheBytes)
-			qt, ok := traced.(engine.Querier)
-			if !ok {
-				t.Skipf("%s is API-only; no language to trace", name)
-			}
+			traced := openQuerier(t, name)
+			untraced := openQuerier(t, name)
+			qt := traced.(engine.Querier)
 			qu := untraced.(engine.Querier)
 
 			spec := gen.Spec{Kind: gen.RMAT, Nodes: 300, EdgesPerNode: 2, Seed: 7}
@@ -123,36 +167,39 @@ func TestTracedUntracedQueryTwins(t *testing.T) {
 			if len(stmts) == 0 {
 				t.Fatalf("no twin statements for language %q", qt.LanguageName())
 			}
+			hits, misses := 0, 0
 			for _, stmt := range stmts {
 				// Run each statement twice per side so the second traced run
 				// exercises the result-cache hit path under tracing too.
 				for pass := 0; pass < 2; pass++ {
 					tr := obs.New(stmt)
 					ctx := obs.WithTrace(context.Background(), tr)
+					before := resultHits(traced)
 					ra := renderResult(engine.QueryContext(ctx, qt, stmt))
+					hit := resultHits(traced) > before
 					tr.Finish()
 					rb := renderResult(engine.QueryContext(context.Background(), qu, stmt))
 					if ra != rb {
 						t.Fatalf("%s pass %d: %q diverged under tracing\n  traced:   %s\n  untraced: %s",
 							name, pass, stmt, ra, rb)
 					}
-					// Vacuity guard: the traced side must actually have traced.
-					spans := tr.Spans()
-					if len(spans) == 0 {
-						t.Fatalf("%s: %q recorded no spans", name, stmt)
+					if hit {
+						hits++
+					} else {
+						misses++
 					}
-					found := false
+					spans := tr.Spans()
+					var got []string
 					var top time.Duration
 					for _, s := range spans {
-						if s.Name == "query" && s.Depth == 0 {
-							found = true
-						}
+						got = append(got, fmt.Sprintf("%s@%d", s.Name, s.Depth))
 						if s.Depth == 0 {
 							top += s.Dur
 						}
 					}
-					if !found {
-						t.Fatalf("%s: %q has no depth-0 query span: %+v", name, stmt, spans)
+					if want := wantSpans(qt.LanguageName(), hit); !slices.Equal(got, want) {
+						t.Fatalf("%s pass %d: %q (hit=%v) recorded spans %v, want %v",
+							name, pass, stmt, hit, got, want)
 					}
 					// Depth-0 spans never overlap, so they must fit inside
 					// the wall time they partition.
@@ -161,6 +208,10 @@ func TestTracedUntracedQueryTwins(t *testing.T) {
 							name, stmt, top, tr.Wall(), spans)
 					}
 				}
+			}
+			// Vacuity guard: both shapes were checked wherever both occur.
+			if misses == 0 || (capability.AllowsDir(name) && hits == 0) {
+				t.Fatalf("%s: %d result-cache hits and %d misses; the span shapes went unchecked", name, hits, misses)
 			}
 		})
 	}

@@ -80,8 +80,10 @@ var noopEnd = func() {}
 
 // StartSpan opens a named span and returns the function that closes it.
 // The end function must be called on every return path of the function
-// that opened the span — the gdbvet obsctx analyzer enforces this
-// statically; `defer t.StartSpan("x")()` is the common form. Calling the
+// that opened the span; `defer t.StartSpan("x")()` is the common form. The
+// engines' and languages' spans are held to their exact shape by
+// diff.TestTracedUntracedQueryTwins, so a discarded end function at any of
+// those sites fails there. Calling the
 // end function more than once records the span once, at the first call.
 // On a nil receiver StartSpan returns a shared no-op.
 func (t *Trace) StartSpan(name string) func() {

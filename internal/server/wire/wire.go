@@ -368,7 +368,9 @@ type Result struct {
 // Collect reassembles a complete framed response from r. A stream that
 // terminates in an Error frame returns a *StatusError; one that ends
 // without End or Error returns ErrTruncated — truncation is never silently
-// a short result.
+// a short result. End must be the last frame and must count exactly the
+// rows reassembled before it, so a stream that lost a chunk, or carries
+// frames after its End, is a protocol error.
 func Collect(r io.Reader) (*Result, error) {
 	rd := NewReader(r)
 	res := &Result{}
@@ -383,6 +385,9 @@ func Collect(r io.Reader) (*Result, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if sawEnd {
+			return nil, fmt.Errorf("wire: %s frame after end", f.Type)
 		}
 		switch f.Type {
 		case FrameHeader:
@@ -414,6 +419,9 @@ func Collect(r io.Reader) (*Result, error) {
 			}
 			if res.End, err = DecodeEnd(f.Payload); err != nil {
 				return nil, err
+			}
+			if res.End.Rows != len(res.Rows) {
+				return nil, fmt.Errorf("wire: end frame counts %d rows, stream carried %d", res.End.Rows, len(res.Rows))
 			}
 			sawEnd = true
 		default:

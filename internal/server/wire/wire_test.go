@@ -170,32 +170,91 @@ func TestRequestFrame(t *testing.T) {
 	}
 }
 
-// TestCollectRejectsProtocolViolations: chunks before the header, duplicate
-// headers and unknown frame types are hard errors.
-func TestCollectRejectsProtocolViolations(t *testing.T) {
-	frame := func(parts ...func(w *Writer) error) []byte {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, p := range parts {
-			if err := p(w); err != nil {
-				t.Fatal(err)
-			}
+// encode frames a stream from writer steps; writing to a bytes.Buffer
+// fails only on an unencodable value, which no caller passes.
+func encode(parts ...func(w *Writer) error) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, p := range parts {
+		if err := p(w); err != nil {
+			panic(err)
 		}
-		return buf.Bytes()
 	}
-	cases := map[string][]byte{
-		"chunk before header": frame(func(w *Writer) error {
-			return w.Chunk([][]model.Value{{model.Int(1)}})
-		}),
-		"duplicate header": frame(
-			func(w *Writer) error { return w.Header([]string{"a"}) },
-			func(w *Writer) error { return w.Header([]string{"b"}) },
-		),
-		"request in response": frame(func(w *Writer) error { return w.Request([]byte("x")) }),
+	return buf.Bytes()
+}
+
+func header(cols ...string) func(*Writer) error {
+	return func(w *Writer) error { return w.Header(cols) }
+}
+
+func chunk(rows ...[]model.Value) func(*Writer) error {
+	return func(w *Writer) error { return w.Chunk(rows) }
+}
+
+func end(rows int) func(*Writer) error {
+	return func(w *Writer) error { return w.End(rows, time.Millisecond) }
+}
+
+// violations are complete-looking streams Collect must refuse.
+func violations() map[string][]byte {
+	one := []model.Value{model.Int(1)}
+	return map[string][]byte{
+		"chunk before header": encode(chunk(one)),
+		"duplicate header":    encode(header("a"), header("b")),
+		"request in response": encode(func(w *Writer) error { return w.Request([]byte("x")) }),
+		"chunk after end":     encode(header("x"), end(0), chunk(one)),
+		"second end":          encode(header("x"), chunk(one), end(1), end(1)),
+		"lost chunk":          encode(header("x"), chunk(one), end(2)),
+		"end undercounts":     encode(header("x"), chunk(one, one), end(1)),
 	}
-	for name, stream := range cases {
+}
+
+// TestCollectRejectsProtocolViolations: chunks before the header,
+// duplicate headers, unknown frame types, any frame after End, and an End
+// whose row count disagrees with the rows received are hard errors.
+func TestCollectRejectsProtocolViolations(t *testing.T) {
+	for name, stream := range violations() {
 		if _, err := Collect(bytes.NewReader(stream)); err == nil || errors.Is(err, io.EOF) {
 			t.Errorf("%s: err = %v, want protocol violation", name, err)
 		}
 	}
+}
+
+// FuzzWireDecode feeds arbitrary bytes to Collect: it must never panic,
+// and a stream it accepts must end in an End frame that counts exactly
+// the rows Collect returned.
+func FuzzWireDecode(f *testing.F) {
+	rows := sampleRows()
+	f.Add(encode(header("id", "name", "ok"), chunk(rows[:2]...), chunk(rows[2:]...), end(len(rows))))
+	f.Add(encode(header(), end(0)))
+	f.Add(encode(header("x"), chunk(rows[0]), func(w *Writer) error { return w.Error(504, "deadline") }))
+	f.Add([]byte(Magic))
+	for _, stream := range violations() {
+		f.Add(stream)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := Collect(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		rd := NewReader(bytes.NewReader(data))
+		var last Frame
+		for {
+			fr, err := rd.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("Collect accepted a stream the reader rejects: %v", err)
+			}
+			last = fr
+		}
+		if last.Type != FrameEnd {
+			t.Fatalf("accepted stream ends in a %s frame", last.Type)
+		}
+		e, err := DecodeEnd(last.Payload)
+		if err != nil || e.Rows != len(res.Rows) {
+			t.Fatalf("accepted stream's End = %+v, %v; Collect returned %d rows", e, err, len(res.Rows))
+		}
+	})
 }
