@@ -100,20 +100,44 @@ func (t *Tree) Len() int {
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var val []byte
+	var found bool
+	err := t.descend(key, func(c cursor) error {
+		var err error
+		if found, err = c.seek(key); found {
+			val = append([]byte(nil), c.val...)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return val, found, nil
+}
+
+// descend views the nodes on the path from the root to the leaf that holds
+// key (nil: the leftmost leaf), each once, and runs leaf on that leaf's
+// cursor under the pager lock. The cursor is passed by value so that it
+// stays on the stack.
+func (t *Tree) descend(key []byte, leaf func(c cursor) error) error {
 	id := t.root
 	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return nil, false, err
-		}
-		if n.leaf {
-			i, found := search(n.keys, key)
-			if !found {
-				return nil, false, nil
+		atLeaf := false
+		err := t.pg.View(id, func(page []byte) error {
+			c, err := openCursor(id, page)
+			if err != nil {
+				return err
 			}
-			return append([]byte(nil), n.vals[i]...), true, nil
+			if c.leaf {
+				atLeaf = true
+				return leaf(c)
+			}
+			id, err = c.childFor(key)
+			return err
+		})
+		if err != nil || atLeaf {
+			return err
 		}
-		id = n.children[childIndex(n.keys, key)]
 	}
 }
 
@@ -259,47 +283,69 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // Ascend calls fn for each key >= start in ascending order until fn returns
 // false. A nil start begins at the smallest key.
 func (t *Tree) Ascend(start []byte, fn func(key, val []byte) bool) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			for id != 0 {
-				for i, k := range n.keys {
-					if start != nil && bytes.Compare(k, start) < 0 {
-						continue
-					}
-					if !fn(append([]byte(nil), k...), append([]byte(nil), n.vals[i]...)) {
-						return nil
-					}
-				}
-				id = n.next
-				if id == 0 {
-					return nil
-				}
-				n, err = t.readNode(id)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		id = n.children[childIndex(n.keys, start)]
-	}
+	return t.ascend(start, nil, fn)
 }
 
 // AscendPrefix calls fn for each key with the given prefix in order.
 func (t *Tree) AscendPrefix(prefix []byte, fn func(key, val []byte) bool) error {
-	return t.Ascend(prefix, func(k, v []byte) bool {
-		if !bytes.HasPrefix(k, prefix) {
-			return false
+	return t.ascend(prefix, prefix, fn)
+}
+
+// ascend calls fn for each key >= start in ascending order, stopping at the
+// first key without prefix or when fn returns false. Each leaf's entries are
+// copied out under the pager lock and handed to fn after it is released.
+func (t *Tree) ascend(start, prefix []byte, fn func(key, val []byte) bool) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var batch [][2][]byte // one leaf's emitted entries: key, value
+	var next pager.PageID
+	done := false
+	collect := func(c cursor) error {
+		batch = batch[:0]
+		for {
+			ok, err := c.next()
+			if err != nil || !ok {
+				next = c.link
+				return err
+			}
+			if start != nil && bytes.Compare(c.key, start) < 0 {
+				continue
+			}
+			if !bytes.HasPrefix(c.key, prefix) {
+				done = true
+				return nil
+			}
+			// One allocation holds both; the key's capacity ends at its
+			// length so appending to it cannot overwrite the value.
+			e := make([]byte, len(c.key)+len(c.val))
+			kl := copy(e, c.key)
+			copy(e[kl:], c.val)
+			batch = append(batch, [2][]byte{e[:kl:kl], e[kl:]})
 		}
-		return fn(k, v)
-	})
+	}
+	err := t.descend(start, collect)
+	for err == nil {
+		for _, e := range batch {
+			if !fn(e[0], e[1]) {
+				return nil
+			}
+		}
+		if done || next == 0 {
+			return nil
+		}
+		id := next
+		err = t.pg.View(id, func(page []byte) error {
+			c, err := openCursor(id, page)
+			if err != nil {
+				return err
+			}
+			if !c.leaf {
+				return c.corrupt("leaf chain")
+			}
+			return collect(c)
+		})
+	}
+	return err
 }
 
 // Compact rewrites the tree's live entries into a fresh tree in the same
@@ -452,64 +498,154 @@ func (t *Tree) writeNode(id pager.PageID, n *node) error {
 	return t.pg.Write(id, buf)
 }
 
+// readNode decodes node id for the write path, which rewrites it. Decoding
+// copies every entry, so it reads the pooled page in place.
 func (t *Tree) readNode(id pager.PageID) (*node, error) {
-	buf, err := t.pg.Read(id)
+	var n *node
+	err := t.pg.View(id, func(page []byte) error {
+		var err error
+		n, err = decodeNode(id, page)
+		return err
+	})
+	return n, err
+}
+
+// decodeNode copies the node encoded in page out of it.
+func decodeNode(id pager.PageID, page []byte) (*node, error) {
+	c, err := openCursor(id, page)
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < 3 {
-		return nil, fmt.Errorf("btree: short node page %d", id)
+	n := &node{leaf: c.leaf}
+	if c.leaf {
+		n.next = c.link
+	} else {
+		n.children = []pager.PageID{c.link}
 	}
-	n := &node{}
-	typ := buf[0]
-	nkeys := int(binary.BigEndian.Uint16(buf[1:3]))
-	pos := 3
-	readUvarint := func() (uint64, error) {
-		v, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return 0, fmt.Errorf("btree: corrupt varint in page %d", id)
+	for {
+		ok, err := c.next()
+		if err != nil {
+			return nil, err
 		}
-		pos += w
-		return v, nil
+		if !ok {
+			return n, nil
+		}
+		n.keys = append(n.keys, append([]byte(nil), c.key...))
+		if c.leaf {
+			n.vals = append(n.vals, append([]byte(nil), c.val...))
+		} else {
+			n.children = append(n.children, c.child)
+		}
 	}
-	switch typ {
+}
+
+// cursor walks an encoded node in place, bounds-checking every field
+// against the page. Its slices alias the page, so they are valid only inside
+// the pager.View call that supplied it.
+type cursor struct {
+	id    pager.PageID
+	page  []byte
+	pos   int
+	leaf  bool
+	left  int          // entries not yet read
+	link  pager.PageID // leaf: the next leaf; internal: the leftmost child
+	key   []byte       // the current entry's key
+	val   []byte       // leaf: the current entry's value
+	child pager.PageID // internal: the child right of key
+}
+
+// nodeHeader is the type byte, the entry count and the link.
+const nodeHeader = 1 + 2 + 4
+
+func openCursor(id pager.PageID, page []byte) (cursor, error) {
+	if len(page) < nodeHeader {
+		return cursor{}, fmt.Errorf("btree: short node page %d", id)
+	}
+	c := cursor{
+		id:   id,
+		page: page,
+		pos:  nodeHeader,
+		left: int(binary.BigEndian.Uint16(page[1:3])),
+		link: pager.PageID(binary.BigEndian.Uint32(page[3:7])),
+	}
+	switch page[0] {
 	case typeLeaf:
-		n.leaf = true
-		n.next = pager.PageID(binary.BigEndian.Uint32(buf[pos : pos+4]))
-		pos += 4
-		for i := 0; i < nkeys; i++ {
-			kl, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			k := append([]byte(nil), buf[pos:pos+int(kl)]...)
-			pos += int(kl)
-			vl, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			v := append([]byte(nil), buf[pos:pos+int(vl)]...)
-			pos += int(vl)
-			n.keys = append(n.keys, k)
-			n.vals = append(n.vals, v)
-		}
+		c.leaf = true
 	case typeInternal:
-		n.children = append(n.children, pager.PageID(binary.BigEndian.Uint32(buf[pos:pos+4])))
-		pos += 4
-		for i := 0; i < nkeys; i++ {
-			kl, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			k := append([]byte(nil), buf[pos:pos+int(kl)]...)
-			pos += int(kl)
-			c := pager.PageID(binary.BigEndian.Uint32(buf[pos : pos+4]))
-			pos += 4
-			n.keys = append(n.keys, k)
-			n.children = append(n.children, c)
-		}
 	default:
-		return nil, fmt.Errorf("btree: page %d has unknown node type %d", id, typ)
+		return cursor{}, fmt.Errorf("btree: page %d has unknown node type %d", id, page[0])
 	}
-	return n, nil
+	return c, nil
+}
+
+// next moves to the following entry, reporting false after the last.
+func (c *cursor) next() (bool, error) {
+	if c.left == 0 {
+		return false, nil
+	}
+	c.left--
+	var err error
+	if c.key, err = c.field(); err != nil {
+		return false, err
+	}
+	if c.leaf {
+		c.val, err = c.field()
+		return err == nil, err
+	}
+	if len(c.page)-c.pos < 4 {
+		return false, c.corrupt("child pointer")
+	}
+	c.child = pager.PageID(binary.BigEndian.Uint32(c.page[c.pos:]))
+	c.pos += 4
+	return true, nil
+}
+
+// field reads one varint-length-prefixed byte string.
+func (c *cursor) field() ([]byte, error) {
+	n, w := binary.Uvarint(c.page[c.pos:])
+	if w <= 0 {
+		return nil, c.corrupt("varint")
+	}
+	c.pos += w
+	if n > uint64(len(c.page)-c.pos) {
+		return nil, c.corrupt("length")
+	}
+	end := c.pos + int(n)
+	b := c.page[c.pos:end:end]
+	c.pos = end
+	return b, nil
+}
+
+func (c *cursor) corrupt(what string) error {
+	return fmt.Errorf("btree: corrupt %s in page %d", what, c.id)
+}
+
+// childFor returns the child of an internal node that holds key, the one
+// childIndex picks on the decoded node. A nil key selects the leftmost.
+func (c *cursor) childFor(key []byte) (pager.PageID, error) {
+	child := c.link
+	if key == nil {
+		return child, nil
+	}
+	for {
+		ok, err := c.next()
+		if err != nil || !ok || bytes.Compare(c.key, key) > 0 {
+			return child, err
+		}
+		child = c.child
+	}
+}
+
+// seek moves a leaf cursor to the first entry >= key and reports whether
+// that entry's key is key.
+func (c *cursor) seek(key []byte) (bool, error) {
+	for {
+		ok, err := c.next()
+		if err != nil || !ok {
+			return false, err
+		}
+		if cmp := bytes.Compare(c.key, key); cmp >= 0 {
+			return cmp == 0, nil
+		}
+	}
 }

@@ -129,7 +129,6 @@ type Disk struct {
 	tree *btree.Tree
 	// Header is the B+tree header page; persist it to reopen the store.
 	Header pager.PageID
-	owns   bool
 }
 
 // DiskOptions configures OpenDiskWith.
@@ -178,13 +177,7 @@ func OpenDiskWith(path string, o DiskOptions) (*Disk, error) {
 		pg.Close()
 		return nil, err
 	}
-	return &Disk{pg: pg, tree: t, Header: header, owns: true}, nil
-}
-
-// NewDisk wraps an existing tree in a shared pager. Close does not close the
-// pager.
-func NewDisk(pg *pager.Pager, tree *btree.Tree, header pager.PageID) *Disk {
-	return &Disk{pg: pg, tree: tree, Header: header}
+	return &Disk{pg: pg, tree: t, Header: header}, nil
 }
 
 // Get implements Store.
@@ -211,12 +204,7 @@ func (d *Disk) Flush() error { return d.pg.Flush() }
 func (d *Disk) CacheStats() cache.Stats { return d.pg.CacheStats() }
 
 // Close implements Store.
-func (d *Disk) Close() error {
-	if d.owns {
-		return d.pg.Close()
-	}
-	return d.pg.Flush()
-}
+func (d *Disk) Close() error { return d.pg.Close() }
 
 var (
 	_ Store = (*Memory)(nil)

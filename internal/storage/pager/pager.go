@@ -1,4 +1,4 @@
-// Package pager implements a slotted page file with an LRU buffer pool. It is
+// Package pager implements a slotted page file with a CLOCK buffer pool. It is
 // the "external memory" storage layer of Table I: engines that advertise
 // external-memory support keep their primary data in page files managed here.
 //
@@ -248,19 +248,32 @@ func (p *Pager) Free(id PageID) error {
 	return p.writeMeta()
 }
 
-// Read returns a copy of the page payload.
-func (p *Pager) Read(id PageID) ([]byte, error) {
+// View runs fn on the pooled payload of page id, loading the page into the
+// pool on a miss, which verifies its CRC. fn runs under the pager lock: it
+// must not keep the slice, write to it, or call back into the pager. View
+// returns fn's error.
+func (p *Pager) View(id PageID, fn func(payload []byte) error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, fmt.Errorf("pager: read: file closed")
+		return fmt.Errorf("pager: read: file closed")
 	}
 	data, err := p.loadLocked(id)
 	if err != nil {
+		return err
+	}
+	return fn(data)
+}
+
+// Read returns a copy of the page payload.
+func (p *Pager) Read(id PageID) ([]byte, error) {
+	out := make([]byte, PayloadSize)
+	if err := p.View(id, func(data []byte) error {
+		copy(out, data)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	out := make([]byte, PayloadSize)
-	copy(out, data)
 	return out, nil
 }
 
