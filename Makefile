@@ -71,13 +71,13 @@ race-snapshots:
 # that prove plan choice never changes answers, and the differential that
 # holds the block-folded statistics to stats.Build on every store; the
 # adjacency twins (id pairs against Neighbors, row for row) ride inside
-# TestPlanDifferential and the plan fuzz seeds, and the store-level half
+# TestPlanDifferential{,Disk} and the plan fuzz seeds, and the store-level half
 # of that proof is TestAppendNeighborIDs*. See DESIGN.md "Planning &
 # statistics contract".
 race-plan:
 	$(GO) test -race ./internal/query/stats/ ./internal/query/plan/
 	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic|TestPatchedSnapshotDifferential' -count=1
-	$(GO) test -race ./internal/memgraph/ ./internal/engines/propcore/ -run 'TestAppendNeighborIDs' -count=1
+	$(GO) test -race ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/propcore/ -run 'TestAppendNeighborIDs' -count=1
 
 # Inner-loop subset, outside ci.
 # The networked service under the race detector: session registry,

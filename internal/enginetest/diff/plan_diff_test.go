@@ -255,17 +255,28 @@ func TestPlanDifferential(t *testing.T) {
 }
 
 // TestPlanDifferentialDisk repeats the differential sweep on the
-// disk-backed configuration of one representative engine, so the kvgraph
-// statistics/sorted-adjacency path is exercised by the harness too.
+// disk-backed configuration of every snapshotting engine, so kvgraph's
+// statistics, sorted adjacency and id adjacency are exercised by the
+// harness too — the last with a guard that the disk stores answered it.
 func TestPlanDifferentialDisk(t *testing.T) {
 	pats := GeneratePlanPats(SeedOrDefault(7), planPatCount)
-	mem := openPlanInstance(t, "neograph", "mem")
-	dir := openPlanInstance(t, "neograph", "dir")
-	for pi, pat := range pats {
-		a, _ := runPat(t, mem, pi, pat)
-		b, _ := runPat(t, dir, pi, pat)
-		if a != b {
-			t.Errorf("pat %d: dir configuration disagrees with mem\nmem: %q\ndir: %q", pi, a, b)
-		}
+	diskNative := 0
+	for _, name := range snapEngines {
+		t.Run(name, func(t *testing.T) {
+			mem := openPlanInstance(t, name, "mem")
+			dir := openPlanInstance(t, name, "dir")
+			for pi, pat := range pats {
+				a, _ := runPat(t, mem, pi, pat)
+				before := nativeAdjacency
+				b, _ := runPat(t, dir, pi, pat)
+				diskNative += nativeAdjacency - before
+				if a != b {
+					t.Errorf("pat %d: dir configuration disagrees with mem\nmem: %q\ndir: %q", pi, a, b)
+				}
+			}
+		})
+	}
+	if diskNative == 0 {
+		t.Errorf("no disk-backed source answered an id-adjacency request; its adjacency twins compared Neighbors with itself")
 	}
 }

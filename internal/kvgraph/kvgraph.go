@@ -9,8 +9,14 @@
 //	M!n / M!e          -> next node / edge id (8-byte big endian)
 //	n!<id>             -> node record
 //	e!<id>             -> edge record
-//	o!<node>!<edge>    -> out-adjacency entry (value: far node id)
-//	i!<node>!<edge>    -> in-adjacency entry (value: far node id)
+//	o!<node>!<edge>    -> out-adjacency entry (value: far node id, edge label)
+//	i!<node>!<edge>    -> in-adjacency entry (value: far node id, edge label)
+//
+// An adjacency value is the far node id (8-byte big endian) followed by the
+// edge label behind its uvarint length, so a node's adjacency in one
+// direction — ids and labels, without a record — is one prefix range.
+// Stores written before the label was kept there hold the far id alone;
+// they still read correctly (see decodeAdjValue).
 package kvgraph
 
 import (
@@ -96,12 +102,62 @@ func u64key(prefix string, id uint64) []byte {
 	return append(k, b[:]...)
 }
 
+// adjPrefix is the key prefix of node's adjacency entries under prefix
+// ("o!" or "i!"), with room for the edge id adjKey appends.
+func adjPrefix(prefix string, node uint64) []byte {
+	k := make([]byte, 0, len(prefix)+17)
+	k = append(k, prefix...)
+	k = binary.BigEndian.AppendUint64(k, node)
+	return append(k, '!')
+}
+
 func adjKey(prefix string, node, edge uint64) []byte {
-	k := u64key(prefix, node)
-	k = append(k, '!')
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], edge)
-	return append(k, b[:]...)
+	return binary.BigEndian.AppendUint64(adjPrefix(prefix, node), edge)
+}
+
+type adjDir struct {
+	dir    model.Direction
+	prefix string
+}
+
+// adjDirs are the two stored directions, out before in: the order
+// Neighbors emits.
+var adjDirs = [...]adjDir{{model.Out, "o!"}, {model.In, "i!"}}
+
+// adjDirsFor returns the stored directions dir reads.
+func adjDirsFor(dir model.Direction) []adjDir {
+	switch dir {
+	case model.Out:
+		return adjDirs[:1]
+	case model.In:
+		return adjDirs[1:]
+	}
+	return adjDirs[:]
+}
+
+func adjValue(far model.NodeID, label string) []byte {
+	v := make([]byte, 8, 8+binary.MaxVarintLen64+len(label))
+	binary.BigEndian.PutUint64(v, uint64(far))
+	v = binary.AppendUvarint(v, uint64(len(label)))
+	return append(v, label...)
+}
+
+// decodeAdjValue splits the value of adjacency entry k into the far node id
+// and the edge label. A value holding the far id alone, as stores written
+// before labels were kept beside it do, decodes with labelled false.
+func decodeAdjValue(k, v []byte) (far model.NodeID, label []byte, labelled bool, err error) {
+	if len(v) < 8 {
+		return 0, nil, false, fmt.Errorf("kvgraph: corrupt adjacency entry %q", k)
+	}
+	far = model.NodeID(binary.BigEndian.Uint64(v))
+	if len(v) == 8 {
+		return far, nil, false, nil
+	}
+	ll, w := binary.Uvarint(v[8:])
+	if w <= 0 || ll != uint64(len(v)-8-w) {
+		return 0, nil, false, fmt.Errorf("kvgraph: corrupt adjacency entry %q", k)
+	}
+	return far, v[8+w:], true, nil
 }
 
 func (g *Graph) nextID(key string) (uint64, error) {
@@ -234,13 +290,10 @@ func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Propert
 	if err := g.st.Put(u64key("e!", id), rec); err != nil {
 		return 0, err
 	}
-	var far [8]byte
-	binary.BigEndian.PutUint64(far[:], uint64(to))
-	if err := g.st.Put(adjKey("o!", uint64(from), id), far[:]); err != nil {
+	if err := g.st.Put(adjKey("o!", uint64(from), id), adjValue(to, label)); err != nil {
 		return 0, err
 	}
-	binary.BigEndian.PutUint64(far[:], uint64(from))
-	if err := g.st.Put(adjKey("i!", uint64(to), id), far[:]); err != nil {
+	if err := g.st.Put(adjKey("i!", uint64(to), id), adjValue(from, label)); err != nil {
 		return 0, err
 	}
 	return model.EdgeID(id), nil
@@ -284,7 +337,7 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 	seen := map[model.EdgeID]bool{}
 	var eids []model.EdgeID
 	collect := func(prefix string) error {
-		return g.st.Scan(u64key(prefix, uint64(id)), func(k, _ []byte) bool {
+		return g.st.Scan(adjPrefix(prefix, uint64(id)), func(k, _ []byte) bool {
 			eid := model.EdgeID(binary.BigEndian.Uint64(k[len(k)-8:]))
 			if !seen[eid] { // self-loops appear in both adjacency lists
 				seen[eid] = true
@@ -458,48 +511,35 @@ func (g *Graph) Edges(fn func(model.Edge) bool) error {
 	return nil
 }
 
-// adjEntriesDir returns the decoded adjacency list for a single direction
-// (model.Out or model.In), consulting the adjacency cache when enabled.
-// Cached entries are shared between hits; callers must clone mutable parts
-// (property maps) before handing records out.
-func (g *Graph) adjEntriesDir(id model.NodeID, dir model.Direction) ([]cache.AdjEntry, error) {
+// adjEntriesDir returns the decoded adjacency list for a single stored
+// direction, consulting the adjacency cache when enabled. Cached entries
+// are shared between hits; callers must clone mutable parts (property maps)
+// before handing records out.
+func (g *Graph) adjEntriesDir(id model.NodeID, d adjDir) ([]cache.AdjEntry, error) {
 	var epoch uint64
 	if g.adj != nil {
 		epoch = g.epoch.Current()
-		if ents, ok := g.adj.Get(epoch, id, dir); ok {
+		if ents, ok := g.adj.Get(epoch, id, d.dir); ok {
 			return ents, nil
 		}
-	}
-	g.mAdjScans.Inc()
-	prefix := "o!"
-	if dir == model.In {
-		prefix = "i!"
 	}
 	// Materialize the adjacency entries before fetching records: the
 	// store's scan holds its internal lock, so nested Get calls from the
 	// callback would self-deadlock.
-	type entry struct {
-		eid model.EdgeID
-		far model.NodeID
-	}
-	var raw []entry
-	err := g.st.Scan(append(u64key(prefix, uint64(id)), '!'), func(k, v []byte) bool {
-		raw = append(raw, entry{
-			eid: model.EdgeID(binary.BigEndian.Uint64(k[len(k)-8:])),
-			far: model.NodeID(binary.BigEndian.Uint64(v)),
-		})
+	var raw []model.NeighborID
+	if err := g.scanAdj(id, d, func(p model.NeighborID, _ []byte, _ bool) bool {
+		raw = append(raw, p)
 		return true
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	ents := make([]cache.AdjEntry, 0, len(raw))
 	for _, it := range raw {
-		e, err := g.Edge(it.eid)
+		e, err := g.Edge(it.Edge)
 		if err != nil {
 			return nil, err
 		}
-		far, err := g.Node(it.far)
+		far, err := g.Node(it.Node)
 		if err != nil {
 			return nil, err
 		}
@@ -509,9 +549,30 @@ func (g *Graph) adjEntriesDir(id model.NodeID, dir model.Direction) ([]cache.Adj
 	// means the list may mix pre- and post-mutation records, and an entry
 	// keyed on the old epoch could serve that mix to later readers.
 	if g.adj != nil && g.epoch.Current() == epoch {
-		g.adj.Put(epoch, id, dir, ents)
+		g.adj.Put(epoch, id, d.dir, ents)
 	}
 	return ents, nil
+}
+
+// scanAdj calls fn with every adjacency entry of id in the stored direction
+// d, in key order, until fn returns false. label is valid only during the
+// call, and only if labelled. fn must not read the store: the scan may hold
+// its lock.
+func (g *Graph) scanAdj(id model.NodeID, d adjDir, fn func(p model.NeighborID, label []byte, labelled bool) bool) error {
+	g.mAdjScans.Inc()
+	var bad error
+	err := g.st.Scan(adjPrefix(d.prefix, uint64(id)), func(k, v []byte) bool {
+		far, label, labelled, err := decodeAdjValue(k, v)
+		if err != nil {
+			bad = err
+			return false
+		}
+		return fn(model.NeighborID{Edge: model.EdgeID(binary.BigEndian.Uint64(k[len(k)-8:])), Node: far}, label, labelled)
+	})
+	if bad != nil {
+		return bad
+	}
+	return err
 }
 
 // Neighbors implements model.Graph.
@@ -519,10 +580,10 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 	if _, err := g.Node(id); err != nil {
 		return err
 	}
-	emit := func(d model.Direction) (bool, error) {
+	for _, d := range adjDirsFor(dir) {
 		ents, err := g.adjEntriesDir(id, d)
 		if err != nil {
-			return false, err
+			return err
 		}
 		for _, it := range ents {
 			e, far := it.Edge, it.Node
@@ -533,23 +594,50 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 				far.Props = far.Props.Clone()
 			}
 			if !fn(e, far) {
-				return true, nil
+				return nil
 			}
-		}
-		return false, nil
-	}
-	if dir == model.Out || dir == model.Both {
-		stopped, err := emit(model.Out)
-		if err != nil || stopped {
-			return err
-		}
-	}
-	if dir == model.In || dir == model.Both {
-		if _, err := emit(model.In); err != nil {
-			return err
 		}
 	}
 	return nil
+}
+
+// AppendNeighborIDs implements model.IDAdjacency from the adjacency entries
+// alone: one prefix scan per stored direction, in Neighbors' order, the
+// label filter read from each entry's value, no edge or node record
+// decoded. The node's record is read only when no entry was found, to tell
+// a node without incident edges from a missing one. Over an entry stored
+// without its label, a labelled request is reported unhandled and the
+// caller falls back to Neighbors, which reads the edge record.
+func (g *Graph) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
+	start := len(buf)
+	found, unlabelled := false, false
+	for _, d := range adjDirsFor(dir) {
+		err := g.scanAdj(id, d, func(p model.NeighborID, lbl []byte, labelled bool) bool {
+			found = true
+			switch {
+			case label == "":
+			case !labelled:
+				unlabelled = true
+				return false
+			case string(lbl) != label:
+				return true
+			}
+			buf = append(buf, p)
+			return true
+		})
+		if err != nil {
+			return buf[:start], true, err
+		}
+		if unlabelled {
+			return buf[:start], false, nil
+		}
+	}
+	if !found {
+		if _, err := g.Node(id); err != nil {
+			return buf[:start], true, err
+		}
+	}
+	return buf, true, nil
 }
 
 // Degree implements model.Graph.
@@ -557,19 +645,16 @@ func (g *Graph) Degree(id model.NodeID, dir model.Direction) (int, error) {
 	if _, err := g.Node(id); err != nil {
 		return 0, err
 	}
-	count := func(prefix string) int {
-		n := 0
-		g.st.Scan(append(u64key(prefix, uint64(id)), '!'), func(_, _ []byte) bool { n++; return true })
-		return n
+	n := 0
+	for _, d := range adjDirsFor(dir) {
+		if err := g.st.Scan(adjPrefix(d.prefix, uint64(id)), func(_, _ []byte) bool { n++; return true }); err != nil {
+			return 0, err
+		}
 	}
-	switch dir {
-	case model.Out:
-		return count("o!"), nil
-	case model.In:
-		return count("i!"), nil
-	default:
-		return count("o!") + count("i!"), nil
-	}
+	return n, nil
 }
 
-var _ model.MutableGraph = (*Graph)(nil)
+var (
+	_ model.MutableGraph = (*Graph)(nil)
+	_ model.IDAdjacency  = (*Graph)(nil)
+)

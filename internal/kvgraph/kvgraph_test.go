@@ -1,15 +1,18 @@
 package kvgraph
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
+	"gdbm/internal/obs"
 	"gdbm/internal/storage/kv"
 )
 
@@ -293,4 +296,206 @@ func TestStoreAccessor(t *testing.T) {
 		t.Error("Store() should return the wrapped store")
 	}
 	_ = fmt.Sprint(g.Order())
+}
+
+// wantNeighborIDs is what Neighbors enumerates for (id, dir), filtered by
+// label: the order AppendNeighborIDs promises.
+func wantNeighborIDs(t *testing.T, g *Graph, id model.NodeID, dir model.Direction, label string) []model.NeighborID {
+	t.Helper()
+	var want []model.NeighborID
+	if err := g.Neighbors(id, dir, func(e model.Edge, n model.Node) bool {
+		if label == "" || e.Label == label {
+			want = append(want, model.NeighborID{Edge: e.ID, Node: n.ID})
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestAppendNeighborIDsMatchesNeighbors: the id-adjacency capability answers
+// every (node, direction, label) exactly as Neighbors enumerates it —
+// self-loops, parallel edges, the empty label and removals included — from
+// the adjacency range alone: no node or edge record is read for a node
+// that has entries in the range.
+func TestAppendNeighborIDsMatchesNeighbors(t *testing.T) {
+	for name, g := range graphs(t) {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			g.SetMetrics(reg)
+			var ids []model.NodeID
+			for i := 0; i < 6; i++ {
+				id, _ := g.AddNode("N", nil)
+				ids = append(ids, id)
+			}
+			labels := []string{"a", "b", ""}
+			var eids []model.EdgeID
+			add := func(label string, from, to model.NodeID) {
+				eid, err := g.AddEdge(label, from, to, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eids = append(eids, eid)
+			}
+			for i := 0; i < 30; i++ {
+				add(labels[i%3], ids[i%6], ids[(i*5+i/6)%6])
+			}
+			add("a", ids[0], ids[0])
+			add("b", ids[1], ids[2])
+			add("b", ids[1], ids[2])
+			if err := g.RemoveEdge(eids[4]); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.RemoveNode(ids[5]); err != nil {
+				t.Fatal(err)
+			}
+			isolated, _ := g.AddNode("N", nil)
+			nodeReads, edgeReads := reg.Counter("kvgraph.node_reads"), reg.Counter("kvgraph.edge_reads")
+			pre := []model.NeighborID{{Edge: 99, Node: 99}}
+			for _, id := range append(ids[:5:5], isolated) {
+				for _, dir := range []model.Direction{model.Out, model.In, model.Both} {
+					for _, label := range []string{"", "a", "b", "none"} {
+						want := wantNeighborIDs(t, g, id, dir, label)
+						n0, e0 := nodeReads.Value(), edgeReads.Value()
+						got, handled, err := g.AppendNeighborIDs(pre, id, dir, label)
+						if err != nil || !handled {
+							t.Fatalf("node %d %v %q: handled %v, err %v", id, dir, label, handled, err)
+						}
+						if got[0] != pre[0] || !slices.Equal(got[1:], want) {
+							t.Errorf("node %d %v %q: got %v, want %v after the prefix", id, dir, label, got, want)
+						}
+						if id != isolated && (nodeReads.Value() != n0 || edgeReads.Value() != e0) {
+							t.Errorf("node %d %v %q: read %d node and %d edge records", id, dir, label, nodeReads.Value()-n0, edgeReads.Value()-e0)
+						}
+					}
+				}
+			}
+			for _, id := range []model.NodeID{ids[5], 9999} {
+				if _, _, err := g.AppendNeighborIDs(nil, id, model.Both, ""); !errors.Is(err, model.ErrNotFound) {
+					t.Errorf("missing node %d: err = %v, want ErrNotFound", id, err)
+				}
+			}
+		})
+	}
+}
+
+// TestAppendNeighborIDsOverUnlabelledEntries: a store written before the
+// edge label was kept beside the far id still answers — unlabelled requests
+// from the entries, labelled ones unhandled, so the caller asks Neighbors.
+func TestAppendNeighborIDsOverUnlabelledEntries(t *testing.T) {
+	st := kv.NewMemory()
+	g := New(st)
+	a, _ := g.AddNode("N", nil)
+	b, _ := g.AddNode("N", nil)
+	for _, e := range []struct {
+		label    string
+		from, to model.NodeID
+	}{{"x", a, b}, {"y", b, a}} {
+		eid, err := g.AddEdge(e.label, e.from, e.to, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var far [8]byte
+		binary.BigEndian.PutUint64(far[:], uint64(e.to))
+		st.Put(adjKey("o!", uint64(e.from), uint64(eid)), far[:])
+		binary.BigEndian.PutUint64(far[:], uint64(e.from))
+		st.Put(adjKey("i!", uint64(e.to), uint64(eid)), far[:])
+	}
+	got, handled, err := g.AppendNeighborIDs(nil, a, model.Both, "")
+	if want := wantNeighborIDs(t, g, a, model.Both, ""); err != nil || !handled || !slices.Equal(got, want) {
+		t.Errorf("unlabelled request: got %v (handled %v, err %v), want %v", got, handled, err, want)
+	}
+	pre := []model.NeighborID{{Edge: 99, Node: 99}}
+	got, handled, err = g.AppendNeighborIDs(pre, a, model.Both, "y")
+	if handled || err != nil || !slices.Equal(got, pre) {
+		t.Errorf("labelled request: got %v, handled %v, err %v; want the prefix alone, unhandled", got, handled, err)
+	}
+	if want := wantNeighborIDs(t, g, a, model.Both, "y"); len(want) != 1 || want[0].Node != b {
+		t.Errorf("Neighbors over unlabelled entries: %v", want)
+	}
+}
+
+// TestCorruptAdjacencyEntryIsAnError: a truncated adjacency value, or one
+// whose label length disagrees with its size, is reported, never a panic.
+func TestCorruptAdjacencyEntryIsAnError(t *testing.T) {
+	for _, v := range [][]byte{{0, 0, 1}, {0, 0, 0, 0, 0, 0, 0, 2, 9, 'a'}} {
+		st := kv.NewMemory()
+		g := New(st)
+		a, _ := g.AddNode("N", nil)
+		st.Put(adjKey("o!", uint64(a), 1), v)
+		if _, _, err := g.AppendNeighborIDs(nil, a, model.Out, ""); err == nil {
+			t.Errorf("value %v: AppendNeighborIDs accepted it", v)
+		}
+		if err := g.Neighbors(a, model.Out, func(model.Edge, model.Node) bool { return true }); err == nil {
+			t.Errorf("value %v: Neighbors accepted it", v)
+		}
+	}
+}
+
+var errScan = errors.New("scan failed")
+
+type scanFails struct{ kv.Store }
+
+func (scanFails) Scan([]byte, func(k, v []byte) bool) error { return errScan }
+
+// TestAdjacencyScanErrorsSurface: a failed adjacency scan is an error from
+// every reader of the range, not an empty list or a zero degree.
+func TestAdjacencyScanErrorsSurface(t *testing.T) {
+	g := New(scanFails{kv.NewMemory()})
+	a, _ := g.AddNode("N", nil)
+	if _, err := g.Degree(a, model.Both); !errors.Is(err, errScan) {
+		t.Errorf("Degree: err = %v", err)
+	}
+	if _, _, err := g.AppendNeighborIDs(nil, a, model.Both, ""); !errors.Is(err, errScan) {
+		t.Errorf("AppendNeighborIDs: err = %v", err)
+	}
+	if err := g.Neighbors(a, model.Both, func(model.Edge, model.Node) bool { return true }); !errors.Is(err, errScan) {
+		t.Errorf("Neighbors: err = %v", err)
+	}
+}
+
+// TestAppendNeighborIDsBesideWriters reads one node's id adjacency while
+// edges to it are added and removed; run under -race by make race-plan.
+func TestAppendNeighborIDsBesideWriters(t *testing.T) {
+	g := graphs(t)["disk"]
+	hub, _ := g.AddNode("N", nil)
+	spoke, _ := g.AddNode("N", nil)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			eid, err := g.AddEdge("l", hub, spoke, nil)
+			if err == nil && i%2 == 0 {
+				err = g.RemoveEdge(eid)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var buf []model.NeighborID
+	for reading := true; reading; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			reading = false
+		default:
+		}
+		var err error
+		if buf, _, err = g.AppendNeighborIDs(buf[:0], hub, model.Both, "l"); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range buf {
+			if p.Node != spoke {
+				t.Fatalf("pair %v does not lead to the spoke %d", p, spoke)
+			}
+		}
+	}
+	if got, _, _ := g.AppendNeighborIDs(nil, hub, model.Out, "l"); len(got) != 100 {
+		t.Errorf("after the writer: %d out pairs, want 100", len(got))
+	}
 }

@@ -16,7 +16,8 @@ import (
 // that a reader of the view never touches the store. Only the view's
 // readers get that: AcquireSnapshot callers, the planner's statistics and
 // SortedNeighborIDs. Statements execute against the live store — every
-// Node, Edge and Neighbors an operator issues is a B+tree read here.
+// Node, Edge and AppendNeighborIDs an operator issues is a B+tree read
+// here, the last one prefix range per direction.
 
 // SetViewLayout selects the snapshot directory layout (the bitmap variant
 // for the DEX-style engine). Call at construction time, before the graph
@@ -91,7 +92,7 @@ func (s kvSource) EdgeByID(id model.EdgeID) (model.Edge, bool, error) {
 
 func (s kvSource) incident(prefix string, id model.NodeID) ([]model.EdgeID, error) {
 	var eids []model.EdgeID
-	err := s.g.st.Scan(append(u64key(prefix, uint64(id)), '!'), func(k, _ []byte) bool {
+	err := s.g.st.Scan(adjPrefix(prefix, uint64(id)), func(k, _ []byte) bool {
 		eids = append(eids, model.EdgeID(binary.BigEndian.Uint64(k[len(k)-8:])))
 		return true
 	})
