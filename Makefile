@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/wire/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzLeafSplice -fuzztime $(FUZZTIME)
 
 # Overload drill: build the real gdbserver binary, burst it at 2× the
 # configured capacity with the in-process loadgen client, run a

@@ -5,14 +5,20 @@
 //
 // Leaves are chained for range scans. Deletion is by tombstone-free removal
 // without rebalancing: leaves may underflow (a standard trade-off, as in
-// append-mostly stores); space from emptied subtrees is reclaimed when the
-// tree is rebuilt through Compact.
+// append-mostly stores), and space freed by deletes is not reclaimed.
+//
+// Reads and writes work on the pooled page in place. Put and Delete splice
+// their entry into the leaf's encoding, leaving the page exactly as
+// writeNode would lay the node out; a node is decoded only when it must
+// split, and a split hands its separator to the parent the same way.
 package btree
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"gdbm/internal/storage/pager"
@@ -83,10 +89,10 @@ func Load(pg *pager.Pager, header pager.PageID) (*Tree, error) {
 }
 
 func (t *Tree) writeHeader() error {
-	buf := make([]byte, 12)
+	var buf [12]byte
 	binary.BigEndian.PutUint32(buf[0:4], uint32(t.root))
 	binary.BigEndian.PutUint64(buf[4:12], t.count)
-	return t.pg.Write(t.header, buf)
+	return t.pg.Write(t.header, buf[:])
 }
 
 // Len returns the number of stored keys.
@@ -102,8 +108,7 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	defer t.mu.Unlock()
 	var val []byte
 	var found bool
-	err := t.descend(key, func(c cursor) error {
-		var err error
+	_, err := t.descend(key, func(c cursor) (err error) {
 		if found, err = c.seek(key); found {
 			val = append([]byte(nil), c.val...)
 		}
@@ -115,30 +120,66 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	return val, found, nil
 }
 
+// maxDepth bounds a root-to-leaf path. Every internal node has at least two
+// children and a file holds fewer than 2^32 pages, so a longer path is a
+// cycle in a corrupt file.
+const maxDepth = 33
+
+// path is the route of a descent: the page ids from the root to the leaf,
+// and at each internal node the index of the child taken.
+type path struct {
+	ids   [maxDepth]pager.PageID
+	child [maxDepth]int
+	n     int // ids[n-1] is the leaf
+}
+
 // descend views the nodes on the path from the root to the leaf that holds
-// key (nil: the leftmost leaf), each once, and runs leaf on that leaf's
-// cursor under the pager lock. The cursor is passed by value so that it
-// stays on the stack.
-func (t *Tree) descend(key []byte, leaf func(c cursor) error) error {
+// key (nil: the leftmost leaf), each once, runs leaf (when non-nil) on that
+// leaf's cursor under the pager lock, and returns the path. The cursor is
+// passed by value so that it stays on the stack.
+func (t *Tree) descend(key []byte, leaf func(c cursor) error) (path, error) {
+	var p path
 	id := t.root
 	for {
+		if p.n == maxDepth {
+			return p, fmt.Errorf("btree: page %d is deeper than %d levels", id, maxDepth)
+		}
+		p.ids[p.n] = id
+		p.n++
 		atLeaf := false
 		err := t.pg.View(id, func(page []byte) error {
 			c, err := openCursor(id, page)
 			if err != nil {
 				return err
 			}
-			if c.leaf {
-				atLeaf = true
-				return leaf(c)
+			if !c.leaf {
+				id, p.child[p.n-1], err = c.childFor(key)
+				return err
 			}
-			id, err = c.childFor(key)
-			return err
+			atLeaf = true
+			if leaf == nil {
+				return nil
+			}
+			return leaf(c)
 		})
 		if err != nil || atLeaf {
-			return err
+			return p, err
 		}
 	}
+}
+
+// update changes page id in place with splice, which reports whether its
+// change fit, or returns the page's decoded node when it did not.
+func (t *Tree) update(id pager.PageID, splice func(page []byte) (bool, error)) (full *node, err error) {
+	err = t.pg.Update(id, func(page []byte) (bool, error) {
+		fits, err := splice(page)
+		if fits || err != nil {
+			return fits, err
+		}
+		full, err = decodeNode(id, page)
+		return false, err
+	})
+	return full, err
 }
 
 // Put inserts or replaces the value for key.
@@ -151,133 +192,106 @@ func (t *Tree) Put(key, val []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	promoted, right, added, err := t.insert(t.root, key, val)
+	p, err := t.descend(key, nil)
 	if err != nil {
 		return err
 	}
-	if right != 0 {
-		// Root split: grow the tree by one level.
-		newRoot, err := t.pg.Allocate()
-		if err != nil {
-			return err
-		}
-		rn := &node{
-			keys:     [][]byte{promoted},
-			children: []pager.PageID{t.root, right},
-		}
-		if err := t.writeNode(newRoot, rn); err != nil {
-			return err
-		}
-		t.root = newRoot
+	id, found := p.ids[p.n-1], false
+	n, err := t.update(id, func(page []byte) (fits bool, err error) {
+		fits, found, err = putLeaf(id, page, key, val)
+		return fits, err
+	})
+	if err != nil {
+		return err
 	}
-	if added {
+	if n != nil {
+		i, _ := slices.BinarySearchFunc(n.keys, key, bytes.Compare)
+		if found {
+			n.vals[i] = val
+		} else {
+			n.keys, n.vals = slices.Insert(n.keys, i, key), slices.Insert(n.vals, i, val)
+		}
+		if err := t.splitUp(&p, n); err != nil {
+			return err
+		}
+	}
+	if !found {
 		t.count++
 	}
 	return t.writeHeader()
 }
 
-// insert descends to the leaf, inserts, and splits on overflow. It returns
-// the separator key and new right sibling if this node split, and whether a
-// new key was added (false for replacement).
-func (t *Tree) insert(id pager.PageID, key, val []byte) (promoted []byte, right pager.PageID, added bool, err error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if n.leaf {
-		i, found := search(n.keys, key)
-		if found {
-			n.vals[i] = append([]byte(nil), val...)
-		} else {
-			n.keys = insertAt(n.keys, i, append([]byte(nil), key...))
-			n.vals = insertAt(n.vals, i, append([]byte(nil), val...))
-			added = true
+// splitUp writes n, the leaf of p with its new entry, which no longer fits
+// its page, as two nodes, and hands the separator up the path: a parent
+// with room takes it in place, a full one is decoded and split in turn,
+// and a split root grows the tree by one level.
+func (t *Tree) splitUp(p *path, n *node) error {
+	for d := p.n - 1; ; d-- {
+		sep, right, err := t.split(p.ids[d], n)
+		if err != nil {
+			return err
 		}
-		promoted, right, err = t.splitIfNeeded(id, n)
-		return promoted, right, added, err
+		if d == 0 {
+			newRoot, err := t.pg.Allocate()
+			if err != nil {
+				return err
+			}
+			err = t.writeNode(newRoot, &node{keys: [][]byte{sep}, children: []pager.PageID{p.ids[0], right}})
+			if err == nil {
+				t.root = newRoot
+			}
+			return err
+		}
+		id, ci := p.ids[d-1], p.child[d-1]
+		n, err = t.update(id, func(page []byte) (bool, error) { return putChild(id, page, ci, sep, right) })
+		if err != nil || n == nil {
+			return err
+		}
+		n.keys, n.children = slices.Insert(n.keys, ci, sep), slices.Insert(n.children, ci+1, right)
 	}
-	ci := childIndex(n.keys, key)
-	p, r, added, err := t.insert(n.children[ci], key, val)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if r != 0 {
-		n.keys = insertAt(n.keys, ci, p)
-		n.children = insertAt(n.children, ci+1, r)
-		promoted, right, err = t.splitIfNeeded(id, n)
-		return promoted, right, added, err
-	}
-	return nil, 0, added, nil
 }
 
-// splitIfNeeded persists n at id, splitting it first when it no longer fits
-// in a page.
-func (t *Tree) splitIfNeeded(id pager.PageID, n *node) ([]byte, pager.PageID, error) {
-	if t.encodedSize(n) <= pager.PayloadSize {
-		return nil, 0, t.writeNode(id, n)
-	}
-	mid := len(n.keys) / 2
+// split writes n, which overflows page id, as itself and a new right
+// sibling, and returns the separator and the sibling.
+func (t *Tree) split(id pager.PageID, n *node) ([]byte, pager.PageID, error) {
 	rightID, err := t.pg.Allocate()
 	if err != nil {
 		return nil, 0, err
 	}
-	var sep []byte
-	var rightNode *node
+	mid := len(n.keys) / 2
+	sep, right := n.keys[mid], &node{leaf: n.leaf, next: n.next}
 	if n.leaf {
-		sep = append([]byte(nil), n.keys[mid]...)
-		rightNode = &node{
-			leaf: true,
-			keys: append([][]byte(nil), n.keys[mid:]...),
-			vals: append([][]byte(nil), n.vals[mid:]...),
-			next: n.next,
-		}
-		n.keys = n.keys[:mid]
-		n.vals = n.vals[:mid]
-		n.next = rightID
+		right.keys, right.vals = n.keys[mid:], n.vals[mid:]
+		n.keys, n.vals, n.next = n.keys[:mid], n.vals[:mid], rightID
 	} else {
 		// The middle key moves up; it is not duplicated below.
-		sep = append([]byte(nil), n.keys[mid]...)
-		rightNode = &node{
-			keys:     append([][]byte(nil), n.keys[mid+1:]...),
-			children: append([]pager.PageID(nil), n.children[mid+1:]...),
-		}
-		n.keys = n.keys[:mid]
-		n.children = n.children[:mid+1]
+		right.keys, right.children = n.keys[mid+1:], n.children[mid+1:]
+		n.keys, n.children = n.keys[:mid], n.children[:mid+1]
 	}
-	if err := t.writeNode(rightID, rightNode); err != nil {
+	if err := t.writeNode(rightID, right); err != nil {
 		return nil, 0, err
 	}
-	if err := t.writeNode(id, n); err != nil {
-		return nil, 0, err
-	}
-	return sep, rightID, nil
+	return sep, rightID, t.writeNode(id, n)
 }
 
 // Delete removes key, reporting whether it was present.
 func (t *Tree) Delete(key []byte) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return false, err
-		}
-		if n.leaf {
-			i, found := search(n.keys, key)
-			if !found {
-				return false, nil
-			}
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.vals = append(n.vals[:i], n.vals[i+1:]...)
-			if err := t.writeNode(id, n); err != nil {
-				return false, err
-			}
-			t.count--
-			return true, t.writeHeader()
-		}
-		id = n.children[childIndex(n.keys, key)]
+	p, err := t.descend(key, nil)
+	if err != nil {
+		return false, err
 	}
+	id, found := p.ids[p.n-1], false
+	err = t.pg.Update(id, func(page []byte) (changed bool, err error) {
+		found, err = deleteLeaf(id, page, key)
+		return found, err
+	})
+	if err != nil || !found {
+		return false, err
+	}
+	t.count--
+	return true, t.writeHeader()
 }
 
 // Ascend calls fn for each key >= start in ascending order until fn returns
@@ -323,7 +337,7 @@ func (t *Tree) ascend(start, prefix []byte, fn func(key, val []byte) bool) error
 			batch = append(batch, [2][]byte{e[:kl:kl], e[kl:]})
 		}
 	}
-	err := t.descend(start, collect)
+	_, err := t.descend(start, collect)
 	for err == nil {
 		for _, e := range batch {
 			if !fn(e[0], e[1]) {
@@ -348,166 +362,41 @@ func (t *Tree) ascend(start, prefix []byte, fn func(key, val []byte) bool) error
 	return err
 }
 
-// Compact rewrites the tree's live entries into a fresh tree in the same
-// pager and returns it with its new header page. The old pages are freed.
-func (t *Tree) Compact() (*Tree, pager.PageID, error) {
-	type kv struct{ k, v []byte }
-	var all []kv
-	if err := t.Ascend(nil, func(k, v []byte) bool {
-		all = append(all, kv{k, v})
-		return true
-	}); err != nil {
-		return nil, 0, err
-	}
-	t.mu.Lock()
-	oldPages := t.collectPages(t.root)
-	oldHeader := t.header
-	t.mu.Unlock()
-	nt, header, err := Create(t.pg)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, e := range all {
-		if err := nt.Put(e.k, e.v); err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, p := range oldPages {
-		if err := t.pg.Free(p); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := t.pg.Free(oldHeader); err != nil {
-		return nil, 0, err
-	}
-	return nt, header, nil
-}
-
-func (t *Tree) collectPages(id pager.PageID) []pager.PageID {
-	n, err := t.readNode(id)
-	if err != nil {
-		return nil
-	}
-	out := []pager.PageID{id}
-	if !n.leaf {
-		for _, c := range n.children {
-			out = append(out, t.collectPages(c)...)
-		}
-	}
-	return out
-}
-
-// search finds the position of key in keys, reporting exact match.
-func search(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(keys[mid], key) {
-		case -1:
-			lo = mid + 1
-		case 0:
-			return mid, true
-		default:
-			hi = mid
-		}
-	}
-	return lo, false
-}
-
-// childIndex picks the child subtree for key in an internal node. A nil key
-// selects the leftmost child.
-func childIndex(keys [][]byte, key []byte) int {
-	if key == nil {
-		return 0
-	}
-	i, found := search(keys, key)
-	if found {
-		return i + 1
-	}
-	return i
-}
-
-func insertAt[T any](s []T, i int, v T) []T {
-	s = append(s, v)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
 // --- serialization ---
 
-func (t *Tree) encodedSize(n *node) int {
-	size := 1 + 2 // type + nkeys
-	if n.leaf {
-		size += 4 // next pointer
-		for i := range n.keys {
-			size += uvarintLen(uint64(len(n.keys[i]))) + len(n.keys[i])
-			size += uvarintLen(uint64(len(n.vals[i]))) + len(n.vals[i])
-		}
-	} else {
-		size += 4 // child0
-		for i := range n.keys {
-			size += uvarintLen(uint64(len(n.keys[i]))) + len(n.keys[i]) + 4
-		}
-	}
-	return size
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+func uvarintLen(v uint64) int { return max(1, (bits.Len64(v)+6)/7) }
 
 func (t *Tree) writeNode(id pager.PageID, n *node) error {
-	buf := make([]byte, 0, pager.PayloadSize)
-	if n.leaf {
-		buf = append(buf, typeLeaf)
-	} else {
-		buf = append(buf, typeInternal)
-	}
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(len(n.keys)))
-	buf = append(buf, u16[:]...)
-	var u32 [4]byte
-	if n.leaf {
-		binary.BigEndian.PutUint32(u32[:], uint32(n.next))
-		buf = append(buf, u32[:]...)
-		for i := range n.keys {
-			buf = binary.AppendUvarint(buf, uint64(len(n.keys[i])))
-			buf = append(buf, n.keys[i]...)
-			buf = binary.AppendUvarint(buf, uint64(len(n.vals[i])))
-			buf = append(buf, n.vals[i]...)
-		}
-	} else {
-		binary.BigEndian.PutUint32(u32[:], uint32(n.children[0]))
-		buf = append(buf, u32[:]...)
-		for i := range n.keys {
-			buf = binary.AppendUvarint(buf, uint64(len(n.keys[i])))
-			buf = append(buf, n.keys[i]...)
-			binary.BigEndian.PutUint32(u32[:], uint32(n.children[i+1]))
-			buf = append(buf, u32[:]...)
-		}
-	}
+	buf := encodeNode(n)
 	if len(buf) > pager.PayloadSize {
 		return fmt.Errorf("btree: node %d overflows page (%d bytes)", id, len(buf))
 	}
 	return t.pg.Write(id, buf)
 }
 
-// readNode decodes node id for the write path, which rewrites it. Decoding
-// copies every entry, so it reads the pooled page in place.
-func (t *Tree) readNode(id pager.PageID) (*node, error) {
-	var n *node
-	err := t.pg.View(id, func(page []byte) error {
-		var err error
-		n, err = decodeNode(id, page)
-		return err
-	})
-	return n, err
+// encodeNode lays n out as its page holds it, without the zero tail.
+func encodeNode(n *node) []byte {
+	buf := make([]byte, nodeHeader, pager.PayloadSize)
+	buf[0] = typeInternal
+	link := pager.PageID(0)
+	if n.leaf {
+		buf[0], link = typeLeaf, n.next
+	} else {
+		link = n.children[0]
+	}
+	binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
+	binary.BigEndian.PutUint32(buf[3:7], uint32(link))
+	for i, k := range n.keys {
+		buf = binary.AppendUvarint(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		if n.leaf {
+			buf = binary.AppendUvarint(buf, uint64(len(n.vals[i])))
+			buf = append(buf, n.vals[i]...)
+		} else {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(n.children[i+1]))
+		}
+	}
+	return buf
 }
 
 // decodeNode copies the node encoded in page out of it.
@@ -620,19 +509,20 @@ func (c *cursor) corrupt(what string) error {
 	return fmt.Errorf("btree: corrupt %s in page %d", what, c.id)
 }
 
-// childFor returns the child of an internal node that holds key, the one
-// childIndex picks on the decoded node. A nil key selects the leftmost.
-func (c *cursor) childFor(key []byte) (pager.PageID, error) {
-	child := c.link
+// childFor returns the child of an internal node that holds key and its
+// index, the one childIndex picks on the decoded node. A nil key selects
+// the leftmost.
+func (c *cursor) childFor(key []byte) (pager.PageID, int, error) {
+	child, i := c.link, 0
 	if key == nil {
-		return child, nil
+		return child, 0, nil
 	}
 	for {
 		ok, err := c.next()
 		if err != nil || !ok || bytes.Compare(c.key, key) > 0 {
-			return child, err
+			return child, i, err
 		}
-		child = c.child
+		child, i = c.child, i+1
 	}
 }
 
@@ -648,4 +538,108 @@ func (c *cursor) seek(key []byte) (bool, error) {
 			return cmp == 0, nil
 		}
 	}
+}
+
+// span is where a write splices an encoded node: it replaces the bytes
+// [at, cut), and the node's entries end at end.
+type span struct{ at, cut, end int }
+
+// locate opens the node encoded in page, which must be a leaf or not as
+// leaf says, and walks every entry, so that a corrupt entry anywhere is an
+// error before a splice changes a byte. It returns the span of the entry a
+// write targets: in a leaf the first entry whose key is >= key, cut past it
+// when that key is key (found); in an internal node entry i. at == cut ==
+// end when the target lies past the last entry.
+func locate(id pager.PageID, page []byte, leaf bool, key []byte, i int) (s span, found bool, err error) {
+	c, err := openCursor(id, page)
+	if err == nil && c.leaf != leaf {
+		err = c.corrupt("node type")
+	}
+	if err != nil {
+		return span{}, false, err
+	}
+	s.at = -1
+	for n := 0; ; n++ {
+		start := c.pos
+		ok, err := c.next()
+		if err != nil {
+			return span{}, false, err
+		}
+		if s.at < 0 && (!ok || (leaf && bytes.Compare(c.key, key) >= 0) || (!leaf && n == i)) {
+			s.at, s.cut = start, start
+			if found = ok && leaf && bytes.Equal(c.key, key); found {
+				s.cut = c.pos
+			}
+		}
+		if !ok {
+			s.end = c.pos
+			return s, found, nil
+		}
+	}
+}
+
+// resize makes the span size bytes long, moving the entries after it and
+// zeroing the bytes the move frees, so the page keeps writeNode's zero tail.
+// It reports false, leaving page unchanged, when the node would overflow.
+func (s span) resize(page []byte, size int) bool {
+	end := s.end + size - (s.cut - s.at)
+	if end > len(page) {
+		return false
+	}
+	copy(page[s.at+size:end], page[s.cut:s.end])
+	clear(page[min(end, s.end):s.end])
+	return true
+}
+
+// addCount adds delta to the entry count of the node encoded in page.
+func addCount(page []byte, delta int) {
+	binary.BigEndian.PutUint16(page[1:3], uint16(int(binary.BigEndian.Uint16(page[1:3]))+delta))
+}
+
+// putLeaf writes key's entry into the leaf encoded in page in place,
+// replacing its value or inserting it in order, with the bytes writeNode
+// would produce for the changed node. It reports whether the entry fit and
+// whether key was in the leaf already. When it errors or the entry does not
+// fit, page is unchanged.
+func putLeaf(id pager.PageID, page, key, val []byte) (fits, found bool, err error) {
+	s, found, err := locate(id, page, true, key, 0)
+	kl, vl := uvarintLen(uint64(len(key))), uvarintLen(uint64(len(val)))
+	if err != nil || !s.resize(page, kl+len(key)+vl+len(val)) {
+		return false, found, err
+	}
+	at := s.at + binary.PutUvarint(page[s.at:], uint64(len(key)))
+	at += copy(page[at:], key)
+	at += binary.PutUvarint(page[at:], uint64(len(val)))
+	copy(page[at:], val)
+	if !found {
+		addCount(page, 1)
+	}
+	return true, found, nil
+}
+
+// deleteLeaf removes key's entry from the leaf encoded in page in place,
+// reporting whether it was there. On error page is unchanged.
+func deleteLeaf(id pager.PageID, page, key []byte) (bool, error) {
+	s, found, err := locate(id, page, true, key, 0)
+	if err != nil || !found {
+		return false, err
+	}
+	s.resize(page, 0)
+	addCount(page, -1)
+	return true, nil
+}
+
+// putChild inserts separator sep and, right of it, child right as entry i
+// of the internal node encoded in page, in place. It reports whether they
+// fit; when it errors or they do not, page is unchanged.
+func putChild(id pager.PageID, page []byte, i int, sep []byte, right pager.PageID) (bool, error) {
+	s, _, err := locate(id, page, false, nil, i)
+	if err != nil || !s.resize(page, uvarintLen(uint64(len(sep)))+len(sep)+4) {
+		return false, err
+	}
+	at := s.at + binary.PutUvarint(page[s.at:], uint64(len(sep)))
+	at += copy(page[at:], sep)
+	binary.BigEndian.PutUint32(page[at:], uint32(right))
+	addCount(page, 1)
+	return true, nil
 }

@@ -184,41 +184,6 @@ func TestPersistenceAcrossReload(t *testing.T) {
 	}
 }
 
-func TestCompactReclaims(t *testing.T) {
-	tree, pg, _ := tempTree(t)
-	for i := 0; i < 2000; i++ {
-		tree.Put([]byte(fmt.Sprintf("k%05d", i)), bytes.Repeat([]byte("x"), 50))
-	}
-	for i := 0; i < 2000; i++ {
-		if i%2 == 0 {
-			tree.Delete([]byte(fmt.Sprintf("k%05d", i)))
-		}
-	}
-	nt, _, err := tree.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nt.Len() != 1000 {
-		t.Fatalf("compacted len = %d", nt.Len())
-	}
-	v, ok, _ := nt.Get([]byte("k00001"))
-	if !ok || len(v) != 50 {
-		t.Errorf("compacted Get = %q %v", v, ok)
-	}
-	if _, ok, _ := nt.Get([]byte("k00000")); ok {
-		t.Error("deleted key survived compaction")
-	}
-	// Freed pages get reused by further inserts rather than growing the file.
-	before := pg.Pages()
-	for i := 0; i < 500; i++ {
-		nt.Put([]byte(fmt.Sprintf("new%05d", i)), []byte("y"))
-	}
-	after := pg.Pages()
-	if after-before > 40 {
-		t.Errorf("file grew by %d pages despite free list", after-before)
-	}
-}
-
 // Property: the tree behaves like a map for arbitrary insert sequences.
 func TestTreeMatchesMapQuick(t *testing.T) {
 	f := func(ops []struct {

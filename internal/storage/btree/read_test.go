@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -236,7 +237,10 @@ func checkGetAllocs(t *testing.T, tree *Tree, key []byte) {
 	}
 }
 
-// Readers and a writer share one tree and its pool; run under -race.
+// Readers and a writer share one tree and its pool; run under -race. The
+// writer adds adjacency keys and deletes every other one it added, and
+// replaces edge records with values that grow, so its leaves are spliced
+// in place, split and shrunk while the readers walk them.
 func TestConcurrentReadsBesidePuts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bt.pg")
 	pg, err := pager.Open(path, pager.Options{PoolPages: 16})
@@ -261,6 +265,17 @@ func TestConcurrentReadsBesidePuts(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			if i%2 == 1 {
+				if ok, err := tree.Delete(graphKey("o!", (i-1)%200, 1<<32+i-1)); err != nil || !ok {
+					t.Errorf("delete: %v %v", ok, err)
+					return
+				}
+			}
+			e := i % 400
+			if err := tree.Put(graphKey("e!", e), grown(e, i)); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	for r := 0; r < 2; r++ {
@@ -279,8 +294,15 @@ func TestConcurrentReadsBesidePuts(t *testing.T) {
 					t.Errorf("Get %q = %x %v %v", k, v, ok, err)
 					return
 				}
+				e := i % 400
+				k = graphKey("e!", e)
+				v, ok, err := tree.Get(k)
+				if err != nil || !ok || (!bytes.Equal(v, ref[string(k)]) && !bytes.Equal(v, grown(e, uint64(len(v)-8)))) {
+					t.Errorf("Get %q = %x %v %v", k, v, ok, err)
+					return
+				}
 				seen := 0
-				err := tree.AscendPrefix(append(graphKey("o!", n), '!'), func(_, _ []byte) bool {
+				err = tree.AscendPrefix(append(graphKey("o!", n), '!'), func(_, _ []byte) bool {
 					seen++
 					return true
 				})
@@ -292,6 +314,12 @@ func TestConcurrentReadsBesidePuts(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// grown is the value TestConcurrentReadsBesidePuts's writer gives edge e at
+// step i: its id, then i%600 bytes, so it grows as the writer runs.
+func grown(e, i uint64) []byte {
+	return append(binary.BigEndian.AppendUint64(nil, e), bytes.Repeat([]byte{byte(e)}, int(i%600))...)
 }
 
 // refScan is the reference for Ascend (prefix nil) and AscendPrefix: the
@@ -317,15 +345,12 @@ type leafKeys struct {
 }
 
 // leafChain decodes the leaves in chain order.
-func leafChain(t *testing.T, tree *Tree) []leafKeys {
+func leafChain(t testing.TB, tree *Tree) []leafKeys {
 	t.Helper()
 	id := leafOf(t, tree, nil)
 	var out []leafKeys
 	for id != 0 {
-		n, err := tree.readNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := readNode(t, tree, id)
 		out = append(out, leafKeys{id, n.keys})
 		id = n.next
 	}
@@ -333,14 +358,11 @@ func leafChain(t *testing.T, tree *Tree) []leafKeys {
 }
 
 // leafOf returns the leaf a descent for key reaches (nil: the leftmost).
-func leafOf(t *testing.T, tree *Tree, key []byte) pager.PageID {
+func leafOf(t testing.TB, tree *Tree, key []byte) pager.PageID {
 	t.Helper()
 	id := tree.root
 	for {
-		n, err := tree.readNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := readNode(t, tree, id)
 		if n.leaf {
 			return id
 		}
@@ -352,15 +374,39 @@ func depth(t *testing.T, tree *Tree) int {
 	t.Helper()
 	d := 1
 	for id := tree.root; ; d++ {
-		n, err := tree.readNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := readNode(t, tree, id)
 		if n.leaf {
 			return d
 		}
 		id = n.children[0]
 	}
+}
+
+// readNode decodes page id of tree.
+func readNode(tb testing.TB, tree *Tree, id pager.PageID) *node {
+	tb.Helper()
+	page, err := tree.pg.Read(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := decodeNode(id, page)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// childIndex picks the child subtree for key in a decoded internal node, as
+// the cursor's childFor does in place. A nil key selects the leftmost child.
+func childIndex(keys [][]byte, key []byte) int {
+	if key == nil {
+		return 0
+	}
+	i, found := slices.BinarySearchFunc(keys, key, bytes.Compare)
+	if found {
+		return i + 1
+	}
+	return i
 }
 
 func commonPrefix(a, b []byte) int {

@@ -217,16 +217,14 @@ func (p *Pager) Allocate() (PageID, error) {
 			return 0, err
 		}
 		p.freeHead = PageID(binary.BigEndian.Uint32(data[0:4]))
-		zero := make([]byte, PayloadSize)
-		if err := p.storeLocked(id, zero); err != nil {
+		if err := p.storeLocked(id, nil); err != nil {
 			return 0, err
 		}
 		return id, p.writeMeta()
 	}
 	id := PageID(p.pages)
 	p.pages++
-	zero := make([]byte, PayloadSize)
-	if err := p.storeLocked(id, zero); err != nil {
+	if err := p.storeLocked(id, nil); err != nil {
 		return 0, err
 	}
 	return id, p.writeMeta()
@@ -239,9 +237,9 @@ func (p *Pager) Free(id PageID) error {
 	if id == 0 || uint32(id) >= p.pages {
 		return fmt.Errorf("pager: free invalid page %d", id)
 	}
-	buf := make([]byte, PayloadSize)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(p.freeHead))
-	if err := p.storeLocked(id, buf); err != nil {
+	var buf [4]byte
+	binary.BigEndian.PutUint32(buf[:], uint32(p.freeHead))
+	if err := p.storeLocked(id, buf[:]); err != nil {
 		return err
 	}
 	p.freeHead = id
@@ -263,6 +261,36 @@ func (p *Pager) View(id PageID, fn func(payload []byte) error) error {
 		return err
 	}
 	return fn(data)
+}
+
+// Update is View for a writer: fn may change the pooled payload of page id
+// in place, and reports whether it did. A changed page is marked dirty and
+// referenced under the pager lock, exactly as a Write of the changed bytes
+// leaves it, so eviction, the pending-evict ledger and Flush treat the two
+// alike. Like Write, Update counts no pool hit; a miss loads the page as
+// View does. fn must leave the payload unchanged when it returns false or
+// an error, must not keep the slice, and must not call back into the pager.
+// Update returns fn's error.
+func (p *Pager) Update(id PageID, fn func(payload []byte) (bool, error)) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return fmt.Errorf("pager: write: file closed")
+	}
+	fr, ok := p.frames[id]
+	if !ok {
+		if _, err := p.loadLocked(id); err != nil {
+			return err
+		}
+		fr = p.frames[id]
+	}
+	changed, err := fn(fr.data)
+	if err != nil || !changed {
+		return err
+	}
+	fr.dirty = true
+	p.policy.Note(id)
+	return nil
 }
 
 // Read returns a copy of the page payload.
@@ -290,9 +318,7 @@ func (p *Pager) Write(id PageID, payload []byte) error {
 	if uint32(id) >= p.pages {
 		return fmt.Errorf("pager: write to unallocated page %d", id)
 	}
-	buf := make([]byte, PayloadSize)
-	copy(buf, payload)
-	return p.storeLocked(id, buf)
+	return p.storeLocked(id, payload)
 }
 
 // loadLocked fetches a page through the pool.
@@ -314,15 +340,17 @@ func (p *Pager) loadLocked(id PageID) ([]byte, error) {
 	return fr.data, nil
 }
 
-// storeLocked writes a page through the pool (write-back).
+// storeLocked writes a page through the pool (write-back), zero-padding a
+// payload shorter than PayloadSize.
 func (p *Pager) storeLocked(id PageID, payload []byte) error {
 	if fr, ok := p.frames[id]; ok {
-		copy(fr.data, payload)
+		clear(fr.data[copy(fr.data, payload):])
 		fr.dirty = true
 		p.policy.Note(id)
 		return nil
 	}
-	fr := &frame{id: id, data: append([]byte(nil), payload...), dirty: true}
+	fr := &frame{id: id, data: make([]byte, PayloadSize), dirty: true}
+	copy(fr.data, payload)
 	return p.insertFrame(fr)
 }
 

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gdbm/internal/obs"
 )
 
 func tempPager(t *testing.T, pool int) (*Pager, string) {
@@ -128,6 +130,99 @@ func TestEvictionWritesBack(t *testing.T) {
 		t.Error("expected pool misses with tiny pool")
 	}
 	_ = hits
+}
+
+// Update changes the pooled page in place and leaves it as a Write of the
+// same bytes would: dirty and written back on eviction and Flush, with no
+// pool hit counted. An unchanged or failed Update leaves the page clean.
+func TestUpdateInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "data.pg")
+	reg := obs.NewRegistry()
+	p, err := Open(path, Options{PoolPages: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := reg.Counter("pager.page_writes")
+	a, _ := p.Allocate()
+	if err := p.Write(a, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	flushWrites := func() uint64 {
+		t.Helper()
+		w := writes.Value()
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return writes.Value() - w - 1 // less the meta page
+	}
+	flushWrites()
+
+	boom := errors.New("boom")
+	hits, misses := p.Stats()
+	if err := p.Update(a, func([]byte) (bool, error) { return false, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Update(a, func([]byte) (bool, error) { return false, boom }); !errors.Is(err, boom) {
+		t.Fatalf("Update err = %v, want fn's", err)
+	}
+	if h, m := p.Stats(); h != hits || m != misses {
+		t.Errorf("Update counted %d hits, %d misses", h-hits, m-misses)
+	}
+	if n := flushWrites(); n != 0 {
+		t.Errorf("unchanged pages: Flush wrote %d", n)
+	}
+
+	if err := p.Update(a, func(page []byte) (bool, error) {
+		copy(page, "after!")
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := flushWrites(); n != 1 {
+		t.Errorf("changed page: Flush wrote %d, want 1", n)
+	}
+
+	// A changed page evicted before any Flush is written back, and an
+	// Update of a page out of the pool loads it first.
+	if err := p.Update(a, func(page []byte) (bool, error) {
+		copy(page, "third!")
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen string
+	if err := p.Update(a, func(page []byte) (bool, error) {
+		seen = string(page[:6])
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, m := p.Stats(); seen != "third!" || m == misses {
+		t.Errorf("Update after eviction saw %q, misses %d -> %d", seen, misses, m)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Update(a, func([]byte) (bool, error) { return true, nil }); err == nil {
+		t.Error("update after close should fail")
+	}
+	p2, err := Open(path, Options{PoolPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	got, err := p2.Read(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:6]) != "third!" {
+		t.Errorf("after reopen: %q", got[:6])
+	}
 }
 
 func TestChecksumDetection(t *testing.T) {
