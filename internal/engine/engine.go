@@ -192,8 +192,6 @@ type Options struct {
 	Dir string
 	// PoolPages bounds the buffer pool of page-file backed engines.
 	PoolPages int
-	// Partitions sets the shard count of the distributed archetype.
-	Partitions int
 	// FS is the filesystem disk-backed engines open their files on. Nil
 	// means the real filesystem; the crash-recovery harness passes a
 	// vfs.FaultFS to test durability under injected failures.

@@ -75,6 +75,12 @@ func New(opts engine.Options) (*DB, error) {
 	if err := db.Core.Idx.Register(index.Nodes, "", lbl); err != nil {
 		return nil, err
 	}
+	if db.disk != nil {
+		if err := db.Core.IndexStoredNodes(); err != nil {
+			db.disk.Close()
+			return nil, err
+		}
+	}
 	// DEX-profile constraints: types checking + identity (per-type "name")
 	// + referential integrity.
 	db.Core.Cons.Add(constraint.Types{Schema: db.Core.Sch})

@@ -87,11 +87,16 @@ func (db *DB) replay() error {
 	}
 	var nodes []pending
 	var edges []pending
+	var corrupt error
 	err := db.backend.Scan([]byte("a!"), func(k, v []byte) bool {
 		db.seq++ // continue the log sequence after the persisted entries
 		rec, perr := decodeAtom(v)
 		if perr != nil {
-			return true
+			// Node ids are assigned in log order, so skipping an atom would
+			// shift every later id and attach replayed links to the wrong
+			// atoms.
+			corrupt = fmt.Errorf("hyperdb: corrupt atom %s: %w", k, perr)
+			return false
 		}
 		if len(rec.members) == 0 {
 			nodes = append(nodes, rec)
@@ -102,6 +107,9 @@ func (db *DB) replay() error {
 	})
 	if err != nil {
 		return err
+	}
+	if corrupt != nil {
+		return corrupt
 	}
 	for _, n := range nodes {
 		id, err := db.h.AddNode(n.label, n.props)

@@ -3,10 +3,13 @@ package hyperdb
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gdbm/internal/engine"
 	"gdbm/internal/model"
+	"gdbm/internal/storage/kv"
 )
 
 func openDB(t *testing.T) *DB {
@@ -176,6 +179,52 @@ func TestPersistenceReplaysAtomLog(t *testing.T) {
 	defer db3.Close()
 	if db3.Hypergraph().Order() != 3 {
 		t.Errorf("order after second reopen = %d (log clobbered?)", db3.Hypergraph().Order())
+	}
+}
+
+// TestReplayRefusesCorruptAtom: a log value that does not decode must fail
+// the reopen; skipping it would shift every later atom's id.
+func TestReplayRefusesCorruptAtom(t *testing.T) {
+	dir := t.TempDir()
+	db, err := New(engine.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := db.LoadNode("P", model.Props("name", name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := kv.OpenDisk(filepath.Join(dir, "hyperdb.pg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "a!0000000000000001"
+	truncated := encodeAtom("P", nil, model.Props("name", "a"))[:1]
+	if err := d.Put([]byte(key), truncated); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := New(engine.Options{Dir: dir})
+	if err == nil {
+		db2.Close()
+		t.Fatal("reopen over a truncated atom succeeded")
+	}
+	if !strings.Contains(err.Error(), "hyperdb: corrupt atom "+key) {
+		t.Errorf("reopen error = %v", err)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 	"gdbm/internal/model"
 )
 
-func openDB(t *testing.T, parts int) *DB {
+func openDB(t *testing.T) *DB {
 	t.Helper()
-	db, err := New(engine.Options{Partitions: parts})
+	db, err := New(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,28 +21,30 @@ func openDB(t *testing.T, parts int) *DB {
 }
 
 func TestShardingDistributesNodes(t *testing.T) {
-	db := openDB(t, 4)
+	db := openDB(t)
 	if db.Partitions() != 4 {
 		t.Fatalf("partitions = %d", db.Partitions())
 	}
+	counts := make([]int, db.Partitions())
 	for i := 0; i < 200; i++ {
-		db.LoadNode("N", nil)
+		id, _ := db.LoadNode("N", nil)
+		counts[shardOf(id)]++
 	}
 	// Every shard should hold a reasonable share.
-	for i, p := range db.parts {
-		if len(p.nodes) < 20 {
-			t.Errorf("shard %d holds only %d nodes", i, len(p.nodes))
+	for i, n := range counts {
+		if n < 20 {
+			t.Errorf("shard %d holds only %d nodes", i, n)
 		}
 	}
 }
 
 func TestCrossShardTraversal(t *testing.T) {
-	db := openDB(t, 4)
+	db := openDB(t)
 	ids, err := gen.Generate(gen.Spec{Kind: gen.ER, Nodes: 100, EdgesPerNode: 3, Seed: 11}, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.CrossEdges() == 0 {
+	if n, err := db.CrossEdges(); err != nil || n == 0 {
 		t.Fatal("expected cross-shard edges in a random graph")
 	}
 	// BFS spans shards transparently.
@@ -59,7 +61,7 @@ func TestCrossShardTraversal(t *testing.T) {
 }
 
 func TestCrossEdgeAccounting(t *testing.T) {
-	db := openDB(t, 4)
+	db := openDB(t)
 	// Find two nodes on different shards.
 	var a, b model.NodeID
 	for i := 0; i < 50 && b == 0; i++ {
@@ -68,29 +70,37 @@ func TestCrossEdgeAccounting(t *testing.T) {
 			a = id
 			continue
 		}
-		if db.shardOf(id) != db.shardOf(a) {
+		if shardOf(id) != shardOf(a) {
 			b = id
 		}
 	}
 	if b == 0 {
 		t.Skip("hash put everything on one shard (unlikely)")
 	}
-	before := db.CrossEdges()
+	crossEdges := func() int {
+		t.Helper()
+		n, err := db.CrossEdges()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := crossEdges()
 	eid, err := db.AddEdge("x", a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.CrossEdges() != before+1 {
-		t.Errorf("cross edges = %d, want %d", db.CrossEdges(), before+1)
+	if n := crossEdges(); n != before+1 {
+		t.Errorf("cross edges = %d, want %d", n, before+1)
 	}
 	db.RemoveEdge(eid)
-	if db.CrossEdges() != before {
-		t.Errorf("cross edges after remove = %d", db.CrossEdges())
+	if n := crossEdges(); n != before {
+		t.Errorf("cross edges after remove = %d", n)
 	}
 }
 
 func TestGraphSemantics(t *testing.T) {
-	db := openDB(t, 2)
+	db := openDB(t)
 	db.Schema().EnsureNodeType("P", model.Props("name", "", "age", 0))
 	db.Schema().EnsureRelationType("knows", model.Props("since", 0))
 	a, _ := db.AddNode("P", model.Props("name", "ada"))
@@ -132,7 +142,7 @@ func TestGraphSemantics(t *testing.T) {
 }
 
 func TestTypesCheckingAndIdentity(t *testing.T) {
-	db := openDB(t, 2)
+	db := openDB(t)
 	db.Schema().EnsureNodeType("T", model.Props("name", ""))
 	db.AddIdentity("T", "name")
 	if _, err := db.AddNode("T", model.Props("name", "x")); err != nil {
@@ -147,7 +157,7 @@ func TestTypesCheckingAndIdentity(t *testing.T) {
 }
 
 func TestIndexedNodesViaLabelIndex(t *testing.T) {
-	db := openDB(t, 3)
+	db := openDB(t)
 	db.Schema().EnsureNodeType("A", nil)
 	db.Schema().EnsureNodeType("B", nil)
 	db.AddNode("A", nil)

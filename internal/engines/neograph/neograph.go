@@ -70,19 +70,11 @@ func New(opts engine.Options) (*DB, error) {
 		db.Core = propcore.New(memgraph.New())
 	}
 	// Label index is always on; property indexes are created on demand.
-	lbl, err := db.Core.Idx.Create(index.Nodes, "", index.KindHash)
-	if err != nil {
+	if _, err := db.Core.Idx.Create(index.Nodes, "", index.KindHash); err != nil {
 		return nil, err
 	}
 	if db.disk != nil {
-		// Rebuild the label index from the persisted store.
-		err := db.Core.Nodes(func(n model.Node) bool {
-			if n.Label != "" {
-				lbl.Add(model.Str(n.Label), uint64(n.ID))
-			}
-			return true
-		})
-		if err != nil {
+		if err := db.Core.IndexStoredNodes(); err != nil {
 			db.disk.Close()
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gdbm/internal/algo/algotest"
+	"gdbm/internal/index"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 )
@@ -58,5 +59,31 @@ func TestAcquireViewRefusesUnpinnableStore(t *testing.T) {
 	defer release()
 	if g == nil {
 		t.Fatal("AcquireView over memgraph returned no view")
+	}
+}
+
+// TestIndexStoredNodes: the open-time rebuild indexes every node already in
+// the store, and a failed scan surfaces instead of leaving a partial index.
+func TestIndexStoredNodes(t *testing.T) {
+	mg := memgraph.New()
+	for _, label := range []string{"A", "A", "B"} {
+		if _, err := mg.AddNode(label, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(mg)
+	if _, err := c.Idx.Create(index.Nodes, "", index.KindHash); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.IndexStoredNodes(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if handled, err := c.IndexedNodes("A", "", model.Null(), func(model.Node) bool { n++; return true }); err != nil || !handled || n != 2 {
+		t.Errorf("label lookup after rebuild: handled=%v n=%d err=%v", handled, n, err)
+	}
+
+	if err := New(algotest.NewFlakyMutable(mg, 0)).IndexStoredNodes(); !errors.Is(err, algotest.ErrInjected) {
+		t.Errorf("rebuild over a failing scan = %v, want ErrInjected", err)
 	}
 }

@@ -56,6 +56,16 @@ func (c *Core) AcquireView() (model.Graph, model.ReleaseFunc, error) {
 	return p.AcquireView()
 }
 
+// IndexStoredNodes feeds every stored node to the index manager. Indexes
+// live in memory, so a disk-backed engine runs it on open, after
+// registering its indexes, to cover the nodes a reopened store holds.
+func (c *Core) IndexStoredNodes() error {
+	return c.g.Nodes(func(n model.Node) bool {
+		c.Idx.OnNodeWrite(n, "", nil)
+		return true
+	})
+}
+
 // --- model.Graph (reads delegate) ---
 
 // Order implements model.Graph.

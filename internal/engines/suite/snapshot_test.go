@@ -8,6 +8,7 @@ import (
 
 	"gdbm/internal/algo"
 	"gdbm/internal/engine"
+	"gdbm/internal/engine/capability"
 	"gdbm/internal/gen"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
@@ -331,5 +332,72 @@ func benchAfterWrite(b *testing.B, measured func(engine.Concurrent, stats.Provid
 				}
 			}
 		})
+	}
+}
+
+// TestRejectedMutationInvalidatesNothing holds every Concurrent engine, in
+// memory and on disk, to the store-level rule: a mutation rejected for a
+// missing target changes nothing, so a snapshot pinned before it must be
+// the one a later AcquireSnapshot returns. Each rejection keeps its kind:
+// not found, except that an engine declaring referential integrity
+// rejects an edge to a missing node as a constraint violation.
+func TestRejectedMutationInvalidatesNothing(t *testing.T) {
+	for _, name := range engine.Names() {
+		prof, ok := capability.ForEngine(name)
+		if !ok || !prof.Allows(capability.Concurrent) {
+			continue
+		}
+		for _, cfg := range []string{"mem", "dir"} {
+			t.Run(name+"/"+cfg, func(t *testing.T) {
+				opts := engine.Options{}
+				if cfg == "dir" || capability.NeedsDir(name) {
+					opts.Dir = t.TempDir()
+				}
+				e, err := engine.Open(name, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				ids := seed(t, e)
+				g := e.(model.MutableGraph)
+				con := e.(engine.Concurrent)
+				pinned, release, err := con.AcquireSnapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release()
+
+				const ghostN, ghostE = 999, 999
+				edgeKind := model.ErrNotFound
+				if e.Features().ReferentialIntegrity != engine.No {
+					edgeKind = model.ErrConstraint
+				}
+				_, addErr := g.AddEdge("next", ids[0], ghostN, nil)
+				for _, r := range []struct {
+					op   string
+					err  error
+					want error
+				}{
+					{"AddEdge", addErr, edgeKind},
+					{"SetNodeProp", g.SetNodeProp(ghostN, "rank", model.Int(1)), model.ErrNotFound},
+					{"SetEdgeProp", g.SetEdgeProp(ghostE, "w", model.Int(1)), model.ErrNotFound},
+					{"RemoveNode", g.RemoveNode(ghostN), model.ErrNotFound},
+					{"RemoveEdge", g.RemoveEdge(ghostE), model.ErrNotFound},
+				} {
+					if !errors.Is(r.err, r.want) {
+						t.Errorf("%s on a missing target: %v, want %v", r.op, r.err, r.want)
+					}
+				}
+
+				again, release2, err := con.AcquireSnapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release2()
+				if again != pinned {
+					t.Error("rejected mutations made AcquireSnapshot return a new graph")
+				}
+			})
+		}
 	}
 }

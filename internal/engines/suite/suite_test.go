@@ -6,12 +6,14 @@ package suite
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/engine/capability"
 	"gdbm/internal/model"
+	"gdbm/internal/query/plan"
 
 	_ "gdbm/internal/engines/bitmapdb"
 	_ "gdbm/internal/engines/filamentdb"
@@ -202,9 +204,90 @@ func TestEssentialsExecuteCorrectly(t *testing.T) {
 	}
 }
 
+// storageEngines names every registered engine whose Features() declare
+// External memory or Backend storage (Table I): the cells a reopen must
+// back.
+func storageEngines(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, name := range engine.Names() {
+		opts := engine.Options{}
+		if capability.NeedsDir(name) {
+			opts.Dir = t.TempDir()
+		}
+		e, err := engine.Open(name, opts)
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		f := e.Features()
+		if err := e.Close(); err != nil {
+			t.Fatalf("close %s: %v", name, err)
+		}
+		if f.ExternalMemory != engine.No || f.BackendStorage != engine.No {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// reopenAnswers is what the persistence probe reads back: the label
+// count, a-b adjacency and the property sum through Essentials, plus the
+// label lookup and the label scan where the engine is a plan.Source.
+type reopenAnswers struct {
+	count, sum       string
+	adjacent         bool
+	indexed, scanned []model.NodeID
+	handled          bool
+}
+
+func readAnswers(t *testing.T, e engine.Engine, a, b model.NodeID) reopenAnswers {
+	t.Helper()
+	es := e.Essentials(context.Background())
+	var ans reopenAnswers
+	v, err := es.Summarization(algo.AggCount, "P", "")
+	if err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	ans.count = v.String()
+	if v, err = es.Summarization(algo.AggSum, "P", "w"); err != nil {
+		t.Fatalf("sum: %v", err)
+	}
+	ans.sum = v.String()
+	if ans.adjacent, err = es.NodeAdjacency(a, b); err != nil {
+		t.Errorf("adjacency: %v", err)
+	}
+	src, ok := e.(plan.Source)
+	if !ok {
+		return ans
+	}
+	if ans.handled, err = src.IndexedNodes("P", "", model.Null(), func(n model.Node) bool {
+		ans.indexed = append(ans.indexed, n.ID)
+		return true
+	}); err != nil {
+		t.Fatalf("IndexedNodes: %v", err)
+	}
+	if err := src.Nodes(func(n model.Node) bool {
+		if n.Label == "P" {
+			ans.scanned = append(ans.scanned, n.ID)
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("Nodes: %v", err)
+	}
+	slices.Sort(ans.indexed)
+	slices.Sort(ans.scanned)
+	return ans
+}
+
+// TestPersistence is the reopen probe behind Table I's storage cells: every
+// engine that declares External memory or Backend storage loads three
+// nodes and an edge, and a mutable engine also updates a declared property
+// and removes a node. After Flush, Close and a reopen, the label count,
+// the adjacency, the property sum and (for a plan.Source) the label lookup
+// must answer as they did before the close, and a label lookup the index
+// handles must return the rows a scan returns.
 func TestPersistence(t *testing.T) {
-	// Engines claiming external/backend storage must survive reopening.
-	for _, name := range []string{"neograph", "bitmapdb", "vertexkv", "filamentdb", "gstore", "triplestore"} {
+	for _, name := range storageEngines(t) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			e, err := engine.Open(name, engine.Options{Dir: dir})
@@ -212,8 +295,28 @@ func TestPersistence(t *testing.T) {
 				t.Fatal(err)
 			}
 			l := e.(engine.Loader)
-			if _, err := l.LoadNode("P", model.Props("name", "keep")); err != nil {
+			var ids [3]model.NodeID
+			for i, nm := range []string{"a", "b", "c"} {
+				if ids[i], err = l.LoadNode("P", model.Props("name", nm, "w", i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := l.LoadEdge("E", ids[0], ids[1], nil); err != nil {
 				t.Fatal(err)
+			}
+			wantCount := "3"
+			if g, ok := e.(model.MutableGraph); ok {
+				if err := g.SetNodeProp(ids[0], "w", model.Int(10)); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.RemoveNode(ids[2]); err != nil {
+					t.Fatal(err)
+				}
+				wantCount = "2"
+			}
+			before := readAnswers(t, e, ids[0], ids[1])
+			if before.count != wantCount || !before.adjacent {
+				t.Fatalf("before close: count %s adjacent %v, want %s true", before.count, before.adjacent, wantCount)
 			}
 			if p, ok := e.(engine.Persistent); ok {
 				if err := p.Flush(); err != nil {
@@ -229,25 +332,24 @@ func TestPersistence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e2.Close()
-			es := e2.Essentials(context.Background())
-			v, err := es.Summarization(algo.AggCount, "P", "")
-			if name == "triplestore" {
-				// Triple engines store the label as a statement, not a
-				// node label; count terms instead.
-				v, err = es.Summarization(algo.AggCount, "", "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n, _ := v.AsInt(); n < 2 { // term "keep" + type term "P"
-					t.Errorf("terms after reopen = %v", v)
-				}
-				return
+			after := readAnswers(t, e2, ids[0], ids[1])
+			if after.count != before.count {
+				t.Errorf("count after reopen = %s, want %s", after.count, before.count)
 			}
-			if err != nil {
-				t.Fatal(err)
+			if after.sum != before.sum {
+				t.Errorf("sum of w after reopen = %s, want %s", after.sum, before.sum)
 			}
-			if n, _ := v.AsInt(); n != 1 {
-				t.Errorf("count after reopen = %v", v)
+			if !after.adjacent {
+				t.Error("a and b are no longer adjacent after reopen")
+			}
+			if after.handled != before.handled {
+				t.Errorf("label lookup handled = %v after reopen, %v before", after.handled, before.handled)
+			}
+			if after.handled && !slices.Equal(after.indexed, after.scanned) {
+				t.Errorf("label lookup after reopen = %v, scan = %v", after.indexed, after.scanned)
+			}
+			if !slices.Equal(after.scanned, before.scanned) {
+				t.Errorf("label scan after reopen = %v, before = %v", after.scanned, before.scanned)
 			}
 		})
 	}
