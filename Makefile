@@ -2,7 +2,7 @@ GO ?= go
 COVER_FLOOR ?= 45.0
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench-e2e cover fuzz-smoke serve-smoke ci
+.PHONY: build test vet fmt lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench-e2e cover fuzz-smoke serve-smoke ci
 
 # Tier-1 verification: everything builds, every test passes.
 build:
@@ -27,8 +27,15 @@ bin/gdbvet: FORCE
 .PHONY: FORCE
 FORCE:
 
-lint: vet bin/gdbvet
+lint: vet fmt bin/gdbvet
 	./bin/gdbvet -audit -budget .gdbvet-budget ./...
+
+# gofmt -l over every Go file outside testdata; any file it lists fails the
+# build. The analyzer fixtures under testdata are left out: their // want
+# comments pin diagnostics to line and column positions as written.
+fmt:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The whole module runs under the race detector: the one race run in ci.
 # The race-* subsets below are faster inner-loop targets outside ci; every
@@ -117,6 +124,7 @@ fuzz-smoke:
 	$(GO) test ./internal/format/ -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/wire/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzLeafSplice -fuzztime $(FUZZTIME)
 

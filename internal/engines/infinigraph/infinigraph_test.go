@@ -62,20 +62,26 @@ func TestCrossShardTraversal(t *testing.T) {
 
 func TestCrossEdgeAccounting(t *testing.T) {
 	db := openDB(t)
+	db.Schema().EnsureNodeType("N", nil)
+	db.Schema().EnsureRelationType("x", nil)
 	// Find two nodes on different shards.
 	var a, b model.NodeID
-	for i := 0; i < 50 && b == 0; i++ {
-		id, _ := db.AddNode("N", nil)
-		if a == 0 {
+	found := false
+	for i := 0; i < 50 && !found; i++ {
+		id, err := db.AddNode("N", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
 			a = id
 			continue
 		}
 		if shardOf(id) != shardOf(a) {
-			b = id
+			b, found = id, true
 		}
 	}
-	if b == 0 {
-		t.Skip("hash put everything on one shard (unlikely)")
+	if !found {
+		t.Fatal("50 nodes all placed on one shard")
 	}
 	crossEdges := func() int {
 		t.Helper()
@@ -93,7 +99,9 @@ func TestCrossEdgeAccounting(t *testing.T) {
 	if n := crossEdges(); n != before+1 {
 		t.Errorf("cross edges = %d, want %d", n, before+1)
 	}
-	db.RemoveEdge(eid)
+	if err := db.RemoveEdge(eid); err != nil {
+		t.Fatal(err)
+	}
 	if n := crossEdges(); n != before {
 		t.Errorf("cross edges after remove = %d", n)
 	}

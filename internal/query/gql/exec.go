@@ -33,16 +33,43 @@ func ExecCtx(ctx context.Context, input string, m Mutator) (*plan.Result, error)
 	return &c.Res, nil
 }
 
+// parsedKey is the context key under which WithParsed hands a statement
+// to ExecStreamCtx.
+type parsedKey struct{}
+
+// parsed pairs a statement with the exact input it was parsed from.
+type parsed struct {
+	input string
+	st    *Statement
+}
+
+// WithParsed returns a ctx carrying st as the parse of input, for a caller
+// that parsed the statement already (the server does, to pick its lock).
+// ExecStreamCtx under that ctx runs st when given exactly input and parses
+// any other input itself.
+func WithParsed(ctx context.Context, input string, st *Statement) context.Context {
+	return context.WithValue(ctx, parsedKey{}, parsed{input: input, st: st})
+}
+
+// parse returns the statement ctx carries for input, or parses input.
+func parse(ctx context.Context, input string) (*Statement, error) {
+	if p, ok := ctx.Value(parsedKey{}).(parsed); ok && p.input == input {
+		return p.st, nil
+	}
+	return Parse(input)
+}
+
 // ExecStreamCtx parses and runs one statement under ctx, applying writes
-// through m and delivering the result into sink. Read statements stream
-// rows as the operator tree produces them; write statements (whose result
-// is a counter row that only exists after the last mutation) execute fully
-// and replay. When ctx carries an obs.Trace, parsing and execution are
-// recorded as "parse" and "exec" spans; tracing never changes the answer.
+// through m and delivering the result into sink; a statement handed over
+// by WithParsed is not parsed again. Read statements stream rows as the
+// operator tree produces them; write statements (whose result is a counter
+// row that only exists after the last mutation) execute fully and replay.
+// When ctx carries an obs.Trace, parsing and execution are recorded as
+// "parse" and "exec" spans; tracing never changes the answer.
 func ExecStreamCtx(ctx context.Context, input string, m Mutator, sink plan.Sink) error {
 	tr := obs.FromContext(ctx)
 	endParse := tr.StartSpan("parse")
-	st, err := Parse(input)
+	st, err := parse(ctx, input)
 	endParse()
 	if err != nil {
 		return err

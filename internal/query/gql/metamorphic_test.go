@@ -49,9 +49,9 @@ func (d indexedDB) IndexedNodes(label, prop string, v model.Value, fn func(model
 	return true, err
 }
 
-// Metamorphic property: the same query over the same data returns the same
-// multiset of rows whether the planner scans or uses indexes.
-func TestIndexedAndScannedResultsAgree(t *testing.T) {
+// metamorphicDBs loads the same deterministic graph into a plain and an
+// indexed store.
+func metamorphicDBs() (testDB, indexedDB) {
 	plainG := memgraph.New()
 	idxG := memgraph.New()
 	mgr := index.NewManager()
@@ -79,19 +79,24 @@ func TestIndexedAndScannedResultsAgree(t *testing.T) {
 	}
 	seed(plainG, false)
 	seed(idxG, true)
+	return testDB{plainG}, indexedDB{Graph: idxG, idx: mgr}
+}
 
-	plain := testDB{plainG}
-	indexed := indexedDB{Graph: idxG, idx: mgr}
+// metamorphicQueries is the read corpus the metamorphic tests run.
+var metamorphicQueries = []string{
+	`MATCH (a:A) RETURN a.rank AS r`,
+	`MATCH (a:A {group: 2}) RETURN a.rank AS r`,
+	`MATCH (a:B)-[:next]->(b) RETURN a.rank AS r, b.rank AS s`,
+	`MATCH (a {group: 0})-[:jump]->(b)-[:next]->(c) RETURN c.rank AS r`,
+	`MATCH (a:C) WHERE a.rank > 30 RETURN count(*) AS n`,
+	`MATCH (a:A)-[:next]->(b:B) RETURN a.rank + b.rank AS s ORDER BY s LIMIT 5`,
+}
 
-	queries := []string{
-		`MATCH (a:A) RETURN a.rank AS r`,
-		`MATCH (a:A {group: 2}) RETURN a.rank AS r`,
-		`MATCH (a:B)-[:next]->(b) RETURN a.rank AS r, b.rank AS s`,
-		`MATCH (a {group: 0})-[:jump]->(b)-[:next]->(c) RETURN c.rank AS r`,
-		`MATCH (a:C) WHERE a.rank > 30 RETURN count(*) AS n`,
-		`MATCH (a:A)-[:next]->(b:B) RETURN a.rank + b.rank AS s ORDER BY s LIMIT 5`,
-	}
-	for _, q := range queries {
+// Metamorphic property: the same query over the same data returns the same
+// multiset of rows whether the planner scans or uses indexes.
+func TestIndexedAndScannedResultsAgree(t *testing.T) {
+	plain, indexed := metamorphicDBs()
+	for _, q := range metamorphicQueries {
 		t.Run(q, func(t *testing.T) {
 			r1, err := ExecCtx(context.Background(), q, plain)
 			if err != nil {

@@ -16,7 +16,7 @@ import (
 	"gdbm/internal/gen"
 	"gdbm/internal/model"
 	"gdbm/internal/obs"
-	"gdbm/internal/query/plan"
+	"gdbm/internal/query/gql"
 )
 
 // Config sizes a Server.
@@ -65,9 +65,9 @@ var (
 // an explicit drain protocol. Construct with New, serve with Handler, and
 // stop by BeginDrain followed by http.Server.Shutdown.
 type Server struct {
-	classes  map[Class]*admission
-	tenants  map[string]*tenant
-	order    []string
+	classes   map[Class]*admission
+	tenants   map[string]*tenant
+	order     []string
 	sessions  *sessionStore
 	metrics   *obs.Registry
 	chunkRows int
@@ -206,13 +206,6 @@ type queryRequest struct {
 	// TimeoutMS lowers the class deadline for this request; it can never
 	// raise it.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
-
-// queryResponse is the wire form of a query result.
-type queryResponse struct {
-	Cols      []string `json:"cols"`
-	Rows      [][]any  `json:"rows"`
-	ElapsedMS float64  `json:"elapsed_ms"`
 }
 
 // errorResponse is the wire form of every failure, including sheds.
@@ -360,7 +353,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Error frame) or abort the connection (JSON has no in-band channel).
 	st := s.newRespStream(w, r)
 	start := time.Now()
-	execErr := t.exec(readonlyStmt(t.eng, req.Stmt), func(eng engine.Engine) error {
+	readonly, parsed := readonlyStmt(t.eng, req.Stmt)
+	if parsed != nil {
+		ctx = gql.WithParsed(ctx, req.Stmt, parsed)
+	}
+	execErr := t.exec(readonly, func(eng engine.Engine) error {
 		q, ok := eng.(engine.Querier)
 		if !ok {
 			return fmt.Errorf("engine %q has no query language", t.name)
@@ -399,25 +396,6 @@ func classifyExecErr(err error) (status int, outcome, msg string) {
 	default:
 		return http.StatusUnprocessableEntity, "failed", err.Error()
 	}
-}
-
-func toWire(res *plan.Result, elapsed time.Duration) queryResponse {
-	out := queryResponse{
-		Cols:      res.Cols,
-		Rows:      make([][]any, len(res.Rows)),
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-	}
-	if out.Cols == nil {
-		out.Cols = []string{}
-	}
-	for i, row := range res.Rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			vals[j] = v.Native()
-		}
-		out.Rows[i] = vals
-	}
-	return out
 }
 
 type sessionCreateRequest struct {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -452,5 +453,61 @@ func TestStatszAndHealthz(t *testing.T) {
 	}
 	if fmt.Sprint(srv.Engines()) != "[stub]" {
 		t.Fatalf("engines: %v", srv.Engines())
+	}
+}
+
+// TestRequestBodies pins how both decoding endpoints answer each shape of
+// request body: the status, and the error message a client sees. Only the
+// first JSON value is read, so bytes after it are ignored, even past the
+// size cap; a body that is still inside its first value at the cap
+// answers 413.
+func TestRequestBodies(t *testing.T) {
+	_, _, ts := newTestServer(t, &stubEngine{}, relaxed, relaxed)
+	huge := strings.Repeat("x", 2<<20)
+	for _, ep := range []struct {
+		path, valid, wrongType, typeMsg string
+	}{
+		{"/v1/query", `{"stmt":"x","engine":"stub"}`, `{"stmt":5,"engine":"stub"}`,
+			"json: cannot unmarshal number into Go struct field queryRequest.stmt of type string"},
+		{"/v1/session", `{"engine":"stub"}`, `{"engine":5}`,
+			"json: cannot unmarshal number into Go struct field sessionCreateRequest.engine of type string"},
+	} {
+		cases := []struct {
+			name string
+			body string
+			code int
+			msg  string // the error field; "" when the request is accepted
+		}{
+			{"valid", ep.valid, http.StatusOK, ""},
+			{"valid-newline", ep.valid + "\n", http.StatusOK, ""},
+			{"trailing-bytes", ep.valid + " trailing", http.StatusOK, ""},
+			{"trailing-value", ep.valid + `{"stmt":"y"}`, http.StatusOK, ""},
+			{"trailing-past-cap", ep.valid + strings.Repeat(" ", 2<<20), http.StatusOK, ""},
+			{"empty", "", http.StatusBadRequest, "bad request body: EOF"},
+			{"whitespace", " \n\t", http.StatusBadRequest, "bad request body: EOF"},
+			{"malformed-truncated", `{"stmt":`, http.StatusBadRequest, "bad request body: unexpected EOF"},
+			{"malformed-token", `not json`, http.StatusBadRequest, "bad request body: invalid character 'o' in literal null (expecting 'u')"},
+			{"malformed-wrong-type", ep.wrongType, http.StatusBadRequest, "bad request body: " + ep.typeMsg},
+			{"unknown-field", ep.valid[:len(ep.valid)-1] + `,"extra":1}`, http.StatusOK, ""},
+			{"oversized", `{"engine":"stub","stmt":"` + huge + `"}`, http.StatusRequestEntityTooLarge, "request body exceeds 1048576 bytes"},
+		}
+		for _, c := range cases {
+			t.Run(ep.path+"/"+c.name, func(t *testing.T) {
+				resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(c.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var out struct {
+					Error string `json:"error"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != c.code || out.Error != c.msg {
+					t.Errorf("status %d, error %q; want %d, %q", resp.StatusCode, out.Error, c.code, c.msg)
+				}
+			})
+		}
 	}
 }

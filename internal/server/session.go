@@ -41,21 +41,26 @@ func (t *tenant) exec(readonly bool, fn func(engine.Engine) error) error {
 // (MATCH ... CREATE/SET/DELETE), so first-keyword matching would route a
 // mutation under the shared lock. gsql and sparqlish dispatch statements on
 // their first keyword, so a SELECT/ASK head there guarantees a pure read.
-func readonlyStmt(eng engine.Engine, stmt string) bool {
+// A gql statement that parses is returned too, for the handler to hand to
+// the engine through gql.WithParsed so it is parsed once per request.
+func readonlyStmt(eng engine.Engine, stmt string) (bool, *gql.Statement) {
 	q, ok := eng.(engine.Querier)
 	if !ok {
-		return false
+		return false, nil
 	}
 	switch q.LanguageName() {
 	case "gql":
 		st, err := gql.Parse(stmt)
-		return err == nil && st.ReadOnly()
+		if err != nil {
+			return false, nil
+		}
+		return st.ReadOnly(), st
 	case "gsql":
-		return engine.ReadOnlyStmt(stmt, "SELECT")
+		return engine.ReadOnlyStmt(stmt, "SELECT"), nil
 	case "sparqlish":
-		return engine.ReadOnlyStmt(stmt, "SELECT", "ASK")
+		return engine.ReadOnlyStmt(stmt, "SELECT", "ASK"), nil
 	}
-	return false
+	return false, nil
 }
 
 // session is a private tenant with an expiry.

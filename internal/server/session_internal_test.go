@@ -71,12 +71,12 @@ func TestReadonlyStmt(t *testing.T) {
 		{"mystery", "SELECT 1", false},
 	}
 	for _, c := range cases {
-		got := readonlyStmt(&langEngine{lang: c.lang}, c.stmt)
+		got, _ := readonlyStmt(&langEngine{lang: c.lang}, c.stmt)
 		if got != c.want {
 			t.Errorf("readonlyStmt(%s, %q) = %v, want %v", c.lang, c.stmt, got, c.want)
 		}
 	}
-	if readonlyStmt(bareEngine{}, "SELECT 1") {
+	if got, _ := readonlyStmt(bareEngine{}, "SELECT 1"); got {
 		t.Error("engine without a query language must take the exclusive lock")
 	}
 }

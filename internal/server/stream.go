@@ -31,7 +31,9 @@ type respStreamer interface {
 	// committed reports whether response bytes are already on the wire;
 	// before that, failures can still answer a plain HTTP error status.
 	committed() bool
-	// finish ends a successful stream with the encoding's trailer.
+	// finish writes the last partial chunk and the encoding's trailer but
+	// does not flush: the handler's return does, so a response that fits
+	// net/http's buffer goes out in one write with a Content-Length.
 	finish(elapsed time.Duration) error
 	// abort reports a post-commit failure in-band when the encoding can;
 	// errNoInBandError (or a write failure) tells the handler to abort
@@ -55,8 +57,8 @@ func (s *Server) newRespStream(w http.ResponseWriter, r *http.Request) respStrea
 // {"cols":...,"rows":[...],"elapsed_ms":...}\n — writing rows as they
 // arrive and flushing every chunk rows. Compositionality of JSON encoding
 // makes the concatenation of per-element json.Marshal calls identical to
-// one json.Encoder pass over the whole queryResponse; the twin tests pin
-// this byte-for-byte.
+// one json.Encoder pass over the whole result; the twin tests pin this
+// byte-for-byte against a buffered reference encoding.
 type jsonStream struct {
 	w      http.ResponseWriter
 	flush  http.Flusher // nil when the writer cannot flush
@@ -66,6 +68,7 @@ type jsonStream struct {
 	began      bool
 	rows       int
 	sinceFlush int
+	buf        []byte // reused to prefix a row with its separator
 }
 
 func (j *jsonStream) Cols(cols []string) error {
@@ -95,7 +98,8 @@ func (j *jsonStream) Row(vals []model.Value) error {
 		return err
 	}
 	if j.rows > 0 {
-		b = append([]byte{','}, b...)
+		j.buf = append(append(j.buf[:0], ','), b...)
+		b = j.buf
 	}
 	if _, err := j.w.Write(b); err != nil {
 		return err
@@ -128,13 +132,8 @@ func (j *jsonStream) finish(elapsed time.Duration) error {
 	}
 	buf := append([]byte(`],"elapsed_ms":`), b...)
 	buf = append(buf, '}', '\n')
-	if _, err := j.w.Write(buf); err != nil {
-		return err
-	}
-	if j.flush != nil {
-		j.flush.Flush()
-	}
-	return nil
+	_, err = j.w.Write(buf)
+	return err
 }
 
 func (j *jsonStream) abort(int, string) error { return errNoInBandError }
@@ -164,13 +163,21 @@ func (b *binStream) Cols(cols []string) error {
 func (b *binStream) Row(vals []model.Value) error {
 	b.buf = append(b.buf, vals) // plan.Stream hands each row a fresh slice
 	b.rows++
-	if len(b.buf) >= b.chunk {
-		return b.flushChunk()
+	if len(b.buf) < b.chunk {
+		return nil
+	}
+	if err := b.writeChunk(); err != nil {
+		return err
+	}
+	if b.flush != nil {
+		b.flush.Flush()
 	}
 	return nil
 }
 
-func (b *binStream) flushChunk() error {
+// writeChunk frames the buffered rows as one Chunk frame, counted in
+// server.stream.chunks; the caller decides whether to flush.
+func (b *binStream) writeChunk() error {
 	if len(b.buf) == 0 {
 		return nil
 	}
@@ -180,9 +187,6 @@ func (b *binStream) flushChunk() error {
 	b.buf = b.buf[:0]
 	if b.chunks != nil {
 		b.chunks.Inc()
-	}
-	if b.flush != nil {
-		b.flush.Flush()
 	}
 	return nil
 }
@@ -195,16 +199,10 @@ func (b *binStream) finish(elapsed time.Duration) error {
 			return err
 		}
 	}
-	if err := b.flushChunk(); err != nil {
+	if err := b.writeChunk(); err != nil {
 		return err
 	}
-	if err := b.bw.End(b.rows, elapsed); err != nil {
-		return err
-	}
-	if b.flush != nil {
-		b.flush.Flush()
-	}
-	return nil
+	return b.bw.End(b.rows, elapsed)
 }
 
 func (b *binStream) abort(status int, msg string) error {

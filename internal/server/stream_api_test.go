@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,5 +264,98 @@ func TestMidStreamCancellation(t *testing.T) {
 			t.Fatalf("goroutines: %d before, %d after cancellation", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// writeCounter is a listener whose connections count their Write calls,
+// so a test can see how many socket writes a response took.
+type writeCounter struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countedConn{Conn: c, writes: &l.writes}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countedConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestSmallResponseIsOneWrite: a result that fits in net/http's response
+// buffer leaves the handler unflushed, so net/http sends it in one socket
+// write with a Content-Length, on both encodings. A result larger than a
+// chunk still streams: chunked, with one server.stream.chunks count per
+// chunk-boundary flush (JSON) or per Chunk frame (binary).
+func TestSmallResponseIsOneWrite(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		accept     string
+		rows       int
+		chunked    bool
+		wantChunks uint64
+	}{
+		{"json-one-row", "", 1, false, 0},
+		{"binary-one-row", wire.ContentType, 1, false, 1},
+		{"json-multi-chunk", "", 600, true, 2},
+		{"binary-multi-chunk", wire.ContentType, 600, true, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := obs.NewRegistry()
+			srv, err := server.New(server.Config{
+				Engines:     []string{"stub"},
+				Open:        func(string) (engine.Engine, error) { return &streamStub{rows: c.rows}, nil },
+				Interactive: relaxed,
+				Batch:       relaxed,
+				Metrics:     m,
+				ChunkRows:   256,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewUnstartedServer(srv.Handler())
+			lis := &writeCounter{Listener: ts.Listener}
+			ts.Listener = lis
+			ts.Start()
+			defer ts.Close()
+
+			resp, err := http.DefaultClient.Do(queryReq(t, ts.URL, c.accept))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			chunked := len(resp.TransferEncoding) > 0
+			if chunked != c.chunked {
+				t.Errorf("Transfer-Encoding %v, want chunked=%v", resp.TransferEncoding, c.chunked)
+			}
+			if !c.chunked {
+				if resp.ContentLength != int64(len(body)) {
+					t.Errorf("Content-Length %d, body %d bytes", resp.ContentLength, len(body))
+				}
+				if n := lis.writes.Load(); n != 1 {
+					t.Errorf("response took %d socket writes, want 1", n)
+				}
+			}
+			if got := m.Counters()["server.stream.chunks"]; got != c.wantChunks {
+				t.Errorf("server.stream.chunks = %d, want %d", got, c.wantChunks)
+			}
+		})
 	}
 }
