@@ -1,8 +1,7 @@
 // Package cache is the versioned caching layer of the storage stack: a
 // fixed-budget CLOCK (second-chance) cache, the bare CLOCK eviction policy
-// the pager's buffer pool uses, a per-graph epoch counter, and the two
-// typed caches built on them — a decoded-adjacency cache and a query-result
-// cache.
+// the pager's buffer pool uses, a per-graph epoch counter, and the
+// statement-result cache built on them.
 //
 // Invalidation contract (see DESIGN.md "Caching contract"): nothing in this
 // package is ever invalidated in place. Cached entries are keyed on the
@@ -23,17 +22,4 @@ type Stats struct {
 	Entries     int   `json:"entries"`
 	UsedBytes   int64 `json:"used_bytes"`
 	BudgetBytes int64 `json:"budget_bytes"`
-}
-
-// Add returns the element-wise sum of two snapshots (for aggregating the
-// layers of one engine into a single report line).
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Hits:        s.Hits + o.Hits,
-		Misses:      s.Misses + o.Misses,
-		Evictions:   s.Evictions + o.Evictions,
-		Entries:     s.Entries + o.Entries,
-		UsedBytes:   s.UsedBytes + o.UsedBytes,
-		BudgetBytes: s.BudgetBytes + o.BudgetBytes,
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"gdbm/internal/model"
 )
 
 func TestClockBasics(t *testing.T) {
@@ -81,12 +79,7 @@ func TestClockZeroBudget(t *testing.T) {
 			t.Fatalf("budget %d: stats %+v", budget, s)
 		}
 	}
-	// The composed caches inherit the behavior.
-	a := NewAdjacency(0)
-	a.Put(1, 2, model.Out, []AdjEntry{{}})
-	if _, ok := a.Get(1, 2, model.Out); ok {
-		t.Fatal("zero-budget adjacency cache stored an entry")
-	}
+	// The result cache inherits the behavior.
 	r := NewResults(0)
 	r.Put(7, 1, "x", 8)
 	if _, ok := r.Get(7, 1); ok {
@@ -172,40 +165,12 @@ func TestEpochWraparound(t *testing.T) {
 	}
 }
 
-func TestAdjacencyEpochKeying(t *testing.T) {
-	a := NewAdjacency(1 << 16)
-	ents := []AdjEntry{{
-		Edge: model.Edge{ID: 1, Label: "knows", From: 1, To: 2},
-		Node: model.Node{ID: 2, Label: "person", Props: model.Props("name", "b")},
-	}}
-	a.Put(5, 1, model.Out, ents)
-	if got, ok := a.Get(5, 1, model.Out); !ok || len(got) != 1 || got[0].Edge.ID != 1 {
-		t.Fatalf("Get(5,1,Out) = %v, %v", got, ok)
-	}
-	if _, ok := a.Get(6, 1, model.Out); ok {
-		t.Fatal("entry visible under a later epoch")
-	}
-	if _, ok := a.Get(5, 1, model.In); ok {
-		t.Fatal("entry visible under the wrong direction")
-	}
-}
-
 func TestFingerprintSeparatorsMatter(t *testing.T) {
 	if Fingerprint("ab", "c") == Fingerprint("a", "bc") {
 		t.Fatal("fingerprint collision across part boundaries")
 	}
 	if Fingerprint("x") != Fingerprint("x") {
 		t.Fatal("fingerprint not deterministic")
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Hits: 1, Misses: 2, Evictions: 3, Entries: 4, UsedBytes: 5, BudgetBytes: 6}
-	b := Stats{Hits: 10, Misses: 20, Evictions: 30, Entries: 40, UsedBytes: 50, BudgetBytes: 60}
-	got := a.Add(b)
-	want := Stats{Hits: 11, Misses: 22, Evictions: 33, Entries: 44, UsedBytes: 55, BudgetBytes: 66}
-	if got != want {
-		t.Fatalf("Add = %+v, want %+v", got, want)
 	}
 }
 

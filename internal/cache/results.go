@@ -10,9 +10,9 @@ type resultKey struct {
 	epoch uint64
 }
 
-// Results is the query-result cache. Keys are (fingerprint, epoch); the
-// fingerprint encodes the engine, the query class and its arguments (see
-// Fingerprint). Values are opaque to the cache; the caller prices each
+// Results is the statement-result cache. Keys are (fingerprint, epoch);
+// the fingerprint encodes the engine, the query language and the statement
+// text (see Fingerprint). Values are opaque to the cache; the caller prices each
 // entry, and is responsible for storing/returning values that later
 // mutation by its callers cannot corrupt (copy-in/copy-out).
 type Results struct {
@@ -33,8 +33,7 @@ func NewResults(budget int64) *Results {
 }
 
 // Fingerprint hashes the parts identifying one query — by convention
-// (engine, query class, rendered arguments...) — into a cache key
-// component with FNV-1a.
+// (engine, language, statement) — into a cache key component with FNV-1a.
 func Fingerprint(parts ...string) uint64 {
 	h := fnv.New64a()
 	for _, p := range parts {

@@ -1,107 +1,51 @@
 package engine
 
 import (
-	"strconv"
 	"strings"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/cache"
-	"gdbm/internal/model"
 	"gdbm/internal/query/plan"
 )
 
 // CacheStatser is implemented by engines that expose their cache counters,
-// keyed by tier ("page", "adjacency", "results"). Engines built without a
-// tier omit its key.
+// keyed by tier ("page", "results"). Engines built without a tier omit its
+// key.
 type CacheStatser interface {
 	CacheStats() map[string]cache.Stats
 }
 
-// CachedEssentials wraps an essential-query surface with a query-result
-// cache keyed on (engine name, query class, rendered arguments) at the
-// graph epoch reported by epoch. Entries are published only when the epoch
-// is unchanged across the computation, so a result computed against a
-// partially-applied mutation can never be served later; entries written
-// before a mutation are unreachable because the mutation bumped the epoch.
-// Values are copied in and copied out, so callers may mutate what they
-// receive. Nil query classes stay nil, and errors are never cached.
-func CachedEssentials(name string, es Essentials, rc *cache.Results, epoch func() uint64) Essentials {
-	if rc == nil {
-		return es
-	}
-	out := es
-	if es.NodeAdjacency != nil {
-		out.NodeAdjacency = func(a, b model.NodeID) (bool, error) {
-			fp := cache.Fingerprint(name, "nadj", u(uint64(a)), u(uint64(b)))
-			return cached(rc, epoch, fp, func(bool) int64 { return 1 }, ident[bool],
-				func() (bool, error) { return es.NodeAdjacency(a, b) })
-		}
-	}
-	if es.EdgeAdjacency != nil {
-		out.EdgeAdjacency = func(e1, e2 model.EdgeID) (bool, error) {
-			fp := cache.Fingerprint(name, "eadj", u(uint64(e1)), u(uint64(e2)))
-			return cached(rc, epoch, fp, func(bool) int64 { return 1 }, ident[bool],
-				func() (bool, error) { return es.EdgeAdjacency(e1, e2) })
-		}
-	}
-	if es.KNeighborhood != nil {
-		out.KNeighborhood = func(n model.NodeID, k int) ([]model.NodeID, error) {
-			fp := cache.Fingerprint(name, "khood", u(uint64(n)), strconv.Itoa(k))
-			return cached(rc, epoch, fp, idsCost, cloneIDs,
-				func() ([]model.NodeID, error) { return es.KNeighborhood(n, k) })
-		}
-	}
-	if es.FixedLengthPaths != nil {
-		out.FixedLengthPaths = func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			fp := cache.Fingerprint(name, "fpaths", u(uint64(from)), u(uint64(to)), strconv.Itoa(length))
-			return cached(rc, epoch, fp, pathsCost, clonePaths,
-				func() ([]algo.Path, error) { return es.FixedLengthPaths(from, to, length) })
-		}
-	}
-	if es.RegularSimplePaths != nil {
-		out.RegularSimplePaths = func(from model.NodeID, expr string) ([]model.NodeID, error) {
-			fp := cache.Fingerprint(name, "rpaths", u(uint64(from)), expr)
-			return cached(rc, epoch, fp, idsCost, cloneIDs,
-				func() ([]model.NodeID, error) { return es.RegularSimplePaths(from, expr) })
-		}
-	}
-	if es.ShortestPath != nil {
-		out.ShortestPath = func(from, to model.NodeID) (algo.Path, error) {
-			fp := cache.Fingerprint(name, "spath", u(uint64(from)), u(uint64(to)))
-			return cached(rc, epoch, fp, pathCost, clonePath,
-				func() (algo.Path, error) { return es.ShortestPath(from, to) })
-		}
-	}
-	if es.PatternMatching != nil {
-		out.PatternMatching = func(p *algo.Pattern) ([]algo.Match, error) {
-			fp := cache.Fingerprint(name, "pattern", p.String())
-			return cached(rc, epoch, fp, matchesCost, cloneMatches,
-				func() ([]algo.Match, error) { return es.PatternMatching(p) })
-		}
-	}
-	if es.Summarization != nil {
-		out.Summarization = func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			fp := cache.Fingerprint(name, "summ", strconv.Itoa(int(kind)), label, prop)
-			return cached(rc, epoch, fp, func(model.Value) int64 { return 32 }, ident[model.Value],
-				func() (model.Value, error) { return es.Summarization(kind, label, prop) })
-		}
-	}
-	return out
-}
-
-// CachedQuery memoizes one statement execution under the same epoch-
-// publication rule as CachedEssentials, copying results in and out. Callers
-// must route only statements whose first keyword is in readVerbs (compare
-// ReadOnlyStmt) — replaying a cached mutating statement would skip its side
-// effects. The epoch guard is a second line of defense: a statement that
-// does mutate the graph bumps the epoch and is therefore never published.
+// CachedQuery memoizes one statement execution in rc, keyed on (engine
+// name, language, statement) at the graph epoch reported by epoch. It
+// looks up at the current epoch, executes on a miss, and publishes a
+// private copy only if the epoch is unchanged across the execution, so a
+// result computed against a partially-applied mutation can never be
+// served later; entries written before a mutation are unreachable because
+// the mutation bumped the epoch. Results are copied in and copied out, so
+// callers may mutate what they receive, and errors are never cached.
+//
+// Callers must route only statements whose first keyword is a read verb
+// (compare ReadOnlyStmt) — replaying a cached mutating statement would skip
+// its side effects. The epoch guard is a second line of defense: a
+// statement that does mutate the graph bumps the epoch and is therefore
+// never published.
 func CachedQuery(rc *cache.Results, epoch func() uint64, name, lang, stmt string,
 	exec func() (*plan.Result, error)) (*plan.Result, error) {
 	if rc == nil {
 		return exec()
 	}
 	fp := cache.Fingerprint(name, lang, stmt)
-	return cached(rc, epoch, fp, resultCost, (*plan.Result).Clone, exec)
+	e := epoch()
+	if v, ok := rc.Get(fp, e); ok {
+		return v.(*plan.Result).Clone(), nil
+	}
+	res, err := exec()
+	if err != nil {
+		return res, err
+	}
+	if epoch() == e {
+		rc.Put(fp, e, res.Clone(), resultCost(res))
+	}
+	return res, nil
 }
 
 // ReadOnlyStmt reports whether the statement's first keyword is one of the
@@ -127,89 +71,6 @@ func resultCost(r *plan.Result) int64 {
 	}
 	for _, row := range r.Rows {
 		c += 24 + 40*int64(len(row))
-	}
-	return c
-}
-
-// cached runs one memoized call: look up at the current epoch, compute on
-// miss, and publish a private copy only if no mutation overlapped the
-// computation. The caller receives a value it owns either way.
-func cached[T any](rc *cache.Results, epoch func() uint64, fp uint64,
-	cost func(T) int64, clone func(T) T, compute func() (T, error)) (T, error) {
-	e := epoch()
-	if v, ok := rc.Get(fp, e); ok {
-		return clone(v.(T)), nil
-	}
-	v, err := compute()
-	if err != nil {
-		return v, err
-	}
-	if epoch() == e {
-		rc.Put(fp, e, clone(v), cost(v))
-	}
-	return v, nil
-}
-
-func u(v uint64) string { return strconv.FormatUint(v, 10) }
-
-func ident[T any](v T) T { return v }
-
-func cloneIDs(ids []model.NodeID) []model.NodeID {
-	if ids == nil {
-		return nil
-	}
-	return append([]model.NodeID(nil), ids...)
-}
-
-func clonePath(p algo.Path) algo.Path {
-	return algo.Path{
-		Nodes: append([]model.NodeID(nil), p.Nodes...),
-		Edges: append([]model.EdgeID(nil), p.Edges...),
-	}
-}
-
-func clonePaths(ps []algo.Path) []algo.Path {
-	if ps == nil {
-		return nil
-	}
-	out := make([]algo.Path, len(ps))
-	for i, p := range ps {
-		out[i] = clonePath(p)
-	}
-	return out
-}
-
-func cloneMatches(ms []algo.Match) []algo.Match {
-	if ms == nil {
-		return nil
-	}
-	out := make([]algo.Match, len(ms))
-	for i, m := range ms {
-		c := make(algo.Match, len(m))
-		for k, v := range m {
-			c[k] = v
-		}
-		out[i] = c
-	}
-	return out
-}
-
-func idsCost(ids []model.NodeID) int64 { return 24 + 8*int64(len(ids)) }
-
-func pathCost(p algo.Path) int64 { return 48 + 8*int64(len(p.Nodes)+len(p.Edges)) }
-
-func pathsCost(ps []algo.Path) int64 {
-	c := int64(24)
-	for _, p := range ps {
-		c += pathCost(p)
-	}
-	return c
-}
-
-func matchesCost(ms []algo.Match) int64 {
-	c := int64(24)
-	for _, m := range ms {
-		c += 48 + 16*int64(len(m))
 	}
 	return c
 }

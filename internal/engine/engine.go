@@ -198,10 +198,11 @@ type Options struct {
 	FS vfs.FS
 	// CacheBytes is the engine's total cache budget in bytes. Zero disables
 	// caching entirely (beyond the pager's fixed PoolPages buffer pool);
-	// when positive, disk-backed engines split it across the page cache,
-	// the adjacency cache and the query-result cache. Cached and uncached
-	// configurations must be observationally identical — the differential
-	// harness in internal/enginetest/diff enforces this.
+	// when positive, disk-backed engines split it between the page cache
+	// and, on engines with a query language, the statement-result cache
+	// (see SplitCacheBudget). Cached and uncached configurations must be
+	// observationally identical — the differential harness in
+	// internal/enginetest/diff enforces this.
 	CacheBytes int64
 	// Metrics, when non-nil, receives the engine's storage counters
 	// (pager.*, kvgraph.*; see internal/obs). Observed and unobserved
@@ -209,18 +210,15 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// SplitCacheBudget divides an engine's CacheBytes across the three cache
-// tiers: half to the page cache, a quarter each to the adjacency and
-// query-result caches. Engines without one of the tiers fold its share into
-// the page cache.
-func SplitCacheBudget(total int64) (page, adj, results int64) {
+// SplitCacheBudget divides an engine's CacheBytes between the two cache
+// tiers: a quarter to the statement-result cache and the rest to the page
+// cache. Engines without a statement cache give the whole budget to pages.
+func SplitCacheBudget(total int64) (page, results int64) {
 	if total <= 0 {
-		return 0, 0, 0
+		return 0, 0
 	}
-	page = total / 2
-	adj = total / 4
-	results = total - page - adj
-	return page, adj, results
+	results = total - total/2 - total/4
+	return total - results, results
 }
 
 // Factory constructs an engine.

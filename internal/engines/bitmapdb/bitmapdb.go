@@ -32,22 +32,21 @@ func init() {
 // DB is the engine instance.
 type DB struct {
 	*propcore.Core
-	labels  *index.Bitmap
-	disk    *kv.Disk
-	kg      *kvgraph.Graph // non-nil in the disk-backed configuration
-	results *cache.Results // nil when CacheBytes is zero or main-memory
+	labels *index.Bitmap
+	disk   *kv.Disk
+	kg     *kvgraph.Graph // non-nil in the disk-backed configuration
 }
 
 // New opens a bitmapdb instance. Label and property lookups run through
 // bitmap indexes — the structure DEX is named for here. A positive
-// Options.CacheBytes splits the budget across the page, adjacency and
-// query-result caches (disk-backed configuration only).
+// Options.CacheBytes goes whole to the page cache (disk-backed
+// configuration only): the archetype has no query language, so there is
+// no statement cache.
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{}
 	if opts.Dir != "" {
-		pageB, adjB, resB := engine.SplitCacheBudget(opts.CacheBytes)
 		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "bitmapdb.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
+			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
 		})
 		if err != nil {
 			return nil, err
@@ -55,12 +54,6 @@ func New(opts engine.Options) (*DB, error) {
 		db.disk = d
 		db.kg = kvgraph.New(d)
 		db.kg.SetMetrics(opts.Metrics)
-		if adjB > 0 {
-			db.kg.EnableAdjacencyCache(adjB)
-		}
-		if resB > 0 {
-			db.results = cache.NewResults(resB)
-		}
 		// DEX's snapshots use the bitmap directory variant — the
 		// compressed-bitmap organization the archetype is named for.
 		db.kg.SetViewLayout(adj.LayoutBitmap)
@@ -157,14 +150,6 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	if db.disk != nil {
 		out["page"] = db.disk.CacheStats()
 	}
-	if db.kg != nil {
-		if s, ok := db.kg.AdjacencyStats(); ok {
-			out["adjacency"] = s
-		}
-	}
-	if db.results != nil {
-		out["results"] = db.results.Stats()
-	}
 	return out
 }
 
@@ -172,7 +157,7 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 // query class except regular simple paths and pattern matching. The kernels
 // run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	es := engine.Essentials{
+	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
 		},
@@ -202,10 +187,6 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
 		},
 	}
-	if db.results == nil {
-		return es
-	}
-	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's

@@ -28,20 +28,19 @@ func init() {
 // graph is embedded: the engine is its own API surface.
 type DB struct {
 	*kvgraph.Graph
-	disk    *kv.Disk
-	results *cache.Results // nil when CacheBytes is zero
+	disk *kv.Disk
 }
 
-// New opens a filamentdb instance. A positive Options.CacheBytes splits the
-// budget across the page, adjacency and query-result caches.
+// New opens a filamentdb instance. A positive Options.CacheBytes goes whole
+// to the page cache of the disk store: the surface is API only, so there is
+// no statement cache.
 func New(opts engine.Options) (*DB, error) {
-	pageB, adjB, resB := engine.SplitCacheBudget(opts.CacheBytes)
 	db := &DB{}
 	if opts.Dir == "" {
 		db.Graph = kvgraph.New(kv.NewMemory())
 	} else {
 		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "filament.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
+			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
 		})
 		if err != nil {
 			return nil, err
@@ -49,12 +48,6 @@ func New(opts engine.Options) (*DB, error) {
 		db.Graph, db.disk = kvgraph.New(d), d
 	}
 	db.Graph.SetMetrics(opts.Metrics)
-	if adjB > 0 {
-		db.Graph.EnableAdjacencyCache(adjB)
-	}
-	if resB > 0 {
-		db.results = cache.NewResults(resB)
-	}
 	return db, nil
 }
 
@@ -63,12 +56,6 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	out := map[string]cache.Stats{}
 	if db.disk != nil {
 		out["page"] = db.disk.CacheStats()
-	}
-	if s, ok := db.Graph.AdjacencyStats(); ok {
-		out["adjacency"] = s
-	}
-	if db.results != nil {
-		out["results"] = db.results.Stats()
 	}
 	return out
 }
@@ -101,7 +88,7 @@ func (db *DB) Features() engine.Features {
 // Essentials implements engine.Engine: adjacency, k-neighborhood and
 // summarization per its Table VII row. The kernels run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.CachedEssentials(db.Name(), engine.Essentials{
+	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Graph, a, b, model.Both)
 		},
@@ -114,7 +101,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			return algo.AggregateNodePropCtx(ctx, db.Graph, label, prop, kind)
 		},
-	}, db.results, db.Graph.Epoch)
+	}
 }
 
 // LoadNode implements engine.Loader.

@@ -37,13 +37,13 @@ type DB struct {
 }
 
 // New opens a gstore. Options.Dir is required: the archetype is external-
-// memory only. A positive Options.CacheBytes splits the budget across the
-// page, adjacency and query-result caches.
+// memory only. A positive Options.CacheBytes splits the budget between the
+// page cache and the statement-result cache.
 func New(opts engine.Options) (*DB, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("gstore: the G-Store archetype requires a data directory (external memory only, Table I)")
 	}
-	pageB, adjB, resB := engine.SplitCacheBudget(opts.CacheBytes)
+	pageB, resB := engine.SplitCacheBudget(opts.CacheBytes)
 	d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "gstore.pg"), kv.DiskOptions{
 		PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
 	})
@@ -52,9 +52,6 @@ func New(opts engine.Options) (*DB, error) {
 	}
 	db := &DB{g: kvgraph.New(d), disk: d, schema: model.NewSchema()}
 	db.g.SetMetrics(opts.Metrics)
-	if adjB > 0 {
-		db.g.EnableAdjacencyCache(adjB)
-	}
 	if resB > 0 {
 		db.results = cache.NewResults(resB)
 	}
@@ -64,9 +61,6 @@ func New(opts engine.Options) (*DB, error) {
 // CacheStats implements engine.CacheStatser.
 func (db *DB) CacheStats() map[string]cache.Stats {
 	out := map[string]cache.Stats{"page": db.disk.CacheStats()}
-	if s, ok := db.g.AdjacencyStats(); ok {
-		out["adjacency"] = s
-	}
 	if db.results != nil {
 		out["results"] = db.results.Stats()
 	}
@@ -155,7 +149,7 @@ func (db *DB) Features() engine.Features {
 // instructions (PATH, NEIGHBORS, REACH), so all five composable classes of
 // its Table VII row route through the language or its kernels, under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.CachedEssentials(db.Name(), engine.Essentials{
+	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.g, a, b, model.Both)
 		},
@@ -183,7 +177,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			return algo.AggregateNodePropCtx(ctx, db.g, label, prop, kind)
 		},
-	}, db.results, db.g.Epoch)
+	}
 }
 
 // LoadNode implements engine.Loader.

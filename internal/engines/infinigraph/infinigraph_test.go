@@ -1,7 +1,9 @@
 package infinigraph
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"gdbm/internal/algo"
@@ -175,5 +177,58 @@ func TestIndexedNodesViaLabelIndex(t *testing.T) {
 	handled, err := db.IndexedNodes("A", "", model.Null(), func(model.Node) bool { n++; return true })
 	if err != nil || !handled || n != 2 {
 		t.Errorf("indexed lookup: handled=%v n=%d err=%v", handled, n, err)
+	}
+}
+
+// TestDiskReopenPageTierOnly runs the disk configuration: CacheBytes funds
+// the page cache alone, so it is the one tier reported, and a flushed graph
+// gives the same essential answers after a reopen.
+func TestDiskReopenPageTierOnly(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *DB {
+		t.Helper()
+		db, err := New(engine.Options{Dir: dir, CacheBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	ids, err := gen.Generate(gen.Spec{Kind: gen.ER, Nodes: 60, EdgesPerNode: 2, Seed: 5}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func(db *DB) string {
+		t.Helper()
+		es := db.Essentials(context.Background())
+		hood, err := es.KNeighborhood(ids[0], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := es.Summarization(algo.AggSum, "", "idx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj, err := es.NodeAdjacency(ids[0], ids[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(len(hood), sum, adj)
+	}
+	before := answers(db)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	defer db.Close()
+	if got := answers(db); got != before {
+		t.Fatalf("after reopen: %s, before: %s", got, before)
+	}
+	tiers := db.CacheStats()
+	if s, ok := tiers["page"]; !ok || len(tiers) != 1 || s.BudgetBytes == 0 {
+		t.Fatalf("cache tiers %+v, want the page tier alone, funded", tiers)
 	}
 }

@@ -43,13 +43,14 @@ type DB struct {
 
 // New opens a neograph instance. With Options.Dir set, data lives in a
 // disk-backed store (the "native disk-based storage manager"); otherwise in
-// main memory. A positive Options.CacheBytes splits the budget across the
-// page, adjacency and query-result caches; the latter two need the
-// kv-layered graph's epoch, so they apply to disk-backed instances only.
+// main memory. A positive Options.CacheBytes splits the budget between the
+// page cache and the statement-result cache; both apply to disk-backed
+// instances only, the latter because it keys on the kv-layered graph's
+// epoch.
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{}
 	if opts.Dir != "" {
-		pageB, adjB, resB := engine.SplitCacheBudget(opts.CacheBytes)
+		pageB, resB := engine.SplitCacheBudget(opts.CacheBytes)
 		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "neograph.pg"), kv.DiskOptions{
 			PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
 		})
@@ -59,9 +60,6 @@ func New(opts engine.Options) (*DB, error) {
 		db.disk = d
 		db.kg = kvgraph.New(d)
 		db.kg.SetMetrics(opts.Metrics)
-		if adjB > 0 {
-			db.kg.EnableAdjacencyCache(adjB)
-		}
 		if resB > 0 {
 			db.results = cache.NewResults(resB)
 		}
@@ -156,11 +154,6 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	if db.disk != nil {
 		out["page"] = db.disk.CacheStats()
 	}
-	if db.kg != nil {
-		if s, ok := db.kg.AdjacencyStats(); ok {
-			out["adjacency"] = s
-		}
-	}
 	if db.results != nil {
 		out["results"] = db.results.Stats()
 	}
@@ -171,7 +164,7 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 // framework composes adjacency, neighborhoods, fixed-length and shortest
 // paths, and summarization. The kernels run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	es := engine.Essentials{
+	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
 		},
@@ -201,10 +194,6 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
 		},
 	}
-	if db.results == nil {
-		return es
-	}
-	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's

@@ -48,12 +48,12 @@ type DB struct {
 }
 
 // New opens a triplestore. A positive Options.CacheBytes splits the budget
-// across the page, adjacency and query-result caches (disk-backed
+// between the page cache and the statement-result cache (disk-backed
 // configuration only).
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{terms: make(map[string]model.NodeID), rules: reason.RDFS()}
 	if opts.Dir != "" {
-		pageB, adjB, resB := engine.SplitCacheBudget(opts.CacheBytes)
+		pageB, resB := engine.SplitCacheBudget(opts.CacheBytes)
 		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "triples.pg"), kv.DiskOptions{
 			PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
 		})
@@ -63,9 +63,6 @@ func New(opts engine.Options) (*DB, error) {
 		db.disk = d
 		db.kg = kvgraph.New(d)
 		db.kg.SetMetrics(opts.Metrics)
-		if adjB > 0 {
-			db.kg.EnableAdjacencyCache(adjB)
-		}
 		if resB > 0 {
 			db.results = cache.NewResults(resB)
 		}
@@ -355,11 +352,6 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	if db.disk != nil {
 		out["page"] = db.disk.CacheStats()
 	}
-	if db.kg != nil {
-		if s, ok := db.kg.AdjacencyStats(); ok {
-			out["adjacency"] = s
-		}
-	}
 	if db.results != nil {
 		out["results"] = db.results.Stats()
 	}
@@ -371,7 +363,7 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 // not part of its query surface (Table VII row). Everything runs under ctx;
 // k-neighborhood and the unlabelled aggregate run over a pinned snapshot.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	es := engine.Essentials{
+	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Core, a, b, model.Both)
 		},
@@ -440,10 +432,6 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 			return agg.Result(), nil
 		},
 	}
-	if db.results == nil {
-		return es
-	}
-	return engine.CachedEssentials(db.Name(), es, db.results, db.kg.Epoch)
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's

@@ -27,22 +27,21 @@ func init() {
 // engine itself is the API surface (engine.GraphAPI).
 type DB struct {
 	*kvgraph.Graph
-	disk    *kv.Disk
-	results *cache.Results // nil when CacheBytes is zero
+	disk *kv.Disk
 }
 
 // New opens a vertexkv instance. With no Dir the B-tree role is played by
 // the in-memory ordered store (useful for tests); with Dir it is the real
-// on-disk B+tree. A positive Options.CacheBytes splits the budget across
-// the page, adjacency and query-result caches.
+// on-disk B+tree. A positive Options.CacheBytes goes whole to the page
+// cache of the on-disk B+tree: the surface is API only, so there is no
+// statement cache.
 func New(opts engine.Options) (*DB, error) {
-	pageB, adjB, resB := engine.SplitCacheBudget(opts.CacheBytes)
 	db := &DB{}
 	if opts.Dir == "" {
 		db.Graph = kvgraph.New(kv.NewMemory())
 	} else {
 		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "vertexkv.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
+			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
 		})
 		if err != nil {
 			return nil, err
@@ -50,12 +49,6 @@ func New(opts engine.Options) (*DB, error) {
 		db.Graph, db.disk = kvgraph.New(d), d
 	}
 	db.Graph.SetMetrics(opts.Metrics)
-	if adjB > 0 {
-		db.Graph.EnableAdjacencyCache(adjB)
-	}
-	if resB > 0 {
-		db.results = cache.NewResults(resB)
-	}
 	return db, nil
 }
 
@@ -64,12 +57,6 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	out := map[string]cache.Stats{}
 	if db.disk != nil {
 		out["page"] = db.disk.CacheStats()
-	}
-	if s, ok := db.Graph.AdjacencyStats(); ok {
-		out["adjacency"] = s
-	}
-	if db.results != nil {
-		out["results"] = db.results.Stats()
 	}
 	return out
 }
@@ -103,7 +90,7 @@ func (db *DB) Features() engine.Features {
 // fixed-length paths and summarization (no shortest-path utility) per its
 // Table VII row. The kernels run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.CachedEssentials(db.Name(), engine.Essentials{
+	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(db.Graph, a, b, model.Both)
 		},
@@ -119,7 +106,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
 			return algo.AggregateNodePropCtx(ctx, db.Graph, label, prop, kind)
 		},
-	}, db.results, db.Graph.Epoch)
+	}
 }
 
 // LoadNode implements engine.Loader.

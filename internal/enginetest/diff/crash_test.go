@@ -20,7 +20,7 @@ const crashRounds = 5
 // crashRound applies round r: a marker node recording the round number,
 // two data nodes, two edges, a property update and (every other round) an
 // edge removal, all committed by one Flush. The mutation mix is chosen to
-// invalidate all three cache tiers. The first error aborts the round —
+// invalidate both cache tiers. The first error aborts the round —
 // after a power cut every call fails.
 func crashRound(e engine.Engine, r int) error {
 	var mg model.MutableGraph

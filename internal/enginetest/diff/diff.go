@@ -314,6 +314,13 @@ func isDestructive(op Op) bool {
 // instances — are skipped on BOTH sides so the graphs never diverge.
 func Pair(t *testing.T, seed int64, ops []Op, a, b *Instance, strict bool, mask Classes) {
 	t.Helper()
+	pairThen(t, seed, ops, a, b, strict, mask, nil)
+}
+
+// pairThen is Pair with a hook: after, when non-nil, runs after every op
+// both instances applied, with the op's index.
+func pairThen(t *testing.T, seed int64, ops []Op, a, b *Instance, strict bool, mask Classes, after func(i int)) {
+	t.Helper()
 	applied := 0
 	for i, op := range ops {
 		if isDestructive(op) && (a.mg == nil || b.mg == nil) {
@@ -329,6 +336,9 @@ func Pair(t *testing.T, seed int64, ops []Op, a, b *Instance, strict bool, mask 
 				seed, i, op, a.Name, ra, b.Name, rb, seed)
 		}
 		applied++
+		if after != nil {
+			after(i)
+		}
 	}
 	if applied == 0 {
 		t.Fatalf("seed %d: workload applied no ops", seed)

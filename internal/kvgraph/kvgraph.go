@@ -40,16 +40,14 @@ import (
 //
 // Every mutation bumps the graph epoch twice (entry and exit, under mu) —
 // after validating its target, so a rejected mutation invalidates nothing.
-// The optional adjacency cache memoizes decoded neighbor lists keyed on
-// that epoch, publishing an entry only when the epoch stayed stable across
-// the decode; see the cache.Epoch contract. Engines key their query-result
-// caches on Epoch() under the same rule.
+// Engines key their statement-result caches on Epoch(), publishing an
+// entry only when the epoch stayed stable across the computation; see the
+// cache.Epoch contract.
 type Graph struct {
 	mu    sync.Mutex // serializes mutations
 	st    kv.Store
 	epoch cache.Epoch
 	ver   adjpkg.Versioned // copy-on-write views, see view.go
-	adj   *cache.Adjacency // nil: adjacency caching disabled
 	stats stats.Versioned  // planner statistics, epoch-keyed (planstats.go)
 
 	// Observability counters; nil-safe no-ops until SetMetrics.
@@ -59,18 +57,9 @@ type Graph struct {
 // New wraps a kv store as a graph.
 func New(st kv.Store) *Graph { return &Graph{st: st} }
 
-// EnableAdjacencyCache turns on memoization of decoded neighbor lists,
-// bounded by budget bytes. Call before sharing the graph; a non-positive
-// budget leaves caching off.
-func (g *Graph) EnableAdjacencyCache(budget int64) {
-	if budget > 0 {
-		g.adj = cache.NewAdjacency(budget)
-	}
-}
-
 // SetMetrics routes the graph's counters (kvgraph.node_reads,
 // kvgraph.edge_reads, kvgraph.adj_scans) into r. Call before sharing the
-// graph, alongside EnableAdjacencyCache.
+// graph.
 func (g *Graph) SetMetrics(r *obs.Registry) {
 	g.mNodeReads = r.Counter("kvgraph.node_reads")
 	g.mEdgeReads = r.Counter("kvgraph.edge_reads")
@@ -81,15 +70,6 @@ func (g *Graph) SetMetrics(r *obs.Registry) {
 // per mutation; a value observed identical before and after a read-only
 // computation proves no mutation overlapped it.
 func (g *Graph) Epoch() uint64 { return g.epoch.Current() }
-
-// AdjacencyStats returns the adjacency-cache counters; ok is false when
-// the cache is disabled.
-func (g *Graph) AdjacencyStats() (s cache.Stats, ok bool) {
-	if g.adj == nil {
-		return cache.Stats{}, false
-	}
-	return g.adj.Stats(), true
-}
 
 // Store exposes the underlying store (for flushing/closing by the owner).
 func (g *Graph) Store() kv.Store { return g.st }
@@ -511,18 +491,16 @@ func (g *Graph) Edges(fn func(model.Edge) bool) error {
 	return nil
 }
 
+// adjEntry is one decoded adjacency record: the incident edge and the node
+// at its far end.
+type adjEntry struct {
+	edge model.Edge
+	node model.Node
+}
+
 // adjEntriesDir returns the decoded adjacency list for a single stored
-// direction, consulting the adjacency cache when enabled. Cached entries
-// are shared between hits; callers must clone mutable parts (property maps)
-// before handing records out.
-func (g *Graph) adjEntriesDir(id model.NodeID, d adjDir) ([]cache.AdjEntry, error) {
-	var epoch uint64
-	if g.adj != nil {
-		epoch = g.epoch.Current()
-		if ents, ok := g.adj.Get(epoch, id, d.dir); ok {
-			return ents, nil
-		}
-	}
+// direction.
+func (g *Graph) adjEntriesDir(id model.NodeID, d adjDir) ([]adjEntry, error) {
 	// Materialize the adjacency entries before fetching records: the
 	// store's scan holds its internal lock, so nested Get calls from the
 	// callback would self-deadlock.
@@ -533,7 +511,7 @@ func (g *Graph) adjEntriesDir(id model.NodeID, d adjDir) ([]cache.AdjEntry, erro
 	}); err != nil {
 		return nil, err
 	}
-	ents := make([]cache.AdjEntry, 0, len(raw))
+	ents := make([]adjEntry, 0, len(raw))
 	for _, it := range raw {
 		e, err := g.Edge(it.Edge)
 		if err != nil {
@@ -543,13 +521,7 @@ func (g *Graph) adjEntriesDir(id model.NodeID, d adjDir) ([]cache.AdjEntry, erro
 		if err != nil {
 			return nil, err
 		}
-		ents = append(ents, cache.AdjEntry{Edge: e, Node: far})
-	}
-	// Publish only if no mutation overlapped the decode: a changed epoch
-	// means the list may mix pre- and post-mutation records, and an entry
-	// keyed on the old epoch could serve that mix to later readers.
-	if g.adj != nil && g.epoch.Current() == epoch {
-		g.adj.Put(epoch, id, d.dir, ents)
+		ents = append(ents, adjEntry{edge: e, node: far})
 	}
 	return ents, nil
 }
@@ -586,14 +558,7 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 			return err
 		}
 		for _, it := range ents {
-			e, far := it.Edge, it.Node
-			if g.adj != nil {
-				// Entries may be shared with the cache; callbacks own
-				// what they receive, so detach the mutable maps.
-				e.Props = e.Props.Clone()
-				far.Props = far.Props.Clone()
-			}
-			if !fn(e, far) {
+			if !fn(it.edge, it.node) {
 				return nil
 			}
 		}
