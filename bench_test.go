@@ -15,6 +15,7 @@ import (
 	"gdbm"
 	"gdbm/internal/engine/capability"
 	"gdbm/internal/engines/bitmapdb"
+	"gdbm/internal/engines/propcore"
 	"gdbm/internal/engines/sonesdb"
 	"gdbm/internal/engines/triplestore"
 	"gdbm/internal/gen"
@@ -153,7 +154,7 @@ func BenchmarkTableIII_Structures(b *testing.B) {
 	})
 	b.Run("hypergraph", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g := memgraph.NewHypergraph()
+			g := propcore.NewHyper(propcore.New(memgraph.New()))
 			a, _ := g.AddNode("N", nil)
 			c, _ := g.AddNode("N", nil)
 			d, _ := g.AddNode("N", nil)

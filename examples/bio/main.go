@@ -36,7 +36,7 @@ func main() {
 	db.SetIdentity("Protein", "name")
 
 	protein := func(name string) gdbm.NodeID {
-		id, err := db.AddAtom("Protein", gdbm.Props("name", name))
+		id, err := db.AddNode("Protein", gdbm.Props("name", name))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,20 +51,19 @@ func main() {
 	ssl2 := protein("SSL2")
 
 	// Higher-order relations: complexes bind many proteins at once.
-	polII, err := db.AddLink("complex", []gdbm.NodeID{rpb1, rpb2, rpb3}, gdbm.Props("name", "RNA-Pol-II-core"))
+	polII, err := db.AddHyperEdge("complex", []gdbm.NodeID{rpb1, rpb2, rpb3}, gdbm.Props("name", "RNA-Pol-II-core"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	tfiih, _ := db.AddLink("complex", []gdbm.NodeID{tfb1, ssl2, tbp}, gdbm.Props("name", "TFIIH-like"))
+	tfiih, _ := db.AddHyperEdge("complex", []gdbm.NodeID{tfb1, ssl2, tbp}, gdbm.Props("name", "TFIIH-like"))
 	// A binary interaction is just a 2-member hyperedge.
-	db.AddLink("binds", []gdbm.NodeID{rpb1, tbp}, nil)
+	db.AddHyperEdge("binds", []gdbm.NodeID{rpb1, tbp}, nil)
 
-	h := db.Hypergraph()
-	fmt.Printf("interactome: %d proteins, %d relations (2 complexes, 1 binary)\n", h.Order(), h.Size())
+	fmt.Printf("interactome: %d proteins, %d relations (2 complexes, 1 binary)\n", db.Order(), db.Size())
 
 	// Which complexes contain RPB1?
 	fmt.Println("relations containing RPB1:")
-	if err := h.Incident(rpb1, func(e gdbm.HyperEdge) bool {
+	if err := db.Incident(rpb1, func(e gdbm.HyperEdge) bool {
 		fmt.Printf("  %s %s with %d members\n", e.Label, e.Props.Get("name"), len(e.Members))
 		return true
 	}); err != nil {
@@ -85,7 +84,7 @@ func main() {
 	_ = tfiih
 
 	// Identity constraint at work: a duplicate protein is rejected.
-	if _, err := db.AddAtom("Protein", gdbm.Props("name", "RPB1")); err != nil {
+	if _, err := db.AddNode("Protein", gdbm.Props("name", "RPB1")); err != nil {
 		fmt.Printf("identity constraint rejected duplicate RPB1: %v\n", err != nil)
 	}
 
@@ -94,8 +93,6 @@ func main() {
 	fmt.Printf("protein count via summarization surface: %s\n", n)
 
 	// The survey's observation: the same data in a binary-edge engine
-	// needs clique expansion. Project and compare.
-	bin := db.HyperAPIOf()
-	_ = bin
+	// needs clique expansion.
 	fmt.Println("hyperedges keep complexes first-class; clique expansion of the 3-member complexes would need 6 directed edges each")
 }

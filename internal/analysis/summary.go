@@ -154,19 +154,6 @@ func (s *Summaries) GlobalLockEdges() []LockOrderEdge {
 	return s.globalEdges
 }
 
-// AllLockCalls returns the summarized with-locks-held calls of every
-// loaded function, for the upgrade-misuse check.
-func (s *Summaries) AllLockCalls() []LockCall {
-	if s == nil {
-		return nil
-	}
-	var out []LockCall
-	for _, name := range s.sortedNames() {
-		out = append(out, s.funcs[name].LockCalls...)
-	}
-	return out
-}
-
 func (s *Summaries) sortedNames() []string {
 	names := make([]string, 0, len(s.funcs))
 	for n := range s.funcs {

@@ -141,17 +141,6 @@ func (c *Clock[K, V]) Remove(k K) bool {
 	return ok
 }
 
-// Purge empties the cache, keeping the counters.
-func (c *Clock[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pos = map[K]int{}
-	c.slots = nil
-	c.free = nil
-	c.hand = 0
-	c.used = 0
-}
-
 // Len returns the number of cached entries.
 func (c *Clock[K, V]) Len() int {
 	c.mu.Lock()

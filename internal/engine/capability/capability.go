@@ -93,7 +93,8 @@ var Profiles = map[string]Profile{
 	},
 	// HyperGraphDB: hypergraph model (Table III), typed atoms (Table IV
 	// node/relation types), key-value backend storage (Table I). The
-	// hypergraph surface is exposed by a side type, hence HyperAPI.
+	// engine value is the hypergraph surface, hence HyperAPI; it has no
+	// binary graph API.
 	"gdbm/internal/engines/hyperdb": {
 		Row:     "HyperGraphDB",
 		Allowed: []Capability{Loader, HyperAPI, SchemaHolder, Persistent},

@@ -2,7 +2,10 @@
 // hypergraph data model where an edge (hyperedge) relates an arbitrary set
 // of nodes, suited to higher-order relations (survey Section II). Its
 // survey profile: main + external memory + backend storage with indexes,
-// API only, typed atoms (types checking + identity constraints).
+// API only, typed atoms (types checking + identity constraints). The
+// hypergraph is stored as its incidence graph (propcore.Hyper) on the
+// shared property-graph core, in main memory or, with Options.Dir set, in
+// the kv-backed store.
 package hyperdb
 
 import (
@@ -12,8 +15,11 @@ import (
 
 	"gdbm/internal/algo"
 	"gdbm/internal/cache"
+	"gdbm/internal/constraint"
 	"gdbm/internal/engine"
+	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
+	"gdbm/internal/kvgraph"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/storage/kv"
@@ -25,47 +31,72 @@ func init() {
 	})
 }
 
-// DB is the engine instance: a main-memory hypergraph with an optional
-// kv-backed statement log providing the backend-storage/persistence role.
+// DB is the engine instance. Its hypergraph surface (engine.HyperAPI) is
+// the embedded Hyper; the core is a named field, so its binary graph
+// surface, which the archetype lacks, is not promoted.
 type DB struct {
-	h      *memgraph.Hypergraph
-	idx    *index.Manager
-	schema *model.Schema
-	// identities: label -> identifying property.
-	identities map[string]string
-	backend    kv.Store
-	disk       *kv.Disk
-	seq        uint64
+	*propcore.Hyper
+	core *propcore.Core
+	disk *kv.Disk // non-nil in the disk-backed configuration
 }
 
-// New opens a hyperdb instance.
+// New opens a hyperdb instance, in main memory or, with Options.Dir set,
+// over a kv-backed store whose page cache CacheBytes funds alone.
 func New(opts engine.Options) (*DB, error) {
-	db := &DB{
-		h:          memgraph.NewHypergraph(),
-		idx:        index.NewManager(),
-		schema:     model.NewSchema(),
-		identities: map[string]string{},
-	}
-	if _, err := db.idx.Create(index.Nodes, "", index.KindHash); err != nil {
-		return nil, err
-	}
-	if opts.Dir != "" {
-		// The hypergraph itself is main memory with a persisted atom log;
-		// CacheBytes funds the log store's page cache alone.
-		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "hyperdb.pg"), kv.DiskOptions{
+	db := &DB{}
+	var g model.MutableGraph
+	if opts.Dir == "" {
+		g = memgraph.New()
+	} else {
+		path := filepath.Join(opts.Dir, "hyperdb.pg")
+		d, err := kv.OpenDiskWith(path, kv.DiskOptions{
 			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
 		})
 		if err != nil {
 			return nil, err
 		}
 		db.disk = d
-		db.backend = d
-		if err := db.replay(); err != nil {
+		if err := refuseAtomLog(d, path); err != nil {
 			d.Close()
 			return nil, err
 		}
+		kg := kvgraph.New(d)
+		kg.SetMetrics(opts.Metrics)
+		g = kg
 	}
+	db.core = propcore.New(g)
+	db.Hyper = propcore.NewHyper(db.core)
+	if _, err := db.core.Idx.Create(index.Nodes, "", index.KindHash); err != nil {
+		db.Close()
+		return nil, err
+	}
+	// Indexes live in memory: cover the atoms a reopened store holds.
+	if err := db.Nodes(func(n model.Node) bool {
+		db.core.Idx.OnNodeWrite(n, "", nil)
+		return true
+	}); err != nil {
+		db.Close()
+		return nil, err
+	}
+	db.core.Cons.Add(constraint.Types{Schema: db.core.Sch})
 	return db, nil
+}
+
+// refuseAtomLog fails on a store holding the retired atom log (one a!<seq>
+// record per atom and link), which this version does not read: opening
+// it would show an empty hypergraph.
+func refuseAtomLog(d *kv.Disk, path string) error {
+	found := false
+	if err := d.Scan([]byte("a!"), func(_, _ []byte) bool {
+		found = true
+		return false
+	}); err != nil {
+		return fmt.Errorf("hyperdb: scan %s for the atom log: %w", path, err)
+	}
+	if found {
+		return fmt.Errorf("hyperdb: %s holds the retired atom-log format (a! keys), which this version does not read", path)
+	}
+	return nil
 }
 
 // CacheStats implements engine.CacheStatser; in-memory instances report no
@@ -78,125 +109,13 @@ func (db *DB) CacheStats() map[string]cache.Stats {
 	return out
 }
 
-// replay loads persisted atoms from the backend log into memory.
-func (db *DB) replay() error {
-	type pending struct {
-		label   string
-		members []model.NodeID
-		props   model.Properties
-	}
-	var nodes []pending
-	var edges []pending
-	var corrupt error
-	err := db.backend.Scan([]byte("a!"), func(k, v []byte) bool {
-		db.seq++ // continue the log sequence after the persisted entries
-		rec, perr := decodeAtom(v)
-		if perr != nil {
-			// Node ids are assigned in log order, so skipping an atom would
-			// shift every later id and attach replayed links to the wrong
-			// atoms.
-			corrupt = fmt.Errorf("hyperdb: corrupt atom %s: %w", k, perr)
-			return false
-		}
-		if len(rec.members) == 0 {
-			nodes = append(nodes, rec)
-		} else {
-			edges = append(edges, rec)
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if corrupt != nil {
-		return corrupt
-	}
-	for _, n := range nodes {
-		id, err := db.h.AddNode(n.label, n.props)
-		if err != nil {
-			return err
-		}
-		db.idx.OnNodeWrite(model.Node{ID: id, Label: n.label, Props: n.props}, "", nil)
-	}
-	for _, e := range edges {
-		if _, err := db.h.AddHyperEdge(e.label, e.members, e.props); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AddAtom inserts a node atom, enforcing types checking and identity.
-func (db *DB) AddAtom(label string, props model.Properties) (model.NodeID, error) {
-	n := model.Node{Label: label, Props: props}
-	if err := db.schema.CheckNode(n); err != nil {
-		return 0, err
-	}
-	if prop, ok := db.identities[label]; ok {
-		v := props.Get(prop)
-		if v.IsNull() {
-			return 0, fmt.Errorf("hyperdb: %q atoms must set %q: %w", label, prop, model.ErrConstraint)
-		}
-		// A failed scan must not fall through to AddNode: it could admit a
-		// duplicate the identity check would have rejected.
-		dup := false
-		if err := db.h.Nodes(func(o model.Node) bool {
-			if o.Label == label && o.Props.Get(prop).Equal(v) {
-				dup = true
-				return false
-			}
-			return true
-		}); err != nil {
-			return 0, err
-		}
-		if dup {
-			return 0, fmt.Errorf("hyperdb: duplicate identity %s=%v: %w", prop, v, model.ErrConstraint)
-		}
-	}
-	id, err := db.h.AddNode(label, props)
-	if err != nil {
-		return 0, err
-	}
-	db.idx.OnNodeWrite(model.Node{ID: id, Label: label, Props: props}, "", nil)
-	if db.backend != nil {
-		if err := db.persistAtom(label, nil, props); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
-}
-
-// AddLink inserts a hyperedge relating the member atoms.
-func (db *DB) AddLink(label string, members []model.NodeID, props model.Properties) (model.EdgeID, error) {
-	id, err := db.h.AddHyperEdge(label, members, props)
-	if err != nil {
-		return 0, err
-	}
-	if db.backend != nil {
-		if err := db.persistAtom(label, members, props); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
-}
-
-// persistAtom appends one atom record to the backend log. A failed append
-// must surface: swallowing it would report the atom as durable when the log
-// no longer contains it.
-func (db *DB) persistAtom(label string, members []model.NodeID, props model.Properties) error {
-	db.seq++
-	key := []byte(fmt.Sprintf("a!%016x", db.seq))
-	return db.backend.Put(key, encodeAtom(label, members, props))
-}
-
-// Hypergraph exposes the structural read surface.
-func (db *DB) Hypergraph() model.Hypergraph { return db.h }
-
 // SetIdentity declares prop as the identity of label atoms.
-func (db *DB) SetIdentity(label, prop string) { db.identities[label] = prop }
+func (db *DB) SetIdentity(label, prop string) {
+	db.core.Cons.Add(constraint.Identity{Label: label, Prop: prop})
+}
 
 // Schema implements engine.SchemaHolder.
-func (db *DB) Schema() *model.Schema { return db.schema }
+func (db *DB) Schema() *model.Schema { return db.core.Sch }
 
 // Name implements engine.Engine.
 func (db *DB) Name() string { return "hyperdb" }
@@ -227,7 +146,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 	return engine.Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			found := false
-			err := db.h.Incident(a, func(e model.HyperEdge) bool {
+			err := db.Incident(a, func(e model.HyperEdge) bool {
 				for _, m := range e.Members {
 					if m == b {
 						found = true
@@ -239,11 +158,11 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 			return found, err
 		},
 		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			a, err := db.h.HyperEdge(e1)
+			a, err := db.HyperEdge(e1)
 			if err != nil {
 				return false, err
 			}
-			b, err := db.h.HyperEdge(e2)
+			b, err := db.HyperEdge(e2)
 			if err != nil {
 				return false, err
 			}
@@ -263,7 +182,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 				return model.Null(), err
 			}
 			agg := algo.NewAggregator(kind)
-			err := db.h.Nodes(func(n model.Node) bool {
+			err := db.Nodes(func(n model.Node) bool {
 				if label != "" && n.Label != label {
 					return true
 				}
@@ -284,13 +203,13 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 
 // LoadNode implements engine.Loader, declaring unseen atom types first.
 func (db *DB) LoadNode(label string, props model.Properties) (model.NodeID, error) {
-	db.schema.EnsureNodeType(label, props)
-	return db.AddAtom(label, props)
+	db.core.Sch.EnsureNodeType(label, props)
+	return db.AddNode(label, props)
 }
 
 // LoadEdge implements engine.Loader: binary edges become 2-member links.
 func (db *DB) LoadEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
-	return db.AddLink(label, []model.NodeID{from, to}, props)
+	return db.AddHyperEdge(label, []model.NodeID{from, to}, props)
 }
 
 // Flush implements engine.Persistent.
@@ -309,122 +228,10 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// --- atom log encoding ---
-
-func encodeAtom(label string, members []model.NodeID, props model.Properties) []byte {
-	buf := make([]byte, 0, 64)
-	buf = appendString(buf, label)
-	buf = appendUvarint(buf, uint64(len(members)))
-	for _, m := range members {
-		buf = appendUvarint(buf, uint64(m))
-	}
-	pb, _ := props.MarshalBinary()
-	buf = append(buf, pb...)
-	return buf
-}
-
-func decodeAtom(data []byte) (struct {
-	label   string
-	members []model.NodeID
-	props   model.Properties
-}, error) {
-	var out struct {
-		label   string
-		members []model.NodeID
-		props   model.Properties
-	}
-	label, rest, err := readString(data)
-	if err != nil {
-		return out, err
-	}
-	out.label = label
-	n, rest, err := readUvarint(rest)
-	if err != nil {
-		return out, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var m uint64
-		m, rest, err = readUvarint(rest)
-		if err != nil {
-			return out, err
-		}
-		out.members = append(out.members, model.NodeID(m))
-	}
-	props, err := model.UnmarshalProperties(rest)
-	if err != nil {
-		return out, err
-	}
-	if len(props) > 0 {
-		out.props = props
-	}
-	return out, nil
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	var v uint64
-	var shift uint
-	for i := 0; i < len(b); i++ {
-		v |= uint64(b[i]&0x7f) << shift
-		if b[i] < 0x80 {
-			return v, b[i+1:], nil
-		}
-		shift += 7
-	}
-	return 0, nil, fmt.Errorf("hyperdb: truncated varint")
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	n, rest, err := readUvarint(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint64(len(rest)) < n {
-		return "", nil, fmt.Errorf("hyperdb: truncated string")
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
 var (
 	_ engine.Engine       = (*DB)(nil)
 	_ engine.CacheStatser = (*DB)(nil)
-	_ engine.HyperAPI     = hyperAPI{}
+	_ engine.HyperAPI     = (*DB)(nil)
 	_ engine.Loader       = (*DB)(nil)
+	_ engine.Persistent   = (*DB)(nil)
 )
-
-// hyperAPI adapts DB to engine.HyperAPI.
-type hyperAPI struct{ db *DB }
-
-// HyperAPIOf returns the mutable hypergraph surface.
-func (db *DB) HyperAPIOf() engine.HyperAPI { return hyperAPI{db} }
-
-func (h hyperAPI) Order() int                               { return h.db.h.Order() }
-func (h hyperAPI) Size() int                                { return h.db.h.Size() }
-func (h hyperAPI) Node(id model.NodeID) (model.Node, error) { return h.db.h.Node(id) }
-func (h hyperAPI) HyperEdge(id model.EdgeID) (model.HyperEdge, error) {
-	return h.db.h.HyperEdge(id)
-}
-func (h hyperAPI) Nodes(fn func(model.Node) bool) error           { return h.db.h.Nodes(fn) }
-func (h hyperAPI) HyperEdges(fn func(model.HyperEdge) bool) error { return h.db.h.HyperEdges(fn) }
-func (h hyperAPI) Incident(id model.NodeID, fn func(model.HyperEdge) bool) error {
-	return h.db.h.Incident(id, fn)
-}
-func (h hyperAPI) AddNode(label string, props model.Properties) (model.NodeID, error) {
-	return h.db.AddAtom(label, props)
-}
-func (h hyperAPI) AddHyperEdge(label string, members []model.NodeID, props model.Properties) (model.EdgeID, error) {
-	return h.db.AddLink(label, members, props)
-}
-func (h hyperAPI) RemoveHyperEdge(id model.EdgeID) error { return h.db.h.RemoveHyperEdge(id) }

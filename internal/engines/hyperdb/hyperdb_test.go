@@ -3,10 +3,13 @@ package hyperdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/model"
 	"gdbm/internal/storage/kv"
@@ -24,21 +27,20 @@ func openDB(t *testing.T) *DB {
 
 func TestAtomsAndLinks(t *testing.T) {
 	db := openDB(t)
-	a, err := db.AddAtom("", model.Props("name", "a"))
+	a, err := db.AddNode("", model.Props("name", "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := db.AddAtom("", nil)
-	c, _ := db.AddAtom("", nil)
-	link, err := db.AddLink("rel", []model.NodeID{a, b, c}, nil)
+	b, _ := db.AddNode("", nil)
+	c, _ := db.AddNode("", nil)
+	link, err := db.AddHyperEdge("rel", []model.NodeID{a, b, c}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := db.Hypergraph()
-	if h.Order() != 3 || h.Size() != 1 {
-		t.Fatalf("order=%d size=%d", h.Order(), h.Size())
+	if db.Order() != 3 || db.Size() != 1 {
+		t.Fatalf("order=%d size=%d", db.Order(), db.Size())
 	}
-	e, _ := h.HyperEdge(link)
+	e, _ := db.HyperEdge(link)
 	if len(e.Members) != 3 {
 		t.Errorf("members = %v", e.Members)
 	}
@@ -48,28 +50,92 @@ func TestTypedAtomsAndIdentity(t *testing.T) {
 	db := openDB(t)
 	db.Schema().EnsureNodeType("Protein", model.Props("name", ""))
 	db.SetIdentity("Protein", "name")
-	if _, err := db.AddAtom("Protein", model.Props("name", "p53")); err != nil {
+	if _, err := db.AddNode("Protein", model.Props("name", "p53")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddAtom("Protein", model.Props("name", "p53")); !errors.Is(err, model.ErrConstraint) {
+	if _, err := db.AddNode("Protein", model.Props("name", "p53")); !errors.Is(err, model.ErrConstraint) {
 		t.Errorf("duplicate identity: %v", err)
 	}
-	if _, err := db.AddAtom("Protein", nil); !errors.Is(err, model.ErrConstraint) {
+	if _, err := db.AddNode("Protein", nil); !errors.Is(err, model.ErrConstraint) {
 		t.Errorf("missing identity prop: %v", err)
 	}
-	if _, err := db.AddAtom("Ghost", nil); !errors.Is(err, model.ErrConstraint) {
+	if _, err := db.AddNode("Ghost", nil); !errors.Is(err, model.ErrConstraint) {
 		t.Errorf("undeclared type: %v", err)
+	}
+}
+
+// TestIdentityUnderConcurrentWriters: the identity check and the insert it
+// admits are one step under the core's mutation lock, so of eight writers
+// adding the same atom at once exactly one succeeds. Each round adds a
+// fresh name, so the identity scan the writers race on grows.
+func TestIdentityUnderConcurrentWriters(t *testing.T) {
+	const rounds, writers = 200, 8
+	db := openDB(t)
+	db.Schema().EnsureNodeType("Protein", model.Props("name", ""))
+	db.SetIdentity("Protein", "name")
+	for r := 0; r < rounds; r++ {
+		name := fmt.Sprintf("x%d", r)
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		ok := 0
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, err := db.AddNode("Protein", model.Props("name", name))
+				switch {
+				case err == nil:
+					mu.Lock()
+					ok++
+					mu.Unlock()
+				case !errors.Is(err, model.ErrConstraint):
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if ok != 1 {
+			t.Fatalf("round %d: %d of %d writers added the same identity", r, ok, writers)
+		}
+	}
+}
+
+// TestLinkSharingAtomLabel: a link labelled like an atom type, carrying
+// the identity property, is neither counted nor judged as an atom.
+func TestLinkSharingAtomLabel(t *testing.T) {
+	db := openDB(t)
+	db.Schema().EnsureNodeType("Protein", model.Props("name", ""))
+	db.SetIdentity("Protein", "name")
+	a, err := db.AddNode("Protein", model.Props("name", "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddHyperEdge("Protein", []model.NodeID{a}, model.Props("name", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddNode("Protein", model.Props("name", "x")); err != nil {
+		t.Fatalf("the link's name blocked an atom: %v", err)
+	}
+	n, err := db.Essentials(context.Background()).Summarization(algo.AggCount, "Protein", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.String() != "2" {
+		t.Errorf("count Protein = %s, want 2", n)
 	}
 }
 
 func TestEssentialsHyperSemantics(t *testing.T) {
 	db := openDB(t)
-	a, _ := db.AddAtom("", nil)
-	b, _ := db.AddAtom("", nil)
-	c, _ := db.AddAtom("", nil)
-	d, _ := db.AddAtom("", nil)
-	e1, _ := db.AddLink("x", []model.NodeID{a, b, c}, nil)
-	e2, _ := db.AddLink("y", []model.NodeID{c, d}, nil)
+	a, _ := db.AddNode("", nil)
+	b, _ := db.AddNode("", nil)
+	c, _ := db.AddNode("", nil)
+	d, _ := db.AddNode("", nil)
+	e1, _ := db.AddHyperEdge("x", []model.NodeID{a, b, c}, nil)
+	e2, _ := db.AddHyperEdge("y", []model.NodeID{c, d}, nil)
 
 	es := db.Essentials(context.Background())
 	ok, _ := es.NodeAdjacency(a, b)
@@ -90,9 +156,8 @@ func TestEssentialsHyperSemantics(t *testing.T) {
 	}
 }
 
-func TestHyperAPIOf(t *testing.T) {
-	db := openDB(t)
-	api := db.HyperAPIOf()
+func TestHyperAPI(t *testing.T) {
+	var api engine.HyperAPI = openDB(t)
 	a, err := api.AddNode("", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +171,9 @@ func TestHyperAPIOf(t *testing.T) {
 		t.Errorf("order=%d size=%d", api.Order(), api.Size())
 	}
 	n := 0
-	api.Incident(a, func(model.HyperEdge) bool { n++; return true })
+	if err := api.Incident(a, func(model.HyperEdge) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
 	if n != 1 {
 		t.Errorf("incident = %d", n)
 	}
@@ -117,9 +184,13 @@ func TestHyperAPIOf(t *testing.T) {
 		t.Errorf("size after remove = %d", api.Size())
 	}
 	nn := 0
-	api.Nodes(func(model.Node) bool { nn++; return true })
+	if err := api.Nodes(func(model.Node) bool { nn++; return true }); err != nil {
+		t.Fatal(err)
+	}
 	ne := 0
-	api.HyperEdges(func(model.HyperEdge) bool { ne++; return true })
+	if err := api.HyperEdges(func(model.HyperEdge) bool { ne++; return true }); err != nil {
+		t.Fatal(err)
+	}
 	if nn != 2 || ne != 0 {
 		t.Errorf("nodes=%d hyperedges=%d", nn, ne)
 	}
@@ -131,16 +202,16 @@ func TestHyperAPIOf(t *testing.T) {
 	}
 }
 
-func TestPersistenceReplaysAtomLog(t *testing.T) {
+func TestPersistenceSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := New(engine.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Schema().EnsureNodeType("P", model.Props("name", ""))
-	a, _ := db.AddAtom("P", model.Props("name", "a"))
-	b, _ := db.AddAtom("P", model.Props("name", "b"))
-	db.AddLink("pair", []model.NodeID{a, b}, model.Props("w", 1))
+	a, _ := db.AddNode("P", model.Props("name", "a"))
+	b, _ := db.AddNode("P", model.Props("name", "b"))
+	db.AddHyperEdge("pair", []model.NodeID{a, b}, model.Props("w", 1))
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,21 +224,22 @@ func TestPersistenceReplaysAtomLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	h := db2.Hypergraph()
-	if h.Order() != 2 || h.Size() != 1 {
-		t.Fatalf("after reopen: order=%d size=%d", h.Order(), h.Size())
+	if db2.Order() != 2 || db2.Size() != 1 {
+		t.Fatalf("after reopen: order=%d size=%d", db2.Order(), db2.Size())
 	}
 	var e model.HyperEdge
-	h.HyperEdges(func(he model.HyperEdge) bool { e = he; return false })
+	if err := db2.HyperEdges(func(he model.HyperEdge) bool { e = he; return false }); err != nil {
+		t.Fatal(err)
+	}
 	if e.Label != "pair" || len(e.Members) != 2 {
-		t.Errorf("replayed edge = %+v", e)
+		t.Errorf("reopened edge = %+v", e)
 	}
 	if v, _ := e.Props.Get("w").AsInt(); v != 1 {
-		t.Errorf("replayed props = %v", e.Props)
+		t.Errorf("reopened props = %v", e.Props)
 	}
-	// The log sequence continues: new atoms must not clobber old entries.
+	// Ids continue after a reopen: new atoms must not clobber old ones.
 	db2.Schema().EnsureNodeType("Q", nil)
-	if _, err := db2.AddAtom("Q", nil); err != nil {
+	if _, err := db2.AddNode("Q", nil); err != nil {
 		t.Fatal(err)
 	}
 	db2.Flush()
@@ -177,38 +249,20 @@ func TestPersistenceReplaysAtomLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db3.Close()
-	if db3.Hypergraph().Order() != 3 {
-		t.Errorf("order after second reopen = %d (log clobbered?)", db3.Hypergraph().Order())
+	if db3.Order() != 3 {
+		t.Errorf("order after second reopen = %d (atom clobbered?)", db3.Order())
 	}
 }
 
-// TestReplayRefusesCorruptAtom: a log value that does not decode must fail
-// the reopen; skipping it would shift every later atom's id.
-func TestReplayRefusesCorruptAtom(t *testing.T) {
+// TestRefusesAtomLogFormat: a store written in the retired atom-log format
+// must fail to open, naming the format, not open as an empty hypergraph.
+func TestRefusesAtomLogFormat(t *testing.T) {
 	dir := t.TempDir()
-	db, err := New(engine.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b"} {
-		if _, err := db.LoadNode("P", model.Props("name", name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	d, err := kv.OpenDisk(filepath.Join(dir, "hyperdb.pg"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "a!0000000000000001"
-	truncated := encodeAtom("P", nil, model.Props("name", "a"))[:1]
-	if err := d.Put([]byte(key), truncated); err != nil {
+	if err := d.Put([]byte("a!0000000000000001"), []byte{1, 'P', 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -217,36 +271,12 @@ func TestReplayRefusesCorruptAtom(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	db2, err := New(engine.Options{Dir: dir})
+	db, err := New(engine.Options{Dir: dir})
 	if err == nil {
-		db2.Close()
-		t.Fatal("reopen over a truncated atom succeeded")
+		db.Close()
+		t.Fatal("opened a store in the atom-log format")
 	}
-	if !strings.Contains(err.Error(), "hyperdb: corrupt atom "+key) {
-		t.Errorf("reopen error = %v", err)
-	}
-}
-
-func TestAtomLogEncoding(t *testing.T) {
-	enc := encodeAtom("label", []model.NodeID{3, 7}, model.Props("k", 1))
-	rec, err := decodeAtom(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.label != "label" || len(rec.members) != 2 || rec.members[1] != 7 {
-		t.Errorf("decoded = %+v", rec)
-	}
-	if v, _ := rec.props.Get("k").AsInt(); v != 1 {
-		t.Errorf("props = %v", rec.props)
-	}
-	// Truncated inputs fail cleanly.
-	for i := 0; i < len(enc)-1; i++ {
-		if _, err := decodeAtom(enc[:i]); err == nil {
-			// Some prefixes decode as shorter valid atoms (empty label,
-			// zero members, empty props); only structural truncation must
-			// error, so just ensure no panic occurred.
-			continue
-		}
+	if !strings.Contains(err.Error(), "atom-log format") {
+		t.Errorf("open error = %v, want it to name the atom-log format", err)
 	}
 }

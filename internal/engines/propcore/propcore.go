@@ -1,7 +1,8 @@
 // Package propcore is the reusable property-graph core most engines build
 // on: a mutable graph (in-memory or kv-backed) wired to an index manager, a
 // constraint set, a schema and a transaction manager. Engines embed a Core
-// and expose the subset of its surface their archetype supports.
+// and expose the subset of its surface their archetype supports; Hyper
+// stores a hypergraph in a Core as its incidence graph.
 package propcore
 
 import (
@@ -101,10 +102,15 @@ func (c *Core) Degree(id model.NodeID, dir model.Direction) (int, error) {
 // AddNode implements model.MutableGraph with constraint validation and
 // index maintenance.
 func (c *Core) AddNode(label string, props model.Properties) (model.NodeID, error) {
+	return c.addNode(c.g, label, props)
+}
+
+// addNode is AddNode with the constraints judging the node in view.
+func (c *Core) addNode(view model.Graph, label string, props model.Properties) (model.NodeID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := constraint.Mutation{Kind: constraint.AddNode, Node: model.Node{Label: label, Props: props}}
-	if err := c.Cons.Check(c.g, m); err != nil {
+	if err := c.Cons.Check(view, m); err != nil {
 		return 0, err
 	}
 	id, err := c.g.AddNode(label, props)

@@ -32,7 +32,7 @@ func init() {
 // side-structure for higher-order relations ("walks" and groupings).
 type DB struct {
 	*propcore.Core
-	hyper *memgraph.Hypergraph
+	hyper *propcore.Hyper
 }
 
 // New opens a sonesdb instance (main-memory only, per its Table I row).
@@ -42,7 +42,7 @@ func New(opts engine.Options) (*DB, error) {
 	}
 	db := &DB{
 		Core:  propcore.New(memgraph.New()),
-		hyper: memgraph.NewHypergraph(),
+		hyper: propcore.NewHyper(propcore.New(memgraph.New())),
 	}
 	if _, err := db.Core.Idx.Create(index.Nodes, "", index.KindHash); err != nil {
 		return nil, err

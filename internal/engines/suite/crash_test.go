@@ -15,7 +15,6 @@ import (
 // cannot judge, each with the reason.
 var crashExcluded = map[string]string{
 	"triplestore": "stores the Crash label as a type statement, not a node label, so Visible finds no Crash nodes",
-	"hyperdb":     "has no node-scan surface for Visible (its atoms are reached through the hypergraph side type)",
 }
 
 // crashEngines are the engines run through the crash-recovery harness:

@@ -4,9 +4,12 @@
 package suite
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"gdbm/internal/algo"
@@ -352,5 +355,106 @@ func TestPersistence(t *testing.T) {
 				t.Errorf("label scan after reopen = %v, before = %v", after.scanned, before.scanned)
 			}
 		})
+	}
+}
+
+// hyperState renders what the hypergraph reopen probe compares: Order,
+// Size, every link's label, members and props, and the links incident to
+// each atom.
+func hyperState(t *testing.T, h engine.HyperAPI, atoms []model.NodeID) string {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "order %d size %d\n", h.Order(), h.Size())
+	var links []model.HyperEdge
+	if err := h.HyperEdges(func(e model.HyperEdge) bool {
+		links = append(links, e)
+		return true
+	}); err != nil {
+		t.Fatalf("HyperEdges: %v", err)
+	}
+	slices.SortFunc(links, func(x, y model.HyperEdge) int { return cmp.Compare(x.ID, y.ID) })
+	for _, e := range links {
+		fmt.Fprintf(&b, "link %d %q %v %s\n", e.ID, e.Label, e.Members, e.Props)
+	}
+	for _, a := range atoms {
+		var inc []model.EdgeID
+		if err := h.Incident(a, func(e model.HyperEdge) bool {
+			inc = append(inc, e.ID)
+			return true
+		}); err != nil {
+			t.Fatalf("Incident(%d): %v", a, err)
+		}
+		fmt.Fprintf(&b, "atom %d in %v\n", a, inc)
+	}
+	return b.String()
+}
+
+// TestHyperPersistence is the reopen probe for the hypergraph engines:
+// every engine that declares a storage cell and Hypergraphs (Table III)
+// adds three atoms, a 3-ary and a 2-ary link, and removes the 3-ary link.
+// After Flush, Close and a reopen, Order, Size, each link and each atom's
+// incident links must read as they did before the close.
+func TestHyperPersistence(t *testing.T) {
+	ran := 0
+	for _, name := range storageEngines(t) {
+		dir := t.TempDir()
+		e, err := engine.Open(name, engine.Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		if e.Features().Hypergraphs == engine.No {
+			if err := e.Close(); err != nil {
+				t.Fatalf("close %s: %v", name, err)
+			}
+			continue
+		}
+		ran++
+		t.Run(name, func(t *testing.T) {
+			h, ok := e.(engine.HyperAPI)
+			if !ok {
+				e.Close()
+				t.Fatalf("declares Hypergraphs but does not implement engine.HyperAPI")
+			}
+			l := e.(engine.Loader)
+			var atoms []model.NodeID
+			for _, nm := range []string{"a", "b", "c"} {
+				id, err := l.LoadNode("P", model.Props("name", nm))
+				if err != nil {
+					t.Fatal(err)
+				}
+				atoms = append(atoms, id)
+			}
+			tri, err := h.AddHyperEdge("tri", atoms, model.Props("k", 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.AddHyperEdge("pair", []model.NodeID{atoms[2], atoms[0]}, model.Props("k", 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.RemoveHyperEdge(tri); err != nil {
+				t.Fatal(err)
+			}
+			if h.Order() != 3 || h.Size() != 1 {
+				t.Fatalf("before close: order %d size %d, want 3 1", h.Order(), h.Size())
+			}
+			before := hyperState(t, h, atoms)
+			if err := e.(engine.Persistent).Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e2, err := engine.Open(name, engine.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			if after := hyperState(t, e2.(engine.HyperAPI), atoms); after != before {
+				t.Errorf("after reopen:\n%s\nbefore close:\n%s", after, before)
+			}
+		})
+	}
+	if ran == 0 {
+		t.Fatal("no storage engine declares Hypergraphs: the probe ran on nothing")
 	}
 }

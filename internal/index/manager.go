@@ -55,8 +55,8 @@ func (m *Manager) keyFor(t Target, prop string) string {
 }
 
 // Create registers an index of the given kind for (target, prop). Ordered
-// indexes are created over an in-memory store; use CreateOrderedOn for a
-// disk-backed one.
+// indexes are created over an in-memory store; Register installs one over
+// another store.
 func (m *Manager) Create(t Target, prop string, kind KindName) (Index, error) {
 	var idx Index
 	switch kind {
@@ -69,12 +69,6 @@ func (m *Manager) Create(t Target, prop string, kind KindName) (Index, error) {
 	default:
 		return nil, fmt.Errorf("index: unknown kind %q", kind)
 	}
-	return idx, m.Register(t, prop, idx)
-}
-
-// CreateOrderedOn registers an ordered index over the supplied store.
-func (m *Manager) CreateOrderedOn(t Target, prop string, store kv.Store) (Index, error) {
-	idx := NewOrdered(store)
 	return idx, m.Register(t, prop, idx)
 }
 

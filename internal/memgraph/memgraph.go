@@ -1,6 +1,6 @@
 // Package memgraph provides the in-memory ("main memory" in the survey's
 // Table I) implementations of the model's graph structures: an attributed
-// directed multigraph with adjacency lists, a hypergraph, and a nested graph.
+// directed multigraph with adjacency lists, and a nested graph.
 // All engines that advertise main-memory storage build on these types.
 package memgraph
 
