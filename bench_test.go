@@ -330,8 +330,8 @@ func BenchmarkTableVII_Summarization(b *testing.B) {
 }
 
 // Pattern matching and regular path queries are unsupported by every
-// surveyed engine surface (Table VII's empty columns); their cost is
-// measured on the shared algorithm layer instead.
+// surveyed engine surface (Table VII's empty columns); pattern matching's
+// cost is measured on the shared matcher, plan.MatchPattern, instead.
 func BenchmarkTableVII_PatternMatchingSubstrate(b *testing.B) {
 	g := memgraph.New()
 	sink := &gen.MemSink{}
@@ -350,7 +350,7 @@ func BenchmarkTableVII_PatternMatchingSubstrate(b *testing.B) {
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gdbm.FindMatches(g, pat, 100)
+		gdbm.MatchPattern(context.Background(), g, pat, 100)
 	}
 }
 

@@ -203,8 +203,8 @@ var (
 	CompilePathExpr = algo.CompilePathExpr
 	// NewPattern builds a pattern graph.
 	NewPattern = algo.NewPattern
-	// FindMatches enumerates pattern embeddings.
-	FindMatches = algo.FindMatches
+	// MatchPattern enumerates pattern embeddings.
+	MatchPattern = plan.MatchPattern
 	// Degrees computes degree statistics.
 	Degrees = algo.Degrees
 	// Diameter computes the graph diameter.

@@ -136,9 +136,9 @@ func TestPublicPathExprAndPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := gdbm.FindMatches(api, pat, 0)
+	ms, err := gdbm.MatchPattern(context.Background(), api, pat, 0)
 	if err != nil || len(ms) != 1 {
-		t.Errorf("FindMatches: %v %v", ms, err)
+		t.Errorf("MatchPattern: %v %v", ms, err)
 	}
 }
 

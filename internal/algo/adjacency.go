@@ -1,9 +1,10 @@
 // Package algo implements the survey's four classes of essential graph
 // queries (Section IV): adjacency queries (node/edge adjacency,
 // k-neighborhood), reachability queries (fixed-length paths, regular simple
-// paths, shortest paths), pattern matching (subgraph isomorphism), and
-// summarization (aggregates and graph properties). All functions operate on
-// the model.Graph read interface, so every binary-edge engine shares them.
+// paths, shortest paths) and summarization (aggregates and graph
+// properties), plus the Pattern type of the fourth class, pattern matching,
+// which plan.MatchPattern evaluates. All functions operate on the
+// model.Graph read interface, so every binary-edge engine shares them.
 package algo
 
 import (

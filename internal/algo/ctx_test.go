@@ -51,14 +51,6 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 	ctx := cancelled()
 	first, last := ids[0], ids[len(ids)-1]
 
-	pat, err := NewPattern(
-		[]PatternNode{{Var: "a"}, {Var: "b"}},
-		[]PatternEdge{{From: 0, To: 1}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	calls := map[string]func() error{
 		"BFSCtx": func() error {
 			return BFSCtx(ctx, g, first, model.Out, func(model.NodeID, int) bool { return true })
@@ -85,14 +77,6 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 		},
 		"DiameterCtx": func() error {
 			_, err := DiameterCtx(ctx, g, model.Both)
-			return err
-		},
-		"FindMatchesCtx": func() error {
-			_, err := FindMatchesCtx(ctx, g, pat, 0)
-			return err
-		},
-		"FindMatchesSeededCtx": func() error {
-			_, err := FindMatchesSeededCtx(ctx, g, pat, 0, ids[:4])
 			return err
 		},
 		"AggregateNodePropCtx": func() error {
@@ -130,29 +114,6 @@ func TestCancelMidTraversal(t *testing.T) {
 	}
 }
 
-// TestCancelMidMatch cancels a combinatorial pattern search partway through
-// and checks the backtracking recursion aborts with ctx.Err().
-func TestCancelMidMatch(t *testing.T) {
-	g, _ := grid(t, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// A 3-node path pattern over a lattice has many embeddings; cancel after
-	// the search emits a handful by polling from a graph callback. The
-	// cancel lands inside rec(), whose next step check must surface it.
-	pat, err := NewPattern(
-		[]PatternNode{{Var: "a"}, {Var: "b"}, {Var: "c"}},
-		[]PatternEdge{{From: 0, To: 1}, {From: 1, To: 2}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := &cancelAfterGraph{Graph: g, after: 50, cancel: cancel}
-	if _, err := FindMatchesCtx(ctx, cg, pat, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FindMatchesCtx after mid-search cancel: got %v, want context.Canceled", err)
-	}
-}
-
 // TestCancelMidAggregate cancels a node scan partway through and checks the
 // fold stops at its next periodic check with ctx.Err() instead of an answer.
 func TestCancelMidAggregate(t *testing.T) {
@@ -181,23 +142,6 @@ func TestBackgroundUnaffected(t *testing.T) {
 	if p1.Len() != p2.Len() || p1.Len() != 6 {
 		t.Fatalf("path lengths differ: %d vs %d (want 6)", p1.Len(), p2.Len())
 	}
-}
-
-// cancelAfterGraph cancels a context after a fixed number of Neighbors calls,
-// simulating a deadline landing mid-search.
-type cancelAfterGraph struct {
-	model.Graph
-	after  int
-	calls  int
-	cancel context.CancelFunc
-}
-
-func (c *cancelAfterGraph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
-	c.calls++
-	if c.calls == c.after {
-		c.cancel()
-	}
-	return c.Graph.Neighbors(id, dir, fn)
 }
 
 // cancelAfterScan cancels a context once a node scan has yielded a fixed

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gdbm/internal/algo/algotest"
-	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 )
 
@@ -45,32 +44,6 @@ func TestDiameterPropagatesErrors(t *testing.T) {
 func TestAggregatePropagatesNodesError(t *testing.T) {
 	if _, err := AggregateNodeProp(flakyFixture(t, 0), "P", "w", AggSum); !errors.Is(err, algotest.ErrInjected) {
 		t.Fatalf("AggregateNodeProp with failing Nodes: err = %v, want injected", err)
-	}
-}
-
-func TestFindMatchesPropagatesScanError(t *testing.T) {
-	p, err := NewPattern(
-		[]PatternNode{{Label: "P"}, {Label: "Q"}},
-		[]PatternEdge{{From: 0, To: 1, Label: "a"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic fixture with many P-a->Q embeddings, so every budget
-	// below is guaranteed to be exhausted mid-search.
-	g := memgraph.New()
-	for i := 0; i < 8; i++ {
-		u, _ := g.AddNode("P", nil)
-		v, _ := g.AddNode("Q", nil)
-		g.AddEdge("a", u, v, nil)
-	}
-	// Budget 0 fails the unanchored Nodes scan itself; larger budgets fail
-	// inside the recursive Neighbors expansion.
-	for _, budget := range []int{0, 2, 5} {
-		fg := algotest.NewFlaky(g, budget)
-		if _, err := FindMatches(fg, p, 0); !errors.Is(err, algotest.ErrInjected) {
-			t.Errorf("FindMatches budget=%d: err = %v, want injected", budget, err)
-		}
 	}
 }
 

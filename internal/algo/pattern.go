@@ -1,16 +1,15 @@
 package algo
 
 import (
-	"context"
 	"fmt"
 
 	"gdbm/internal/model"
 )
 
-// Pattern is a small query graph to be matched against a data graph
-// (subgraph isomorphism, the survey's "pattern matching queries"). Pattern
-// nodes may constrain the data node's label and property values; pattern
-// edges may constrain the edge label and are directed.
+// Pattern is a small query graph to be matched against a data graph (the
+// survey's "pattern matching queries"). Pattern nodes may constrain the data
+// node's label and property values; pattern edges may constrain the edge
+// label and are directed. plan.MatchPattern evaluates it.
 type Pattern struct {
 	nodes []PatternNode
 	edges []PatternEdge
@@ -35,285 +34,40 @@ type PatternEdge struct {
 	Label string
 }
 
-// NewPattern builds a pattern; it validates edge endpoints.
+// NewPattern builds a pattern; it validates edge endpoints and rejects two
+// nodes of the same name (see Var).
 func NewPattern(nodes []PatternNode, edges []PatternEdge) (*Pattern, error) {
+	p := &Pattern{nodes: nodes, edges: edges}
+	seen := make(map[string]bool, len(nodes))
+	for i := range nodes {
+		v := p.Var(i)
+		if seen[v] {
+			return nil, fmt.Errorf("pattern node %d repeats variable %q", i, v)
+		}
+		seen[v] = true
+	}
 	for i, e := range edges {
 		if e.From < 0 || e.From >= len(nodes) || e.To < 0 || e.To >= len(nodes) {
 			return nil, fmt.Errorf("pattern edge %d references node out of range", i)
 		}
 	}
-	return &Pattern{nodes: nodes, edges: edges}, nil
+	return p, nil
 }
 
-// String renders the pattern deterministically (property maps print in
-// sorted key order), so equal patterns render equal — result caches use the
-// rendering as a fingerprint component.
-func (p *Pattern) String() string {
-	var b []byte
-	for i, n := range p.nodes {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = fmt.Appendf(b, "(%s:%s %s)", n.Var, n.Label, n.Props)
+// Nodes returns the node constraints in index order; callers must not
+// modify the slice.
+func (p *Pattern) Nodes() []PatternNode { return p.nodes }
+
+// Edges returns the edge constraints; callers must not modify the slice.
+func (p *Pattern) Edges() []PatternEdge { return p.edges }
+
+// Var is the name node i binds in a Match: its Var, or _<i> when anonymous.
+func (p *Pattern) Var(i int) string {
+	if v := p.nodes[i].Var; v != "" {
+		return v
 	}
-	for _, e := range p.edges {
-		b = fmt.Appendf(b, " [%d-%s>%d]", e.From, e.Label, e.To)
-	}
-	return string(b)
+	return fmt.Sprintf("_%d", i)
 }
 
 // Match is one embedding of the pattern: variable name to data node.
 type Match map[string]model.NodeID
-
-// NumNodes returns the number of pattern nodes.
-func (p *Pattern) NumNodes() int { return len(p.nodes) }
-
-// RootIndex returns the index of the pattern node the backtracking search
-// assigns first (the first entry of the internal match order). Candidate
-// lists passed to FindMatchesSeeded seed this node.
-func (p *Pattern) RootIndex() int {
-	order, _ := matchOrder(p)
-	return order[0]
-}
-
-// NodeMatches reports whether data node n satisfies the label and property
-// constraints of pattern node pi. It checks local constraints only — edge
-// constraints and injectivity are the search's job.
-func (p *Pattern) NodeMatches(pi int, n model.Node) bool {
-	pn := p.nodes[pi]
-	if pn.Label != "" && pn.Label != n.Label {
-		return false
-	}
-	for k, v := range pn.Props {
-		if !n.Props.Get(k).Equal(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// FindMatches enumerates embeddings of the pattern in g, up to limit
-// (0 = unlimited). The mapping is injective (isomorphism, not homomorphism),
-// matching the survey's definition.
-func FindMatches(g model.Graph, p *Pattern, limit int) ([]Match, error) {
-	return FindMatchesSeeded(g, p, limit, nil)
-}
-
-// FindMatchesCtx is FindMatches with cooperative cancellation through the
-// backtracking search.
-func FindMatchesCtx(ctx context.Context, g model.Graph, p *Pattern, limit int) ([]Match, error) {
-	return FindMatchesSeededCtx(ctx, g, p, limit, nil)
-}
-
-// FindMatchesSeeded is FindMatches with the candidate set for the root
-// pattern node (the first node in match order, RootIndex) restricted to
-// seeds, tried in the given order. A nil seeds scans every node of g. The
-// parallel pattern kernel partitions a filtered candidate list across
-// workers and runs one seeded search per chunk.
-func FindMatchesSeeded(g model.Graph, p *Pattern, limit int, seeds []model.NodeID) ([]Match, error) {
-	return FindMatchesSeededCtx(context.Background(), g, p, limit, seeds)
-}
-
-// FindMatchesSeededCtx is FindMatchesSeeded with cooperative cancellation:
-// the seed-and-expand search checks ctx at every assignment step of the
-// backtracking recursion and returns ctx.Err() once the context is done,
-// so server deadlines interrupt even a combinatorially exploding match.
-func FindMatchesSeededCtx(ctx context.Context, g model.Graph, p *Pattern, limit int, seeds []model.NodeID) ([]Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(p.nodes) == 0 {
-		return nil, nil
-	}
-	// Order pattern nodes so each (after the first) connects to an
-	// already-assigned node where possible; this drives candidate
-	// generation through neighborhoods instead of full scans.
-	order, anchored := matchOrder(p)
-
-	assignment := make([]model.NodeID, len(p.nodes))
-	assigned := make([]bool, len(p.nodes))
-	used := map[model.NodeID]bool{}
-	var out []Match
-
-	// adj[i] lists pattern edges incident to pattern node i.
-	adj := make([][]int, len(p.nodes))
-	for ei, e := range p.edges {
-		adj[e.From] = append(adj[e.From], ei)
-		adj[e.To] = append(adj[e.To], ei)
-	}
-
-	nodeOK := p.NodeMatches
-
-	// edgesOK verifies every pattern edge whose endpoints are both
-	// assigned and which involves pi.
-	edgesOK := func(pi int) (bool, error) {
-		for _, ei := range adj[pi] {
-			e := p.edges[ei]
-			if !assigned[e.From] || !assigned[e.To] {
-				continue
-			}
-			ok, err := hasEdge(g, assignment[e.From], assignment[e.To], e.Label)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-
-	var rec func(step int) error
-	rec = func(step int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if limit > 0 && len(out) >= limit {
-			return nil
-		}
-		if step == len(order) {
-			m := Match{}
-			for i, pn := range p.nodes {
-				name := pn.Var
-				if name == "" {
-					name = fmt.Sprintf("_%d", i)
-				}
-				m[name] = assignment[i]
-			}
-			out = append(out, m)
-			return nil
-		}
-		pi := order[step]
-		try := func(n model.Node) error {
-			if used[n.ID] || !nodeOK(pi, n) {
-				return nil
-			}
-			assignment[pi] = n.ID
-			assigned[pi] = true
-			used[n.ID] = true
-			ok, err := edgesOK(pi)
-			if err == nil && ok {
-				err = rec(step + 1)
-			}
-			assigned[pi] = false
-			delete(used, n.ID)
-			return err
-		}
-		if anchorEdge := anchored[pi]; anchorEdge >= 0 {
-			// Generate candidates from the neighborhood of the
-			// already-assigned endpoint.
-			e := p.edges[anchorEdge]
-			var fromID model.NodeID
-			var dir model.Direction
-			if e.From != pi && assigned[e.From] {
-				fromID, dir = assignment[e.From], model.Out
-			} else {
-				fromID, dir = assignment[e.To], model.In
-			}
-			var cands []model.Node
-			err := g.Neighbors(fromID, dir, func(de model.Edge, n model.Node) bool {
-				if e.Label == "" || de.Label == e.Label {
-					cands = append(cands, n)
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			for _, n := range cands {
-				if err := try(n); err != nil {
-					return err
-				}
-				if limit > 0 && len(out) >= limit {
-					return nil
-				}
-			}
-			return nil
-		}
-		// Root with an explicit seed list: try the seeds in order.
-		if step == 0 && seeds != nil {
-			for _, id := range seeds {
-				n, err := g.Node(id)
-				if err != nil {
-					return err
-				}
-				if err := try(n); err != nil {
-					return err
-				}
-				if limit > 0 && len(out) >= limit {
-					return nil
-				}
-			}
-			return nil
-		}
-		// Unanchored: scan all nodes.
-		var scanErr error
-		if err := g.Nodes(func(n model.Node) bool {
-			if err := try(n); err != nil {
-				scanErr = err
-				return false
-			}
-			return !(limit > 0 && len(out) >= limit)
-		}); err != nil {
-			return err
-		}
-		return scanErr
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// matchOrder returns a visit order for pattern nodes plus, for each pattern
-// node, the index of a pattern edge connecting it to an earlier node
-// (-1 if none).
-func matchOrder(p *Pattern) (order []int, anchored []int) {
-	n := len(p.nodes)
-	anchored = make([]int, n)
-	for i := range anchored {
-		anchored[i] = -1
-	}
-	placed := make([]bool, n)
-	for len(order) < n {
-		// Prefer a node connected to a placed node.
-		pick := -1
-		for ei, e := range p.edges {
-			if placed[e.From] && !placed[e.To] {
-				pick = e.To
-				anchored[e.To] = ei
-				break
-			}
-			if placed[e.To] && !placed[e.From] {
-				pick = e.From
-				anchored[e.From] = ei
-				break
-			}
-		}
-		if pick == -1 {
-			for i := 0; i < n; i++ {
-				if !placed[i] {
-					pick = i
-					break
-				}
-			}
-		}
-		placed[pick] = true
-		order = append(order, pick)
-	}
-	return order, anchored
-}
-
-// hasEdge reports whether an edge from → to with the label exists (any label
-// if label is empty).
-func hasEdge(g model.Graph, from, to model.NodeID, label string) (bool, error) {
-	found := false
-	err := g.Neighbors(from, model.Out, func(e model.Edge, n model.Node) bool {
-		if n.ID == to && (label == "" || e.Label == label) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found, err
-}

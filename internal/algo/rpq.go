@@ -320,20 +320,6 @@ func (p *PathExpr) Eval(g model.Graph, start model.NodeID) ([]model.NodeID, erro
 	return results, nil
 }
 
-// Matches reports whether some matching path connects from and to.
-func (p *PathExpr) Matches(g model.Graph, from, to model.NodeID) (bool, error) {
-	nodes, err := p.Eval(g, from)
-	if err != nil {
-		return false, err
-	}
-	for _, n := range nodes {
-		if n == to {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // EvalNaive answers the query by enumerating simple paths up to maxDepth and
 // testing each word against the automaton. This is the *simple-path*
 // semantics the survey notes is NP-complete; Eval uses the tractable

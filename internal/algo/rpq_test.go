@@ -128,19 +128,6 @@ func TestRPQParseErrors(t *testing.T) {
 	}
 }
 
-func TestRPQMatches(t *testing.T) {
-	g, ids := socialGraph(t)
-	pe, _ := CompilePathExpr("knows/knows")
-	ok, err := pe.Matches(g, ids["ada"], ids["cam"])
-	if err != nil || !ok {
-		t.Errorf("matches ada->cam: %v %v", ok, err)
-	}
-	ok, _ = pe.Matches(g, ids["ada"], ids["bob"])
-	if ok {
-		t.Error("ada->bob should not match knows/knows")
-	}
-}
-
 func TestRPQMissingStart(t *testing.T) {
 	g, _ := socialGraph(t)
 	pe, _ := CompilePathExpr("knows")

@@ -6,11 +6,13 @@
 package constraint
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"gdbm/internal/algo"
 	"gdbm/internal/model"
+	"gdbm/internal/query/plan"
 )
 
 // Mutation describes a pending change for pre-validation.
@@ -278,7 +280,7 @@ func (c ForbiddenPattern) Check(g model.Graph, m Mutation) error {
 	} else if m.Kind != AddNode && m.Kind != UpdateNode {
 		return nil
 	}
-	matches, err := algo.FindMatches(view, c.Pattern, 1)
+	matches, err := plan.MatchPattern(context.TODO(), view, c.Pattern, 1)
 	if err != nil {
 		return err
 	}

@@ -73,14 +73,12 @@ type Features struct {
 // cannot answer that query class; the probe executes every non-nil field
 // and only then marks support.
 type Essentials struct {
-	NodeAdjacency      func(a, b model.NodeID) (bool, error)
-	EdgeAdjacency      func(e1, e2 model.EdgeID) (bool, error)
-	KNeighborhood      func(n model.NodeID, k int) ([]model.NodeID, error)
-	FixedLengthPaths   func(from, to model.NodeID, length int) ([]algo.Path, error)
-	RegularSimplePaths func(from model.NodeID, expr string) ([]model.NodeID, error)
-	ShortestPath       func(from, to model.NodeID) (algo.Path, error)
-	PatternMatching    func(p *algo.Pattern) ([]algo.Match, error)
-	Summarization      func(kind algo.AggKind, label, prop string) (model.Value, error)
+	NodeAdjacency    func(a, b model.NodeID) (bool, error)
+	EdgeAdjacency    func(e1, e2 model.EdgeID) (bool, error)
+	KNeighborhood    func(n model.NodeID, k int) ([]model.NodeID, error)
+	FixedLengthPaths func(from, to model.NodeID, length int) ([]algo.Path, error)
+	ShortestPath     func(from, to model.NodeID) (algo.Path, error)
+	Summarization    func(kind algo.AggKind, label, prop string) (model.Value, error)
 }
 
 // Engine is a database instance under one archetype.

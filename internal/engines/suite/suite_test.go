@@ -140,10 +140,6 @@ func TestEssentialsMatchDeclaredProfile(t *testing.T) {
 		check("FixedLengthPaths", es.FixedLengthPaths != nil, p.fixed)
 		check("ShortestPath", es.ShortestPath != nil, p.shortest)
 		check("Summarization", es.Summarization != nil, p.summ)
-		// Table VII: no surveyed system composes regular simple paths or
-		// pattern matching.
-		check("RegularSimplePaths", es.RegularSimplePaths != nil, false)
-		check("PatternMatching", es.PatternMatching != nil, false)
 	}
 }
 

@@ -3,8 +3,8 @@
 // queries, as classified by the prior evaluation the survey cites ([35],
 // the Angles–Gutierrez study). Because those languages have no surviving
 // implementations, each language is reconstructed as an executable profile
-// over this repository's formal core: a conjunctive-regular-path-query
-// evaluator, a datalog engine, and the summarization operators. A cell of
+// over this repository's formal core: a regular-path-query evaluator, the
+// query planner's pattern matcher, and the summarization operators. A cell of
 // Table VIII is marked supported only if the profile exposes a runnable
 // operation for it, which the tests execute.
 //
@@ -19,10 +19,12 @@
 package pastql
 
 import (
+	"context"
+
 	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/model"
-	"gdbm/internal/reason"
+	"gdbm/internal/query/plan"
 )
 
 // Feature names the columns of Table VIII.
@@ -112,55 +114,12 @@ func distance(g model.Graph, a, b model.NodeID) (int, error) {
 	return algo.Distance(g, a, b, model.Both)
 }
 
+// pattern is every profile's pattern matching: the shared planner's
+// node-injective matches (plan.MatchPattern). GraphLog's reading, a pattern
+// compiled to a datalog rule over edge triples, would need k-ary rule heads,
+// which the reason engine lacks, so GraphLog runs this too.
 func pattern(g model.Graph, p *algo.Pattern) ([]algo.Match, error) {
-	return algo.FindMatches(g, p, 0)
-}
-
-// datalogPattern answers pattern matching the GraphLog way: the pattern is
-// compiled to a rule over edge triples and evaluated by the datalog engine.
-func datalogPattern(g model.Graph, p *algo.Pattern) ([]algo.Match, error) {
-	// Translate the graph to triples once, then let FindMatches confirm
-	// the rule-derived candidate pairs; for the executable-evidence goal
-	// the rule evaluation demonstrates the mechanism.
-	var base []reason.Triple
-	err := g.Edges(func(e model.Edge) bool {
-		base = append(base, reason.Triple{
-			S: nodeTerm(e.From), P: e.Label, O: nodeTerm(e.To),
-		})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// A trivially safe rule exercises the engine; the match set itself
-	// comes from the shared matcher (identical semantics).
-	rule := reason.Rule{
-		Name: "pattern-witness",
-		Head: reason.Pattern{S: "?x", P: "witness", O: "?y"},
-		Body: []reason.Pattern{{S: "?x", P: "?p", O: "?y"}},
-	}
-	if _, err := reason.Infer(base, []reason.Rule{rule}); err != nil {
-		return nil, err
-	}
-	return algo.FindMatches(g, p, 0)
-}
-
-func nodeTerm(id model.NodeID) string {
-	return "n" + string(rune('0'+id%10)) + "_" + itoa(uint64(id))
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return plan.MatchPattern(context.TODO(), g, p, 0)
 }
 
 func summarize(g model.Graph, kind algo.AggKind, label, prop string) (model.Value, error) {
@@ -222,7 +181,7 @@ func Languages() []*Language {
 				KNeighborhood: khood,
 				FixedPaths:    fixed,
 				RegularPaths:  regularSimple,
-				Pattern:       datalogPattern,
+				Pattern:       pattern, // the shared matcher, not a datalog rule
 				Summarize:     summarize,
 			},
 		},

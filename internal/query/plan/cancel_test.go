@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"gdbm/internal/algo"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/query"
@@ -229,5 +230,56 @@ func TestExpandCancelledMidExpansion(t *testing.T) {
 	}
 	if native != 1 {
 		t.Errorf("the capable source answered %d id-adjacency requests, want 1", native)
+	}
+}
+
+// cancelAfterNeighbors cancels a context on its after-th Neighbors call: a
+// deadline landing mid-search.
+type cancelAfterNeighbors struct {
+	model.Graph
+	after, calls int
+	cancel       context.CancelFunc
+}
+
+func (c *cancelAfterNeighbors) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
+	if c.calls++; c.calls == c.after {
+		c.cancel()
+	}
+	return c.Graph.Neighbors(id, dir, fn)
+}
+
+// TestCancelMidMatch cancels a pattern search with many embeddings partway
+// through: MatchPattern returns the context's error, not the matches found
+// so far.
+func TestCancelMidMatch(t *testing.T) {
+	const w = 8
+	g := memgraph.New()
+	ids := make([]model.NodeID, w*w)
+	for i := range ids {
+		ids[i], _ = g.AddNode("N", nil)
+	}
+	for i := range ids {
+		if i%w+1 < w {
+			g.AddEdge("e", ids[i], ids[i+1], nil)
+		}
+		if i+w < len(ids) {
+			g.AddEdge("e", ids[i], ids[i+w], nil)
+		}
+	}
+	pat, err := algo.NewPattern(
+		[]algo.PatternNode{{Var: "a"}, {Var: "b"}, {Var: "c"}},
+		[]algo.PatternEdge{{From: 0, To: 1}, {From: 1, To: 2}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cg := &cancelAfterNeighbors{Graph: g, after: 50, cancel: cancel}
+	if _, err := MatchPattern(ctx, cg, pat, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MatchPattern after mid-search cancel: got %v, want context.Canceled", err)
+	}
+	if cg.calls > 50+cancelStride {
+		t.Errorf("the search made %d Neighbors calls, cancelled at the 50th (stride %d)", cg.calls, cancelStride)
 	}
 }

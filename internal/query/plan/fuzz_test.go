@@ -19,7 +19,8 @@ import (
 // rejection would make plan choice observable); and any spec both accept
 // must render byte-identical results on a reference graph — and each plan
 // must render the same rows in the same order whether the source answers
-// adjacency with id pairs or, its capabilities hidden, with Neighbors.
+// adjacency with id pairs or, its capabilities hidden, with Neighbors; and
+// where the definitional oracle covers the spec, those rows are its rows.
 // Crashing inputs become regression seeds in testdata/fuzz.
 
 // fuzzGraph is the shared reference graph: small enough that the worst
@@ -185,6 +186,12 @@ func FuzzCompileMatchSpec(f *testing.F) {
 		if a, b := fuzzRender(resA, ordered), fuzzRender(resB, ordered); a != b {
 			t.Fatalf("results diverged\nnaive plan: %s\ncost plan:  %s\nnaive: %q\ncost:  %q", opA, opB, a, b)
 		}
+		if oracleCovers(specA) {
+			want, _ := oracle(t, fuzzGraph(), specA)
+			if a, b := fuzzRender(resA, false), fuzzRender(want, false); a != b {
+				t.Fatalf("planners disagree with the oracle\nplan: %s\nplanners: %q\noracle:   %q", opA, a, b)
+			}
+		}
 		// The two adjacency paths are one answer, order included.
 		for _, c := range []struct {
 			op  Op
@@ -202,6 +209,18 @@ func FuzzCompileMatchSpec(f *testing.F) {
 			t.Fatalf("a pattern with edges ran, yet the capable source saw no id-adjacency request")
 		}
 	})
+}
+
+// oracleCovers reports whether oracle can answer spec: no var-length edge,
+// aggregate or Limit/Offset (the decoder orders only under a Limit, and
+// sets no Where).
+func oracleCovers(spec *MatchSpec) bool {
+	for _, e := range spec.Edges {
+		if e.VarLength {
+			return false
+		}
+	}
+	return len(spec.Aggs) == 0 && spec.Limit < 0 && spec.Offset == 0
 }
 
 // fuzzRender canonicalizes a result like the differential harness: EncodeKey

@@ -248,9 +248,8 @@ func TableVII(engines []engine.Engine) (*Table, error) {
 				row.Cells[3] = engine.Yes.Mark()
 			}
 		}
-		if es.PatternMatching != nil {
-			row.Cells[4] = engine.Yes.Mark()
-		}
+		// Cells[4], pattern matching, stays blank: no surveyed system's
+		// surface composes it.
 		if es.Summarization != nil {
 			v, err := es.Summarization(algo.AggCount, "Thing", "")
 			if err == nil {
