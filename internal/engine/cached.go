@@ -1,18 +1,9 @@
 package engine
 
 import (
-	"strings"
-
 	"gdbm/internal/cache"
 	"gdbm/internal/query/plan"
 )
-
-// CacheStatser is implemented by engines that expose their cache counters,
-// keyed by tier ("page", "results"). Engines built without a tier omit its
-// key.
-type CacheStatser interface {
-	CacheStats() map[string]cache.Stats
-}
 
 // CachedQuery memoizes one statement execution in rc, keyed on (engine
 // name, language, statement) at the graph epoch reported by epoch. It
@@ -48,20 +39,28 @@ func CachedQuery(rc *cache.Results, epoch func() uint64, name, lang, stmt string
 	return res, nil
 }
 
-// ReadOnlyStmt reports whether the statement's first keyword is one of the
-// given read verbs (case-insensitive), e.g. "SELECT" for gsql or "MATCH"
-// for gql.
-func ReadOnlyStmt(stmt string, readVerbs ...string) bool {
-	fields := strings.Fields(stmt)
-	if len(fields) == 0 {
-		return false
+// CachedStream runs one statement of the named engine's language into
+// sink through run. A read statement on a Disk with a statement-result
+// tier (OpenDiskWithResults) goes through CachedQuery at the kv-layered
+// graph's epoch — materialized or hit, then replayed — so streaming never
+// bypasses cache coherence; everything else streams straight through run.
+// The rows are identical either way.
+func CachedStream(d Disk, name, lang, stmt string, read bool, sink plan.Sink,
+	run func(plan.Sink) error) error {
+	if d.results == nil || !read {
+		return run(sink)
 	}
-	for _, v := range readVerbs {
-		if strings.EqualFold(fields[0], v) {
-			return true
+	res, err := CachedQuery(d.results, d.kg.Epoch, name, lang, stmt, func() (*plan.Result, error) {
+		var c plan.Collector
+		if err := run(&c); err != nil {
+			return nil, err
 		}
+		return &c.Res, nil
+	})
+	if err != nil {
+		return err
 	}
-	return false
+	return plan.Replay(res, sink)
 }
 
 func resultCost(r *plan.Result) int64 {

@@ -81,6 +81,44 @@ type Essentials struct {
 	Summarization    func(kind algo.AggKind, label, prop string) (model.Value, error)
 }
 
+// TraversalEssentials is the Table VII row of the traversal-framework
+// engines (DEX, Neo4j, InfiniteGraph): adjacency, fixed-length and shortest
+// paths over the live graph, and k-neighborhood and summarization over a
+// snapshot that pin acquires. The kernels run under ctx.
+func TraversalEssentials(ctx context.Context, live model.Graph,
+	pin func() (model.Graph, model.ReleaseFunc, error)) Essentials {
+	return Essentials{
+		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
+			return algo.Adjacent(live, a, b, model.Both)
+		},
+		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
+			return algo.EdgesAdjacent(live, e1, e2)
+		},
+		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
+			g, release, err := pin()
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
+		},
+		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
+			return algo.FixedLengthPathsCtx(ctx, live, from, to, length, model.Out, 0)
+		},
+		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
+			return algo.ShortestPathCtx(ctx, live, from, to, model.Out)
+		},
+		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
+			g, release, err := pin()
+			if err != nil {
+				return model.Null(), err
+			}
+			defer release()
+			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
+		},
+	}
+}
+
 // Engine is a database instance under one archetype.
 type Engine interface {
 	// Name is the engine's own name (e.g. "neograph").
@@ -198,8 +236,8 @@ type Options struct {
 	// caching entirely (beyond the pager's fixed PoolPages buffer pool);
 	// when positive, disk-backed engines split it between the page cache
 	// and, on engines with a query language, the statement-result cache
-	// (see SplitCacheBudget). Cached and uncached configurations must be
-	// observationally identical — the differential harness in
+	// (see Disk and SplitCacheBudget). Cached and uncached configurations
+	// must be observationally identical — the differential harness in
 	// internal/enginetest/diff enforces this.
 	CacheBytes int64
 	// Metrics, when non-nil, receives the engine's storage counters

@@ -1,149 +1,15 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 
-	"gdbm/internal/cache"
+	"gdbm/internal/algo"
+	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
-	"gdbm/internal/query/plan"
 )
-
-// counted is a statement executor that returns a fresh two-row result and
-// counts its runs; a run that CachedQuery served from the cache leaves the
-// count alone.
-type counted struct {
-	runs int
-	err  error
-	// during, when set, runs inside the execution (a concurrent mutation).
-	during func()
-}
-
-func (c *counted) exec() (*plan.Result, error) {
-	c.runs++
-	if c.during != nil {
-		c.during()
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return &plan.Result{
-		Cols: []string{"n"},
-		Rows: [][]model.Value{{model.Int(1)}, {model.Int(2)}},
-	}, nil
-}
-
-func TestCachedQueryMissPublishes(t *testing.T) {
-	rc := cache.NewResults(1 << 16)
-	var ep cache.Epoch
-	c := &counted{}
-	for i := 0; i < 3; i++ {
-		res, err := CachedQuery(rc, ep.Current, "e", "gql", "MATCH (a) RETURN a", c.exec)
-		if err != nil || len(res.Rows) != 2 {
-			t.Fatalf("call %d: %v, %v", i, res, err)
-		}
-	}
-	if c.runs != 1 {
-		t.Fatalf("executed %d times, want 1 (a miss publishes, later calls hit)", c.runs)
-	}
-	if s := rc.Stats(); s.Hits != 2 || s.Misses != 1 || s.Entries != 1 {
-		t.Fatalf("stats %+v, want 2 hits, 1 miss, 1 entry", s)
-	}
-
-	// The key is (engine, language, statement) at the epoch: another
-	// statement, or the same one after a mutation, executes again.
-	CachedQuery(rc, ep.Current, "e", "gql", "MATCH (b) RETURN b", c.exec)
-	ep.Bump()
-	ep.Bump()
-	CachedQuery(rc, ep.Current, "e", "gql", "MATCH (a) RETURN a", c.exec)
-	if c.runs != 3 {
-		t.Fatalf("executed %d times, want 3", c.runs)
-	}
-}
-
-func TestCachedQueryEpochMovedNotPublished(t *testing.T) {
-	rc := cache.NewResults(1 << 16)
-	var ep cache.Epoch
-	c := &counted{during: func() { ep.Bump() }}
-	for i := 0; i < 2; i++ {
-		if _, err := CachedQuery(rc, ep.Current, "e", "gql", "s", c.exec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.runs != 2 {
-		t.Fatalf("executed %d times, want 2: a result computed while the epoch moved was published", c.runs)
-	}
-	if s := rc.Stats(); s.Entries != 0 || s.Hits != 0 {
-		t.Fatalf("stats %+v, want no entries and no hits", s)
-	}
-}
-
-func TestCachedQueryHitIsPrivateClone(t *testing.T) {
-	rc := cache.NewResults(1 << 16)
-	var ep cache.Epoch
-	c := &counted{}
-	miss, _ := CachedQuery(rc, ep.Current, "e", "gql", "s", c.exec)
-	hit, _ := CachedQuery(rc, ep.Current, "e", "gql", "s", c.exec)
-	want := &plan.Result{Cols: []string{"n"}, Rows: [][]model.Value{{model.Int(1)}, {model.Int(2)}}}
-	// Callers own what they receive, on a miss and on a hit alike.
-	for _, r := range []*plan.Result{miss, hit} {
-		r.Cols[0] = "changed"
-		r.Rows[0][0] = model.Str("changed")
-		r.Rows = r.Rows[:1]
-	}
-	again, _ := CachedQuery(rc, ep.Current, "e", "gql", "s", c.exec)
-	if c.runs != 1 {
-		t.Fatalf("executed %d times, want 1", c.runs)
-	}
-	if !reflect.DeepEqual(again, want) {
-		t.Fatalf("entry changed through a handed-out result: %+v", again)
-	}
-}
-
-func TestCachedQueryErrorNotCached(t *testing.T) {
-	rc := cache.NewResults(1 << 16)
-	var ep cache.Epoch
-	boom := errors.New("boom")
-	c := &counted{err: boom}
-	for i := 0; i < 2; i++ {
-		if _, err := CachedQuery(rc, ep.Current, "e", "gql", "s", c.exec); !errors.Is(err, boom) {
-			t.Fatalf("call %d: err %v, want boom", i, err)
-		}
-	}
-	if c.runs != 2 || rc.Stats().Entries != 0 {
-		t.Fatalf("runs %d, stats %+v: an error was cached", c.runs, rc.Stats())
-	}
-}
-
-func TestCachedQueryNilCacheExecutes(t *testing.T) {
-	c := &counted{}
-	for i := 0; i < 2; i++ {
-		if _, err := CachedQuery(nil, func() uint64 { return 0 }, "e", "gql", "s", c.exec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.runs != 2 {
-		t.Fatalf("executed %d times without a cache, want 2", c.runs)
-	}
-}
-
-func TestSplitCacheBudget(t *testing.T) {
-	for _, total := range []int64{1, 2, 3, 4, 7, 1000, 1 << 20, 32<<20 + 3} {
-		page, results := SplitCacheBudget(total)
-		if page+results != total {
-			t.Fatalf("SplitCacheBudget(%d) = %d + %d, want a sum of %d", total, page, results, total)
-		}
-		if want := total - total/2 - total/4; results != want {
-			t.Fatalf("SplitCacheBudget(%d) results = %d, want the quarter %d", total, results, want)
-		}
-	}
-	for _, total := range []int64{0, -1, -1 << 20} {
-		if page, results := SplitCacheBudget(total); page != 0 || results != 0 {
-			t.Fatalf("SplitCacheBudget(%d) = %d, %d, want 0, 0", total, page, results)
-		}
-	}
-}
 
 func TestReadOnlyStmt(t *testing.T) {
 	for _, tc := range []struct {
@@ -161,11 +27,128 @@ func TestReadOnlyStmt(t *testing.T) {
 		{"   ", []string{"SELECT"}, false},
 		{"SELECT ORDER", nil, false},
 		// The first keyword alone decides: a MATCH that writes still reads
-		// as read-only, and the epoch guard keeps it out of the cache.
+		// as read-only.
 		{"MATCH (a) SET a.x = 1", []string{"MATCH"}, true},
 	} {
 		if got := ReadOnlyStmt(tc.stmt, tc.verbs...); got != tc.want {
 			t.Errorf("ReadOnlyStmt(%q, %v) = %v, want %v", tc.stmt, tc.verbs, got, tc.want)
 		}
+	}
+}
+
+func TestDiskZeroValueIsInMemory(t *testing.T) {
+	var d Disk
+	if err := d.Flush(); err != nil {
+		t.Fatalf("Flush on the zero Disk: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close on the zero Disk: %v", err)
+	}
+	if got := d.CacheStats(); got == nil || len(got) != 0 {
+		t.Fatalf("CacheStats on the zero Disk = %#v, want an empty map", got)
+	}
+}
+
+func TestOpenDiskSurvivesReopen(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), CacheBytes: 1 << 20}
+	d, g, err := OpenDisk(opts, "t.pg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := g.AddNode("N", model.Properties{"k": model.Int(7)})
+	if err != nil {
+		d.Close()
+		t.Fatal(err)
+	}
+	if _, err := g.Node(a); err != nil {
+		d.Close()
+		t.Fatal(err)
+	}
+	tiers := d.CacheStats()
+	if len(tiers) != 1 || tiers["page"].BudgetBytes != 1<<20 {
+		d.Close()
+		t.Fatalf("CacheStats = %+v, want one page tier with the whole 1 MiB budget", tiers)
+	}
+	if tiers["page"].Hits+tiers["page"].Misses == 0 {
+		d.Close()
+		t.Fatalf("the page tier saw no lookups: %+v", tiers["page"])
+	}
+	if err := d.Flush(); err != nil {
+		d.Close()
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, g, err = OpenDisk(opts, "t.pg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	n, err := g.Node(a)
+	if err != nil {
+		t.Fatalf("node %d after reopen: %v", a, err)
+	}
+	if n.Label != "N" || !n.Props.Get("k").Equal(model.Int(7)) {
+		t.Fatalf("node after reopen = %+v", n)
+	}
+}
+
+func TestOpenDiskReportsOpenError(t *testing.T) {
+	opts := Options{Dir: t.TempDir() + "/missing"}
+	d, g, err := OpenDisk(opts, "t.pg")
+	if err == nil {
+		d.Close()
+		t.Fatal("OpenDisk under a missing directory succeeded")
+	}
+	if g != nil || d != (Disk{}) {
+		t.Fatalf("OpenDisk failed but returned %+v, %v", d, g)
+	}
+}
+
+func TestTraversalEssentials(t *testing.T) {
+	g := memgraph.New()
+	a, _ := g.AddNode("N", model.Properties{"v": model.Int(1)})
+	b, _ := g.AddNode("N", model.Properties{"v": model.Int(2)})
+	c, _ := g.AddNode("M", nil)
+	ab, _ := g.AddEdge("e", a, b, nil)
+	bc, _ := g.AddEdge("e", b, c, nil)
+	pins := 0
+	es := TraversalEssentials(context.Background(), g, func() (model.Graph, model.ReleaseFunc, error) {
+		pins++
+		return g.AcquireView()
+	})
+	if ok, err := es.NodeAdjacency(a, b); err != nil || !ok {
+		t.Fatalf("NodeAdjacency(a, b) = %v, %v", ok, err)
+	}
+	if ok, err := es.EdgeAdjacency(ab, bc); err != nil || !ok {
+		t.Fatalf("EdgeAdjacency = %v, %v", ok, err)
+	}
+	if got, err := es.KNeighborhood(a, 2); err != nil || len(got) != 2 {
+		t.Fatalf("KNeighborhood(a, 2) = %v, %v", got, err)
+	}
+	if ps, err := es.FixedLengthPaths(a, c, 2); err != nil || len(ps) != 1 {
+		t.Fatalf("FixedLengthPaths = %v, %v", ps, err)
+	}
+	if p, err := es.ShortestPath(a, c); err != nil || !reflect.DeepEqual(p.Nodes, []model.NodeID{a, b, c}) {
+		t.Fatalf("ShortestPath = %+v, %v", p, err)
+	}
+	if v, err := es.Summarization(algo.AggSum, "N", "v"); err != nil || !v.Equal(model.Int(3)) {
+		t.Fatalf("Summarization = %v, %v", v, err)
+	}
+	if pins != 2 {
+		t.Fatalf("pinned %d snapshots, want 2 (k-neighborhood, summarization)", pins)
+	}
+
+	boom := errors.New("boom")
+	failing := TraversalEssentials(context.Background(), g, func() (model.Graph, model.ReleaseFunc, error) {
+		return nil, nil, boom
+	})
+	if _, err := failing.KNeighborhood(a, 1); !errors.Is(err, boom) {
+		t.Fatalf("KNeighborhood with a failing pin: %v", err)
+	}
+	if _, err := failing.Summarization(algo.AggCount, "", ""); !errors.Is(err, boom) {
+		t.Fatalf("Summarization with a failing pin: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"strings"
 
 	"gdbm/internal/query/plan"
 )
@@ -20,4 +21,20 @@ func QueryContext(ctx context.Context, q Querier, stmt string) (*plan.Result, er
 		return nil, err
 	}
 	return &c.Res, nil
+}
+
+// ReadOnlyStmt reports whether the statement's first keyword is one of the
+// given read verbs (case-insensitive), e.g. "SELECT" for gsql or "MATCH"
+// for gql.
+func ReadOnlyStmt(stmt string, readVerbs ...string) bool {
+	fields := strings.Fields(stmt)
+	if len(fields) == 0 {
+		return false
+	}
+	for _, v := range readVerbs {
+		if strings.EqualFold(fields[0], v) {
+			return true
+		}
+	}
+	return false
 }

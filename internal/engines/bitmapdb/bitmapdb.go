@@ -8,19 +8,14 @@ package bitmapdb
 
 import (
 	"context"
-	"path/filepath"
 
 	"gdbm/internal/adj"
-	"gdbm/internal/algo"
-	"gdbm/internal/cache"
 	"gdbm/internal/constraint"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
-	"gdbm/internal/kvgraph"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
-	"gdbm/internal/storage/kv"
 )
 
 func init() {
@@ -32,32 +27,25 @@ func init() {
 // DB is the engine instance.
 type DB struct {
 	*propcore.Core
+	engine.Disk
 	labels *index.Bitmap
-	disk   *kv.Disk
-	kg     *kvgraph.Graph // non-nil in the disk-backed configuration
 }
 
 // New opens a bitmapdb instance. Label and property lookups run through
-// bitmap indexes — the structure DEX is named for here. A positive
-// Options.CacheBytes goes whole to the page cache (disk-backed
-// configuration only): the archetype has no query language, so there is
-// no statement cache.
+// bitmap indexes — the structure DEX is named for here. With Options.Dir
+// set the graph lives in a disk-backed store whose page cache
+// Options.CacheBytes funds; otherwise in main memory.
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{}
 	if opts.Dir != "" {
-		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "bitmapdb.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
-		})
+		d, kg, err := engine.OpenDisk(opts, "bitmapdb.pg")
 		if err != nil {
 			return nil, err
 		}
-		db.disk = d
-		db.kg = kvgraph.New(d)
-		db.kg.SetMetrics(opts.Metrics)
 		// DEX's snapshots use the bitmap directory variant — the
 		// compressed-bitmap organization the archetype is named for.
-		db.kg.SetViewLayout(adj.LayoutBitmap)
-		db.Core = propcore.New(db.kg)
+		kg.SetViewLayout(adj.LayoutBitmap)
+		db.Disk, db.Core = d, propcore.New(kg)
 	} else {
 		mg := memgraph.New()
 		mg.SetViewLayout(adj.LayoutBitmap)
@@ -66,13 +54,12 @@ func New(opts engine.Options) (*DB, error) {
 	lbl := index.NewBitmap()
 	db.labels = lbl
 	if err := db.Core.Idx.Register(index.Nodes, "", lbl); err != nil {
+		db.Close()
 		return nil, err
 	}
-	if db.disk != nil {
-		if err := db.Core.IndexStoredNodes(); err != nil {
-			db.disk.Close()
-			return nil, err
-		}
+	if err := db.Core.IndexStoredNodes(); err != nil {
+		db.Close()
+		return nil, err
 	}
 	// DEX-profile constraints: types checking + identity (per-type "name")
 	// + referential integrity.
@@ -143,72 +130,17 @@ func (db *DB) Features() engine.Features {
 	}
 }
 
-// CacheStats implements engine.CacheStatser; main-memory instances report
-// no tiers.
-func (db *DB) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{}
-	if db.disk != nil {
-		out["page"] = db.disk.CacheStats()
-	}
-	return out
-}
-
 // Essentials implements engine.Engine: DEX's API composes every essential
 // query class except regular simple paths and pattern matching. The kernels
 // run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.Core, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.Core, e1, e2)
-		},
-		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			g, release, err := db.AcquireSnapshot()
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
-		},
-		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPathsCtx(ctx, db.Core, from, to, length, model.Out, 0)
-		},
-		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPathCtx(ctx, db.Core, from, to, model.Out)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			g, release, err := db.AcquireSnapshot()
-			if err != nil {
-				return model.Null(), err
-			}
-			defer release()
-			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
-		},
-	}
+	return engine.TraversalEssentials(ctx, db.Core, db.AcquireSnapshot)
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's
 // copy-on-write views (bitmap directory layout), in both configurations.
 func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
 	return db.Core.AcquireView()
-}
-
-// Flush implements engine.Persistent for disk-backed instances.
-func (db *DB) Flush() error {
-	if db.disk != nil {
-		return db.disk.Flush()
-	}
-	return nil
-}
-
-// Close implements engine.Engine.
-func (db *DB) Close() error {
-	if db.disk != nil {
-		return db.disk.Close()
-	}
-	return nil
 }
 
 var (

@@ -7,10 +7,8 @@ package filamentdb
 
 import (
 	"context"
-	"path/filepath"
 
 	"gdbm/internal/algo"
-	"gdbm/internal/cache"
 	"gdbm/internal/engine"
 	"gdbm/internal/kvgraph"
 	"gdbm/internal/model"
@@ -28,36 +26,22 @@ func init() {
 // graph is embedded: the engine is its own API surface.
 type DB struct {
 	*kvgraph.Graph
-	disk *kv.Disk
+	engine.Disk
 }
 
-// New opens a filamentdb instance. A positive Options.CacheBytes goes whole
-// to the page cache of the disk store: the surface is API only, so there is
-// no statement cache.
+// New opens a filamentdb instance. Options.CacheBytes funds the page cache
+// of the disk store.
 func New(opts engine.Options) (*DB, error) {
-	db := &DB{}
 	if opts.Dir == "" {
-		db.Graph = kvgraph.New(kv.NewMemory())
-	} else {
-		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "filament.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		db.Graph, db.disk = kvgraph.New(d), d
+		g := kvgraph.New(kv.NewMemory())
+		g.SetMetrics(opts.Metrics)
+		return &DB{Graph: g}, nil
 	}
-	db.Graph.SetMetrics(opts.Metrics)
-	return db, nil
-}
-
-// CacheStats implements engine.CacheStatser.
-func (db *DB) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{}
-	if db.disk != nil {
-		out["page"] = db.disk.CacheStats()
+	d, g, err := engine.OpenDisk(opts, "filament.pg")
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return &DB{Graph: g, Disk: d}, nil
 }
 
 // IndexedNodes implements plan.Source: Filament's Table I row has no index
@@ -112,22 +96,6 @@ func (db *DB) LoadNode(label string, props model.Properties) (model.NodeID, erro
 // LoadEdge implements engine.Loader.
 func (db *DB) LoadEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	return db.Graph.AddEdge(label, from, to, props)
-}
-
-// Flush implements engine.Persistent.
-func (db *DB) Flush() error {
-	if db.disk != nil {
-		return db.disk.Flush()
-	}
-	return nil
-}
-
-// Close implements engine.Engine.
-func (db *DB) Close() error {
-	if db.disk != nil {
-		return db.disk.Close()
-	}
-	return nil
 }
 
 var (

@@ -9,17 +9,14 @@ package gstore
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 
 	"gdbm/internal/algo"
-	"gdbm/internal/cache"
 	"gdbm/internal/engine"
 	"gdbm/internal/kvgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/obs"
 	"gdbm/internal/query/gsql"
 	"gdbm/internal/query/plan"
-	"gdbm/internal/storage/kv"
 )
 
 func init() {
@@ -30,10 +27,9 @@ func init() {
 
 // DB is the engine instance.
 type DB struct {
-	g       *kvgraph.Graph
-	disk    *kv.Disk
-	schema  *model.Schema
-	results *cache.Results // nil when CacheBytes is zero
+	engine.Disk
+	g      *kvgraph.Graph
+	schema *model.Schema
 }
 
 // New opens a gstore. Options.Dir is required: the archetype is external-
@@ -43,28 +39,11 @@ func New(opts engine.Options) (*DB, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("gstore: the G-Store archetype requires a data directory (external memory only, Table I)")
 	}
-	pageB, resB := engine.SplitCacheBudget(opts.CacheBytes)
-	d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "gstore.pg"), kv.DiskOptions{
-		PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
-	})
+	d, g, err := engine.OpenDiskWithResults(opts, "gstore.pg")
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{g: kvgraph.New(d), disk: d, schema: model.NewSchema()}
-	db.g.SetMetrics(opts.Metrics)
-	if resB > 0 {
-		db.results = cache.NewResults(resB)
-	}
-	return db, nil
-}
-
-// CacheStats implements engine.CacheStatser.
-func (db *DB) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{"page": db.disk.CacheStats()}
-	if db.results != nil {
-		out["results"] = db.results.Stats()
-	}
-	return out
+	return &DB{Disk: d, g: g, schema: model.NewSchema()}, nil
 }
 
 // Schema implements engine.SchemaHolder (the DDL surface of its language).
@@ -80,19 +59,11 @@ func (db *DB) LanguageName() string { return "gsql" }
 // span on the trace in ctx, with gsql's "exec" span nested inside on cache
 // misses, and SELECTs emit rows into sink as the plan produces them.
 // Instances with a result cache memoize read statements (SELECT) at the
-// current graph epoch (materialize or hit, then replay), so streaming never
-// bypasses cache coherence; the rows are identical either way.
+// current graph epoch (see engine.CachedStream).
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
-	if db.results == nil || !engine.ReadOnlyStmt(stmt, "SELECT") {
-		return gsql.ExecStreamCtx(ctx, stmt, gsqlSurface{db}, sink)
-	}
-	res, err := engine.CachedQuery(db.results, db.g.Epoch, db.Name(), "gsql", stmt,
-		func() (*plan.Result, error) { return gsql.ExecCtx(ctx, stmt, gsqlSurface{db}) })
-	if err != nil {
-		return err
-	}
-	return plan.Replay(res, sink)
+	return engine.CachedStream(db.Disk, db.Name(), "gsql", stmt, engine.ReadOnlyStmt(stmt, "SELECT"), sink,
+		func(s plan.Sink) error { return gsql.ExecStreamCtx(ctx, stmt, gsqlSurface{db}, s) })
 }
 
 type gsqlSurface struct{ db *DB }
@@ -189,12 +160,6 @@ func (db *DB) LoadNode(label string, props model.Properties) (model.NodeID, erro
 func (db *DB) LoadEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	return db.g.AddEdge(label, from, to, props)
 }
-
-// Flush implements engine.Persistent.
-func (db *DB) Flush() error { return db.disk.Flush() }
-
-// Close implements engine.Engine.
-func (db *DB) Close() error { return db.disk.Close() }
 
 var (
 	_ engine.Engine       = (*DB)(nil)

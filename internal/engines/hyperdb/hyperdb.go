@@ -14,12 +14,10 @@ import (
 	"path/filepath"
 
 	"gdbm/internal/algo"
-	"gdbm/internal/cache"
 	"gdbm/internal/constraint"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
-	"gdbm/internal/kvgraph"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/storage/kv"
@@ -36,32 +34,28 @@ func init() {
 // surface, which the archetype lacks, is not promoted.
 type DB struct {
 	*propcore.Hyper
+	engine.Disk
 	core *propcore.Core
-	disk *kv.Disk // non-nil in the disk-backed configuration
 }
 
 // New opens a hyperdb instance, in main memory or, with Options.Dir set,
-// over a kv-backed store whose page cache CacheBytes funds alone.
+// over a kv-backed store whose page cache CacheBytes funds.
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{}
 	var g model.MutableGraph
 	if opts.Dir == "" {
 		g = memgraph.New()
 	} else {
-		path := filepath.Join(opts.Dir, "hyperdb.pg")
-		d, err := kv.OpenDiskWith(path, kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
-		})
+		const file = "hyperdb.pg"
+		d, kg, err := engine.OpenDisk(opts, file)
 		if err != nil {
 			return nil, err
 		}
-		db.disk = d
-		if err := refuseAtomLog(d, path); err != nil {
-			d.Close()
+		db.Disk = d
+		if err := refuseAtomLog(kg.Store(), filepath.Join(opts.Dir, file)); err != nil {
+			db.Close()
 			return nil, err
 		}
-		kg := kvgraph.New(d)
-		kg.SetMetrics(opts.Metrics)
 		g = kg
 	}
 	db.core = propcore.New(g)
@@ -85,9 +79,9 @@ func New(opts engine.Options) (*DB, error) {
 // refuseAtomLog fails on a store holding the retired atom log (one a!<seq>
 // record per atom and link), which this version does not read: opening
 // it would show an empty hypergraph.
-func refuseAtomLog(d *kv.Disk, path string) error {
+func refuseAtomLog(st kv.Store, path string) error {
 	found := false
-	if err := d.Scan([]byte("a!"), func(_, _ []byte) bool {
+	if err := st.Scan([]byte("a!"), func(_, _ []byte) bool {
 		found = true
 		return false
 	}); err != nil {
@@ -97,16 +91,6 @@ func refuseAtomLog(d *kv.Disk, path string) error {
 		return fmt.Errorf("hyperdb: %s holds the retired atom-log format (a! keys), which this version does not read", path)
 	}
 	return nil
-}
-
-// CacheStats implements engine.CacheStatser; in-memory instances report no
-// tiers.
-func (db *DB) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{}
-	if db.disk != nil {
-		out["page"] = db.disk.CacheStats()
-	}
-	return out
 }
 
 // SetIdentity declares prop as the identity of label atoms.
@@ -210,22 +194,6 @@ func (db *DB) LoadNode(label string, props model.Properties) (model.NodeID, erro
 // LoadEdge implements engine.Loader: binary edges become 2-member links.
 func (db *DB) LoadEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	return db.AddHyperEdge(label, []model.NodeID{from, to}, props)
-}
-
-// Flush implements engine.Persistent.
-func (db *DB) Flush() error {
-	if db.disk != nil {
-		return db.disk.Flush()
-	}
-	return nil
-}
-
-// Close implements engine.Engine.
-func (db *DB) Close() error {
-	if db.disk != nil {
-		return db.disk.Close()
-	}
-	return nil
 }
 
 var (

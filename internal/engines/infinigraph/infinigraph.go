@@ -12,18 +12,13 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/fnv"
-	"path/filepath"
 
-	"gdbm/internal/algo"
-	"gdbm/internal/cache"
 	"gdbm/internal/constraint"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
-	"gdbm/internal/kvgraph"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
-	"gdbm/internal/storage/kv"
 )
 
 func init() {
@@ -47,24 +42,19 @@ func shardOf(id model.NodeID) int {
 // DB is the engine instance.
 type DB struct {
 	*propcore.Core
-	disk *kv.Disk // non-nil in the disk-backed configuration
+	engine.Disk
 }
 
 // New opens an infinigraph instance, in main memory or, with Options.Dir
-// set, over a kv-backed store whose page cache CacheBytes funds alone.
+// set, over a kv-backed store whose page cache CacheBytes funds.
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{}
 	if opts.Dir != "" {
-		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "infinigraph.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: opts.CacheBytes, FS: opts.FS, Metrics: opts.Metrics,
-		})
+		d, kg, err := engine.OpenDisk(opts, "infinigraph.pg")
 		if err != nil {
 			return nil, err
 		}
-		db.disk = d
-		kg := kvgraph.New(d)
-		kg.SetMetrics(opts.Metrics)
-		db.Core = propcore.New(kg)
+		db.Disk, db.Core = d, propcore.New(kg)
 	} else {
 		db.Core = propcore.New(memgraph.New())
 	}
@@ -72,11 +62,9 @@ func New(opts engine.Options) (*DB, error) {
 		db.Close()
 		return nil, err
 	}
-	if db.disk != nil {
-		if err := db.Core.IndexStoredNodes(); err != nil {
-			db.disk.Close()
-			return nil, err
-		}
+	if err := db.Core.IndexStoredNodes(); err != nil {
+		db.Close()
+		return nil, err
 	}
 	db.Core.Cons.Add(constraint.Types{Schema: db.Core.Sch})
 	return db, nil
@@ -96,16 +84,6 @@ func (db *DB) CrossEdges() (int, error) {
 		return true
 	})
 	return n, err
-}
-
-// CacheStats implements engine.CacheStatser; in-memory instances report no
-// tiers.
-func (db *DB) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{}
-	if db.disk != nil {
-		out["page"] = db.disk.CacheStats()
-	}
-	return out
 }
 
 // AddIdentity installs an identity constraint.
@@ -138,36 +116,7 @@ func (db *DB) Features() engine.Features {
 // Essentials implements engine.Engine; the kernels run under ctx, so
 // deadlines and cancellation reach them.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.Core, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.Core, e1, e2)
-		},
-		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			g, release, err := db.AcquireSnapshot()
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
-		},
-		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPathsCtx(ctx, db.Core, from, to, length, model.Out, 0)
-		},
-		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPathCtx(ctx, db.Core, from, to, model.Out)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			g, release, err := db.AcquireSnapshot()
-			if err != nil {
-				return model.Null(), err
-			}
-			defer release()
-			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
-		},
-	}
+	return engine.TraversalEssentials(ctx, db.Core, db.AcquireSnapshot)
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's
@@ -187,22 +136,6 @@ func (db *DB) LoadNode(label string, props model.Properties) (model.NodeID, erro
 func (db *DB) LoadEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	db.Core.Sch.EnsureRelationType(label, props)
 	return db.Core.AddEdge(label, from, to, props)
-}
-
-// Flush implements engine.Persistent.
-func (db *DB) Flush() error {
-	if db.disk != nil {
-		return db.disk.Flush()
-	}
-	return nil
-}
-
-// Close implements engine.Engine.
-func (db *DB) Close() error {
-	if db.disk != nil {
-		return db.disk.Close()
-	}
-	return nil
 }
 
 var (

@@ -10,20 +10,15 @@ package neograph
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 
-	"gdbm/internal/algo"
-	"gdbm/internal/cache"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
-	"gdbm/internal/kvgraph"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/obs"
 	"gdbm/internal/query/gql"
 	"gdbm/internal/query/plan"
-	"gdbm/internal/storage/kv"
 	"gdbm/internal/storage/tx"
 )
 
@@ -36,9 +31,7 @@ func init() {
 // DB is the engine instance.
 type DB struct {
 	*propcore.Core
-	disk    *kv.Disk
-	kg      *kvgraph.Graph // non-nil in the disk-backed configuration
-	results *cache.Results // nil when CacheBytes is zero or main-memory
+	engine.Disk
 }
 
 // New opens a neograph instance. With Options.Dir set, data lives in a
@@ -50,32 +43,22 @@ type DB struct {
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{}
 	if opts.Dir != "" {
-		pageB, resB := engine.SplitCacheBudget(opts.CacheBytes)
-		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "neograph.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
-		})
+		d, kg, err := engine.OpenDiskWithResults(opts, "neograph.pg")
 		if err != nil {
 			return nil, err
 		}
-		db.disk = d
-		db.kg = kvgraph.New(d)
-		db.kg.SetMetrics(opts.Metrics)
-		if resB > 0 {
-			db.results = cache.NewResults(resB)
-		}
-		db.Core = propcore.New(db.kg)
+		db.Disk, db.Core = d, propcore.New(kg)
 	} else {
 		db.Core = propcore.New(memgraph.New())
 	}
 	// Label index is always on; property indexes are created on demand.
 	if _, err := db.Core.Idx.Create(index.Nodes, "", index.KindHash); err != nil {
+		db.Close()
 		return nil, err
 	}
-	if db.disk != nil {
-		if err := db.Core.IndexStoredNodes(); err != nil {
-			db.disk.Close()
-			return nil, err
-		}
+	if err := db.Core.IndexStoredNodes(); err != nil {
+		db.Close()
+		return nil, err
 	}
 	return db, nil
 }
@@ -132,68 +115,18 @@ func (db *DB) LanguageName() string { return "gql" }
 // "parse"/"exec" spans nested inside on cache misses, and read statements
 // emit rows into sink as the plan produces them. On disk-backed instances
 // with a cache budget, read statements (MATCH) are memoized at the current
-// graph epoch (materialize or hit, then replay), so streaming never
-// bypasses cache coherence; the rows are identical either way.
+// graph epoch (see engine.CachedStream).
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
-	if db.results == nil || !engine.ReadOnlyStmt(stmt, "MATCH") {
-		return gql.ExecStreamCtx(ctx, stmt, db.Core, sink)
-	}
-	res, err := engine.CachedQuery(db.results, db.kg.Epoch, db.Name(), "gql", stmt,
-		func() (*plan.Result, error) { return gql.ExecCtx(ctx, stmt, db.Core) })
-	if err != nil {
-		return err
-	}
-	return plan.Replay(res, sink)
-}
-
-// CacheStats implements engine.CacheStatser; main-memory instances report
-// no tiers.
-func (db *DB) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{}
-	if db.disk != nil {
-		out["page"] = db.disk.CacheStats()
-	}
-	if db.results != nil {
-		out["results"] = db.results.Stats()
-	}
-	return out
+	return engine.CachedStream(db.Disk, db.Name(), "gql", stmt, engine.ReadOnlyStmt(stmt, "MATCH"), sink,
+		func(s plan.Sink) error { return gql.ExecStreamCtx(ctx, stmt, db.Core, s) })
 }
 
 // Essentials implements engine.Engine: the Neo4j archetype's traversal
 // framework composes adjacency, neighborhoods, fixed-length and shortest
 // paths, and summarization. The kernels run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.Core, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.Core, e1, e2)
-		},
-		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			g, release, err := db.AcquireSnapshot()
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
-		},
-		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPathsCtx(ctx, db.Core, from, to, length, model.Out, 0)
-		},
-		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPathCtx(ctx, db.Core, from, to, model.Out)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			g, release, err := db.AcquireSnapshot()
-			if err != nil {
-				return model.Null(), err
-			}
-			defer release()
-			return algo.AggregateNodePropCtx(ctx, g, label, prop, kind)
-		},
-	}
+	return engine.TraversalEssentials(ctx, db.Core, db.AcquireSnapshot)
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's
@@ -220,22 +153,6 @@ func (db *DB) Update(fn func() error) error {
 		}
 		return nil
 	})
-}
-
-// Flush implements engine.Persistent for disk-backed instances.
-func (db *DB) Flush() error {
-	if db.disk != nil {
-		return db.disk.Flush()
-	}
-	return nil
-}
-
-// Close implements engine.Engine.
-func (db *DB) Close() error {
-	if db.disk != nil {
-		return db.disk.Close()
-	}
-	return nil
 }
 
 var (

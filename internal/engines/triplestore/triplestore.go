@@ -11,23 +11,19 @@ package triplestore
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 
 	"gdbm/internal/algo"
-	"gdbm/internal/cache"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
-	"gdbm/internal/kvgraph"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/obs"
 	"gdbm/internal/query/plan"
 	"gdbm/internal/query/sparqlish"
 	"gdbm/internal/reason"
-	"gdbm/internal/storage/kv"
 )
 
 func init() {
@@ -39,34 +35,24 @@ func init() {
 // DB is the engine instance.
 type DB struct {
 	*propcore.Core
-	mu      sync.Mutex
-	terms   map[string]model.NodeID // lexical form -> term node
-	rules   []reason.Rule
-	disk    *kv.Disk
-	kg      *kvgraph.Graph // non-nil in the disk-backed configuration
-	results *cache.Results // nil when CacheBytes is zero or main-memory
+	engine.Disk
+	mu    sync.Mutex
+	terms map[string]model.NodeID // lexical form -> term node
+	rules []reason.Rule
 }
 
-// New opens a triplestore. A positive Options.CacheBytes splits the budget
-// between the page cache and the statement-result cache (disk-backed
-// configuration only).
+// New opens a triplestore, in main memory or, with Options.Dir set, over a
+// kv-backed store. A positive Options.CacheBytes splits the budget between
+// the page cache and the statement-result cache (disk-backed configuration
+// only).
 func New(opts engine.Options) (*DB, error) {
 	db := &DB{terms: make(map[string]model.NodeID), rules: reason.RDFS()}
 	if opts.Dir != "" {
-		pageB, resB := engine.SplitCacheBudget(opts.CacheBytes)
-		d, err := kv.OpenDiskWith(filepath.Join(opts.Dir, "triples.pg"), kv.DiskOptions{
-			PoolPages: opts.PoolPages, CacheBytes: pageB, FS: opts.FS, Metrics: opts.Metrics,
-		})
+		d, kg, err := engine.OpenDiskWithResults(opts, "triples.pg")
 		if err != nil {
 			return nil, err
 		}
-		db.disk = d
-		db.kg = kvgraph.New(d)
-		db.kg.SetMetrics(opts.Metrics)
-		if resB > 0 {
-			db.results = cache.NewResults(resB)
-		}
-		db.Core = propcore.New(db.kg)
+		db.Disk, db.Core = d, propcore.New(kg)
 		// Rebuild the term dictionary from persisted nodes.
 		err = db.Core.Nodes(func(n model.Node) bool {
 			if v, ok := n.Props.Get("value").AsString(); ok {
@@ -75,7 +61,7 @@ func New(opts engine.Options) (*DB, error) {
 			return true
 		})
 		if err != nil {
-			d.Close()
+			db.Close()
 			return nil, err
 		}
 	} else {
@@ -84,22 +70,14 @@ func New(opts engine.Options) (*DB, error) {
 	// Term-value index: the SPO/POS access paths of a triple store reduce
 	// to value lookup + directed adjacency here.
 	if _, err := db.Core.Idx.Create(index.Nodes, "value", index.KindHash); err != nil {
+		db.Close()
 		return nil, err
 	}
-	if db.disk != nil {
-		// Re-index persisted terms. An iteration error means a partial
-		// index, which would silently drop rows from indexed scans.
-		idx, _ := db.Core.Idx.Get(index.Nodes, "value")
-		err := db.Core.Nodes(func(n model.Node) bool {
-			if v, ok := n.Props["value"]; ok {
-				idx.Add(v, uint64(n.ID))
-			}
-			return true
-		})
-		if err != nil {
-			db.disk.Close()
-			return nil, err
-		}
+	// Index persisted terms. An iteration error means a partial index,
+	// which would silently drop rows from indexed scans.
+	if err := db.Core.IndexStoredNodes(); err != nil {
+		db.Close()
+		return nil, err
 	}
 	return db, nil
 }
@@ -237,9 +215,9 @@ func (db *DB) LanguageName() string { return "sparqlish" }
 // dispatch is a "query" span on the trace in ctx, with sparqlish's
 // "parse"/"exec" spans nested inside on cache misses. SELECT/ASK emit rows
 // into sink as the plan produces them; INSERT DATA (one counter row, whole
-// by construction) and the cached read path materialize and replay, so
-// streaming never bypasses cache coherence; the rows are identical either
-// way.
+// by construction) and the cached read path (see engine.CachedStream)
+// materialize and replay, so streaming never bypasses cache coherence; the
+// rows are identical either way.
 func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) error {
 	defer obs.FromContext(ctx).StartSpan("query")()
 	trimmed := strings.TrimSpace(stmt)
@@ -250,15 +228,8 @@ func (db *DB) QueryStream(ctx context.Context, stmt string, sink plan.Sink) erro
 		}
 		return plan.Replay(res, sink)
 	}
-	if db.results != nil && engine.ReadOnlyStmt(trimmed, "SELECT", "ASK") {
-		res, err := engine.CachedQuery(db.results, db.kg.Epoch, db.Name(), "sparqlish", trimmed,
-			func() (*plan.Result, error) { return sparqlish.RunCtx(ctx, stmt, db.Core) })
-		if err != nil {
-			return err
-		}
-		return plan.Replay(res, sink)
-	}
-	return sparqlish.RunStreamCtx(ctx, stmt, db.Core, sink)
+	return engine.CachedStream(db.Disk, db.Name(), "sparqlish", trimmed, engine.ReadOnlyStmt(trimmed, "SELECT", "ASK"), sink,
+		func(s plan.Sink) error { return sparqlish.RunStreamCtx(ctx, stmt, db.Core, s) })
 }
 
 // insertData parses INSERT DATA { <s> <p> <o> . ... }.
@@ -343,19 +314,6 @@ func (db *DB) Features() engine.Features {
 		ValueNodes: engine.Yes, SimpleRelations: engine.Yes,
 		APIQueryFacility: engine.Yes, Retrieval: engine.Yes, Reasoning: engine.Yes, Analysis: engine.Yes,
 	}
-}
-
-// CacheStats implements engine.CacheStatser; main-memory instances report
-// no tiers.
-func (db *DB) CacheStats() map[string]cache.Stats {
-	out := map[string]cache.Stats{}
-	if db.disk != nil {
-		out["page"] = db.disk.CacheStats()
-	}
-	if db.results != nil {
-		out["results"] = db.results.Stats()
-	}
-	return out
 }
 
 // Essentials implements engine.Engine: the triple surface composes node
@@ -493,22 +451,6 @@ func (db *DB) LoadEdge(label string, from, to model.NodeID, props model.Properti
 		return 0, err
 	}
 	return eid, nil
-}
-
-// Flush implements engine.Persistent.
-func (db *DB) Flush() error {
-	if db.disk != nil {
-		return db.disk.Flush()
-	}
-	return nil
-}
-
-// Close implements engine.Engine.
-func (db *DB) Close() error {
-	if db.disk != nil {
-		return db.disk.Close()
-	}
-	return nil
 }
 
 var (

@@ -41,8 +41,9 @@ import (
 // Every mutation bumps the graph epoch twice (entry and exit, under mu) —
 // after validating its target, so a rejected mutation invalidates nothing.
 // Engines key their statement-result caches on Epoch(), publishing an
-// entry only when the epoch stayed stable across the computation; see the
-// cache.Epoch contract.
+// entry only when the epoch stayed stable across the computation, and the
+// copy-on-write views (view.go) and the planner statistics (planstats.go)
+// are versioned on it; see the cache.Epoch contract.
 type Graph struct {
 	mu    sync.Mutex // serializes mutations
 	st    kv.Store

@@ -22,17 +22,6 @@ type Mutator interface {
 	SetEdgeProp(id model.EdgeID, key string, v model.Value) error
 }
 
-// ExecCtx runs any statement and materializes the result: it is
-// ExecStreamCtx into a plan.Collector, so buffered and streamed executions
-// are one code path.
-func ExecCtx(ctx context.Context, input string, m Mutator) (*plan.Result, error) {
-	var c plan.Collector
-	if err := ExecStreamCtx(ctx, input, m, &c); err != nil {
-		return nil, err
-	}
-	return &c.Res, nil
-}
-
 // parsedKey is the context key under which WithParsed hands a statement
 // to ExecStreamCtx.
 type parsedKey struct{}

@@ -9,6 +9,16 @@ import (
 	"gdbm/internal/query/plan"
 )
 
+// execCollect runs one statement through ExecStreamCtx into a
+// plan.Collector and returns what it collected.
+func execCollect(ctx context.Context, input string, m Mutator) (*plan.Result, error) {
+	var c plan.Collector
+	if err := ExecStreamCtx(ctx, input, m, &c); err != nil {
+		return nil, err
+	}
+	return &c.Res, nil
+}
+
 // testDB wraps memgraph as a Mutator with no indexes.
 type testDB struct{ *memgraph.Graph }
 
@@ -30,7 +40,7 @@ func seed(t *testing.T, db testDB) {
 		`CREATE (z:City {name: 'zurich'})`,
 	}
 	for _, s := range stmts {
-		if _, err := ExecCtx(context.Background(), s, db); err != nil {
+		if _, err := execCollect(context.Background(), s, db); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
@@ -41,7 +51,7 @@ func seed(t *testing.T, db testDB) {
 		`MATCH (c:Person {name: 'cam'}), (z:City) CREATE (c)-[:livesIn]->(z)`,
 	}
 	for _, s := range edges {
-		if _, err := ExecCtx(context.Background(), s, db); err != nil {
+		if _, err := execCollect(context.Background(), s, db); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
@@ -49,7 +59,7 @@ func seed(t *testing.T, db testDB) {
 
 func TestCreateAndCount(t *testing.T) {
 	db := newDB(t)
-	res, err := ExecCtx(context.Background(), `CREATE (a:Person {name: 'ada'})`, db)
+	res, err := execCollect(context.Background(), `CREATE (a:Person {name: 'ada'})`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +74,7 @@ func TestCreateAndCount(t *testing.T) {
 func TestMatchReturn(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := ExecCtx(context.Background(), `MATCH (p:Person) WHERE p.age > 30 RETURN p.name AS name ORDER BY name`, db)
+	res, err := execCollect(context.Background(), `MATCH (p:Person) WHERE p.age > 30 RETURN p.name AS name ORDER BY name`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestMatchReturn(t *testing.T) {
 func TestMatchEdgePattern(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := ExecCtx(context.Background(), `MATCH (a:Person)-[r:knows]->(b:Person) RETURN a.name AS a, b.name AS b, r.since AS since`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:Person)-[r:knows]->(b:Person) RETURN a.name AS a, b.name AS b, r.since AS since`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestMatchChainAndReversedArrow(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
 	// Chain: who lives where ada's friends-of-friends live? cam lives in zurich.
-	res, err := ExecCtx(context.Background(), `MATCH (a:Person {name: 'ada'})-[:knows]->(b)-[:knows]->(c)-[:livesIn]->(z) RETURN c.name AS c, z.name AS z`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:Person {name: 'ada'})-[:knows]->(b)-[:knows]->(c)-[:livesIn]->(z) RETURN c.name AS c, z.name AS z`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestMatchChainAndReversedArrow(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	// Reversed arrow.
-	res2, err := ExecCtx(context.Background(), `MATCH (b)<-[:knows]-(a:Person {name: 'ada'}) RETURN b.name AS b`, db)
+	res2, err := execCollect(context.Background(), `MATCH (b)<-[:knows]-(a:Person {name: 'ada'}) RETURN b.name AS b`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +128,7 @@ func TestMatchChainAndReversedArrow(t *testing.T) {
 func TestUndirectedEdge(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := ExecCtx(context.Background(), `MATCH (a:Person {name: 'bob'})-[:knows]-(x) RETURN x.name AS x ORDER BY x`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:Person {name: 'bob'})-[:knows]-(x) RETURN x.name AS x ORDER BY x`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestUndirectedEdge(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := ExecCtx(context.Background(), `MATCH (p:Person) RETURN count(*) AS n, avg(p.age) AS avgAge, max(p.age) AS maxAge`, db)
+	res, err := execCollect(context.Background(), `MATCH (p:Person) RETURN count(*) AS n, avg(p.age) AS avgAge, max(p.age) AS maxAge`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +159,7 @@ func TestGroupedAggregate(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
 	// Group persons by whether they live somewhere: count livesIn per city.
-	res, err := ExecCtx(context.Background(), `MATCH (p:Person)-[:livesIn]->(c) RETURN c.name AS city, count(*) AS n`, db)
+	res, err := execCollect(context.Background(), `MATCH (p:Person)-[:livesIn]->(c) RETURN c.name AS city, count(*) AS n`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +174,14 @@ func TestGroupedAggregate(t *testing.T) {
 func TestDistinctSkipLimit(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := ExecCtx(context.Background(), `MATCH (p:Person)-[:livesIn]->(c) RETURN DISTINCT c.name AS city`, db)
+	res, err := execCollect(context.Background(), `MATCH (p:Person)-[:livesIn]->(c) RETURN DISTINCT c.name AS city`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
 		t.Errorf("distinct rows = %v", res.Rows)
 	}
-	res2, err := ExecCtx(context.Background(), `MATCH (p:Person) RETURN p.name AS n ORDER BY n SKIP 1 LIMIT 1`, db)
+	res2, err := execCollect(context.Background(), `MATCH (p:Person) RETURN p.name AS n ORDER BY n SKIP 1 LIMIT 1`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +196,10 @@ func TestDistinctSkipLimit(t *testing.T) {
 func TestSet(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	if _, err := ExecCtx(context.Background(), `MATCH (p:Person {name: 'ada'}) SET p.age = p.age + 1`, db); err != nil {
+	if _, err := execCollect(context.Background(), `MATCH (p:Person {name: 'ada'}) SET p.age = p.age + 1`, db); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := ExecCtx(context.Background(), `MATCH (p:Person {name: 'ada'}) RETURN p.age AS age`, db)
+	res, _ := execCollect(context.Background(), `MATCH (p:Person {name: 'ada'}) RETURN p.age AS age`, db)
 	if !res.Rows[0][0].Equal(model.Int(37)) {
 		t.Errorf("age = %v", res.Rows[0][0])
 	}
@@ -200,10 +210,10 @@ func TestDelete(t *testing.T) {
 	seed(t, db)
 	// Plain DELETE on a connected node cascades in memgraph (engines with
 	// referential constraints veto it; that is tested in the engine suites).
-	if _, err := ExecCtx(context.Background(), `MATCH (p:Person {name: 'cam'}) DETACH DELETE p`, db); err != nil {
+	if _, err := execCollect(context.Background(), `MATCH (p:Person {name: 'cam'}) DETACH DELETE p`, db); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := ExecCtx(context.Background(), `MATCH (p:Person) RETURN count(*) AS n`, db)
+	res, _ := execCollect(context.Background(), `MATCH (p:Person) RETURN count(*) AS n`, db)
 	if !res.Rows[0][0].Equal(model.Int(2)) {
 		t.Errorf("count after delete = %v", res.Rows[0][0])
 	}
@@ -229,12 +239,12 @@ func TestParseErrors(t *testing.T) {
 func TestExecErrors(t *testing.T) {
 	db := newDB(t)
 	// CREATE edge with unbound endpoint.
-	if _, err := ExecCtx(context.Background(), `CREATE (a)-[:r]->(b)`, db); err == nil {
+	if _, err := execCollect(context.Background(), `CREATE (a)-[:r]->(b)`, db); err == nil {
 		t.Error("unbound endpoints should fail")
 	}
 	// SET on unbound var.
 	seed(t, db)
-	if _, err := ExecCtx(context.Background(), `MATCH (p:Person {name:'ada'}) SET q.x = 1`, db); err == nil {
+	if _, err := execCollect(context.Background(), `MATCH (p:Person {name:'ada'}) SET q.x = 1`, db); err == nil {
 		t.Error("unbound SET target should fail")
 	}
 }
@@ -242,7 +252,7 @@ func TestExecErrors(t *testing.T) {
 func TestEdgePropertyFilterInPattern(t *testing.T) {
 	db := newDB(t)
 	seed(t, db)
-	res, err := ExecCtx(context.Background(), `MATCH (a)-[r:knows {since: 2019}]->(b) RETURN b.name AS b`, db)
+	res, err := execCollect(context.Background(), `MATCH (a)-[r:knows {since: 2019}]->(b) RETURN b.name AS b`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +269,7 @@ func TestRepeatedVariableUnifies(t *testing.T) {
 	seed(t, db)
 	// (a)-[:livesIn]->(z), (c)-[:livesIn]->(z) with shared z: pairs living
 	// in the same city: (ada,cam) and (cam,ada) and self-pairs.
-	res, err := ExecCtx(context.Background(), `MATCH (a:Person)-[:livesIn]->(z), (c:Person)-[:livesIn]->(z) WHERE a.name <> c.name RETURN a.name AS a, c.name AS c`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:Person)-[:livesIn]->(z), (c:Person)-[:livesIn]->(z) WHERE a.name <> c.name RETURN a.name AS a, c.name AS c`, db)
 	if err != nil {
 		t.Fatal(err)
 	}

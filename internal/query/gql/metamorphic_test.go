@@ -98,11 +98,11 @@ func TestIndexedAndScannedResultsAgree(t *testing.T) {
 	plain, indexed := metamorphicDBs()
 	for _, q := range metamorphicQueries {
 		t.Run(q, func(t *testing.T) {
-			r1, err := ExecCtx(context.Background(), q, plain)
+			r1, err := execCollect(context.Background(), q, plain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := ExecCtx(context.Background(), q, indexed)
+			r2, err := execCollect(context.Background(), q, indexed)
 			if err != nil {
 				t.Fatal(err)
 			}

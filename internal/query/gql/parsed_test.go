@@ -12,7 +12,7 @@ func TestParsedHandOffAgrees(t *testing.T) {
 	plain, indexed := metamorphicDBs()
 	for _, db := range []Mutator{plain, indexed} {
 		for _, q := range metamorphicQueries {
-			want, err := ExecCtx(context.Background(), q, db)
+			want, err := execCollect(context.Background(), q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -20,7 +20,7 @@ func TestParsedHandOffAgrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ExecCtx(WithParsed(context.Background(), q, st), q, db)
+			got, err := execCollect(WithParsed(context.Background(), q, st), q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestParsedHandOffWrites(t *testing.T) {
 	const read = `MATCH (p:Person) RETURN p.name AS name, p.age AS age ORDER BY name`
 	plainDB, handedDB := newDB(t), newDB(t)
 	for _, w := range writes {
-		want, err := ExecCtx(context.Background(), w, plainDB)
+		want, err := execCollect(context.Background(), w, plainDB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestParsedHandOffWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ExecCtx(WithParsed(context.Background(), w, st), w, handedDB)
+		got, err := execCollect(WithParsed(context.Background(), w, st), w, handedDB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func TestParsedHandOffWrites(t *testing.T) {
 			t.Errorf("%s: handed off %s, parsed %s", w, canon(got), canon(want))
 		}
 	}
-	want, err := ExecCtx(context.Background(), read, plainDB)
+	want, err := execCollect(context.Background(), read, plainDB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecCtx(context.Background(), read, handedDB)
+	got, err := execCollect(context.Background(), read, handedDB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWithParsedOnlyForItsInput(t *testing.T) {
 	qa, qb := metamorphicQueries[0], metamorphicQueries[2]
 	answer := func(ctx context.Context, q string) string {
 		t.Helper()
-		r, err := ExecCtx(ctx, q, db)
+		r, err := execCollect(ctx, q, db)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func chainDB(t *testing.T) testDB {
 
 func TestVarLengthUnbounded(t *testing.T) {
 	db := chainDB(t)
-	res, err := ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[:next*]->(b) RETURN b.i AS i ORDER BY i`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:N {i: 0})-[:next*]->(b) RETURN b.i AS i ORDER BY i`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestVarLengthUnbounded(t *testing.T) {
 
 func TestVarLengthBounded(t *testing.T) {
 	db := chainDB(t)
-	res, err := ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[:next*2..3]->(b) RETURN b.i AS i ORDER BY i`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:N {i: 0})-[:next*2..3]->(b) RETURN b.i AS i ORDER BY i`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,21 +59,21 @@ func TestVarLengthBounded(t *testing.T) {
 
 func TestVarLengthExactAndOpenRanges(t *testing.T) {
 	db := chainDB(t)
-	res, err := ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[:next*3]->(b) RETURN b.i AS i`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:N {i: 0})-[:next*3]->(b) RETURN b.i AS i`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || !res.Rows[0][0].Equal(model.Int(3)) {
 		t.Fatalf("*3 rows = %v", res.Rows)
 	}
-	res, err = ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[:next*..2]->(b) RETURN count(*) AS n`, db)
+	res, err = execCollect(context.Background(), `MATCH (a:N {i: 0})-[:next*..2]->(b) RETURN count(*) AS n`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Rows[0][0].Equal(model.Int(2)) {
 		t.Errorf("*..2 count = %v", res.Rows[0][0])
 	}
-	res, err = ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[:next*4..]->(b) RETURN count(*) AS n`, db)
+	res, err = execCollect(context.Background(), `MATCH (a:N {i: 0})-[:next*4..]->(b) RETURN count(*) AS n`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestVarLengthExactAndOpenRanges(t *testing.T) {
 
 func TestVarLengthZeroMinIncludesStart(t *testing.T) {
 	db := chainDB(t)
-	res, err := ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[:next*0..1]->(b) RETURN b.i AS i ORDER BY i`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:N {i: 0})-[:next*0..1]->(b) RETURN b.i AS i ORDER BY i`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestVarLengthZeroMinIncludesStart(t *testing.T) {
 func TestVarLengthReverseAndJoin(t *testing.T) {
 	db := chainDB(t)
 	// Reverse: who reaches n4 in 1..2 next-hops?
-	res, err := ExecCtx(context.Background(), `MATCH (b:N {i: 4})<-[:next*1..2]-(a) RETURN a.i AS i ORDER BY i`, db)
+	res, err := execCollect(context.Background(), `MATCH (b:N {i: 4})<-[:next*1..2]-(a) RETURN a.i AS i ORDER BY i`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestVarLengthReverseAndJoin(t *testing.T) {
 		t.Fatalf("reverse rows = %v", res.Rows)
 	}
 	// Bound-bound connectivity check.
-	res, err = ExecCtx(context.Background(), `MATCH (a:N {i: 0}), (b:N {i: 5}) MATCH (a)-[:next*]->(b) RETURN count(*) AS n`, db)
+	res, err = execCollect(context.Background(), `MATCH (a:N {i: 0}), (b:N {i: 5}) MATCH (a)-[:next*]->(b) RETURN count(*) AS n`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestVarLengthReverseAndJoin(t *testing.T) {
 func TestVarLengthLabelRespected(t *testing.T) {
 	db := chainDB(t)
 	// branch label is not next: side node unreachable through next*.
-	res, err := ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[:next*]->(b:Side) RETURN count(*) AS n`, db)
+	res, err := execCollect(context.Background(), `MATCH (a:N {i: 0})-[:next*]->(b:Side) RETURN count(*) AS n`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestVarLengthLabelRespected(t *testing.T) {
 		t.Errorf("label filter failed: %v", res.Rows[0][0])
 	}
 	// Any-label variable length reaches it.
-	res, err = ExecCtx(context.Background(), `MATCH (a:N {i: 0})-[*]->(b:Side) RETURN count(*) AS n`, db)
+	res, err = execCollect(context.Background(), `MATCH (a:N {i: 0})-[*]->(b:Side) RETURN count(*) AS n`, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,17 +54,6 @@ type Engine interface {
 // Result mirrors plan.Result.
 type Result = plan.Result
 
-// ExecCtx runs one gsql statement and materializes the result: it is
-// ExecStreamCtx into a plan.Collector, so buffered and streamed executions
-// are one code path.
-func ExecCtx(ctx context.Context, input string, e Engine) (*Result, error) {
-	var c plan.Collector
-	if err := ExecStreamCtx(ctx, input, e, &c); err != nil {
-		return nil, err
-	}
-	return &c.Res, nil
-}
-
 // ExecStreamCtx parses and runs one gsql statement under ctx, delivering
 // the result into sink. The tabular SELECT form streams rows as the plan
 // produces them; graph instructions and DML/DDL (whose single result row

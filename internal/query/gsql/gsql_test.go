@@ -6,7 +6,18 @@ import (
 
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
+	"gdbm/internal/query/plan"
 )
+
+// execCollect runs one statement through ExecStreamCtx into a
+// plan.Collector and returns what it collected.
+func execCollect(ctx context.Context, input string, e Engine) (*Result, error) {
+	var c plan.Collector
+	if err := ExecStreamCtx(ctx, input, e, &c); err != nil {
+		return nil, err
+	}
+	return &c.Res, nil
+}
 
 // testEngine wraps memgraph + schema as a gsql Engine.
 type testEngine struct {
@@ -26,7 +37,7 @@ func newEngine(t *testing.T) *testEngine {
 
 func mustExec(t *testing.T, e Engine, stmt string) *Result {
 	t.Helper()
-	res, err := ExecCtx(context.Background(), stmt, e)
+	res, err := execCollect(context.Background(), stmt, e)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
@@ -65,13 +76,13 @@ func TestDDL(t *testing.T) {
 		t.Error("Person not dropped")
 	}
 	// Errors.
-	if _, err := ExecCtx(context.Background(), `CREATE VERTEX Person`, e); err == nil {
+	if _, err := execCollect(context.Background(), `CREATE VERTEX Person`, e); err == nil {
 		t.Error("missing TYPE should fail")
 	}
-	if _, err := ExecCtx(context.Background(), `CREATE VERTEX TYPE X (p BOGUS)`, e); err == nil {
+	if _, err := execCollect(context.Background(), `CREATE VERTEX TYPE X (p BOGUS)`, e); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	if _, err := ExecCtx(context.Background(), `DROP VERTEX TYPE Ghost`, e); err == nil {
+	if _, err := execCollect(context.Background(), `DROP VERTEX TYPE Ghost`, e); err == nil {
 		t.Error("dropping missing type should fail")
 	}
 }
@@ -99,7 +110,7 @@ func TestSelectStarUsesSchema(t *testing.T) {
 		t.Fatalf("res = %+v", res)
 	}
 	// SELECT * from an undeclared type fails.
-	if _, err := ExecCtx(context.Background(), `SELECT * FROM Ghost`, e); err == nil {
+	if _, err := execCollect(context.Background(), `SELECT * FROM Ghost`, e); err == nil {
 		t.Error("SELECT * on unknown type should fail")
 	}
 }
@@ -137,7 +148,7 @@ func TestUpdateAndDelete(t *testing.T) {
 	if e.Order() != 2 {
 		t.Errorf("nodes = %d", e.Order())
 	}
-	if _, err := ExecCtx(context.Background(), `DELETE VERTEX 99`, e); err == nil {
+	if _, err := execCollect(context.Background(), `DELETE VERTEX 99`, e); err == nil {
 		t.Error("deleting missing vertex should fail")
 	}
 }
@@ -196,7 +207,7 @@ func TestStatementErrors(t *testing.T) {
 		`UPDATE VERTEX x SET a = 1`,
 		`INSERT EDGE knows FROM 1`,
 	} {
-		if _, err := ExecCtx(context.Background(), bad, e); err == nil {
+		if _, err := execCollect(context.Background(), bad, e); err == nil {
 			t.Errorf("exec %q should fail", bad)
 		}
 	}
@@ -205,7 +216,7 @@ func TestStatementErrors(t *testing.T) {
 func TestInsertEdgeMissingEndpoint(t *testing.T) {
 	e := newEngine(t)
 	seed(t, e)
-	if _, err := ExecCtx(context.Background(), `INSERT EDGE knows FROM 1 TO 99`, e); err == nil {
+	if _, err := execCollect(context.Background(), `INSERT EDGE knows FROM 1 TO 99`, e); err == nil {
 		t.Error("missing endpoint should fail")
 	}
 }
@@ -237,7 +248,7 @@ func TestSummarizationInstructions(t *testing.T) {
 	if !res.Rows[0][0].Equal(model.Int(2)) {
 		t.Errorf("distance = %v", res.Rows[0][0])
 	}
-	if _, err := ExecCtx(context.Background(), `SELECT DISTANCE FROM 1`, e); err == nil {
+	if _, err := execCollect(context.Background(), `SELECT DISTANCE FROM 1`, e); err == nil {
 		t.Error("missing TO should fail")
 	}
 }

@@ -57,10 +57,10 @@ func Replay(res *Result, sink Sink) error {
 }
 
 // Collector is the buffering Sink: it materializes a stream back into Res.
-// Every buffered entry point (Collect, the languages' ExecCtx/RunCtx,
-// engine.QueryContext) is a stream into a Collector, so the collected and
-// streamed paths cannot drift. It keeps the slices it is handed, as the
-// Sink contract allows.
+// Every buffered entry point (Collect, engine.QueryContext, a result-cache
+// miss in engine.CachedStream) is a stream into a Collector, so the
+// collected and streamed paths cannot drift. It keeps the slices it is
+// handed, as the Sink contract allows.
 type Collector struct{ Res Result }
 
 // Cols implements Sink.

@@ -328,17 +328,6 @@ func rewriteVarsToValues(e query.Expr) query.Expr {
 	})
 }
 
-// RunCtx executes the query against a triple source and materializes the
-// result: it is RunStreamCtx into a plan.Collector, so buffered and
-// streamed executions are one code path.
-func RunCtx(ctx context.Context, input string, src plan.Source) (*plan.Result, error) {
-	var c plan.Collector
-	if err := RunStreamCtx(ctx, input, src, &c); err != nil {
-		return nil, err
-	}
-	return &c.Res, nil
-}
-
 // RunStreamCtx parses and runs the query under ctx, delivering the result
 // into sink as the operator tree produces rows. When ctx carries an
 // obs.Trace, parsing and execution are recorded as "parse" and "exec"

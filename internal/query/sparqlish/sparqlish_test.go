@@ -9,6 +9,16 @@ import (
 	"gdbm/internal/query/plan"
 )
 
+// runCollect runs the query through RunStreamCtx into a plan.Collector
+// and returns what it collected.
+func runCollect(ctx context.Context, input string, src plan.Source) (*plan.Result, error) {
+	var c plan.Collector
+	if err := RunStreamCtx(ctx, input, src, &c); err != nil {
+		return nil, err
+	}
+	return &c.Res, nil
+}
+
 // tripleGraph emulates a triple store: nodes carry a "value" property and
 // predicates are edge labels — exactly the layout the triple engine uses.
 func tripleGraph(t *testing.T) plan.Source {
@@ -40,7 +50,7 @@ func tripleGraph(t *testing.T) plan.Source {
 
 func TestBasicBGP(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := RunCtx(context.Background(), `SELECT ?x WHERE { ?x <type> "person" . }`, src)
+	res, err := runCollect(context.Background(), `SELECT ?x WHERE { ?x <type> "person" . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +61,7 @@ func TestBasicBGP(t *testing.T) {
 
 func TestJoinAcrossTriples(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := RunCtx(context.Background(), `SELECT ?name WHERE { ?x <type> "person" . ?x <name> ?name . ?x <livesIn> "zurich" . }`, src)
+	res, err := runCollect(context.Background(), `SELECT ?name WHERE { ?x <type> "person" . ?x <name> ?name . ?x <livesIn> "zurich" . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestJoinAcrossTriples(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := RunCtx(context.Background(), `SELECT ?n WHERE { ?x <type> "person" . ?x <name> ?n . FILTER (?n != "Bob") }`, src)
+	res, err := runCollect(context.Background(), `SELECT ?n WHERE { ?x <type> "person" . ?x <name> ?n . FILTER (?n != "Bob") }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,7 @@ func TestFilter(t *testing.T) {
 
 func TestOrderLimitDistinct(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := RunCtx(context.Background(), `SELECT DISTINCT ?n WHERE { ?x <name> ?n . } ORDER BY ?n LIMIT 1`, src)
+	res, err := runCollect(context.Background(), `SELECT DISTINCT ?n WHERE { ?x <name> ?n . } ORDER BY ?n LIMIT 1`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestOrderLimitDistinct(t *testing.T) {
 
 func TestIRISubject(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := RunCtx(context.Background(), `SELECT ?o WHERE { <ada> <knows> ?o . }`, src)
+	res, err := runCollect(context.Background(), `SELECT ?o WHERE { <ada> <knows> ?o . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +114,7 @@ func TestIRISubject(t *testing.T) {
 
 func TestSelectStar(t *testing.T) {
 	src := tripleGraph(t)
-	res, err := RunCtx(context.Background(), `SELECT * WHERE { ?s <knows> ?o . }`, src)
+	res, err := runCollect(context.Background(), `SELECT * WHERE { ?s <knows> ?o . }`, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestTrailingDotOptional(t *testing.T) {
 	src := tripleGraph(t)
-	if _, err := RunCtx(context.Background(), `SELECT ?x WHERE { ?x <type> "person" }`, src); err != nil {
+	if _, err := runCollect(context.Background(), `SELECT ?x WHERE { ?x <type> "person" }`, src); err != nil {
 		t.Errorf("trailing dot should be optional: %v", err)
 	}
 }
