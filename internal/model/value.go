@@ -255,32 +255,30 @@ func (v Value) EncodeKey(dst []byte) []byte {
 }
 
 // MarshalBinary encodes the value for storage (not order-preserving).
-func (v Value) MarshalBinary() ([]byte, error) {
+func (v Value) MarshalBinary() ([]byte, error) { return v.AppendBinary(nil) }
+
+// AppendBinary appends the MarshalBinary encoding of the value to dst and
+// returns the extended slice: a kind tag byte, then one byte for a bool,
+// eight big-endian bytes for an int or float, the bytes of a string. It is
+// the one value encoder; an invalid kind returns dst unchanged and an
+// error.
+func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	switch v.kind {
 	case KindNull:
-		return []byte{byte(KindNull)}, nil
+		return append(dst, byte(KindNull)), nil
 	case KindBool:
 		if v.b {
-			return []byte{byte(KindBool), 1}, nil
+			return append(dst, byte(KindBool), 1), nil
 		}
-		return []byte{byte(KindBool), 0}, nil
+		return append(dst, byte(KindBool), 0), nil
 	case KindInt:
-		buf := make([]byte, 9)
-		buf[0] = byte(KindInt)
-		binary.BigEndian.PutUint64(buf[1:], uint64(v.i))
-		return buf, nil
+		return binary.BigEndian.AppendUint64(append(dst, byte(KindInt)), uint64(v.i)), nil
 	case KindFloat:
-		buf := make([]byte, 9)
-		buf[0] = byte(KindFloat)
-		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v.f))
-		return buf, nil
+		return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(v.f)), nil
 	case KindString:
-		buf := make([]byte, 1+len(v.s))
-		buf[0] = byte(KindString)
-		copy(buf[1:], v.s)
-		return buf, nil
+		return append(append(dst, byte(KindString)), v.s...), nil
 	}
-	return nil, fmt.Errorf("model: cannot marshal value of kind %v", v.kind)
+	return dst, fmt.Errorf("model: cannot marshal value of kind %v", v.kind)
 }
 
 // UnmarshalValue decodes a value produced by MarshalBinary.

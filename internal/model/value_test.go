@@ -139,6 +139,48 @@ func TestValueMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBinaryKeepsPrefix pins the one value encoder: appended after a
+// non-empty prefix, every kind keeps the prefix, writes the documented
+// bytes, and equals MarshalBinary; an invalid kind fails with the same
+// error and leaves the prefix as it was.
+func TestAppendBinaryKeepsPrefix(t *testing.T) {
+	cases := []struct {
+		v    Value
+		want []byte
+	}{
+		{Null(), []byte{0}},
+		{Bool(true), []byte{1, 1}},
+		{Bool(false), []byte{1, 0}},
+		{Int(-2), []byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe}},
+		{Float(1), []byte{3, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0}},
+		{Str(""), []byte{4}},
+		{Str("hi"), []byte{4, 'h', 'i'}},
+	}
+	prefix := []byte("pre")
+	for _, c := range cases {
+		got, err := c.v.AppendBinary(append([]byte(nil), prefix...))
+		if err != nil {
+			t.Fatalf("AppendBinary(%v): %v", c.v, err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], c.want) {
+			t.Errorf("AppendBinary(%v) after %q = %v, want the prefix then %v", c.v, prefix, got, c.want)
+		}
+		m, err := c.v.MarshalBinary()
+		if err != nil || !bytes.Equal(m, c.want) {
+			t.Errorf("MarshalBinary(%v) = %v, %v; want %v", c.v, m, err, c.want)
+		}
+	}
+	bad := Value{kind: 9}
+	got, err := bad.AppendBinary(append([]byte(nil), prefix...))
+	_, merr := bad.MarshalBinary()
+	if err == nil || merr == nil || err.Error() != merr.Error() {
+		t.Fatalf("invalid kind: AppendBinary err %v, MarshalBinary err %v; want one error", err, merr)
+	}
+	if !bytes.Equal(got, prefix) {
+		t.Fatalf("invalid kind: AppendBinary returned %q, want the prefix %q unchanged", got, prefix)
+	}
+}
+
 func TestUnmarshalValueErrors(t *testing.T) {
 	bad := [][]byte{
 		nil,

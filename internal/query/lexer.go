@@ -40,7 +40,10 @@ type Lexer struct {
 	pos   int
 	// IRIMode enables <...> IRI tokens and ?var tokens (sparqlish).
 	IRIMode bool
-	peeked  *Token
+	// peek holds the token Peek lexed ahead when hasPeek is set; it is
+	// kept by value so peeking never moves a Token to the heap.
+	peek    Token
+	hasPeek bool
 }
 
 // NewLexer returns a lexer over input.
@@ -53,22 +56,21 @@ func (l *Lexer) Errorf(pos int, format string, args ...any) error {
 
 // Peek returns the next token without consuming it.
 func (l *Lexer) Peek() (Token, error) {
-	if l.peeked == nil {
+	if !l.hasPeek {
 		t, err := l.lex()
 		if err != nil {
 			return Token{}, err
 		}
-		l.peeked = &t
+		l.peek, l.hasPeek = t, true
 	}
-	return *l.peeked, nil
+	return l.peek, nil
 }
 
 // Next consumes and returns the next token.
 func (l *Lexer) Next() (Token, error) {
-	if l.peeked != nil {
-		t := *l.peeked
-		l.peeked = nil
-		return t, nil
+	if l.hasPeek {
+		l.hasPeek = false
+		return l.peek, nil
 	}
 	return l.lex()
 }

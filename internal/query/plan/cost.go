@@ -26,18 +26,6 @@ type Estimate struct {
 	Cost float64
 }
 
-// CostClass buckets Cost by decimal order of magnitude. Metamorphic tests
-// compare classes, not raw costs: permuting a spec's declaration order may
-// legitimately flip tie-breaks, but it must never move a plan to a
-// different order of magnitude.
-func (e Estimate) CostClass() int {
-	c := e.Cost
-	if c < 1 {
-		c = 1
-	}
-	return int(math.Floor(math.Log10(c) + 1e-9))
-}
-
 // Planner is the cost-based compiler. Stats drives cardinality estimation
 // (nil falls back to uniform textbook assumptions — still deterministic);
 // WCO additionally enables the multiway-intersection operator for nodes

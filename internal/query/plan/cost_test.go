@@ -466,20 +466,6 @@ func TestIntersectExpandTooFewInputs(t *testing.T) {
 	}
 }
 
-func TestCostClass(t *testing.T) {
-	cases := []struct {
-		cost float64
-		want int
-	}{
-		{0, 0}, {1, 0}, {9, 0}, {10, 1}, {99, 1}, {1000, 3}, {123456, 5},
-	}
-	for _, tc := range cases {
-		if got := (Estimate{Cost: tc.cost}).CostClass(); got != tc.want {
-			t.Errorf("CostClass(%v) = %d, want %d", tc.cost, got, tc.want)
-		}
-	}
-}
-
 // TestCompileForDispatch: sources exposing statistics get the cost-based
 // planner; bare sources fall back to naive — and both answer identically.
 func TestCompileForDispatch(t *testing.T) {

@@ -20,7 +20,8 @@ import (
 // must render byte-identical results on a reference graph — and each plan
 // must render the same rows in the same order whether the source answers
 // adjacency with id pairs or, its capabilities hidden, with Neighbors; and
-// where the definitional oracle covers the spec, those rows are its rows.
+// where the definitional oracle covers the spec, those rows are its rows;
+// and canonicalize ranks the prepared spec exactly as its fmt reference.
 // Crashing inputs become regression seeds in testdata/fuzz.
 
 // fuzzGraph is the shared reference graph: small enough that the worst
@@ -165,6 +166,10 @@ func FuzzCompileMatchSpec(f *testing.F) {
 				t.Fatalf("error shape diverged: naive %q, cost %q", errA.Error(), errB.Error())
 			}
 			return
+		}
+		want, _ := canonicalizeFmt(specB, len(specB.Nodes))
+		if got := canonicalize(specB); !sameRanks(got, want) {
+			t.Fatalf("canonicalize diverges from the fmt reference\ngot:  %+v\nwant: %+v", got, want)
 		}
 
 		var cols []string

@@ -9,9 +9,10 @@ import (
 // for every output row in execution order. Either call may return an error
 // to stop production — the executor propagates it unchanged, so a sink can
 // abort a stream (client disconnect, chunk-budget exhausted) without the
-// operator tree finishing its scan. Every vals slice is fresh — nothing
-// writes it after the call — and the sink owns it: Collector and the
-// server's chunk buffer keep the slices they are handed.
+// operator tree finishing its scan. A vals slice is valid only during the
+// call: Stream refills one slice for every row, so a sink that keeps a row
+// past the call must copy it (Collector does), and a sink must not write
+// to it. The server's sinks encode each row before they return.
 type Sink interface {
 	Cols(cols []string) error
 	Row(vals []model.Value) error
@@ -30,8 +31,8 @@ func Stream(op Op, src Source, cols []string, sink Sink) error {
 	for i, c := range cols {
 		slots[i], _ = sc.Slot(c)
 	}
+	out := make([]model.Value, len(cols)) // one row, refilled per output row
 	return op.Run(src, func(row query.Row) error {
-		out := make([]model.Value, len(cols))
 		for i, slot := range slots {
 			if slot >= 0 { // a column the tree does not produce reads null
 				out[i] = row[slot].Scalar()
@@ -59,8 +60,8 @@ func Replay(res *Result, sink Sink) error {
 // Collector is the buffering Sink: it materializes a stream back into Res.
 // Every buffered entry point (Collect, engine.QueryContext, a result-cache
 // miss in engine.CachedStream) is a stream into a Collector, so the
-// collected and streamed paths cannot drift. It keeps the slices it is
-// handed, as the Sink contract allows.
+// collected and streamed paths cannot drift. It copies every row it is
+// handed, so each buffered row owns its own backing array.
 type Collector struct{ Res Result }
 
 // Cols implements Sink.
@@ -71,6 +72,8 @@ func (c *Collector) Cols(cols []string) error {
 
 // Row implements Sink.
 func (c *Collector) Row(vals []model.Value) error {
-	c.Res.Rows = append(c.Res.Rows, vals)
+	row := make([]model.Value, len(vals))
+	copy(row, vals)
+	c.Res.Rows = append(c.Res.Rows, row)
 	return nil
 }

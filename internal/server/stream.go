@@ -138,9 +138,12 @@ func (j *jsonStream) finish(elapsed time.Duration) error {
 
 func (j *jsonStream) abort(int, string) error { return errNoInBandError }
 
-// binStream frames rows per the wire protocol, buffering up to chunk rows
-// per Chunk frame. A post-commit failure becomes an in-band Error frame,
-// so a binary client can always distinguish truncation from completion.
+// binStream frames rows per the wire protocol, up to chunk rows per Chunk
+// frame. Each row is encoded into the pending chunk payload as it arrives
+// (wire.AppendRow), so no row outlives its Row call and a warm stream
+// allocates nothing per row. A post-commit failure becomes an in-band
+// Error frame, so a binary client can always distinguish truncation from
+// completion.
 type binStream struct {
 	w      http.ResponseWriter
 	flush  http.Flusher
@@ -148,9 +151,10 @@ type binStream struct {
 	chunk  int
 	chunks *obs.Counter // nil in unit tests that build the stream directly
 
-	began bool
-	rows  int
-	buf   [][]model.Value
+	began   bool
+	rows    int    // rows sent or pending, for the End frame
+	pending int    // rows encoded into buf, not yet framed
+	buf     []byte // their wire.AppendRow encoding
 }
 
 func (b *binStream) Cols(cols []string) error {
@@ -161,9 +165,14 @@ func (b *binStream) Cols(cols []string) error {
 }
 
 func (b *binStream) Row(vals []model.Value) error {
-	b.buf = append(b.buf, vals) // plan.Stream hands each row a fresh slice
+	enc, err := wire.AppendRow(b.buf, vals)
+	if err != nil {
+		return err
+	}
+	b.buf = enc
+	b.pending++
 	b.rows++
-	if len(b.buf) < b.chunk {
+	if b.pending < b.chunk {
 		return nil
 	}
 	if err := b.writeChunk(); err != nil {
@@ -175,16 +184,16 @@ func (b *binStream) Row(vals []model.Value) error {
 	return nil
 }
 
-// writeChunk frames the buffered rows as one Chunk frame, counted in
+// writeChunk frames the pending rows as one Chunk frame, counted in
 // server.stream.chunks; the caller decides whether to flush.
 func (b *binStream) writeChunk() error {
-	if len(b.buf) == 0 {
+	if b.pending == 0 {
 		return nil
 	}
-	if err := b.bw.Chunk(b.buf); err != nil {
+	if err := b.bw.EncodedChunk(b.pending, b.buf); err != nil {
 		return err
 	}
-	b.buf = b.buf[:0]
+	b.buf, b.pending = b.buf[:0], 0
 	if b.chunks != nil {
 		b.chunks.Inc()
 	}
@@ -206,7 +215,7 @@ func (b *binStream) finish(elapsed time.Duration) error {
 }
 
 func (b *binStream) abort(status int, msg string) error {
-	// Buffered rows are dropped: the client discards partial rows on an
+	// Pending rows are dropped: the client discards partial rows on an
 	// Error frame anyway, and the frame must go out before the peer's
 	// deadline, not after one more chunk.
 	if err := b.bw.Error(status, msg); err != nil {

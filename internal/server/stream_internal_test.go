@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -125,6 +127,24 @@ func streamJSON(cols []string, rows [][]model.Value, elapsed time.Duration) ([]b
 	return rec.Body.Bytes(), nil
 }
 
+// streamBinary renders rows through binStream at the given chunk size.
+func streamBinary(cols []string, rows [][]model.Value, chunk int, elapsed time.Duration) ([]byte, error) {
+	rec := httptest.NewRecorder()
+	bs := &binStream{w: rec, bw: wire.NewWriter(rec), chunk: chunk}
+	if err := bs.Cols(cols); err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if err := bs.Row(row); err != nil {
+			return nil, err
+		}
+	}
+	if err := bs.finish(elapsed); err != nil {
+		return nil, err
+	}
+	return rec.Body.Bytes(), nil
+}
+
 // fuzzRows decodes fuzz input into a result table: the first byte picks
 // the row width (1 to 4), then each value is a kind byte and its payload.
 // A short payload is zero-padded; a last partial row is padded with nulls.
@@ -177,10 +197,11 @@ func fuzzRows(data []byte) ([]string, [][]model.Value) {
 
 // FuzzWireRoundTrip holds the two response encodings to each other: any
 // rows framed by the binary stream (wire.Writer) and reassembled by
-// wire.Collect come back value for value, and the JSON stream renders the
-// original and the reassembled rows to the same bytes as the buffered
-// toWire reference. Non-finite floats have no JSON form: there the
-// reference and the JSON stream must both fail.
+// wire.Collect come back value for value, the binary stream's bytes are
+// Writer.Chunk framing of the rows at chunk sizes 1, 2 and 256, and the
+// JSON stream renders the original and the reassembled rows to the same
+// bytes as the buffered toWire reference. Non-finite floats have no JSON
+// form: there the reference and the JSON stream must both fail.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 0, 0, 0, 0, 0, 0, 0, 42})
@@ -201,20 +222,37 @@ func checkRoundTrip(t *testing.T, data []byte) {
 	const elapsed = 1500 * time.Microsecond
 	cols, rows := fuzzRows(data)
 
-	rec := httptest.NewRecorder()
-	bs := &binStream{w: rec, bw: wire.NewWriter(rec), chunk: 3}
-	if err := bs.Cols(cols); err != nil {
+	body, err := streamBinary(cols, rows, 3, elapsed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range rows {
-		if err := bs.Row(row); err != nil {
+	// The streamed bytes are Writer.Chunk framing of the same rows in
+	// batches of the chunk size, whatever that size: one row encoder.
+	for _, size := range []int{1, 2, 256} {
+		b, err := streamBinary(cols, rows, size, elapsed)
+		if err != nil {
 			t.Fatal(err)
 		}
+		var want bytes.Buffer
+		ww := wire.NewWriter(&want)
+		if err := ww.Header(cols); err != nil {
+			t.Fatal(err)
+		}
+		for rest := rows; len(rest) > 0; {
+			n := min(size, len(rest))
+			if err := ww.Chunk(rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+		if err := ww.End(len(rows), elapsed); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, want.Bytes()) {
+			t.Fatalf("chunk size %d: binary stream diverges from Writer.Chunk framing\n  stream: %x\n  writer: %x", size, b, want.Bytes())
+		}
 	}
-	if err := bs.finish(elapsed); err != nil {
-		t.Fatal(err)
-	}
-	got, err := wire.Collect(rec.Body)
+	got, err := wire.Collect(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
@@ -244,5 +282,53 @@ func checkRoundTrip(t *testing.T, data []byte) {
 		case refErr == nil && !bytes.Equal(b, ref.Bytes()):
 			t.Fatalf("%s rows: JSON stream diverges from reference\n  stream:    %q\n  reference: %q", name, b, ref.Bytes())
 		}
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps nothing, so allocation
+// counts see the stream alone.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header       { return d.h }
+func (*discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (*discardResponse) WriteHeader(int)             {}
+
+// raceBuild reports a -race build, whose instrumentation makes allocation
+// counts meaningless as guards.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestBinStreamRowAllocs guards the binary row path: once its chunk buffer
+// has grown, binStream.Row encodes rows and frames full chunks without
+// allocating.
+func TestBinStreamRowAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts differ under -race")
+	}
+	w := &discardResponse{h: http.Header{}}
+	bs := &binStream{w: w, bw: wire.NewWriter(w), chunk: defaultChunkRows}
+	if err := bs.Cols([]string{"id", "name", "score"}); err != nil {
+		t.Fatal(err)
+	}
+	row := []model.Value{model.Int(7), model.Str("a name"), model.Float(2.5)}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 4*defaultChunkRows; i++ {
+			if err := bs.Row(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d rows through a warm binStream allocate %.0f times, want 0", 4*defaultChunkRows, allocs)
 	}
 }

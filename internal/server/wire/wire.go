@@ -22,8 +22,10 @@
 //	         failed, never as a short result.
 //
 // Values ride each Chunk in the model layer's binary value encoding
-// (model.Value.MarshalBinary), length-prefixed per value, so the cost of a
+// (model.Value.AppendBinary), length-prefixed per value, so the cost of a
 // row is a few varints plus the payload bytes — no JSON in the hot path.
+// AppendRow is the one row encoder: Writer.Chunk and the server's streamed
+// chunks both frame its output.
 package wire
 
 import (
@@ -90,7 +92,8 @@ var ErrTruncated = errors.New("wire: truncated stream")
 type Writer struct {
 	w       io.Writer
 	started bool
-	buf     []byte
+	buf     []byte                            // payload scratch
+	hdr     [1 + 2*binary.MaxVarintLen64]byte // frame header scratch
 }
 
 // NewWriter returns a Writer framing onto w.
@@ -105,26 +108,27 @@ func (w *Writer) start() error {
 	return err
 }
 
-// frame writes one complete frame.
-func (w *Writer) frame(t FrameType, payload []byte) error {
+// frame writes one complete frame whose payload is lead then body. lead is
+// at most a varint — a Chunk's row count, which precedes rows encoded
+// ahead of time — and goes out in one write with the frame header, which
+// is built in the Writer's own scratch.
+func (w *Writer) frame(t FrameType, lead, body []byte) error {
 	if err := w.start(); err != nil {
 		return err
 	}
-	hdr := make([]byte, 1, 1+binary.MaxVarintLen64)
-	hdr[0] = byte(t)
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	if _, err := w.w.Write(hdr); err != nil {
+	hdr := binary.AppendUvarint(append(w.hdr[:0], byte(t)), uint64(len(lead)+len(body)))
+	if _, err := w.w.Write(append(hdr, lead...)); err != nil {
 		return err
 	}
-	if len(payload) == 0 {
+	if len(body) == 0 {
 		return nil
 	}
-	_, err := w.w.Write(payload)
+	_, err := w.w.Write(body)
 	return err
 }
 
 // Request frames a JSON request body.
-func (w *Writer) Request(body []byte) error { return w.frame(FrameRequest, body) }
+func (w *Writer) Request(body []byte) error { return w.frame(FrameRequest, nil, body) }
 
 // Header frames the result columns.
 func (w *Writer) Header(cols []string) error {
@@ -134,25 +138,56 @@ func (w *Writer) Header(cols []string) error {
 		b = append(b, c...)
 	}
 	w.buf = b[:0]
-	return w.frame(FrameHeader, b)
+	return w.frame(FrameHeader, nil, b)
 }
 
 // Chunk frames a batch of rows.
 func (w *Writer) Chunk(rows [][]model.Value) error {
-	b := binary.AppendUvarint(w.buf[:0], uint64(len(rows)))
+	b := w.buf[:0]
 	for _, row := range rows {
-		b = binary.AppendUvarint(b, uint64(len(row)))
-		for _, v := range row {
-			enc, err := v.MarshalBinary()
-			if err != nil {
-				return err
-			}
-			b = binary.AppendUvarint(b, uint64(len(enc)))
-			b = append(b, enc...)
+		var err error
+		if b, err = AppendRow(b, row); err != nil {
+			return err
 		}
 	}
 	w.buf = b[:0]
-	return w.frame(FrameChunk, b)
+	return w.EncodedChunk(len(rows), b)
+}
+
+// EncodedChunk frames n rows that AppendRow encoded back to back into rows
+// as one Chunk frame, the bytes Chunk writes for the same rows. A streaming
+// caller encodes each row as it arrives and frames the batch once.
+func (w *Writer) EncodedChunk(n int, rows []byte) error {
+	var count [binary.MaxVarintLen64]byte
+	return w.frame(FrameChunk, binary.AppendUvarint(count[:0], uint64(n)), rows)
+}
+
+// AppendRow appends one row of a Chunk payload to b: the value count, then
+// each value's model.Value.AppendBinary encoding behind its length. On an
+// error (a value of invalid kind) it returns b as it was.
+func AppendRow(b []byte, row []model.Value) ([]byte, error) {
+	start := len(b)
+	b = binary.AppendUvarint(b, uint64(len(row)))
+	for _, v := range row {
+		at := len(b)
+		b = append(b, 0) // the length, while it fits one varint byte
+		var err error
+		if b, err = v.AppendBinary(b); err != nil {
+			return b[:start], err
+		}
+		n := len(b) - at - 1
+		if n < 0x80 {
+			b[at] = byte(n)
+			continue
+		}
+		// A long value needs a wider length: widen it in place.
+		var l [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(l[:], uint64(n))
+		b = append(b, l[1:k]...)
+		copy(b[at+k:], b[at+1:at+1+n])
+		copy(b[at:], l[:k])
+	}
+	return b, nil
 }
 
 // Error frames a mid-stream failure with an HTTP-equivalent status code.
@@ -160,7 +195,7 @@ func (w *Writer) Error(status int, msg string) error {
 	b := binary.AppendUvarint(w.buf[:0], uint64(status))
 	b = append(b, msg...)
 	w.buf = b[:0]
-	return w.frame(FrameError, b)
+	return w.frame(FrameError, nil, b)
 }
 
 // End frames successful termination with the total row count and the
@@ -169,7 +204,7 @@ func (w *Writer) End(rows int, elapsed time.Duration) error {
 	b := binary.AppendUvarint(w.buf[:0], uint64(rows))
 	b = binary.AppendUvarint(b, uint64(elapsed.Nanoseconds()))
 	w.buf = b[:0]
-	return w.frame(FrameEnd, b)
+	return w.frame(FrameEnd, nil, b)
 }
 
 // Frame is one decoded frame.

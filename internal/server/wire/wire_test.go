@@ -63,6 +63,53 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendRowLayout pins AppendRow to the Chunk row layout spelled out
+// value by value — count, then each MarshalBinary encoding behind its
+// uvarint length — on values whose lengths need one, two and three
+// varint bytes, appended after a prefix it must keep; and holds a Chunk of
+// such rows to DecodeChunk.
+func TestAppendRowLayout(t *testing.T) {
+	var rows [][]model.Value
+	for _, n := range []int{0, 126, 127, 128, 300, 20000} {
+		rows = append(rows, []model.Value{model.Int(int64(n)), model.Str(strings.Repeat("x", n)), model.Null()})
+	}
+	rows = append(rows, []model.Value{}, sampleRows()[2])
+	for _, row := range rows {
+		want := binary.AppendUvarint([]byte("pre"), uint64(len(row)))
+		for _, v := range row {
+			enc, err := v.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(binary.AppendUvarint(want, uint64(len(enc))), enc...)
+		}
+		got, err := AppendRow([]byte("pre"), row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendRow(%d values) = %x\nwant %x", len(row), got, want)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).Chunk(rows); err != nil {
+		t.Fatal(err)
+	}
+	rd := NewReader(&buf)
+	f, err := rd.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeChunk(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, rows) {
+		t.Fatalf("Chunk of long values did not round-trip:\n got %v\nwant %v", back, rows)
+	}
+}
+
 // TestEmptyResult: zero rows still need header and end.
 func TestEmptyResult(t *testing.T) {
 	var buf bytes.Buffer
