@@ -2,7 +2,7 @@ GO ?= go
 COVER_FLOOR ?= 45.0
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench-e2e cover fuzz-smoke serve-smoke ci
+.PHONY: build test vet fmt lint race race-storage race-kernels race-obs race-server race-snapshots race-plan bench-e2e cover fuzz-smoke serve-smoke loc ci
 
 # Tier-1 verification: everything builds, every test passes.
 build:
@@ -135,5 +135,10 @@ fuzz-smoke:
 # degradation contract" and "Wire & streaming contract".
 serve-smoke:
 	$(GO) test ./cmd/gdbserver/ -run TestServeSmoke -count=1 -v
+
+# The non-test Go line count (bench/ and testdata excluded), the figure
+# CHANGES.md quotes before and after a change. Outside ci.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 ci: lint test race cover fuzz-smoke serve-smoke

@@ -404,9 +404,8 @@ func BenchmarkPerfSweep(b *testing.B) {
 
 func BenchmarkAblationIndexKind(b *testing.B) {
 	kinds := map[string]index.Index{
-		"bitmap":  index.NewBitmap(),
-		"hash":    index.NewHash(),
-		"ordered": index.NewOrdered(kv.NewMemory()),
+		"bitmap": index.NewBitmap(),
+		"hash":   index.NewHash(),
 	}
 	for name, idx := range kinds {
 		for i := 0; i < 10000; i++ {

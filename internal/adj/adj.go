@@ -18,13 +18,11 @@
 // Enumeration order is deterministic: Nodes, Edges and Neighbors yield
 // ascending IDs (neighbor rows are sorted by edge ID at build time). This
 // is the CSR data organization of the "Demystifying Graph Databases"
-// survey, with the bitmap directory variant matching DEX's compressed
-// bitmap indices (see directory.go).
+// survey.
 package adj
 
 import (
 	"encoding/binary"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -39,18 +37,6 @@ const (
 	blockShift = 9
 	blockSize  = 1 << blockShift
 	blockMask  = blockSize - 1
-)
-
-// Layout selects the per-block membership directory encoding.
-type Layout uint8
-
-const (
-	// LayoutVarint stores present local IDs as a sorted array searched by
-	// binary search — compact for sparse blocks.
-	LayoutVarint Layout = iota
-	// LayoutBitmap stores presence as a 512-bit bitmap ranked by popcount —
-	// the DEX-style variant bitmapdb selects.
-	LayoutBitmap
 )
 
 // rows is a CSR over the records of one block: row i spans
@@ -107,13 +93,12 @@ type edgeBlock struct {
 // Snapshot is an immutable model.Graph rendered from a store at one stable
 // epoch. It is safe for unsynchronized use by any number of readers.
 type Snapshot struct {
-	epoch  uint64
-	layout Layout
-	nb     []*nodeBlock // nil entries are fully vacant blocks
-	eb     []*edgeBlock
-	order  int
-	size   int
-	pins   atomic.Int64
+	epoch uint64
+	nb    []*nodeBlock // nil entries are fully vacant blocks
+	eb    []*edgeBlock
+	order int
+	size  int
+	pins  atomic.Int64
 }
 
 // Epoch returns the stable store epoch this snapshot renders.
@@ -260,54 +245,6 @@ func (s *Snapshot) Neighbors(id model.NodeID, dir model.Direction, fn func(model
 		}
 	}
 	return nil
-}
-
-// SortedNeighborIDs implements model.SortedAdjacency: the far-endpoint IDs
-// of id's incident edges in dir with the given label ("" = any), ascending,
-// one entry per matching edge. CSR rows are ordered by edge ID, not
-// neighbor ID, so the collected endpoints are sorted here — still without
-// touching node records. Multiplicity matches Neighbors exactly: parallel
-// edges repeat, and a self-loop under Both appears once per direction.
-func (s *Snapshot) SortedNeighborIDs(id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	if id == 0 {
-		return nil, model.NodeNotFound(id)
-	}
-	b := uint64(id) >> blockShift
-	if b >= uint64(len(s.nb)) || s.nb[b] == nil {
-		return nil, model.NodeNotFound(id)
-	}
-	blk := s.nb[b]
-	slot, ok := blk.dir.rank(uint32(uint64(id) & blockMask))
-	if !ok {
-		return nil, model.NodeNotFound(id)
-	}
-	var ids []model.NodeID
-	collect := func(eid model.EdgeID, out bool) bool {
-		e, ok := s.edgeAt(eid)
-		if !ok {
-			return true // unreachable on a consistent render; skip defensively
-		}
-		if label != "" && e.Label != label {
-			return true
-		}
-		far := e.From
-		if out {
-			far = e.To
-		}
-		if _, ok := s.nodeAt(far); !ok {
-			return true
-		}
-		ids = append(ids, far)
-		return true
-	}
-	if dir == model.Out || dir == model.Both {
-		blk.out.forEach(slot, func(eid model.EdgeID) bool { return collect(eid, true) })
-	}
-	if dir == model.In || dir == model.Both {
-		blk.in.forEach(slot, func(eid model.EdgeID) bool { return collect(eid, false) })
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
 }
 
 // Degree returns the incident edge count in the given direction, decoded

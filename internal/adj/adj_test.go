@@ -120,9 +120,9 @@ func dump(t *testing.T, g model.Graph) string {
 	return b.String()
 }
 
-func build(t *testing.T, src Source, layout Layout) *Snapshot {
+func build(t *testing.T, src Source) *Snapshot {
 	t.Helper()
-	s, err := Build(src, layout, 0)
+	s, err := Build(src, 0)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestSnapshotBasics(t *testing.T) {
 	bc := src.addEdge("bc", bn, c)
 	loop := src.addEdge("loop", c, c)
 
-	s := build(t, src, LayoutVarint)
+	s := build(t, src)
 	if s.Order() != 3 || s.Size() != 3 {
 		t.Fatalf("Order/Size = %d/%d, want 3/3", s.Order(), s.Size())
 	}
@@ -207,39 +207,6 @@ func TestSnapshotBasics(t *testing.T) {
 	calls := 0
 	if err := s.Nodes(func(model.Node) bool { calls++; return false }); err != nil || calls != 1 {
 		t.Fatalf("Nodes early stop: calls=%d err=%v", calls, err)
-	}
-}
-
-func TestLayoutsAgree(t *testing.T) {
-	src := newMapSource()
-	const n = 700 // spans two blocks
-	ids := make([]model.NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, src.addNode(fmt.Sprintf("n%d", i)))
-	}
-	for i := 0; i < n; i++ {
-		src.addEdge("e", ids[i], ids[(i*7+3)%n])
-	}
-	// Punch holes so the directories are non-trivial.
-	for i := 0; i < n; i += 13 {
-		delete(src.nodes, ids[i])
-	}
-	for eid, e := range src.edges {
-		if _, ok := src.nodes[e.From]; !ok {
-			delete(src.edges, eid)
-			continue
-		}
-		if _, ok := src.nodes[e.To]; !ok {
-			delete(src.edges, eid)
-		}
-	}
-	v := dump(t, build(t, src, LayoutVarint))
-	b := dump(t, build(t, src, LayoutBitmap))
-	if v != b {
-		t.Fatalf("layouts disagree:\nvarint:\n%s\nbitmap:\n%s", v, b)
-	}
-	if !strings.Contains(v, "order=") {
-		t.Fatal("dump is empty")
 	}
 }
 
@@ -325,28 +292,6 @@ func TestVersionedReuseAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestVersionedLayoutSwitch(t *testing.T) {
-	src := newMapSource()
-	src.addNode("a")
-	var v Versioned
-	s1, rel1, err := v.Pin(0, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel1()
-	v.SetLayout(LayoutBitmap)
-	// Same epoch, new layout: the published varint snapshot must not be
-	// re-pinned; a bitmap render replaces it.
-	s2, rel2, err := v.Pin(0, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel2()
-	if s1 == s2 || s2.layout != LayoutBitmap {
-		t.Fatalf("layout switch did not re-render (s1==s2: %v, layout=%d)", s1 == s2, s2.layout)
-	}
-}
-
 func TestDegreeMatchesEnumeration(t *testing.T) {
 	src := newMapSource()
 	const n = 300
@@ -356,7 +301,7 @@ func TestDegreeMatchesEnumeration(t *testing.T) {
 	for i := 0; i < 4*n; i++ {
 		src.addEdge("e", model.NodeID(i%n+1), model.NodeID((i*31+7)%n+1))
 	}
-	s := build(t, src, LayoutVarint)
+	s := build(t, src)
 	for id := model.NodeID(1); id <= n; id++ {
 		for _, dir := range []model.Direction{model.Out, model.In, model.Both} {
 			d, err := s.Degree(id, dir)
@@ -394,7 +339,7 @@ func mustDegree(t *testing.T, g model.Graph, id model.NodeID, dir model.Directio
 }
 
 func TestBuildEmpty(t *testing.T) {
-	s := build(t, newMapSource(), LayoutVarint)
+	s := build(t, newMapSource())
 	if s.Order() != 0 || s.Size() != 0 {
 		t.Fatalf("empty build: order=%d size=%d", s.Order(), s.Size())
 	}
@@ -436,57 +381,6 @@ func TestRowsRoundTrip(t *testing.T) {
 		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 		if fmt.Sprint(got) != fmt.Sprint(sorted) {
 			t.Fatalf("row %d = %v, want %v", i, got, sorted)
-		}
-	}
-}
-
-// TestSortedNeighborIDs checks the native sorted-adjacency capability
-// against a reference collected through Neighbors: same IDs, same
-// multiplicity (parallel edges, self-loops), ascending order, label filter
-// applied, across both layouts and all directions.
-func TestSortedNeighborIDs(t *testing.T) {
-	src := newMapSource()
-	a := src.addNode("X")
-	b := src.addNode("X")
-	c := src.addNode("X")
-	src.addEdge("e", a, b)
-	src.addEdge("e", a, b) // parallel
-	src.addEdge("f", a, c)
-	src.addEdge("e", c, a)
-	src.addEdge("e", b, b) // self-loop
-	for _, layout := range []Layout{LayoutVarint, LayoutBitmap} {
-		s := build(t, src, layout)
-		for id := a; id <= c; id++ {
-			for _, dir := range []model.Direction{model.Out, model.In, model.Both} {
-				for _, label := range []string{"", "e", "f", "ghost"} {
-					got, err := s.SortedNeighborIDs(id, dir, label)
-					if err != nil {
-						t.Fatalf("SortedNeighborIDs(%d,%v,%q): %v", id, dir, label, err)
-					}
-					var want []model.NodeID
-					err = s.Neighbors(id, dir, func(e model.Edge, far model.Node) bool {
-						if label == "" || e.Label == label {
-							want = append(want, far.ID)
-						}
-						return true
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("layout %v node %d dir %v label %q: got %v want %v", layout, id, dir, label, got, want)
-					}
-					for i := 1; i < len(got); i++ {
-						if got[i-1] > got[i] {
-							t.Fatalf("unsorted: %v", got)
-						}
-					}
-				}
-			}
-		}
-		if _, err := s.SortedNeighborIDs(999, model.Out, ""); err == nil {
-			t.Error("missing node should error")
 		}
 	}
 }

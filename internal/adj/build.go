@@ -37,21 +37,20 @@ func blocksFor(max uint64) int {
 }
 
 // Build renders every block of src from scratch at the given stable epoch:
-// the first publish of a store, the render after MarkAll or a layout
-// switch, and the reference the incremental path (patch.go) is tested
-// against.
-func Build(src Source, layout Layout, epoch uint64) (*Snapshot, error) {
-	s, err := newSnapshot(src, layout, epoch)
+// the first publish of a store, the render after MarkAll, and the
+// reference the incremental path (patch.go) is tested against.
+func Build(src Source, epoch uint64) (*Snapshot, error) {
+	s, err := newSnapshot(src, epoch)
 	if err != nil {
 		return nil, err
 	}
 	for b := range s.nb {
-		if s.nb[b], err = buildNodeBlock(src, layout, uint32(b)); err != nil {
+		if s.nb[b], err = buildNodeBlock(src, uint32(b)); err != nil {
 			return nil, err
 		}
 	}
 	for b := range s.eb {
-		if s.eb[b], err = buildEdgeBlock(src, layout, uint32(b)); err != nil {
+		if s.eb[b], err = buildEdgeBlock(src, uint32(b)); err != nil {
 			return nil, err
 		}
 	}
@@ -60,7 +59,7 @@ func Build(src Source, layout Layout, epoch uint64) (*Snapshot, error) {
 }
 
 // newSnapshot sizes the block directories to src's ID high-water marks.
-func newSnapshot(src Source, layout Layout, epoch uint64) (*Snapshot, error) {
+func newSnapshot(src Source, epoch uint64) (*Snapshot, error) {
 	maxN, err := src.MaxNodeID()
 	if err != nil {
 		return nil, err
@@ -70,10 +69,9 @@ func newSnapshot(src Source, layout Layout, epoch uint64) (*Snapshot, error) {
 		return nil, err
 	}
 	return &Snapshot{
-		epoch:  epoch,
-		layout: layout,
-		nb:     make([]*nodeBlock, blocksFor(uint64(maxN))),
-		eb:     make([]*edgeBlock, blocksFor(uint64(maxE))),
+		epoch: epoch,
+		nb:    make([]*nodeBlock, blocksFor(uint64(maxN))),
+		eb:    make([]*edgeBlock, blocksFor(uint64(maxE))),
 	}, nil
 }
 
@@ -91,7 +89,7 @@ func (s *Snapshot) count() {
 	}
 }
 
-func buildNodeBlock(src Source, layout Layout, b uint32) (*nodeBlock, error) {
+func buildNodeBlock(src Source, b uint32) (*nodeBlock, error) {
 	lo := uint64(b) << blockShift
 	var blk nodeBlock
 	var locals []uint16
@@ -113,7 +111,7 @@ func buildNodeBlock(src Source, layout Layout, b uint32) (*nodeBlock, error) {
 	if len(blk.nodes) == 0 {
 		return nil, nil
 	}
-	blk.dir = makeDirectory(layout, locals)
+	blk.dir = makeDirectory(locals)
 	var err error
 	scratch := make([]model.EdgeID, 0, 16)
 	if blk.out, err = encodeRows(src.OutEdges, blk.nodes, &scratch); err != nil {
@@ -125,7 +123,7 @@ func buildNodeBlock(src Source, layout Layout, b uint32) (*nodeBlock, error) {
 	return &blk, nil
 }
 
-func buildEdgeBlock(src Source, layout Layout, b uint32) (*edgeBlock, error) {
+func buildEdgeBlock(src Source, b uint32) (*edgeBlock, error) {
 	lo := uint64(b) << blockShift
 	var blk edgeBlock
 	var locals []uint16
@@ -147,7 +145,7 @@ func buildEdgeBlock(src Source, layout Layout, b uint32) (*edgeBlock, error) {
 	if len(blk.edges) == 0 {
 		return nil, nil
 	}
-	blk.dir = makeDirectory(layout, locals)
+	blk.dir = makeDirectory(locals)
 	return &blk, nil
 }
 

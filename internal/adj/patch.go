@@ -51,7 +51,7 @@ func byBlock[ID ~uint64](dirty map[ID]mark) map[int][]localMark {
 // dirty sets must name every record and row that changed since prev was
 // rendered (the Versioned marking rules).
 func (prev *Snapshot) patch(src Source, epoch uint64, dirtyN map[model.NodeID]mark, dirtyE map[model.EdgeID]mark) (*Snapshot, error) {
-	s, err := newSnapshot(src, prev.layout, epoch)
+	s, err := newSnapshot(src, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (prev *Snapshot) patch(src Source, epoch uint64, dirtyN map[model.NodeID]ma
 		if b >= len(s.nb) {
 			continue
 		}
-		if s.nb[b], err = patchNodeBlock(src, s.layout, b, s.nb[b], dirty); err != nil {
+		if s.nb[b], err = patchNodeBlock(src, b, s.nb[b], dirty); err != nil {
 			return nil, err
 		}
 	}
@@ -69,7 +69,7 @@ func (prev *Snapshot) patch(src Source, epoch uint64, dirtyN map[model.NodeID]ma
 		if b >= len(s.eb) {
 			continue
 		}
-		if s.eb[b], err = patchEdgeBlock(src, s.layout, b, s.eb[b], dirty); err != nil {
+		if s.eb[b], err = patchEdgeBlock(src, b, s.eb[b], dirty); err != nil {
 			return nil, err
 		}
 	}
@@ -137,12 +137,12 @@ func mergeRecords[T any](old []T, oldLocals []uint16, dirty []localMark, fetch f
 	return m, nil
 }
 
-func patchNodeBlock(src Source, layout Layout, b int, prev *nodeBlock, dirty []localMark) (*nodeBlock, error) {
+func patchNodeBlock(src Source, b int, prev *nodeBlock, dirty []localMark) (*nodeBlock, error) {
 	if prev == nil {
 		prev = &nodeBlock{}
 	}
 	lo := uint64(b) << blockShift
-	m, err := mergeRecords(prev.nodes, prev.dir.locals(), dirty, func(local uint16) (model.Node, bool, error) {
+	m, err := mergeRecords(prev.nodes, prev.dir, dirty, func(local uint16) (model.Node, bool, error) {
 		return src.NodeByID(model.NodeID(lo + uint64(local)))
 	})
 	if err != nil || len(m.recs) == 0 {
@@ -150,7 +150,7 @@ func patchNodeBlock(src Source, layout Layout, b int, prev *nodeBlock, dirty []l
 	}
 	blk := &nodeBlock{dir: prev.dir, nodes: m.recs}
 	if m.changed {
-		blk.dir = makeDirectory(layout, m.locals)
+		blk.dir = makeDirectory(m.locals)
 	}
 	scratch := make([]model.EdgeID, 0, 16)
 	if blk.out, err = spliceRows(prev.out, src.OutEdges, m, markOut, &scratch); err != nil {
@@ -162,12 +162,12 @@ func patchNodeBlock(src Source, layout Layout, b int, prev *nodeBlock, dirty []l
 	return blk, nil
 }
 
-func patchEdgeBlock(src Source, layout Layout, b int, prev *edgeBlock, dirty []localMark) (*edgeBlock, error) {
+func patchEdgeBlock(src Source, b int, prev *edgeBlock, dirty []localMark) (*edgeBlock, error) {
 	if prev == nil {
 		prev = &edgeBlock{}
 	}
 	lo := uint64(b) << blockShift
-	m, err := mergeRecords(prev.edges, prev.dir.locals(), dirty, func(local uint16) (model.Edge, bool, error) {
+	m, err := mergeRecords(prev.edges, prev.dir, dirty, func(local uint16) (model.Edge, bool, error) {
 		return src.EdgeByID(model.EdgeID(lo + uint64(local)))
 	})
 	if err != nil || len(m.recs) == 0 {
@@ -175,7 +175,7 @@ func patchEdgeBlock(src Source, layout Layout, b int, prev *edgeBlock, dirty []l
 	}
 	blk := &edgeBlock{dir: prev.dir, edges: m.recs}
 	if m.changed {
-		blk.dir = makeDirectory(layout, m.locals)
+		blk.dir = makeDirectory(m.locals)
 	}
 	return blk, nil
 }

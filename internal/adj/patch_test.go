@@ -22,10 +22,8 @@ type toyStore struct {
 	epoch uint64
 }
 
-func newToyStore(layout Layout) *toyStore {
-	st := &toyStore{mapSource: newMapSource()}
-	st.v.SetLayout(layout)
-	return st
+func newToyStore() *toyStore {
+	return &toyStore{mapSource: newMapSource()}
 }
 
 func (st *toyStore) addNodeP(label string, props model.Properties) model.NodeID {
@@ -123,62 +121,58 @@ func (st *toyStore) someEdge(rng *rand.Rand) (model.EdgeID, bool) {
 
 // TestPatchMatchesFullRender drives seeded random mutations through the
 // marking rules and checks after every step that the patched snapshot is
-// indistinguishable from a full render of the same store in either layout,
-// that its folded statistics are exactly stats.Build's, and that the
-// snapshot pinned before the step still renders the state it was pinned at.
+// indistinguishable from a full render of the same store, that its folded
+// statistics are exactly stats.Build's, and that the snapshot pinned
+// before the step still renders the state it was pinned at.
 func TestPatchMatchesFullRender(t *testing.T) {
 	seeds := []int64{1, 2}
 	if *patchSeed != 0 {
 		seeds = []int64{*patchSeed}
 	}
-	for _, layout := range []Layout{LayoutVarint, LayoutBitmap} {
-		for _, seed := range seeds {
-			t.Run(fmt.Sprintf("layout=%d/seed=%d", layout, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				st := newToyStore(layout)
-				labels := []string{"", "a", "b"}
-				for i := 0; i < blockSize+40; i++ { // into the second block
-					st.addNodeP(labels[i%3], model.Props("rank", i%7))
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			st := newToyStore()
+			labels := []string{"", "a", "b"}
+			for i := 0; i < blockSize+40; i++ { // into the second block
+				st.addNodeP(labels[i%3], model.Props("rank", i%7))
+			}
+			for i := 0; i < blockSize+40; i++ { // likewise
+				from, _ := st.someNode(rng)
+				to, _ := st.someNode(rng)
+				st.link(labels[i%3], from, to)
+			}
+			prev := st.pin(t)
+			prevDump := dump(t, prev)
+			for step := 0; step < 40; step++ {
+				// One to three mutations per publish, so dirty sets mix.
+				for k := rng.Intn(3); k >= 0; k-- {
+					st.mutate(rng, labels)
 				}
-				for i := 0; i < blockSize+40; i++ { // likewise
-					from, _ := st.someNode(rng)
-					to, _ := st.someNode(rng)
-					st.link(labels[i%3], from, to)
+				cur := st.pin(t)
+				got := dump(t, cur)
+				full, err := Build(st.mapSource, st.epoch)
+				if err != nil {
+					t.Fatal(err)
 				}
-				prev := st.pin(t)
-				prevDump := dump(t, prev)
-				for step := 0; step < 40; step++ {
-					// One to three mutations per publish, so dirty sets mix.
-					for k := rng.Intn(3); k >= 0; k-- {
-						st.mutate(rng, labels)
-					}
-					cur := st.pin(t)
-					got := dump(t, cur)
-					for _, l := range []Layout{LayoutVarint, LayoutBitmap} {
-						full, err := Build(st.mapSource, l, st.epoch)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := dump(t, full); got != want {
-							t.Fatalf("seed %d step %d: patched render differs from full render (layout %d)\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
-								seed, step, l, got, want, seed)
-						}
-					}
-					want, err := stats.Build(cur, cur.Epoch())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if folded := cur.Stats(); !reflect.DeepEqual(folded, want) {
-						t.Fatalf("seed %d step %d: folded stats differ from stats.Build\nfolded: %+v\nbuilt:  %+v\n(replay with -seed=%d)",
-							seed, step, folded, want, seed)
-					}
-					if again := dump(t, prev); again != prevDump {
-						t.Fatalf("seed %d step %d: the snapshot pinned before the step changed (replay with -seed=%d)", seed, step, seed)
-					}
-					prev, prevDump = cur, got
+				if want := dump(t, full); got != want {
+					t.Fatalf("seed %d step %d: patched render differs from full render\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
+						seed, step, got, want, seed)
 				}
-			})
-		}
+				want, err := stats.Build(cur, cur.Epoch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if folded := cur.Stats(); !reflect.DeepEqual(folded, want) {
+					t.Fatalf("seed %d step %d: folded stats differ from stats.Build\nfolded: %+v\nbuilt:  %+v\n(replay with -seed=%d)",
+						seed, step, folded, want, seed)
+				}
+				if again := dump(t, prev); again != prevDump {
+					t.Fatalf("seed %d step %d: the snapshot pinned before the step changed (replay with -seed=%d)", seed, step, seed)
+				}
+				prev, prevDump = cur, got
+			}
+		})
 	}
 }
 
@@ -222,7 +216,7 @@ func sameRows(a, b rows) bool {
 // TestPatchShares pins down what a patched block shares with its
 // predecessor: everything the marks did not name.
 func TestPatchShares(t *testing.T) {
-	st := newToyStore(LayoutVarint)
+	st := newToyStore()
 	for i := 0; i < 3*blockSize-10; i++ {
 		st.addNodeP("x", nil)
 	}
@@ -239,7 +233,7 @@ func TestPatchShares(t *testing.T) {
 	if !sameRows(b1.out, b2.out) || !sameRows(b1.in, b2.in) {
 		t.Error("a property write copied CSR rows")
 	}
-	if &b1.dir.ids[0] != &b2.dir.ids[0] {
+	if &b1.dir[0] != &b2.dir[0] {
 		t.Error("a property write rebuilt the directory")
 	}
 	if s2.nb[1] != s1.nb[1] || s2.nb[2] != s1.nb[2] || s2.eb[0] != s1.eb[0] {
@@ -265,7 +259,7 @@ func TestPatchShares(t *testing.T) {
 // TestPatchWorkBound counts the Source reads of a re-pin: they follow the
 // records touched, not the 512-ID block and not the 6 000-node graph.
 func TestPatchWorkBound(t *testing.T) {
-	st := newToyStore(LayoutVarint)
+	st := newToyStore()
 	const n = 6000
 	for i := 0; i < n; i++ {
 		st.addNodeP("x", model.Props("idx", i))
@@ -294,7 +288,7 @@ func TestPatchWorkBound(t *testing.T) {
 // marks are dropped, so a bulk load does not collect a dirty set the size
 // of the graph.
 func TestMarksBeforeFirstPublish(t *testing.T) {
-	st := newToyStore(LayoutVarint)
+	st := newToyStore()
 	for i := 0; i < 100; i++ {
 		st.addNodeP("x", nil)
 	}
@@ -318,7 +312,7 @@ func TestMarksBeforeFirstPublish(t *testing.T) {
 // fold the same statistics, and -race must see no unsynchronized write to
 // a published block.
 func TestStatsFoldConcurrent(t *testing.T) {
-	st := newToyStore(LayoutVarint)
+	st := newToyStore()
 	for i := 0; i < 3*blockSize; i++ {
 		st.addNodeP([]string{"a", "b"}[i%2], model.Props("rank", i%11))
 	}

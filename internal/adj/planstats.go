@@ -6,10 +6,9 @@ import (
 )
 
 // This file is the planning surface the snapshotting stores share:
-// epoch-keyed cardinality statistics for the cost-based planner and the
-// sorted-adjacency capability the worst-case-optimal join intersects.
-// Both are served from the store's pinned snapshot, so they see exactly
-// one stable epoch and never block writers.
+// epoch-keyed cardinality statistics for the cost-based planner, served
+// from the store's pinned snapshot, so they see exactly one stable epoch
+// and never block writers.
 
 // partial returns the block's statistics, computed on first use. Blocks
 // are immutable, so the result is too; racing first uses store equal
@@ -74,20 +73,4 @@ func PlanStats(acquire Acquire, pub *stats.Versioned) (*stats.Stats, error) {
 	st := snap.Stats()
 	pub.Publish(st)
 	return st, nil
-}
-
-// SortedNeighborIDs implements a store's model.SortedAdjacency over its
-// view, whose CSR rows serve the sorted lists without touching node
-// records.
-func SortedNeighborIDs(acquire Acquire, id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	g, release, err := acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sa, ok := g.(model.SortedAdjacency)
-	if !ok {
-		return nil, model.ErrUnsupported
-	}
-	return sa.SortedNeighborIDs(id, dir, label)
 }

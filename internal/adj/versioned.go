@@ -24,29 +24,16 @@ import (
 //     cannot grow mid-build.
 //
 // Marking more than changed is harmless (the record is re-read and found
-// equal); marking less serves a stale record. Mark and SetLayout take an
+// equal); marking less serves a stale record. The Mark methods take an
 // internal mutex, so Versioned is safe even if an owner's locking
 // discipline is looser than the rules above; the rules are what make
 // TryPin's epoch comparison meaningful.
 type Versioned struct {
 	mu     sync.Mutex
-	layout Layout
 	cur    atomic.Pointer[Snapshot]
 	dirtyN map[model.NodeID]mark
 	dirtyE map[model.EdgeID]mark
 	full   bool // the next render ignores cur and the dirty sets
-}
-
-// SetLayout selects the directory layout for subsequently built snapshots
-// and invalidates block reuse across the change. Call at construction
-// time, before the store is shared.
-func (v *Versioned) SetLayout(l Layout) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.layout != l {
-		v.layout = l
-		v.full = true
-	}
 }
 
 // markNode adds m to id's dirty mark. While the next render is a full one
@@ -126,19 +113,18 @@ func (v *Versioned) TryPin(epoch uint64) (*Snapshot, model.ReleaseFunc) {
 
 // Pin returns a pinned snapshot of src at the given epoch. When the
 // published version is stale it is patched with the records marked since
-// (patch.go); the first publish, MarkAll and a layout switch render every
-// block. The caller must hold the store's writer-excluding lock and must
+// (patch.go); the first publish and MarkAll render every block. The caller must hold the store's writer-excluding lock and must
 // have read epoch under it.
 func (v *Versioned) Pin(epoch uint64, src Source) (*Snapshot, model.ReleaseFunc, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if s := v.cur.Load(); s != nil && s.epoch == epoch && s.layout == v.layout {
+	if s := v.cur.Load(); s != nil && s.epoch == epoch {
 		return s, s.Pin(), nil
 	}
 	var s *Snapshot
 	var err error
 	if prev := v.cur.Load(); prev == nil || v.full {
-		s, err = Build(src, v.layout, epoch)
+		s, err = Build(src, epoch)
 	} else {
 		s, err = prev.patch(src, epoch, v.dirtyN, v.dirtyE)
 	}

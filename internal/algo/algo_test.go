@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"errors"
 
 	"testing"
@@ -248,7 +249,7 @@ func TestDistanceEccentricityDiameter(t *testing.T) {
 	if err != nil || d != 3 {
 		t.Errorf("distance = %d, %v", d, err)
 	}
-	ecc, _ := Eccentricity(g, ids[0], model.Out)
+	ecc, _ := eccentricityCtx(context.Background(), g, ids[0], model.Out)
 	if ecc != 4 {
 		t.Errorf("eccentricity = %d", ecc)
 	}

@@ -68,12 +68,6 @@ func DistanceCtx(ctx context.Context, g model.Graph, a, b model.NodeID, dir mode
 	return p.Len(), nil
 }
 
-// Eccentricity returns the greatest distance from start to any reachable
-// node.
-func Eccentricity(g model.Graph, start model.NodeID, dir model.Direction) (int, error) {
-	return eccentricityCtx(context.Background(), g, start, dir)
-}
-
 func eccentricityCtx(ctx context.Context, g model.Graph, start model.NodeID, dir model.Direction) (int, error) {
 	max := 0
 	err := BFSCtx(ctx, g, start, dir, func(_ model.NodeID, depth int) bool {

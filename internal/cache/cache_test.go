@@ -146,14 +146,14 @@ func TestRingVictimOrder(t *testing.T) {
 
 func TestEpochWraparound(t *testing.T) {
 	var e Epoch
-	e.Set(^uint64(0)) // max: next Bump wraps to 0
+	e.n.Store(^uint64(0)) // max: next Bump wraps to 0
 	if got := e.Bump(); got != 0 {
 		t.Fatalf("Bump at max = %d, want 0", got)
 	}
 	// A result cache keyed on the pre-wrap epoch must miss after the wrap:
 	// the key includes the epoch value itself.
 	r := NewResults(1 << 16)
-	e.Set(^uint64(0))
+	e.n.Store(^uint64(0))
 	r.Put(42, e.Current(), "stale", 8)
 	e.Bump() // wrap to 0
 	e.Bump() // simulate mutation exit

@@ -24,7 +24,3 @@ func (e *Epoch) Bump() uint64 { return e.n.Add(1) }
 
 // Current returns the current epoch.
 func (e *Epoch) Current() uint64 { return e.n.Load() }
-
-// Set forces the counter to v. It exists for the wraparound tests; stores
-// only ever Bump.
-func (e *Epoch) Set(v uint64) { e.n.Store(v) }

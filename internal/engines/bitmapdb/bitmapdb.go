@@ -9,7 +9,6 @@ package bitmapdb
 import (
 	"context"
 
-	"gdbm/internal/adj"
 	"gdbm/internal/constraint"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
@@ -42,14 +41,9 @@ func New(opts engine.Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		// DEX's snapshots use the bitmap directory variant — the
-		// compressed-bitmap organization the archetype is named for.
-		kg.SetViewLayout(adj.LayoutBitmap)
 		db.Disk, db.Core = d, propcore.New(kg)
 	} else {
-		mg := memgraph.New()
-		mg.SetViewLayout(adj.LayoutBitmap)
-		db.Core = propcore.New(mg)
+		db.Core = propcore.New(memgraph.New())
 	}
 	lbl := index.NewBitmap()
 	db.labels = lbl
@@ -138,7 +132,7 @@ func (db *DB) Essentials(ctx context.Context) engine.Essentials {
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's
-// copy-on-write views (bitmap directory layout), in both configurations.
+// copy-on-write views, in both configurations.
 func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
 	return db.Core.AcquireView()
 }

@@ -7,7 +7,6 @@ package propcore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"gdbm/internal/constraint"
@@ -250,27 +249,6 @@ func (c *Core) PlanStats() (*stats.Stats, error) {
 		return sp.PlanStats()
 	}
 	return nil, nil
-}
-
-// SortedNeighborIDs implements model.SortedAdjacency, serving the
-// worst-case-optimal join natively from the storage graph's snapshot rows
-// when available and by collect-and-sort over Neighbors otherwise.
-func (c *Core) SortedNeighborIDs(id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	if sa, ok := c.g.(model.SortedAdjacency); ok {
-		return sa.SortedNeighborIDs(id, dir, label)
-	}
-	var ids []model.NodeID
-	err := c.g.Neighbors(id, dir, func(e model.Edge, n model.Node) bool {
-		if label == "" || e.Label == label {
-			ids = append(ids, n.ID)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
 }
 
 // AppendNeighborIDs implements model.IDAdjacency by forwarding to a storage

@@ -34,14 +34,12 @@ type patchSubject struct {
 
 func patchSubjects(t *testing.T) []*patchSubject {
 	t.Helper()
-	mem := func(name string, l adj.Layout) *patchSubject {
+	mem := func(name string) *patchSubject {
 		g := memgraph.New()
-		g.SetViewLayout(l)
 		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g}
 	}
-	kvg := func(name string, st kv.Store, l adj.Layout) *patchSubject {
+	kvg := func(name string, st kv.Store) *patchSubject {
 		g := kvgraph.New(st)
-		g.SetViewLayout(l)
 		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g}
 	}
 	disk, err := kv.OpenDisk(filepath.Join(t.TempDir(), "patch.pg"), 2048)
@@ -56,10 +54,9 @@ func patchSubjects(t *testing.T) []*patchSubject {
 	t.Cleanup(func() { e.Close() })
 	ld := e.(engine.Loader) // declares labels on the typed archetype
 	return []*patchSubject{
-		mem("memgraph/varint", adj.LayoutVarint),
-		mem("memgraph/bitmap", adj.LayoutBitmap),
-		kvg("kvgraph-mem/varint", kv.NewMemory(), adj.LayoutVarint),
-		kvg("kvgraph-disk/bitmap", disk, adj.LayoutBitmap),
+		mem("memgraph"),
+		kvg("kvgraph-mem", kv.NewMemory()),
+		kvg("kvgraph-disk", disk),
 		{
 			name: "infinigraph", g: e.(model.MutableGraph), loadNode: ld.LoadNode, loadEdge: ld.LoadEdge,
 			acquire: e.(engine.Concurrent).AcquireSnapshot, stats: e.(stats.Provider),
@@ -191,7 +188,7 @@ func (s *patchSubject) mutate(t *testing.T, rng *rand.Rand) {
 // never changes what a reader sees. Seeded random mutations (replay with
 // -seed=N) run over every store that publishes adj snapshots; after every
 // step the incrementally patched view must render exactly like a full
-// adj.Build of the same store in both layouts, its folded statistics must
+// adj.Build of the same store, its folded statistics must
 // be stats.Build's of the same snapshot down to the KMV hashes, and the
 // view pinned before the step must still render what it rendered then.
 func TestPatchedSnapshotDifferential(t *testing.T) {
@@ -212,7 +209,7 @@ func TestPatchedSnapshotDifferential(t *testing.T) {
 			defer func() { releasePrev() }()
 			prevRender := renderGraph(t, prev)
 			steps := 40
-			if s.name == "kvgraph-disk/bitmap" {
+			if s.name == "kvgraph-disk" {
 				steps = 12 // the oracle re-reads the whole store through the btree each step
 			}
 			for step := 0; step < steps; step++ {
@@ -224,15 +221,13 @@ func TestPatchedSnapshotDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := renderGraph(t, cur)
-				for _, l := range []adj.Layout{adj.LayoutVarint, adj.LayoutBitmap} {
-					full, err := adj.Build(liveSource{s}, l, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := renderGraph(t, full); got != want {
-						t.Fatalf("seed %d step %d: patched view differs from a full render (layout %d)\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
-							seed, step, l, got, want, seed)
-					}
+				full, err := adj.Build(liveSource{s}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := renderGraph(t, full); got != want {
+					t.Fatalf("seed %d step %d: patched view differs from a full render\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
+						seed, step, got, want, seed)
 				}
 				folded, err := s.stats.PlanStats()
 				if err != nil {

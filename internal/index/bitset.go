@@ -1,7 +1,7 @@
 // Package index provides the secondary index structures of Table I's
-// "Indexes" column: a DEX-style bitmap index, a hash index, and an ordered
-// index that can be backed by the on-disk B+tree. Engines choose index kinds
-// according to their archetype; the ablation benchmarks compare them.
+// "Indexes" column: a DEX-style bitmap index and a hash index. Engines
+// choose index kinds according to their archetype; the ablation benchmarks
+// compare them.
 package index
 
 import "math/bits"

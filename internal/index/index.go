@@ -1,16 +1,14 @@
 package index
 
 import (
-	"encoding/binary"
 	"sync"
 
 	"gdbm/internal/model"
-	"gdbm/internal/storage/kv"
 )
 
 // Index maps property values to sets of uint64 identifiers (node or edge
-// IDs). Implementations differ in lookup cost and capability: bitmap and
-// hash indexes serve equality lookups; the ordered index also serves ranges.
+// IDs). Both implementations serve equality lookups; they differ in lookup
+// cost and memory.
 type Index interface {
 	// Add associates id with value.
 	Add(v model.Value, id uint64) error
@@ -23,14 +21,6 @@ type Index interface {
 	Count(v model.Value) int
 	// Kind names the index implementation.
 	Kind() string
-}
-
-// RangeIndex is implemented by ordered indexes that support range lookups.
-type RangeIndex interface {
-	Index
-	// Range calls fn for each (value, id) with min <= value <= max in
-	// ascending value order. Nil bounds are open.
-	Range(min, max *model.Value, fn func(v model.Value, id uint64) bool) error
 }
 
 // --- bitmap index ---
@@ -181,116 +171,7 @@ func (h *Hash) Count(v model.Value) int {
 	return len(h.sets[valueKey(v)])
 }
 
-// --- ordered index ---
-
-// Ordered is a B+tree-backed index supporting range scans. The key layout is
-// EncodeKey(value) ++ 0x00 ++ bigendian(id), which preserves value order and
-// makes (value, id) pairs unique.
-type Ordered struct {
-	store kv.Store
-}
-
-// NewOrdered wraps a kv store (in-memory or disk) as an ordered index.
-func NewOrdered(store kv.Store) *Ordered { return &Ordered{store: store} }
-
-// Kind implements Index.
-func (o *Ordered) Kind() string { return "ordered" }
-
-func (o *Ordered) key(v model.Value, id uint64) []byte {
-	k := v.EncodeKey(nil)
-	k = append(k, 0x00)
-	var idb [8]byte
-	binary.BigEndian.PutUint64(idb[:], id)
-	return append(k, idb[:]...)
-}
-
-// Add implements Index.
-func (o *Ordered) Add(v model.Value, id uint64) error {
-	return o.store.Put(o.key(v, id), nil)
-}
-
-// Remove implements Index.
-func (o *Ordered) Remove(v model.Value, id uint64) error {
-	_, err := o.store.Delete(o.key(v, id))
-	return err
-}
-
-// Lookup implements Index.
-func (o *Ordered) Lookup(v model.Value, fn func(uint64) bool) error {
-	prefix := append(v.EncodeKey(nil), 0x00)
-	return o.store.Scan(prefix, func(k, _ []byte) bool {
-		id := binary.BigEndian.Uint64(k[len(k)-8:])
-		return fn(id)
-	})
-}
-
-// Count implements Index.
-func (o *Ordered) Count(v model.Value) int {
-	n := 0
-	o.Lookup(v, func(uint64) bool { n++; return true })
-	return n
-}
-
-// Range implements RangeIndex.
-func (o *Ordered) Range(min, max *model.Value, fn func(model.Value, uint64) bool) error {
-	stop := false
-	err := o.store.Scan(nil, func(k, _ []byte) bool {
-		if len(k) < 9 {
-			return true
-		}
-		vk := k[:len(k)-9]
-		id := binary.BigEndian.Uint64(k[len(k)-8:])
-		v, ok := decodeValueKey(vk)
-		if !ok {
-			return true
-		}
-		if min != nil && v.Compare(*min) < 0 {
-			return true
-		}
-		if max != nil && v.Compare(*max) > 0 {
-			stop = true
-			return false
-		}
-		return fn(v, id)
-	})
-	_ = stop
-	return err
-}
-
-// decodeValueKey inverts model.Value.EncodeKey for the kinds we index. The
-// numeric payload decodes exactly; the original int-vs-float distinction is
-// collapsed to float, which is sufficient for comparisons.
-func decodeValueKey(k []byte) (model.Value, bool) {
-	if len(k) == 0 {
-		return model.Value{}, false
-	}
-	switch k[0] {
-	case 0:
-		return model.Null(), true
-	case 1:
-		if len(k) < 2 {
-			return model.Value{}, false
-		}
-		return model.Bool(k[1] == 1), true
-	case 2:
-		if len(k) < 9 {
-			return model.Value{}, false
-		}
-		bits := binary.BigEndian.Uint64(k[1:9])
-		if bits&(1<<63) != 0 {
-			bits &^= 1 << 63
-		} else {
-			bits = ^bits
-		}
-		return model.Float(floatFromBits(bits)), true
-	case 3:
-		return model.Str(string(k[1:])), true
-	}
-	return model.Value{}, false
-}
-
 var (
-	_ Index      = (*Bitmap)(nil)
-	_ Index      = (*Hash)(nil)
-	_ RangeIndex = (*Ordered)(nil)
+	_ Index = (*Bitmap)(nil)
+	_ Index = (*Hash)(nil)
 )

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"gdbm/internal/model"
-	"gdbm/internal/storage/kv"
 )
 
 func TestBitsetBasics(t *testing.T) {
@@ -74,9 +73,8 @@ func TestBitsetAlgebra(t *testing.T) {
 func allIndexes(t *testing.T) map[string]Index {
 	t.Helper()
 	return map[string]Index{
-		"bitmap":  NewBitmap(),
-		"hash":    NewHash(),
-		"ordered": NewOrdered(kv.NewMemory()),
+		"bitmap": NewBitmap(),
+		"hash":   NewHash(),
 	}
 }
 
@@ -129,47 +127,6 @@ func TestIndexValueKindsDistinct(t *testing.T) {
 	}
 }
 
-func TestOrderedRange(t *testing.T) {
-	o := NewOrdered(kv.NewMemory())
-	for i := int64(0); i < 10; i++ {
-		o.Add(model.Int(i), uint64(i+100))
-	}
-	min, max := model.Int(3), model.Int(6)
-	var got []uint64
-	o.Range(&min, &max, func(v model.Value, id uint64) bool {
-		got = append(got, id)
-		return true
-	})
-	if len(got) != 4 || got[0] != 103 || got[3] != 106 {
-		t.Errorf("range = %v", got)
-	}
-	// Open bounds.
-	n := 0
-	o.Range(nil, nil, func(model.Value, uint64) bool { n++; return true })
-	if n != 10 {
-		t.Errorf("open range visited %d", n)
-	}
-	// Min only.
-	n = 0
-	o.Range(&min, nil, func(model.Value, uint64) bool { n++; return true })
-	if n != 7 {
-		t.Errorf("min-only range visited %d", n)
-	}
-}
-
-func TestOrderedRangeMixedKinds(t *testing.T) {
-	o := NewOrdered(kv.NewMemory())
-	o.Add(model.Str("apple"), 1)
-	o.Add(model.Int(5), 2)
-	o.Add(model.Bool(true), 3)
-	min, max := model.Int(0), model.Int(10)
-	var got []uint64
-	o.Range(&min, &max, func(v model.Value, id uint64) bool { got = append(got, id); return true })
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("numeric range over mixed kinds = %v", got)
-	}
-}
-
 func TestManagerLifecycle(t *testing.T) {
 	m := NewManager()
 	if _, err := m.Create(Nodes, "name", KindHash); err != nil {
@@ -178,24 +135,23 @@ func TestManagerLifecycle(t *testing.T) {
 	if _, err := m.Create(Nodes, "name", KindBitmap); err == nil {
 		t.Error("duplicate index should fail")
 	}
-	if _, err := m.Create(Edges, "weight", KindOrdered); err != nil {
+	if _, err := m.Create(Edges, "weight", KindBitmap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Create(Nodes, "x", "bogus"); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	list := m.List()
-	if len(list) != 2 {
-		t.Errorf("list = %v", list)
+	for _, want := range []struct {
+		t    Target
+		prop string
+		kind string
+	}{{Nodes, "name", "hash"}, {Edges, "weight", "bitmap"}} {
+		if idx, ok := m.Get(want.t, want.prop); !ok || idx.Kind() != want.kind {
+			t.Errorf("index on %s %q: present %v, want kind %s", want.t, want.prop, ok, want.kind)
+		}
 	}
-	if err := m.Drop(Nodes, "name"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Drop(Nodes, "name"); err == nil {
-		t.Error("double drop should fail")
-	}
-	if _, ok := m.Get(Nodes, "name"); ok {
-		t.Error("dropped index still present")
+	if _, ok := m.Get(Nodes, "x"); ok {
+		t.Error("a failed Create left an index behind")
 	}
 }
 
@@ -239,7 +195,7 @@ func TestManagerEdgeHooks(t *testing.T) {
 	}
 }
 
-// Property: all three index kinds agree with a reference map on arbitrary
+// Property: both index kinds agree with a reference map on arbitrary
 // add/remove sequences.
 func TestIndexEquivalenceQuick(t *testing.T) {
 	type op struct {
@@ -248,7 +204,7 @@ func TestIndexEquivalenceQuick(t *testing.T) {
 		Del bool
 	}
 	f := func(ops []op) bool {
-		idxs := []Index{NewBitmap(), NewHash(), NewOrdered(kv.NewMemory())}
+		idxs := []Index{NewBitmap(), NewHash()}
 		ref := map[uint8]map[uint8]bool{}
 		for _, o := range ops {
 			v := model.Int(int64(o.Val))

@@ -2,16 +2,10 @@ package index
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 	"sync"
 
 	"gdbm/internal/model"
-	"gdbm/internal/storage/kv"
 )
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Target says whether an index covers nodes or edges.
 type Target uint8
@@ -33,9 +27,8 @@ func (t Target) String() string {
 type KindName string
 
 const (
-	KindBitmap  KindName = "bitmap"
-	KindHash    KindName = "hash"
-	KindOrdered KindName = "ordered"
+	KindBitmap KindName = "bitmap"
+	KindHash   KindName = "hash"
 )
 
 // Manager owns the secondary indexes of one engine, keyed by (target,
@@ -54,9 +47,7 @@ func (m *Manager) keyFor(t Target, prop string) string {
 	return t.String() + "\x00" + prop
 }
 
-// Create registers an index of the given kind for (target, prop). Ordered
-// indexes are created over an in-memory store; Register installs one over
-// another store.
+// Create registers an index of the given kind for (target, prop).
 func (m *Manager) Create(t Target, prop string, kind KindName) (Index, error) {
 	var idx Index
 	switch kind {
@@ -64,8 +55,6 @@ func (m *Manager) Create(t Target, prop string, kind KindName) (Index, error) {
 		idx = NewBitmap()
 	case KindHash:
 		idx = NewHash()
-	case KindOrdered:
-		idx = NewOrdered(kv.NewMemory())
 	default:
 		return nil, fmt.Errorf("index: unknown kind %q", kind)
 	}
@@ -84,38 +73,12 @@ func (m *Manager) Register(t Target, prop string, idx Index) error {
 	return nil
 }
 
-// Drop removes the index for (target, prop).
-func (m *Manager) Drop(t Target, prop string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := m.keyFor(t, prop)
-	if _, ok := m.indexes[k]; !ok {
-		return fmt.Errorf("index on %s %q: %w", t, prop, model.ErrNotFound)
-	}
-	delete(m.indexes, k)
-	return nil
-}
-
 // Get returns the index for (target, prop) if one exists.
 func (m *Manager) Get(t Target, prop string) (Index, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	idx, ok := m.indexes[m.keyFor(t, prop)]
 	return idx, ok
-}
-
-// List describes the registered indexes as "target:prop:kind" strings,
-// sorted, for introspection and the feature probes.
-func (m *Manager) List() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.indexes))
-	for k, idx := range m.indexes {
-		target, prop, _ := strings.Cut(k, "\x00")
-		out = append(out, target+":"+prop+":"+idx.Kind())
-	}
-	sort.Strings(out)
-	return out
 }
 
 // OnNodeWrite updates node indexes for a node insert or property change.

@@ -5,6 +5,7 @@ import (
 
 	"gdbm/internal/adj"
 	"gdbm/internal/model"
+	"gdbm/internal/query/stats"
 )
 
 // This file is the graph's read-concurrency surface: epoch-based
@@ -14,15 +15,10 @@ import (
 // snapshot in O(1) when the epoch is unchanged and re-reads only the
 // records written since otherwise, decoding records once into block arrays so
 // that a reader of the view never touches the store. Only the view's
-// readers get that: AcquireSnapshot callers, the planner's statistics and
-// SortedNeighborIDs. Statements execute against the live store — every
-// Node, Edge and AppendNeighborIDs an operator issues is a B+tree read
-// here, the last one prefix range per direction.
-
-// SetViewLayout selects the snapshot directory layout (the bitmap variant
-// for the DEX-style engine). Call at construction time, before the graph
-// is shared.
-func (g *Graph) SetViewLayout(l adj.Layout) { g.ver.SetLayout(l) }
+// readers get that: AcquireSnapshot callers and the planner's statistics.
+// Statements execute against the live store — every Node, Edge and
+// AppendNeighborIDs an operator issues is a B+tree read here, the last one
+// prefix range per direction.
 
 // AcquireView pins an immutable point-in-time view of the graph. The fast
 // path is O(1): when the published snapshot already renders the current
@@ -41,6 +37,12 @@ func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
 		return nil, nil, err
 	}
 	return s, rel, nil
+}
+
+// PlanStats implements stats.Provider from the pinned view; see
+// adj/planstats.go.
+func (g *Graph) PlanStats() (*stats.Stats, error) {
+	return adj.PlanStats(g.AcquireView, &g.stats)
 }
 
 // kvSource adapts the key layout to the snapshot builder. Its reads do not
@@ -108,6 +110,7 @@ func (s kvSource) InEdges(id model.NodeID) ([]model.EdgeID, error) {
 }
 
 var (
-	_ model.Pinner = (*Graph)(nil)
-	_ adj.Source   = kvSource{}
+	_ model.Pinner   = (*Graph)(nil)
+	_ stats.Provider = (*Graph)(nil)
+	_ adj.Source     = kvSource{}
 )

@@ -3,6 +3,7 @@ package memgraph
 import (
 	"gdbm/internal/adj"
 	"gdbm/internal/model"
+	"gdbm/internal/query/stats"
 )
 
 // This file is the graph's read-concurrency surface: epoch-based
@@ -16,11 +17,6 @@ import (
 // Epoch returns the graph's mutation epoch. Stable states are even; the
 // count only moves forward.
 func (g *Graph) Epoch() uint64 { return g.epoch.Current() }
-
-// SetViewLayout selects the snapshot directory layout (the bitmap variant
-// for the DEX-style engine). Call at construction time, before the graph
-// is shared.
-func (g *Graph) SetViewLayout(l adj.Layout) { g.ver.SetLayout(l) }
 
 // AcquireView pins an immutable point-in-time view of the graph. The fast
 // path is O(1): when the published snapshot already renders the current
@@ -39,6 +35,12 @@ func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
 		return nil, nil, err
 	}
 	return s, rel, nil
+}
+
+// PlanStats implements stats.Provider from the pinned view; see
+// adj/planstats.go.
+func (g *Graph) PlanStats() (*stats.Stats, error) {
+	return adj.PlanStats(g.AcquireView, &g.stats)
 }
 
 // memSource adapts the graph's internals to the snapshot builder. Its
@@ -80,6 +82,7 @@ func (s memSource) InEdges(id model.NodeID) ([]model.EdgeID, error) {
 }
 
 var (
-	_ model.Pinner = (*Graph)(nil)
-	_ adj.Source   = memSource{}
+	_ model.Pinner   = (*Graph)(nil)
+	_ stats.Provider = (*Graph)(nil)
+	_ adj.Source     = memSource{}
 )

@@ -131,10 +131,11 @@ type ReleaseFunc func()
 // neighbors of a node in a direction, filtered by edge label ("" = any),
 // in ascending NodeID order with one entry per matching edge (parallel
 // edges repeat their endpoint; a self-loop under Both appears once per
-// direction, mirroring Neighbors enumeration). The worst-case-optimal
-// join operator leapfrogs over these lists without loading node records;
-// graphs that do not implement it are served by a collect-and-sort
-// fallback over Neighbors.
+// direction, mirroring Neighbors enumeration). No store implements it:
+// plan.SortedNeighborIDs derives the lists the worst-case-optimal join
+// intersects from IDAdjacency's pairs (or Neighbors) and sorts them. It is
+// kept only as the hook the benchmark's timing decorator answers through,
+// and goes away when that decorator forwards IDAdjacency instead.
 type SortedAdjacency interface {
 	SortedNeighborIDs(id NodeID, dir Direction, label string) ([]NodeID, error)
 }
@@ -146,10 +147,10 @@ type NeighborID struct {
 	Node NodeID
 }
 
-// IDAdjacency is an optional Graph capability next to SortedAdjacency: the
-// (edge, far node) id pairs of a node's incident edges in a direction,
-// through edges carrying label ("" = any), appended to buf in exactly the
-// order Neighbors enumerates them — out before in, list order within each —
+// IDAdjacency is an optional Graph capability: the (edge, far node) id
+// pairs of a node's incident edges in a direction, through edges carrying
+// label ("" = any), appended to buf in exactly the order Neighbors
+// enumerates them — out before in, list order within each —
 // with no record decoded or copied. handled false means the graph cannot
 // answer from adjacency alone (a wrapper over a store without the
 // capability); the caller then uses Neighbors, as with Source.IndexedNodes.

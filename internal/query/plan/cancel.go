@@ -123,18 +123,12 @@ func (c *cancelSource) Neighbors(id model.NodeID, dir model.Direction, fn func(m
 	})
 }
 
-// SortedNeighborIDs forwards the sorted-adjacency capability so the
-// intersection operator stays cancellable: a native list costs one tick,
-// and the collect-and-sort fallback streams through the wrapper's
-// Neighbors, ticking once per record as every other scan does.
+// SortedNeighborIDs keeps the intersection operator cancellable: the list
+// is collected through the wrapper itself, so it ticks once per id pair
+// (or per record, where the source has no id adjacency) as every other
+// scan does.
 func (c *cancelSource) SortedNeighborIDs(id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	if sa, ok := c.src.(model.SortedAdjacency); ok {
-		if err := c.tick(); err != nil {
-			return nil, err
-		}
-		return sa.SortedNeighborIDs(id, dir, label)
-	}
-	return SortedNeighborIDs(UnindexedSource{c}, id, dir, label) // c, its capabilities hidden
+	return sortedNeighborIDs(c, id, dir, label)
 }
 
 // AppendNeighborIDs forwards the id-adjacency capability — the served path

@@ -2,9 +2,7 @@ package plan
 
 import (
 	"math"
-	"slices"
 
-	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
 
@@ -362,26 +360,4 @@ func CompileFor(spec *MatchSpec, src Source) (Op, error) {
 		}
 	}
 	return Compile(spec)
-}
-
-// SortedNeighborIDs returns the IDs of id's neighbors in dir through edges
-// carrying label ("" = any), ascending, one entry per matching edge. Graphs
-// implementing model.SortedAdjacency answer natively; anything else is
-// served by collecting Neighbors and sorting.
-func SortedNeighborIDs(g model.Graph, id model.NodeID, dir model.Direction, label string) ([]model.NodeID, error) {
-	if sa, ok := g.(model.SortedAdjacency); ok {
-		return sa.SortedNeighborIDs(id, dir, label)
-	}
-	var ids []model.NodeID
-	err := g.Neighbors(id, dir, func(e model.Edge, n model.Node) bool {
-		if label == "" || e.Label == label {
-			ids = append(ids, n.ID)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	slices.Sort(ids)
-	return ids, nil
 }

@@ -25,12 +25,6 @@ func TestNilStatsDefaults(t *testing.T) {
 	if got := s.PropSelectivity("", "rank"); got != defaultPropSel {
 		t.Errorf("nil PropSelectivity = %v", got)
 	}
-	if _, ok := s.DistinctValues("", "rank"); ok {
-		t.Error("nil DistinctValues reported ok")
-	}
-	if got := s.DegreeP90(); got != defaultFanout {
-		t.Errorf("nil DegreeP90 = %v", got)
-	}
 }
 
 func TestKMVExactBelowK(t *testing.T) {

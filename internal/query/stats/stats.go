@@ -191,39 +191,6 @@ func (s *Stats) PropSelectivity(label, prop string) float64 {
 	return sel
 }
 
-// DistinctValues reports the estimated number of distinct values of prop
-// on label-carrying nodes ("" = all labels); ok is false when the pair was
-// never observed.
-func (s *Stats) DistinctValues(label, prop string) (est float64, ok bool) {
-	if s == nil {
-		return 0, false
-	}
-	k := s.distinct[label+"\x00"+prop]
-	if k == nil {
-		return 0, false
-	}
-	return k.Distinct(), true
-}
-
-// DegreeP90 estimates the 90th-percentile Both-direction degree from the
-// histogram — the planner's skew signal: a heavy tail is where multiway
-// intersection beats expand-and-filter hardest.
-func (s *Stats) DegreeP90() float64 {
-	if s == nil || s.Nodes == 0 {
-		return defaultFanout
-	}
-	target := int(math.Ceil(float64(s.Nodes) * 0.9))
-	seen := 0
-	for b, c := range s.DegHist {
-		seen += c
-		if seen >= target {
-			// Upper edge of bucket b: degree 2^(b+1)-2.
-			return float64(int(1)<<(b+1) - 2)
-		}
-	}
-	return float64(int(1) << DegBuckets)
-}
-
 // --- KMV distinct-value sketch ---
 
 // kmvK is the default sketch size: the k smallest distinct 64-bit value

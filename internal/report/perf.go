@@ -2,12 +2,12 @@ package report
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/gen"
 	"gdbm/internal/model"
@@ -40,7 +40,9 @@ var PerfOps = []string{"ingest", "bfs", "2hop", "shortest"}
 // RunPerf loads an R-MAT graph of the given size into each engine (opened
 // by the caller-provided factory so storage dirs are fresh) and times the
 // typical graph operations. Engines that do not expose an operation are
-// skipped for it.
+// skipped for it. The first failing operation ends the sweep with its
+// error, wrapped with the operation and engine names; a shortest path
+// that finds no path is an answer, not a failure.
 func RunPerf(open func(name string) (engine.Engine, error), names []string, nodes, degree int, seed int64) ([]PerfResult, error) {
 	var out []PerfResult
 	for _, name := range names {
@@ -48,52 +50,72 @@ func RunPerf(open func(name string) (engine.Engine, error), names []string, node
 		if err != nil {
 			return nil, fmt.Errorf("perf open %s: %w", name, err)
 		}
-		loader, ok := e.(engine.Loader)
-		if !ok {
-			e.Close()
-			continue
-		}
-		start := time.Now()
-		ids, err := gen.Generate(gen.Spec{Kind: gen.RMAT, Nodes: nodes, EdgesPerNode: degree, Seed: seed}, loader)
+		rs, err := perfEngine(e, nodes, degree, seed)
+		e.Close()
 		if err != nil {
-			e.Close()
-			return nil, fmt.Errorf("perf ingest %s: %w", name, err)
+			return nil, err
 		}
-		out = append(out, PerfResult{Engine: e.Name(), Row: e.SurveyRow(), Op: "ingest", Nodes: nodes, Took: time.Since(start), OpsDone: nodes * (degree + 1)})
+		out = append(out, rs...)
+	}
+	return out, nil
+}
 
-		es := e.Essentials(context.Background())
-		// BFS via repeated k-neighborhood expansion when exposed.
-		if es.KNeighborhood != nil {
-			start = time.Now()
-			reached := 0
-			for trial := 0; trial < 4; trial++ {
-				nb, err := es.KNeighborhood(ids[trial%len(ids)], 4)
-				if err == nil {
-					reached += len(nb)
+// perfEngine runs the sweep on one open engine.
+func perfEngine(e engine.Engine, nodes, degree int, seed int64) ([]PerfResult, error) {
+	loader, ok := e.(engine.Loader)
+	if !ok {
+		return nil, nil
+	}
+	var out []PerfResult
+	timed := func(op string, opsDone int, run func() error) error {
+		start := time.Now()
+		if err := run(); err != nil {
+			return fmt.Errorf("perf %s %s: %w", op, e.Name(), err)
+		}
+		out = append(out, PerfResult{Engine: e.Name(), Row: e.SurveyRow(), Op: op, Nodes: nodes, Took: time.Since(start), OpsDone: opsDone})
+		return nil
+	}
+	var ids []model.NodeID
+	if err := timed("ingest", nodes*(degree+1), func() (err error) {
+		ids, err = gen.Generate(gen.Spec{Kind: gen.RMAT, Nodes: nodes, EdgesPerNode: degree, Seed: seed}, loader)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+
+	es := e.Essentials(context.Background())
+	// BFS via repeated k-neighborhood expansion when exposed.
+	if es.KNeighborhood != nil {
+		hoods := func(trials, stride, k int) func() error {
+			return func() error {
+				for trial := 0; trial < trials; trial++ {
+					if _, err := es.KNeighborhood(ids[(trial*stride)%len(ids)], k); err != nil {
+						return err
+					}
 				}
+				return nil
 			}
-			out = append(out, PerfResult{Engine: e.Name(), Row: e.SurveyRow(), Op: "bfs", Nodes: nodes, Took: time.Since(start), OpsDone: 4})
-			_ = reached
-
-			start = time.Now()
-			for trial := 0; trial < 8; trial++ {
-				es.KNeighborhood(ids[(trial*37)%len(ids)], 2)
-			}
-			out = append(out, PerfResult{Engine: e.Name(), Row: e.SurveyRow(), Op: "2hop", Nodes: nodes, Took: time.Since(start), OpsDone: 8})
 		}
-		if es.ShortestPath != nil {
-			start = time.Now()
-			done := 0
+		if err := timed("bfs", 4, hoods(4, 1, 4)); err != nil {
+			return nil, err
+		}
+		if err := timed("2hop", 8, hoods(8, 37, 2)); err != nil {
+			return nil, err
+		}
+	}
+	if es.ShortestPath != nil {
+		if err := timed("shortest", 4, func() error {
 			for trial := 0; trial < 4; trial++ {
 				from := ids[(trial*13)%len(ids)]
 				to := ids[(trial*29+len(ids)/2)%len(ids)]
-				if _, err := es.ShortestPath(from, to); err == nil {
-					done++
+				if _, err := es.ShortestPath(from, to); err != nil && !errors.Is(err, model.ErrNotFound) {
+					return err
 				}
 			}
-			out = append(out, PerfResult{Engine: e.Name(), Row: e.SurveyRow(), Op: "shortest", Nodes: nodes, Took: time.Since(start), OpsDone: 4})
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		e.Close()
 	}
 	return out, nil
 }
@@ -118,9 +140,4 @@ func RenderPerf(w io.Writer, results []PerfResult) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// Degrees re-exports the degree summary for the shell's stats command.
-func Degrees(g model.Graph) (algo.DegreeStats, error) {
-	return algo.Degrees(g, model.Both)
 }

@@ -294,12 +294,6 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	return true, t.writeHeader()
 }
 
-// Ascend calls fn for each key >= start in ascending order until fn returns
-// false. A nil start begins at the smallest key.
-func (t *Tree) Ascend(start []byte, fn func(key, val []byte) bool) error {
-	return t.ascend(start, nil, fn)
-}
-
 // AscendPrefix calls fn for each key with the given prefix in order.
 func (t *Tree) AscendPrefix(prefix []byte, fn func(key, val []byte) bool) error {
 	return t.ascend(prefix, prefix, fn)

@@ -100,7 +100,7 @@ func TestManyKeysSplitAndOrder(t *testing.T) {
 	// Full ascend yields sorted order.
 	var prev []byte
 	count := 0
-	tree.Ascend(nil, func(k, v []byte) bool {
+	tree.ascend(nil, nil, func(k, v []byte) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("out of order: %q then %q", prev, k)
 		}
@@ -119,7 +119,7 @@ func TestAscendFromStart(t *testing.T) {
 		tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
 	var got []string
-	tree.Ascend([]byte("k050"), func(k, v []byte) bool {
+	tree.ascend([]byte("k050"), nil, func(k, v []byte) bool {
 		got = append(got, string(k))
 		return len(got) < 5
 	})
@@ -220,7 +220,7 @@ func TestTreeMatchesMapQuick(t *testing.T) {
 		}
 		// Ascend visits exactly the reference keys in sorted order.
 		var keys []string
-		tree.Ascend(nil, func(k, v []byte) bool { keys = append(keys, string(k)); return true })
+		tree.ascend(nil, nil, func(k, v []byte) bool { keys = append(keys, string(k)); return true })
 		if len(keys) != len(ref) {
 			return false
 		}

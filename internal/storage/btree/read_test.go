@@ -39,7 +39,7 @@ func TestMalformedPageIsAnError(t *testing.T) {
 			key := bytes.Repeat([]byte{'z'}, 8)
 			ops := map[string]func() error{
 				"Get":    func() error { _, _, err := tree.Get(key); return err },
-				"Ascend": func() error { return tree.Ascend(key, func(_, _ []byte) bool { return true }) },
+				"Ascend": func() error { return tree.ascend(key, nil, func(_, _ []byte) bool { return true }) },
 				"Prefix": func() error { return tree.AscendPrefix(key, func(_, _ []byte) bool { return true }) },
 				"Put":    func() error { return tree.Put(key, []byte("v")) },
 				"Delete": func() error { _, err := tree.Delete(key); return err },
@@ -145,7 +145,7 @@ func TestReadPathMatchesReference(t *testing.T) {
 		if prefix != nil {
 			err = tree.AscendPrefix(prefix, emit)
 		} else {
-			err = tree.Ascend(start, emit)
+			err = tree.ascend(start, nil, emit)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)

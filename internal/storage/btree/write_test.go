@@ -107,7 +107,7 @@ func checkCanonical(t *testing.T, tree *Tree, model map[string][]byte) {
 	}
 	sort.Strings(sorted)
 	i := 0
-	err := tree.Ascend(nil, func(k, v []byte) bool {
+	err := tree.ascend(nil, nil, func(k, v []byte) bool {
 		if i >= len(sorted) || string(k) != sorted[i] || !bytes.Equal(v, model[sorted[i]]) {
 			t.Fatalf("entry %d: %.12q differs from the model", i, k)
 		}
