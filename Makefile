@@ -123,6 +123,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/format/ -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompilePathExpr -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/wire/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)

@@ -169,7 +169,9 @@ type (
 	// Match is one pattern embedding.
 	Match = algo.Match
 	// PathExpr is a compiled regular path expression.
-	PathExpr = algo.PathExpr
+	PathExpr = plan.PathExpr
+	// PathSemantics selects reachability or simple-path semantics.
+	PathSemantics = plan.PathSemantics
 	// AggKind selects an aggregate function.
 	AggKind = algo.AggKind
 	// DegreeStats summarizes a degree distribution.
@@ -183,6 +185,12 @@ const (
 	AggAvg   = algo.AggAvg
 	AggMin   = algo.AggMin
 	AggMax   = algo.AggMax
+)
+
+// Path semantics.
+const (
+	Reachability = plan.Reachability
+	SimplePaths  = plan.SimplePaths
 )
 
 // Algorithm entry points.
@@ -200,7 +208,9 @@ var (
 	// Reachable tests reachability.
 	Reachable = algo.Reachable
 	// CompilePathExpr compiles a regular path expression.
-	CompilePathExpr = algo.CompilePathExpr
+	CompilePathExpr = plan.CompilePathExpr
+	// MatchPath evaluates a path expression from a start node.
+	MatchPath = plan.MatchPath
 	// NewPattern builds a pattern graph.
 	NewPattern = algo.NewPattern
 	// MatchPattern enumerates pattern embeddings.

@@ -124,9 +124,9 @@ func TestPublicPathExprAndPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := pe.Eval(api, a)
+	nodes, err := gdbm.MatchPath(context.Background(), api, pe, a, gdbm.Reachability)
 	if err != nil || len(nodes) != 1 || nodes[0] != c {
-		t.Errorf("Eval: %v %v", nodes, err)
+		t.Errorf("MatchPath: %v %v", nodes, err)
 	}
 
 	pat, err := gdbm.NewPattern(

@@ -1,7 +1,6 @@
 // Package algotest provides shared test helpers for the algorithm layer:
-// random graph and path-expression generators (used by the RPQ
-// quick-checks) and fault-injecting graph wrappers for error-propagation
-// tests. It lives outside the _test files so the algorithm and engine
+// a random multigraph generator and fault-injecting graph wrappers for
+// error-propagation tests. It lives outside the _test files so the algorithm and engine
 // tests can share them.
 package algotest
 
@@ -13,42 +12,6 @@ import (
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 )
-
-// RandomDAG builds an acyclic graph: edges only go from lower to higher
-// node index, labels drawn from {a, b, c}.
-func RandomDAG(rng *rand.Rand, n, m int) (*memgraph.Graph, []model.NodeID) {
-	g := memgraph.New()
-	ids := make([]model.NodeID, n)
-	for i := range ids {
-		ids[i], _ = g.AddNode("V", nil)
-	}
-	labels := []string{"a", "b", "c"}
-	for i := 0; i < m; i++ {
-		u := rng.Intn(n - 1)
-		v := u + 1 + rng.Intn(n-u-1)
-		g.AddEdge(labels[rng.Intn(len(labels))], ids[u], ids[v], nil)
-	}
-	return g, ids
-}
-
-// RandomExpr produces a small random path expression over {a, b, c}.
-func RandomExpr(rng *rand.Rand, depth int) string {
-	if depth <= 0 {
-		return []string{"a", "b", "c"}[rng.Intn(3)]
-	}
-	switch rng.Intn(5) {
-	case 0:
-		return RandomExpr(rng, depth-1) + "/" + RandomExpr(rng, depth-1)
-	case 1:
-		return "(" + RandomExpr(rng, depth-1) + "|" + RandomExpr(rng, depth-1) + ")"
-	case 2:
-		return "(" + RandomExpr(rng, depth-1) + ")*"
-	case 3:
-		return "(" + RandomExpr(rng, depth-1) + ")?"
-	default:
-		return []string{"a", "b", "c"}[rng.Intn(3)]
-	}
-}
 
 // RandomGraph builds a labeled, attributed, possibly cyclic multigraph:
 // n nodes with labels from {P, Q} and an integer property "w", m edges

@@ -1,11 +1,21 @@
-package algo
+package algo_test
+
+// Regular path queries run on the planner's path operator
+// (plan.MatchPath); these are its answers on this package's fixtures.
 
 import (
+	"context"
 	"testing"
 
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
+	"gdbm/internal/query/plan"
 )
+
+// paths evaluates a compiled expression from start under sem.
+func paths(p *plan.PathExpr, g model.Graph, start model.NodeID, sem plan.PathSemantics) ([]model.NodeID, error) {
+	return plan.MatchPath(context.Background(), g, p, start, sem)
+}
 
 // socialGraph: ada -knows-> bob -knows-> cam; ada -works-> org; cam -works-> org.
 func socialGraph(t *testing.T) (*memgraph.Graph, map[string]model.NodeID) {
@@ -25,11 +35,11 @@ func socialGraph(t *testing.T) (*memgraph.Graph, map[string]model.NodeID) {
 
 func evalSet(t *testing.T, g model.Graph, start model.NodeID, expr string) map[model.NodeID]bool {
 	t.Helper()
-	pe, err := CompilePathExpr(expr)
+	pe, err := plan.CompilePathExpr(expr)
 	if err != nil {
 		t.Fatalf("compile %q: %v", expr, err)
 	}
-	nodes, err := pe.Eval(g, start)
+	nodes, err := paths(pe, g, start, plan.Reachability)
 	if err != nil {
 		t.Fatalf("eval %q: %v", expr, err)
 	}
@@ -100,11 +110,11 @@ func TestRPQGroupingAndCycle(t *testing.T) {
 	b, _ := g.AddNode("N", nil)
 	g.AddEdge("x", a, b, nil)
 	g.AddEdge("y", b, a, nil)
-	pe, err := CompilePathExpr("(x/y)*")
+	pe, err := plan.CompilePathExpr("(x/y)*")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := pe.Eval(g, a)
+	nodes, err := paths(pe, g, a, plan.Reachability)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +123,8 @@ func TestRPQGroupingAndCycle(t *testing.T) {
 		t.Errorf("(x/y)* from a = %v", nodes)
 	}
 	// x/(y/x)* reaches b.
-	pe2, _ := CompilePathExpr("x/(y/x)*")
-	nodes2, _ := pe2.Eval(g, a)
+	pe2, _ := plan.CompilePathExpr("x/(y/x)*")
+	nodes2, _ := paths(pe2, g, a, plan.Reachability)
 	if len(nodes2) != 1 || nodes2[0] != b {
 		t.Errorf("x/(y/x)* = %v", nodes2)
 	}
@@ -122,7 +132,7 @@ func TestRPQGroupingAndCycle(t *testing.T) {
 
 func TestRPQParseErrors(t *testing.T) {
 	for _, expr := range []string{"", "(a", "a|", "a/", "*", "a)b", "<"} {
-		if _, err := CompilePathExpr(expr); err == nil {
+		if _, err := plan.CompilePathExpr(expr); err == nil {
 			t.Errorf("compile %q should fail", expr)
 		}
 	}
@@ -130,31 +140,31 @@ func TestRPQParseErrors(t *testing.T) {
 
 func TestRPQMissingStart(t *testing.T) {
 	g, _ := socialGraph(t)
-	pe, _ := CompilePathExpr("knows")
-	if _, err := pe.Eval(g, 999); err == nil {
+	pe, _ := plan.CompilePathExpr("knows")
+	if _, err := paths(pe, g, 999, plan.Reachability); err == nil {
 		t.Error("missing start should error")
 	}
-	if _, err := pe.EvalNaive(g, 999, 3); err == nil {
-		t.Error("naive missing start should error")
+	if _, err := paths(pe, g, 999, plan.SimplePaths); err == nil {
+		t.Error("simple-path missing start should error")
 	}
 }
 
-// On an acyclic graph the product-automaton and naive simple-path semantics
-// agree; use that for differential testing.
+// On an acyclic graph reachability and simple-path semantics agree; use
+// that for differential testing.
 func TestRPQProductVsNaive(t *testing.T) {
 	g, ids := socialGraph(t)
 	// "works/<works" is excluded: its match revisits the start node, which
 	// the simple-path semantics forbids but reachability semantics allows.
 	for _, expr := range []string{"knows", "knows/knows", "knows|works", "knows*", "knows+", "knows?/works"} {
-		pe, err := CompilePathExpr(expr)
+		pe, err := plan.CompilePathExpr(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := pe.Eval(g, ids["ada"])
+		fast, err := paths(pe, g, ids["ada"], plan.Reachability)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := pe.EvalNaive(g, ids["ada"], 6)
+		slow, err := paths(pe, g, ids["ada"], plan.SimplePaths)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,19 +176,19 @@ func TestRPQProductVsNaive(t *testing.T) {
 			ss[n] = true
 		}
 		if len(fs) != len(ss) {
-			t.Errorf("%q: product %v vs naive %v", expr, fast, slow)
+			t.Errorf("%q: reachability %v vs simple paths %v", expr, fast, slow)
 			continue
 		}
 		for n := range fs {
 			if !ss[n] {
-				t.Errorf("%q: product has %d, naive does not", expr, n)
+				t.Errorf("%q: reachability has %d, simple paths do not", expr, n)
 			}
 		}
 	}
 }
 
 func TestRPQStringRoundTrip(t *testing.T) {
-	pe, _ := CompilePathExpr("a/(b|c)*")
+	pe, _ := plan.CompilePathExpr("a/(b|c)*")
 	if pe.String() != "a/(b|c)*" {
 		t.Errorf("String() = %q", pe.String())
 	}

@@ -414,11 +414,11 @@ func (db *DB) LoadNode(label string, props model.Properties) (model.NodeID, erro
 			return 0, err
 		}
 	}
-	for k, v := range props {
+	for _, k := range props.Keys() { // sorted: term ids must not follow map order
 		if k == "name" {
 			continue
 		}
-		if err := db.AddTriple(name, k, v.String()); err != nil {
+		if err := db.AddTriple(name, k, props[k].String()); err != nil {
 			return 0, err
 		}
 	}

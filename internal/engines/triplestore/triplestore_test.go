@@ -3,6 +3,7 @@ package triplestore
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gdbm/internal/engine"
@@ -214,5 +215,32 @@ func TestLoaderMapsPropertyGraph(t *testing.T) {
 	eid, err := db.LoadEdge("knows", a, b, nil)
 	if err != nil || eid == 0 {
 		t.Errorf("re-load edge: %v %v", eid, err)
+	}
+}
+
+// TestLoadNodeTermIDsIgnoreMapOrder: a node's literals get their term ids
+// in property-key order, so every fresh load numbers them alike.
+func TestLoadNodeTermIDsIgnoreMapOrder(t *testing.T) {
+	props := model.Props("name", "ada", "age", 36, "city", "paris", "rank", 2, "score", 7, "zone", "eu")
+	literals := []string{"36", "paris", "2", "7", "eu"}
+	var first []model.NodeID
+	for i := 0; i < 20; i++ {
+		db := openMem(t)
+		if _, err := db.LoadNode("Person", props); err != nil {
+			t.Fatal(err)
+		}
+		var ids []model.NodeID
+		for _, lit := range literals {
+			id, ok := db.TermID(lit)
+			if !ok {
+				t.Fatalf("literal %q has no term", lit)
+			}
+			ids = append(ids, id)
+		}
+		if first == nil {
+			first = ids
+		} else if !slices.Equal(ids, first) {
+			t.Fatalf("load %d numbers %v as %v, the first load as %v", i, literals, ids, first)
+		}
 	}
 }

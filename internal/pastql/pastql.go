@@ -3,10 +3,10 @@
 // queries, as classified by the prior evaluation the survey cites ([35],
 // the Angles–Gutierrez study). Because those languages have no surviving
 // implementations, each language is reconstructed as an executable profile
-// over this repository's formal core: a regular-path-query evaluator, the
-// query planner's pattern matcher, and the summarization operators. A cell of
-// Table VIII is marked supported only if the profile exposes a runnable
-// operation for it, which the tests execute.
+// over this repository's formal core: the planner's path operator (under
+// simple-path or reachability semantics), its pattern matcher, and the
+// summarization operators. A cell of Table VIII is marked supported only if
+// the profile exposes a runnable operation for it, which the tests execute.
 //
 // The six languages profiled:
 //
@@ -87,23 +87,19 @@ func fixed(g model.Graph, from, to model.NodeID, length int) ([]algo.Path, error
 }
 
 // regularSimple evaluates under the simple-path semantics the theory papers
-// define (NP-complete in general; fine at the scale of formal examples).
-func regularSimple(g model.Graph, start model.NodeID, expr string) ([]model.NodeID, error) {
-	pe, err := algo.CompilePathExpr(expr)
-	if err != nil {
-		return nil, err
-	}
-	return pe.EvalNaive(g, start, 12)
-}
+// define (NP-complete in general; fine at the scale of formal examples);
+// regularReach under reachability semantics (Lorel-style path expressions
+// do not require simple paths).
+var regularSimple, regularReach = regular(plan.SimplePaths), regular(plan.Reachability)
 
-// regularReach evaluates under reachability semantics (Lorel-style path
-// expressions do not require simple paths).
-func regularReach(g model.Graph, start model.NodeID, expr string) ([]model.NodeID, error) {
-	pe, err := algo.CompilePathExpr(expr)
-	if err != nil {
-		return nil, err
+func regular(sem plan.PathSemantics) func(model.Graph, model.NodeID, string) ([]model.NodeID, error) {
+	return func(g model.Graph, start model.NodeID, expr string) ([]model.NodeID, error) {
+		pe, err := plan.CompilePathExpr(expr)
+		if err != nil {
+			return nil, err
+		}
+		return plan.MatchPath(context.TODO(), g, pe, start, sem)
 	}
-	return pe.Eval(g, start)
 }
 
 func shortest(g model.Graph, from, to model.NodeID) (algo.Path, error) {

@@ -175,3 +175,31 @@ func TestColumnsOrder(t *testing.T) {
 		t.Errorf("columns = %v", cols)
 	}
 }
+
+// On an acyclic 16-node a-path every walk is a simple path, so a* answers
+// all 16 nodes under both semantics: the simple-path profiles enumerate
+// without a depth cut.
+func TestSimplePathsHaveNoDepthCut(t *testing.T) {
+	g := memgraph.New()
+	ids := make([]model.NodeID, 16)
+	for i := range ids {
+		ids[i], _ = g.AddNode("V", nil)
+		if i > 0 {
+			if _, err := g.AddEdge("a", ids[i-1], ids[i], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, l := range Languages() {
+		if l.Ops.RegularPaths == nil {
+			continue
+		}
+		got, err := l.Ops.RegularPaths(g, ids[0], "a*")
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if len(got) != len(ids) {
+			t.Errorf("%s: a* answers %d of %d nodes", l.Name, len(got), len(ids))
+		}
+	}
+}

@@ -52,6 +52,9 @@ func bindTree(op Op) *query.Scope {
 			x.sc = bindTree(x.Child)
 		}
 		x.slot, _ = declare(x.sc, x.Var)
+	case *nodeRow:
+		x.sc = &query.Scope{}
+		x.slot, _ = declare(x.sc, x.Var)
 	case *Expand:
 		x.sc = bindTree(x.Child)
 		x.from, _ = x.sc.Slot(x.FromVar)
@@ -60,7 +63,7 @@ func bindTree(op Op) *query.Scope {
 		if x.EdgeVar != "" {
 			x.edge, _ = declare(x.sc, x.EdgeVar)
 		}
-	case *ExpandVar:
+	case *PathExpand:
 		x.sc = bindTree(x.Child)
 		x.from, _ = x.sc.Slot(x.FromVar)
 		x.to, x.toBound = declare(x.sc, x.ToVar)

@@ -283,3 +283,42 @@ func TestCancelMidMatch(t *testing.T) {
 		t.Errorf("the search made %d Neighbors calls, cancelled at the 50th (stride %d)", cg.calls, cancelStride)
 	}
 }
+
+// TestSimplePathsStopOnBudgetOrContext: on a complete 11-node digraph a*
+// has about ten million simple paths from a node, more than the search's
+// budget. The simple-path search then fails, rather than answering from the
+// paths it got to, and a cancelled context stops it the same way; the
+// reachability search answers all 11 nodes.
+func TestSimplePathsStopOnBudgetOrContext(t *testing.T) {
+	g := memgraph.New()
+	ids := make([]model.NodeID, 11)
+	for i := range ids {
+		ids[i], _ = g.AddNode("N", nil)
+	}
+	for _, a := range ids {
+		for _, b := range ids {
+			if a != b {
+				if _, err := g.AddEdge("a", a, b, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	src := capable{Graph: g}
+	p, err := CompilePathExpr("a*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if got, err := MatchPath(ctx, src, p, ids[0], Reachability); err != nil || len(got) != len(ids) {
+		t.Fatalf("reachability: %v, %v", got, err)
+	}
+	if got, err := MatchPath(ctx, src, p, ids[0], SimplePaths); err == nil {
+		t.Fatalf("simple paths answered %d nodes past the budget", len(got))
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := MatchPath(cancelled, src, p, ids[0], SimplePaths); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled simple-path search: %v", err)
+	}
+}

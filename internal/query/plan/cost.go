@@ -168,25 +168,7 @@ func (p Planner) Compile(spec *MatchSpec) (Op, Estimate, error) {
 		if fromIdx == e.To {
 			dir = dir.Reverse()
 		}
-		if e.VarLength {
-			return &ExpandVar{
-				Child:   child,
-				FromVar: spec.Nodes[fromIdx].Var,
-				ToVar:   spec.Nodes[toIdx].Var,
-				Label:   e.Label,
-				Dir:     dir,
-				Min:     e.Min,
-				Max:     e.Max,
-			}
-		}
-		return &Expand{
-			Child:   child,
-			FromVar: spec.Nodes[fromIdx].Var,
-			EdgeVar: e.Var,
-			ToVar:   spec.Nodes[toIdx].Var,
-			Label:   e.Label,
-			Dir:     dir,
-		}
+		return edgeOp(child, e, spec.Nodes[fromIdx].Var, spec.Nodes[toIdx].Var, dir)
 	}
 
 	// closeChecks applies every pending edge whose endpoints are both bound

@@ -68,25 +68,7 @@ func Compile(spec *MatchSpec) (Op, error) {
 				continue
 			}
 			mkExpand := func(fromIdx, toIdx int, dir model.Direction) Op {
-				if e.VarLength {
-					return &ExpandVar{
-						Child:   root,
-						FromVar: spec.Nodes[fromIdx].Var,
-						ToVar:   spec.Nodes[toIdx].Var,
-						Label:   e.Label,
-						Dir:     dir,
-						Min:     e.Min,
-						Max:     e.Max,
-					}
-				}
-				return &Expand{
-					Child:   root,
-					FromVar: spec.Nodes[fromIdx].Var,
-					EdgeVar: e.Var,
-					ToVar:   spec.Nodes[toIdx].Var,
-					Label:   e.Label,
-					Dir:     dir,
-				}
+				return edgeOp(root, e, spec.Nodes[fromIdx].Var, spec.Nodes[toIdx].Var, dir)
 			}
 			switch {
 			case bound[e.From] && bound[e.To]:
@@ -136,6 +118,16 @@ func Compile(spec *MatchSpec) (Op, error) {
 	root = applyModifiers(root, spec)
 	bindTree(root)
 	return root, nil
+}
+
+// edgeOp builds the operator that walks pattern edge e in dir from the node
+// bound to from, binding or checking to: an Expand, or for a var-length
+// edge the PathExpand of label* with e's bounds.
+func edgeOp(child Op, e EdgePat, from, to string, dir model.Direction) Op {
+	if e.VarLength {
+		return &PathExpand{Child: child, FromVar: from, ToVar: to, Path: labelStar(e.Label, dir), Min: e.Min, Max: e.Max}
+	}
+	return &Expand{Child: child, FromVar: from, EdgeVar: e.Var, ToVar: to, Label: e.Label, Dir: dir}
 }
 
 // prepare normalizes and validates a MatchSpec in place: anonymous node
