@@ -208,28 +208,56 @@ func BenchmarkTableV_RetrievalQL(b *testing.B) {
 	}
 }
 
+// BenchmarkTableV_Reasoning materializes the RDFS closure of a subClassOf
+// chain c0 ⊂ … ⊂ cn plus one "x type c0" fact: n(n+1)/2 derived statements,
+// n of them types. The second call on the 160-long chain derives nothing.
 func BenchmarkTableV_Reasoning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := func() gdbm.Engine {
-			e, err := gdbm.Open("triplestore", gdbm.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return e
-		}()
-		ts := e.(*triplestore.DB)
-		for j := 0; j < 20; j++ {
-			ts.AddTriple(fmt.Sprintf("c%d", j), "subClassOf", fmt.Sprintf("c%d", j+1))
-		}
-		ts.AddTriple("x", "type", "c0")
-		b.StartTimer()
-		if _, err := ts.Materialize(); err != nil {
+	chain := func(b *testing.B, n int) *triplestore.DB {
+		e, err := gdbm.Open("triplestore", gdbm.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		e.Close()
+		ts := e.(*triplestore.DB)
+		for j := 0; j < n; j++ {
+			if err := ts.AddTriple(fmt.Sprintf("c%d", j), "subClassOf", fmt.Sprintf("c%d", j+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ts.AddTriple("x", "type", "c0"); err != nil {
+			b.Fatal(err)
+		}
+		return ts
 	}
+	materialize := func(b *testing.B, ts *triplestore.DB, want int) {
+		if n, err := ts.Materialize(); err != nil || n != want {
+			b.Fatalf("derived %d (%v), want %d", n, err, want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+		want int
+	}{{"chain20", 20, 210}, {"chain160-first", 160, 12880}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ts := chain(b, c.n)
+				b.StartTimer()
+				materialize(b, ts, c.want)
+				b.StopTimer()
+				ts.Close()
+			}
+		})
+	}
+	b.Run("chain160-second", func(b *testing.B) {
+		ts := chain(b, 160)
+		defer ts.Close()
+		materialize(b, ts, 12880)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			materialize(b, ts, 0)
+		}
+	})
 }
 
 func BenchmarkTableV_AnalysisShortestPath(b *testing.B) {

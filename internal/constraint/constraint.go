@@ -290,7 +290,9 @@ func (c ForbiddenPattern) Check(g model.Graph, m Mutation) error {
 	return nil
 }
 
-// edgeOverlay presents g plus one not-yet-inserted edge.
+// edgeOverlay presents g plus one not-yet-inserted edge. It embeds the
+// Graph interface, so it has no id adjacency: the pending edge shows only
+// through Neighbors, which the matcher then walks.
 type edgeOverlay struct {
 	model.Graph
 	extra model.Edge

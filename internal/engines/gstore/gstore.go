@@ -81,6 +81,13 @@ func (s gsqlSurface) Neighbors(id model.NodeID, d model.Direction, fn func(model
 func (s gsqlSurface) Degree(id model.NodeID, d model.Direction) (int, error) {
 	return s.db.g.Degree(id, d)
 }
+
+// AppendNeighborIDs implements model.IDAdjacency from the kvgraph's
+// adjacency entries. The surface forwards no stats.Provider: plan statistics
+// would render the whole disk graph into memory on the first SELECT.
+func (s gsqlSurface) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, d model.Direction, label string) ([]model.NeighborID, bool, error) {
+	return s.db.g.AppendNeighborIDs(buf, id, d, label)
+}
 func (s gsqlSurface) IndexedNodes(string, string, model.Value, func(model.Node) bool) (bool, error) {
 	return false, nil // G-Store's Table I row has no index column mark
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gdbm/internal/engine"
+	"gdbm/internal/enginetest/diff"
 	"gdbm/internal/model"
 )
 
@@ -116,4 +117,10 @@ func TestEssentialsKNeighborhoodRoutesThroughQL(t *testing.T) {
 	if len(nb) != 2 {
 		t.Errorf("khood = %v", nb)
 	}
+}
+
+// TestSurfaceAnswersIDAdjacency checks that the gsql surface hands out the
+// (edge, far node) pairs Neighbors enumerates, in its order.
+func TestSurfaceAnswersIDAdjacency(t *testing.T) {
+	diff.IDAdjacency(t, gsqlSurface{openDB(t)})
 }

@@ -112,6 +112,11 @@ func (s gsqlSurface) Neighbors(id model.NodeID, d model.Direction, fn func(model
 func (s gsqlSurface) Degree(id model.NodeID, d model.Direction) (int, error) {
 	return s.db.Core.Degree(id, d)
 }
+
+// AppendNeighborIDs implements model.IDAdjacency by forwarding to the core.
+func (s gsqlSurface) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, d model.Direction, label string) ([]model.NeighborID, bool, error) {
+	return s.db.Core.AppendNeighborIDs(buf, id, d, label)
+}
 func (s gsqlSurface) IndexedNodes(label, prop string, v model.Value, fn func(model.Node) bool) (bool, error) {
 	return s.db.Core.IndexedNodes(label, prop, v, fn)
 }

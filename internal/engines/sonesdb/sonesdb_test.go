@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gdbm/internal/engine"
+	"gdbm/internal/enginetest/diff"
 	"gdbm/internal/model"
 )
 
@@ -97,4 +98,10 @@ func TestEssentialsProfile(t *testing.T) {
 	if es.KNeighborhood != nil || es.ShortestPath != nil || es.FixedLengthPaths != nil {
 		t.Error("Sones' Table VII row exposes only adjacency and summarization")
 	}
+}
+
+// TestSurfaceAnswersIDAdjacency checks that the gsql surface hands out the
+// (edge, far node) pairs Neighbors enumerates, in its order.
+func TestSurfaceAnswersIDAdjacency(t *testing.T) {
+	diff.IDAdjacency(t, gsqlSurface{openDB(t)})
 }

@@ -11,6 +11,7 @@ package triplestore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -107,31 +108,35 @@ func (db *DB) TermID(value string) (model.NodeID, bool) {
 
 // AddTriple asserts one statement.
 func (db *DB) AddTriple(s, p, o string) error {
+	_, _, err := db.assert(s, p, o)
+	return err
+}
+
+// assert asserts one statement and returns its edge, reporting whether the
+// statement was new.
+func (db *DB) assert(s, p, o string) (model.EdgeID, bool, error) {
 	sid, err := db.Term(s)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
 	oid, err := db.Term(o)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
 	// Deduplicate identical statements. A failed scan must not fall through
 	// to AddEdge: it could assert a duplicate the scan would have caught.
-	dup := false
+	var dup model.EdgeID
 	if err := db.Core.Neighbors(sid, model.Out, func(e model.Edge, n model.Node) bool {
 		if e.Label == p && n.ID == oid {
-			dup = true
+			dup = e.ID
 			return false
 		}
 		return true
-	}); err != nil {
-		return err
+	}); err != nil || dup != 0 {
+		return dup, false, err
 	}
-	if dup {
-		return nil
-	}
-	_, err = db.Core.AddEdge(p, sid, oid, nil)
-	return err
+	eid, err := db.Core.AddEdge(p, sid, oid, nil)
+	return eid, err == nil, err
 }
 
 // Triples streams every statement.
@@ -182,29 +187,91 @@ func (db *DB) AddRule(r reason.Rule) error {
 	return nil
 }
 
-// Materialize implements engine.Reasoner: it runs the rules to fixpoint and
-// asserts the derived statements, returning how many were added.
+// Materialize implements engine.Reasoner: it runs the rules to a fixpoint
+// and asserts the derived statements, returning how many were added. The
+// evaluation is naive: each round runs every rule body on the planner, as
+// the basic graph pattern sparqlish.Compile lowers it to, and asserts the
+// heads its rows instantiate; the first round that adds nothing ends it.
 func (db *DB) Materialize() (int, error) {
-	var base []reason.Triple
-	if err := db.Triples(func(s, p, o string) bool {
-		base = append(base, reason.Triple{S: s, P: p, O: o})
-		return true
-	}); err != nil {
-		return 0, err
-	}
 	db.mu.Lock()
 	rules := append([]reason.Rule(nil), db.rules...)
 	db.mu.Unlock()
-	derived, err := reason.Infer(base, rules)
+	total := 0
+	for {
+		added := 0
+		for _, r := range rules {
+			n, err := db.fire(r)
+			added += n
+			if err != nil {
+				return total + added, err
+			}
+		}
+		if added == 0 {
+			return total, nil
+		}
+		total += added
+	}
+}
+
+// fire evaluates r's body over the store, asserts each distinct head its
+// rows instantiate, and returns how many were new.
+func (db *DB) fire(r reason.Rule) (int, error) {
+	body := make([]sparqlish.TriplePattern, len(r.Body))
+	for i, p := range r.Body {
+		body[i] = sparqlish.TriplePattern{Pred: string(p.P)}
+		body[i].SVar, body[i].SConst = lower(p.S)
+		body[i].OVar, body[i].OConst = lower(p.O)
+	}
+	head := [3]reason.Term{r.Head.S, r.Head.P, r.Head.O}
+	var vars []string // the head's variables: the columns that instantiate it
+	for _, t := range head {
+		if t.IsVar() && !slices.Contains(vars, string(t)) {
+			vars = append(vars, string(t))
+		}
+	}
+	q, err := sparqlish.Compile(body, vars)
 	if err != nil {
 		return 0, err
 	}
-	for _, t := range derived {
-		if err := db.AddTriple(t.S, t.P, t.O); err != nil {
-			return 0, err
+	q.Spec.Distinct = true
+	op, err := plan.CompileFor(&q.Spec, db.Core)
+	if err != nil {
+		return 0, err
+	}
+	res, err := plan.Collect(op, db.Core, q.Vars)
+	if err != nil {
+		return 0, err
+	}
+	added := 0
+	for _, row := range res.Rows {
+		var t [3]string
+		for i, term := range head {
+			t[i] = string(term)
+			if term.IsVar() {
+				var ok bool
+				if t[i], ok = row[slices.Index(vars, string(term))].AsString(); !ok {
+					return added, fmt.Errorf("triplestore: rule %q bound %s to a node without a value", r.Name, term)
+				}
+			}
+		}
+		_, ok, err := db.assert(t[0], t[1], t[2])
+		if err != nil {
+			return added, err
+		}
+		if ok {
+			added++
 		}
 	}
-	return len(derived), nil
+	return added, nil
+}
+
+// lower maps a rule term onto a triple-pattern position: a variable keeps
+// its name, '?' included, and a constant matches its term's lexical form.
+func lower(t reason.Term) (string, model.Value) {
+	if t.IsVar() {
+		return string(t), model.Null()
+	}
+	return "", model.Str(string(t))
 }
 
 // LanguageName implements engine.Querier.
@@ -435,22 +502,9 @@ func (db *DB) LoadEdge(label string, from, to model.NodeID, props model.Properti
 	if err != nil {
 		return 0, err
 	}
-	if err := db.AddTriple(s, label, o); err != nil {
-		return 0, err
-	}
-	// Return the id of the just-added (or pre-existing) statement edge. A
-	// failed scan must not return the zero EdgeID as if it were a real id.
-	var eid model.EdgeID
-	if err := db.Core.Neighbors(from, model.Out, func(e model.Edge, n model.Node) bool {
-		if e.Label == label && n.ID == to {
-			eid = e.ID
-			return false
-		}
-		return true
-	}); err != nil {
-		return 0, err
-	}
-	return eid, nil
+	// The id of the just-added or the pre-existing statement edge.
+	eid, _, err := db.assert(s, label, o)
+	return eid, err
 }
 
 var (

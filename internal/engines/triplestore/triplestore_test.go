@@ -147,6 +147,37 @@ func TestCustomRule(t *testing.T) {
 	}
 }
 
+// TestMaterializeRejectsValuelessNode: an edge added through the generic
+// graph API may end at a node that is no term. A rule that binds such a
+// node has no triple to derive, so Materialize must fail, not assert one.
+func TestMaterializeRejectsValuelessNode(t *testing.T) {
+	db := openMem(t)
+	if err := db.AddTriple("a", "p", "b"); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := db.AddNode("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := db.TermID("a")
+	if _, err := db.AddEdge("p", bare, a, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddRule(reason.Rule{
+		Name: "copy",
+		Head: reason.Pattern{S: "?x", P: "q", O: "?y"},
+		Body: []reason.Pattern{{S: "?x", P: "p", O: "?y"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.Materialize(); err == nil {
+		t.Fatalf("Materialize derived %d facts from a node without a value", n)
+	}
+	if _, ok := db.TermID(""); ok {
+		t.Error("Materialize interned the empty term")
+	}
+}
+
 func TestPersistenceRebuildsTermsAndIndex(t *testing.T) {
 	dir := t.TempDir()
 	db, err := New(engine.Options{Dir: filepath.Join(dir)})

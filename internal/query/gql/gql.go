@@ -151,14 +151,14 @@ func (p *parser) parseStatement() (*Statement, error) {
 			}
 		case "SKIP":
 			p.lex.Next()
-			n, err := p.parseInt()
+			n, err := p.lex.Count()
 			if err != nil {
 				return nil, err
 			}
 			p.spec.Offset = n
 		case "LIMIT":
 			p.lex.Next()
-			n, err := p.parseInt()
+			n, err := p.lex.Count()
 			if err != nil {
 				return nil, err
 			}
@@ -203,24 +203,6 @@ func (p *parser) parseStatement() (*Statement, error) {
 
 // TokEOFKind aliases the lexer EOF kind for readability.
 const TokEOFKind = query.TokEOF
-
-func (p *parser) parseInt() (int, error) {
-	t, err := p.lex.Next()
-	if err != nil {
-		return 0, err
-	}
-	if t.Kind != query.TokNumber {
-		return 0, p.lex.Errorf(t.Pos, "expected a number, got %q", t.Text)
-	}
-	n := 0
-	for _, c := range t.Text {
-		if c < '0' || c > '9' {
-			return 0, p.lex.Errorf(t.Pos, "expected an integer, got %q", t.Text)
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
-}
 
 // parsePatterns parses comma-separated pattern chains.
 func (p *parser) parsePatterns() error {
@@ -407,10 +389,6 @@ func (p *parser) parseEdgeBody() (ev, label string, props model.Properties, vl v
 			} else if ok {
 				vl.max = n
 			}
-			if vl.min == vl.max && vl.max != 0 && vl.min != 1 {
-				// *n..n is fine; nothing to adjust.
-				_ = vl
-			}
 		} else if vl.min == vl.max && vl.max == 0 {
 			// bare * stays 1..unbounded
 			vl.min = 1
@@ -437,15 +415,8 @@ func (p *parser) acceptInt() (int, bool, error) {
 	if t.Kind != query.TokNumber {
 		return 0, false, nil
 	}
-	p.lex.Next()
-	n := 0
-	for _, c := range t.Text {
-		if c < '0' || c > '9' {
-			return 0, false, p.lex.Errorf(t.Pos, "expected an integer")
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true, nil
+	n, err := p.lex.Count()
+	return n, err == nil, err
 }
 
 // parsePropMap parses k: v, ... } — the opening brace is already consumed.

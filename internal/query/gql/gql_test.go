@@ -2,6 +2,8 @@ package gql
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"testing"
 
 	"gdbm/internal/memgraph"
@@ -280,3 +282,34 @@ func TestRepeatedVariableUnifies(t *testing.T) {
 
 var _ plan.Source = testDB{}
 var _ Mutator = testDB{}
+
+func TestSkipLimitCounts(t *testing.T) {
+	for _, c := range []struct {
+		stmt          string
+		limit, offset int
+		ok            bool
+	}{
+		{"MATCH (a) RETURN a SKIP 2 LIMIT 3", 3, 2, true},
+		{"MATCH (a) RETURN a LIMIT " + strconv.Itoa(math.MaxInt), math.MaxInt, 0, true},
+		{"MATCH (a) RETURN a LIMIT", 0, 0, false},
+		{"MATCH (a) RETURN a LIMIT 2.5", 0, 0, false},
+		{"MATCH (a) RETURN a SKIP x", 0, 0, false},
+		{"MATCH (a) RETURN a LIMIT 9223372036854775808", 0, 0, false},
+		{"MATCH (a) RETURN a LIMIT 18446744073709551617", 0, 0, false},
+		{"MATCH (a) RETURN a SKIP 18446744073709551617", 0, 0, false},
+		{"MATCH (a)-[:r*1..18446744073709551617]->(b) RETURN b", 0, 0, false},
+	} {
+		st, err := Parse(c.stmt)
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%q parsed as LIMIT %d SKIP %d, want an error", c.stmt, st.Match.Limit, st.Match.Offset)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", c.stmt, err)
+		} else if st.Match.Limit != c.limit || st.Match.Offset != c.offset {
+			t.Errorf("%q parsed as LIMIT %d SKIP %d, want %d %d", c.stmt, st.Match.Limit, st.Match.Offset, c.limit, c.offset)
+		}
+	}
+}

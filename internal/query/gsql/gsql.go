@@ -590,11 +590,11 @@ func execSelect(ctx context.Context, l *query.Lexer, e Engine, sink plan.Sink) (
 		}
 	}
 	if l.AcceptIdent("LIMIT") {
-		n, err := parseID(l)
+		n, err := l.Count()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("gsql: LIMIT: %w", err)
 		}
-		spec.Limit = int(n)
+		spec.Limit = n
 	}
 	op, err := plan.CompileFor(&spec, e)
 	if err != nil {
@@ -654,11 +654,11 @@ func execSelectPath(ctx context.Context, l *query.Lexer, e Engine) (*Result, err
 		return nil, err
 	}
 	if l.AcceptIdent("MAXLEN") {
-		n, err := parseID(l)
+		n, err := l.Count()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("gsql: MAXLEN: %w", err)
 		}
-		paths, err := algo.FixedLengthPathsCtx(ctx, e, model.NodeID(from), model.NodeID(to), int(n), model.Out, 100)
+		paths, err := algo.FixedLengthPathsCtx(ctx, e, model.NodeID(from), model.NodeID(to), n, model.Out, 100)
 		if err != nil {
 			return nil, err
 		}
@@ -694,11 +694,9 @@ func execSelectNeighbors(ctx context.Context, l *query.Lexer, e Engine) (*Result
 	}
 	depth := 1
 	if l.AcceptIdent("DEPTH") {
-		n, err := parseID(l)
-		if err != nil {
-			return nil, err
+		if depth, err = l.Count(); err != nil {
+			return nil, fmt.Errorf("gsql: DEPTH: %w", err)
 		}
-		depth = int(n)
 	}
 	ids, err := algo.NeighborhoodCtx(ctx, e, model.NodeID(id), depth, model.Both)
 	if err != nil {

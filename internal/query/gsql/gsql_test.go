@@ -2,6 +2,8 @@ package gsql
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"testing"
 
 	"gdbm/internal/memgraph"
@@ -250,5 +252,33 @@ func TestSummarizationInstructions(t *testing.T) {
 	}
 	if _, err := execCollect(context.Background(), `SELECT DISTANCE FROM 1`, e); err == nil {
 		t.Error("missing TO should fail")
+	}
+}
+
+func TestCounts(t *testing.T) {
+	e := newEngine(t)
+	seed(t, e)
+	for stmt, rows := range map[string]int{
+		`SELECT name FROM Person LIMIT 2`:                            2,
+		`SELECT name FROM Person LIMIT 0`:                            0,
+		`SELECT name FROM Person LIMIT ` + strconv.Itoa(math.MaxInt): 3,
+		`SELECT NEIGHBORS OF 2 DEPTH 2`:                              2,
+		`SELECT PATH FROM 1 TO 3 MAXLEN 2`:                           1,
+	} {
+		if res := mustExec(t, e, stmt); len(res.Rows) != rows {
+			t.Errorf("%s: %d rows, want %d", stmt, len(res.Rows), rows)
+		}
+	}
+	for _, bad := range []string{
+		`SELECT name FROM Person LIMIT`,
+		`SELECT name FROM Person LIMIT 2.5`,
+		`SELECT name FROM Person LIMIT 9223372036854775808`,
+		`SELECT name FROM Person LIMIT 18446744073709551615`,
+		`SELECT NEIGHBORS OF 2 DEPTH 18446744073709551615`,
+		`SELECT PATH FROM 1 TO 3 MAXLEN 9223372036854775808`,
+	} {
+		if _, err := execCollect(context.Background(), bad, e); err == nil {
+			t.Errorf("exec %q should fail", bad)
+		}
 	}
 }

@@ -7,7 +7,9 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -118,6 +120,26 @@ func (l *Lexer) ExpectPunct(p string) error {
 		return l.Errorf(t.Pos, "expected %q, got %q", p, t.Text)
 	}
 	return nil
+}
+
+// Count reads a count — a LIMIT, SKIP or OFFSET, a path bound: a number
+// token of digits alone whose value fits in an int. A fraction, a missing
+// count or a value beyond int is an error, never a clamped or wrapped int.
+func (l *Lexer) Count() (int, error) {
+	t, err := l.Next()
+	if err != nil {
+		return 0, err
+	}
+	if t.Kind == TokNumber {
+		n, err := strconv.Atoi(t.Text)
+		if err == nil {
+			return n, nil
+		}
+		if errors.Is(err, strconv.ErrRange) {
+			return 0, l.Errorf(t.Pos, "count %s is out of range", t.Text)
+		}
+	}
+	return 0, l.Errorf(t.Pos, "expected an integer count, got %q", t.Text)
 }
 
 // multi-character punctuation, longest first.

@@ -100,10 +100,9 @@ func TestWithCancelPassesResults(t *testing.T) {
 	}
 }
 
-// capable is a Source over a memgraph that keeps the store's optional
-// capabilities — id adjacency above all — which UnindexedSource, embedding
-// the model.Graph interface, hides. nativeCalls counts the id-adjacency
-// requests, so a test can tell which path answered. It scans nodes in ID
+// capable is a Source over a memgraph that keeps the store's id adjacency
+// and counts its requests in nativeCalls, so a test can tell which path
+// answered. It scans nodes in ID
 // order — memgraph's own order is Go's map order — so that two runs of one
 // plan can be compared row for row.
 type capable struct {
@@ -139,6 +138,16 @@ func (c capable) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir 
 	return c.Graph.AppendNeighborIDs(buf, id, dir, label)
 }
 
+// neighborsOnly is a Source that answers adjacency through Neighbors alone:
+// embedding the model.Graph interface hides the wrapped store's id
+// adjacency, which UnindexedSource forwards. It drives the operators'
+// Neighbors branch, the one stores without id pairs take.
+type neighborsOnly struct{ model.Graph }
+
+func (neighborsOnly) IndexedNodes(string, string, model.Value, func(model.Node) bool) (bool, error) {
+	return false, nil
+}
+
 // hubSources builds a hub with 10 strides of neighbours and returns it
 // behind both adjacency paths.
 func hubSources(t *testing.T) map[string]Source {
@@ -157,7 +166,7 @@ func hubSources(t *testing.T) map[string]Source {
 			t.Fatal(err)
 		}
 	}
-	return map[string]Source{"native": capable{Graph: g}, "fallback": UnindexedSource{g}}
+	return map[string]Source{"native": capable{Graph: g}, "fallback": neighborsOnly{g}}
 }
 
 // cancellingSink counts rows and cancels its context at row cancelAt.

@@ -152,7 +152,7 @@ func FuzzCompileMatchSpec(f *testing.F) {
 
 	native, expanded := 0, 0
 	src := capable{Graph: fuzzGraph(), nativeCalls: &native}
-	hidden := UnindexedSource{src}
+	hidden := neighborsOnly{src}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specA := decodeMatchSpec(data)
 		specB := decodeMatchSpec(data)

@@ -260,7 +260,7 @@ func TestPlannersMatchOracle(t *testing.T) {
 		}
 		var src Source = capable{Graph: g}
 		if seed%2 == 1 {
-			src = UnindexedSource{g}
+			src = neighborsOnly{g}
 		}
 		naive, costed, wco := compileAll(t, spec, st)
 		for name, op := range map[string]Op{"naive": naive, "cost": costed, "wco": wco} {
@@ -665,7 +665,7 @@ func TestPathExpandMatchesWalkOracle(t *testing.T) {
 		}
 		var src Source = capable{Graph: g}
 		if seed%2 == 1 {
-			src = UnindexedSource{g}
+			src = neighborsOnly{g}
 		}
 		min, max := rng.Intn(3), 1+rng.Intn(4)
 		got := map[PathSemantics]map[model.NodeID]map[model.NodeID]bool{}

@@ -364,9 +364,9 @@ type pathWalker struct {
 	load     bool // ToVar is read: a node handed out as an id gets its record
 	emit     func(model.Node) error
 
-	// seen holds the visited pairs under reachability, and under simple
-	// paths the nodes bound, as pairs in state 0.
-	seen  map[pathPair]struct{}
+	// seen holds, per automaton state, the nodes visited in it under
+	// reachability, and under simple paths the nodes bound, in state 0.
+	seen  []map[model.NodeID]struct{}
 	queue []pathPair // reachability: the pairs in visiting order
 	to    int        // reachability: the state the step being expanded enters
 	depth int
@@ -386,9 +386,14 @@ func newPathWalker(src Source, p *PathExpr, min, max int, load bool) *pathWalker
 func (w *pathWalker) run(from model.Node, sem PathSemantics, emit func(model.Node) error) error {
 	w.emit = emit
 	if w.seen == nil {
-		w.seen = map[pathPair]struct{}{}
+		w.seen = make([]map[model.NodeID]struct{}, len(w.p.accept))
+		for q := range w.seen {
+			w.seen[q] = map[model.NodeID]struct{}{}
+		}
 	}
-	clear(w.seen)
+	for _, m := range w.seen {
+		clear(m)
+	}
 	if sem == SimplePaths {
 		w.path = append(w.path[:0], from.ID)
 		w.budget = simplePathBudget
@@ -412,7 +417,7 @@ func (w *pathWalker) bind(n model.Node, records bool) (err error) {
 // accepting state, and bound then if that depth lies within [min, max].
 func (w *pathWalker) reach(from model.Node) error {
 	start := pathPair{from.ID, 0}
-	w.seen[start] = struct{}{}
+	w.seen[0][from.ID] = struct{}{}
 	if w.p.accept[0] && w.min == 0 {
 		if err := w.emit(from); err != nil {
 			return err
@@ -436,12 +441,15 @@ func (w *pathWalker) reach(from model.Node) error {
 }
 
 func (w *pathWalker) visitReach(_ model.Edge, n model.Node, records bool) error {
-	pair := pathPair{n.ID, w.to}
-	if _, ok := w.seen[pair]; ok {
+	seen := w.seen[w.to]
+	if _, ok := seen[n.ID]; ok {
 		return nil
 	}
-	w.seen[pair] = struct{}{}
-	w.queue = append(w.queue, pair)
+	seen[n.ID] = struct{}{}
+	pair := pathPair{n.ID, w.to}
+	if w.max == 0 || w.depth < w.max { // a pair at depth max is never expanded
+		w.queue = append(w.queue, pair)
+	}
 	if w.p.accept[w.to] && w.depth >= w.min && w.firstAcceptance(pair) {
 		return w.bind(n, records)
 	}
@@ -455,7 +463,7 @@ func (w *pathWalker) firstAcceptance(pair pathPair) bool {
 		if !acc || q == pair.state {
 			continue
 		}
-		if _, ok := w.seen[pathPair{pair.node, q}]; ok {
+		if _, ok := w.seen[q][pair.node]; ok {
 			return false
 		}
 	}
@@ -469,9 +477,9 @@ func (w *pathWalker) simple(n model.Node, records bool, state, depth int) error 
 	if w.budget--; w.budget < 0 {
 		return fmt.Errorf("plan: simple-path search from node %d visited more than %d states", w.path[0], simplePathBudget)
 	}
-	if bound := (pathPair{node: n.ID}); w.p.accept[state] && depth >= w.min {
-		if _, done := w.seen[bound]; !done {
-			w.seen[bound] = struct{}{}
+	if w.p.accept[state] && depth >= w.min {
+		if _, done := w.seen[0][n.ID]; !done {
+			w.seen[0][n.ID] = struct{}{}
 			if err := w.bind(n, records); err != nil {
 				return err
 			}

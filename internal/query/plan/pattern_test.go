@@ -201,3 +201,39 @@ func TestMatchPatternPropagatesScanError(t *testing.T) {
 		}
 	}
 }
+
+// neighborCounter is a bare graph with id adjacency that counts the calls
+// to its Neighbors.
+type neighborCounter struct {
+	*memgraph.Graph
+	calls int
+}
+
+func (g *neighborCounter) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
+	g.calls++
+	return g.Graph.Neighbors(id, dir, fn)
+}
+
+// TestBareGraphWalksIDAdjacency checks that wrapping a bare graph for
+// MatchPattern and MatchPath keeps its id adjacency: no Neighbors call.
+func TestBareGraphWalksIDAdjacency(t *testing.T) {
+	mg, ids := socialGraph(t)
+	g := &neighborCounter{Graph: mg}
+	m := matchAll(t, g, []algo.PatternNode{{Label: "P"}, {Label: "P"}}, []algo.PatternEdge{{From: 0, To: 1, Label: "knows"}}, 0)
+	if len(m) != 2 {
+		t.Fatalf("knows matches = %v", m)
+	}
+	p, err := CompilePathExpr("knows*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sem := range []PathSemantics{Reachability, SimplePaths} {
+		got, err := MatchPath(context.Background(), g, p, ids["ada"], sem)
+		if err != nil || len(got) != 3 {
+			t.Fatalf("semantics %d: reached %v, %v", sem, got, err)
+		}
+	}
+	if g.calls != 0 {
+		t.Errorf("%d Neighbors calls, want none", g.calls)
+	}
+}

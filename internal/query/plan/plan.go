@@ -33,6 +33,15 @@ func (UnindexedSource) IndexedNodes(string, string, model.Value, func(model.Node
 	return false, nil
 }
 
+// AppendNeighborIDs forwards model.IDAdjacency when the wrapped graph has
+// it; otherwise it reports unhandled and the operators use Neighbors.
+func (u UnindexedSource) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
+	if ia, ok := u.Graph.(model.IDAdjacency); ok {
+		return ia.AppendNeighborIDs(buf, id, dir, label)
+	}
+	return buf, false, nil
+}
+
 // Op is a push-based physical operator: it streams rows to emit. Returning
 // a non-nil error from emit aborts execution with that error. The operator
 // overwrites the row once emit returns: an emit that keeps a row copies it.

@@ -33,10 +33,15 @@ func people(t *testing.T) (Source, map[string]model.NodeID) {
 }
 
 // runAll binds a hand-built tree the way the planners bind a compiled one,
-// runs it, and returns every row keyed by variable name.
+// runs it, and returns every row keyed by variable name. The caller may read
+// any binding, so every slot counts as read: a source with id adjacency
+// then loads the records, as it does for a query that reads them.
 func runAll(t *testing.T, op Op, src Source) []map[string]query.Entry {
 	t.Helper()
 	sc := bindTree(op)
+	for i := range sc.Read {
+		sc.Read[i] = true
+	}
 	var rows []map[string]query.Entry
 	if err := op.Run(src, func(r query.Row) error {
 		row := map[string]query.Entry{}

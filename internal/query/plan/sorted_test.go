@@ -15,9 +15,9 @@ import (
 	"gdbm/internal/storage/kv"
 )
 
-// pairSource is a Source over a store that keeps the store's id adjacency,
-// which UnindexedSource hides, and counts the requests that reached it:
-// the vacuity guard that the id-pair branch served the store.
+// pairSource is a Source over a store that keeps the store's id adjacency
+// and counts the requests that reached it: the vacuity guard that the
+// id-pair branch served the store.
 type pairSource struct {
 	UnindexedSource
 	pairs *int

@@ -20,6 +20,7 @@ package sparqlish
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gdbm/internal/model"
@@ -30,15 +31,15 @@ import (
 
 // Query is a parsed SELECT query.
 type Query struct {
-	Vars     []string
-	Spec     plan.MatchSpec
-	Distinct bool
+	Vars []string
+	Spec plan.MatchSpec
 }
 
 // TriplePattern is one subject-predicate-object pattern.
 type TriplePattern struct {
-	// S and O are variable names (no '?') or constant terms; constants are
-	// IRIs or literals.
+	// SVar and OVar name the subject and object variables; where a name is
+	// empty, the position holds the constant SConst or OConst instead, an
+	// IRI or a literal.
 	SVar, OVar string
 	SConst     model.Value
 	OConst     model.Value
@@ -49,16 +50,12 @@ type TriplePattern struct {
 func Parse(input string) (*Query, error) {
 	l := query.NewLexer(input)
 	l.IRIMode = true
-	q := &Query{}
-	q.Spec.Limit = -1
 	if err := l.ExpectIdent("SELECT"); err != nil {
 		return nil, fmt.Errorf("sparqlish: %w", err)
 	}
-	if l.AcceptIdent("DISTINCT") {
-		q.Distinct = true
-		q.Spec.Distinct = true
-	}
+	distinct := l.AcceptIdent("DISTINCT")
 	// Projection: ?a ?b ... or *
+	var vars []string
 	star := false
 	for {
 		t, err := l.Peek()
@@ -67,7 +64,7 @@ func Parse(input string) (*Query, error) {
 		}
 		if t.Kind == query.TokVar {
 			l.Next()
-			q.Vars = append(q.Vars, t.Text)
+			vars = append(vars, t.Text)
 			continue
 		}
 		if t.Kind == query.TokPunct && t.Text == "*" {
@@ -84,7 +81,7 @@ func Parse(input string) (*Query, error) {
 		return nil, fmt.Errorf("sparqlish: %w", err)
 	}
 	var patterns []TriplePattern
-	varSet := map[string]bool{}
+	var where query.Expr
 	for {
 		t, err := l.Peek()
 		if err != nil {
@@ -107,15 +104,15 @@ func Parse(input string) (*Query, error) {
 				return nil, fmt.Errorf("sparqlish: %w", err)
 			}
 			e = rewriteVarsToValues(e)
-			if q.Spec.Where == nil {
-				q.Spec.Where = e
+			if where == nil {
+				where = e
 			} else {
-				q.Spec.Where = query.BinOp{Op: "and", L: q.Spec.Where, R: e}
+				where = query.BinOp{Op: "and", L: where, R: e}
 			}
 			l.AcceptPunct(".")
 			continue
 		}
-		tp, err := parseTriple(l, varSet)
+		tp, err := parseTriple(l)
 		if err != nil {
 			return nil, fmt.Errorf("sparqlish: %w", err)
 		}
@@ -131,6 +128,23 @@ func Parse(input string) (*Query, error) {
 			}
 		}
 	}
+	if star {
+		for _, tp := range patterns {
+			for _, v := range [2]string{tp.SVar, tp.OVar} {
+				if v != "" && !slices.Contains(vars, v) {
+					vars = append(vars, v)
+				}
+			}
+		}
+	}
+	if len(vars) == 0 {
+		return nil, fmt.Errorf("sparqlish: SELECT needs at least one variable")
+	}
+	q, err := Compile(patterns, vars)
+	if err != nil {
+		return nil, err
+	}
+	q.Spec.Where, q.Spec.Distinct = where, distinct
 	// Modifiers.
 	for {
 		t, err := l.Peek()
@@ -172,33 +186,22 @@ func Parse(input string) (*Query, error) {
 			}
 		case "LIMIT":
 			l.Next()
-			nt, err := l.Next()
-			if err != nil {
-				return nil, err
+			if q.Spec.Limit, err = l.Count(); err != nil {
+				return nil, fmt.Errorf("sparqlish: LIMIT: %w", err)
 			}
-			n := 0
-			fmt.Sscanf(nt.Text, "%d", &n)
-			q.Spec.Limit = n
 		case "OFFSET":
 			l.Next()
-			nt, err := l.Next()
-			if err != nil {
-				return nil, err
+			if q.Spec.Offset, err = l.Count(); err != nil {
+				return nil, fmt.Errorf("sparqlish: OFFSET: %w", err)
 			}
-			n := 0
-			fmt.Sscanf(nt.Text, "%d", &n)
-			q.Spec.Offset = n
 		default:
 			return nil, l.Errorf(t.Pos, "unexpected keyword %q", t.Text)
 		}
 	}
-	if err := q.compile(patterns, varSet, star); err != nil {
-		return nil, err
-	}
 	return q, nil
 }
 
-func parseTriple(l *query.Lexer, varSet map[string]bool) (TriplePattern, error) {
+func parseTriple(l *query.Lexer) (TriplePattern, error) {
 	var tp TriplePattern
 	// Subject.
 	t, err := l.Next()
@@ -208,10 +211,7 @@ func parseTriple(l *query.Lexer, varSet map[string]bool) (TriplePattern, error) 
 	switch t.Kind {
 	case query.TokVar:
 		tp.SVar = t.Text
-		varSet[t.Text] = true
-	case query.TokIRI:
-		tp.SConst = model.Str(t.Text)
-	case query.TokString:
+	case query.TokIRI, query.TokString:
 		tp.SConst = model.Str(t.Text)
 	default:
 		return tp, l.Errorf(t.Pos, "bad triple subject %q", t.Text)
@@ -235,10 +235,7 @@ func parseTriple(l *query.Lexer, varSet map[string]bool) (TriplePattern, error) 
 	switch t.Kind {
 	case query.TokVar:
 		tp.OVar = t.Text
-		varSet[t.Text] = true
-	case query.TokIRI:
-		tp.OConst = model.Str(t.Text)
-	case query.TokString:
+	case query.TokIRI, query.TokString:
 		tp.OConst = model.Str(t.Text)
 	case query.TokNumber:
 		e, perr := query.ParseExprString(t.Text)
@@ -253,67 +250,52 @@ func parseTriple(l *query.Lexer, varSet map[string]bool) (TriplePattern, error) 
 	return tp, nil
 }
 
-// compile lowers triple patterns onto the shared MatchSpec: every distinct
-// term becomes a pattern node; each triple becomes a directed edge labelled
-// with the predicate. Constant terms constrain the node's "value" property —
-// the triple engine represents every resource/literal as a node with a
-// value property.
-func (q *Query) compile(patterns []TriplePattern, varSet map[string]bool, star bool) error {
+// Compile lowers a basic graph pattern onto the shared MatchSpec, the one
+// path from triple patterns to a plan: every distinct variable becomes a
+// pattern node; each triple becomes a directed edge labelled with the
+// predicate. Constant terms become nodes whose "value" property must equal
+// the constant — the triple engine represents every resource/literal as a
+// node with a value property. The spec projects the lexical value of each
+// of vars, which must all occur in patterns, and has no other modifier.
+func Compile(patterns []TriplePattern, vars []string) (*Query, error) {
 	if len(patterns) == 0 {
-		return fmt.Errorf("sparqlish: empty basic graph pattern")
+		return nil, fmt.Errorf("sparqlish: empty basic graph pattern")
 	}
+	q := &Query{Vars: vars}
+	q.Spec.Limit = -1
 	nodeIdx := map[string]int{}
-	addVarNode := func(name string) int {
+	// term returns the node of a triple position: variable name's one node,
+	// or, where name is empty, a fresh node for the constant c.
+	term := func(name string, c model.Value) int {
 		if i, ok := nodeIdx[name]; ok {
 			return i
 		}
 		i := len(q.Spec.Nodes)
+		if name == "" {
+			q.Spec.Nodes = append(q.Spec.Nodes, plan.NodePat{Var: fmt.Sprintf("_c%d", i), Props: model.Properties{"value": c}})
+			return i
+		}
 		q.Spec.Nodes = append(q.Spec.Nodes, plan.NodePat{Var: name})
 		nodeIdx[name] = i
 		return i
 	}
-	addConstNode := func(v model.Value) int {
-		i := len(q.Spec.Nodes)
-		q.Spec.Nodes = append(q.Spec.Nodes, plan.NodePat{
-			Var:   fmt.Sprintf("_c%d", i),
-			Props: model.Properties{"value": v},
-		})
-		return i
-	}
 	for _, tp := range patterns {
-		var s, o int
-		if tp.SVar != "" {
-			s = addVarNode(tp.SVar)
-		} else {
-			s = addConstNode(tp.SConst)
+		if tp.Pred == "" {
+			return nil, fmt.Errorf("sparqlish: empty predicate")
 		}
-		if tp.OVar != "" {
-			o = addVarNode(tp.OVar)
-		} else {
-			o = addConstNode(tp.OConst)
-		}
-		q.Spec.Edges = append(q.Spec.Edges, plan.EdgePat{
-			Label: tp.Pred, From: s, To: o, Dir: model.Out,
-		})
+		s := term(tp.SVar, tp.SConst)
+		q.Spec.Edges = append(q.Spec.Edges, plan.EdgePat{Label: tp.Pred, From: s, To: term(tp.OVar, tp.OConst), Dir: model.Out})
 	}
-	if star {
-		for v := range varSet {
-			q.Vars = append(q.Vars, v)
-		}
-	}
-	if len(q.Vars) == 0 {
-		return fmt.Errorf("sparqlish: SELECT needs at least one variable")
-	}
-	for _, v := range q.Vars {
-		if !varSet[v] {
-			return fmt.Errorf("sparqlish: projected variable ?%s not bound in WHERE", v)
+	for _, v := range vars {
+		if _, ok := nodeIdx[v]; !ok {
+			return nil, fmt.Errorf("sparqlish: projected variable ?%s not bound in WHERE", v)
 		}
 		// Project the term's lexical value.
 		q.Spec.Return = append(q.Spec.Return, plan.Item{
 			Name: v, Expr: query.Var{Name: v, Prop: "value"},
 		})
 	}
-	return nil
+	return q, nil
 }
 
 // rewriteVarsToValues turns bare variable references in a FILTER into

@@ -2,6 +2,8 @@ package sparqlish
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"testing"
 
 	"gdbm/internal/memgraph"
@@ -132,6 +134,7 @@ func TestParseErrors(t *testing.T) {
 		`SELECT ?z WHERE { ?x <p> ?y . }`,        // unbound projection
 		`SELECT ?x WHERE { }`,                    // empty BGP
 		`SELECT ?x WHERE { ?x <p> ?y BAD ?z . }`, // junk
+		`SELECT ?x WHERE { ?x <> ?y . }`,         // empty predicate
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("parse %q should fail", bad)
@@ -143,5 +146,39 @@ func TestTrailingDotOptional(t *testing.T) {
 	src := tripleGraph(t)
 	if _, err := runCollect(context.Background(), `SELECT ?x WHERE { ?x <type> "person" }`, src); err != nil {
 		t.Errorf("trailing dot should be optional: %v", err)
+	}
+}
+
+func TestLimitOffsetCounts(t *testing.T) {
+	const where = `SELECT ?x WHERE { ?x <p> ?y . } `
+	for _, c := range []struct {
+		mods          string
+		limit, offset int
+		ok            bool
+	}{
+		{"LIMIT 3", 3, 0, true},
+		{"LIMIT 0 OFFSET 2", 0, 2, true},
+		{"OFFSET 5", -1, 5, true},
+		{"LIMIT " + strconv.Itoa(math.MaxInt), math.MaxInt, 0, true},
+		{"LIMIT", 0, 0, false},
+		{"LIMIT foo", 0, 0, false},
+		{"LIMIT 2.5", 0, 0, false},
+		{"OFFSET 1.0", 0, 0, false},
+		{"LIMIT 9223372036854775808", 0, 0, false},
+		{"LIMIT 18446744073709551617", 0, 0, false},
+		{"OFFSET 99999999999999999999", 0, 0, false},
+	} {
+		q, err := Parse(where + c.mods)
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%q parsed as LIMIT %d OFFSET %d, want an error", c.mods, q.Spec.Limit, q.Spec.Offset)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", c.mods, err)
+		} else if q.Spec.Limit != c.limit || q.Spec.Offset != c.offset {
+			t.Errorf("%q parsed as LIMIT %d OFFSET %d, want %d %d", c.mods, q.Spec.Limit, q.Spec.Offset, c.limit, c.offset)
+		}
 	}
 }

@@ -1,22 +1,15 @@
-// Package reason implements rule-based inference over triples — the
-// "Reasoning" query facility of Table V that the survey attributes to the
-// AllegroGraph archetype (there via Prolog; here via a datalog-style
-// semi-naive fixpoint). RDFS-flavoured subclass/subproperty rules are
-// provided as a standard rule set.
+// Package reason holds the rule vocabulary of the "Reasoning" query
+// facility of Table V, which the survey attributes to the AllegroGraph
+// archetype (there via Prolog; here via datalog-style rules over triples).
+// The triple engine evaluates the rules: each rule body is a basic graph
+// pattern that the planner runs, to a fixpoint. RDFS-flavoured
+// subclass/subproperty rules are provided as a standard rule set.
 package reason
 
 import (
 	"fmt"
 	"strings"
 )
-
-// Triple is a subject-predicate-object statement over string terms.
-type Triple struct {
-	S, P, O string
-}
-
-// String renders the triple.
-func (t Triple) String() string { return fmt.Sprintf("(%s %s %s)", t.S, t.P, t.O) }
 
 // Term is a constant or a variable; variables start with '?'.
 type Term string
@@ -30,18 +23,24 @@ type Pattern struct {
 }
 
 // Rule derives Head from the conjunction of Body patterns. Every head
-// variable must appear in the body (safety).
+// variable must appear in the body (safety). A body predicate is a
+// constant — the edge label a basic graph pattern matches — while a head
+// predicate may be a variable the body binds.
 type Rule struct {
 	Name string
 	Head Pattern
 	Body []Pattern
 }
 
-// Validate checks rule safety.
+// Validate checks rule safety and that every body predicate is a constant,
+// non-empty edge label.
 func (r Rule) Validate() error {
 	bound := map[Term]bool{}
 	for _, p := range r.Body {
-		for _, t := range []Term{p.S, p.P, p.O} {
+		if p.P == "" || p.P.IsVar() {
+			return fmt.Errorf("reason: rule %q body predicate %q is not an edge label", r.Name, p.P)
+		}
+		for _, t := range []Term{p.S, p.O} {
 			if t.IsVar() {
 				bound[t] = true
 			}
@@ -59,8 +58,9 @@ func (r Rule) Validate() error {
 }
 
 // RDFS returns the standard rule set: transitivity of subClassOf and
-// subPropertyOf, type propagation through subClassOf, and property
-// propagation through subPropertyOf.
+// subPropertyOf, and type propagation through subClassOf. Property
+// propagation through subPropertyOf is not among them: its body needs a
+// predicate variable.
 func RDFS() []Rule {
 	return []Rule{
 		{
@@ -79,126 +79,4 @@ func RDFS() []Rule {
 			Body: []Pattern{{"?p", "subPropertyOf", "?q"}, {"?q", "subPropertyOf", "?r"}},
 		},
 	}
-}
-
-// Infer computes the fixpoint of rules over base and returns only the newly
-// derived triples. It runs semi-naive evaluation: each round only joins
-// against facts derived in the previous round.
-func Infer(base []Triple, rules []Rule) ([]Triple, error) {
-	for _, r := range rules {
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	all := map[Triple]bool{}
-	for _, t := range base {
-		all[t] = true
-	}
-	delta := map[Triple]bool{}
-	for t := range all {
-		delta[t] = true
-	}
-	var derived []Triple
-	for len(delta) > 0 {
-		next := map[Triple]bool{}
-		for _, r := range rules {
-			// For semi-naive evaluation at least one body atom must match
-			// a delta fact; we iterate positions.
-			for pos := range r.Body {
-				matches := matchBody(r.Body, pos, all, delta)
-				for _, binding := range matches {
-					t, ok := instantiate(r.Head, binding)
-					if !ok {
-						continue
-					}
-					if !all[t] {
-						all[t] = true
-						next[t] = true
-						derived = append(derived, t)
-					}
-				}
-			}
-		}
-		delta = next
-	}
-	return derived, nil
-}
-
-// binding maps variables to constants.
-type binding map[Term]string
-
-// matchBody enumerates bindings satisfying the body, with atom deltaPos
-// restricted to delta facts.
-func matchBody(body []Pattern, deltaPos int, all, delta map[Triple]bool) []binding {
-	var out []binding
-	var rec func(i int, b binding)
-	rec = func(i int, b binding) {
-		if i == len(body) {
-			cp := binding{}
-			for k, v := range b {
-				cp[k] = v
-			}
-			out = append(out, cp)
-			return
-		}
-		source := all
-		if i == deltaPos {
-			source = delta
-		}
-		for t := range source {
-			nb, ok := unify(body[i], t, b)
-			if !ok {
-				continue
-			}
-			rec(i+1, nb)
-		}
-	}
-	rec(0, binding{})
-	return out
-}
-
-// unify extends b so that p matches t, or reports failure. It never mutates
-// b on failure; on success it may return b itself extended.
-func unify(p Pattern, t Triple, b binding) (binding, bool) {
-	nb := b
-	cloned := false
-	bind := func(term Term, val string) bool {
-		if !term.IsVar() {
-			return string(term) == val
-		}
-		if cur, ok := nb[term]; ok {
-			return cur == val
-		}
-		if !cloned {
-			c := binding{}
-			for k, v := range nb {
-				c[k] = v
-			}
-			nb = c
-			cloned = true
-		}
-		nb[term] = val
-		return true
-	}
-	if !bind(p.S, t.S) || !bind(p.P, t.P) || !bind(p.O, t.O) {
-		return b, false
-	}
-	return nb, true
-}
-
-func instantiate(p Pattern, b binding) (Triple, bool) {
-	get := func(t Term) (string, bool) {
-		if t.IsVar() {
-			v, ok := b[t]
-			return v, ok
-		}
-		return string(t), true
-	}
-	s, ok1 := get(p.S)
-	pr, ok2 := get(p.P)
-	o, ok3 := get(p.O)
-	if !ok1 || !ok2 || !ok3 {
-		return Triple{}, false
-	}
-	return Triple{s, pr, o}, true
 }

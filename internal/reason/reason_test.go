@@ -1,49 +1,38 @@
-package reason
+package reason_test
 
 import (
+	"maps"
 	"testing"
+
+	"gdbm/internal/engine"
+	"gdbm/internal/engines/triplestore"
+	"gdbm/internal/reason"
 )
 
 func TestSubclassTransitivity(t *testing.T) {
-	base := []Triple{
+	base := []triple{
 		{"cat", "subClassOf", "mammal"},
 		{"mammal", "subClassOf", "animal"},
 		{"felix", "type", "cat"},
 	}
-	derived, err := Infer(base, RDFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[Triple]bool{
+	got := derive(t, base, reason.RDFS())
+	want := map[triple]bool{
 		{"cat", "subClassOf", "animal"}: true,
 		{"felix", "type", "mammal"}:     true,
 		{"felix", "type", "animal"}:     true,
 	}
-	got := map[Triple]bool{}
-	for _, d := range derived {
-		got[d] = true
-	}
-	for w := range want {
-		if !got[w] {
-			t.Errorf("missing derived %v", w)
-		}
-	}
-	if len(got) != len(want) {
-		t.Errorf("derived %v, want exactly %v", derived, want)
+	if !maps.Equal(got, want) {
+		t.Errorf("derived %v, want exactly %v", got, want)
 	}
 }
 
 func TestDeepChainFixpoint(t *testing.T) {
 	// c0 ⊂ c1 ⊂ ... ⊂ c9: transitive closure has 9*8/2 = 36 new pairs.
-	var base []Triple
+	var base []triple
 	for i := 0; i < 9; i++ {
-		base = append(base, Triple{cls(i), "subClassOf", cls(i + 1)})
+		base = append(base, triple{cls(i), "subClassOf", cls(i + 1)})
 	}
-	derived, err := Infer(base, RDFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(derived) != 36 {
+	if derived := derive(t, base, reason.RDFS()); len(derived) != 36 {
 		t.Errorf("derived %d, want 36", len(derived))
 	}
 }
@@ -52,32 +41,25 @@ func cls(i int) string { return string(rune('a' + i)) }
 
 func TestCustomRule(t *testing.T) {
 	// ancestor via parent.
-	rules := []Rule{
+	rules := []reason.Rule{
 		{
 			Name: "ancestor-base",
-			Head: Pattern{"?x", "ancestor", "?y"},
-			Body: []Pattern{{"?x", "parent", "?y"}},
+			Head: reason.Pattern{S: "?x", P: "ancestor", O: "?y"},
+			Body: []reason.Pattern{{S: "?x", P: "parent", O: "?y"}},
 		},
 		{
 			Name: "ancestor-step",
-			Head: Pattern{"?x", "ancestor", "?z"},
-			Body: []Pattern{{"?x", "parent", "?y"}, {"?y", "ancestor", "?z"}},
+			Head: reason.Pattern{S: "?x", P: "ancestor", O: "?z"},
+			Body: []reason.Pattern{{S: "?x", P: "parent", O: "?y"}, {S: "?y", P: "ancestor", O: "?z"}},
 		},
 	}
-	base := []Triple{
+	base := []triple{
 		{"a", "parent", "b"},
 		{"b", "parent", "c"},
 		{"c", "parent", "d"},
 	}
-	derived, err := Infer(base, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[Triple]bool{}
-	for _, d := range derived {
-		got[d] = true
-	}
-	for _, w := range []Triple{
+	got := derive(t, base, rules)
+	for _, w := range []triple{
 		{"a", "ancestor", "b"}, {"a", "ancestor", "c"}, {"a", "ancestor", "d"},
 		{"b", "ancestor", "c"}, {"b", "ancestor", "d"}, {"c", "ancestor", "d"},
 	} {
@@ -86,59 +68,59 @@ func TestCustomRule(t *testing.T) {
 		}
 	}
 	if len(got) != 6 {
-		t.Errorf("derived = %v", derived)
+		t.Errorf("derived = %v", got)
 	}
 }
 
 func TestUnsafeRuleRejected(t *testing.T) {
-	bad := Rule{
-		Name: "unsafe",
-		Head: Pattern{"?x", "p", "?unbound"},
-		Body: []Pattern{{"?x", "q", "?y"}},
+	db, err := triplestore.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Infer(nil, []Rule{bad}); err == nil {
-		t.Error("unsafe rule should be rejected")
+	defer db.Close()
+	for _, bad := range []reason.Rule{
+		{Name: "unsafe", Head: reason.Pattern{S: "?x", P: "p", O: "?unbound"}, Body: []reason.Pattern{{S: "?x", P: "q", O: "?y"}}},
+		{Name: "emptybody", Head: reason.Pattern{S: "a", P: "b", O: "c"}},
+		{Name: "bodypredvar", Head: reason.Pattern{S: "?x", P: "p", O: "?y"}, Body: []reason.Pattern{{S: "?x", P: "?p", O: "?y"}}},
+		{Name: "bodypredempty", Head: reason.Pattern{S: "?x", P: "p", O: "?y"}, Body: []reason.Pattern{{S: "?x", P: "", O: "?y"}}},
+	} {
+		if bad.Validate() == nil || db.AddRule(bad) == nil {
+			t.Errorf("rule %q should be rejected", bad.Name)
+		}
 	}
-	empty := Rule{Name: "emptybody", Head: Pattern{"a", "b", "c"}}
-	if _, err := Infer(nil, []Rule{empty}); err == nil {
-		t.Error("empty body should be rejected")
+	// A head predicate may be a variable the body binds.
+	ok := reason.Rule{Name: "headpredvar", Head: reason.Pattern{S: "?x", P: "?y", O: "?x"}, Body: []reason.Pattern{{S: "?x", P: "q", O: "?y"}}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("head predicate variable rejected: %v", err)
 	}
 }
 
 func TestNoRulesNoDerivation(t *testing.T) {
-	derived, err := Infer([]Triple{{"a", "b", "c"}}, nil)
-	if err != nil || len(derived) != 0 {
-		t.Errorf("derived = %v, %v", derived, err)
+	if derived := derive(t, []triple{{"a", "b", "c"}}, nil); len(derived) != 0 {
+		t.Errorf("derived = %v", derived)
 	}
 }
 
 func TestConstantPatternRule(t *testing.T) {
-	rules := []Rule{{
+	rules := []reason.Rule{{
 		Name: "mark-root",
-		Head: Pattern{"?x", "isRoot", "true"},
-		Body: []Pattern{{"?x", "type", "root"}},
+		Head: reason.Pattern{S: "?x", P: "isRoot", O: "true"},
+		Body: []reason.Pattern{{S: "?x", P: "type", O: "root"}},
 	}}
-	derived, err := Infer([]Triple{{"r", "type", "root"}, {"s", "type", "leaf"}}, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(derived) != 1 || derived[0] != (Triple{"r", "isRoot", "true"}) {
+	derived := derive(t, []triple{{"r", "type", "root"}, {"s", "type", "leaf"}}, rules)
+	if len(derived) != 1 || !derived[triple{"r", "isRoot", "true"}] {
 		t.Errorf("derived = %v", derived)
 	}
 }
 
 func TestDerivedOnlyNew(t *testing.T) {
 	// A derivable fact already in the base must not be re-derived.
-	base := []Triple{
+	base := []triple{
 		{"a", "subClassOf", "b"},
 		{"b", "subClassOf", "c"},
 		{"a", "subClassOf", "c"}, // already present
 	}
-	derived, err := Infer(base, RDFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(derived) != 0 {
+	if derived := derive(t, base, reason.RDFS()); len(derived) != 0 {
 		t.Errorf("derived = %v, want none", derived)
 	}
 }
