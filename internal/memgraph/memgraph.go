@@ -14,50 +14,70 @@ import (
 	"gdbm/internal/query/stats"
 )
 
-type adjacency struct {
+// nodeRec is one node slot: the record inline beside its adjacency lists.
+// A zero ID marks an empty slot.
+type nodeRec struct {
+	model.Node
 	out []model.EdgeID
 	in  []model.EdgeID
 }
 
-// Graph is an in-memory attributed directed multigraph. It is safe for
-// concurrent use; reads take a shared lock. Every mutation double-bumps
-// the epoch and marks the touched records in ver, which publishes the
-// O(1) copy-on-write views of AcquireView (see view.go). A rejected
-// mutation changes nothing and so does neither: it is validated under mu
-// before the first bump.
+// Graph is an in-memory attributed directed multigraph. Records live in
+// slices indexed by id: ids are dense, monotone and never reused, so a
+// lookup is a bounds check, not a hash probe. Slot 0 and the slots of
+// removed records hold zero values (a zero ID marks them empty), and live
+// counts answer Order and Size.
+//
+// It is safe for concurrent use; reads take a shared lock. Every mutation
+// double-bumps the epoch and marks the touched records in ver, which
+// publishes the O(1) copy-on-write views of AcquireView (see view.go). A
+// rejected mutation changes nothing and so does neither: it is validated
+// under mu before the first bump.
 type Graph struct {
-	mu       sync.RWMutex
-	nodes    map[model.NodeID]*model.Node
-	edges    map[model.EdgeID]*model.Edge
-	adj      map[model.NodeID]*adjacency
-	nextNode model.NodeID
-	nextEdge model.EdgeID
-	epoch    cache.Epoch
-	ver      adj.Versioned
-	stats    stats.Versioned // planner statistics, epoch-keyed (planstats.go)
+	mu    sync.RWMutex
+	nodes []nodeRec    // nodes[id]; len(nodes)-1 is the largest id issued
+	edges []model.Edge // edges[id]; likewise
+	order int          // live nodes
+	size  int          // live edges
+	epoch cache.Epoch
+	ver   adj.Versioned
+	stats stats.Versioned // planner statistics, epoch-keyed (planstats.go)
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes: make(map[model.NodeID]*model.Node),
-		edges: make(map[model.EdgeID]*model.Edge),
-		adj:   make(map[model.NodeID]*adjacency),
+	return &Graph{nodes: make([]nodeRec, 1), edges: make([]model.Edge, 1)}
+}
+
+// node returns id's slot, or nil when id names no live node. The pointer
+// is valid only until the next append to g.nodes.
+func (g *Graph) node(id model.NodeID) *nodeRec {
+	if id >= model.NodeID(len(g.nodes)) || g.nodes[id].ID == 0 {
+		return nil
 	}
+	return &g.nodes[id]
+}
+
+// edge returns id's slot, or nil when id names no live edge.
+func (g *Graph) edge(id model.EdgeID) *model.Edge {
+	if id >= model.EdgeID(len(g.edges)) || g.edges[id].ID == 0 {
+		return nil
+	}
+	return &g.edges[id]
 }
 
 // Order returns the number of nodes.
 func (g *Graph) Order() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.nodes)
+	return g.order
 }
 
 // Size returns the number of edges.
 func (g *Graph) Size() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.edges)
+	return g.size
 }
 
 // AddNode inserts a node and returns its identifier.
@@ -66,11 +86,10 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 	defer g.mu.Unlock()
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	g.nextNode++
-	g.ver.MarkNode(g.nextNode)
-	id := g.nextNode
-	g.nodes[id] = &model.Node{ID: id, Label: label, Props: props.Clone()}
-	g.adj[id] = &adjacency{}
+	id := model.NodeID(len(g.nodes))
+	g.ver.MarkNode(id)
+	g.nodes = append(g.nodes, nodeRec{Node: model.Node{ID: id, Label: label, Props: props.Clone()}})
+	g.order++
 	return id, nil
 }
 
@@ -79,20 +98,21 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.nodes[from]; !ok {
+	src, dst := g.node(from), g.node(to)
+	if src == nil {
 		return 0, model.NodeNotFound(from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	if dst == nil {
 		return 0, model.NodeNotFound(to)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	g.nextEdge++
-	id := g.nextEdge
+	id := model.EdgeID(len(g.edges))
 	g.ver.MarkLink(id, from, to)
-	g.edges[id] = &model.Edge{ID: id, Label: label, From: from, To: to, Props: props.Clone()}
-	g.adj[from].out = append(g.adj[from].out, id)
-	g.adj[to].in = append(g.adj[to].in, id)
+	g.edges = append(g.edges, model.Edge{ID: id, Label: label, From: from, To: to, Props: props.Clone()})
+	g.size++
+	src.out = append(src.out, id)
+	dst.in = append(dst.in, id)
 	return id, nil
 }
 
@@ -100,18 +120,18 @@ func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Propert
 func (g *Graph) RemoveNode(id model.NodeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	a, ok := g.adj[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return model.NodeNotFound(id)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	for _, eid := range append(append([]model.EdgeID(nil), a.out...), a.in...) {
+	for _, eid := range append(append([]model.EdgeID(nil), n.out...), n.in...) {
 		g.removeEdgeLocked(eid)
 	}
 	g.ver.MarkNode(id)
-	delete(g.nodes, id)
-	delete(g.adj, id)
+	*n = nodeRec{}
+	g.order--
 	return nil
 }
 
@@ -119,7 +139,7 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 func (g *Graph) RemoveEdge(id model.EdgeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.edges[id]; !ok {
+	if g.edge(id) == nil {
 		return model.EdgeNotFound(id)
 	}
 	g.epoch.Bump()
@@ -129,18 +149,16 @@ func (g *Graph) RemoveEdge(id model.EdgeID) error {
 }
 
 func (g *Graph) removeEdgeLocked(id model.EdgeID) {
-	e, ok := g.edges[id]
-	if !ok {
-		return
+	e := g.edge(id)
+	if e == nil {
+		return // a self-loop, already removed through its other end
 	}
 	g.ver.MarkLink(id, e.From, e.To)
-	if a := g.adj[e.From]; a != nil {
-		a.out = removeID(a.out, id)
-	}
-	if a := g.adj[e.To]; a != nil {
-		a.in = removeID(a.in, id)
-	}
-	delete(g.edges, id)
+	src, dst := &g.nodes[e.From], &g.nodes[e.To]
+	src.out = removeID(src.out, id)
+	dst.in = removeID(dst.in, id)
+	*e = model.Edge{}
+	g.size--
 }
 
 func removeID(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
@@ -157,19 +175,19 @@ func removeID(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
 func (g *Graph) Node(id model.NodeID) (model.Node, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return model.Node{}, model.NodeNotFound(id)
 	}
-	return *n, nil
+	return n.Node, nil
 }
 
 // Edge returns the edge record for id.
 func (g *Graph) Edge(id model.EdgeID) (model.Edge, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	e, ok := g.edges[id]
-	if !ok {
+	e := g.edge(id)
+	if e == nil {
 		return model.Edge{}, model.EdgeNotFound(id)
 	}
 	return *e, nil
@@ -181,19 +199,14 @@ func (g *Graph) Edge(id model.EdgeID) (model.Edge, error) {
 func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return model.NodeNotFound(id)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
 	g.ver.MarkNode(id)
-	props := n.Props.Clone()
-	if props == nil {
-		props = model.Properties{}
-	}
-	props[key] = v
-	n.Props = props
+	n.Props = withProp(n.Props, key, v)
 	return nil
 }
 
@@ -202,28 +215,35 @@ func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e, ok := g.edges[id]
-	if !ok {
+	e := g.edge(id)
+	if e == nil {
 		return model.EdgeNotFound(id)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
 	g.ver.MarkEdge(id)
-	props := e.Props.Clone()
+	e.Props = withProp(e.Props, key, v)
+	return nil
+}
+
+// withProp returns a copy of props with key set to v.
+func withProp(props model.Properties, key string, v model.Value) model.Properties {
+	props = props.Clone()
 	if props == nil {
 		props = model.Properties{}
 	}
 	props[key] = v
-	e.Props = props
-	return nil
+	return props
 }
 
-// Nodes iterates all nodes. Iteration order is unspecified.
+// Nodes iterates all nodes in ascending id order.
 func (g *Graph) Nodes(fn func(model.Node) bool) error {
 	g.mu.RLock()
-	snapshot := make([]model.Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		snapshot = append(snapshot, *n)
+	snapshot := make([]model.Node, 0, g.order)
+	for i := range g.nodes {
+		if n := &g.nodes[i]; n.ID != 0 {
+			snapshot = append(snapshot, n.Node)
+		}
 	}
 	g.mu.RUnlock()
 	for _, n := range snapshot {
@@ -234,12 +254,14 @@ func (g *Graph) Nodes(fn func(model.Node) bool) error {
 	return nil
 }
 
-// Edges iterates all edges. Iteration order is unspecified.
+// Edges iterates all edges in ascending id order.
 func (g *Graph) Edges(fn func(model.Edge) bool) error {
 	g.mu.RLock()
-	snapshot := make([]model.Edge, 0, len(g.edges))
+	snapshot := make([]model.Edge, 0, g.size)
 	for _, e := range g.edges {
-		snapshot = append(snapshot, *e)
+		if e.ID != 0 {
+			snapshot = append(snapshot, e)
+		}
 	}
 	g.mu.RUnlock()
 	for _, e := range snapshot {
@@ -254,8 +276,8 @@ func (g *Graph) Edges(fn func(model.Edge) bool) error {
 // far-end node.
 func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
 	g.mu.RLock()
-	a, ok := g.adj[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		g.mu.RUnlock()
 		return model.NodeNotFound(id)
 	}
@@ -267,22 +289,22 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 	// writers wait on the lock.
 	size := 0
 	if dir != model.In {
-		size += len(a.out)
+		size += len(n.out)
 	}
 	if dir != model.Out {
-		size += len(a.in)
+		size += len(n.in)
 	}
 	pairs := make([]pair, 0, size)
 	if dir != model.In {
-		for _, eid := range a.out {
-			e := g.edges[eid]
-			pairs = append(pairs, pair{*e, *g.nodes[e.To]})
+		for _, eid := range n.out {
+			e := &g.edges[eid]
+			pairs = append(pairs, pair{*e, g.nodes[e.To].Node})
 		}
 	}
 	if dir != model.Out {
-		for _, eid := range a.in {
-			e := g.edges[eid]
-			pairs = append(pairs, pair{*e, *g.nodes[e.From]})
+		for _, eid := range n.in {
+			e := &g.edges[eid]
+			pairs = append(pairs, pair{*e, g.nodes[e.From].Node})
 		}
 	}
 	g.mu.RUnlock()
@@ -301,22 +323,22 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 func (g *Graph) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	a, ok := g.adj[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return buf, true, model.NodeNotFound(id)
 	}
 	if dir != model.In {
-		buf = slices.Grow(buf, len(a.out)) // once, not by doubling
-		for _, eid := range a.out {
-			if e := g.edges[eid]; label == "" || e.Label == label {
+		buf = slices.Grow(buf, len(n.out)) // once, not by doubling
+		for _, eid := range n.out {
+			if e := &g.edges[eid]; label == "" || e.Label == label {
 				buf = append(buf, model.NeighborID{Edge: eid, Node: e.To})
 			}
 		}
 	}
 	if dir != model.Out {
-		buf = slices.Grow(buf, len(a.in))
-		for _, eid := range a.in {
-			if e := g.edges[eid]; label == "" || e.Label == label {
+		buf = slices.Grow(buf, len(n.in))
+		for _, eid := range n.in {
+			if e := &g.edges[eid]; label == "" || e.Label == label {
 				buf = append(buf, model.NeighborID{Edge: eid, Node: e.From})
 			}
 		}
@@ -328,17 +350,17 @@ func (g *Graph) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir m
 func (g *Graph) Degree(id model.NodeID, dir model.Direction) (int, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	a, ok := g.adj[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return 0, model.NodeNotFound(id)
 	}
 	switch dir {
 	case model.Out:
-		return len(a.out), nil
+		return len(n.out), nil
 	case model.In:
-		return len(a.in), nil
+		return len(n.in), nil
 	default:
-		return len(a.out) + len(a.in), nil
+		return len(n.out) + len(n.in), nil
 	}
 }
 

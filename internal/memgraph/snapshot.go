@@ -1,6 +1,6 @@
 package memgraph
 
-import "gdbm/internal/model"
+import "slices"
 
 // Snapshot returns a deep copy of the graph's state, and RestoreFrom
 // replaces the state with a previously taken snapshot. Together they give
@@ -10,24 +10,19 @@ import "gdbm/internal/model"
 func (g *Graph) Snapshot() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s := New()
-	s.nextNode = g.nextNode
-	s.nextEdge = g.nextEdge
-	for id, n := range g.nodes {
-		cp := *n
-		cp.Props = n.Props.Clone()
-		s.nodes[id] = &cp
+	s := &Graph{
+		nodes: slices.Clone(g.nodes),
+		edges: slices.Clone(g.edges),
+		order: g.order,
+		size:  g.size,
 	}
-	for id, e := range g.edges {
-		cp := *e
-		cp.Props = e.Props.Clone()
-		s.edges[id] = &cp
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		n.Props = n.Props.Clone()
+		n.out, n.in = slices.Clone(n.out), slices.Clone(n.in)
 	}
-	for id, a := range g.adj {
-		s.adj[id] = &adjacency{
-			out: append([]model.EdgeID(nil), a.out...),
-			in:  append([]model.EdgeID(nil), a.in...),
-		}
+	for i := range s.edges {
+		s.edges[i].Props = s.edges[i].Props.Clone()
 	}
 	return s
 }
@@ -42,10 +37,7 @@ func (g *Graph) RestoreFrom(s *Graph) {
 	defer g.epoch.Bump()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g.nodes = s.nodes
-	g.edges = s.edges
-	g.adj = s.adj
-	g.nextNode = s.nextNode
-	g.nextEdge = s.nextEdge
+	g.nodes, g.edges = s.nodes, s.edges
+	g.order, g.size = s.order, s.size
 	g.ver.MarkAll()
 }

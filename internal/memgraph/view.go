@@ -45,38 +45,36 @@ func (g *Graph) PlanStats() (*stats.Stats, error) {
 
 // memSource adapts the graph's internals to the snapshot builder. Its
 // methods are unlocked: Versioned.Pin is called with g.mu held (read side,
-// which excludes writers), so the maps are quiescent for the whole render.
+// which excludes writers), so the slices are quiescent for the whole render.
 type memSource struct{ g *Graph }
 
-func (s memSource) MaxNodeID() (model.NodeID, error) { return s.g.nextNode, nil }
-func (s memSource) MaxEdgeID() (model.EdgeID, error) { return s.g.nextEdge, nil }
+func (s memSource) MaxNodeID() (model.NodeID, error) { return model.NodeID(len(s.g.nodes) - 1), nil }
+func (s memSource) MaxEdgeID() (model.EdgeID, error) { return model.EdgeID(len(s.g.edges) - 1), nil }
 
 func (s memSource) NodeByID(id model.NodeID) (model.Node, bool, error) {
-	n, ok := s.g.nodes[id]
-	if !ok {
-		return model.Node{}, false, nil
+	if n := s.g.node(id); n != nil {
+		return n.Node, true, nil
 	}
-	return *n, true, nil
+	return model.Node{}, false, nil
 }
 
 func (s memSource) EdgeByID(id model.EdgeID) (model.Edge, bool, error) {
-	e, ok := s.g.edges[id]
-	if !ok {
-		return model.Edge{}, false, nil
+	if e := s.g.edge(id); e != nil {
+		return *e, true, nil
 	}
-	return *e, true, nil
+	return model.Edge{}, false, nil
 }
 
 func (s memSource) OutEdges(id model.NodeID) ([]model.EdgeID, error) {
-	if a := s.g.adj[id]; a != nil {
-		return a.out, nil
+	if n := s.g.node(id); n != nil {
+		return n.out, nil
 	}
 	return nil, nil
 }
 
 func (s memSource) InEdges(id model.NodeID) ([]model.EdgeID, error) {
-	if a := s.g.adj[id]; a != nil {
-		return a.in, nil
+	if n := s.g.node(id); n != nil {
+		return n.in, nil
 	}
 	return nil, nil
 }

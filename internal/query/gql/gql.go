@@ -351,7 +351,8 @@ type varLength struct {
 
 // parseEdgeBody parses the inside of [var:LABEL*min..max {props}]. The
 // variable-length modifier follows Cypher: * (1..unbounded), *n (exactly
-// n), *min..max, *min.. and *..max.
+// n), *min..max, *min.. and *..max. A written upper bound must be at
+// least 1 and at least min.
 func (p *parser) parseEdgeBody() (ev, label string, props model.Properties, vl varLength, err error) {
 	t, err := p.lex.Peek()
 	if err != nil {
@@ -373,28 +374,31 @@ func (p *parser) parseEdgeBody() (ev, label string, props model.Properties, vl v
 	}
 	if p.lex.AcceptPunct("*") {
 		vl.enabled = true
-		vl.min, vl.max = 1, 0
+		vl.min = 1
+		// upper records a written upper bound: plan reads Max 0 as
+		// unbounded, so a written 0 must be refused, not passed on.
+		upper := false
 		if n, ok, err := p.acceptInt(); err != nil {
 			return "", "", nil, vl, err
 		} else if ok {
-			vl.min, vl.max = n, n
+			vl.min, vl.max, upper = n, n, true
 		}
 		if p.lex.AcceptPunct(".") {
 			if err := p.lex.ExpectPunct("."); err != nil {
 				return "", "", nil, vl, err
 			}
-			vl.max = 0
+			vl.max, upper = 0, false
 			if n, ok, err := p.acceptInt(); err != nil {
 				return "", "", nil, vl, err
 			} else if ok {
-				vl.max = n
+				vl.max, upper = n, true
 			}
-		} else if vl.min == vl.max && vl.max == 0 {
-			// bare * stays 1..unbounded
-			vl.min = 1
 		}
-		if vl.max != 0 && vl.max < vl.min {
+		if upper && vl.max < vl.min {
 			return "", "", nil, vl, fmt.Errorf("variable-length range %d..%d is empty", vl.min, vl.max)
+		}
+		if upper && vl.max == 0 {
+			return "", "", nil, vl, fmt.Errorf("variable-length range %d..%d: the upper bound must be at least 1", vl.min, vl.max)
 		}
 	}
 	if p.lex.AcceptPunct("{") {

@@ -313,3 +313,31 @@ func TestSkipLimitCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestUserVariableShapedLikeSynthetic: the planner names anonymous nodes,
+// and a user variable of the same shape must neither collide with that
+// name nor be answered from the anonymous node.
+func TestUserVariableShapedLikeSynthetic(t *testing.T) {
+	db := newDB(t)
+	seed(t, db)
+	for _, tc := range []struct {
+		stmt string
+		want []string
+	}{
+		{`MATCH (_n1:Person)-[:livesIn]->() RETURN _n1.name AS name ORDER BY name`, []string{"ada", "cam"}},
+		{`MATCH (_n1:Person)-[:livesIn]->(), (__n1)-[:knows]->(_n1) RETURN _n1.name AS name ORDER BY name`, []string{"cam"}},
+	} {
+		res, err := execCollect(context.Background(), tc.stmt, db)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		if len(res.Rows) != len(tc.want) {
+			t.Fatalf("%s: rows = %v, want %v", tc.stmt, res.Rows, tc.want)
+		}
+		for i, w := range tc.want {
+			if n, _ := res.Rows[i][0].AsString(); n != w {
+				t.Errorf("%s: row %d = %v, want %q", tc.stmt, i, res.Rows[i], w)
+			}
+		}
+	}
+}

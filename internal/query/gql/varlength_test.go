@@ -2,6 +2,7 @@ package gql
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"gdbm/internal/model"
@@ -145,6 +146,44 @@ func TestVarLengthParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("parse %q should fail", bad)
+		}
+	}
+}
+
+// TestVarLengthBounds pins what each written range parses to. plan reads
+// Max 0 as unbounded, so a written upper bound of 0 is refused with an
+// error that names the range rather than silently widened.
+func TestVarLengthBounds(t *testing.T) {
+	for _, tc := range []struct {
+		mod      string
+		min, max int
+		err      string // substring of the parse error; "" = parses
+	}{
+		{mod: "*", min: 1, max: 0},
+		{mod: "*3", min: 3, max: 3},
+		{mod: "*..2", min: 1, max: 2},
+		{mod: "*4..", min: 4, max: 0},
+		{mod: "*0..", min: 0, max: 0},
+		{mod: "*0..1", min: 0, max: 1},
+		{mod: "*0", err: "range 0..0"},
+		{mod: "*0..0", err: "range 0..0"},
+		{mod: "*..0", err: "range 1..0"},
+		{mod: "*2..0", err: "range 2..0 is empty"},
+		{mod: "*3..2", err: "range 3..2 is empty"},
+	} {
+		st, err := Parse("MATCH (a)-[:next" + tc.mod + "]->(b) RETURN b")
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: err = %v, want one naming %q", tc.mod, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.mod, err)
+			continue
+		}
+		if e := st.Match.Edges[0]; !e.VarLength || e.Min != tc.min || e.Max != tc.max {
+			t.Errorf("%s: parsed as %d..%d (var-length %v), want %d..%d", tc.mod, e.Min, e.Max, e.VarLength, tc.min, tc.max)
 		}
 	}
 }

@@ -130,22 +130,21 @@ func edgeOp(child Op, e EdgePat, from, to string, dir model.Direction) Op {
 	return &Expand{Child: child, FromVar: from, EdgeVar: e.Var, ToVar: to, Label: e.Label, Dir: dir}
 }
 
-// prepare normalizes and validates a MatchSpec in place: anonymous node
-// patterns receive synthetic variables, then the pattern is checked for the
-// shapes no planner can execute. Both planners share it, so an invalid spec
-// fails identically — same error, no panics — regardless of which planner a
-// front-end selects. prepare is idempotent.
+// prepare validates and normalizes a MatchSpec in place: the pattern is
+// checked for the shapes no planner can execute, then anonymous node
+// patterns receive synthetic variables that no user variable has. Both
+// planners share it, so an invalid spec fails identically — same error, no
+// panics — regardless of which planner a front-end selects. prepare is
+// idempotent.
 func prepare(spec *MatchSpec) error {
 	if len(spec.Nodes) == 0 {
 		return fmt.Errorf("plan: empty match pattern")
 	}
-	for i, n := range spec.Nodes {
-		if n.Var == "" {
-			spec.Nodes[i].Var = fmt.Sprintf("_n%d", i)
-		}
-	}
-	vars := make(map[string]bool, len(spec.Nodes))
+	vars := make(map[string]bool, len(spec.Nodes)+len(spec.Edges))
 	for _, n := range spec.Nodes {
+		if n.Var == "" {
+			continue
+		}
 		if vars[n.Var] {
 			return fmt.Errorf("plan: duplicate variable %q", n.Var)
 		}
@@ -171,6 +170,20 @@ func prepare(spec *MatchSpec) error {
 			return fmt.Errorf("plan: duplicate variable %q", e.Var)
 		}
 		vars[e.Var] = true
+	}
+	// Anonymous nodes are named last, each _n<index> with underscores
+	// prefixed until the name is free: a front end may hand any name
+	// through, so no fixed scheme can stay clear of user variables.
+	for i := range spec.Nodes {
+		if spec.Nodes[i].Var != "" {
+			continue
+		}
+		v := fmt.Sprintf("_n%d", i)
+		for vars[v] {
+			v = "_" + v
+		}
+		vars[v] = true
+		spec.Nodes[i].Var = v
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,64 @@ func runStmt(tb testing.TB, stmt string, src plan.Source) [][]model.Value {
 	return res.Rows
 }
 
+// hideIDs hides model.IDAdjacency behind the embedded graph, so operators
+// over it walk Neighbors records instead of id pairs.
+type hideIDs struct{ model.Graph }
+
+// rowBag renders rows as a sorted multiset of strings.
+func rowBag(rows [][]model.Value) []string {
+	bag := make([]string, len(rows))
+	for i, row := range rows {
+		var sb strings.Builder
+		for _, v := range row {
+			fmt.Fprintf(&sb, "%d:%s|", v.Kind(), v)
+		}
+		bag[i] = sb.String()
+	}
+	slices.Sort(bag)
+	return bag
+}
+
+// gateTraverse is the answer gate benchTraverse times behind: for each of
+// the first starts seeded start nodes, kind's statement over src must
+// return the rows, as a multiset, that the naive plan returns over
+// db.Core's Neighbors records alone. A faster store that changes an answer is a
+// bug, not a win.
+func gateTraverse(tb testing.TB, db *neograph.DB, src plan.Source, kind string, starts int) {
+	tb.Helper()
+	naive := plan.UnindexedSource{Graph: hideIDs{db.Core}}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < starts; i++ {
+		stmt := fmt.Sprintf(traverseKinds[kind], rng.Intn(traverseNodes))
+		st, err := gql.Parse(stmt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		op, err := plan.Compile(st.Match)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res, err := plan.Collect(op, naive, st.Columns())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if got, want := rowBag(runStmt(tb, stmt, src)), rowBag(res.Rows); !slices.Equal(got, want) {
+			head := func(bag []string) []string { return bag[:min(len(bag), 4)] }
+			tb.Fatalf("%s: %d rows over id adjacency, %d over Neighbors; first ones %q and %q",
+				stmt, len(got), len(want), head(got), head(want))
+		}
+	}
+}
+
+// TestTraverseGate runs the gate of the traverse benchmarks on a few
+// starts of each kind.
+func TestTraverseGate(t *testing.T) {
+	db := traverseDB()
+	for kind := range traverseKinds {
+		gateTraverse(t, db, db.Core, kind, 2)
+	}
+}
+
 var traverseSink [][]model.Value
 
 func benchTraverse(b *testing.B, kind string) {
@@ -72,6 +131,7 @@ func benchTraverse(b *testing.B, kind string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src := plan.WithCancel(ctx, db.Core)
+	gateTraverse(b, db, src, kind, 32)
 	rng := rand.New(rand.NewSource(7))
 	b.ReportAllocs()
 	b.ResetTimer()

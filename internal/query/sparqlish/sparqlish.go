@@ -272,7 +272,8 @@ func Compile(patterns []TriplePattern, vars []string) (*Query, error) {
 		}
 		i := len(q.Spec.Nodes)
 		if name == "" {
-			q.Spec.Nodes = append(q.Spec.Nodes, plan.NodePat{Var: fmt.Sprintf("_c%d", i), Props: model.Properties{"value": c}})
+			// Anonymous: the planner names it clear of the user's variables.
+			q.Spec.Nodes = append(q.Spec.Nodes, plan.NodePat{Props: model.Properties{"value": c}})
 			return i
 		}
 		q.Spec.Nodes = append(q.Spec.Nodes, plan.NodePat{Var: name})

@@ -182,3 +182,25 @@ func TestLimitOffsetCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestUserVariableShapedLikeSynthetic: constant terms become anonymous
+// pattern nodes, and a user variable shaped like a synthetic name must
+// neither collide with one nor be answered from the constant's node.
+func TestUserVariableShapedLikeSynthetic(t *testing.T) {
+	src := tripleGraph(t)
+	for _, v := range []string{"_c1", "_n0", "_n1", "__n1"} {
+		q := `SELECT ?` + v + ` WHERE { ?x <type> "person" . ?x <name> ?` + v + ` . }`
+		res, err := runCollect(context.Background(), q, src)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("%s: rows = %v, want the two persons' names", q, res.Rows)
+		}
+		for _, row := range res.Rows {
+			if n, _ := row[0].AsString(); n != "Ada Lovelace" && n != "Bob" {
+				t.Errorf("%s: row %v, want a person's name", q, row)
+			}
+		}
+	}
+}
