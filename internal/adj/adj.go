@@ -1,11 +1,12 @@
 // Package adj provides succinct, immutable adjacency snapshots for the
 // mutable graph stores. A Snapshot is a frozen point-in-time rendering of a
-// store into fixed-size blocks: node and edge records live in dense
-// per-block arrays addressed through a membership directory, and each
-// node's incident edge lists are CSR rows of delta-encoded uvarints. The
-// companion Versioned type (versioned.go) publishes one Snapshot per stable
-// graph epoch with copy-on-write block reuse, so acquiring the current
-// snapshot is O(1) when the store is quiescent and proportional only to the
+// store into fixed-size blocks laid out as the stores lay out their ids:
+// a block's node and edge records sit in slots indexed by local ID, a zero
+// ID marking a vacant slot, and each node's incident edge lists are CSR
+// rows of delta-encoded uvarints, one row per slot. The companion
+// Versioned type (versioned.go) publishes one Snapshot per stable graph
+// epoch with copy-on-write block reuse, so acquiring the current snapshot
+// is O(1) when the store is quiescent and proportional only to the
 // mutated records otherwise (patch.go).
 //
 // Snapshots are deeply immutable once built: readers share blocks across
@@ -15,10 +16,10 @@
 // a record's map on SetNodeProp/SetEdgeProp — the copy-on-write property
 // discipline pinned by the concurrency suite.
 //
-// Enumeration order is deterministic: Nodes, Edges and Neighbors yield
-// ascending IDs (neighbor rows are sorted by edge ID at build time). This
-// is the CSR data organization of the "Demystifying Graph Databases"
-// survey.
+// Enumeration order is the live store's: Nodes and Edges yield ascending
+// IDs, and Neighbors yields each row in the order the Source listed it,
+// which the Source contract makes strictly ascending. This is the CSR
+// data organization of the "Demystifying Graph Databases" survey.
 package adj
 
 import (
@@ -31,32 +32,44 @@ import (
 )
 
 // Blocks cover blockSize consecutive IDs; block b holds IDs
-// [b<<blockShift, (b+1)<<blockShift). ID 0 is never valid, so slot 0 of
-// block 0 is permanently vacant.
+// [b<<blockShift, (b+1)<<blockShift) at slots 0..blockSize-1. ID 0 is
+// never valid, so slot 0 of block 0 is permanently vacant.
 const (
 	blockShift = 9
 	blockSize  = 1 << blockShift
 	blockMask  = blockSize - 1
 )
 
-// rows is a CSR over the records of one block: row i spans
+// rows is a CSR over the slots of one node block: row i spans
 // buf[offs[i]:offs[i+1]] and encodes [uvarint degree] followed by the
 // incident edge IDs in ascending order as uvarint deltas (the first delta
-// is from zero, i.e. absolute).
+// is from zero, i.e. absolute). A vacant slot's row is degree 0.
 type rows struct {
 	offs []uint32
 	buf  []byte
 }
 
+// vacantRows is one CSR direction of a block whose slots are all vacant:
+// the predecessor of a block rendered from none.
+var vacantRows = func() rows {
+	r := rows{offs: make([]uint32, blockSize+1), buf: make([]byte, blockSize)}
+	for i := range r.offs {
+		r.offs[i] = uint32(i)
+	}
+	return r
+}()
+
+func (r rows) row(i int) []byte { return r.buf[r.offs[i]:r.offs[i+1]] }
+
 func (r rows) degree(i int) int {
-	d, _ := binary.Uvarint(r.buf[r.offs[i]:r.offs[i+1]])
+	d, _ := binary.Uvarint(r.row(i))
 	return int(d)
 }
 
 // forEach decodes row i, calling fn for each edge ID until fn returns
 // false; it reports whether the full row was consumed.
 func (r rows) forEach(i int, fn func(model.EdgeID) bool) bool {
-	buf := r.buf[r.offs[i]:r.offs[i+1]]
+	buf := r.row(i)
 	d, n := binary.Uvarint(buf)
 	buf = buf[n:]
 	prev := uint64(0)
@@ -71,22 +84,22 @@ func (r rows) forEach(i int, fn func(model.EdgeID) bool) bool {
 	return true
 }
 
-// nodeBlock holds the node records of one ID block plus both CSR
-// directions; edgeBlock holds edge records only (adjacency lives with the
-// endpoint nodes). Both are immutable once their builder returns, except
-// for part, a write-once memo of the block's planner statistics
-// (planstats.go).
+// nodeBlock holds the node slots of one ID block plus both CSR
+// directions; edgeBlock holds edge slots only (adjacency lives with the
+// endpoint nodes). Both hold blockSize slots and count their live ones.
+// They are immutable once their builder returns, except for part, a
+// write-once memo of the block's planner statistics (planstats.go).
 type nodeBlock struct {
-	dir   directory
-	nodes []model.Node // dense, ascending ID
+	nodes []model.Node // nodes[local]; a zero ID marks a vacant slot
+	live  int
 	out   rows
 	in    rows
 	part  atomic.Pointer[stats.Partial]
 }
 
 type edgeBlock struct {
-	dir   directory
-	edges []model.Edge // dense, ascending ID
+	edges []model.Edge // edges[local]; likewise
+	live  int
 	part  atomic.Pointer[stats.Partial]
 }
 
@@ -117,36 +130,22 @@ func (s *Snapshot) Pin() model.ReleaseFunc {
 	return func() { once.Do(func() { s.pins.Add(-1) }) }
 }
 
-func (s *Snapshot) nodeAt(id model.NodeID) (*model.Node, bool) {
-	if id == 0 {
-		return nil, false
+// nodeSlot returns the block and slot of node id, or a nil block when id
+// names no live node.
+func (s *Snapshot) nodeSlot(id model.NodeID) (*nodeBlock, int) {
+	b, i := uint64(id)>>blockShift, int(uint64(id)&blockMask)
+	if b >= uint64(len(s.nb)) || s.nb[b] == nil || s.nb[b].nodes[i].ID == 0 {
+		return nil, 0
 	}
-	b := uint64(id) >> blockShift
-	if b >= uint64(len(s.nb)) || s.nb[b] == nil {
-		return nil, false
-	}
-	blk := s.nb[b]
-	slot, ok := blk.dir.rank(uint32(uint64(id) & blockMask))
-	if !ok {
-		return nil, false
-	}
-	return &blk.nodes[slot], true
+	return s.nb[b], i
 }
 
-func (s *Snapshot) edgeAt(id model.EdgeID) (*model.Edge, bool) {
-	if id == 0 {
-		return nil, false
+func (s *Snapshot) edgeAt(id model.EdgeID) *model.Edge {
+	b, i := uint64(id)>>blockShift, int(uint64(id)&blockMask)
+	if b >= uint64(len(s.eb)) || s.eb[b] == nil || s.eb[b].edges[i].ID == 0 {
+		return nil
 	}
-	b := uint64(id) >> blockShift
-	if b >= uint64(len(s.eb)) || s.eb[b] == nil {
-		return nil, false
-	}
-	blk := s.eb[b]
-	slot, ok := blk.dir.rank(uint32(uint64(id) & blockMask))
-	if !ok {
-		return nil, false
-	}
-	return &blk.edges[slot], true
+	return &s.eb[b].edges[i]
 }
 
 // Order returns the number of nodes.
@@ -157,17 +156,17 @@ func (s *Snapshot) Size() int { return s.size }
 
 // Node returns the node record for id.
 func (s *Snapshot) Node(id model.NodeID) (model.Node, error) {
-	n, ok := s.nodeAt(id)
-	if !ok {
+	blk, i := s.nodeSlot(id)
+	if blk == nil {
 		return model.Node{}, model.NodeNotFound(id)
 	}
-	return *n, nil
+	return blk.nodes[i], nil
 }
 
 // Edge returns the edge record for id.
 func (s *Snapshot) Edge(id model.EdgeID) (model.Edge, error) {
-	e, ok := s.edgeAt(id)
-	if !ok {
+	e := s.edgeAt(id)
+	if e == nil {
 		return model.Edge{}, model.EdgeNotFound(id)
 	}
 	return *e, nil
@@ -180,7 +179,7 @@ func (s *Snapshot) Nodes(fn func(model.Node) bool) error {
 			continue
 		}
 		for i := range blk.nodes {
-			if !fn(blk.nodes[i]) {
+			if blk.nodes[i].ID != 0 && !fn(blk.nodes[i]) {
 				return nil
 			}
 		}
@@ -195,7 +194,7 @@ func (s *Snapshot) Edges(fn func(model.Edge) bool) error {
 			continue
 		}
 		for i := range blk.edges {
-			if !fn(blk.edges[i]) {
+			if blk.edges[i].ID != 0 && !fn(blk.edges[i]) {
 				return nil
 			}
 		}
@@ -207,42 +206,32 @@ func (s *Snapshot) Edges(fn func(model.Edge) bool) error {
 // out-rows before in-rows, each in ascending edge-ID order. A self-loop is
 // visited once per direction, matching the live stores.
 func (s *Snapshot) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
-	if id == 0 {
-		return model.NodeNotFound(id)
-	}
-	b := uint64(id) >> blockShift
-	if b >= uint64(len(s.nb)) || s.nb[b] == nil {
-		return model.NodeNotFound(id)
-	}
-	blk := s.nb[b]
-	slot, ok := blk.dir.rank(uint32(uint64(id) & blockMask))
-	if !ok {
+	blk, i := s.nodeSlot(id)
+	if blk == nil {
 		return model.NodeNotFound(id)
 	}
 	emit := func(eid model.EdgeID, out bool) bool {
-		e, ok := s.edgeAt(eid)
-		if !ok {
+		e := s.edgeAt(eid)
+		if e == nil {
 			return true // unreachable on a consistent render; skip defensively
 		}
 		far := e.From
 		if out {
 			far = e.To
 		}
-		n, ok := s.nodeAt(far)
-		if !ok {
+		fb, fi := s.nodeSlot(far)
+		if fb == nil {
 			return true
 		}
-		return fn(*e, *n)
+		return fn(*e, fb.nodes[fi])
 	}
 	if dir == model.Out || dir == model.Both {
-		if !blk.out.forEach(slot, func(eid model.EdgeID) bool { return emit(eid, true) }) {
+		if !blk.out.forEach(i, func(eid model.EdgeID) bool { return emit(eid, true) }) {
 			return nil
 		}
 	}
 	if dir == model.In || dir == model.Both {
-		if !blk.in.forEach(slot, func(eid model.EdgeID) bool { return emit(eid, false) }) {
-			return nil
-		}
+		blk.in.forEach(i, func(eid model.EdgeID) bool { return emit(eid, false) })
 	}
 	return nil
 }
@@ -250,24 +239,16 @@ func (s *Snapshot) Neighbors(id model.NodeID, dir model.Direction, fn func(model
 // Degree returns the incident edge count in the given direction, decoded
 // from a single uvarint per direction — O(1) in the row length.
 func (s *Snapshot) Degree(id model.NodeID, dir model.Direction) (int, error) {
-	if id == 0 {
-		return 0, model.NodeNotFound(id)
-	}
-	b := uint64(id) >> blockShift
-	if b >= uint64(len(s.nb)) || s.nb[b] == nil {
-		return 0, model.NodeNotFound(id)
-	}
-	blk := s.nb[b]
-	slot, ok := blk.dir.rank(uint32(uint64(id) & blockMask))
-	if !ok {
+	blk, i := s.nodeSlot(id)
+	if blk == nil {
 		return 0, model.NodeNotFound(id)
 	}
 	switch dir {
 	case model.Out:
-		return blk.out.degree(slot), nil
+		return blk.out.degree(i), nil
 	case model.In:
-		return blk.in.degree(slot), nil
+		return blk.in.degree(i), nil
 	default:
-		return blk.out.degree(slot) + blk.in.degree(slot), nil
+		return blk.out.degree(i) + blk.in.degree(i), nil
 	}
 }

@@ -2,7 +2,7 @@ package adj
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,14 +56,20 @@ func (s *mapSource) EdgeByID(id model.EdgeID) (model.Edge, bool, error) {
 	return e, ok, nil
 }
 
-// incident serves the adjacency lists from an index built on first use;
-// whoever changes edges after that drops it (toyStore does).
+// incident serves the adjacency lists, ascending as the Source contract
+// asks, from an index built on first use; whoever changes edges after that
+// drops it (toyStore does).
 func (s *mapSource) incident() (out, in map[model.NodeID][]model.EdgeID) {
 	if s.outIdx == nil {
 		s.outIdx, s.inIdx = map[model.NodeID][]model.EdgeID{}, map[model.NodeID][]model.EdgeID{}
 		for eid, e := range s.edges {
 			s.outIdx[e.From] = append(s.outIdx[e.From], eid)
 			s.inIdx[e.To] = append(s.inIdx[e.To], eid)
+		}
+		for _, idx := range []map[model.NodeID][]model.EdgeID{s.outIdx, s.inIdx} {
+			for _, eids := range idx {
+				slices.Sort(eids)
+			}
 		}
 	}
 	return s.outIdx, s.inIdx
@@ -352,35 +358,48 @@ func TestBuildEmpty(t *testing.T) {
 }
 
 func TestRowsRoundTrip(t *testing.T) {
-	// Direct row codec check with adversarial ID spreads.
+	// Direct row codec check with adversarial ID spreads; node 0 is a
+	// vacant slot, whose row is empty without a read.
 	sets := [][]model.EdgeID{
 		{},
 		{1},
 		{1, 2, 3},
 		{7, 700, 70000, 7000000},
-		{5, 5, 9}, // duplicates survive (defensive; stores never produce them)
 	}
-	nodes := make([]model.Node, len(sets))
-	for i := range nodes {
-		nodes[i] = model.Node{ID: model.NodeID(i + 1)}
+	nodes := make([]model.Node, len(sets)+1)
+	for i := 1; i < len(nodes); i++ {
+		nodes[i] = model.Node{ID: model.NodeID(i)}
 	}
-	scratch := []model.EdgeID{}
-	r, err := encodeRows(func(id model.NodeID) ([]model.EdgeID, error) {
+	incident := func(id model.NodeID) ([]model.EdgeID, error) {
+		if id == 0 {
+			t.Fatal("a vacant slot's row was read")
+		}
 		return sets[id-1], nil
-	}, nodes, &scratch)
+	}
+	r, err := spliceRows(rows{}, incident, nodes, upTo(0, blockMask), markOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range sets {
+	for i := range nodes {
+		var want []model.EdgeID
+		if i > 0 {
+			want = sets[i-1]
+		}
 		if d := r.degree(i); d != len(want) {
 			t.Fatalf("row %d degree = %d, want %d", i, d, len(want))
 		}
 		var got []model.EdgeID
 		r.forEach(i, func(e model.EdgeID) bool { got = append(got, e); return true })
-		sorted := append([]model.EdgeID(nil), want...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		if fmt.Sprint(got) != fmt.Sprint(sorted) {
-			t.Fatalf("row %d = %v, want %v", i, got, sorted)
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d = %v, want %v", i, got, want)
+		}
+	}
+
+	// A list that does not ascend strictly is refused, not reordered.
+	for _, bad := range [][]model.EdgeID{{5, 5, 9}, {9, 5}, {0}} {
+		_, err := spliceRows(rows{}, func(model.NodeID) ([]model.EdgeID, error) { return bad, nil }, nodes[:2], upTo(0, blockMask), markOut)
+		if err == nil {
+			t.Errorf("row %v encoded without an error", bad)
 		}
 	}
 }

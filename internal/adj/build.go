@@ -2,7 +2,7 @@ package adj
 
 import (
 	"encoding/binary"
-	"slices"
+	"fmt"
 
 	"gdbm/internal/model"
 )
@@ -22,10 +22,12 @@ type Source interface {
 	NodeByID(id model.NodeID) (model.Node, bool, error)
 	// EdgeByID returns the record for id and whether it exists.
 	EdgeByID(id model.EdgeID) (model.Edge, bool, error)
-	// OutEdges returns the IDs of edges whose From is id, in any order.
-	// The returned slice is not retained or mutated by the builder.
+	// OutEdges returns the IDs of edges whose From is id, strictly
+	// ascending: the order the store's own Neighbors yields them in, which
+	// the snapshot keeps. The builder neither retains nor mutates the
+	// slice, and refuses a list that does not ascend.
 	OutEdges(id model.NodeID) ([]model.EdgeID, error)
-	// InEdges returns the IDs of edges whose To is id, in any order.
+	// InEdges returns the IDs of edges whose To is id, likewise.
 	InEdges(id model.NodeID) ([]model.EdgeID, error)
 }
 
@@ -40,17 +42,18 @@ func blocksFor(max uint64) int {
 // the first publish of a store, the render after MarkAll, and the
 // reference the incremental path (patch.go) is tested against.
 func Build(src Source, epoch uint64) (*Snapshot, error) {
-	s, err := newSnapshot(src, epoch)
+	maxN, maxE, err := highWater(src)
 	if err != nil {
 		return nil, err
 	}
+	s := newSnapshot(epoch, maxN, maxE)
 	for b := range s.nb {
-		if s.nb[b], err = buildNodeBlock(src, uint32(b)); err != nil {
+		if s.nb[b], err = patchNodeBlock(src, b, nil, upTo(b, maxN)); err != nil {
 			return nil, err
 		}
 	}
 	for b := range s.eb {
-		if s.eb[b], err = buildEdgeBlock(src, uint32(b)); err != nil {
+		if s.eb[b], err = patchEdgeBlock(src, b, nil, upTo(b, maxE)); err != nil {
 			return nil, err
 		}
 	}
@@ -58,123 +61,62 @@ func Build(src Source, epoch uint64) (*Snapshot, error) {
 	return s, nil
 }
 
-// newSnapshot sizes the block directories to src's ID high-water marks.
-func newSnapshot(src Source, epoch uint64) (*Snapshot, error) {
-	maxN, err := src.MaxNodeID()
+// highWater reads src's ID high-water marks.
+func highWater(src Source) (maxN, maxE uint64, err error) {
+	n, err := src.MaxNodeID()
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	maxE, err := src.MaxEdgeID()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		epoch: epoch,
-		nb:    make([]*nodeBlock, blocksFor(uint64(maxN))),
-		eb:    make([]*edgeBlock, blocksFor(uint64(maxE))),
-	}, nil
+	e, err := src.MaxEdgeID()
+	return uint64(n), uint64(e), err
 }
 
-// count sets order and size from the blocks.
+// newSnapshot sizes the block tables to the ID high-water marks.
+func newSnapshot(epoch, maxN, maxE uint64) *Snapshot {
+	return &Snapshot{
+		epoch: epoch,
+		nb:    make([]*nodeBlock, blocksFor(maxN)),
+		eb:    make([]*edgeBlock, blocksFor(maxE)),
+	}
+}
+
+// upTo marks every slot of block b whose ID is at most hi: a render from
+// scratch.
+func upTo(b int, hi uint64) *[blockSize]mark {
+	var marks [blockSize]mark
+	for i := range marks {
+		if uint64(b)<<blockShift+uint64(i) <= hi {
+			marks[i] = markRec | markOut | markIn
+		}
+	}
+	return &marks
+}
+
+// count sets order and size from the blocks' live counts.
 func (s *Snapshot) count() {
 	for _, blk := range s.nb {
 		if blk != nil {
-			s.order += len(blk.nodes)
+			s.order += blk.live
 		}
 	}
 	for _, blk := range s.eb {
 		if blk != nil {
-			s.size += len(blk.edges)
+			s.size += blk.live
 		}
 	}
 }
 
-func buildNodeBlock(src Source, b uint32) (*nodeBlock, error) {
-	lo := uint64(b) << blockShift
-	var blk nodeBlock
-	var locals []uint16
-	for off := uint64(0); off < blockSize; off++ {
-		id := lo + off
-		if id == 0 {
-			continue
+// appendRow encodes one row onto buf: the degree, then the IDs as deltas.
+// The IDs must ascend strictly, as the Source contract states.
+func appendRow(buf []byte, eids []model.EdgeID) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(eids)))
+	prev := model.EdgeID(0)
+	for _, e := range eids {
+		if e <= prev {
+			return buf, fmt.Errorf("incident edge %d listed after %d: lists must ascend strictly", e, prev)
 		}
-		n, ok, err := src.NodeByID(model.NodeID(id))
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		blk.nodes = append(blk.nodes, n)
-		locals = append(locals, uint16(off))
+		buf = binary.AppendUvarint(buf, uint64(e-prev))
+		prev = e
 	}
-	if len(blk.nodes) == 0 {
-		return nil, nil
-	}
-	blk.dir = makeDirectory(locals)
-	var err error
-	scratch := make([]model.EdgeID, 0, 16)
-	if blk.out, err = encodeRows(src.OutEdges, blk.nodes, &scratch); err != nil {
-		return nil, err
-	}
-	if blk.in, err = encodeRows(src.InEdges, blk.nodes, &scratch); err != nil {
-		return nil, err
-	}
-	return &blk, nil
-}
-
-func buildEdgeBlock(src Source, b uint32) (*edgeBlock, error) {
-	lo := uint64(b) << blockShift
-	var blk edgeBlock
-	var locals []uint16
-	for off := uint64(0); off < blockSize; off++ {
-		id := lo + off
-		if id == 0 {
-			continue
-		}
-		e, ok, err := src.EdgeByID(model.EdgeID(id))
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		blk.edges = append(blk.edges, e)
-		locals = append(locals, uint16(off))
-	}
-	if len(blk.edges) == 0 {
-		return nil, nil
-	}
-	blk.dir = makeDirectory(locals)
-	return &blk, nil
-}
-
-// encodeRows builds one CSR direction: per node, the incident edge IDs
-// sorted ascending and delta-uvarint encoded behind a uvarint degree.
-func encodeRows(incident func(model.NodeID) ([]model.EdgeID, error), nodes []model.Node, scratch *[]model.EdgeID) (rows, error) {
-	r := rows{offs: make([]uint32, 1, len(nodes)+1)}
-	for i := range nodes {
-		eids, err := incident(nodes[i].ID)
-		if err != nil {
-			return rows{}, err
-		}
-		r.buf = appendRow(r.buf, eids, scratch)
-		r.offs = append(r.offs, uint32(len(r.buf)))
-	}
-	return r, nil
-}
-
-// appendRow encodes one row onto buf. Sorting owns a scratch copy, never
-// the Source's slice.
-func appendRow(buf []byte, eids []model.EdgeID, scratch *[]model.EdgeID) []byte {
-	sc := append((*scratch)[:0], eids...)
-	slices.Sort(sc)
-	buf = binary.AppendUvarint(buf, uint64(len(sc)))
-	prev := uint64(0)
-	for _, e := range sc {
-		buf = binary.AppendUvarint(buf, uint64(e)-prev)
-		prev = uint64(e)
-	}
-	*scratch = sc
-	return buf
+	return buf, nil
 }

@@ -149,24 +149,7 @@ func TestPatchMatchesFullRender(t *testing.T) {
 				for k := rng.Intn(3); k >= 0; k-- {
 					st.mutate(rng, labels)
 				}
-				cur := st.pin(t)
-				got := dump(t, cur)
-				full, err := Build(st.mapSource, st.epoch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := dump(t, full); got != want {
-					t.Fatalf("seed %d step %d: patched render differs from full render\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
-						seed, step, got, want, seed)
-				}
-				want, err := stats.Build(cur, cur.Epoch())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if folded := cur.Stats(); !reflect.DeepEqual(folded, want) {
-					t.Fatalf("seed %d step %d: folded stats differ from stats.Build\nfolded: %+v\nbuilt:  %+v\n(replay with -seed=%d)",
-						seed, step, folded, want, seed)
-				}
+				cur, got := st.checkedPin(t, fmt.Sprintf("seed %d step %d (replay with -seed=%d)", seed, step, seed))
 				if again := dump(t, prev); again != prevDump {
 					t.Fatalf("seed %d step %d: the snapshot pinned before the step changed (replay with -seed=%d)", seed, step, seed)
 				}
@@ -174,6 +157,31 @@ func TestPatchMatchesFullRender(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkedPin pins st and fails t, naming where, unless the patched
+// snapshot renders as a full Build of the store does and its folded
+// statistics are exactly stats.Build's. It returns the snapshot and its
+// render.
+func (st *toyStore) checkedPin(t *testing.T, where string) (*Snapshot, string) {
+	t.Helper()
+	cur := st.pin(t)
+	got := dump(t, cur)
+	full, err := Build(st.mapSource, st.epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := dump(t, full); got != want {
+		t.Fatalf("%s: patched render differs from full render\npatched:\n%s\nfull:\n%s", where, got, want)
+	}
+	want, err := stats.Build(cur, cur.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded := cur.Stats(); !reflect.DeepEqual(folded, want) {
+		t.Fatalf("%s: folded stats differ from stats.Build\nfolded: %+v\nbuilt:  %+v", where, folded, want)
+	}
+	return cur, got
 }
 
 func (st *toyStore) mutate(rng *rand.Rand, labels []string) {
@@ -232,9 +240,6 @@ func TestPatchShares(t *testing.T) {
 	}
 	if !sameRows(b1.out, b2.out) || !sameRows(b1.in, b2.in) {
 		t.Error("a property write copied CSR rows")
-	}
-	if &b1.dir[0] != &b2.dir[0] {
-		t.Error("a property write rebuilt the directory")
 	}
 	if s2.nb[1] != s1.nb[1] || s2.nb[2] != s1.nb[2] || s2.eb[0] != s1.eb[0] {
 		t.Error("clean blocks were not shared")
@@ -335,4 +340,82 @@ func TestStatsFoldConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzPatchMatchesBuild lets the input drive the store: each three bytes
+// are an operation — add a node, link, unlink, remove a node, set a node
+// or an edge property, pin — and its two arguments, which pick IDs 511,
+// 512 and 513 around the first block boundary a quarter of the time.
+// After every pin the patched snapshot must match a full Build (checkedPin).
+func FuzzPatchMatchesBuild(f *testing.F) {
+	f.Add([]byte{6, 0, 0})
+	// Remove node 512, pin, add a node, link 513->511, pin.
+	f.Add([]byte{3, 4, 0, 6, 0, 0, 0, 1, 0, 1, 8, 0, 6, 0, 0})
+	// Unlink edges 512 and 513, set edge 511's property, pin, link 511->512.
+	f.Add([]byte{2, 4, 0, 2, 8, 0, 5, 0, 9, 6, 0, 0, 1, 0, 4})
+	// Set node 511's property, add a self-loop on 186, pin, remove 186.
+	f.Add([]byte{4, 0, 3, 1, 5, 5, 6, 0, 0, 3, 5, 0})
+	labels := []string{"", "a", "b"}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 3*64)]
+		st := newToyStore()
+		const n = blockSize + 4 // IDs 1..516: the boundary and a partial second block
+		for i := 0; i < n; i++ {
+			st.addNodeP(labels[i%3], model.Props("rank", i%7))
+		}
+		for i := 0; i < n; i++ {
+			st.link(labels[i%3], model.NodeID(i%n+1), model.NodeID(i*31%n+1))
+		}
+		st.pin(t)
+		// pick maps a byte to an ID at most max.
+		pick := func(a byte, max uint64) uint64 {
+			if a&3 == 0 {
+				return blockSize - 1 + uint64(a>>2)%3
+			}
+			return uint64(a)*37%max + 1
+		}
+		node := func(a byte) (model.NodeID, bool) {
+			id := model.NodeID(pick(a, uint64(st.maxN)))
+			_, ok := st.nodes[id]
+			return id, ok
+		}
+		edge := func(a byte) (model.EdgeID, bool) {
+			id := model.EdgeID(pick(a, uint64(st.maxE)))
+			_, ok := st.edges[id]
+			return id, ok
+		}
+		for step := 0; len(ops) >= 3; step++ {
+			op, a, b := ops[0], ops[1], ops[2]
+			ops = ops[3:]
+			switch op % 7 {
+			case 0:
+				st.addNodeP(labels[a%3], model.Props("rank", int(b%9)))
+			case 1:
+				from, ok1 := node(a)
+				to, ok2 := node(b)
+				if ok1 && ok2 {
+					st.link(labels[b%3], from, to)
+				}
+			case 2:
+				if id, ok := edge(a); ok {
+					st.unlink(id)
+				}
+			case 3:
+				if id, ok := node(a); ok {
+					st.removeNode(id)
+				}
+			case 4:
+				if id, ok := node(a); ok {
+					st.setNodeProp(id, "rank", model.Int(int64(b)))
+				}
+			case 5:
+				if id, ok := edge(a); ok {
+					st.setEdgeProp(id, "w", model.Int(int64(b)))
+				}
+			default:
+				st.checkedPin(t, fmt.Sprintf("step %d", step))
+			}
+		}
+		st.checkedPin(t, "last step")
+	})
 }

@@ -92,7 +92,7 @@ func TestSnapshotIsDeep(t *testing.T) {
 	if g.Order() != 2 || g.Size() != 1 {
 		t.Errorf("restore failed: order=%d size=%d", g.Order(), g.Size())
 	}
-	// ID allocation continues from the snapshot point without collisions.
+	// ID allocation continues past every id issued, without collisions.
 	id, _ := g.AddNode("N", nil)
 	if _, err := g.Node(id); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gdbm/internal/adj"
@@ -246,6 +247,89 @@ func TestPatchedSnapshotDifferential(t *testing.T) {
 				}
 				releasePrev()
 				prev, releasePrev, prevRender = cur, release, got
+			}
+		})
+	}
+}
+
+// incidentIDs returns the ids of g's edges incident to id in dir, in the
+// order g's Neighbors yields them.
+func incidentIDs(t *testing.T, g model.Graph, id model.NodeID, dir model.Direction) []model.EdgeID {
+	t.Helper()
+	var eids []model.EdgeID
+	if err := g.Neighbors(id, dir, func(e model.Edge, _ model.Node) bool {
+		eids = append(eids, e.ID)
+		return true
+	}); err != nil {
+		t.Fatalf("Neighbors(%d, %v): %v", id, dir, err)
+	}
+	return eids
+}
+
+// TestViewEnumeratesLiveOrder: on a quiescent store, a pinned view's
+// Neighbors yields exactly what the live store's does, in the same order,
+// after removals in the middle of incident lists — the case where a store
+// that reorders on removal and a view that sorts would disagree.
+func TestViewEnumeratesLiveOrder(t *testing.T) {
+	seed := SeedOrDefault(0x0DE5)
+	for _, s := range patchSubjects(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 40; i++ {
+				s.addNode(t, rng)
+			}
+			for i := 0; i < 240; i++ { // ten hubs: long out lists, in lists of about six
+				s.addEdge(t, rng, s.nodes[rng.Intn(10)], s.nodes[rng.Intn(len(s.nodes))])
+			}
+			_, release, err := s.acquire() // publish, so the next pin patches
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+
+			// mid reports whether eid sits strictly inside a list of three
+			// or more of id's incident edges in dir.
+			mid := func(id model.NodeID, dir model.Direction, eid model.EdgeID) bool {
+				eids := incidentIDs(t, s.g, id, dir)
+				i := slices.Index(eids, eid)
+				return len(eids) >= 3 && i > 0 && i < len(eids)-1
+			}
+			mids := 0
+			for k := 0; k < 60; k++ {
+				i := rng.Intn(len(s.edges))
+				e := s.edges[i]
+				if mid(e.From, model.Out, e.ID) || mid(e.To, model.In, e.ID) {
+					mids++
+				}
+				if err := s.g.RemoveEdge(e.ID); err != nil {
+					t.Fatalf("RemoveEdge: %v", err)
+				}
+				s.edges = slices.Delete(s.edges, i, i+1)
+			}
+			for k := 0; k < 3; k++ { // cascades through other nodes' lists
+				i := 10 + rng.Intn(len(s.nodes)-10)
+				if err := s.g.RemoveNode(s.nodes[i]); err != nil {
+					t.Fatalf("RemoveNode: %v", err)
+				}
+				s.nodes = slices.Delete(s.nodes, i, i+1)
+			}
+			if mids == 0 {
+				t.Fatal("no removal hit the middle of a list of three or more: the test shows nothing")
+			}
+
+			view, release, err := s.acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			for _, id := range s.nodes {
+				for _, dir := range []model.Direction{model.Out, model.In, model.Both} {
+					live, pinned := incidentIDs(t, s.g, id, dir), incidentIDs(t, view, id, dir)
+					if !slices.Equal(pinned, live) {
+						t.Fatalf("node %d %v: view enumerates %v, live store %v (%d mid-list removals; replay with -seed=%d)",
+							id, dir, pinned, live, mids, seed)
+					}
+				}
 			}
 		})
 	}

@@ -14,8 +14,8 @@ import (
 	"gdbm/internal/query/stats"
 )
 
-// nodeRec is one node slot: the record inline beside its adjacency lists.
-// A zero ID marks an empty slot.
+// nodeRec is one node slot: the record inline beside its adjacency lists,
+// each ascending by edge id. A zero ID marks an empty slot.
 type nodeRec struct {
 	model.Node
 	out []model.EdgeID
@@ -161,12 +161,11 @@ func (g *Graph) removeEdgeLocked(id model.EdgeID) {
 	g.size--
 }
 
+// removeID deletes id from s in place, keeping the rest in order: a list
+// stays ascending, as ids are appended in issue order.
 func removeID(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
-	for i, v := range s {
-		if v == id {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
+	if i := slices.Index(s, id); i >= 0 {
+		return slices.Delete(s, i, i+1)
 	}
 	return s
 }
@@ -273,7 +272,7 @@ func (g *Graph) Edges(fn func(model.Edge) bool) error {
 }
 
 // Neighbors iterates edges incident to id in direction dir together with the
-// far-end node.
+// far-end node: out-edges before in-edges, each in ascending edge-id order.
 func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
 	g.mu.RLock()
 	n := g.node(id)

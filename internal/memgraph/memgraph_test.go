@@ -136,6 +136,52 @@ func TestRemoveNodeCascades(t *testing.T) {
 	}
 }
 
+// TestRestoreFromKeepsIDsMonotone: a rollback to a snapshot keeps the
+// ids issued since taken, so the next insert gets a fresh id, the restored
+// state reads them as absent, and the view agrees with the store.
+func TestRestoreFromKeepsIDsMonotone(t *testing.T) {
+	g, ids := triangle(t)
+	snap := g.Snapshot()
+	n, err := g.AddNode("N", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustEdge(t, g, "e", ids[0], n)
+	g.RestoreFrom(snap)
+
+	if _, err := g.Node(n); !errors.Is(err, model.ErrNotFound) {
+		t.Errorf("rolled-back node %d still reads: %v", n, err)
+	}
+	if _, err := g.Edge(e); !errors.Is(err, model.ErrNotFound) {
+		t.Errorf("rolled-back edge %d still reads: %v", e, err)
+	}
+	n2, err := g.AddNode("N", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := mustEdge(t, g, "e", ids[0], n2)
+	if n2 <= n || e2 <= e {
+		t.Errorf("after restore AddNode = %d, AddEdge = %d; want ids past the rolled-back %d and %d", n2, e2, n, e)
+	}
+	if g.Order() != 4 || g.Size() != 4 {
+		t.Errorf("order/size = %d/%d, want 4/4", g.Order(), g.Size())
+	}
+	view, release, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if _, err := view.Node(n); !errors.Is(err, model.ErrNotFound) {
+		t.Errorf("the view reads rolled-back node %d: %v", n, err)
+	}
+	if got, err := view.Node(n2); err != nil || got.ID != n2 {
+		t.Errorf("view Node(%d) = %+v, %v", n2, got, err)
+	}
+	if view.Order() != 4 || view.Size() != 4 {
+		t.Errorf("view order/size = %d/%d, want 4/4", view.Order(), view.Size())
+	}
+}
+
 func TestSetProps(t *testing.T) {
 	g, ids := triangle(t)
 	if err := g.SetNodeProp(ids[0], "age", model.Int(3)); err != nil {

@@ -12,7 +12,7 @@ import (
 
 // refGraph is the map-based reference the slice layout is held to: one
 // map per record kind and per adjacency direction, with the list order
-// Graph promises (insertion order, a removal swapping the list's tail in).
+// Graph promises (insertion order, a removal closing the gap in order).
 type refGraph struct {
 	nodes    map[model.NodeID]model.Node
 	edges    map[model.EdgeID]model.Edge
@@ -67,10 +67,9 @@ func (r *refGraph) addEdge(label string, from, to model.NodeID, props model.Prop
 	return id, nil
 }
 
-func swapRemove(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
+func orderedRemove(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
 	i := slices.Index(s, id)
-	s[i] = s[len(s)-1]
-	return s[:len(s)-1]
+	return append(s[:i:i], s[i+1:]...)
 }
 
 func (r *refGraph) removeEdge(id model.EdgeID) error {
@@ -78,8 +77,8 @@ func (r *refGraph) removeEdge(id model.EdgeID) error {
 	if !ok {
 		return model.EdgeNotFound(id)
 	}
-	r.out[e.From] = swapRemove(r.out[e.From], id)
-	r.in[e.To] = swapRemove(r.in[e.To], id)
+	r.out[e.From] = orderedRemove(r.out[e.From], id)
+	r.in[e.To] = orderedRemove(r.in[e.To], id)
 	delete(r.edges, id)
 	return nil
 }
@@ -339,6 +338,8 @@ func TestGraphMatchesMapReference(t *testing.T) {
 			default:
 				op = "RestoreFrom"
 				g.RestoreFrom(snap)
+				// Ids issued since the snapshot stay issued.
+				snapRef.nextNode, snapRef.nextEdge = r.nextNode, r.nextEdge
 				r, snap = snapRef, nil
 			}
 			var nodeProbes []model.NodeID

@@ -28,8 +28,10 @@ func (g *Graph) Snapshot() *Graph {
 }
 
 // RestoreFrom replaces the receiver's state with the snapshot's. The
-// snapshot must not be used afterwards. Wholesale replacement invalidates
-// every copy-on-write view block and moves the epoch.
+// snapshot must not be used afterwards. Ids issued since the snapshot stay
+// issued: their slots come back vacant, so the next id continues from the
+// receiver's, never reused. Wholesale replacement invalidates every
+// copy-on-write view block and moves the epoch.
 func (g *Graph) RestoreFrom(s *Graph) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -37,7 +39,12 @@ func (g *Graph) RestoreFrom(s *Graph) {
 	defer g.epoch.Bump()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g.nodes, g.edges = s.nodes, s.edges
+	g.nodes, g.edges = pad(s.nodes, len(g.nodes)), pad(s.edges, len(g.edges))
 	g.order, g.size = s.order, s.size
 	g.ver.MarkAll()
+}
+
+// pad extends s with zero (vacant) slots to length n.
+func pad[T any](s []T, n int) []T {
+	return append(s, make([]T, max(n-len(s), 0))...)
 }

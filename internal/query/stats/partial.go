@@ -24,16 +24,21 @@ type Partial struct {
 
 type propKey struct{ label, prop string }
 
-// NodePartial returns the statistics of a block of node records;
-// degree(i) is the Both-direction degree of nodes[i].
+// NodePartial returns the statistics of a block of node slots, skipping
+// the vacant ones (a zero ID); degree(i) is the Both-direction degree of
+// nodes[i].
 func NodePartial(nodes []model.Node, degree func(i int) int) *Partial {
-	p := &Partial{nodes: len(nodes), nodeLabel: map[string]int{}}
+	p := &Partial{nodeLabel: map[string]int{}}
 	// Hashes are collected per (label, prop) and sketched once at the end:
 	// one sort instead of an ordered insert per value.
 	hashes := map[propKey][]uint64{}
 	var key []byte
 	for i := range nodes {
 		n := &nodes[i]
+		if n.ID == 0 {
+			continue
+		}
+		p.nodes++
 		p.nodeLabel[n.Label]++
 		p.degHist[degBucket(degree(i))]++
 		for prop, v := range n.Props {
@@ -55,13 +60,16 @@ func NodePartial(nodes []model.Node, degree func(i int) int) *Partial {
 	return p
 }
 
-// EdgePartial returns the statistics of a block of edge records. Degrees
-// are the node side's business: an edge's endpoints may live in other
-// blocks.
+// EdgePartial returns the statistics of a block of edge slots, skipping
+// the vacant ones. Degrees are the node side's business: an edge's
+// endpoints may live in other blocks.
 func EdgePartial(edges []model.Edge) *Partial {
-	p := &Partial{edges: len(edges), edgeLabel: map[string]int{}}
+	p := &Partial{edgeLabel: map[string]int{}}
 	for i := range edges {
-		p.edgeLabel[edges[i].Label]++
+		if edges[i].ID != 0 {
+			p.edges++
+			p.edgeLabel[edges[i].Label]++
+		}
 	}
 	return p
 }
