@@ -121,6 +121,7 @@ cover:
 # go test allows -fuzz for one package per invocation, hence one run per
 # target.
 fuzz-smoke:
+	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzValueMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/format/ -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)

@@ -9,6 +9,7 @@ package neograph
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"gdbm/internal/engine"
@@ -137,8 +138,9 @@ func (db *DB) AcquireSnapshot() (model.Graph, model.ReleaseFunc, error) {
 
 // Update implements engine.Transactional for main-memory instances: fn's
 // mutations apply atomically — on error every change is rolled back via a
-// snapshot. All writes must go through Update while a transaction runs
-// (single-writer discipline, enforced by the transaction manager's lock).
+// snapshot, and the indexes are rebuilt from the restored graph. All
+// writes must go through Update while a transaction runs (single-writer
+// discipline, enforced by the transaction manager's lock).
 // Disk-backed instances refuse: their durability path has no snapshot.
 func (db *DB) Update(fn func() error) error {
 	mg, ok := db.Core.Graph().(*memgraph.Graph)
@@ -149,6 +151,9 @@ func (db *DB) Update(fn func() error) error {
 		snap := mg.Snapshot()
 		if err := fn(); err != nil {
 			mg.RestoreFrom(snap)
+			if rerr := db.Core.Idx.Rebuild(mg); rerr != nil {
+				return errors.Join(err, rerr)
+			}
 			return err
 		}
 		return nil

@@ -1,10 +1,13 @@
 package neograph
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gdbm/internal/engine"
+	"gdbm/internal/index"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 )
@@ -100,3 +103,53 @@ func TestSnapshotIsDeep(t *testing.T) {
 }
 
 var _ engine.Transactional = (*DB)(nil)
+
+// TestUpdateRollbackRestoresIndex: the property and label indexes follow
+// every write inside Update, so a rollback must bring them back to the
+// restored graph. Before, a node renamed inside a failed Update was found
+// under its new name and not under the name its record kept.
+func TestUpdateRollbackRestoresIndex(t *testing.T) {
+	db := openDB(t)
+	if err := db.CreateIndex("name"); err != nil {
+		t.Fatal(err)
+	}
+	keeper, _ := db.AddNode("P", model.Props("name", "keeper"))
+	err := db.Update(func() error {
+		db.SetNodeProp(keeper, "name", model.Str("mutated"))
+		db.AddNode("P", model.Props("name", "doomed"))
+		db.AddNode("Q", model.Props("name", "keeper"))
+		return fmt.Errorf("business rule failed")
+	})
+	if err == nil {
+		t.Fatal("Update should surface fn's error")
+	}
+	for name, want := range map[string][]model.NodeID{"keeper": {keeper}, "mutated": nil, "doomed": nil} {
+		var got []model.NodeID
+		if _, err := db.IndexedNodes("", "name", model.Str(name), func(n model.Node) bool {
+			got = append(got, n.ID)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("IndexedNodes(name = %q) = %v, want %v", name, got, want)
+		}
+		res, err := engine.QueryContext(context.Background(), db, fmt.Sprintf(`MATCH (p:P {name: '%s'}) RETURN p.name AS n`, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != len(want) {
+			t.Errorf("gql lookup of %q = %v, want %d rows", name, res.Rows, len(want))
+		}
+		for _, row := range res.Rows {
+			if fmt.Sprint(row[0]) != name {
+				t.Errorf("gql lookup of %q returned a node named %v", name, row[0])
+			}
+		}
+	}
+	for label, want := range map[string]int{"P": 1, "Q": 0} {
+		if idx, _ := db.Core.Idx.Get(index.Nodes, ""); idx.Count(model.Str(label)) != want {
+			t.Errorf("label index holds %d ids under %q, want %d", idx.Count(model.Str(label)), label, want)
+		}
+	}
+}

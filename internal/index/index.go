@@ -19,6 +19,8 @@ type Index interface {
 	Lookup(v model.Value, fn func(id uint64) bool) error
 	// Count returns the number of ids associated with the value.
 	Count(v model.Value) int
+	// Clear drops every association.
+	Clear()
 	// Kind names the index implementation.
 	Kind() string
 }
@@ -91,6 +93,13 @@ func (b *Bitmap) Count(v model.Value) int {
 		return s.Count()
 	}
 	return 0
+}
+
+// Clear implements Index.
+func (b *Bitmap) Clear() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	clear(b.sets)
 }
 
 // Set returns a copy of the bitset for value, or an empty set. It exposes
@@ -169,6 +178,13 @@ func (h *Hash) Count(v model.Value) int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return len(h.sets[valueKey(v)])
+}
+
+// Clear implements Index.
+func (h *Hash) Clear() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	clear(h.sets)
 }
 
 var (

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 )
 
@@ -251,5 +252,37 @@ func TestBitmapSetAlgebraAccessor(t *testing.T) {
 	}
 	if b.Set(model.Str("zzz")).Count() != 0 {
 		t.Error("missing value should give empty set")
+	}
+}
+
+// TestManagerRebuild: Rebuild drops entries the graph no longer backs and
+// refills every index, node and edge, label and property, from the graph.
+func TestManagerRebuild(t *testing.T) {
+	g := memgraph.New()
+	a, _ := g.AddNode("P", model.Props("name", "ada"))
+	b, _ := g.AddNode("P", model.Props("name", "bob"))
+	e, _ := g.AddEdge("knows", a, b, model.Props("since", 2001))
+	m := NewManager()
+	labels, _ := m.Create(Nodes, "", KindHash)
+	names, _ := m.Create(Nodes, "name", KindBitmap)
+	since, _ := m.Create(Edges, "since", KindHash)
+	labels.Add(model.Str("Q"), 99)
+	names.Add(model.Str("ghost"), uint64(a))
+	since.Add(model.Int(1999), uint64(e))
+	if err := m.Rebuild(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		idx  Index
+		v    model.Value
+		want int
+	}{
+		{labels, model.Str("P"), 2}, {labels, model.Str("Q"), 0},
+		{names, model.Str("ada"), 1}, {names, model.Str("ghost"), 0},
+		{since, model.Int(2001), 1}, {since, model.Int(1999), 0},
+	} {
+		if got := c.idx.Count(c.v); got != c.want {
+			t.Errorf("%s index Count(%v) = %d, want %d", c.idx.Kind(), c.v, got, c.want)
+		}
 	}
 }

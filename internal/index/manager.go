@@ -81,6 +81,27 @@ func (m *Manager) Get(t Target, prop string) (Index, bool) {
 	return idx, ok
 }
 
+// Rebuild clears every registered index and refills it from g's nodes and
+// edges. A store rolled back to an earlier state needs it: its indexes
+// followed the writes that the rollback undid.
+func (m *Manager) Rebuild(g model.Graph) error {
+	m.mu.RLock()
+	for _, idx := range m.indexes {
+		idx.Clear()
+	}
+	m.mu.RUnlock()
+	if err := g.Nodes(func(n model.Node) bool {
+		m.OnNodeWrite(n, "", nil)
+		return true
+	}); err != nil {
+		return err
+	}
+	return g.Edges(func(e model.Edge) bool {
+		m.OnEdgeWrite(e, "", nil)
+		return true
+	})
+}
+
 // OnNodeWrite updates node indexes for a node insert or property change.
 // oldProps may be nil for inserts.
 func (m *Manager) OnNodeWrite(n model.Node, oldLabel string, oldProps model.Properties) {

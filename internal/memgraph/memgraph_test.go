@@ -182,6 +182,51 @@ func TestRestoreFromKeepsIDsMonotone(t *testing.T) {
 	}
 }
 
+// TestSnapshotPropsSurviveLiveWrites: Snapshot shares the stored property
+// maps, so a property write on the live graph afterwards must replace the
+// live map and leave every map the snapshot holds as it was.
+func TestSnapshotPropsSurviveLiveWrites(t *testing.T) {
+	g, ids := triangle(t)
+	if err := g.SetEdgeProp(1, "w", model.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	snap := g.Snapshot()
+	nodeProps, _ := snap.Node(ids[0])
+	edgeProps, _ := snap.Edge(1)
+
+	for _, w := range []struct {
+		key string
+		v   model.Value
+	}{{"name", model.Str("changed")}, {"age", model.Int(7)}} {
+		if err := g.SetNodeProp(ids[0], w.key, w.v); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetEdgeProp(1, w.key, w.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.SetEdgeProp(1, "w", model.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, _ := snap.Node(ids[0]); !n.Props.Equal(model.Props("name", "a")) || !nodeProps.Props.Equal(model.Props("name", "a")) {
+		t.Errorf("snapshot node props = %v (read before the writes: %v), want {name: a}", n.Props, nodeProps.Props)
+	}
+	if e, _ := snap.Edge(1); !e.Props.Equal(model.Props("w", 1)) || !edgeProps.Props.Equal(model.Props("w", 1)) {
+		t.Errorf("snapshot edge props = %v (read before the writes: %v), want {w: 1}", e.Props, edgeProps.Props)
+	}
+	if n, _ := g.Node(ids[0]); !n.Props.Equal(model.Props("name", "changed", "age", 7)) {
+		t.Errorf("live node props = %v", n.Props)
+	}
+	g.RestoreFrom(snap)
+	if n, _ := g.Node(ids[0]); !n.Props.Equal(model.Props("name", "a")) {
+		t.Errorf("restored node props = %v, want {name: a}", n.Props)
+	}
+	if e, _ := g.Edge(1); !e.Props.Equal(model.Props("w", 1)) {
+		t.Errorf("restored edge props = %v, want {w: 1}", e.Props)
+	}
+}
+
 func TestSetProps(t *testing.T) {
 	g, ids := triangle(t)
 	if err := g.SetNodeProp(ids[0], "age", model.Int(3)); err != nil {

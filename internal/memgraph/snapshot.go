@@ -2,11 +2,14 @@ package memgraph
 
 import "slices"
 
-// Snapshot returns a deep copy of the graph's state, and RestoreFrom
-// replaces the state with a previously taken snapshot. Together they give
-// the in-memory engines an all-or-nothing transaction primitive (the
+// Snapshot returns a copy of the graph's state, and RestoreFrom replaces
+// the state with a previously taken snapshot. Together they give the
+// in-memory engines an all-or-nothing transaction primitive (the
 // "transaction engine" component the survey requires of a graph database):
-// take a snapshot, apply a batch, restore on failure.
+// take a snapshot, apply a batch, restore on failure. The record slices
+// and adjacency lists are copied, since writes change them in place; the
+// property maps are shared, since no write changes a stored map in place
+// (AddNode/AddEdge store a clone and SetNodeProp/SetEdgeProp replace it).
 func (g *Graph) Snapshot() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -18,11 +21,7 @@ func (g *Graph) Snapshot() *Graph {
 	}
 	for i := range s.nodes {
 		n := &s.nodes[i]
-		n.Props = n.Props.Clone()
 		n.out, n.in = slices.Clone(n.out), slices.Clone(n.in)
-	}
-	for i := range s.edges {
-		s.edges[i].Props = s.edges[i].Props.Clone()
 	}
 	return s
 }

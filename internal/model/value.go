@@ -41,28 +41,35 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a typed scalar. The zero Value is the null value. Values are
-// comparable with == only within the same kind; use Compare or Equal for
-// cross-kind semantics (numeric kinds compare numerically).
+// Value is a typed scalar. The zero Value is the null value. A string
+// lives in s; a bool, int or float shares the one payload word n (0 or 1,
+// the int's two's-complement bits, or math.Float64bits), so a Value is 32
+// bytes. Values are comparable with == only within the same kind: strings
+// compare by content, and floats compare by bit pattern, so 0.0 != -0.0
+// and a NaN equals itself. Equal and Compare are the semantic comparisons
+// (numeric kinds compare numerically, across kinds too).
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Bool wraps a bool.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // String wraps a string.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
@@ -102,18 +109,18 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; ok is false for non-bool values.
-func (v Value) AsBool() (val, ok bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (val, ok bool) { return v.b(), v.kind == KindBool }
 
 // AsInt returns the integer payload; ok is false for non-int values.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) { return v.i(), v.kind == KindInt }
 
 // AsFloat returns a float for int or float values.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return v.f(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	}
 	return 0, false
 }
@@ -121,16 +128,22 @@ func (v Value) AsFloat() (float64, bool) {
 // AsString returns the string payload; ok is false for non-string values.
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 
+// b, i and f decode the payload word whatever the kind; callers check the
+// kind first.
+func (v Value) b() bool    { return v.n != 0 }
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+
 // Native returns the value as a plain Go value (nil, bool, int64, float64 or
 // string).
 func (v Value) Native() any {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.b()
 	case KindInt:
-		return v.i
+		return v.i()
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindString:
 		return v.s
 	default:
@@ -144,11 +157,11 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.b())
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	default:
@@ -189,9 +202,9 @@ func (v Value) Compare(o Value) int {
 		return 0
 	case KindBool:
 		switch {
-		case v.b == o.b:
+		case v.n == o.n:
 			return 0
-		case !v.b:
+		case v.n == 0:
 			return -1
 		default:
 			return 1
@@ -231,11 +244,7 @@ func (v Value) EncodeKey(dst []byte) []byte {
 	dst = append(dst, byte(rank(v.kind)))
 	switch v.kind {
 	case KindBool:
-		if v.b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, byte(v.n))
 	case KindInt, KindFloat:
 		f, _ := v.AsFloat()
 		bits := math.Float64bits(f)
@@ -267,14 +276,9 @@ func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	case KindNull:
 		return append(dst, byte(KindNull)), nil
 	case KindBool:
-		if v.b {
-			return append(dst, byte(KindBool), 1), nil
-		}
-		return append(dst, byte(KindBool), 0), nil
-	case KindInt:
-		return binary.BigEndian.AppendUint64(append(dst, byte(KindInt)), uint64(v.i)), nil
-	case KindFloat:
-		return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(v.f)), nil
+		return append(dst, byte(KindBool), byte(v.n)), nil
+	case KindInt, KindFloat:
+		return binary.BigEndian.AppendUint64(append(dst, byte(v.kind)), v.n), nil
 	case KindString:
 		return append(append(dst, byte(KindString)), v.s...), nil
 	}
@@ -294,16 +298,11 @@ func UnmarshalValue(data []byte) (Value, error) {
 			return Value{}, fmt.Errorf("model: bad bool encoding length %d", len(data))
 		}
 		return Bool(data[1] == 1), nil
-	case KindInt:
+	case KindInt, KindFloat:
 		if len(data) != 9 {
-			return Value{}, fmt.Errorf("model: bad int encoding length %d", len(data))
+			return Value{}, fmt.Errorf("model: bad %v encoding length %d", Kind(data[0]), len(data))
 		}
-		return Int(int64(binary.BigEndian.Uint64(data[1:]))), nil
-	case KindFloat:
-		if len(data) != 9 {
-			return Value{}, fmt.Errorf("model: bad float encoding length %d", len(data))
-		}
-		return Float(math.Float64frombits(binary.BigEndian.Uint64(data[1:]))), nil
+		return Value{kind: Kind(data[0]), n: binary.BigEndian.Uint64(data[1:])}, nil
 	case KindString:
 		return Str(string(data[1:])), nil
 	}
