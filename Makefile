@@ -122,6 +122,7 @@ cover:
 # target.
 fuzz-smoke:
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzValueMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzUnmarshalProperties -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/format/ -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)
@@ -130,6 +131,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzLeafSplice -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/pager/ -run '^$$' -fuzz FuzzPagerMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/adj/ -run '^$$' -fuzz FuzzPatchMatchesBuild -fuzztime $(FUZZTIME)
 
 # Overload drill: build the real gdbserver binary, burst it at 2× the

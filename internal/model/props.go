@@ -118,36 +118,50 @@ func (p Properties) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalProperties decodes a map produced by Properties.MarshalBinary.
+// UnmarshalProperties decodes a map produced by Properties.MarshalBinary,
+// reading keys and values straight from data. It refuses a key or value cut
+// short, bytes after the last entry, and a count the remaining bytes cannot
+// hold.
 func UnmarshalProperties(data []byte) (Properties, error) {
-	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("model: bad property count: %w", err)
+	n, w := binary.Uvarint(data)
+	if w <= 0 {
+		return nil, fmt.Errorf("model: bad property count")
+	}
+	data = data[w:]
+	// An entry takes at least three bytes: two lengths and a kind tag.
+	if n > uint64(len(data)/3) {
+		return nil, fmt.Errorf("model: %d properties cannot fit in %d bytes", n, len(data))
 	}
 	p := make(Properties, n)
 	for i := uint64(0); i < n; i++ {
-		klen, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("model: bad key length: %w", err)
+		key, rest, ok := lengthPrefixed(data)
+		if !ok {
+			return nil, fmt.Errorf("model: truncated property key")
 		}
-		kb := make([]byte, klen)
-		if _, err := rd.Read(kb); err != nil {
-			return nil, fmt.Errorf("model: bad key bytes: %w", err)
-		}
-		vlen, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("model: bad value length: %w", err)
-		}
-		vb := make([]byte, vlen)
-		if _, err := rd.Read(vb); err != nil {
-			return nil, fmt.Errorf("model: bad value bytes: %w", err)
+		vb, rest, ok := lengthPrefixed(rest)
+		if !ok {
+			return nil, fmt.Errorf("model: truncated value of property %q", key)
 		}
 		v, err := UnmarshalValue(vb)
 		if err != nil {
 			return nil, err
 		}
-		p[string(kb)] = v
+		p[string(key)] = v
+		data = rest
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("model: %d bytes after the last property", len(data))
 	}
 	return p, nil
+}
+
+// lengthPrefixed splits a uvarint-length-prefixed field off the front of
+// data, reporting false if data ends before the field does.
+func lengthPrefixed(data []byte) (field, rest []byte, ok bool) {
+	n, w := binary.Uvarint(data)
+	if w <= 0 || n > uint64(len(data)-w) {
+		return nil, nil, false
+	}
+	end := w + int(n)
+	return data[w:end], data[end:], true
 }

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -156,4 +158,61 @@ func TestUnmarshalPropertiesErrors(t *testing.T) {
 	if _, err := UnmarshalProperties([]byte{1}); err == nil {
 		t.Error("truncated should fail")
 	}
+}
+
+// A property encoding cut anywhere, followed by extra bytes, or claiming
+// more entries than its bytes can hold is refused, never decoded as
+// zero-padded keys and values.
+func TestUnmarshalPropertiesRefusesTruncation(t *testing.T) {
+	enc, err := Props("name", "hello", "n", 7).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		if p, err := UnmarshalProperties(enc[:cut]); err == nil {
+			t.Errorf("cut at %d of %d decodes as %v", cut, len(enc), p)
+		}
+	}
+	if p, err := UnmarshalProperties(append(enc[:len(enc):len(enc)], 0)); err == nil {
+		t.Errorf("a trailing byte decodes as %v", p)
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	if _, err := UnmarshalProperties(append(huge, enc[1:]...)); err == nil {
+		t.Error("a count of 2^40 over a few bytes decodes")
+	}
+}
+
+// FuzzUnmarshalProperties: decoding any bytes returns an error or a map,
+// never a panic, and a decoded map re-encodes to bytes that decode to the
+// same map and encode the same again.
+func FuzzUnmarshalProperties(f *testing.F) {
+	for _, p := range []Properties{nil, Props("name", "hello"), Props("a", 1, "b", 2.5, "c", true, "d", nil)} {
+		enc, err := p.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := UnmarshalProperties(data)
+		if err != nil {
+			return
+		}
+		enc, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-encoding %v: %v", p, err)
+		}
+		q, err := UnmarshalProperties(enc)
+		if err != nil {
+			t.Fatalf("decoding the re-encoding of %v: %v", p, err)
+		}
+		again, err := q.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) || !reflect.DeepEqual(p.Keys(), q.Keys()) {
+			t.Fatalf("round trip: %v encodes as %x, decodes as %v, encodes as %x", p, enc, q, again)
+		}
+	})
 }

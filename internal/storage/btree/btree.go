@@ -310,26 +310,38 @@ func (t *Tree) ascend(start, prefix []byte, fn func(key, val []byte) bool) error
 	done := false
 	collect := func(c cursor) error {
 		batch = batch[:0]
+		size := 0
 		for {
 			ok, err := c.next()
-			if err != nil || !ok {
-				next = c.link
+			if err != nil {
 				return err
+			}
+			if !ok {
+				next = c.link
+				break
 			}
 			if start != nil && bytes.Compare(c.key, start) < 0 {
 				continue
 			}
 			if !bytes.HasPrefix(c.key, prefix) {
 				done = true
-				return nil
+				break
 			}
-			// One allocation holds both; the key's capacity ends at its
-			// length so appending to it cannot overwrite the value.
-			e := make([]byte, len(c.key)+len(c.val))
-			kl := copy(e, c.key)
-			copy(e[kl:], c.val)
-			batch = append(batch, [2][]byte{e[:kl:kl], e[kl:]})
+			batch = append(batch, [2][]byte{c.key, c.val})
+			size += len(c.key) + len(c.val)
 		}
+		// The entries still point into the page. Copy them into one
+		// fresh arena for this leaf, never reused, so fn may keep them;
+		// each key's capacity ends at its length so appending to it
+		// cannot overwrite its value.
+		arena := make([]byte, 0, size)
+		for i, e := range batch {
+			k := len(arena)
+			arena = append(append(arena, e[0]...), e[1]...)
+			v := k + len(e[0])
+			batch[i] = [2][]byte{arena[k:v:v], arena[v:len(arena):len(arena)]}
+		}
+		return nil
 	}
 	_, err := t.descend(start, collect)
 	for err == nil {

@@ -416,3 +416,49 @@ func commonPrefix(a, b []byte) int {
 	}
 	return n
 }
+
+// A scan copies each leaf's entries into one fresh arena: its allocations
+// do not grow with the number of entries a leaf emits, and entries kept
+// after the callback keep their bytes, even when a kept key is appended to.
+func TestAscendAllocatesPerLeaf(t *testing.T) {
+	tree, _, _ := tempTree(t)
+	sizes := map[uint64]uint64{1: 6, 2: 96} // node: out-degree
+	for n, deg := range sizes {
+		for i := uint64(0); i < deg; i++ {
+			if err := tree.Put(graphKey("o!", n, i), graphKey("", 1000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if d := depth(t, tree); d != 1 {
+		t.Fatalf("tree has %d levels, want one leaf", d)
+	}
+	var kept [][2][]byte
+	if err := tree.AscendPrefix(graphKey("o!", 2), func(k, v []byte) bool {
+		kept = append(kept, [2][]byte{append(k, "tail"...), v})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 96 {
+		t.Fatalf("scan emitted %d entries, want 96", len(kept))
+	}
+	for i, e := range kept {
+		if want := graphKey("o!", 2, uint64(i)); !bytes.Equal(e[0][:len(want)], want) {
+			t.Fatalf("kept key %d = %x, want %x", i, e[0], want)
+		}
+		if want := graphKey("", 1000+uint64(i)); !bytes.Equal(e[1], want) {
+			t.Fatalf("kept value %d = %x, want %x", i, e[1], want)
+		}
+	}
+	scan := func(n uint64) float64 {
+		return testing.AllocsPerRun(50, func() {
+			tree.AscendPrefix(graphKey("o!", n), func(_, _ []byte) bool { return true })
+		})
+	}
+	// The entry batch grows by doubling, so 90 more entries cost a few
+	// more allocations, not one each.
+	if few, many := scan(1), scan(2); many-few > 8 {
+		t.Errorf("a scan emitting 96 entries allocates %.0f times, one emitting 6 %.0f", many, few)
+	}
+}

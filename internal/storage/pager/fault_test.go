@@ -3,6 +3,7 @@ package pager
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"gdbm/internal/storage/vfs"
@@ -169,5 +170,95 @@ func TestReadCorruptionNeverServed(t *testing.T) {
 				t.Fatalf("read %d: corrupt page %d served without error", r, id)
 			}
 		}
+	}
+}
+
+// TestFailedMissLeavesPoolUnchanged: a miss verifies its page before the
+// pool evicts anything, so a read that fails, on a checksum or in the
+// file, evicts no frame, writes nothing back, and leaves every resident
+// page readable with its bytes.
+func TestFailedMissLeavesPoolUnchanged(t *testing.T) {
+	fs := vfs.NewFaultFS()
+	p, err := Open("p.pg", Options{PoolPages: 2, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []PageID
+	for i := 0; i < 4; i++ {
+		id, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(id, payload(byte('A'+i))); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Damage page 2 in the file behind the pager's back.
+	raw, err := fs.OpenFile("p.pg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.WriteAt([]byte{0xFF}, int64(ids[2])*PageSize+100); err != nil {
+		t.Fatal(err)
+	}
+	// Pages 0 and 1 resident and dirty: an eviction would write one back.
+	for _, i := range []int{0, 1} {
+		if err := p.Write(ids[i], payload(byte('a'+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops, before := fs.Ops(), p.CacheStats()
+
+	misses := []struct {
+		name  string
+		id    PageID
+		fault bool // flip a bit in the bytes the read returns
+		want  error
+	}{
+		{"checksum in the file", ids[2], false, ErrChecksum},
+		{"read fault", ids[3], true, ErrChecksum},
+		{"read past the end", 999, false, io.EOF},
+	}
+	for _, m := range misses {
+		if m.fault {
+			fs.SetFaults(vfs.Fault{Kind: vfs.CorruptRead, Op: fs.Reads() + 1})
+		}
+		err := p.View(m.id, func([]byte) error {
+			t.Errorf("%s: View called fn", m.name)
+			return nil
+		})
+		if !errors.Is(err, m.want) {
+			t.Errorf("%s: View = %v, want %v", m.name, err, m.want)
+		}
+	}
+	fs.PowerCut()
+	if err := p.View(ids[3], func([]byte) error { return nil }); !errors.Is(err, vfs.ErrPowerCut) {
+		t.Errorf("view in a dead file = %v", err)
+	}
+
+	if n := fs.Ops() - ops; n != 0 {
+		t.Errorf("failed misses issued %d writes", n)
+	}
+	after := p.CacheStats()
+	if after.Evictions != before.Evictions || after.Entries != before.Entries {
+		t.Errorf("failed misses changed the pool: %+v, was %+v", after, before)
+	}
+	for _, i := range []int{0, 1} {
+		if err := p.View(ids[i], func(page []byte) error {
+			if !bytes.Equal(page, payload(byte('a'+i))) {
+				t.Errorf("resident page %d lost its bytes", ids[i])
+			}
+			return nil
+		}); err != nil {
+			t.Errorf("resident page %d: %v", ids[i], err)
+		}
+	}
+	if got := p.CacheStats(); got.Hits != after.Hits+2 || got.Misses != after.Misses {
+		t.Errorf("resident pages: %d hits and %d misses, want 2 and 0",
+			got.Hits-after.Hits, got.Misses-after.Misses)
 	}
 }

@@ -11,7 +11,9 @@
 // replacement: Options.CacheBytes bounds it in bytes (Options.PoolPages in
 // pages, for callers that think in frames). Victim selection is the
 // cache.Ring policy; write-back of dirty victims and their retention across
-// failed syncs stay here, under the pager's lock.
+// failed syncs stay here, under the pager's lock. A frame owns its whole
+// page image, CRC header included, and a miss reads into a recycled frame,
+// so a page read or write-back allocates nothing.
 //
 // Durability contract: Flush returns nil only after every buffered write has
 // been written AND fsynced. Dirty bits are cleared only once the sync
@@ -48,11 +50,16 @@ type PageID uint32
 // ErrChecksum reports a page whose stored CRC does not match its contents.
 var ErrChecksum = fmt.Errorf("pager: page checksum mismatch")
 
+// frame is one pool slot. It owns a whole on-disk page image: the CRC
+// header, stamped on write-back, followed by the payload.
 type frame struct {
 	id    PageID
-	data  []byte // PayloadSize bytes
+	page  []byte // PageSize bytes
 	dirty bool
 }
+
+// payload returns the frame's payload, the page image after its header.
+func (fr *frame) payload() []byte { return fr.page[headerSize:] }
 
 // Pager manages a page file with a fixed-capacity write-back buffer pool.
 type Pager struct {
@@ -61,12 +68,18 @@ type Pager struct {
 	capacity int
 	frames   map[PageID]*frame
 	policy   *cache.Ring[PageID] // CLOCK victim selection over frames
-	pages    uint32              // total pages in file, including page 0
-	freeHead PageID              // head of the free page list, 0 if none
+	// spare is the frame the next miss fills: the last victim evicted, or
+	// nil until the pool first evicts. A miss reads and verifies its page
+	// in the spare before anything is evicted, so a failed read leaves the
+	// pool as it was, and no victim's write-back shares its buffer.
+	spare    *frame
+	meta     []byte // PageSize bytes: page 0's image
+	pages    uint32 // total pages in file, including page 0
+	freeHead PageID // head of the free page list, 0 if none
 	closed   bool
 
-	// pendingEvict holds payloads of dirty frames evicted since the last
-	// successful sync. They were written to the file, but until a sync
+	// pendingEvict holds page images of dirty frames evicted since the
+	// last successful sync. They were written to the file, but until a sync
 	// succeeds the kernel may drop them; a retried Flush must be able to
 	// rewrite them even though the frames left the pool.
 	pendingEvict map[PageID][]byte
@@ -123,6 +136,7 @@ func Open(path string, opts Options) (*Pager, error) {
 		capacity:     opts.PoolPages,
 		frames:       make(map[PageID]*frame, opts.PoolPages),
 		policy:       cache.NewRing[PageID](),
+		meta:         make([]byte, PageSize),
 		pendingEvict: map[PageID][]byte{},
 		// A nil registry yields nil counters, whose methods no-op.
 		mReads:        opts.Metrics.Counter("pager.page_reads"),
@@ -157,49 +171,42 @@ func Open(path string, opts Options) (*Pager, error) {
 }
 
 func (p *Pager) writeMeta() error {
-	buf := make([]byte, PayloadSize)
-	binary.BigEndian.PutUint32(buf[0:4], p.pages)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(p.freeHead))
-	return p.writeRaw(0, buf)
+	binary.BigEndian.PutUint32(p.meta[headerSize:], p.pages)
+	binary.BigEndian.PutUint32(p.meta[headerSize+4:], uint32(p.freeHead))
+	return p.writePage(0, p.meta)
 }
 
 func (p *Pager) readMeta() error {
-	buf, err := p.readRaw(0)
-	if err != nil {
+	if err := p.readPage(0, p.meta); err != nil {
 		return err
 	}
-	p.pages = binary.BigEndian.Uint32(buf[0:4])
-	p.freeHead = PageID(binary.BigEndian.Uint32(buf[4:8]))
+	p.pages = binary.BigEndian.Uint32(p.meta[headerSize:])
+	p.freeHead = PageID(binary.BigEndian.Uint32(p.meta[headerSize+4:]))
 	return nil
 }
 
-func (p *Pager) writeRaw(id PageID, payload []byte) error {
-	if len(payload) != PayloadSize {
-		return fmt.Errorf("pager: payload must be %d bytes, got %d", PayloadSize, len(payload))
-	}
-	var page [PageSize]byte
-	copy(page[headerSize:], payload)
-	binary.BigEndian.PutUint32(page[0:headerSize], crc32.ChecksumIEEE(page[headerSize:]))
-	if _, err := p.f.WriteAt(page[:], int64(id)*PageSize); err != nil {
+// writePage stamps the CRC of page's payload into its header and writes the
+// whole image as page id.
+func (p *Pager) writePage(id PageID, page []byte) error {
+	binary.BigEndian.PutUint32(page[:headerSize], crc32.ChecksumIEEE(page[headerSize:]))
+	if _, err := p.f.WriteAt(page, int64(id)*PageSize); err != nil {
 		return fmt.Errorf("pager: write page %d: %w", id, err)
 	}
 	p.mWrites.Inc()
 	return nil
 }
 
-func (p *Pager) readRaw(id PageID) ([]byte, error) {
-	var page [PageSize]byte
-	if _, err := p.f.ReadAt(page[:], int64(id)*PageSize); err != nil {
-		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
+// readPage reads the image of page id into page and verifies its CRC.
+func (p *Pager) readPage(id PageID, page []byte) error {
+	if _, err := p.f.ReadAt(page, int64(id)*PageSize); err != nil {
+		return fmt.Errorf("pager: read page %d: %w", id, err)
 	}
 	p.mReads.Inc()
-	want := binary.BigEndian.Uint32(page[0:headerSize])
+	want := binary.BigEndian.Uint32(page[:headerSize])
 	if crc32.ChecksumIEEE(page[headerSize:]) != want {
-		return nil, fmt.Errorf("page %d: %w", id, ErrChecksum)
+		return fmt.Errorf("page %d: %w", id, ErrChecksum)
 	}
-	out := make([]byte, PayloadSize)
-	copy(out, page[headerSize:])
-	return out, nil
+	return nil
 }
 
 // Allocate returns a fresh page, reusing a freed page if available. The page
@@ -212,11 +219,11 @@ func (p *Pager) Allocate() (PageID, error) {
 	}
 	if p.freeHead != 0 {
 		id := p.freeHead
-		data, err := p.loadLocked(id)
+		fr, err := p.loadLocked(id)
 		if err != nil {
 			return 0, err
 		}
-		p.freeHead = PageID(binary.BigEndian.Uint32(data[0:4]))
+		p.freeHead = PageID(binary.BigEndian.Uint32(fr.payload()))
 		if err := p.storeLocked(id, nil); err != nil {
 			return 0, err
 		}
@@ -256,11 +263,11 @@ func (p *Pager) View(id PageID, fn func(payload []byte) error) error {
 	if p.closed {
 		return fmt.Errorf("pager: read: file closed")
 	}
-	data, err := p.loadLocked(id)
+	fr, err := p.loadLocked(id)
 	if err != nil {
 		return err
 	}
-	return fn(data)
+	return fn(fr.payload())
 }
 
 // Update is View for a writer: fn may change the pooled payload of page id
@@ -279,12 +286,12 @@ func (p *Pager) Update(id PageID, fn func(payload []byte) (bool, error)) error {
 	}
 	fr, ok := p.frames[id]
 	if !ok {
-		if _, err := p.loadLocked(id); err != nil {
+		var err error
+		if fr, err = p.loadLocked(id); err != nil {
 			return err
 		}
-		fr = p.frames[id]
 	}
-	changed, err := fn(fr.data)
+	changed, err := fn(fr.payload())
 	if err != nil || !changed {
 		return err
 	}
@@ -321,40 +328,58 @@ func (p *Pager) Write(id PageID, payload []byte) error {
 	return p.storeLocked(id, payload)
 }
 
-// loadLocked fetches a page through the pool.
-func (p *Pager) loadLocked(id PageID) ([]byte, error) {
+// loadLocked fetches a page through the pool. A miss reads the page into
+// the spare frame and verifies it there before insertFrame evicts anything.
+func (p *Pager) loadLocked(id PageID) (*frame, error) {
 	if fr, ok := p.frames[id]; ok {
 		p.hits++
 		p.policy.Note(id)
-		return fr.data, nil
+		return fr, nil
 	}
 	p.misses++
-	data, err := p.readRaw(id)
-	if err != nil {
+	fr := p.spareFrame()
+	if err := p.readPage(id, fr.page); err != nil {
 		return nil, err
 	}
-	fr := &frame{id: id, data: data}
+	fr.id, fr.dirty = id, false
 	if err := p.insertFrame(fr); err != nil {
 		return nil, err
 	}
-	return fr.data, nil
+	return fr, nil
 }
 
 // storeLocked writes a page through the pool (write-back), zero-padding a
 // payload shorter than PayloadSize.
 func (p *Pager) storeLocked(id PageID, payload []byte) error {
-	if fr, ok := p.frames[id]; ok {
-		clear(fr.data[copy(fr.data, payload):])
-		fr.dirty = true
+	fr, resident := p.frames[id]
+	if !resident {
+		fr = p.spareFrame()
+		fr.id = id
+	}
+	data := fr.payload()
+	clear(data[copy(data, payload):])
+	fr.dirty = true
+	if resident {
 		p.policy.Note(id)
 		return nil
 	}
-	fr := &frame{id: id, data: make([]byte, PayloadSize), dirty: true}
-	copy(fr.data, payload)
 	return p.insertFrame(fr)
 }
 
+// spareFrame returns the spare frame, making one while the pool has not yet
+// evicted. It stays the spare until insertFrame puts it in the pool.
+func (p *Pager) spareFrame() *frame {
+	if p.spare == nil {
+		p.spare = &frame{page: make([]byte, PageSize)}
+	}
+	return p.spare
+}
+
+// insertFrame puts the spare frame fr in the pool, first evicting the CLOCK
+// victim if the pool is full; the victim becomes the next spare. If the
+// victim's write-back fails, the pool is left as it was and fr stays spare.
 func (p *Pager) insertFrame(fr *frame) error {
+	var spare *frame
 	for len(p.frames) >= p.capacity {
 		vid, ok := p.policy.Victim()
 		if !ok {
@@ -362,22 +387,24 @@ func (p *Pager) insertFrame(fr *frame) error {
 		}
 		victim := p.frames[vid]
 		if victim.dirty {
-			if err := p.writeRaw(victim.id, victim.data); err != nil {
+			if err := p.writePage(victim.id, victim.page); err != nil {
 				// Keep the victim in the pool; re-track it so the policy
 				// and frame map stay consistent for a retry.
 				p.policy.Note(vid)
 				return err
 			}
 			// The write is in the OS cache but not yet synced; keep the
-			// payload so a Flush retried after a failed sync can rewrite
+			// image so a Flush retried after a failed sync can rewrite
 			// it (the frame is leaving the pool).
-			p.pendingEvict[victim.id] = append([]byte(nil), victim.data...)
+			p.pendingEvict[victim.id] = append([]byte(nil), victim.page...)
 		}
 		delete(p.frames, victim.id)
 		p.evictions++
+		spare = victim
 	}
 	p.frames[fr.id] = fr
 	p.policy.Note(fr.id)
+	p.spare = spare
 	return nil
 }
 
@@ -406,7 +433,7 @@ func (p *Pager) flushLocked() error {
 	}
 	sort.Slice(evicted, func(i, j int) bool { return evicted[i] < evicted[j] })
 	for _, id := range evicted {
-		if err := p.writeRaw(id, p.pendingEvict[id]); err != nil {
+		if err := p.writePage(id, p.pendingEvict[id]); err != nil {
 			return err
 		}
 	}
@@ -419,7 +446,7 @@ func (p *Pager) flushLocked() error {
 	for _, id := range ids {
 		fr := p.frames[id]
 		if fr.dirty {
-			if err := p.writeRaw(fr.id, fr.data); err != nil {
+			if err := p.writePage(fr.id, fr.page); err != nil {
 				return err
 			}
 			written = append(written, fr)

@@ -293,3 +293,38 @@ func TestBadFileSize(t *testing.T) {
 		t.Error("misaligned file should fail to open")
 	}
 }
+
+// A miss reads into the spare frame, the last victim evicted, so once the
+// pool is full a View that misses allocates nothing.
+func TestPageMissAllocatesNothing(t *testing.T) {
+	p, _ := tempPager(t, 2)
+	var ids []PageID
+	for i := 0; i < 8; i++ {
+		id, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	noop := func([]byte) error { return nil }
+	viewAll := func() {
+		for _, id := range ids {
+			if err := p.View(id, noop); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	viewAll()
+	_, before := p.Stats()
+	const runs = 20
+	if n := testing.AllocsPerRun(runs, viewAll); n != 0 {
+		t.Errorf("a pass of %d View misses allocates %v times", len(ids), n)
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	if _, after := p.Stats(); after-before != (runs+1)*uint64(len(ids)) {
+		t.Errorf("%d misses over %d views: some were pool hits", after-before, (runs+1)*len(ids))
+	}
+}
