@@ -76,16 +76,17 @@ race-snapshots:
 # Inner-loop subset, outside ci.
 # The planner surface under the race detector: cardinality statistics,
 # the cost-based/WCO planner, the plan-differential + metamorphic twins
-# that prove plan choice never changes answers, and the differential that
-# holds the block-folded statistics to stats.Build on every store; the
+# that prove plan choice never changes answers, and the drift-bound check
+# that holds every store's served statistics within a sixteenth of the
+# store and each rebuild to stats.Build of a view at its epoch; the
 # adjacency twins (id pairs against Neighbors, row for row) ride inside
 # TestPlanDifferential{,Disk} and the plan fuzz seeds, and the store-level half
 # of that proof is TestAppendNeighborIDs*. See DESIGN.md "Planning &
 # statistics contract".
 race-plan:
 	$(GO) test -race ./internal/query/stats/ ./internal/query/plan/
-	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic|TestPatchedSnapshotDifferential' -count=1
-	$(GO) test -race ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/propcore/ -run 'TestAppendNeighborIDs' -count=1
+	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPlanDifferential|TestPlanMetamorphic|TestPlanStatsDriftBound' -count=1
+	$(GO) test -race ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/propcore/ -run 'TestAppendNeighborIDs|TestPlanningRendersNoView' -count=1
 
 # Inner-loop subset, outside ci.
 # The networked service under the race detector: session registry,

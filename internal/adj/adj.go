@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 
 	"gdbm/internal/model"
-	"gdbm/internal/query/stats"
 )
 
 // Blocks cover blockSize consecutive IDs; block b holds IDs
@@ -87,20 +86,17 @@ func (r rows) forEach(i int, fn func(model.EdgeID) bool) bool {
 // nodeBlock holds the node slots of one ID block plus both CSR
 // directions; edgeBlock holds edge slots only (adjacency lives with the
 // endpoint nodes). Both hold blockSize slots and count their live ones.
-// They are immutable once their builder returns, except for part, a
-// write-once memo of the block's planner statistics (planstats.go).
+// They are immutable once their builder returns.
 type nodeBlock struct {
 	nodes []model.Node // nodes[local]; a zero ID marks a vacant slot
 	live  int
 	out   rows
 	in    rows
-	part  atomic.Pointer[stats.Partial]
 }
 
 type edgeBlock struct {
 	edges []model.Edge // edges[local]; likewise
 	live  int
-	part  atomic.Pointer[stats.Partial]
 }
 
 // Snapshot is an immutable model.Graph rendered from a store at one stable

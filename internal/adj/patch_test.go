@@ -4,12 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"reflect"
-	"sync"
 	"testing"
 
 	"gdbm/internal/model"
-	"gdbm/internal/query/stats"
 )
 
 var patchSeed = flag.Int64("seed", 0, "replay TestPatchMatchesFullRender with this seed only")
@@ -121,9 +118,9 @@ func (st *toyStore) someEdge(rng *rand.Rand) (model.EdgeID, bool) {
 
 // TestPatchMatchesFullRender drives seeded random mutations through the
 // marking rules and checks after every step that the patched snapshot is
-// indistinguishable from a full render of the same store, that its folded
-// statistics are exactly stats.Build's, and that the snapshot pinned
-// before the step still renders the state it was pinned at.
+// indistinguishable from a full render of the same store, and that the
+// snapshot pinned before the step still renders the state it was pinned
+// at.
 func TestPatchMatchesFullRender(t *testing.T) {
 	seeds := []int64{1, 2}
 	if *patchSeed != 0 {
@@ -160,9 +157,8 @@ func TestPatchMatchesFullRender(t *testing.T) {
 }
 
 // checkedPin pins st and fails t, naming where, unless the patched
-// snapshot renders as a full Build of the store does and its folded
-// statistics are exactly stats.Build's. It returns the snapshot and its
-// render.
+// snapshot renders as a full Build of the store does. It returns the
+// snapshot and its render.
 func (st *toyStore) checkedPin(t *testing.T, where string) (*Snapshot, string) {
 	t.Helper()
 	cur := st.pin(t)
@@ -173,13 +169,6 @@ func (st *toyStore) checkedPin(t *testing.T, where string) (*Snapshot, string) {
 	}
 	if want := dump(t, full); got != want {
 		t.Fatalf("%s: patched render differs from full render\npatched:\n%s\nfull:\n%s", where, got, want)
-	}
-	want, err := stats.Build(cur, cur.Epoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if folded := cur.Stats(); !reflect.DeepEqual(folded, want) {
-		t.Fatalf("%s: folded stats differ from stats.Build\nfolded: %+v\nbuilt:  %+v", where, folded, want)
 	}
 	return cur, got
 }
@@ -310,36 +299,6 @@ func TestMarksBeforeFirstPublish(t *testing.T) {
 	if n, err := st.pin(t).Node(1); err != nil || n.Props["k"] != model.Int(1) {
 		t.Fatalf("full render after MarkAll misses the write: %+v, %v", n, err)
 	}
-}
-
-// TestStatsFoldConcurrent: the per-block partial is memoized on first use
-// by whichever reader gets there, so first uses race. All of them must
-// fold the same statistics, and -race must see no unsynchronized write to
-// a published block.
-func TestStatsFoldConcurrent(t *testing.T) {
-	st := newToyStore()
-	for i := 0; i < 3*blockSize; i++ {
-		st.addNodeP([]string{"a", "b"}[i%2], model.Props("rank", i%11))
-	}
-	for i := 0; i < blockSize; i++ {
-		st.link("e", model.NodeID(i+1), model.NodeID(2*i+1))
-	}
-	s := st.pin(t)
-	want, err := stats.Build(s, s.Epoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for r := 0; r < 8; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := s.Stats(); !reflect.DeepEqual(got, want) {
-				t.Errorf("concurrent fold differs from stats.Build: %+v vs %+v", got, want)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // FuzzPatchMatchesBuild lets the input drive the store: each three bytes

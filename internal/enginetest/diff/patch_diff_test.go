@@ -18,14 +18,15 @@ import (
 )
 
 // patchSubject is one store under the incremental-snapshot differential:
-// its mutation surface, its view, its planner statistics.
+// its mutation surface, its view, its planner statistics and its epoch.
 type patchSubject struct {
 	name     string
 	g        model.MutableGraph
 	loadNode func(label string, props model.Properties) (model.NodeID, error)
 	loadEdge func(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error)
-	acquire  adj.Acquire
+	acquire  func() (model.Graph, model.ReleaseFunc, error)
 	stats    stats.Provider
+	epoch    func() uint64
 
 	nodes []model.NodeID // alive, ascending
 	edges []model.Edge   // alive, ascending by ID; From/To only
@@ -37,11 +38,11 @@ func patchSubjects(t *testing.T) []*patchSubject {
 	t.Helper()
 	mem := func(name string) *patchSubject {
 		g := memgraph.New()
-		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g}
+		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g, epoch: g.Epoch}
 	}
 	kvg := func(name string, st kv.Store) *patchSubject {
 		g := kvgraph.New(st)
-		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g}
+		return &patchSubject{name: name, g: g, loadNode: g.AddNode, loadEdge: g.AddEdge, acquire: g.AcquireView, stats: g, epoch: g.Epoch}
 	}
 	disk, err := kv.OpenDisk(filepath.Join(t.TempDir(), "patch.pg"), 2048)
 	if err != nil {
@@ -54,6 +55,7 @@ func patchSubjects(t *testing.T) []*patchSubject {
 	}
 	t.Cleanup(func() { e.Close() })
 	ld := e.(engine.Loader) // declares labels on the typed archetype
+	store := e.(interface{ Graph() model.MutableGraph }).Graph()
 	return []*patchSubject{
 		mem("memgraph"),
 		kvg("kvgraph-mem", kv.NewMemory()),
@@ -61,6 +63,7 @@ func patchSubjects(t *testing.T) []*patchSubject {
 		{
 			name: "infinigraph", g: e.(model.MutableGraph), loadNode: ld.LoadNode, loadEdge: ld.LoadEdge,
 			acquire: e.(engine.Concurrent).AcquireSnapshot, stats: e.(stats.Provider),
+			epoch: store.(interface{ Epoch() uint64 }).Epoch,
 		},
 	}
 }
@@ -189,9 +192,8 @@ func (s *patchSubject) mutate(t *testing.T, rng *rand.Rand) {
 // never changes what a reader sees. Seeded random mutations (replay with
 // -seed=N) run over every store that publishes adj snapshots; after every
 // step the incrementally patched view must render exactly like a full
-// adj.Build of the same store, its folded statistics must
-// be stats.Build's of the same snapshot down to the KMV hashes, and the
-// view pinned before the step must still render what it rendered then.
+// adj.Build of the same store, and the view pinned before the step must
+// still render what it rendered then.
 func TestPatchedSnapshotDifferential(t *testing.T) {
 	seed := SeedOrDefault(0x9A7C4)
 	for _, s := range patchSubjects(t) {
@@ -230,23 +232,82 @@ func TestPatchedSnapshotDifferential(t *testing.T) {
 					t.Fatalf("seed %d step %d: patched view differs from a full render\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
 						seed, step, got, want, seed)
 				}
-				folded, err := s.stats.PlanStats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				built, err := stats.Build(cur, cur.(*adj.Snapshot).Epoch())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(folded, built) {
-					t.Fatalf("seed %d step %d: folded statistics differ from stats.Build\nfolded: %+v\nbuilt:  %+v\n(replay with -seed=%d)",
-						seed, step, folded, built, seed)
-				}
 				if again := renderGraph(t, prev); again != prevRender {
 					t.Fatalf("seed %d step %d: the view pinned before the step changed (replay with -seed=%d)", seed, step, seed)
 				}
 				releasePrev()
 				prev, releasePrev, prevRender = cur, release, got
+			}
+		})
+	}
+}
+
+// TestPlanStatsDriftBound holds every store's planner statistics to the
+// drift rule over the same seeded steps as TestPatchedSnapshotDifferential
+// (replay with -seed=N). After every step the statistics PlanStats serves
+// are at most (Nodes + Edges)/16 mutations old, they are rebuilt at the
+// first step that takes the published ones past that bound and not
+// before, and every newly published Stats is exactly stats.Build of a view
+// pinned at its epoch.
+func TestPlanStatsDriftBound(t *testing.T) {
+	seed := SeedOrDefault(0x9A7C4)
+	for _, s := range patchSubjects(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 530; i++ {
+				s.addNode(t, rng)
+			}
+			for i := 0; i < 540; i++ {
+				s.addEdge(t, rng, s.nodes[s.pickNode(rng)], s.nodes[s.pickNode(rng)])
+			}
+			var prev *stats.Stats
+			rebuilds := 0
+			for step := 0; step < 200; step++ {
+				if step > 0 {
+					for k := rng.Intn(3); k >= 0; k-- {
+						s.mutate(t, rng)
+					}
+				}
+				epoch := s.epoch()
+				st, err := s.stats.PlanStats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := uint64(st.Nodes+st.Edges) / 16
+				if drift := (epoch - st.Epoch) / 2; drift > bound {
+					t.Fatalf("seed %d step %d: served statistics %d mutations old, bound %d (replay with -seed=%d)",
+						seed, step, drift, bound, seed)
+				}
+				past := prev == nil || (epoch-prev.Epoch)/2 > uint64(prev.Nodes+prev.Edges)/16
+				if past != (st != prev) {
+					t.Fatalf("seed %d step %d: published statistics past the bound: %v, rebuilt: %v (replay with -seed=%d)",
+						seed, step, past, st != prev, seed)
+				}
+				if st == prev {
+					continue
+				}
+				rebuilds++
+				view, release, err := s.acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := view.(*adj.Snapshot).Epoch(); got != st.Epoch {
+					t.Fatalf("step %d: statistics stamped %d on a quiescent store at %d", step, st.Epoch, got)
+				}
+				built, err := stats.Build(view, st.Epoch)
+				release()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(st, built) {
+					t.Fatalf("seed %d step %d: published statistics differ from stats.Build of the view\npublished: %+v\nbuilt:     %+v\n(replay with -seed=%d)",
+						seed, step, st, built, seed)
+				}
+				prev = st
+			}
+			t.Logf("%d rebuilds in 200 steps", rebuilds)
+			if rebuilds < 3 {
+				t.Fatalf("%d rebuilds in 200 steps: the bound was never crossed twice, the test shows nothing", rebuilds)
 			}
 		})
 	}

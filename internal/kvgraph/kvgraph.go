@@ -42,14 +42,14 @@ import (
 // after validating its target, so a rejected mutation invalidates nothing.
 // Engines key their statement-result caches on Epoch(), publishing an
 // entry only when the epoch stayed stable across the computation, and the
-// copy-on-write views (view.go) and the planner statistics (planstats.go)
-// are versioned on it; see the cache.Epoch contract.
+// copy-on-write views and the planner statistics (view.go) are versioned
+// on it; see the cache.Epoch contract.
 type Graph struct {
 	mu    sync.Mutex // serializes mutations
 	st    kv.Store
 	epoch cache.Epoch
 	ver   adjpkg.Versioned // copy-on-write views, see view.go
-	stats stats.Versioned  // planner statistics, epoch-keyed (planstats.go)
+	stats stats.Versioned  // planner statistics, see PlanStats (view.go)
 
 	// Observability counters; nil-safe no-ops until SetMetrics.
 	mNodeReads, mEdgeReads, mAdjScans *obs.Counter

@@ -10,15 +10,16 @@ import (
 
 // This file is the graph's read-concurrency surface: epoch-based
 // copy-on-write views rendered into succinct adjacency snapshots
-// (internal/adj). The mutation epoch kvgraph already double-bumps for the
-// cache layer doubles as the view version: AcquireView pins the published
-// snapshot in O(1) when the epoch is unchanged and re-reads only the
-// records written since otherwise, decoding records once into block arrays so
-// that a reader of the view never touches the store. Only the view's
-// readers get that: AcquireSnapshot callers and the planner's statistics.
-// Statements execute against the live store — every Node, Edge and
-// AppendNeighborIDs an operator issues is a B+tree read here, the last one
-// prefix range per direction.
+// (internal/adj), and the planner statistics. The mutation epoch kvgraph
+// already double-bumps for the cache layer doubles as the view version:
+// AcquireView pins the published snapshot in O(1) when the epoch is
+// unchanged and re-reads only the records written since otherwise,
+// decoding records once into block arrays so that a reader of the view
+// never touches the store. Only AcquireSnapshot callers get that, and no
+// view is rendered until one asks. Statements execute against the live
+// store — every Node, Edge and AppendNeighborIDs an operator issues is a
+// B+tree read here, the last one prefix range per direction — and the
+// planner's statistics are scanned from it too.
 
 // AcquireView pins an immutable point-in-time view of the graph. The fast
 // path is O(1): when the published snapshot already renders the current
@@ -39,10 +40,16 @@ func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
 	return s, rel, nil
 }
 
-// PlanStats implements stats.Provider from the pinned view; see
-// adj/planstats.go.
+// PlanStats implements stats.Provider: the published statistics while the
+// graph has drifted from them by at most a sixteenth, and otherwise a
+// stats.Build over the live store (see stats.Versioned.Get). The rebuild
+// does not take mu: it reads only the node and edge record ranges, each in
+// one store scan, and a write that lands between or during them counts as
+// drift from the stamp. Holding mu would stall every write behind the
+// whole scan (tens of milliseconds on a disk store of a few thousand
+// nodes) to make exact what the bound already tolerates.
 func (g *Graph) PlanStats() (*stats.Stats, error) {
-	return adj.PlanStats(g.AcquireView, &g.stats)
+	return g.stats.Get(g, g.epoch.Current)
 }
 
 // kvSource adapts the key layout to the snapshot builder. Its reads do not

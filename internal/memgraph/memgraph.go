@@ -41,7 +41,7 @@ type Graph struct {
 	size  int          // live edges
 	epoch cache.Epoch
 	ver   adj.Versioned
-	stats stats.Versioned // planner statistics, epoch-keyed (planstats.go)
+	stats stats.Versioned // planner statistics, see PlanStats (view.go)
 }
 
 // New returns an empty graph.

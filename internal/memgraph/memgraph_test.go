@@ -182,6 +182,31 @@ func TestRestoreFromKeepsIDsMonotone(t *testing.T) {
 	}
 }
 
+// TestRestoreFromInvalidatesPlanStats: a rollback restore is one mutation
+// to the epoch but may undo many, so statistics taken inside the rolled
+// back batch must not be served after it, however large they are.
+func TestRestoreFromInvalidatesPlanStats(t *testing.T) {
+	g := New()
+	for i := 0; i < 10; i++ {
+		if _, err := g.AddNode("P", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := g.Snapshot()
+	for i := 0; i < 90; i++ {
+		if _, err := g.AddNode("P", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := g.PlanStats(); err != nil || st.Nodes != 100 {
+		t.Fatalf("PlanStats inside the batch = %+v, %v; want 100 nodes", st, err)
+	}
+	g.RestoreFrom(snap)
+	if st, err := g.PlanStats(); err != nil || st.Nodes != 10 {
+		t.Fatalf("PlanStats after the restore = %+v, %v; want 10 nodes", st, err)
+	}
+}
+
 // TestSnapshotPropsSurviveLiveWrites: Snapshot shares the stored property
 // maps, so a property write on the live graph afterwards must replace the
 // live map and leave every map the snapshot holds as it was.

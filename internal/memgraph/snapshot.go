@@ -30,7 +30,7 @@ func (g *Graph) Snapshot() *Graph {
 // snapshot must not be used afterwards. Ids issued since the snapshot stay
 // issued: their slots come back vacant, so the next id continues from the
 // receiver's, never reused. Wholesale replacement invalidates every
-// copy-on-write view block and moves the epoch.
+// copy-on-write view block and the planner statistics, and moves the epoch.
 func (g *Graph) RestoreFrom(s *Graph) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -41,6 +41,7 @@ func (g *Graph) RestoreFrom(s *Graph) {
 	g.nodes, g.edges = pad(s.nodes, len(g.nodes)), pad(s.edges, len(g.edges))
 	g.order, g.size = s.order, s.size
 	g.ver.MarkAll()
+	g.stats.Invalidate(g.epoch.Current())
 }
 
 // pad extends s with zero (vacant) slots to length n.

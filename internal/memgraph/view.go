@@ -8,11 +8,13 @@ import (
 
 // This file is the graph's read-concurrency surface: epoch-based
 // copy-on-write views rendered into succinct adjacency snapshots
-// (internal/adj). Every mutation double-bumps the epoch under the write
-// lock (odd mid-mutation, even at rest — the same discipline kvgraph uses
-// for the cache layer) and marks the touched records dirty; AcquireView
-// pins the published snapshot in O(1) when the store is quiescent and
-// re-reads only the dirty records otherwise.
+// (internal/adj), and the planner statistics. Every mutation double-bumps
+// the epoch under the write lock (odd mid-mutation, even at rest — the
+// same discipline kvgraph uses for the cache layer) and marks the touched
+// records dirty; AcquireView pins the published snapshot in O(1) when the
+// store is quiescent and re-reads only the dirty records otherwise. No
+// view is rendered until an AcquireView caller asks for one: the planner's
+// statistics are scanned from the live graph.
 
 // Epoch returns the graph's mutation epoch. Stable states are even; the
 // count only moves forward.
@@ -37,10 +39,13 @@ func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
 	return s, rel, nil
 }
 
-// PlanStats implements stats.Provider from the pinned view; see
-// adj/planstats.go.
+// PlanStats implements stats.Provider: the published statistics while the
+// graph has drifted from them by at most a sixteenth, and otherwise a
+// stats.Build over the live graph (see stats.Versioned.Get). The scan
+// copies the records under the read lock, so writers wait for the copy,
+// not for the statistics.
 func (g *Graph) PlanStats() (*stats.Stats, error) {
-	return adj.PlanStats(g.AcquireView, &g.stats)
+	return g.stats.Get(g, g.epoch.Current)
 }
 
 // memSource adapts the graph's internals to the snapshot builder. Its

@@ -1,11 +1,16 @@
 package memgraph
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"gdbm/internal/adj"
+	"gdbm/internal/engines/propcore"
+	"gdbm/internal/index"
 	"gdbm/internal/model"
+	"gdbm/internal/query/gql"
+	"gdbm/internal/query/plan"
 )
 
 // TestAcquireViewPinsDrain is the release-discipline regression test for
@@ -76,7 +81,12 @@ func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.PlanStats(); err != nil { // publishes snapshot and statistics
+	_, release, err := g.AcquireView() // publishes the snapshot
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if _, err := g.PlanStats(); err != nil { // publishes the statistics
 		t.Fatal(err)
 	}
 	epoch, snap, st := g.Epoch(), g.ver.Current(), g.stats.TryGet(g.Epoch())
@@ -110,5 +120,80 @@ func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 		t.Error("the published snapshot no longer pins at the current epoch")
 	} else {
 		rel()
+	}
+}
+
+// TestPlanningRendersNoView: loading, indexing, planner statistics, a
+// compiled query and a write leave the graph without a rendered view; the
+// first AcquireView renders one, and the next write is patched into it.
+func TestPlanningRendersNoView(t *testing.T) {
+	g := New()
+	c := propcore.New(g)
+	noView := func(stage string) {
+		t.Helper()
+		if g.ver.Current() != nil {
+			t.Fatalf("%s rendered a view", stage)
+		}
+	}
+	var prev model.NodeID
+	for i := 0; i < 40; i++ {
+		id, err := c.LoadNode("P", model.Props("idx", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != 0 {
+			if _, err := c.LoadEdge("e", prev, id, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = id
+	}
+	noView("loading")
+	if _, err := c.Idx.Create(index.Nodes, "idx", index.KindHash); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.IndexStoredNodes(); err != nil {
+		t.Fatal(err)
+	}
+	noView("CreateIndex")
+	if st, err := c.PlanStats(); err != nil || st == nil {
+		t.Fatalf("PlanStats = %v, %v", st, err)
+	}
+	noView("PlanStats")
+	var res plan.Collector
+	if err := gql.ExecStreamCtx(context.Background(), "MATCH (a:P {idx: 3})-[:e]->(b) RETURN b.idx", c, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Res.Rows) != 1 || res.Res.Rows[0][0] != model.Int(4) {
+		t.Fatalf("query rows = %v, want [[4]]", res.Res.Rows)
+	}
+	noView("a compiled query")
+	if err := gql.ExecStreamCtx(context.Background(), "MATCH (a:P {idx: 3}) SET a.w = 1", c, &plan.Collector{}); err != nil {
+		t.Fatal(err)
+	}
+	noView("a write")
+
+	view, release, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	snap := view.(*adj.Snapshot)
+	if g.ver.Current() != snap {
+		t.Fatal("AcquireView did not publish the view it rendered")
+	}
+	if err := c.SetNodeProp(4, "w", model.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	next, release, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if n, _ := next.Node(4); next == view || n.Props["w"] != model.Int(2) {
+		t.Fatalf("the write after the first pin is not in the next view: %+v", n)
+	}
+	if n, _ := snap.Node(4); n.Props["w"] != model.Int(1) {
+		t.Fatalf("the pinned view changed under a write: %+v", n)
 	}
 }

@@ -2,13 +2,11 @@
 // cost-based query planner: label and predicate (edge-label) histograms,
 // degree distributions, and distinct-value sketches for node properties.
 //
-// A Stats value is an immutable snapshot of one stable graph epoch. The
-// companion Versioned publisher keys freshness on the owning store's
-// cache.Epoch double-bump discipline: every mutation bumps the epoch twice
-// under the store's write lock, so a Stats built at epoch E is served only
-// while the store still reads E — a stale histogram is unreachable by
-// construction, exactly the invalidation-free contract the caching layer
-// established. Estimation accessors are nil-safe: a nil *Stats answers
+// A Stats value is an immutable scan of one graph, stamped with the
+// owning store's cache.Epoch read before the scan. The companion Versioned
+// publisher serves it while the store has drifted from it by at most a
+// sixteenth of what it counted, and rebuilds it with Build past that
+// bound. Estimation accessors are nil-safe: a nil *Stats answers
 // with uniform textbook assumptions, so the planner degrades to a
 // deterministic heuristic rather than branching on availability.
 package stats
@@ -16,6 +14,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"gdbm/internal/model"
@@ -44,7 +43,7 @@ const (
 
 // Stats is an immutable statistics snapshot of one graph epoch.
 type Stats struct {
-	// Epoch is the stable (even) cache.Epoch value the snapshot renders.
+	// Epoch is the stable (even) cache.Epoch value read before the scan.
 	Epoch uint64
 	// Nodes and Edges are the total entity counts.
 	Nodes int
@@ -60,9 +59,11 @@ type Stats struct {
 	distinct map[string]*KMV
 }
 
-// Build scans g and returns its statistics stamped with epoch. The caller
-// is responsible for epoch stability (read it under the store's mutation
-// exclusion, or build from an epoch-pinned snapshot).
+// Build scans g and returns its statistics stamped with epoch. It is the
+// one producer of statistics. On a quiescent g (an epoch-pinned snapshot,
+// or a store no writer touches) the result is exactly g's; a mutation that
+// overlaps the scan may or may not be seen, which Versioned counts as
+// drift from epoch.
 func Build(g model.Graph, epoch uint64) (*Stats, error) {
 	s := &Stats{
 		Epoch:     epoch,
@@ -274,28 +275,72 @@ func (m *KMV) Distinct() float64 {
 
 // --- Versioned publisher ---
 
-// Versioned publishes one Stats per stable graph epoch. The owner follows
-// the same discipline as adj.Versioned: mutations double-bump the epoch
-// under the write lock, so TryGet's equality check against a currently-read
-// epoch is exactly the staleness test. Publish keeps the newest epoch and
-// never goes backwards, making concurrent rebuild races harmless.
+// driftDiv bounds how far served statistics may lag the store: they are
+// rebuilt once the mutations since their epoch exceed 1/driftDiv of the
+// elements they counted. 1/16 is the KMV sketch's own standard error at
+// k = 256 (1/sqrt(254), about 6.3 %), so drift inside the bound moves no
+// estimate by more than the estimator already errs; and a rebuild, which
+// costs O(N + E), comes once per (N + E)/16 mutations, so each mutation
+// pays about 16 element visits amortized whatever the graph's size.
+const driftDiv = 16
+
+// Versioned publishes the newest Stats of one store. The owner follows the
+// cache.Epoch discipline: every mutation bumps the epoch twice under the
+// store's write lock, so (epoch - st.Epoch)/2 counts the mutations made
+// since st's scan began. Publish keeps the newest epoch and never goes
+// backwards.
 type Versioned struct {
-	cur atomic.Pointer[Stats]
+	cur   atomic.Pointer[Stats]
+	floor atomic.Uint64 // statistics stamped before it are never served
+	build sync.Mutex    // at most one rebuild at a time
 }
 
-// TryGet returns the published statistics iff they render exactly the
-// given epoch and the epoch is stable (even); nil means a rebuild is
-// needed.
+// TryGet returns the published statistics iff the mutations between their
+// epoch and the given one are within the drift bound:
+// (epoch - st.Epoch)/2 <= (st.Nodes + st.Edges)/16. An odd epoch is a
+// mutation in flight; it counts once it completes. Statistics stamped
+// after epoch are served as they are. nil means a rebuild is needed.
 func (v *Versioned) TryGet(epoch uint64) *Stats {
-	if epoch&1 == 1 { // mid-mutation; the writer will bump again
+	s := v.cur.Load()
+	if s == nil || s.Epoch < v.floor.Load() {
 		return nil
 	}
-	s := v.cur.Load()
-	if s == nil || s.Epoch != epoch {
+	if epoch > s.Epoch && (epoch-s.Epoch)/2 > uint64(s.Nodes+s.Edges)/driftDiv {
 		return nil
 	}
 	return s
 }
+
+// Get serves the published statistics while TryGet does, and otherwise
+// rebuilds them: Build over g, the live store, stamped with the epoch read
+// before the scan (an odd one rounds down to the stable state before the
+// mutation in flight), published and returned. A mutation that overlaps
+// the scan therefore counts as drift, and the scan need not exclude
+// writers. Rebuilds are serialized: a caller that finds one running waits
+// for it and serves its result if that is within the bound.
+func (v *Versioned) Get(g model.Graph, epoch func() uint64) (*Stats, error) {
+	if s := v.TryGet(epoch()); s != nil {
+		return s, nil
+	}
+	v.build.Lock()
+	defer v.build.Unlock()
+	e := epoch()
+	if s := v.TryGet(e); s != nil {
+		return s, nil
+	}
+	s, err := Build(g, e&^1)
+	if err != nil {
+		return nil, err
+	}
+	v.Publish(s)
+	return s, nil
+}
+
+// Invalidate makes every statistics stamped before epoch unservable: for
+// wholesale store replacement (transaction rollback restores), which is
+// one mutation to the epoch but may change every element. Call it under
+// the store's write lock, with the epoch read there.
+func (v *Versioned) Invalidate(epoch uint64) { v.floor.Store(epoch) }
 
 // Publish installs s unless a same-or-newer epoch is already published.
 func (v *Versioned) Publish(s *Stats) {

@@ -314,20 +314,33 @@ func DecodeHeader(payload []byte) ([]string, error) {
 	return cols, nil
 }
 
-// DecodeChunk decodes a Chunk frame payload.
+// DecodeChunk decodes a Chunk frame payload. The rows share one backing
+// array of values, and each row is a full slice expression over its part
+// of it, so an append to one row reallocates instead of writing into the
+// next.
 func DecodeChunk(payload []byte) ([][]model.Value, error) {
 	n, rest, err := uvarint(payload)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([][]model.Value, 0, capHint(n, 4096))
+	var vals []model.Value
 	for i := uint64(0); i < n; i++ {
 		var nv uint64
 		nv, rest, err = uvarint(rest)
 		if err != nil {
 			return nil, err
 		}
-		row := make([]model.Value, 0, capHint(nv, 1024))
+		if vals == nil {
+			// The rows of a chunk are as wide as its first, and every
+			// value takes at least its length byte.
+			want := uint64(len(rest))
+			if nv > 0 && n <= want/nv {
+				want = n * nv
+			}
+			vals = make([]model.Value, 0, capHint(want, 1<<16))
+		}
+		start := len(vals)
 		for j := uint64(0); j < nv; j++ {
 			var l uint64
 			l, rest, err = uvarint(rest)
@@ -341,10 +354,16 @@ func DecodeChunk(payload []byte) ([][]model.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			vals = append(vals, v)
 			rest = rest[l:]
 		}
-		rows = append(rows, row)
+		rows = append(rows, vals[start:])
+	}
+	// An append may have moved vals: point every row at the final array.
+	off := 0
+	for i, r := range rows {
+		rows[i] = vals[off : off+len(r) : off+len(r)]
+		off += len(r)
 	}
 	return rows, nil
 }
@@ -441,7 +460,11 @@ func Collect(r io.Reader) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = append(res.Rows, rows...)
+			if res.Rows == nil {
+				res.Rows = rows // most responses are one chunk: keep its slice
+			} else {
+				res.Rows = append(res.Rows, rows...)
+			}
 		case FrameError:
 			status, msg, err := DecodeError(f.Payload)
 			if err != nil {

@@ -305,3 +305,28 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodedRowsDoNotAlias: decoded rows share one backing array, yet an
+// append to one row must not write into the next.
+func TestDecodedRowsDoNotAlias(t *testing.T) {
+	rows := sampleRows()
+	var payload []byte
+	payload = binary.AppendUvarint(payload, uint64(len(rows)))
+	for _, r := range rows {
+		var err error
+		if payload, err = AppendRow(payload, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := DecodeChunk(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatalf("decoded %v, want %v", got, rows)
+	}
+	_ = append(got[0], model.Str("appended"))
+	if !reflect.DeepEqual(got[1], rows[1]) {
+		t.Fatalf("appending to row 0 changed row 1: %v, want %v", got[1], rows[1])
+	}
+}

@@ -395,8 +395,13 @@ func (p *Pager) insertFrame(fr *frame) error {
 			}
 			// The write is in the OS cache but not yet synced; keep the
 			// image so a Flush retried after a failed sync can rewrite
-			// it (the frame is leaving the pool).
-			p.pendingEvict[victim.id] = append([]byte(nil), victim.page...)
+			// it (the frame is leaving the pool). A page evicted again
+			// before the next Flush overwrites its older image in place.
+			if img, ok := p.pendingEvict[victim.id]; ok {
+				copy(img, victim.page)
+			} else {
+				p.pendingEvict[victim.id] = append([]byte(nil), victim.page...)
+			}
 		}
 		delete(p.frames, victim.id)
 		p.evictions++
@@ -464,7 +469,7 @@ func (p *Pager) flushLocked() error {
 	for _, fr := range written {
 		fr.dirty = false
 	}
-	p.pendingEvict = map[PageID][]byte{}
+	clear(p.pendingEvict)
 	return nil
 }
 

@@ -328,3 +328,45 @@ func TestPageMissAllocatesNothing(t *testing.T) {
 		t.Errorf("%d misses over %d views: some were pool hits", after-before, (runs+1)*len(ids))
 	}
 }
+
+// A dirty page evicted again before the next Flush overwrites its image in
+// the pending-evict ledger: re-evicting allocates nothing, and the ledger
+// keeps one image per page, the newest.
+func TestRepeatEvictionReusesLedgerCopy(t *testing.T) {
+	p, _ := tempPager(t, 2)
+	var ids []PageID
+	for i := 0; i < 4; i++ {
+		id, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a, v := ids[0], byte(0)
+	dirty := func(payload []byte) (bool, error) { payload[0] = v; return true, nil }
+	noop := func([]byte) error { return nil }
+	evictDirty := func() {
+		v++
+		if err := p.Update(a, dirty); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids[1:] {
+			if err := p.View(id, noop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok := p.frames[a]; ok {
+			t.Fatal("the dirty page stayed in the pool: nothing was evicted")
+		}
+	}
+	evictDirty() // the first eviction makes the ledger's copy
+	if n := testing.AllocsPerRun(20, evictDirty); n != 0 {
+		t.Errorf("re-evicting a page already in the ledger allocates %v times", n)
+	}
+	if img, ok := p.pendingEvict[a]; len(p.pendingEvict) != 1 || !ok || img[headerSize] != v {
+		t.Errorf("ledger holds %d images, want page %d's newest (payload[0] = %d)", len(p.pendingEvict), a, v)
+	}
+}
