@@ -567,6 +567,83 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadDisk times a load into a disk engine configured as the
+// cold_disk workload's: a gen.BA graph of 6 000 nodes and 4 edges per node
+// into neograph over a 128-page pool with the caches off. It reports
+// elements (nodes plus edges) loaded per second, and fails unless the last
+// load answers as a memgraph load of the same spec: Order, Size, and every
+// 97th node's record and out-adjacency.
+func BenchmarkLoadDisk(b *testing.B) {
+	spec := gen.Spec{Kind: gen.BA, Nodes: 6000, EdgesPerNode: 4, Seed: 1}
+	ref := memgraph.New()
+	refIDs, err := gen.Generate(spec, graphSink{ref})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var e gdbm.Engine
+	var ids []gdbm.NodeID
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if e != nil {
+			e.Close()
+		}
+		e, err = gdbm.Open("neograph", gdbm.Options{Dir: b.TempDir(), PoolPages: 128})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if ids, err = gen.Generate(spec, e.(gdbm.Loader)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	defer e.Close()
+	b.ReportMetric(float64(b.N*(ref.Order()+ref.Size()))/b.Elapsed().Seconds(), "elems/s")
+
+	g := e.(model.Graph)
+	if g.Order() != ref.Order() || g.Size() != ref.Size() {
+		b.Fatalf("loaded %d nodes, %d edges; memgraph holds %d, %d", g.Order(), g.Size(), ref.Order(), ref.Size())
+	}
+	index := func(ids []model.NodeID) map[model.NodeID]int {
+		m := make(map[model.NodeID]int, len(ids))
+		for i, id := range ids {
+			m[id] = i
+		}
+		return m
+	}
+	at, refAt := index(ids), index(refIDs)
+	// out renders node id's out-adjacency as sorted "label>far" lines, far
+	// as its position in creation order.
+	out := func(g model.Graph, id model.NodeID, at map[model.NodeID]int) []string {
+		var adj []string
+		if err := g.Neighbors(id, model.Out, func(e model.Edge, n model.Node) bool {
+			adj = append(adj, fmt.Sprintf("%s>%d %v", e.Label, at[n.ID], e.Props))
+			return true
+		}); err != nil {
+			b.Fatal(err)
+		}
+		slices.Sort(adj)
+		return adj
+	}
+	for i := 0; i < len(ids); i += 97 {
+		n, err := g.Node(ids[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		want, err := ref.Node(refIDs[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n.Label != want.Label || !n.Props.Equal(want.Props) {
+			b.Fatalf("node %d: %s %v, memgraph %s %v", i, n.Label, n.Props, want.Label, want.Props)
+		}
+		if got, want := out(g, ids[i], at), out(ref, refIDs[i], refAt); !slices.Equal(got, want) {
+			b.Fatalf("node %d out-adjacency: %v, memgraph %v", i, got, want)
+		}
+	}
+}
+
 // BenchmarkQueryPlanner measures the planner's index use: the same lookup
 // with and without a property index.
 func BenchmarkQueryPlanner(b *testing.B) {

@@ -18,11 +18,9 @@ import (
 // Mutation describes a pending change for pre-validation.
 type Mutation struct {
 	// Exactly one of AddNode/AddEdge/DelNode is meaningful per kind.
-	Kind    MutationKind
-	Node    model.Node
-	Edge    model.Edge
-	FromLbl string // label of the edge's source node
-	ToLbl   string // label of the edge's target node
+	Kind MutationKind
+	Node model.Node
+	Edge model.Edge
 }
 
 // MutationKind discriminates Mutation.
@@ -94,15 +92,25 @@ type Types struct {
 // Name implements Constraint.
 func (Types) Name() string { return "types" }
 
-// Check implements Constraint.
-func (t Types) Check(_ model.Graph, m Mutation) error {
+// Check implements Constraint. An edge's endpoint labels are read from g; a
+// missing endpoint reads as the empty label.
+func (t Types) Check(g model.Graph, m Mutation) error {
 	switch m.Kind {
 	case AddNode, UpdateNode:
 		return t.Schema.CheckNode(m.Node)
 	case AddEdge:
-		return t.Schema.CheckEdge(m.Edge, m.FromLbl, m.ToLbl)
+		return t.Schema.CheckEdge(m.Edge, label(g, m.Edge.From), label(g, m.Edge.To))
 	}
 	return nil
+}
+
+// label returns node id's label in g, or "" when g has no such node.
+func label(g model.Graph, id model.NodeID) string {
+	n, err := g.Node(id)
+	if err != nil {
+		return ""
+	}
+	return n.Label
 }
 
 // --- node/edge identity ---

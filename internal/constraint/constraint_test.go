@@ -34,13 +34,21 @@ func TestTypesConstraint(t *testing.T) {
 	if err := c.Check(g, bad); !errors.Is(err, model.ErrConstraint) {
 		t.Errorf("missing required: %v", err)
 	}
-	edgeOK := Mutation{Kind: AddEdge, Edge: model.Edge{Label: "livesIn"}, FromLbl: "Person", ToLbl: "City"}
+	// Edge endpoints' labels are read from the graph.
+	person, _ := g.AddNode("Person", model.Props("name", "ada"))
+	city, _ := g.AddNode("City", nil)
+	edgeOK := Mutation{Kind: AddEdge, Edge: model.Edge{Label: "livesIn", From: person, To: city}}
 	if err := c.Check(g, edgeOK); err != nil {
 		t.Errorf("valid edge: %v", err)
 	}
-	edgeBad := Mutation{Kind: AddEdge, Edge: model.Edge{Label: "livesIn"}, FromLbl: "City", ToLbl: "City"}
+	edgeBad := Mutation{Kind: AddEdge, Edge: model.Edge{Label: "livesIn", From: city, To: city}}
 	if err := c.Check(g, edgeBad); !errors.Is(err, model.ErrConstraint) {
 		t.Errorf("wrong endpoint type: %v", err)
+	}
+	const want = `relation "livesIn" requires source type "Person", got "": integrity constraint violation`
+	edgeMissing := Mutation{Kind: AddEdge, Edge: model.Edge{Label: "livesIn", From: 99, To: city}}
+	if err := c.Check(g, edgeMissing); err == nil || err.Error() != want {
+		t.Errorf("missing endpoint: %v, want %s", err, want)
 	}
 	// Non-node mutations pass through.
 	if err := c.Check(g, Mutation{Kind: DelNode}); err != nil {

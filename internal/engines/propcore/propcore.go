@@ -124,18 +124,9 @@ func (c *Core) addNode(view model.Graph, label string, props model.Properties) (
 func (c *Core) AddEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var fromLbl, toLbl string
-	if n, err := c.g.Node(from); err == nil {
-		fromLbl = n.Label
-	}
-	if n, err := c.g.Node(to); err == nil {
-		toLbl = n.Label
-	}
 	m := constraint.Mutation{
-		Kind:    constraint.AddEdge,
-		Edge:    model.Edge{Label: label, From: from, To: to, Props: props},
-		FromLbl: fromLbl,
-		ToLbl:   toLbl,
+		Kind: constraint.AddEdge,
+		Edge: model.Edge{Label: label, From: from, To: to, Props: props},
 	}
 	if err := c.Cons.Check(c.g, m); err != nil {
 		return 0, err

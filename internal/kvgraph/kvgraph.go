@@ -51,8 +51,17 @@ type Graph struct {
 	ver   adjpkg.Versioned // copy-on-write views, see view.go
 	stats stats.Versioned  // planner statistics, see PlanStats (view.go)
 
+	// The M!n and M!e counters as last written, guarded by mu.
+	nodeIDs, edgeIDs idCounter
+
 	// Observability counters; nil-safe no-ops until SetMetrics.
 	mNodeReads, mEdgeReads, mAdjScans *obs.Counter
+}
+
+// idCounter mirrors a stored id counter: last is its value once read is set.
+type idCounter struct {
+	last uint64
+	read bool
 }
 
 // New wraps a kv store as a graph.
@@ -141,21 +150,28 @@ func decodeAdjValue(k, v []byte) (far model.NodeID, label []byte, labelled bool,
 	return far, v[8+w:], true, nil
 }
 
-func (g *Graph) nextID(key string) (uint64, error) {
-	raw, ok, err := g.st.Get([]byte(key))
-	if err != nil {
-		return 0, err
+// nextID allocates the next id from counter c, whose key is key. The first
+// call reads the stored counter; later ones only write it, since every
+// allocation goes through g under g.mu. The count advances only once the
+// write succeeds.
+func (g *Graph) nextID(c *idCounter, key string) (uint64, error) {
+	if !c.read {
+		raw, ok, err := g.st.Get([]byte(key))
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			c.last = binary.BigEndian.Uint64(raw)
+		}
+		c.read = true
 	}
-	var n uint64
-	if ok {
-		n = binary.BigEndian.Uint64(raw)
-	}
-	n++
+	n := c.last + 1
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], n)
 	if err := g.st.Put([]byte(key), b[:]); err != nil {
 		return 0, err
 	}
+	c.last = n
 	return n, nil
 }
 
@@ -232,7 +248,7 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 	defer g.mu.Unlock()
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	id, err := g.nextID("M!n")
+	id, err := g.nextID(&g.nodeIDs, "M!n")
 	if err != nil {
 		return 0, err
 	}
@@ -251,15 +267,15 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, err := g.Node(from); err != nil {
+	if err := g.hasNode(from); err != nil {
 		return 0, err
 	}
-	if _, err := g.Node(to); err != nil {
+	if err := g.hasNode(to); err != nil {
 		return 0, err
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	id, err := g.nextID("M!e")
+	id, err := g.nextID(&g.edgeIDs, "M!e")
 	if err != nil {
 		return 0, err
 	}
@@ -291,6 +307,17 @@ func (g *Graph) Node(id model.NodeID) (model.Node, error) {
 		return model.Node{}, model.NodeNotFound(id)
 	}
 	return decodeNodeRecord(id, raw)
+}
+
+// hasNode is Node for a caller that needs only to know the node exists: it
+// reads the record without decoding it.
+func (g *Graph) hasNode(id model.NodeID) error {
+	g.mNodeReads.Inc()
+	_, ok, err := g.st.Get(u64key("n!", uint64(id)))
+	if err == nil && !ok {
+		err = model.NodeNotFound(id)
+	}
+	return err
 }
 
 // Edge implements model.Graph.

@@ -10,13 +10,17 @@
 // Reads and writes work on the pooled page in place. Put and Delete splice
 // their entry into the leaf's encoding, leaving the page exactly as
 // writeNode would lay the node out; a node is decoded only when it must
-// split, and a split hands its separator to the parent the same way.
+// split, and a split hands its separator to the parent the same way. A
+// descent bisects each internal node over its entries' offsets, which one
+// validating walk derives and the pager keeps with the page's frame until
+// the page changes.
 package btree
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -147,13 +151,13 @@ func (t *Tree) descend(key []byte, leaf func(c cursor) error) (path, error) {
 		p.ids[p.n] = id
 		p.n++
 		atLeaf := false
-		err := t.pg.View(id, func(page []byte) error {
+		err := t.pg.ViewIndexed(id, func(page []byte, offs *[]uint16) error {
 			c, err := openCursor(id, page)
 			if err != nil {
 				return err
 			}
 			if !c.leaf {
-				id, p.child[p.n-1], err = c.childFor(key)
+				id, p.child[p.n-1], err = c.bisect(key, offs)
 				return err
 			}
 			atLeaf = true
@@ -217,6 +221,9 @@ func (t *Tree) Put(key, val []byte) error {
 	}
 	if !found {
 		t.count++
+	}
+	if found && t.root == p.ids[0] {
+		return nil // a replaced value leaves the header's count and root as they were
 	}
 	return t.writeHeader()
 }
@@ -515,21 +522,73 @@ func (c *cursor) corrupt(what string) error {
 	return fmt.Errorf("btree: corrupt %s in page %d", what, c.id)
 }
 
-// childFor returns the child of an internal node that holds key and its
-// index, the one childIndex picks on the decoded node. A nil key selects
-// the leftmost.
-func (c *cursor) childFor(key []byte) (pager.PageID, int, error) {
-	child, i := c.link, 0
+// bisect returns the child of an internal node that holds key and its
+// index, the one childIndex picks on the decoded node, by binary search for
+// the first entry whose key is > key. offs is the node's entry offsets as
+// index fills them, kept with the page's frame; when it is empty, bisect
+// fills it first. A nil key selects the leftmost child.
+func (c *cursor) bisect(key []byte, offs *[]uint16) (pager.PageID, int, error) {
 	if key == nil {
-		return child, 0, nil
+		return c.link, 0, nil
 	}
-	for {
-		ok, err := c.next()
-		if err != nil || !ok || bytes.Compare(c.key, key) > 0 {
-			return child, i, err
+	if len(*offs) == 0 {
+		if err := c.index(offs); err != nil {
+			return 0, 0, err
 		}
-		child, i = c.child, i+1
 	}
+	lo, hi := 0, len(*offs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if err := c.entryAt((*offs)[m]); err != nil {
+			return 0, 0, err
+		}
+		if bytes.Compare(c.key, key) > 0 {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == 0 {
+		return c.link, 0, nil
+	}
+	if err := c.entryAt((*offs)[lo-1]); err != nil {
+		return 0, 0, err
+	}
+	return c.child, lo, nil
+}
+
+// index walks every entry of an internal node, so that a corrupt one is an
+// error, and sets *offs to their offsets in the page, in order. On error
+// *offs is left empty.
+func (c *cursor) index(offs *[]uint16) error {
+	o := (*offs)[:0]
+	for {
+		start := c.pos
+		ok, err := c.next()
+		if err == nil && start > math.MaxUint16 {
+			err = c.corrupt("entry offset")
+		}
+		if err != nil {
+			*offs = o[:0]
+			return err
+		}
+		if !ok {
+			*offs = o
+			return nil
+		}
+		o = append(o, uint16(start))
+	}
+}
+
+// entryAt reads the internal node's entry at offset off into c.key and
+// c.child, bounds-checking it against the page as next does.
+func (c *cursor) entryAt(off uint16) error {
+	if int(off) >= len(c.page) {
+		return c.corrupt("entry offset")
+	}
+	c.pos, c.left = int(off), 1
+	_, err := c.next()
+	return err
 }
 
 // seek moves a leaf cursor to the first entry >= key and reports whether

@@ -13,7 +13,8 @@ import (
 // path uses, and to the cursor the read path walks the page with. Neither
 // may panic; both accept or both refuse a page; on an accepted page the
 // cursor yields exactly the decoded entries and link, and on a sorted one
-// its searches agree with a binary search and childIndex on the decoded node.
+// its searches agree with a binary search and childIndex on the decoded node:
+// seek on a leaf, bisect on an internal node.
 // The seeds are the pages of a built tree and its leaves after deletes.
 func FuzzNodeDecode(f *testing.F) {
 	pg, err := pager.Open(filepath.Join(f.TempDir(), "bt.pg"), pager.Options{PoolPages: 64})
@@ -106,6 +107,9 @@ func FuzzNodeDecode(f *testing.F) {
 		for _, k := range n.keys {
 			probes = append(probes, append(append([]byte(nil), k...), 0))
 		}
+		// The offsets bisect derives on the first probe serve the rest, as
+		// they do from a pooled frame.
+		var offs []uint16
 		for _, k := range probes {
 			c, _ := openCursor(id, page)
 			if n.leaf {
@@ -116,9 +120,12 @@ func FuzzNodeDecode(f *testing.F) {
 				}
 				continue
 			}
-			child, i, err := c.childFor(k)
+			if len(page) > pager.PayloadSize {
+				break // bisect's 16-bit offsets serve a pager payload, not a longer input
+			}
+			child, i, err := c.bisect(k, &offs)
 			if want := childIndex(n.keys, k); err != nil || i != want || child != n.children[want] {
-				t.Fatalf("childFor %q = %d (index %d) %v, want %d (index %d)", k, child, i, err, n.children[want], want)
+				t.Fatalf("bisect %q = %d (index %d) %v, want %d (index %d)", k, child, i, err, n.children[want], want)
 			}
 		}
 	})

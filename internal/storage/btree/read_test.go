@@ -397,7 +397,7 @@ func readNode(tb testing.TB, tree *Tree, id pager.PageID) *node {
 }
 
 // childIndex picks the child subtree for key in a decoded internal node, as
-// the cursor's childFor does in place. A nil key selects the leftmost child.
+// the cursor's bisect does in place. A nil key selects the leftmost child.
 func childIndex(keys [][]byte, key []byte) int {
 	if key == nil {
 		return 0
@@ -407,6 +407,23 @@ func childIndex(keys [][]byte, key []byte) int {
 		return i + 1
 	}
 	return i
+}
+
+// childFor is the linear search bisect replaced, kept as its oracle: it
+// walks an internal node's entries from the first and returns the child that
+// holds key and its index. A nil key selects the leftmost.
+func (c *cursor) childFor(key []byte) (pager.PageID, int, error) {
+	child, i := c.link, 0
+	if key == nil {
+		return child, 0, nil
+	}
+	for {
+		ok, err := c.next()
+		if err != nil || !ok || bytes.Compare(c.key, key) > 0 {
+			return child, i, err
+		}
+		child, i = c.child, i+1
+	}
 }
 
 func commonPrefix(a, b []byte) int {

@@ -13,7 +13,9 @@
 // cache.Ring policy; write-back of dirty victims and their retention across
 // failed syncs stay here, under the pager's lock. A frame owns its whole
 // page image, CRC header included, and a miss reads into a recycled frame,
-// so a page read or write-back allocates nothing.
+// so a page read or write-back allocates nothing. A frame also keeps an
+// index a reader derived from its bytes (ViewIndexed), dropped whenever
+// those bytes change.
 //
 // Durability contract: Flush returns nil only after every buffered write has
 // been written AND fsynced. Dirty bits are cleared only once the sync
@@ -56,6 +58,10 @@ type frame struct {
 	id    PageID
 	page  []byte // PageSize bytes
 	dirty bool
+	// index holds offsets into the payload that a ViewIndexed reader
+	// derived from it. It is emptied, keeping its capacity, whenever the
+	// frame's bytes change, so it never outlives the image it came from.
+	index []uint16
 }
 
 // payload returns the frame's payload, the page image after its header.
@@ -258,6 +264,17 @@ func (p *Pager) Free(id PageID) error {
 // must not keep the slice, write to it, or call back into the pager. View
 // returns fn's error.
 func (p *Pager) View(id PageID, fn func(payload []byte) error) error {
+	return p.ViewIndexed(id, func(payload []byte, _ *[]uint16) error { return fn(payload) })
+}
+
+// ViewIndexed is View that also hands fn the frame's index: offsets into the
+// payload that a reader derived from it on an earlier visit, or an empty
+// slice. fn may fill the index from the payload it is handed; the pager
+// empties it whenever the frame's bytes change (a miss reads into the frame,
+// a Write, an Update that changes the page), so an index is only ever seen
+// beside the bytes it was derived from, and the pool bounds how many are
+// kept. A reader must still bounds-check what it reads through an offset.
+func (p *Pager) ViewIndexed(id PageID, fn func(payload []byte, index *[]uint16) error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -267,7 +284,7 @@ func (p *Pager) View(id PageID, fn func(payload []byte) error) error {
 	if err != nil {
 		return err
 	}
-	return fn(fr.payload())
+	return fn(fr.payload(), &fr.index)
 }
 
 // Update is View for a writer: fn may change the pooled payload of page id
@@ -295,7 +312,7 @@ func (p *Pager) Update(id PageID, fn func(payload []byte) (bool, error)) error {
 	if err != nil || !changed {
 		return err
 	}
-	fr.dirty = true
+	fr.dirty, fr.index = true, fr.index[:0]
 	p.policy.Note(id)
 	return nil
 }
@@ -358,7 +375,7 @@ func (p *Pager) storeLocked(id PageID, payload []byte) error {
 	}
 	data := fr.payload()
 	clear(data[copy(data, payload):])
-	fr.dirty = true
+	fr.dirty, fr.index = true, fr.index[:0]
 	if resident {
 		p.policy.Note(id)
 		return nil
@@ -367,11 +384,13 @@ func (p *Pager) storeLocked(id PageID, payload []byte) error {
 }
 
 // spareFrame returns the spare frame, making one while the pool has not yet
-// evicted. It stays the spare until insertFrame puts it in the pool.
+// evicted, with its index emptied: the caller is about to replace its
+// bytes. It stays the spare until insertFrame puts it in the pool.
 func (p *Pager) spareFrame() *frame {
 	if p.spare == nil {
 		p.spare = &frame{page: make([]byte, PageSize)}
 	}
+	p.spare.index = p.spare.index[:0]
 	return p.spare
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gdbm/internal/obs"
@@ -368,5 +369,67 @@ func TestRepeatEvictionReusesLedgerCopy(t *testing.T) {
 	}
 	if img, ok := p.pendingEvict[a]; len(p.pendingEvict) != 1 || !ok || img[headerSize] != v {
 		t.Errorf("ledger holds %d images, want page %d's newest (payload[0] = %d)", len(p.pendingEvict), a, v)
+	}
+}
+
+// A frame's index stays beside the bytes it was derived from: a hit and an
+// Update that changes nothing keep it; a Write, an Update that changes the
+// page, and a miss that reads the page into a recycled frame empty it.
+func TestIndexDroppedWhenBytesChange(t *testing.T) {
+	p, _ := tempPager(t, 2)
+	a, _ := p.Allocate()
+	b, _ := p.Allocate()
+	c, _ := p.Allocate()
+	index := func(id PageID, fill []uint16) []uint16 {
+		t.Helper()
+		var seen []uint16
+		if err := p.ViewIndexed(id, func(_ []byte, index *[]uint16) error {
+			seen = append([]uint16(nil), *index...)
+			if len(*index) == 0 {
+				*index = append(*index, fill...)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	update := func(id PageID, change bool) {
+		t.Helper()
+		if err := p.Update(id, func(payload []byte) (bool, error) {
+			if change {
+				payload[0]++
+			}
+			return change, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		what   string
+		before func()
+		want   []uint16 // the index page a shows after before ran
+	}{
+		{"first view", func() {}, nil},
+		{"a hit", func() {}, []uint16{1, 2}},
+		{"an unchanged Update", func() { update(a, false) }, []uint16{1, 2}},
+		{"a changing Update", func() { update(a, true) }, nil},
+		{"a Write", func() {
+			if err := p.Write(a, []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		// Indexed views of b and c evict a from the two-frame pool, so a's
+		// next view is a miss that reads it into a recycled frame.
+		{"a miss into a recycled frame", func() {
+			index(b, []uint16{7})
+			index(c, []uint16{8})
+		}, nil},
+	}
+	for _, s := range steps {
+		s.before()
+		if got := index(a, []uint16{1, 2}); !slices.Equal(got, s.want) {
+			t.Errorf("after %s: index %v, want %v", s.what, got, s.want)
+		}
 	}
 }
