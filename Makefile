@@ -124,6 +124,7 @@ cover:
 fuzz-smoke:
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzValueMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzUnmarshalProperties -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzIndexMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/format/ -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/plan/ -run '^$$' -fuzz FuzzCompileMatchSpec -fuzztime $(FUZZTIME)

@@ -431,21 +431,52 @@ func BenchmarkPerfSweep(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ---
 
+// BenchmarkAblationIndexKind times equality probes on both index kinds in
+// two shapes: "lookup", 50 values of 200 ids each, and "unique", 20 000
+// values of one id each, the shape of the served idx index. Id i holds
+// value i mod the value count. Before timing, it fails unless every value
+// visits exactly its expected ids in ascending order, so both kinds agree;
+// every timed probe must visit as many ids.
 func BenchmarkAblationIndexKind(b *testing.B) {
-	kinds := map[string]index.Index{
-		"bitmap": index.NewBitmap(),
-		"hash":   index.NewHash(),
+	kinds := []struct {
+		name string
+		open func() index.Index
+	}{
+		{"bitmap", func() index.Index { return index.NewBitmap() }},
+		{"hash", func() index.Index { return index.NewHash() }},
 	}
-	for name, idx := range kinds {
-		for i := 0; i < 10000; i++ {
-			idx.Add(model.Int(int64(i%50)), uint64(i))
-		}
-		b.Run(name+"/lookup", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 0
-				idx.Lookup(model.Int(int64(i%50)), func(uint64) bool { n++; return true })
+	shapes := []struct {
+		name        string
+		values, ids int
+	}{{"lookup", 50, 10000}, {"unique", 20000, 20000}}
+	for _, k := range kinds {
+		for _, s := range shapes {
+			idx := k.open()
+			for i := 0; i < s.ids; i++ {
+				idx.Add(model.Int(int64(i%s.values)), uint64(i))
 			}
-		})
+			per := s.ids / s.values
+			var got, want []uint64
+			for v := 0; v < s.values; v++ {
+				got, want = got[:0], want[:0]
+				for id := v; id < s.ids; id += s.values {
+					want = append(want, uint64(id))
+				}
+				idx.Lookup(model.Int(int64(v)), func(id uint64) bool { got = append(got, id); return true })
+				if !slices.Equal(got, want) {
+					b.Fatalf("%s/%s: value %d visits %v, want %v", k.name, s.name, v, got, want)
+				}
+			}
+			b.Run(k.name+"/"+s.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					n := 0
+					idx.Lookup(model.Int(int64(i%s.values)), func(uint64) bool { n++; return true })
+					if n != per {
+						b.Fatalf("probe %d visits %d ids, want %d", i, n, per)
+					}
+				}
+			})
+		}
 	}
 }
 

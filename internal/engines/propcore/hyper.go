@@ -21,7 +21,8 @@ func isLink(label string) bool { return strings.HasPrefix(label, linkMark) }
 // its label, with one member edge to each member in member order; its
 // hyperedge id is its node id. Atoms go through the Core's constraints and
 // label index under its mutation lock. Links are structure: they are
-// written to the store under the same lock and bypass both.
+// written to the store under the same lock and bypass both, but a link is
+// held to the relation type its label names (AddHyperEdge).
 type Hyper struct{ c *Core }
 
 // NewHyper returns the hypergraph stored in c's graph.
@@ -158,7 +159,9 @@ func (h *Hyper) AddNode(label string, props model.Properties) (model.NodeID, err
 }
 
 // AddHyperEdge adds a link over one or more member atoms. A link whose
-// member edges cannot all be written is removed again.
+// label names a relation type with a source or target type must have two
+// members, typed as an edge of that relation would be. A link whose member
+// edges cannot all be written is removed again.
 func (h *Hyper) AddHyperEdge(label string, members []model.NodeID, props model.Properties) (model.EdgeID, error) {
 	if len(members) == 0 {
 		return 0, model.ErrUnsupported
@@ -170,6 +173,9 @@ func (h *Hyper) AddHyperEdge(label string, members []model.NodeID, props model.P
 			return 0, err
 		}
 	}
+	if err := h.checkType(label, members, props); err != nil {
+		return 0, err
+	}
 	id, err := h.c.g.AddNode(linkMark+label, props)
 	if err != nil {
 		return 0, err
@@ -180,6 +186,28 @@ func (h *Hyper) AddHyperEdge(label string, members []model.NodeID, props model.P
 		}
 	}
 	return model.EdgeID(id), nil
+}
+
+// checkType holds a link to the relation type its label names when that
+// type has a source or target type: the link must have two members, and it
+// is judged as an edge of the relation from the first to the second.
+func (h *Hyper) checkType(label string, members []model.NodeID, props model.Properties) error {
+	t, ok := h.c.Sch.RelationType(label)
+	if !ok || t.From == "" && t.To == "" {
+		return nil
+	}
+	if len(members) != 2 {
+		return fmt.Errorf("relation %q types binary links, got a link of %d members: %w", label, len(members), model.ErrConstraint)
+	}
+	from, err := h.Node(members[0])
+	if err != nil {
+		return err
+	}
+	to, err := h.Node(members[1])
+	if err != nil {
+		return err
+	}
+	return h.c.Sch.CheckEdge(model.Edge{Label: label, From: from.ID, To: to.ID, Props: props}, from.Label, to.Label)
 }
 
 // RemoveHyperEdge removes link id and its member edges.

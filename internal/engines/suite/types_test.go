@@ -12,11 +12,13 @@ import (
 // endpoint's label from the graph, and a missing endpoint reads as the
 // empty label. An edge between wrongly typed nodes is refused, an edge to a
 // missing node fails, and each error reads exactly as the text pinned here.
-// A well-typed edge is accepted. hyperdb's types constraint judges atoms
-// only, so a link is not checked against a relation type of its label.
+// A well-typed edge is accepted. hyperdb adds each edge as a 2-member link
+// and judges it as the edge it stands for; a link of another arity under a
+// typed relation is refused with an error that names its arity.
 func TestEdgeEndpointTypes(t *testing.T) {
 	const (
 		wrongSource   = `relation "livesIn" requires source type "Person", got "City": integrity constraint violation`
+		wrongArity    = `relation "livesIn" types binary links, got a link of 3 members: integrity constraint violation`
 		missingTarget = `relation "livesIn" requires target type "City", got "": integrity constraint violation`
 		missingNode   = `node 999: not found`
 		referential   = `referential: edge references missing node 999: integrity constraint violation`
@@ -30,7 +32,7 @@ func TestEdgeEndpointTypes(t *testing.T) {
 	}{
 		{"bitmapdb", wrongSource, missingTarget, referential},
 		{"infinigraph", wrongSource, missingTarget, missingNode},
-		{"hyperdb", "", missingNode, missingNode},
+		{"hyperdb", wrongSource, missingNode, missingNode},
 	}
 	for _, tc := range cases {
 		for _, disk := range []bool{false, true} {
@@ -98,6 +100,12 @@ func TestEdgeEndpointTypes(t *testing.T) {
 				check("livesIn to a missing node", tc.missing, addEdge("livesIn", person, 999))
 				check("knows to a missing node", tc.untyped, addEdge("knows", person, 999))
 				check("livesIn Person→City", "", addEdge("livesIn", person, city))
+				if g, ok := e.(model.MutableHypergraph); ok {
+					_, err := g.AddHyperEdge("livesIn", []model.NodeID{person, city, city}, nil)
+					check("livesIn link of 3 members", wrongArity, err)
+					_, err = g.AddHyperEdge("knows", []model.NodeID{person, city, city}, nil)
+					check("knows link of 3 members", "", err)
+				}
 			})
 		}
 	}

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"gdbm/internal/model"
@@ -8,14 +10,18 @@ import (
 
 // Index maps property values to sets of uint64 identifiers (node or edge
 // IDs). Both implementations serve equality lookups; they differ in lookup
-// cost and memory.
+// cost and memory. Two values are the same index value exactly when their
+// model.Value.EncodeKey bytes are equal: numbers compare by the float64
+// bits of AsFloat, so Int(5) and Float(5.0) are one value, and -0.0 and
+// 0.0 are two.
 type Index interface {
 	// Add associates id with value.
 	Add(v model.Value, id uint64) error
 	// Remove drops the association.
 	Remove(v model.Value, id uint64) error
-	// Lookup calls fn for each id with the exact value until fn returns
-	// false.
+	// Lookup calls fn for each id with the exact value, in ascending id
+	// order, until fn returns false. It visits the ids the value held when
+	// the call began, and fn may write to the index.
 	Lookup(v model.Value, fn func(id uint64) bool) error
 	// Count returns the number of ids associated with the value.
 	Count(v model.Value) int
@@ -25,6 +31,36 @@ type Index interface {
 	Kind() string
 }
 
+// key is a value's identity in an index: a comparable stand-in for the
+// EncodeKey bytes, equal exactly when they are. rank is EncodeKey's tag
+// byte; n carries a bool (0 or 1) or a number's float64 bits; s carries a
+// string. It shares the value's string bytes instead of copying them.
+type key struct {
+	s    string
+	n    uint64
+	rank uint8
+}
+
+// keyOf returns v's key.
+func keyOf(v model.Value) key {
+	switch v.Kind() {
+	case model.KindNull:
+		return key{}
+	case model.KindBool:
+		if b, _ := v.AsBool(); b {
+			return key{rank: 1, n: 1}
+		}
+		return key{rank: 1}
+	case model.KindInt, model.KindFloat:
+		f, _ := v.AsFloat()
+		return key{rank: 2, n: math.Float64bits(f)}
+	case model.KindString:
+		s, _ := v.AsString()
+		return key{rank: 3, s: s}
+	}
+	return key{rank: 4}
+}
+
 // --- bitmap index ---
 
 // Bitmap is a DEX-style bitmap index: one bitset per distinct value. Lookups
@@ -32,22 +68,20 @@ type Index interface {
 // the id universe.
 type Bitmap struct {
 	mu   sync.RWMutex
-	sets map[string]*Bitset
+	sets map[key]*Bitset
 }
 
 // NewBitmap returns an empty bitmap index.
-func NewBitmap() *Bitmap { return &Bitmap{sets: make(map[string]*Bitset)} }
+func NewBitmap() *Bitmap { return &Bitmap{sets: make(map[key]*Bitset)} }
 
 // Kind implements Index.
 func (b *Bitmap) Kind() string { return "bitmap" }
 
-func valueKey(v model.Value) string { return string(v.EncodeKey(nil)) }
-
 // Add implements Index.
 func (b *Bitmap) Add(v model.Value, id uint64) error {
+	k := keyOf(v)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	k := valueKey(v)
 	s, ok := b.sets[k]
 	if !ok {
 		s = &Bitset{}
@@ -59,12 +93,13 @@ func (b *Bitmap) Add(v model.Value, id uint64) error {
 
 // Remove implements Index.
 func (b *Bitmap) Remove(v model.Value, id uint64) error {
+	k := keyOf(v)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if s, ok := b.sets[valueKey(v)]; ok {
+	if s, ok := b.sets[k]; ok {
 		s.Clear(id)
 		if s.Empty() {
-			delete(b.sets, valueKey(v))
+			delete(b.sets, k)
 		}
 	}
 	return nil
@@ -72,8 +107,9 @@ func (b *Bitmap) Remove(v model.Value, id uint64) error {
 
 // Lookup implements Index.
 func (b *Bitmap) Lookup(v model.Value, fn func(uint64) bool) error {
+	k := keyOf(v)
 	b.mu.RLock()
-	s, ok := b.sets[valueKey(v)]
+	s, ok := b.sets[k]
 	var snap *Bitset
 	if ok {
 		snap = s.Clone()
@@ -87,9 +123,10 @@ func (b *Bitmap) Lookup(v model.Value, fn func(uint64) bool) error {
 
 // Count implements Index.
 func (b *Bitmap) Count(v model.Value) int {
+	k := keyOf(v)
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if s, ok := b.sets[valueKey(v)]; ok {
+	if s, ok := b.sets[k]; ok {
 		return s.Count()
 	}
 	return 0
@@ -106,9 +143,10 @@ func (b *Bitmap) Clear() {
 // the bitmap-algebra capability (AND/OR across values) that motivates this
 // index kind.
 func (b *Bitmap) Set(v model.Value) *Bitset {
+	k := keyOf(v)
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if s, ok := b.sets[valueKey(v)]; ok {
+	if s, ok := b.sets[k]; ok {
 		return s.Clone()
 	}
 	return &Bitset{}
@@ -116,56 +154,90 @@ func (b *Bitmap) Set(v model.Value) *Bitset {
 
 // --- hash index ---
 
-// Hash is a hash index: one id set per distinct value.
+// Hash is a hash index. A value held by one id costs one slot in one; a
+// value held by two or more ids keeps them ascending in many. A value is in
+// at most one of the two maps, and a list in many never shrinks below two
+// ids: a Remove that leaves one moves it back to one.
 type Hash struct {
 	mu   sync.RWMutex
-	sets map[string]map[uint64]struct{}
+	one  map[key]uint64
+	many map[key][]uint64
 }
 
 // NewHash returns an empty hash index.
-func NewHash() *Hash { return &Hash{sets: make(map[string]map[uint64]struct{})} }
+func NewHash() *Hash {
+	return &Hash{one: make(map[key]uint64), many: make(map[key][]uint64)}
+}
 
 // Kind implements Index.
 func (h *Hash) Kind() string { return "hash" }
 
-// Add implements Index.
+// Add implements Index. Ids that arrive in ascending order, as a load's
+// do, append to the end of a list.
 func (h *Hash) Add(v model.Value, id uint64) error {
+	k := keyOf(v)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	k := valueKey(v)
-	s, ok := h.sets[k]
-	if !ok {
-		s = make(map[uint64]struct{})
-		h.sets[k] = s
-	}
-	s[id] = struct{}{}
-	return nil
-}
-
-// Remove implements Index.
-func (h *Hash) Remove(v model.Value, id uint64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	k := valueKey(v)
-	if s, ok := h.sets[k]; ok {
-		delete(s, id)
-		if len(s) == 0 {
-			delete(h.sets, k)
+	if ids, ok := h.many[k]; ok {
+		if i, found := slices.BinarySearch(ids, id); !found {
+			h.many[k] = slices.Insert(ids, i, id)
 		}
+		return nil
+	}
+	old, ok := h.one[k]
+	switch {
+	case !ok:
+		h.one[k] = id
+	case old != id:
+		delete(h.one, k)
+		h.many[k] = []uint64{min(old, id), max(old, id)}
 	}
 	return nil
 }
 
-// Lookup implements Index. Iteration order is unspecified.
+// Remove implements Index. Removing from a list moves its tail down by one.
+func (h *Hash) Remove(v model.Value, id uint64) error {
+	k := keyOf(v)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if old, ok := h.one[k]; ok {
+		if old == id {
+			delete(h.one, k)
+		}
+		return nil
+	}
+	ids, ok := h.many[k]
+	if !ok {
+		return nil
+	}
+	i, found := slices.BinarySearch(ids, id)
+	if !found {
+		return nil
+	}
+	if len(ids) == 2 {
+		delete(h.many, k)
+		h.one[k] = ids[1-i]
+		return nil
+	}
+	h.many[k] = slices.Delete(ids, i, i+1)
+	return nil
+}
+
+// Lookup implements Index. It copies the ids under the read lock, into a
+// stack buffer when there are at most eight, and visits them after
+// releasing it.
 func (h *Hash) Lookup(v model.Value, fn func(uint64) bool) error {
+	k := keyOf(v)
+	var buf [8]uint64
 	h.mu.RLock()
-	s := h.sets[valueKey(v)]
-	snap := make([]uint64, 0, len(s))
-	for id := range s {
-		snap = append(snap, id)
+	ids := buf[:0]
+	if id, ok := h.one[k]; ok {
+		ids = append(ids, id)
+	} else {
+		ids = append(ids, h.many[k]...)
 	}
 	h.mu.RUnlock()
-	for _, id := range snap {
+	for _, id := range ids {
 		if !fn(id) {
 			return nil
 		}
@@ -175,16 +247,21 @@ func (h *Hash) Lookup(v model.Value, fn func(uint64) bool) error {
 
 // Count implements Index.
 func (h *Hash) Count(v model.Value) int {
+	k := keyOf(v)
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.sets[valueKey(v)])
+	if _, ok := h.one[k]; ok {
+		return 1
+	}
+	return len(h.many[k])
 }
 
 // Clear implements Index.
 func (h *Hash) Clear() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	clear(h.sets)
+	clear(h.one)
+	clear(h.many)
 }
 
 var (

@@ -35,16 +35,18 @@ const (
 // property). The special property "" indexes labels.
 type Manager struct {
 	mu      sync.RWMutex
-	indexes map[string]Index
+	indexes map[slot]Index
+}
+
+// slot names one index of a Manager.
+type slot struct {
+	t    Target
+	prop string
 }
 
 // NewManager returns an empty index manager.
 func NewManager() *Manager {
-	return &Manager{indexes: make(map[string]Index)}
-}
-
-func (m *Manager) keyFor(t Target, prop string) string {
-	return t.String() + "\x00" + prop
+	return &Manager{indexes: make(map[slot]Index)}
 }
 
 // Create registers an index of the given kind for (target, prop).
@@ -65,7 +67,7 @@ func (m *Manager) Create(t Target, prop string, kind KindName) (Index, error) {
 func (m *Manager) Register(t Target, prop string, idx Index) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := m.keyFor(t, prop)
+	k := slot{t, prop}
 	if _, ok := m.indexes[k]; ok {
 		return fmt.Errorf("index on %s %q: %w", t, prop, model.ErrAlreadyExists)
 	}
@@ -77,7 +79,7 @@ func (m *Manager) Register(t Target, prop string, idx Index) error {
 func (m *Manager) Get(t Target, prop string) (Index, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	idx, ok := m.indexes[m.keyFor(t, prop)]
+	idx, ok := m.indexes[slot{t, prop}]
 	return idx, ok
 }
 
