@@ -105,19 +105,38 @@ func (b *Bitmap) Remove(v model.Value, id uint64) error {
 	return nil
 }
 
-// Lookup implements Index.
+// Lookup implements Index. Under the read lock it copies the value's ids,
+// into a stack buffer when there are at most eight, or the words of its
+// bitset when those are fewer than its ids, and it visits the ids in
+// ascending order after releasing the lock. So a probe allocates for the
+// smaller of the value's ids and its bitset, never for the whole bitset of
+// a value with few ids.
 func (b *Bitmap) Lookup(v model.Value, fn func(uint64) bool) error {
 	k := keyOf(v)
+	var buf [8]uint64
+	var words Bitset
 	b.mu.RLock()
-	s, ok := b.sets[k]
-	var snap *Bitset
-	if ok {
-		snap = s.Clone()
+	ids := buf[:0]
+	if s, ok := b.sets[k]; ok {
+		if n := s.Count(); n > max(len(buf), len(s.words)) {
+			words.words = slices.Clone(s.words)
+		} else {
+			if n > len(buf) {
+				ids = make([]uint64, 0, n)
+			}
+			s.Iterate(func(id uint64) bool {
+				ids = append(ids, id)
+				return true
+			})
+		}
 	}
 	b.mu.RUnlock()
-	if snap != nil {
-		snap.Iterate(fn)
+	for _, id := range ids {
+		if !fn(id) {
+			return nil
+		}
 	}
+	words.Iterate(fn)
 	return nil
 }
 

@@ -161,6 +161,27 @@ func TestHashLookupAllocs(t *testing.T) {
 	}
 }
 
+// TestBitmapLookupAllocs: a Bitmap probe of a value with one or eight ids
+// allocates nothing, however large the ids, and visits them ascending.
+func TestBitmapLookupAllocs(t *testing.T) {
+	b := NewBitmap()
+	b.Add(model.Int(1), 19999)
+	for id := uint64(0); id < 8; id++ {
+		b.Add(model.Str("eight"), 20000-id*997)
+	}
+	for _, v := range []model.Value{model.Int(1), model.Str("eight")} {
+		var got []uint64
+		b.Lookup(v, func(id uint64) bool { got = append(got, id); return true })
+		if len(got) == 0 || !slices.IsSorted(got) {
+			t.Fatalf("Lookup(%v) visited %v, want its ids ascending", v, got)
+		}
+		visit := func(uint64) bool { return true }
+		if a := testing.AllocsPerRun(100, func() { b.Lookup(v, visit) }); a != 0 {
+			t.Errorf("Lookup(%v) allocates %.1f times per call", v, a)
+		}
+	}
+}
+
 // TestHashLookupDuringWrites: readers Lookup one value while a writer
 // inserts into the middle of its list, removes from it, and takes it down
 // to one id and back. Every snapshot a reader sees is strictly ascending

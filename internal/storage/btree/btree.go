@@ -11,9 +11,13 @@
 // their entry into the leaf's encoding, leaving the page exactly as
 // writeNode would lay the node out; a node is decoded only when it must
 // split, and a split hands its separator to the parent the same way. A
-// descent bisects each internal node over its entries' offsets, which one
-// validating walk derives and the pager keeps with the page's frame until
-// the page changes.
+// descent bisects each internal node over its entries' offsets, and a
+// splice bisects its node the same way. One validating walk derives a
+// node's offsets, refusing a corrupt entry or a key out of order; the
+// pager keeps them with the page's frame, and each splice shifts them by
+// the bytes it moved, so they stay true of the page until it is rewritten
+// whole (a split, through writeNode), read into a recycled frame, or
+// written back by Flush, which releases them.
 package btree
 
 import (
@@ -173,10 +177,11 @@ func (t *Tree) descend(key []byte, leaf func(c cursor) error) (path, error) {
 }
 
 // update changes page id in place with splice, which reports whether its
-// change fit, or returns the page's decoded node when it did not.
-func (t *Tree) update(id pager.PageID, splice func(page []byte) (bool, error)) (full *node, err error) {
-	err = t.pg.Update(id, func(page []byte) (bool, error) {
-		fits, err := splice(page)
+// change fit and keeps the frame's entry offsets true, or returns the
+// page's decoded node when it did not.
+func (t *Tree) update(id pager.PageID, splice func(page []byte, offs *[]uint16) (bool, error)) (full *node, err error) {
+	err = t.pg.UpdateIndexed(id, func(page []byte, offs *[]uint16) (bool, error) {
+		fits, err := splice(page, offs)
 		if fits || err != nil {
 			return fits, err
 		}
@@ -201,8 +206,8 @@ func (t *Tree) Put(key, val []byte) error {
 		return err
 	}
 	id, found := p.ids[p.n-1], false
-	n, err := t.update(id, func(page []byte) (fits bool, err error) {
-		fits, found, err = putLeaf(id, page, key, val)
+	n, err := t.update(id, func(page []byte, offs *[]uint16) (fits bool, err error) {
+		fits, found, err = putLeaf(id, page, offs, key, val)
 		return fits, err
 	})
 	if err != nil {
@@ -250,7 +255,9 @@ func (t *Tree) splitUp(p *path, n *node) error {
 			return err
 		}
 		id, ci := p.ids[d-1], p.child[d-1]
-		n, err = t.update(id, func(page []byte) (bool, error) { return putChild(id, page, ci, sep, right) })
+		n, err = t.update(id, func(page []byte, offs *[]uint16) (bool, error) {
+			return putChild(id, page, offs, ci, sep, right)
+		})
 		if err != nil || n == nil {
 			return err
 		}
@@ -290,8 +297,8 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	id, found := p.ids[p.n-1], false
-	err = t.pg.Update(id, func(page []byte) (changed bool, err error) {
-		found, err = deleteLeaf(id, page, key)
+	err = t.pg.UpdateIndexed(id, func(page []byte, offs *[]uint16) (changed bool, err error) {
+		found, err = deleteLeaf(id, page, offs, key)
 		return found, err
 	})
 	if err != nil || !found {
@@ -536,17 +543,9 @@ func (c *cursor) bisect(key []byte, offs *[]uint16) (pager.PageID, int, error) {
 			return 0, 0, err
 		}
 	}
-	lo, hi := 0, len(*offs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if err := c.entryAt((*offs)[m]); err != nil {
-			return 0, 0, err
-		}
-		if bytes.Compare(c.key, key) > 0 {
-			hi = m
-		} else {
-			lo = m + 1
-		}
+	lo, _, err := c.search(*offs, key, true)
+	if err != nil {
+		return 0, 0, err
 	}
 	if lo == 0 {
 		return c.link, 0, nil
@@ -557,16 +556,42 @@ func (c *cursor) bisect(key []byte, offs *[]uint16) (pager.PageID, int, error) {
 	return c.child, lo, nil
 }
 
-// index walks every entry of an internal node, so that a corrupt one is an
-// error, and sets *offs to their offsets in the page, in order. On error
-// *offs is left empty.
+// search bisects the entries at offs for the first whose key is >= key, or
+// > key when after is set, and reports whether a probed key was key. The
+// keys ascend strictly, so with after unset that is the entry found.
+func (c *cursor) search(offs []uint16, key []byte, after bool) (i int, eq bool, err error) {
+	lo, hi := 0, len(offs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if err := c.entryAt(offs[m]); err != nil {
+			return 0, false, err
+		}
+		cmp := bytes.Compare(c.key, key)
+		eq = eq || cmp == 0
+		if cmp > 0 || (cmp == 0 && !after) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo, eq, nil
+}
+
+// index walks every entry of the node, so that a corrupt one, or a key not
+// above the one before it, is an error, and sets *offs to their offsets in
+// the page, in order. On error *offs is left empty.
 func (c *cursor) index(offs *[]uint16) error {
 	o := (*offs)[:0]
+	var prev []byte
 	for {
 		start := c.pos
 		ok, err := c.next()
-		if err == nil && start > math.MaxUint16 {
+		switch {
+		case err != nil:
+		case start > math.MaxUint16:
 			err = c.corrupt("entry offset")
+		case ok && len(o) > 0 && bytes.Compare(prev, c.key) >= 0:
+			err = c.corrupt("key order")
 		}
 		if err != nil {
 			*offs = o[:0]
@@ -577,10 +602,11 @@ func (c *cursor) index(offs *[]uint16) error {
 			return nil
 		}
 		o = append(o, uint16(start))
+		prev = c.key
 	}
 }
 
-// entryAt reads the internal node's entry at offset off into c.key and
+// entryAt reads the node's entry at offset off into c.key and c.val or
 // c.child, bounds-checking it against the page as next does.
 func (c *cursor) entryAt(off uint16) error {
 	if int(off) >= len(c.page) {
@@ -606,53 +632,84 @@ func (c *cursor) seek(key []byte) (bool, error) {
 }
 
 // span is where a write splices an encoded node: it replaces the bytes
-// [at, cut), and the node's entries end at end.
-type span struct{ at, cut, end int }
+// [at, cut) of entry i, and the node's entries end at end.
+type span struct{ i, at, cut, end int }
 
-// locate opens the node encoded in page, which must be a leaf or not as
-// leaf says, and walks every entry, so that a corrupt entry anywhere is an
-// error before a splice changes a byte. It returns the span of the entry a
-// write targets: in a leaf the first entry whose key is >= key, cut past it
-// when that key is key (found); in an internal node entry i. at == cut ==
-// end when the target lies past the last entry.
-func locate(id pager.PageID, page []byte, leaf bool, key []byte, i int) (s span, found bool, err error) {
+// target opens the node encoded in page, which must be a leaf or not as
+// leaf says, and returns the span of the entry a write targets: in a leaf
+// the first entry whose key is >= key, cut past it when that key is key
+// (found); in an internal node entry i. at == cut == end when the target
+// lies past the last entry. offs is the node's entry offsets, kept with the
+// page's frame. When it is empty, target derives it with index, whose walk
+// of every entry makes a corrupt entry anywhere an error before a splice
+// changes a byte; the offsets are only ever kept true of the bytes that
+// walk checked, so the target is found by bisecting them.
+func target(id pager.PageID, page []byte, offs *[]uint16, leaf bool, key []byte, i int) (s span, found bool, err error) {
 	c, err := openCursor(id, page)
 	if err == nil && c.leaf != leaf {
 		err = c.corrupt("node type")
 	}
+	if err == nil && len(*offs) == 0 {
+		err = c.index(offs)
+	}
 	if err != nil {
 		return span{}, false, err
 	}
-	s.at = -1
-	for n := 0; ; n++ {
-		start := c.pos
-		ok, err := c.next()
-		if err != nil {
+	o := *offs
+	s.end = nodeHeader
+	if len(o) > 0 {
+		if err := c.entryAt(o[len(o)-1]); err != nil {
 			return span{}, false, err
 		}
-		if s.at < 0 && (!ok || (leaf && bytes.Compare(c.key, key) >= 0) || (!leaf && n == i)) {
-			s.at, s.cut = start, start
-			if found = ok && leaf && bytes.Equal(c.key, key); found {
-				s.cut = c.pos
-			}
-		}
-		if !ok {
-			s.end = c.pos
-			return s, found, nil
+		s.end = c.pos
+	}
+	if leaf {
+		if i, found, err = c.search(o, key, false); err != nil {
+			return span{}, false, err
 		}
 	}
+	// Entry j starts at its offset; past the last entry is the end.
+	start := func(j int) int {
+		if j < len(o) {
+			return int(o[j])
+		}
+		return s.end
+	}
+	s.i = min(i, len(o))
+	s.at, s.cut = start(s.i), start(s.i)
+	if found {
+		s.cut = start(s.i + 1)
+	}
+	return s, found, nil
 }
 
 // resize makes the span size bytes long, moving the entries after it and
 // zeroing the bytes the move frees, so the page keeps writeNode's zero tail.
-// It reports false, leaving page unchanged, when the node would overflow.
-func (s span) resize(page []byte, size int) bool {
-	end := s.end + size - (s.cut - s.at)
+// It keeps offs, the node's entry offsets, true of the resized page: entry
+// i's offset is inserted when the span was empty and removed when size is
+// 0, and every later entry's moves by the change in size. It reports false,
+// leaving page and offs unchanged, when the node would overflow.
+func (s span) resize(page []byte, offs *[]uint16, size int) bool {
+	old := s.cut - s.at
+	end := s.end + size - old
 	if end > len(page) {
 		return false
 	}
 	copy(page[s.at+size:end], page[s.cut:s.end])
 	clear(page[min(end, s.end):s.end])
+	o, later := *offs, s.i
+	switch {
+	case old == 0:
+		o, later = slices.Insert(o, s.i, uint16(s.at)), s.i+1
+	case size == 0:
+		o = slices.Delete(o, s.i, s.i+1)
+	default:
+		later = s.i + 1
+	}
+	for j := later; j < len(o); j++ {
+		o[j] = uint16(int(o[j]) + size - old)
+	}
+	*offs = o
 	return true
 }
 
@@ -663,13 +720,14 @@ func addCount(page []byte, delta int) {
 
 // putLeaf writes key's entry into the leaf encoded in page in place,
 // replacing its value or inserting it in order, with the bytes writeNode
-// would produce for the changed node. It reports whether the entry fit and
+// would produce for the changed node, and keeps offs, the leaf's entry
+// offsets, true of the changed page. It reports whether the entry fit and
 // whether key was in the leaf already. When it errors or the entry does not
-// fit, page is unchanged.
-func putLeaf(id pager.PageID, page, key, val []byte) (fits, found bool, err error) {
-	s, found, err := locate(id, page, true, key, 0)
+// fit, page is unchanged, and offs is as it was or derived from page.
+func putLeaf(id pager.PageID, page []byte, offs *[]uint16, key, val []byte) (fits, found bool, err error) {
+	s, found, err := target(id, page, offs, true, key, 0)
 	kl, vl := uvarintLen(uint64(len(key))), uvarintLen(uint64(len(val)))
-	if err != nil || !s.resize(page, kl+len(key)+vl+len(val)) {
+	if err != nil || !s.resize(page, offs, kl+len(key)+vl+len(val)) {
 		return false, found, err
 	}
 	at := s.at + binary.PutUvarint(page[s.at:], uint64(len(key)))
@@ -683,23 +741,25 @@ func putLeaf(id pager.PageID, page, key, val []byte) (fits, found bool, err erro
 }
 
 // deleteLeaf removes key's entry from the leaf encoded in page in place,
-// reporting whether it was there. On error page is unchanged.
-func deleteLeaf(id pager.PageID, page, key []byte) (bool, error) {
-	s, found, err := locate(id, page, true, key, 0)
+// keeping offs true as putLeaf does, and reports whether it was there. When
+// it errors or key is absent, page is unchanged.
+func deleteLeaf(id pager.PageID, page []byte, offs *[]uint16, key []byte) (bool, error) {
+	s, found, err := target(id, page, offs, true, key, 0)
 	if err != nil || !found {
 		return false, err
 	}
-	s.resize(page, 0)
+	s.resize(page, offs, 0)
 	addCount(page, -1)
 	return true, nil
 }
 
 // putChild inserts separator sep and, right of it, child right as entry i
-// of the internal node encoded in page, in place. It reports whether they
-// fit; when it errors or they do not, page is unchanged.
-func putChild(id pager.PageID, page []byte, i int, sep []byte, right pager.PageID) (bool, error) {
-	s, _, err := locate(id, page, false, nil, i)
-	if err != nil || !s.resize(page, uvarintLen(uint64(len(sep)))+len(sep)+4) {
+// of the internal node encoded in page, in place, keeping offs true as
+// putLeaf does. It reports whether they fit; when it errors or they do not,
+// page is unchanged.
+func putChild(id pager.PageID, page []byte, offs *[]uint16, i int, sep []byte, right pager.PageID) (bool, error) {
+	s, _, err := target(id, page, offs, false, nil, i)
+	if err != nil || !s.resize(page, offs, uvarintLen(uint64(len(sep)))+len(sep)+4) {
 		return false, err
 	}
 	at := s.at + binary.PutUvarint(page[s.at:], uint64(len(sep)))

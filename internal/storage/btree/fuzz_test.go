@@ -133,10 +133,17 @@ func FuzzNodeDecode(f *testing.F) {
 
 // FuzzLeafSplice feeds arbitrary page bytes, a key and a value to putLeaf
 // and deleteLeaf, the in-place writes of Put and Delete. Neither may panic.
-// When either errors or the entry does not fit, the page is unchanged, so a
-// corrupt leaf is never half rewritten. Otherwise the page decodes to the
-// model's entries: the leaf with key's entry set at the first key >= key,
-// or removed; and a page that held writeNode's layout still does.
+// A page that does not decode to a leaf with strictly ascending keys is
+// corrupt: both refuse it with an error. When either errors or the entry
+// does not fit, the page is unchanged, so a corrupt leaf is never half
+// rewritten. Otherwise the page decodes to the model's entries: the leaf
+// with key's entry set at the first key >= key, or removed; and a page
+// that held writeNode's layout still does. One offsets slice is carried
+// from putLeaf into deleteLeaf on the page putLeaf left, as a pooled frame
+// carries it; after every splice it must be what a fresh walk of the page
+// derives, and an error leaves it as it was. On a sorted node of either
+// kind, the span target finds by bisecting the offsets is the one the
+// linear locate finds.
 func FuzzLeafSplice(f *testing.F) {
 	pg, err := pager.Open(filepath.Join(f.TempDir(), "bt.pg"), pager.Options{PoolPages: 64})
 	if err != nil {
@@ -161,6 +168,8 @@ func FuzzLeafSplice(f *testing.F) {
 	}
 	f.Add([]byte{typeLeaf, 0, 1, 0, 0, 0, 0, 0x89, 0x80, 0x04}, []byte("k"), []byte("v"))
 	f.Add([]byte{typeInternal, 0, 0, 0, 0, 0, 9}, []byte("k"), []byte("v"))
+	descending := encodeNode(&node{leaf: true, keys: [][]byte{[]byte("b"), []byte("a")}, vals: [][]byte{[]byte("1"), []byte("2")}})
+	f.Add(descending, []byte("a"), []byte("v"))
 
 	f.Fuzz(func(t *testing.T, in, key, val []byte) {
 		const id = 7
@@ -169,35 +178,43 @@ func FuzzLeafSplice(f *testing.F) {
 		before := slices.Clone(page)
 		n, decErr := decodeNode(id, page)
 		canonical := decErr == nil && bytes.Equal(page, pageOf(n))
+		sorted := decErr == nil && ascending(n.keys)
 
-		// The model: key's entry set or removed at the first key >= key.
-		var put, del *node
-		if decErr == nil && n.leaf {
-			i := 0
-			for i < len(n.keys) && bytes.Compare(n.keys[i], key) < 0 {
-				i++
-			}
-			found := i < len(n.keys) && bytes.Equal(n.keys[i], key)
-			put = &node{leaf: true, next: n.next, keys: slices.Clone(n.keys), vals: slices.Clone(n.vals)}
-			del = &node{leaf: true, next: n.next, keys: slices.Clone(n.keys), vals: slices.Clone(n.vals)}
-			if found {
-				put.vals[i] = val
-				del.keys = slices.Delete(del.keys, i, i+1)
-				del.vals = slices.Delete(del.vals, i, i+1)
-			} else {
-				put.keys = slices.Insert(put.keys, i, key)
-				put.vals = slices.Insert(put.vals, i, val)
-				del = nil
+		if sorted {
+			i := len(val) % (len(n.keys) + 1)
+			var offs []uint16
+			got, gotFound, err := target(id, page, &offs, n.leaf, key, i)
+			want, wantFound, wantErr := locate(id, page, n.leaf, key, i)
+			if err != nil || wantErr != nil || got != want || gotFound != wantFound {
+				t.Fatalf("target = %+v %v %v, locate = %+v %v %v", got, gotFound, err, want, wantFound, wantErr)
 			}
 		}
 
-		check := func(op string, changed bool, err error, want *node) {
+		// cur models the page a splice starts from: nil when it is
+		// corrupt as a leaf.
+		var cur *node
+		if sorted && n.leaf {
+			cur = n
+		}
+		var offs []uint16
+		check := func(op string, prev []byte, prevOffs []uint16, changed bool, err error, want *node) {
 			t.Helper()
-			if (err == nil) != (put != nil) {
-				t.Fatalf("%s: err = %v, but the page decodes to a leaf: %v", op, err, put != nil)
+			if (err == nil) != (cur != nil) {
+				t.Fatalf("%s: err = %v, but the page decodes to a sorted leaf: %v", op, err, cur != nil)
+			}
+			if err != nil {
+				if !bytes.Equal(page, prev) || !slices.Equal(offs, prevOffs) {
+					t.Fatalf("%s changed the page or its offsets on error %v", op, err)
+				}
+				return
+			}
+			c, _ := openCursor(id, page)
+			var walked []uint16
+			if err := c.index(&walked); err != nil || !slices.Equal(offs, walked) {
+				t.Fatalf("%s: offsets %v, a fresh walk derives %v (%v)", op, offs, walked, err)
 			}
 			if !changed {
-				if !bytes.Equal(page, before) {
+				if !bytes.Equal(page, prev) {
 					t.Fatalf("%s changed the page it refused", op)
 				}
 				return
@@ -212,24 +229,69 @@ func FuzzLeafSplice(f *testing.F) {
 			if canonical && !bytes.Equal(page, pageOf(want)) {
 				t.Fatalf("%s: page is not writeNode's layout of the model", op)
 			}
+			cur = want
 		}
 
-		fits, found, err := putLeaf(id, page, key, val)
-		if put != nil && !fits && len(encodeNode(put)) <= pager.PayloadSize {
+		put, had := modelPut(cur, key, val)
+		prev, prevOffs := slices.Clone(page), slices.Clone(offs)
+		fits, found, err := putLeaf(id, page, &offs, key, val)
+		if cur != nil && !fits && len(encodeNode(put)) <= pager.PayloadSize {
 			t.Fatalf("putLeaf refused an entry that fits")
 		}
-		if put != nil && found != (len(put.keys) == len(n.keys)) {
-			t.Fatalf("putLeaf found = %v", found)
+		if cur != nil && found != had {
+			t.Fatalf("putLeaf found = %v, want %v", found, had)
 		}
-		check("putLeaf", fits, err, put)
+		check("putLeaf", prev, prevOffs, fits, err, put)
 
-		copy(page, before)
-		found, err = deleteLeaf(id, page, key)
-		if found != (del != nil) {
-			t.Fatalf("deleteLeaf found = %v", found)
+		// The offsets putLeaf left serve deleteLeaf on the page it left;
+		// then a fresh slice serves deleteLeaf on the page as it came in,
+		// where key may be absent.
+		for _, fresh := range []bool{false, true} {
+			if fresh {
+				copy(page, before)
+				offs, cur = nil, nil
+				if sorted && n.leaf {
+					cur = n
+				}
+			}
+			del := modelDelete(cur, key)
+			prev, prevOffs = slices.Clone(page), slices.Clone(offs)
+			found, err = deleteLeaf(id, page, &offs, key)
+			if found != (del != nil) {
+				t.Fatalf("deleteLeaf found = %v", found)
+			}
+			check("deleteLeaf", prev, prevOffs, found, err, del)
 		}
-		check("deleteLeaf", found, err, del)
 	})
+}
+
+// modelPut returns leaf n with key's entry set to val at the first key >=
+// key, and whether key was there; nil for a nil n.
+func modelPut(n *node, key, val []byte) (*node, bool) {
+	if n == nil {
+		return nil, false
+	}
+	i, found := slices.BinarySearchFunc(n.keys, key, bytes.Compare)
+	m := &node{leaf: true, next: n.next, keys: slices.Clone(n.keys), vals: slices.Clone(n.vals)}
+	if found {
+		m.vals[i] = val
+	} else {
+		m.keys, m.vals = slices.Insert(m.keys, i, key), slices.Insert(m.vals, i, val)
+	}
+	return m, found
+}
+
+// modelDelete returns leaf n without key's entry, or nil when n is nil or
+// has no such entry.
+func modelDelete(n *node, key []byte) *node {
+	if n == nil {
+		return nil
+	}
+	i, found := slices.BinarySearchFunc(n.keys, key, bytes.Compare)
+	if !found {
+		return nil
+	}
+	return &node{leaf: true, next: n.next, keys: slices.Delete(slices.Clone(n.keys), i, i+1), vals: slices.Delete(slices.Clone(n.vals), i, i+1)}
 }
 
 func ascending(keys [][]byte) bool {

@@ -15,7 +15,8 @@
 // page image, CRC header included, and a miss reads into a recycled frame,
 // so a page read or write-back allocates nothing. A frame also keeps an
 // index a reader derived from its bytes (ViewIndexed), dropped whenever
-// those bytes change.
+// those bytes change unless the writer kept it true (UpdateIndexed), and
+// released when Flush writes the frame back.
 //
 // Durability contract: Flush returns nil only after every buffered write has
 // been written AND fsynced. Dirty bits are cleared only once the sync
@@ -59,8 +60,10 @@ type frame struct {
 	page  []byte // PageSize bytes
 	dirty bool
 	// index holds offsets into the payload that a ViewIndexed reader
-	// derived from it. It is emptied, keeping its capacity, whenever the
-	// frame's bytes change, so it never outlives the image it came from.
+	// derived from it, or that an UpdateIndexed writer kept true through
+	// its change. It is emptied, keeping its capacity, whenever the frame's
+	// bytes change in any other way, so it never outlives the image it
+	// came from, and released when Flush writes the frame back.
 	index []uint16
 }
 
@@ -271,9 +274,11 @@ func (p *Pager) View(id PageID, fn func(payload []byte) error) error {
 // payload that a reader derived from it on an earlier visit, or an empty
 // slice. fn may fill the index from the payload it is handed; the pager
 // empties it whenever the frame's bytes change (a miss reads into the frame,
-// a Write, an Update that changes the page), so an index is only ever seen
-// beside the bytes it was derived from, and the pool bounds how many are
-// kept. A reader must still bounds-check what it reads through an offset.
+// a Write, an Update that changes the page) unless an UpdateIndexed writer
+// kept it true, so an index is only ever seen beside the bytes it describes,
+// and it releases it when Flush writes the frame back, so only frames
+// changed since the last Flush, or read since, keep one. A reader must
+// still bounds-check what it reads through an offset.
 func (p *Pager) ViewIndexed(id PageID, fn func(payload []byte, index *[]uint16) error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -291,11 +296,27 @@ func (p *Pager) ViewIndexed(id PageID, fn func(payload []byte, index *[]uint16) 
 // in place, and reports whether it did. A changed page is marked dirty and
 // referenced under the pager lock, exactly as a Write of the changed bytes
 // leaves it, so eviction, the pending-evict ledger and Flush treat the two
-// alike. Like Write, Update counts no pool hit; a miss loads the page as
-// View does. fn must leave the payload unchanged when it returns false or
-// an error, must not keep the slice, and must not call back into the pager.
-// Update returns fn's error.
+// alike, and its frame's index is emptied. Like Write, Update counts no
+// pool hit; a miss loads the page as View does. fn must leave the payload
+// unchanged when it returns false or an error, must not keep the slice, and
+// must not call back into the pager. Update returns fn's error.
 func (p *Pager) Update(id PageID, fn func(payload []byte) (bool, error)) error {
+	return p.UpdateIndexed(id, func(payload []byte, index *[]uint16) (bool, error) {
+		changed, err := fn(payload)
+		if changed && err == nil {
+			*index = (*index)[:0]
+		}
+		return changed, err
+	})
+}
+
+// UpdateIndexed is Update that also hands fn the frame's index, as
+// ViewIndexed does, and leaves it as fn does: a writer that knows how its
+// change moves the offsets keeps them instead of deriving them again. A fn
+// that changes the page must leave the index either empty or true of the
+// changed bytes; one that does not must leave it as it was or fill it from
+// the unchanged payload, as a reader may.
+func (p *Pager) UpdateIndexed(id PageID, fn func(payload []byte, index *[]uint16) (bool, error)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -308,11 +329,11 @@ func (p *Pager) Update(id PageID, fn func(payload []byte) (bool, error)) error {
 			return err
 		}
 	}
-	changed, err := fn(fr.payload())
+	changed, err := fn(fr.payload(), &fr.index)
 	if err != nil || !changed {
 		return err
 	}
-	fr.dirty, fr.index = true, fr.index[:0]
+	fr.dirty = true
 	p.policy.Note(id)
 	return nil
 }
@@ -474,6 +495,10 @@ func (p *Pager) flushLocked() error {
 				return err
 			}
 			written = append(written, fr)
+			// Release the index, capacity too: under a pool that holds
+			// the whole file every written page would otherwise keep its
+			// offsets for good. The next visit derives them again.
+			fr.index = nil
 		}
 	}
 	if err := p.f.Sync(); err != nil {

@@ -433,3 +433,70 @@ func TestIndexDroppedWhenBytesChange(t *testing.T) {
 		}
 	}
 }
+
+// An UpdateIndexed that changes the page leaves its frame the index fn left
+// it, and the next ViewIndexed is handed that index; Update still empties
+// it. A Flush releases the index of every frame it writes back, keeping no
+// capacity, and leaves a clean frame's index as it was.
+func TestUpdateIndexedKeepsIndex(t *testing.T) {
+	p, _ := tempPager(t, 4)
+	a, _ := p.Allocate()
+	b, _ := p.Allocate()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// seen returns the index id's frame holds, and whether it holds none
+	// at all (nil), then fills an empty one with fill.
+	seen := func(id PageID, fill ...uint16) ([]uint16, bool) {
+		t.Helper()
+		var got []uint16
+		var released bool
+		if err := p.ViewIndexed(id, func(_ []byte, index *[]uint16) error {
+			got, released = slices.Clone(*index), *index == nil
+			if len(*index) == 0 {
+				*index = append(*index, fill...)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got, released
+	}
+	seen(a, 1, 2)
+	seen(b, 7)
+	if err := p.UpdateIndexed(a, func(payload []byte, index *[]uint16) (bool, error) {
+		payload[0]++
+		*index = append((*index)[:0], 3, 4, 5)
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := seen(a); !slices.Equal(got, []uint16{3, 4, 5}) {
+		t.Errorf("after a changing UpdateIndexed: index %v, want the one it left, [3 4 5]", got)
+	}
+	if err := p.Update(a, func(payload []byte) (bool, error) {
+		payload[0]++
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := seen(a, 6); len(got) != 0 {
+		t.Errorf("after a changing Update: index %v, want empty", got)
+	}
+	if err := p.UpdateIndexed(a, func(payload []byte, index *[]uint16) (bool, error) {
+		payload[0]++
+		*index = append((*index)[:0], 8)
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, released := seen(a); len(got) != 0 || !released {
+		t.Errorf("after Flush wrote a back: index %v (released %v), want released", got, released)
+	}
+	if got, _ := seen(b); !slices.Equal(got, []uint16{7}) {
+		t.Errorf("after Flush left b clean: index %v, want [7]", got)
+	}
+}
