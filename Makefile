@@ -61,16 +61,18 @@ race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/enginetest/diff/...
 
 # Inner-loop subset, outside ci.
-# The MVCC snapshot surface under the race detector: the versioned
-# adjacency store, both store-level acquire paths, the engine
-# snapshot/cancellation suite, the writer-during-long-read twin proof, the
-# patched-vs-full-render differential and the live-order twin (a pinned
-# view enumerates neighbours in the live store's order). The package runs
-# carry the incremental path's work-bound tests (adj TestPatch*, suite
-# TestPinAfterWriteAllocsFlat) and the rejected-mutation regressions. See
-# DESIGN.md "Snapshot & versioning contract".
+# The MVCC snapshot surface under the race detector: memgraph's
+# copy-on-write blocks and kvgraph's mirror (both store-level acquire
+# paths), the engine snapshot/cancellation suite, the
+# writer-during-long-read twin proof, the pinned-view-vs-store
+# differential and the live-order twin (a pinned view enumerates
+# neighbours in the live store's order). The package runs carry the
+# work-bound tests (memgraph TestSnapshotCostFlat, suite
+# TestPatchAfterWriteAllocsFlat and TestMirrorPinAfterWriteAllocsFlat) and
+# the rejected-mutation regressions. See DESIGN.md "Snapshot & versioning
+# contract".
 race-snapshots:
-	$(GO) test -race ./internal/adj/... ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/suite/
+	$(GO) test -race ./internal/memgraph/ ./internal/kvgraph/ ./internal/engines/suite/
 	$(GO) test -race ./internal/enginetest/diff/ -run 'TestPinnedSnapshotSurvivesWriterTwins|TestPatchedSnapshotDifferential|TestViewEnumeratesLiveOrder' -count=1
 
 # Inner-loop subset, outside ci.
@@ -134,7 +136,7 @@ fuzz-smoke:
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzLeafSplice -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/pager/ -run '^$$' -fuzz FuzzPagerMatchesReference -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/adj/ -run '^$$' -fuzz FuzzPatchMatchesBuild -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/memgraph/ -run '^$$' -fuzz FuzzGraphMatchesMapReference -fuzztime $(FUZZTIME)
 
 # Overload drill: build the real gdbserver binary, burst it at 2× the
 # configured capacity with the in-process loadgen client, run a

@@ -1,18 +1,17 @@
-// Package constraint implements the six integrity-constraint families the
-// survey compares in Table VI: types checking, node/edge identity,
-// referential integrity, cardinality checking, functional dependencies and
-// graph pattern constraints. Engines install a Set of constraints and call
-// its hooks around mutations; violations surface as model.ErrConstraint.
+// Package constraint implements four of the six integrity-constraint
+// families the survey compares in Table VI: types checking, node/edge
+// identity, referential integrity and cardinality checking. The table
+// leaves functional dependencies and graph pattern constraints blank for
+// every system, so no engine declares them and they have no type here.
+// Engines install a Set of constraints and call its hooks around
+// mutations; violations surface as model.ErrConstraint.
 package constraint
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/model"
-	"gdbm/internal/query/plan"
 )
 
 // Mutation describes a pending change for pre-validation.
@@ -219,161 +218,4 @@ func (c Cardinality) Check(g model.Graph, m Mutation) error {
 			m.Edge.From, count, c.EdgeLabel, c.Max, model.ErrConstraint)
 	}
 	return nil
-}
-
-// --- functional dependency ---
-
-// FuncDep enforces Determinant → Dependent within a node label: two nodes
-// agreeing on the determinant property must agree on the dependent property
-// (Table VI "Functional dependency").
-type FuncDep struct {
-	Label       string
-	Determinant string
-	Dependent   string
-}
-
-// Name implements Constraint.
-func (FuncDep) Name() string { return "funcdep" }
-
-// Check implements Constraint.
-func (c FuncDep) Check(g model.Graph, m Mutation) error {
-	if m.Kind != AddNode && m.Kind != UpdateNode {
-		return nil
-	}
-	if c.Label != "" && m.Node.Label != c.Label {
-		return nil
-	}
-	det := m.Node.Props.Get(c.Determinant)
-	dep := m.Node.Props.Get(c.Dependent)
-	if det.IsNull() {
-		return nil
-	}
-	var violation error
-	err := g.Nodes(func(n model.Node) bool {
-		if n.ID == m.Node.ID || (c.Label != "" && n.Label != c.Label) {
-			return true
-		}
-		if n.Props.Get(c.Determinant).Equal(det) && !n.Props.Get(c.Dependent).Equal(dep) {
-			violation = fmt.Errorf("funcdep: %s=%v implies %s=%v but node %d has %v: %w",
-				c.Determinant, det, c.Dependent, n.Props.Get(c.Dependent), m.Node.ID, dep, model.ErrConstraint)
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return violation
-}
-
-// --- graph pattern constraint ---
-
-// ForbiddenPattern vetoes any mutation that would complete an embedding of
-// the pattern (Table VI "Graph pattern" constraints, negative form).
-type ForbiddenPattern struct {
-	Pattern *algo.Pattern
-	// Desc is a human-readable description used in error messages.
-	Desc string
-}
-
-// Name implements Constraint.
-func (ForbiddenPattern) Name() string { return "pattern" }
-
-// Check implements Constraint. It is called *before* the mutation applies,
-// so it simulates edge additions with an overlay view.
-func (c ForbiddenPattern) Check(g model.Graph, m Mutation) error {
-	var view model.Graph = g
-	if m.Kind == AddEdge {
-		view = &edgeOverlay{Graph: g, extra: m.Edge}
-	} else if m.Kind != AddNode && m.Kind != UpdateNode {
-		return nil
-	}
-	matches, err := plan.MatchPattern(context.TODO(), view, c.Pattern, 1)
-	if err != nil {
-		return err
-	}
-	if len(matches) > 0 {
-		return fmt.Errorf("pattern: forbidden pattern %q would be created: %w", c.Desc, model.ErrConstraint)
-	}
-	return nil
-}
-
-// edgeOverlay presents g plus one not-yet-inserted edge. It embeds the
-// Graph interface, so it has no id adjacency: the pending edge shows only
-// through Neighbors, which the matcher then walks.
-type edgeOverlay struct {
-	model.Graph
-	extra model.Edge
-}
-
-func (o *edgeOverlay) Size() int { return o.Graph.Size() + 1 }
-
-func (o *edgeOverlay) Edge(id model.EdgeID) (model.Edge, error) {
-	if id == o.extra.ID {
-		return o.extra, nil
-	}
-	return o.Graph.Edge(id)
-}
-
-func (o *edgeOverlay) Edges(fn func(model.Edge) bool) error {
-	stopped := false
-	err := o.Graph.Edges(func(e model.Edge) bool {
-		if !fn(e) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if err != nil || stopped {
-		return err
-	}
-	fn(o.extra)
-	return nil
-}
-
-func (o *edgeOverlay) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
-	stopped := false
-	err := o.Graph.Neighbors(id, dir, func(e model.Edge, n model.Node) bool {
-		if !fn(e, n) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if err != nil || stopped {
-		return err
-	}
-	emit := func(far model.NodeID) error {
-		n, err := o.Graph.Node(far)
-		if err != nil {
-			return nil // overlay edge to a node being added; skip
-		}
-		fn(o.extra, n)
-		return nil
-	}
-	if (dir == model.Out || dir == model.Both) && o.extra.From == id {
-		if err := emit(o.extra.To); err != nil {
-			return err
-		}
-	}
-	if (dir == model.In || dir == model.Both) && o.extra.To == id {
-		if err := emit(o.extra.From); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (o *edgeOverlay) Degree(id model.NodeID, dir model.Direction) (int, error) {
-	d, err := o.Graph.Degree(id, dir)
-	if err != nil {
-		return 0, err
-	}
-	if (dir == model.Out || dir == model.Both) && o.extra.From == id {
-		d++
-	}
-	if (dir == model.In || dir == model.Both) && o.extra.To == id {
-		d++
-	}
-	return d, nil
 }

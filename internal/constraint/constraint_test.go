@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 )
@@ -133,59 +132,6 @@ func TestCardinalityConstraint(t *testing.T) {
 	}
 }
 
-func TestFuncDepConstraint(t *testing.T) {
-	g := memgraph.New()
-	g.AddNode("City", model.Props("zip", "9000", "region", "west"))
-	c := FuncDep{Label: "City", Determinant: "zip", Dependent: "region"}
-
-	conflict := Mutation{Kind: AddNode, Node: model.Node{ID: 50, Label: "City", Props: model.Props("zip", "9000", "region", "east")}}
-	if err := c.Check(g, conflict); !errors.Is(err, model.ErrConstraint) {
-		t.Errorf("fd violation: %v", err)
-	}
-	agree := Mutation{Kind: AddNode, Node: model.Node{ID: 50, Label: "City", Props: model.Props("zip", "9000", "region", "west")}}
-	if err := c.Check(g, agree); err != nil {
-		t.Errorf("fd agree: %v", err)
-	}
-	newDet := Mutation{Kind: AddNode, Node: model.Node{ID: 50, Label: "City", Props: model.Props("zip", "1000", "region", "east")}}
-	if err := c.Check(g, newDet); err != nil {
-		t.Errorf("new determinant: %v", err)
-	}
-	noDet := Mutation{Kind: AddNode, Node: model.Node{ID: 50, Label: "City"}}
-	if err := c.Check(g, noDet); err != nil {
-		t.Errorf("absent determinant: %v", err)
-	}
-}
-
-func TestForbiddenPatternConstraint(t *testing.T) {
-	g := memgraph.New()
-	a, _ := g.AddNode("N", nil)
-	b, _ := g.AddNode("N", nil)
-	g.AddEdge("e", a, b, nil)
-
-	// Forbid a 2-cycle: x->y->x.
-	pat, err := algo.NewPattern(
-		[]algo.PatternNode{{Var: "x"}, {Var: "y"}},
-		[]algo.PatternEdge{{From: 0, To: 1, Label: "e"}, {From: 1, To: 0, Label: "e"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ForbiddenPattern{Pattern: pat, Desc: "2-cycle"}
-
-	closing := Mutation{Kind: AddEdge, Edge: model.Edge{ID: 999, Label: "e", From: b, To: a}}
-	if err := c.Check(g, closing); !errors.Is(err, model.ErrConstraint) {
-		t.Errorf("closing 2-cycle: %v", err)
-	}
-	harmless := Mutation{Kind: AddEdge, Edge: model.Edge{ID: 999, Label: "e", From: a, To: b}}
-	if err := c.Check(g, harmless); err != nil {
-		t.Errorf("parallel edge: %v", err)
-	}
-	// DelNode mutations are ignored by this constraint.
-	if err := c.Check(g, Mutation{Kind: DelNode}); err != nil {
-		t.Errorf("delnode: %v", err)
-	}
-}
-
 func TestSetAggregatesConstraints(t *testing.T) {
 	g := memgraph.New()
 	g.AddNode("Person", model.Props("name", "ada"))
@@ -203,48 +149,5 @@ func TestSetAggregatesConstraints(t *testing.T) {
 	good := Mutation{Kind: AddNode, Node: model.Node{ID: 9, Label: "Person", Props: model.Props("name", "bob")}}
 	if err := s.Check(g, good); err != nil {
 		t.Errorf("set check good: %v", err)
-	}
-}
-
-func TestEdgeOverlayView(t *testing.T) {
-	g := memgraph.New()
-	a, _ := g.AddNode("N", nil)
-	b, _ := g.AddNode("N", nil)
-	g.AddEdge("e", a, b, nil)
-	ov := &edgeOverlay{Graph: g, extra: model.Edge{ID: 99, Label: "x", From: b, To: a}}
-
-	if ov.Size() != 2 {
-		t.Errorf("overlay size = %d", ov.Size())
-	}
-	e, err := ov.Edge(99)
-	if err != nil || e.Label != "x" {
-		t.Errorf("overlay edge: %+v %v", e, err)
-	}
-	if _, err := ov.Edge(1); err != nil {
-		t.Errorf("base edge: %v", err)
-	}
-	n := 0
-	ov.Edges(func(model.Edge) bool { n++; return true })
-	if n != 2 {
-		t.Errorf("overlay edges visited %d", n)
-	}
-	d, _ := ov.Degree(a, model.Both)
-	if d != 2 {
-		t.Errorf("overlay degree = %d", d)
-	}
-	outB, _ := ov.Degree(b, model.Out)
-	if outB != 1 {
-		t.Errorf("overlay out degree b = %d", outB)
-	}
-	// Neighbors sees the overlay edge.
-	seen := false
-	ov.Neighbors(b, model.Out, func(e model.Edge, n model.Node) bool {
-		if e.ID == 99 && n.ID == a {
-			seen = true
-		}
-		return true
-	})
-	if !seen {
-		t.Error("overlay edge missing from Neighbors")
 	}
 }

@@ -205,14 +205,14 @@ type Persistent interface {
 //
 // AcquireSnapshot returns a Graph that is safe for unsynchronized use by
 // any number of concurrent readers until released, at frozen isolation: the
-// view is an immutable point-in-time rendering, unaffected by later
-// mutations, pinned to the store's stable epoch at acquisition. Since the
-// epoch-versioned copy-on-write views (internal/adj), frozen is the only
-// isolation level: acquisition is O(1) on a quiescent store (one atomic
-// load and a pin — no copying), writers never block pinned readers, and a
-// re-render after mutations re-reads only the records they touched, so a
-// kernel sees one consistent state however long it runs. An engine whose
-// store cannot pin returns an error, never the live graph.
+// view is an immutable point-in-time state, unaffected by later mutations,
+// taken between two whole mutations. Each store is its own snapshot:
+// memgraph freezes its copy-on-write record blocks in O(1), copying
+// nothing, and the next write clones only the block it touches; kvgraph
+// freezes the memgraph mirror of its records that its writes keep
+// current, built by the first pin. Writers never block pinned readers,
+// so a kernel sees one consistent state however long it runs. An engine
+// whose store cannot pin returns an error, never the live graph.
 //
 // The returned release follows the model.ReleaseFunc contract: call it
 // exactly once when done. Engines delegate to their store's model.Pinner,

@@ -333,6 +333,37 @@ func TestPatchAfterWriteAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestMirrorPinAfterWriteAllocsFlat is TestPatchAfterWriteAllocsFlat on
+// disk: there a pin freezes kvgraph's memgraph mirror, which the write
+// kept current, so a write and the pin after it allocate for the block the
+// write touched, the same at 20 000 nodes as at 1 000.
+func TestMirrorPinAfterWriteAllocsFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 20k-node graph on disk")
+	}
+	allocsAt := func(n int) float64 {
+		g, con, _ := pinWriteStore(t, true, n)
+		v := int64(0)
+		return testing.AllocsPerRun(20, func() {
+			v++
+			if err := g.SetNodeProp(7, "hits", model.Int(v)); err != nil {
+				t.Fatal(err)
+			}
+			_, release, err := con.AcquireSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		})
+	}
+	small := allocsAt(1_000)
+	large := allocsAt(20_000)
+	t.Logf("allocs per disk write + pin: 1k=%.0f 20k=%.0f", small, large)
+	if large != small {
+		t.Errorf("a pin after a disk write allocates with graph size: 1k=%.0f 20k=%.0f", small, large)
+	}
+}
+
 // BenchmarkPinAfterWrite and BenchmarkPlanStatsAfterWrite time the cold
 // path of the snapshot and statistics publishers on a graph the size of
 // the end-to-end benchmark's rw_disk workload. Each iteration is one

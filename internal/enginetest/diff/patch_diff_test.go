@@ -1,14 +1,12 @@
 package diff
 
 import (
-	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
 
-	"gdbm/internal/adj"
 	"gdbm/internal/engine"
 	"gdbm/internal/kvgraph"
 	"gdbm/internal/memgraph"
@@ -17,7 +15,7 @@ import (
 	"gdbm/internal/storage/kv"
 )
 
-// patchSubject is one store under the incremental-snapshot differential:
+// patchSubject is one store under the pinned-view differential:
 // its mutation surface, its view, its planner statistics and its epoch.
 type patchSubject struct {
 	name     string
@@ -30,8 +28,6 @@ type patchSubject struct {
 
 	nodes []model.NodeID // alive, ascending
 	edges []model.Edge   // alive, ascending by ID; From/To only
-	maxN  model.NodeID
-	maxE  model.EdgeID
 }
 
 func patchSubjects(t *testing.T) []*patchSubject {
@@ -68,53 +64,12 @@ func patchSubjects(t *testing.T) []*patchSubject {
 	}
 }
 
-// liveSource reads the store itself through its public Graph surface — the
-// input of the full-render oracle, independent of the store's own Source
-// adapter and of its marks.
-type liveSource struct{ s *patchSubject }
-
-func (l liveSource) MaxNodeID() (model.NodeID, error) { return l.s.maxN, nil }
-func (l liveSource) MaxEdgeID() (model.EdgeID, error) { return l.s.maxE, nil }
-
-func (l liveSource) NodeByID(id model.NodeID) (model.Node, bool, error) {
-	n, err := l.s.g.Node(id)
-	if errors.Is(err, model.ErrNotFound) {
-		return model.Node{}, false, nil
-	}
-	return n, err == nil, err
-}
-
-func (l liveSource) EdgeByID(id model.EdgeID) (model.Edge, bool, error) {
-	e, err := l.s.g.Edge(id)
-	if errors.Is(err, model.ErrNotFound) {
-		return model.Edge{}, false, nil
-	}
-	return e, err == nil, err
-}
-
-func (l liveSource) incident(id model.NodeID, dir model.Direction) ([]model.EdgeID, error) {
-	var eids []model.EdgeID
-	err := l.s.g.Neighbors(id, dir, func(e model.Edge, _ model.Node) bool {
-		eids = append(eids, e.ID)
-		return true
-	})
-	return eids, err
-}
-
-func (l liveSource) OutEdges(id model.NodeID) ([]model.EdgeID, error) {
-	return l.incident(id, model.Out)
-}
-func (l liveSource) InEdges(id model.NodeID) ([]model.EdgeID, error) {
-	return l.incident(id, model.In)
-}
-
 func (s *patchSubject) addNode(t *testing.T, rng *rand.Rand) {
 	id, err := s.loadNode(nodeLabels[rng.Intn(len(nodeLabels))], model.Props("rank", rng.Intn(40)))
 	if err != nil {
 		t.Fatalf("add node: %v", err)
 	}
 	s.nodes = append(s.nodes, id)
-	s.maxN = id
 }
 
 func (s *patchSubject) addEdge(t *testing.T, rng *rand.Rand, from, to model.NodeID) {
@@ -123,7 +78,6 @@ func (s *patchSubject) addEdge(t *testing.T, rng *rand.Rand, from, to model.Node
 		t.Fatalf("add edge %d->%d: %v", from, to, err)
 	}
 	s.edges = append(s.edges, model.Edge{ID: id, From: from, To: to})
-	s.maxE = id
 }
 
 // pickNode favours the IDs around the first block boundary and the
@@ -188,12 +142,11 @@ func (s *patchSubject) mutate(t *testing.T, rng *rand.Rand) {
 	}
 }
 
-// TestPatchedSnapshotDifferential is the proof that publishing by patch
+// TestPatchedSnapshotDifferential is the proof that copy-on-write pinning
 // never changes what a reader sees. Seeded random mutations (replay with
-// -seed=N) run over every store that publishes adj snapshots; after every
-// step the incrementally patched view must render exactly like a full
-// adj.Build of the same store, and the view pinned before the step must
-// still render what it rendered then.
+// -seed=N) run over every store that pins views; after every step the
+// view pinned at rest must render exactly like the store itself, and the
+// view pinned before the step must still render what it rendered then.
 func TestPatchedSnapshotDifferential(t *testing.T) {
 	seed := SeedOrDefault(0x9A7C4)
 	for _, s := range patchSubjects(t) {
@@ -213,7 +166,7 @@ func TestPatchedSnapshotDifferential(t *testing.T) {
 			prevRender := renderGraph(t, prev)
 			steps := 40
 			if s.name == "kvgraph-disk" {
-				steps = 12 // the oracle re-reads the whole store through the btree each step
+				steps = 12 // the oracle reads the whole store through the btree each step
 			}
 			for step := 0; step < steps; step++ {
 				for k := rng.Intn(3); k >= 0; k-- {
@@ -224,12 +177,8 @@ func TestPatchedSnapshotDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := renderGraph(t, cur)
-				full, err := adj.Build(liveSource{s}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := renderGraph(t, full); got != want {
-					t.Fatalf("seed %d step %d: patched view differs from a full render\npatched:\n%s\nfull:\n%s\n(replay with -seed=%d)",
+				if want := renderGraph(t, s.g); got != want {
+					t.Fatalf("seed %d step %d: pinned view differs from the store at rest\npinned:\n%s\nstore:\n%s\n(replay with -seed=%d)",
 						seed, step, got, want, seed)
 				}
 				if again := renderGraph(t, prev); again != prevRender {
@@ -291,8 +240,8 @@ func TestPlanStatsDriftBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := view.(*adj.Snapshot).Epoch(); got != st.Epoch {
-					t.Fatalf("step %d: statistics stamped %d on a quiescent store at %d", step, st.Epoch, got)
+				if st.Epoch != epoch {
+					t.Fatalf("step %d: statistics stamped %d on a quiescent store at %d", step, st.Epoch, epoch)
 				}
 				built, err := stats.Build(view, st.Epoch)
 				release()
@@ -342,7 +291,7 @@ func TestViewEnumeratesLiveOrder(t *testing.T) {
 			for i := 0; i < 240; i++ { // ten hubs: long out lists, in lists of about six
 				s.addEdge(t, rng, s.nodes[rng.Intn(10)], s.nodes[rng.Intn(len(s.nodes))])
 			}
-			_, release, err := s.acquire() // publish, so the next pin patches
+			_, release, err := s.acquire() // pin, so the writes below clone what they touch
 			if err != nil {
 				t.Fatal(err)
 			}

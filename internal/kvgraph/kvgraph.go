@@ -24,8 +24,8 @@ import (
 	"fmt"
 	"sync"
 
-	adjpkg "gdbm/internal/adj"
 	"gdbm/internal/cache"
+	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/obs"
 	"gdbm/internal/query/stats"
@@ -42,14 +42,18 @@ import (
 // after validating its target, so a rejected mutation invalidates nothing.
 // Engines key their statement-result caches on Epoch(), publishing an
 // entry only when the epoch stayed stable across the computation, and the
-// copy-on-write views and the planner statistics (view.go) are versioned
-// on it; see the cache.Epoch contract.
+// planner statistics (view.go) are versioned on it; see the cache.Epoch
+// contract.
 type Graph struct {
 	mu    sync.Mutex // serializes mutations
 	st    kv.Store
 	epoch cache.Epoch
-	ver   adjpkg.Versioned // copy-on-write views, see view.go
-	stats stats.Versioned  // planner statistics, see PlanStats (view.go)
+	stats stats.Versioned // planner statistics, see PlanStats (view.go)
+
+	// mirror is the in-memory copy of the records that AcquireView pins
+	// (view.go), guarded by mu: nil until the first pin builds it, and
+	// after a mutation that failed part-way drops it.
+	mirror *memgraph.Graph
 
 	// The M!n and M!e counters as last written, guarded by mu.
 	nodeIDs, edgeIDs idCounter
@@ -243,16 +247,16 @@ func decodeEdgeRecord(id model.EdgeID, data []byte) (model.Edge, error) {
 }
 
 // AddNode implements model.MutableGraph.
-func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, error) {
+func (g *Graph) AddNode(label string, props model.Properties) (_ model.NodeID, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.epoch.Bump()
 	defer g.epoch.Bump()
+	defer g.dropMirrorOn(&err)
 	id, err := g.nextID(&g.nodeIDs, "M!n")
 	if err != nil {
 		return 0, err
 	}
-	g.ver.MarkNode(model.NodeID(id))
 	rec, err := encodeNodeRecord(model.Node{Label: label, Props: props})
 	if err != nil {
 		return 0, err
@@ -260,11 +264,14 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 	if err := g.st.Put(u64key("n!", id), rec); err != nil {
 		return 0, err
 	}
+	if m := g.mirror; m != nil {
+		g.keepMirror(m.PutNode(model.Node{ID: model.NodeID(id), Label: label, Props: props}))
+	}
 	return model.NodeID(id), nil
 }
 
 // AddEdge implements model.MutableGraph.
-func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
+func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Properties) (_ model.EdgeID, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err := g.hasNode(from); err != nil {
@@ -275,11 +282,11 @@ func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Propert
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
+	defer g.dropMirrorOn(&err)
 	id, err := g.nextID(&g.edgeIDs, "M!e")
 	if err != nil {
 		return 0, err
 	}
-	g.ver.MarkLink(model.EdgeID(id), from, to)
 	rec, err := encodeEdgeRecord(model.Edge{From: from, To: to, Label: label, Props: props})
 	if err != nil {
 		return 0, err
@@ -292,6 +299,9 @@ func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Propert
 	}
 	if err := g.st.Put(adjKey("i!", uint64(to), id), adjValue(from, label)); err != nil {
 		return 0, err
+	}
+	if m := g.mirror; m != nil {
+		g.keepMirror(m.PutEdge(model.Edge{ID: model.EdgeID(id), Label: label, From: from, To: to, Props: props}))
 	}
 	return model.EdgeID(id), nil
 }
@@ -334,7 +344,7 @@ func (g *Graph) Edge(id model.EdgeID) (model.Edge, error) {
 }
 
 // RemoveNode implements model.MutableGraph; incident edges are removed too.
-func (g *Graph) RemoveNode(id model.NodeID) error {
+func (g *Graph) RemoveNode(id model.NodeID) (err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, err := g.Node(id); err != nil {
@@ -342,6 +352,7 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
+	defer g.dropMirrorOn(&err)
 	seen := map[model.EdgeID]bool{}
 	var eids []model.EdgeID
 	collect := func(prefix string) error {
@@ -369,13 +380,17 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 			return err
 		}
 	}
-	g.ver.MarkNode(id)
-	_, err := g.st.Delete(u64key("n!", uint64(id)))
-	return err
+	if _, err := g.st.Delete(u64key("n!", uint64(id))); err != nil {
+		return err
+	}
+	if m := g.mirror; m != nil {
+		g.keepMirror(m.RemoveNode(id)) // its incident edges too, as above
+	}
+	return nil
 }
 
 // RemoveEdge implements model.MutableGraph.
-func (g *Graph) RemoveEdge(id model.EdgeID) error {
+func (g *Graph) RemoveEdge(id model.EdgeID) (err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e, err := g.Edge(id)
@@ -384,14 +399,20 @@ func (g *Graph) RemoveEdge(id model.EdgeID) error {
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	return g.removeEdgeLocked(e)
+	defer g.dropMirrorOn(&err)
+	if err := g.removeEdgeLocked(e); err != nil {
+		return err
+	}
+	if m := g.mirror; m != nil {
+		g.keepMirror(m.RemoveEdge(id))
+	}
+	return nil
 }
 
 // removeEdgeLocked deletes e's record and adjacency entries; the caller
 // holds mu and has bumped the epoch.
 func (g *Graph) removeEdgeLocked(e model.Edge) error {
 	id := e.ID
-	g.ver.MarkLink(id, e.From, e.To)
 	if _, err := g.st.Delete(u64key("e!", uint64(id))); err != nil {
 		return err
 	}
@@ -405,7 +426,7 @@ func (g *Graph) removeEdgeLocked(e model.Edge) error {
 }
 
 // SetNodeProp implements model.MutableGraph.
-func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
+func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) (err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n, err := g.Node(id)
@@ -414,7 +435,7 @@ func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	g.ver.MarkNode(id)
+	defer g.dropMirrorOn(&err)
 	if n.Props == nil {
 		n.Props = model.Properties{}
 	}
@@ -423,11 +444,17 @@ func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 	if err != nil {
 		return err
 	}
-	return g.st.Put(u64key("n!", uint64(id)), rec)
+	if err := g.st.Put(u64key("n!", uint64(id)), rec); err != nil {
+		return err
+	}
+	if m := g.mirror; m != nil {
+		g.keepMirror(m.SetNodeProp(id, key, v))
+	}
+	return nil
 }
 
 // SetEdgeProp implements model.MutableGraph.
-func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) error {
+func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) (err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e, err := g.Edge(id)
@@ -436,7 +463,7 @@ func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) error {
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	g.ver.MarkEdge(id)
+	defer g.dropMirrorOn(&err)
 	if e.Props == nil {
 		e.Props = model.Properties{}
 	}
@@ -445,7 +472,13 @@ func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) error {
 	if err != nil {
 		return err
 	}
-	return g.st.Put(u64key("e!", uint64(id)), rec)
+	if err := g.st.Put(u64key("e!", uint64(id)), rec); err != nil {
+		return err
+	}
+	if m := g.mirror; m != nil {
+		g.keepMirror(m.SetEdgeProp(id, key, v))
+	}
+	return nil
 }
 
 // Order implements model.Graph.

@@ -1,43 +1,89 @@
 package kvgraph
 
 import (
-	"encoding/binary"
+	"errors"
+	"fmt"
 
-	"gdbm/internal/adj"
+	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
 )
 
-// This file is the graph's read-concurrency surface: epoch-based
-// copy-on-write views rendered into succinct adjacency snapshots
-// (internal/adj), and the planner statistics. The mutation epoch kvgraph
-// already double-bumps for the cache layer doubles as the view version:
-// AcquireView pins the published snapshot in O(1) when the epoch is
-// unchanged and re-reads only the records written since otherwise,
-// decoding records once into block arrays so that a reader of the view
-// never touches the store. Only AcquireSnapshot callers get that, and no
-// view is rendered until one asks. Statements execute against the live
-// store — every Node, Edge and AppendNeighborIDs an operator issues is a
-// B+tree read here, the last one prefix range per direction — and the
-// planner's statistics are scanned from it too.
+// This file is the graph's read-concurrency surface: the pinned views of
+// AcquireView and the planner statistics. A view is a frozen state of a
+// memgraph mirror, an in-memory copy of the store's records that the first
+// AcquireView builds from one scan of the node records and one of the edge
+// records (checked against the adjacency entries), and that every mutation
+// then keeps current under mu, after its store writes succeed. The mirror
+// serves pinned views only: statements execute against the live store
+// (every Node, Edge and AppendNeighborIDs an operator issues is a B+tree
+// read here, the last one prefix range per direction), and the planner's
+// statistics are scanned from it too.
 
-// AcquireView pins an immutable point-in-time view of the graph. The fast
-// path is O(1): when the published snapshot already renders the current
-// stable epoch, acquisition is one atomic load and a pin, independent of
-// graph size. Otherwise the mutation mutex is taken to exclude writers
-// while the dirty records are re-read from the store. The release must be
-// called exactly once; it is idempotent.
+// AcquireView pins an immutable point-in-time view of the graph: a frozen
+// state of the mirror (memgraph's AcquireView), which a writer never
+// blocks and never changes. The first call builds the mirror, reading
+// every record of the store under mu; later calls are O(1), and wait only
+// for a mutation in flight. The release is idempotent.
 func (g *Graph) AcquireView() (model.Graph, model.ReleaseFunc, error) {
-	if s, rel := g.ver.TryPin(g.epoch.Current()); rel != nil {
-		return s, rel, nil
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s, rel, err := g.ver.Pin(g.epoch.Current(), kvSource{g})
-	if err != nil {
-		return nil, nil, err
+	if g.mirror == nil {
+		m, err := g.buildMirror()
+		if err != nil {
+			return nil, nil, err
+		}
+		g.mirror = m
 	}
-	return s, rel, nil
+	return g.mirror.AcquireView()
+}
+
+// buildMirror copies the store's records into a new memgraph, each at its
+// own id. The caller holds mu, so no write lands between the scans. It
+// also counts the adjacency entries and refuses a store whose entries
+// disagree in number with its edge records, as a write that failed part
+// way can leave it: the view would show edges the store's own adjacency
+// lacks, or miss ones it has.
+func (g *Graph) buildMirror() (*memgraph.Graph, error) {
+	m := memgraph.New()
+	var putErr error
+	put := func(err error) bool {
+		putErr = err
+		return err == nil
+	}
+	var entries [len(adjDirs)]int
+	for i, d := range adjDirs {
+		if err := g.st.Scan([]byte(d.prefix), func(_, _ []byte) bool { entries[i]++; return true }); err != nil {
+			return nil, err
+		}
+	}
+	if err := g.Nodes(func(n model.Node) bool { return put(m.PutNode(n)) }); err != nil || putErr != nil {
+		return nil, errors.Join(err, putErr)
+	}
+	if err := g.Edges(func(e model.Edge) bool { return put(m.PutEdge(e)) }); err != nil || putErr != nil {
+		return nil, errors.Join(err, putErr)
+	}
+	if size := m.Size(); entries[0] != size || entries[1] != size {
+		return nil, fmt.Errorf("kvgraph: %d out and %d in adjacency entries for %d edge records", entries[0], entries[1], size)
+	}
+	return m, nil
+}
+
+// keepMirror drops the mirror when a change to it failed, for the next
+// pin to rebuild. The caller holds mu.
+func (g *Graph) keepMirror(err error) {
+	if err != nil {
+		g.mirror = nil
+	}
+}
+
+// dropMirrorOn drops the mirror when a mutation failed past its
+// validation: it may have written some of its keys, so the next pin
+// rebuilds the mirror from what the store holds. Mutations defer it after
+// their first epoch bump, so a rejected one keeps the mirror. The caller
+// holds mu.
+func (g *Graph) dropMirrorOn(err *error) {
+	g.keepMirror(*err)
 }
 
 // PlanStats implements stats.Provider: the published statistics while the
@@ -52,72 +98,7 @@ func (g *Graph) PlanStats() (*stats.Stats, error) {
 	return g.stats.Get(g, g.epoch.Current)
 }
 
-// kvSource adapts the key layout to the snapshot builder. Its reads do not
-// take g.mu (the stores are internally synchronized), so they are safe to
-// call from Versioned.Pin while AcquireView holds the mutex.
-type kvSource struct{ g *Graph }
-
-func (s kvSource) counter(key string) (uint64, error) {
-	raw, ok, err := s.g.st.Get([]byte(key))
-	if err != nil || !ok {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(raw), nil
-}
-
-func (s kvSource) MaxNodeID() (model.NodeID, error) {
-	n, err := s.counter("M!n")
-	return model.NodeID(n), err
-}
-
-func (s kvSource) MaxEdgeID() (model.EdgeID, error) {
-	n, err := s.counter("M!e")
-	return model.EdgeID(n), err
-}
-
-func (s kvSource) NodeByID(id model.NodeID) (model.Node, bool, error) {
-	raw, ok, err := s.g.st.Get(u64key("n!", uint64(id)))
-	if err != nil || !ok {
-		return model.Node{}, false, err
-	}
-	n, err := decodeNodeRecord(id, raw)
-	if err != nil {
-		return model.Node{}, false, err
-	}
-	return n, true, nil
-}
-
-func (s kvSource) EdgeByID(id model.EdgeID) (model.Edge, bool, error) {
-	raw, ok, err := s.g.st.Get(u64key("e!", uint64(id)))
-	if err != nil || !ok {
-		return model.Edge{}, false, err
-	}
-	e, err := decodeEdgeRecord(id, raw)
-	if err != nil {
-		return model.Edge{}, false, err
-	}
-	return e, true, nil
-}
-
-func (s kvSource) incident(prefix string, id model.NodeID) ([]model.EdgeID, error) {
-	var eids []model.EdgeID
-	err := s.g.st.Scan(adjPrefix(prefix, uint64(id)), func(k, _ []byte) bool {
-		eids = append(eids, model.EdgeID(binary.BigEndian.Uint64(k[len(k)-8:])))
-		return true
-	})
-	return eids, err
-}
-
-func (s kvSource) OutEdges(id model.NodeID) ([]model.EdgeID, error) {
-	return s.incident("o!", id)
-}
-
-func (s kvSource) InEdges(id model.NodeID) ([]model.EdgeID, error) {
-	return s.incident("i!", id)
-}
-
 var (
 	_ model.Pinner   = (*Graph)(nil)
 	_ stats.Provider = (*Graph)(nil)
-	_ adj.Source     = kvSource{}
 )

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"gdbm/internal/adj"
 	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
 	"gdbm/internal/model"
@@ -16,9 +16,9 @@ import (
 )
 
 // TestAcquireViewPinsDrain mirrors the memgraph release-discipline test
-// over the kv-layered store: cold render, warm lock-free pin of the same
-// snapshot, idempotent release draining pins to zero, and invalidation
-// on mutation.
+// over the kv-layered store: the first pin builds the mirror, a warm pin
+// returns the same view, the release is idempotent, and a mutation
+// retires the view without changing it.
 func TestAcquireViewPinsDrain(t *testing.T) {
 	g := New(kv.NewMemory())
 	n1, err := g.AddNode("P", model.Props("rank", 1))
@@ -41,16 +41,12 @@ func TestAcquireViewPinsDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, s2 := v1.(*adj.Snapshot), v2.(*adj.Snapshot)
-	if s1 != s2 {
-		t.Fatal("warm AcquireView rebuilt instead of pinning the published snapshot")
+	if v1 != v2 {
+		t.Fatal("warm AcquireView froze a new view instead of returning the one it froze")
 	}
 	rel1()
 	rel1() // idempotent
 	rel2()
-	if got := s1.Pins(); got != 0 {
-		t.Fatalf("pins after releases = %d, want 0", got)
-	}
 
 	if err := g.RemoveEdge(model.EdgeID(1)); err != nil {
 		t.Fatal(err)
@@ -60,24 +56,24 @@ func TestAcquireViewPinsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rel3()
-	if v3.(*adj.Snapshot) == s1 {
-		t.Fatal("AcquireView returned a stale snapshot after a mutation")
+	if v3 == v1 {
+		t.Fatal("AcquireView returned a stale view after a mutation")
 	}
-	if v3.Size() != 0 || s1.Size() != 1 {
-		t.Fatalf("sizes after removal: new=%d old=%d, want 0/1", v3.Size(), s1.Size())
+	if v3.Size() != 0 || v1.Size() != 1 {
+		t.Fatalf("sizes after removal: new=%d old=%d, want 0/1", v3.Size(), v1.Size())
 	}
 }
 
 // TestRejectedMutationInvalidatesNothing: a mutation that fails validation
-// changes nothing, so it must leave the epoch, the published snapshot and
-// the published statistics exactly as reachable as they were.
+// changes nothing, so it must leave the epoch, the pinned view and the
+// published statistics exactly as reachable as they were.
 func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 	g := New(kv.NewMemory())
 	n1, err := g.AddNode("P", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, release, err := g.AcquireView() // publishes the snapshot
+	view, release, err := g.AcquireView() // builds the mirror
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +81,9 @@ func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 	if _, err := g.PlanStats(); err != nil { // publishes the statistics
 		t.Fatal(err)
 	}
-	epoch, snap, st := g.Epoch(), g.ver.Current(), g.stats.TryGet(g.Epoch())
-	if snap == nil || st == nil {
-		t.Fatal("nothing published")
+	epoch, st := g.Epoch(), g.stats.TryGet(g.Epoch())
+	if st == nil {
+		t.Fatal("no statistics published")
 	}
 	const ghost = 99
 	rejected := map[string]error{
@@ -106,23 +102,23 @@ func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 	if g.Epoch() != epoch {
 		t.Errorf("rejected mutations moved the epoch %d -> %d", epoch, g.Epoch())
 	}
-	if g.ver.Current() != snap {
-		t.Error("rejected mutations replaced the published snapshot")
-	}
 	if g.stats.TryGet(g.Epoch()) != st {
 		t.Error("rejected mutations made the published statistics unreachable")
 	}
-	if s, rel := g.ver.TryPin(g.Epoch()); rel == nil || s != snap {
-		t.Error("the published snapshot no longer pins at the current epoch")
-	} else {
-		rel()
+	again, release, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if again != view {
+		t.Error("rejected mutations retired the pinned view")
 	}
 }
 
 // TestPlanningRendersNoView: loading, indexing, planner statistics, a
-// compiled query and a write leave the graph without a rendered view, in
-// memory and on disk; the first AcquireView renders one, and the next
-// write is patched into it.
+// compiled query and a write leave the graph without a mirror, in memory
+// and on disk; the first AcquireView builds one, and the next write lands
+// in the next view and leaves that one as it was.
 func TestPlanningRendersNoView(t *testing.T) {
 	disk, err := kv.OpenDisk(filepath.Join(t.TempDir(), "plan.pg"), 64)
 	if err != nil {
@@ -137,8 +133,8 @@ func planningRendersNoView(t *testing.T, g *Graph) {
 	c := propcore.New(g)
 	noView := func(stage string) {
 		t.Helper()
-		if g.ver.Current() != nil {
-			t.Fatalf("%s rendered a view", stage)
+		if g.mirror != nil {
+			t.Fatalf("%s built the mirror", stage)
 		}
 	}
 	var prev model.NodeID
@@ -184,9 +180,9 @@ func planningRendersNoView(t *testing.T, g *Graph) {
 		t.Fatal(err)
 	}
 	release()
-	snap := view.(*adj.Snapshot)
-	if g.ver.Current() != snap {
-		t.Fatal("AcquireView did not publish the view it rendered")
+	snap := view
+	if g.mirror == nil {
+		t.Fatal("AcquireView built no mirror")
 	}
 	if err := c.SetNodeProp(4, "w", model.Int(2)); err != nil {
 		t.Fatal(err)
@@ -201,5 +197,66 @@ func planningRendersNoView(t *testing.T, g *Graph) {
 	}
 	if n, _ := snap.Node(4); n.Props["w"] != model.Int(1) {
 		t.Fatalf("the pinned view changed under a write: %+v", n)
+	}
+}
+
+// putFails fails every Put of a key that starts with prefix, while set.
+type putFails struct {
+	kv.Store
+	prefix string
+}
+
+var errPut = errors.New("put failed")
+
+func (s *putFails) Put(key, val []byte) error {
+	if s.prefix != "" && strings.HasPrefix(string(key), s.prefix) {
+		return errPut
+	}
+	return s.Store.Put(key, val)
+}
+
+// TestFailedWriteDropsMirror: a mutation that fails after its validation
+// drops the mirror, and a view pinned before it stays as it was. The next
+// pin rebuilds the mirror from what the store holds, and refuses a store
+// whose adjacency entries a half-written edge left disagreeing with its
+// edge records.
+func TestFailedWriteDropsMirror(t *testing.T) {
+	st := &putFails{Store: kv.NewMemory()}
+	g := New(st)
+	a, _ := g.AddNode("N", model.Props("k", 1))
+	b, _ := g.AddNode("N", nil)
+	before, release, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	st.prefix = "n!"
+	if err := g.SetNodeProp(a, "k", model.Int(2)); !errors.Is(err, errPut) {
+		t.Fatalf("SetNodeProp: err = %v, want the failed put", err)
+	}
+	st.prefix = ""
+	if g.mirror != nil {
+		t.Fatal("a failed mutation kept the mirror")
+	}
+	rebuilt, release2, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release2()
+	if n, _ := rebuilt.Node(a); !n.Props.Equal(model.Props("k", 1)) || rebuilt == before {
+		t.Fatalf("rebuilt view: node %d props %v, want the stored {k: 1}", a, n.Props)
+	}
+
+	st.prefix = "i!" // AddEdge writes the edge record and its out entry first
+	if _, err := g.AddEdge("e", a, b, nil); !errors.Is(err, errPut) {
+		t.Fatalf("AddEdge: err = %v, want the failed put", err)
+	}
+	st.prefix = ""
+	if _, _, err := g.AcquireView(); err == nil {
+		t.Fatal("pinned a store whose adjacency entries disagree with its edge records")
+	}
+	if before.Size() != 0 || rebuilt.Size() != 0 {
+		t.Fatalf("views pinned before the failed write have %d and %d edges", before.Size(), rebuilt.Size())
 	}
 }

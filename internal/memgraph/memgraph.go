@@ -5,13 +5,22 @@
 package memgraph
 
 import (
+	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
-	"gdbm/internal/adj"
 	"gdbm/internal/cache"
 	"gdbm/internal/model"
 	"gdbm/internal/query/stats"
+)
+
+// Records live in blocks of blockSize consecutive ids: block b holds ids
+// [b<<blockShift, (b+1)<<blockShift) at slots 0..blockSize-1.
+const (
+	blockShift = 9
+	blockSize  = 1 << blockShift
+	blockMask  = blockSize - 1
 )
 
 // nodeRec is one node slot: the record inline beside its adjacency lists,
@@ -22,62 +31,121 @@ type nodeRec struct {
 	in  []model.EdgeID
 }
 
+// block holds the slots of blockSize consecutive ids. Only the graph
+// generation named by stamp writes it in place; any other writer clones it
+// first (blocks.write), so a frozen view that holds it never sees it change.
+type block[T any] struct {
+	stamp uint64
+	recs  [blockSize]T
+}
+
+// blocks is one record kind's block directory. A nil entry, or an entry
+// past its end, holds only vacant slots. The directory is copy-on-write
+// like its blocks, under its own stamp.
+type blocks[T any] struct {
+	dir   []*block[T]
+	stamp uint64
+}
+
+// at returns id's slot, or nil when no block holds it.
+func (d *blocks[T]) at(id uint64) *T {
+	if b := id >> blockShift; b < uint64(len(d.dir)) && d.dir[b] != nil {
+		return &d.dir[b].recs[id&blockMask]
+	}
+	return nil
+}
+
+// write returns id's slot for a writer of generation stamp. A directory or
+// block another generation made is cloned first, a block that does not
+// exist yet is made, and clip, when not nil, is applied to every slot of a
+// cloned block.
+func (d *blocks[T]) write(id, stamp uint64, clip func(*T)) *T {
+	b := id >> blockShift
+	if d.stamp != stamp {
+		d.dir, d.stamp = slices.Clone(d.dir), stamp
+	}
+	if n := uint64(len(d.dir)); b >= n {
+		d.dir = append(d.dir, make([]*block[T], b+1-n)...)
+	}
+	blk := d.dir[b]
+	switch {
+	case blk == nil:
+		blk = &block[T]{stamp: stamp}
+		d.dir[b] = blk
+	case blk.stamp != stamp:
+		c := *blk
+		c.stamp = stamp
+		if clip != nil {
+			for i := range c.recs {
+				clip(&c.recs[i])
+			}
+		}
+		blk = &c
+		d.dir[b] = blk
+	}
+	return &blk.recs[id&blockMask]
+}
+
+// clipLists caps a cloned node slot's lists at their length, so the next
+// append reallocates instead of writing into an array a frozen view
+// shares. A removal copies its list for the same reason (without).
+func clipLists(n *nodeRec) {
+	n.out, n.in = slices.Clip(n.out), slices.Clip(n.in)
+}
+
+// stamps issues graph generations; no two are equal, so no graph writes a
+// block another graph, or an earlier generation of itself, stamped.
+var stamps atomic.Uint64
+
 // Graph is an in-memory attributed directed multigraph. Records live in
-// slices indexed by id: ids are dense, monotone and never reused, so a
-// lookup is a bounds check, not a hash probe. Slot 0 and the slots of
-// removed records hold zero values (a zero ID marks them empty), and live
-// counts answer Order and Size.
+// 512-id blocks indexed by id (view): ids are dense, monotone and never
+// reused, so a lookup is a shift, a mask and a load, not a hash probe.
+// Slot 0 and the slots of removed records hold zero values (a zero ID
+// marks them empty), and live counts answer Order and Size.
 //
-// It is safe for concurrent use; reads take a shared lock. Every mutation
-// double-bumps the epoch and marks the touched records in ver, which
-// publishes the O(1) copy-on-write views of AcquireView (see view.go). A
-// rejected mutation changes nothing and so does neither: it is validated
-// under mu before the first bump.
+// It is safe for concurrent use; reads take a shared lock. Writes change
+// the blocks in place until a view is frozen (AcquireView, Snapshot); a
+// freeze takes a fresh stamp, so the next write clones the block it
+// touches and leaves the frozen one as it was. Every mutation
+// double-bumps the epoch; a rejected mutation changes nothing and so does
+// not: it is validated under mu before the first bump.
 type Graph struct {
 	mu    sync.RWMutex
-	nodes []nodeRec    // nodes[id]; len(nodes)-1 is the largest id issued
-	edges []model.Edge // edges[id]; likewise
-	order int          // live nodes
-	size  int          // live edges
-	epoch cache.Epoch
-	ver   adj.Versioned
-	stats stats.Versioned // planner statistics, see PlanStats (view.go)
+	cur   view   // the records, guarded by mu
+	stamp uint64 // this graph's generation: blocks carrying it are its to write
+	// The largest ids issued; ids past cur's directories read as vacant.
+	maxNode model.NodeID
+	maxEdge model.EdgeID
+	pinned  atomic.Pointer[frozen] // the view AcquireView last froze
+	epoch   cache.Epoch
+	stats   stats.Versioned // planner statistics, see PlanStats (view.go)
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{nodes: make([]nodeRec, 1), edges: make([]model.Edge, 1)}
-}
-
-// node returns id's slot, or nil when id names no live node. The pointer
-// is valid only until the next append to g.nodes.
-func (g *Graph) node(id model.NodeID) *nodeRec {
-	if id >= model.NodeID(len(g.nodes)) || g.nodes[id].ID == 0 {
-		return nil
-	}
-	return &g.nodes[id]
-}
-
-// edge returns id's slot, or nil when id names no live edge.
-func (g *Graph) edge(id model.EdgeID) *model.Edge {
-	if id >= model.EdgeID(len(g.edges)) || g.edges[id].ID == 0 {
-		return nil
-	}
-	return &g.edges[id]
-}
+func New() *Graph { return &Graph{stamp: stamps.Add(1)} }
 
 // Order returns the number of nodes.
 func (g *Graph) Order() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.order
+	return g.cur.order
 }
 
 // Size returns the number of edges.
 func (g *Graph) Size() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.size
+	return g.cur.size
+}
+
+// writeNode and writeEdge return id's slot for writing; the caller holds
+// mu for writing.
+func (g *Graph) writeNode(id model.NodeID) *nodeRec {
+	return g.cur.nodes.write(uint64(id), g.stamp, clipLists)
+}
+
+func (g *Graph) writeEdge(id model.EdgeID) *model.Edge {
+	return g.cur.edges.write(uint64(id), g.stamp, nil)
 }
 
 // AddNode inserts a node and returns its identifier.
@@ -86,10 +154,10 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 	defer g.mu.Unlock()
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	id := model.NodeID(len(g.nodes))
-	g.ver.MarkNode(id)
-	g.nodes = append(g.nodes, nodeRec{Node: model.Node{ID: id, Label: label, Props: props.Clone()}})
-	g.order++
+	g.maxNode++
+	id := g.maxNode
+	*g.writeNode(id) = nodeRec{Node: model.Node{ID: id, Label: label, Props: props.Clone()}}
+	g.cur.order++
 	return id, nil
 }
 
@@ -98,40 +166,79 @@ func (g *Graph) AddNode(label string, props model.Properties) (model.NodeID, err
 func (g *Graph) AddEdge(label string, from, to model.NodeID, props model.Properties) (model.EdgeID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	src, dst := g.node(from), g.node(to)
-	if src == nil {
-		return 0, model.NodeNotFound(from)
-	}
-	if dst == nil {
-		return 0, model.NodeNotFound(to)
+	if err := g.cur.hasEnds(from, to); err != nil {
+		return 0, err
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	id := model.EdgeID(len(g.edges))
-	g.ver.MarkLink(id, from, to)
-	g.edges = append(g.edges, model.Edge{ID: id, Label: label, From: from, To: to, Props: props.Clone()})
-	g.size++
-	src.out = append(src.out, id)
-	dst.in = append(dst.in, id)
+	g.maxEdge++
+	id := g.maxEdge
+	g.linkLocked(model.Edge{ID: id, Label: label, From: from, To: to, Props: props.Clone()})
 	return id, nil
+}
+
+// linkLocked stores the new edge e at its id and appends it to its
+// endpoints' lists at the place its id sorts to, which is their end when
+// e has the largest id issued.
+func (g *Graph) linkLocked(e model.Edge) {
+	*g.writeEdge(e.ID) = e
+	g.cur.size++
+	src := g.writeNode(e.From)
+	src.out = insertID(src.out, e.ID)
+	dst := g.writeNode(e.To)
+	dst.in = insertID(dst.in, e.ID)
+}
+
+// PutNode adds n at its own id, for a store that issues ids itself and
+// keeps a Graph as a copy of its records (kvgraph's mirror). The slot must
+// be vacant and not 0; the ids issued extend to n.ID.
+func (g *Graph) PutNode(n model.Node) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if n.ID == 0 || g.cur.node(n.ID) != nil {
+		return fmt.Errorf("memgraph: put node %d: %w", n.ID, model.ErrAlreadyExists)
+	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
+	*g.writeNode(n.ID) = nodeRec{Node: model.Node{ID: n.ID, Label: n.Label, Props: n.Props.Clone()}}
+	g.cur.order++
+	g.maxNode = max(g.maxNode, n.ID)
+	return nil
+}
+
+// PutEdge is PutNode for edges; both endpoints must exist.
+func (g *Graph) PutEdge(e model.Edge) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e.ID == 0 || g.cur.edge(e.ID) != nil {
+		return fmt.Errorf("memgraph: put edge %d: %w", e.ID, model.ErrAlreadyExists)
+	}
+	if err := g.cur.hasEnds(e.From, e.To); err != nil {
+		return err
+	}
+	g.epoch.Bump()
+	defer g.epoch.Bump()
+	e.Props = e.Props.Clone()
+	g.linkLocked(e)
+	g.maxEdge = max(g.maxEdge, e.ID)
+	return nil
 }
 
 // RemoveNode deletes a node and every incident edge.
 func (g *Graph) RemoveNode(id model.NodeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := g.node(id)
+	n := g.cur.node(id)
 	if n == nil {
 		return model.NodeNotFound(id)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	for _, eid := range append(append([]model.EdgeID(nil), n.out...), n.in...) {
-		g.removeEdgeLocked(eid)
+	for _, eid := range append(slices.Clone(n.out), n.in...) {
+		g.removeEdgeLocked(eid, id)
 	}
-	g.ver.MarkNode(id)
-	*n = nodeRec{}
-	g.order--
+	*g.writeNode(id) = nodeRec{}
+	g.cur.order--
 	return nil
 }
 
@@ -139,57 +246,75 @@ func (g *Graph) RemoveNode(id model.NodeID) error {
 func (g *Graph) RemoveEdge(id model.EdgeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.edge(id) == nil {
+	if g.cur.edge(id) == nil {
 		return model.EdgeNotFound(id)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	g.removeEdgeLocked(id)
+	g.removeEdgeLocked(id, 0)
 	return nil
 }
 
-func (g *Graph) removeEdgeLocked(id model.EdgeID) {
-	e := g.edge(id)
+// removeEdgeLocked deletes edge id from its record slot and from the lists
+// of its endpoints, except those of gone, a node being removed whole.
+func (g *Graph) removeEdgeLocked(id model.EdgeID, gone model.NodeID) {
+	e := g.cur.edge(id)
 	if e == nil {
 		return // a self-loop, already removed through its other end
 	}
-	g.ver.MarkLink(id, e.From, e.To)
-	src, dst := &g.nodes[e.From], &g.nodes[e.To]
-	src.out = removeID(src.out, id)
-	dst.in = removeID(dst.in, id)
-	*e = model.Edge{}
-	g.size--
-}
-
-// removeID deletes id from s in place, keeping the rest in order: a list
-// stays ascending, as ids are appended in issue order.
-func removeID(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
-	if i := slices.Index(s, id); i >= 0 {
-		return slices.Delete(s, i, i+1)
+	from, to := e.From, e.To
+	*g.writeEdge(id) = model.Edge{}
+	g.cur.size--
+	if from != gone {
+		src := g.writeNode(from)
+		src.out = without(src.out, id)
 	}
-	return s
+	if to != gone {
+		dst := g.writeNode(to)
+		dst.in = without(dst.in, id)
+	}
 }
 
-// Node returns the node record for id.
+// insertID adds id to the ascending list s at its place.
+func insertID(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
+	if len(s) == 0 || s[len(s)-1] < id {
+		return append(s, id)
+	}
+	i, _ := slices.BinarySearch(s, id)
+	return slices.Insert(s, i, id)
+}
+
+// without returns s less id, keeping the rest in order. It never writes
+// to s's array, which a frozen view may share: removing the last id
+// reslices, any other copies.
+func without(s []model.EdgeID, id model.EdgeID) []model.EdgeID {
+	i := slices.Index(s, id)
+	if i < 0 {
+		return s
+	}
+	return append(s[:i:i], s[i+1:]...)
+}
+
+// Node returns the node record for id. It and Edge look the slot up
+// themselves: the view's Node and Edge do not inline, and a point read is
+// on every operator's path.
 func (g *Graph) Node(id model.NodeID) (model.Node, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := g.node(id)
-	if n == nil {
-		return model.Node{}, model.NodeNotFound(id)
+	if n := g.cur.node(id); n != nil {
+		return n.Node, nil
 	}
-	return n.Node, nil
+	return model.Node{}, model.NodeNotFound(id)
 }
 
 // Edge returns the edge record for id.
 func (g *Graph) Edge(id model.EdgeID) (model.Edge, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	e := g.edge(id)
-	if e == nil {
-		return model.Edge{}, model.EdgeNotFound(id)
+	if e := g.cur.edge(id); e != nil {
+		return *e, nil
 	}
-	return *e, nil
+	return model.Edge{}, model.EdgeNotFound(id)
 }
 
 // SetNodeProp sets one property on a node. The property map is replaced,
@@ -198,13 +323,12 @@ func (g *Graph) Edge(id model.EdgeID) (model.Edge, error) {
 func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := g.node(id)
-	if n == nil {
+	if g.cur.node(id) == nil {
 		return model.NodeNotFound(id)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	g.ver.MarkNode(id)
+	n := g.writeNode(id)
 	n.Props = withProp(n.Props, key, v)
 	return nil
 }
@@ -214,13 +338,12 @@ func (g *Graph) SetNodeProp(id model.NodeID, key string, v model.Value) error {
 func (g *Graph) SetEdgeProp(id model.EdgeID, key string, v model.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e := g.edge(id)
-	if e == nil {
+	if g.cur.edge(id) == nil {
 		return model.EdgeNotFound(id)
 	}
 	g.epoch.Bump()
 	defer g.epoch.Bump()
-	g.ver.MarkEdge(id)
+	e := g.writeEdge(id)
 	e.Props = withProp(e.Props, key, v)
 	return nil
 }
@@ -235,77 +358,62 @@ func withProp(props model.Properties, key string, v model.Value) model.Propertie
 	return props
 }
 
-// Nodes iterates all nodes in ascending id order.
+// Nodes iterates all nodes in ascending id order. The records are copied
+// under the read lock, so fn may write to the graph.
 func (g *Graph) Nodes(fn func(model.Node) bool) error {
 	g.mu.RLock()
-	snapshot := make([]model.Node, 0, g.order)
-	for i := range g.nodes {
-		if n := &g.nodes[i]; n.ID != 0 {
-			snapshot = append(snapshot, n.Node)
-		}
-	}
+	snapshot := make([]model.Node, 0, g.cur.order)
+	err := g.cur.Nodes(func(n model.Node) bool {
+		snapshot = append(snapshot, n)
+		return true
+	})
 	g.mu.RUnlock()
 	for _, n := range snapshot {
 		if !fn(n) {
-			return nil
+			break
 		}
 	}
-	return nil
+	return err
 }
 
-// Edges iterates all edges in ascending id order.
+// Edges iterates all edges in ascending id order, as Nodes does.
 func (g *Graph) Edges(fn func(model.Edge) bool) error {
 	g.mu.RLock()
-	snapshot := make([]model.Edge, 0, g.size)
-	for _, e := range g.edges {
-		if e.ID != 0 {
-			snapshot = append(snapshot, e)
-		}
-	}
+	snapshot := make([]model.Edge, 0, g.cur.size)
+	err := g.cur.Edges(func(e model.Edge) bool {
+		snapshot = append(snapshot, e)
+		return true
+	})
 	g.mu.RUnlock()
 	for _, e := range snapshot {
 		if !fn(e) {
-			return nil
+			break
 		}
 	}
-	return nil
+	return err
 }
 
 // Neighbors iterates edges incident to id in direction dir together with the
 // far-end node: out-edges before in-edges, each in ascending edge-id order.
+// The pairs are copied under the read lock, so fn may write to the graph.
 func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Edge, model.Node) bool) error {
-	g.mu.RLock()
-	n := g.node(id)
-	if n == nil {
-		g.mu.RUnlock()
-		return model.NodeNotFound(id)
-	}
 	type pair struct {
 		e model.Edge
 		n model.Node
 	}
+	g.mu.RLock()
+	n := g.cur.node(id)
+	if n == nil {
+		g.mu.RUnlock()
+		return model.NodeNotFound(id)
+	}
 	// Sized before the loop: growing by doubling would copy records while
 	// writers wait on the lock.
-	size := 0
-	if dir != model.In {
-		size += len(n.out)
-	}
-	if dir != model.Out {
-		size += len(n.in)
-	}
-	pairs := make([]pair, 0, size)
-	if dir != model.In {
-		for _, eid := range n.out {
-			e := &g.edges[eid]
-			pairs = append(pairs, pair{*e, g.nodes[e.To].Node})
-		}
-	}
-	if dir != model.Out {
-		for _, eid := range n.in {
-			e := &g.edges[eid]
-			pairs = append(pairs, pair{*e, g.nodes[e.From].Node})
-		}
-	}
+	pairs := make([]pair, 0, degree(n, dir))
+	g.cur.neighbors(n, dir, func(e model.Edge, far model.Node) bool {
+		pairs = append(pairs, pair{e, far})
+		return true
+	})
 	g.mu.RUnlock()
 	for _, p := range pairs {
 		if !fn(p.e, p.n) {
@@ -322,45 +430,14 @@ func (g *Graph) Neighbors(id model.NodeID, dir model.Direction, fn func(model.Ed
 func (g *Graph) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir model.Direction, label string) ([]model.NeighborID, bool, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := g.node(id)
-	if n == nil {
-		return buf, true, model.NodeNotFound(id)
-	}
-	if dir != model.In {
-		buf = slices.Grow(buf, len(n.out)) // once, not by doubling
-		for _, eid := range n.out {
-			if e := &g.edges[eid]; label == "" || e.Label == label {
-				buf = append(buf, model.NeighborID{Edge: eid, Node: e.To})
-			}
-		}
-	}
-	if dir != model.Out {
-		buf = slices.Grow(buf, len(n.in))
-		for _, eid := range n.in {
-			if e := &g.edges[eid]; label == "" || e.Label == label {
-				buf = append(buf, model.NeighborID{Edge: eid, Node: e.From})
-			}
-		}
-	}
-	return buf, true, nil
+	return g.cur.AppendNeighborIDs(buf, id, dir, label)
 }
 
 // Degree returns the number of incident edges in direction dir.
 func (g *Graph) Degree(id model.NodeID, dir model.Direction) (int, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := g.node(id)
-	if n == nil {
-		return 0, model.NodeNotFound(id)
-	}
-	switch dir {
-	case model.Out:
-		return len(n.out), nil
-	case model.In:
-		return len(n.in), nil
-	default:
-		return len(n.out) + len(n.in), nil
-	}
+	return g.cur.Degree(id, dir)
 }
 
 var _ model.MutableGraph = (*Graph)(nil)

@@ -2,8 +2,10 @@ package memgraph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gdbm/internal/model"
 )
@@ -252,6 +254,54 @@ func TestSnapshotPropsSurviveLiveWrites(t *testing.T) {
 	}
 }
 
+// TestSnapshotCostFlat: Snapshot freezes the records where they are, so
+// taking one before a write, as neograph's Update does, allocates the same
+// at 1 000 nodes as at 100 000, and at 20 000 nodes, the memory
+// workloads' size, takes under 0.1 ms.
+func TestSnapshotCostFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 100k-node graph")
+	}
+	chain := func(n int) *Graph {
+		g := New()
+		for i := 1; i <= n; i++ {
+			if _, err := g.AddNode("N", model.Props("rank", i)); err != nil {
+				t.Fatal(err)
+			}
+			if i > 1 {
+				mustEdge(t, g, "next", model.NodeID(i-1), model.NodeID(i))
+			}
+		}
+		return g
+	}
+	allocsAt := func(g *Graph) float64 {
+		v := int64(0)
+		return testing.AllocsPerRun(50, func() {
+			if s := g.Snapshot(); s.Order() != g.Order() {
+				t.Fatalf("snapshot order %d, graph %d", s.Order(), g.Order())
+			}
+			v++
+			if err := g.SetNodeProp(7, "hits", model.Int(v)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocsAt(chain(1_000)), allocsAt(chain(100_000))
+	t.Logf("allocs per Snapshot and write: 1k=%.0f 100k=%.0f", small, large)
+	if large > small {
+		t.Errorf("Snapshot allocates with graph size: 1k=%.0f 100k=%.0f", small, large)
+	}
+	g := chain(20_000)
+	const runs = 200
+	start := time.Now()
+	for i := 0; i < runs; i++ {
+		g.Snapshot()
+	}
+	if per := time.Since(start) / runs; per > 100*time.Microsecond {
+		t.Errorf("Snapshot of 20 000 nodes takes %v, want under 0.1 ms", per)
+	}
+}
+
 func TestSetProps(t *testing.T) {
 	g, ids := triangle(t)
 	if err := g.SetNodeProp(ids[0], "age", model.Int(3)); err != nil {
@@ -408,5 +458,46 @@ func TestAppendNeighborIDsMatchesNeighbors(t *testing.T) {
 	}
 	if _, _, err := g.AppendNeighborIDs(nil, 9999, model.Both, ""); !errors.Is(err, model.ErrNotFound) {
 		t.Errorf("missing node: err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestPutKeepsRecordsAtTheirIDs: PutNode and PutEdge add records at the
+// ids they carry, past gaps and across blocks, sort an edge into its
+// endpoints' lists by id whatever order it comes in, extend the ids issued,
+// and refuse a taken slot or id 0.
+func TestPutKeepsRecordsAtTheirIDs(t *testing.T) {
+	g := New()
+	for _, id := range []model.NodeID{3, 700, 1} {
+		if err := g.PutNode(model.Node{ID: id, Label: "N"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []model.Edge{{ID: 9, From: 3, To: 700}, {ID: 4, From: 3, To: 1}, {ID: 600, From: 700, To: 3}} {
+		if err := g.PutEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.Order() != 3 || g.Size() != 3 {
+		t.Fatalf("order/size = %d/%d, want 3/3", g.Order(), g.Size())
+	}
+	if ids, _, _ := g.AppendNeighborIDs(nil, 3, model.Both, ""); !slices.Equal(ids, []model.NeighborID{{Edge: 4, Node: 1}, {Edge: 9, Node: 700}, {Edge: 600, Node: 700}}) {
+		t.Errorf("node 3's adjacency = %v", ids)
+	}
+	for _, err := range []error{
+		g.PutNode(model.Node{ID: 3}), g.PutNode(model.Node{}),
+		g.PutEdge(model.Edge{ID: 9, From: 3, To: 700}), g.PutEdge(model.Edge{}),
+	} {
+		if !errors.Is(err, model.ErrAlreadyExists) {
+			t.Errorf("put over a taken slot or id 0: %v", err)
+		}
+	}
+	if err := g.PutEdge(model.Edge{ID: 10, From: 3, To: 2}); !errors.Is(err, model.ErrNotFound) {
+		t.Errorf("edge to a missing node: %v", err)
+	}
+	if id, _ := g.AddNode("N", nil); id != 701 {
+		t.Errorf("AddNode after PutNode(700) = %d, want 701", id)
+	}
+	if id, _ := g.AddEdge("e", 1, 3, nil); id != 601 {
+		t.Errorf("AddEdge after PutEdge(600) = %d, want 601", id)
 	}
 }

@@ -170,9 +170,15 @@ func sameErr(t *testing.T, got, want error, format string, args ...any) {
 	}
 }
 
+// readGraph is what compareGraph reads: a Graph, or a view it froze.
+type readGraph interface {
+	model.Graph
+	model.IDAdjacency
+}
+
 // compareGraph checks every read of g against r: counts, both iterators,
 // and each probe id's record, degree and neighbourhood, errors included.
-func compareGraph(t *testing.T, g *Graph, r *refGraph, nodeProbes []model.NodeID, edgeProbes []model.EdgeID) {
+func compareGraph(t *testing.T, g readGraph, r *refGraph, nodeProbes []model.NodeID, edgeProbes []model.EdgeID) {
 	t.Helper()
 	if g.Order() != len(r.nodes) || g.Size() != len(r.edges) {
 		t.Fatalf("order/size = %d/%d, want %d/%d", g.Order(), g.Size(), len(r.nodes), len(r.edges))
@@ -362,4 +368,157 @@ func TestGraphMatchesMapReference(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// FuzzGraphMatchesMapReference drives byte-decoded operation sequences
+// through Graph and the map reference, as TestGraphMatchesMapReference
+// does, with views among them: AcquireView, Snapshot and RestoreFrom
+// interleave with adds (one node, or a run of up to 64 that crosses the
+// 512-id block boundaries), removals and property writes. After every step
+// the graph must read like the reference, and every view still held, the
+// snapshot included, must read like the reference did when it was taken.
+func FuzzGraphMatchesMapReference(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 1, 2, 9, 0, 8, 6, 1, 7, 4, 1, 2, 3, 8, 5, 1, 9, 0, 9, 1, 0})
+	// Nine runs of 64 nodes, then writes on both sides of id 512 with views
+	// and a snapshot held across them; each step ends with its probe byte.
+	f.Add([]byte{1, 63, 0, 1, 63, 0, 1, 63, 0, 1, 63, 0, 1, 63, 0, 1, 63, 0, 1, 63, 0, 1, 63, 0, 1, 63, 0,
+		8, 230, 2, 230, 5, 230, 6, 230, 230, 3, 226, 228, 230, 9, 230, 4, 230, 230, 5, 0, 230,
+		8, 230, 6, 226, 230, 9, 1, 230, 7, 0, 230, 2, 228, 226, 230})
+	// Node 1 gets three out-edges, so its list has room for a fourth; a
+	// snapshot, a fourth edge, a view, a restore and another edge: the
+	// view must keep the fourth.
+	f.Add([]byte{0, 0, 0, 0, 2, 100, 150, 0, 2, 100, 150, 0, 2, 100, 150, 0,
+		9, 0, 2, 100, 150, 0, 8, 0, 9, 1, 0, 2, 100, 150, 0})
+	f.Add([]byte{0, 0, 0, 0, 2, 1, 2, 2, 2, 1, 2, 2, 3, 3, 2, 8, 4, 2, 8, 5, 2, 8, 6, 1, 8, 9, 0, 7, 2, 9, 1})
+	labels := []string{"x", "y"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		take := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		g, r := New(), newRef()
+		var snap *Graph
+		var snapRef *refGraph
+		type held struct {
+			v   model.Graph
+			ref *refGraph
+		}
+		var views []held
+		// scale maps a byte below 255 onto 0..next+1 in proportion: an
+		// issued id, 0 or the id after the largest issued.
+		scale := func(k int, next uint64) uint64 { return uint64(k) * (next + 2) / 255 }
+		// pickNode and pickEdge name a scaled id or, for 255, the largest
+		// id there is.
+		pickNode := func() model.NodeID {
+			if k := take(); k < 255 {
+				return model.NodeID(scale(k, uint64(r.nextNode)))
+			}
+			return ^model.NodeID(0)
+		}
+		pickEdge := func() model.EdgeID {
+			if k := take(); k < 255 {
+				return model.EdgeID(scale(k, uint64(r.nextEdge)))
+			}
+			return ^model.EdgeID(0)
+		}
+		// probes names every id of a small graph, and otherwise the ids
+		// around at, those around the first block boundary and past the
+		// largest issued.
+		probes := func(r *refGraph, at int) ([]model.NodeID, []model.EdgeID) {
+			var ns []model.NodeID
+			var es []model.EdgeID
+			for id := 0; id <= 40; id++ {
+				ns, es = append(ns, model.NodeID(id)), append(es, model.EdgeID(id))
+			}
+			for id := range uint64(5) {
+				ns = append(ns, model.NodeID(scale(at, uint64(r.nextNode))+id), blockSize-2+model.NodeID(id))
+				es = append(es, model.EdgeID(scale(at, uint64(r.nextEdge))+id), blockSize-2+model.EdgeID(id))
+			}
+			ns = append(ns, r.nextNode, r.nextNode+1, ^model.NodeID(0))
+			es = append(es, r.nextEdge, r.nextEdge+1, ^model.EdgeID(0))
+			return ns, es
+		}
+		for step := 0; len(data) > 0 && step < 400; step++ {
+			switch op := take() % 10; op {
+			case 0, 1:
+				n := 1
+				if op == 1 {
+					n = take()%64 + 1
+				}
+				for i := 0; i < n; i++ {
+					var props model.Properties
+					if i%2 == 0 {
+						props = model.Props("k", step)
+					}
+					label := labels[i%2]
+					id, err := g.AddNode(label, props)
+					if want := r.addNode(label, props); id != want || err != nil {
+						t.Fatalf("step %d: AddNode = %d, %v; want %d", step, id, err, want)
+					}
+				}
+			case 2, 3:
+				from, to := pickNode(), pickNode()
+				label := labels[op%2]
+				id, err := g.AddEdge(label, from, to, nil)
+				want, werr := r.addEdge(label, from, to, nil)
+				sameErr(t, err, werr, "step %d: AddEdge(%d, %d)", step, from, to)
+				if id != want {
+					t.Fatalf("step %d: AddEdge = %d, want %d", step, id, want)
+				}
+			case 4:
+				id := pickNode()
+				sameErr(t, g.RemoveNode(id), r.removeNode(id), "step %d: RemoveNode(%d)", step, id)
+			case 5:
+				id := pickEdge()
+				sameErr(t, g.RemoveEdge(id), r.removeEdge(id), "step %d: RemoveEdge(%d)", step, id)
+			case 6:
+				id, v := pickNode(), model.Int(int64(step))
+				sameErr(t, g.SetNodeProp(id, "p", v), r.setNodeProp(id, "p", v), "step %d: SetNodeProp(%d)", step, id)
+			case 7:
+				id, v := pickEdge(), model.Int(int64(step))
+				sameErr(t, g.SetEdgeProp(id, "p", v), r.setEdgeProp(id, "p", v), "step %d: SetEdgeProp(%d)", step, id)
+			case 8:
+				v, release, err := g.AcquireView()
+				if err != nil {
+					t.Fatal(err)
+				}
+				release()
+				views = append(views, held{v, r.clone()})
+				if len(views) > 3 {
+					views = views[1:]
+				}
+			case 9:
+				if snap == nil || take()%2 == 0 {
+					snap, snapRef = g.Snapshot(), r.clone()
+					break
+				}
+				g.RestoreFrom(snap)
+				// Ids issued since the snapshot stay issued.
+				snapRef.nextNode, snapRef.nextEdge = r.nextNode, r.nextEdge
+				r, snap = snapRef, nil
+			}
+			at := take()
+			ns, es := probes(r, at)
+			compareGraph(t, g, r, ns, es)
+			for i, h := range views {
+				ns, es := probes(h.ref, at)
+				func() {
+					defer func() {
+						if t.Failed() {
+							t.Logf("step %d: view %d of %d", step, i, len(views))
+						}
+					}()
+					compareGraph(t, h.v.(readGraph), h.ref, ns, es)
+				}()
+			}
+			if snap != nil {
+				ns, es := probes(snapRef, at)
+				compareGraph(t, snap, snapRef, ns, es)
+			}
+		}
+	})
 }

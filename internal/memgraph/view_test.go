@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"gdbm/internal/adj"
 	"gdbm/internal/engines/propcore"
 	"gdbm/internal/index"
 	"gdbm/internal/model"
@@ -14,10 +13,9 @@ import (
 )
 
 // TestAcquireViewPinsDrain is the release-discipline regression test for
-// the closeleak ReleaseFunc sweep: every acquire path (cold render and
-// warm TryPin) must hand back a release that is idempotent and drains
-// the pin count to zero, and a warm acquire must reuse the published
-// snapshot rather than rebuilding.
+// the closeleak ReleaseFunc sweep: every acquire path (the first freeze and
+// the warm lock-free return) hands back a release that is idempotent, and
+// a warm acquire returns the view it froze rather than freezing again.
 func TestAcquireViewPinsDrain(t *testing.T) {
 	g := New()
 	n1, err := g.AddNode("P", model.Props("rank", 1))
@@ -32,30 +30,23 @@ func TestAcquireViewPinsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v1, rel1, err := g.AcquireView() // cold: renders the first snapshot
+	v1, rel1, err := g.AcquireView() // cold: freezes the records
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, rel2, err := g.AcquireView() // warm: lock-free pin of the same one
+	v2, rel2, err := g.AcquireView() // warm: the same view, lock-free
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, s2 := v1.(*adj.Snapshot), v2.(*adj.Snapshot)
-	if s1 != s2 {
-		t.Fatal("warm AcquireView rebuilt instead of pinning the published snapshot")
-	}
-	if got := s1.Pins(); got != 2 {
-		t.Fatalf("pins after two acquires = %d, want 2", got)
+	if v1 != v2 {
+		t.Fatal("warm AcquireView froze a new view instead of returning the one it froze")
 	}
 	rel1()
-	rel1() // idempotent: must not double-decrement
+	rel1() // idempotent
 	rel2()
-	if got := s1.Pins(); got != 0 {
-		t.Fatalf("pins after releases = %d, want 0", got)
-	}
 
-	// A mutation invalidates the published snapshot; the next acquire
-	// renders the new epoch and the old pinned view stays intact.
+	// A mutation retires the frozen view; the next acquire freezes the new
+	// epoch and the old view stays intact.
 	if _, err := g.AddNode("P", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -64,24 +55,24 @@ func TestAcquireViewPinsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rel3()
-	if v3.(*adj.Snapshot) == s1 {
-		t.Fatal("AcquireView returned a stale snapshot after a mutation")
+	if v3 == v1 {
+		t.Fatal("AcquireView returned a stale view after a mutation")
 	}
-	if v3.Order() != 3 || s1.Order() != 2 {
-		t.Fatalf("orders after mutation: new=%d old=%d, want 3/2", v3.Order(), s1.Order())
+	if v3.Order() != 3 || v1.Order() != 2 {
+		t.Fatalf("orders after mutation: new=%d old=%d, want 3/2", v3.Order(), v1.Order())
 	}
 }
 
 // TestRejectedMutationInvalidatesNothing: a mutation that fails validation
-// changes nothing, so it must leave the epoch, the published snapshot and
-// the published statistics exactly as reachable as they were.
+// changes nothing, so it must leave the epoch, the frozen view and the
+// published statistics exactly as reachable as they were.
 func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 	g := New()
 	n1, err := g.AddNode("P", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, release, err := g.AcquireView() // publishes the snapshot
+	view, release, err := g.AcquireView() // freezes the view
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +80,9 @@ func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 	if _, err := g.PlanStats(); err != nil { // publishes the statistics
 		t.Fatal(err)
 	}
-	epoch, snap, st := g.Epoch(), g.ver.Current(), g.stats.TryGet(g.Epoch())
-	if snap == nil || st == nil {
-		t.Fatal("nothing published")
+	epoch, st := g.Epoch(), g.stats.TryGet(g.Epoch())
+	if st == nil {
+		t.Fatal("no statistics published")
 	}
 	const ghost = 99
 	rejected := map[string]error{
@@ -110,29 +101,30 @@ func TestRejectedMutationInvalidatesNothing(t *testing.T) {
 	if g.Epoch() != epoch {
 		t.Errorf("rejected mutations moved the epoch %d -> %d", epoch, g.Epoch())
 	}
-	if g.ver.Current() != snap {
-		t.Error("rejected mutations replaced the published snapshot")
-	}
 	if g.stats.TryGet(g.Epoch()) != st {
 		t.Error("rejected mutations made the published statistics unreachable")
 	}
-	if s, rel := g.ver.TryPin(g.Epoch()); rel == nil || s != snap {
-		t.Error("the published snapshot no longer pins at the current epoch")
-	} else {
-		rel()
+	again, release, err := g.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if again != view {
+		t.Error("rejected mutations retired the frozen view")
 	}
 }
 
 // TestPlanningRendersNoView: loading, indexing, planner statistics, a
-// compiled query and a write leave the graph without a rendered view; the
-// first AcquireView renders one, and the next write is patched into it.
+// compiled query and a write leave the graph without a frozen view, so
+// their writes never clone a block; the first AcquireView freezes one, and
+// the next write lands in the next view and leaves that one as it was.
 func TestPlanningRendersNoView(t *testing.T) {
 	g := New()
 	c := propcore.New(g)
 	noView := func(stage string) {
 		t.Helper()
-		if g.ver.Current() != nil {
-			t.Fatalf("%s rendered a view", stage)
+		if g.pinned.Load() != nil {
+			t.Fatalf("%s froze a view", stage)
 		}
 	}
 	var prev model.NodeID
@@ -178,9 +170,9 @@ func TestPlanningRendersNoView(t *testing.T) {
 		t.Fatal(err)
 	}
 	release()
-	snap := view.(*adj.Snapshot)
-	if g.ver.Current() != snap {
-		t.Fatal("AcquireView did not publish the view it rendered")
+	snap := view
+	if g.pinned.Load() != snap {
+		t.Fatal("AcquireView did not keep the view it froze")
 	}
 	if err := c.SetNodeProp(4, "w", model.Int(2)); err != nil {
 		t.Fatal(err)

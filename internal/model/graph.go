@@ -125,6 +125,8 @@ type Graph interface {
 // ReleaseFunc returns resources pinned by an acquired snapshot. It must be
 // called exactly once when the caller is done with the view; calling it
 // more than once is a no-op for the implementations in this repository.
+// The stores' frozen views hold nothing but memory, so their release does
+// nothing.
 type ReleaseFunc func()
 
 // SortedAdjacency is an optional Graph capability: the IDs of the
@@ -159,11 +161,11 @@ type IDAdjacency interface {
 }
 
 // Pinner is implemented by the mutable stores (memgraph, kvgraph) that
-// render copy-on-write views: AcquireView pins the published snapshot under
-// the contract written on engine.Concurrent. The method is deliberately not
-// named AcquireSnapshot: engines embed the stores, and a promoted method of
-// that name would hand the engine-level Concurrent capability to archetypes
-// whose paper profile lacks it. Engines whose profile allows Concurrent
+// freeze copy-on-write views: AcquireView pins a frozen state of the store
+// under the contract written on engine.Concurrent. The method is
+// deliberately not named AcquireSnapshot: engines embed the stores, and a
+// promoted method of that name would hand the engine-level Concurrent
+// capability to archetypes whose paper profile lacks it. Engines whose profile allows Concurrent
 // delegate AcquireSnapshot to AcquireView explicitly.
 type Pinner interface {
 	AcquireView() (Graph, ReleaseFunc, error)

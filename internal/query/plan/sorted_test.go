@@ -62,8 +62,8 @@ func sortedFixture(t *testing.T, g model.MutableGraph) (a, b, c model.NodeID) {
 // sort(label-filtered Neighbors), on every store and on a pinned snapshot,
 // bare and under WithCancel: all directions, the label filter, parallel
 // edges repeated, a self-loop once per direction under Both, and an error
-// for a missing node. The stores must have answered through their id
-// pairs, the snapshot through Neighbors.
+// for a missing node. The stores and the snapshot must have answered
+// through their id pairs, and a graph without them through Neighbors.
 func TestSortedNeighborIDs(t *testing.T) {
 	disk, err := kv.OpenDisk(filepath.Join(t.TempDir(), "sorted.pg"), 64)
 	if err != nil {
@@ -142,10 +142,17 @@ func TestSortedNeighborIDs(t *testing.T) {
 			t.Errorf("%s: no list came from the store's id pairs", name)
 		}
 	}
-	check("snapshot", view, UnindexedSource{view})
-	if _, ok := view.(model.IDAdjacency); ok {
-		t.Error("the snapshot has id adjacency; the Neighbors branch went untested")
+	pairs := 0
+	check("snapshot", view, pairSource{UnindexedSource{view}, &pairs})
+	if pairs == 0 {
+		t.Error("snapshot: no list came from the view's id pairs")
 	}
+	// Embedding the Graph interface hides the view's id adjacency.
+	neighborsOnly := struct{ model.Graph }{view}
+	if _, handled, _ := (UnindexedSource{neighborsOnly}).AppendNeighborIDs(nil, a, model.Out, ""); handled {
+		t.Fatal("a graph without id adjacency answered id pairs; the Neighbors branch went untested")
+	}
+	check("neighbors-only", neighborsOnly, UnindexedSource{neighborsOnly})
 }
 
 // armedCtx is a context that reports cancellation once armed; Done is

@@ -3,6 +3,7 @@ package btree
 import (
 	"encoding/binary"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -65,17 +66,26 @@ func fillGraph(tb testing.TB, tree *Tree, nodes, deg int, seed int64) map[string
 // so the benchmarks time the read path rather than the file.
 func benchTree(b *testing.B) *Tree {
 	b.Helper()
-	pg, err := pager.Open(filepath.Join(b.TempDir(), "bt.pg"), pager.Options{PoolPages: 4096})
+	tree, pg := openBenchTree(b, filepath.Join(b.TempDir(), "bt.pg"))
+	b.Cleanup(func() { pg.Close() })
+	return tree
+}
+
+// openBenchTree builds benchTree's tree in a new page file at path and
+// returns it with its pager, which the caller closes.
+func openBenchTree(b *testing.B, path string) (*Tree, *pager.Pager) {
+	b.Helper()
+	pg, err := pager.Open(path, pager.Options{PoolPages: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { pg.Close() })
 	tree, _, err := Create(pg)
 	if err != nil {
+		pg.Close()
 		b.Fatal(err)
 	}
 	fillGraph(b, tree, 6000, 2, 1)
-	return tree
+	return tree, pg
 }
 
 var sinkVal []byte
@@ -146,15 +156,35 @@ func BenchmarkTreePut(b *testing.B) {
 			}
 		}
 	})
+	// insert starts a fresh tree, untimed, every perTree Puts and adds the
+	// same perTree keys to each, so every timed Put meets a tree of the same
+	// size whatever b.N is.
 	b.Run("insert", func(b *testing.B) {
-		tree := benchTree(b)
+		const perTree = 6000
+		path := filepath.Join(b.TempDir(), "bt.pg")
 		far := binary.BigEndian.AppendUint64(nil, 42)
+		var tree *Tree
+		var pg *pager.Pager
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := tree.Put(graphKey("o!", uint64(i%6000), 1<<40+uint64(i)), far); err != nil {
+			j := i % perTree
+			if j == 0 {
+				b.StopTimer()
+				if pg != nil {
+					pg.Close()
+					if err := os.Remove(path); err != nil {
+						b.Fatal(err)
+					}
+				}
+				tree, pg = openBenchTree(b, path)
+				b.StartTimer()
+			}
+			if err := tree.Put(graphKey("o!", uint64(j), 1<<40+uint64(j)), far); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer() // Close flushes the file: not a Put's cost
+		pg.Close()
 	})
 }

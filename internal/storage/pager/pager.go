@@ -273,9 +273,9 @@ func (p *Pager) View(id PageID, fn func(payload []byte) error) error {
 // ViewIndexed is View that also hands fn the frame's index: offsets into the
 // payload that a reader derived from it on an earlier visit, or an empty
 // slice. fn may fill the index from the payload it is handed; the pager
-// empties it whenever the frame's bytes change (a miss reads into the frame,
-// a Write, an Update that changes the page) unless an UpdateIndexed writer
-// kept it true, so an index is only ever seen beside the bytes it describes,
+// empties it whenever it changes the frame's bytes (a miss reads into the
+// frame, a Write), and an UpdateIndexed writer that changes them keeps it
+// true or empties it, so an index is only ever seen beside the bytes it describes,
 // and it releases it when Flush writes the frame back, so only frames
 // changed since the last Flush, or read since, keep one. A reader must
 // still bounds-check what it reads through an offset.
@@ -292,28 +292,18 @@ func (p *Pager) ViewIndexed(id PageID, fn func(payload []byte, index *[]uint16) 
 	return fn(fr.payload(), &fr.index)
 }
 
-// Update is View for a writer: fn may change the pooled payload of page id
-// in place, and reports whether it did. A changed page is marked dirty and
-// referenced under the pager lock, exactly as a Write of the changed bytes
-// leaves it, so eviction, the pending-evict ledger and Flush treat the two
-// alike, and its frame's index is emptied. Like Write, Update counts no
-// pool hit; a miss loads the page as View does. fn must leave the payload
-// unchanged when it returns false or an error, must not keep the slice, and
-// must not call back into the pager. Update returns fn's error.
-func (p *Pager) Update(id PageID, fn func(payload []byte) (bool, error)) error {
-	return p.UpdateIndexed(id, func(payload []byte, index *[]uint16) (bool, error) {
-		changed, err := fn(payload)
-		if changed && err == nil {
-			*index = (*index)[:0]
-		}
-		return changed, err
-	})
-}
-
-// UpdateIndexed is Update that also hands fn the frame's index, as
-// ViewIndexed does, and leaves it as fn does: a writer that knows how its
-// change moves the offsets keeps them instead of deriving them again. A fn
-// that changes the page must leave the index either empty or true of the
+// UpdateIndexed is ViewIndexed for a writer: fn may change the pooled
+// payload of page id in place, and reports whether it did. A changed page
+// is marked dirty and referenced under the pager lock, exactly as a Write
+// of the changed bytes leaves it, so eviction, the pending-evict ledger and
+// Flush treat the two alike. Like Write, UpdateIndexed counts no pool hit;
+// a miss loads the page as View does. fn must leave the payload unchanged
+// when it returns false or an error, must not keep the slice, and must not
+// call back into the pager. UpdateIndexed returns fn's error.
+//
+// The index is left as fn leaves it: a writer that knows how its change
+// moves the offsets keeps them instead of deriving them again. A fn that
+// changes the page must leave the index either empty or true of the
 // changed bytes; one that does not must leave it as it was or fill it from
 // the unchanged payload, as a reader may.
 func (p *Pager) UpdateIndexed(id PageID, fn func(payload []byte, index *[]uint16) (bool, error)) error {

@@ -133,9 +133,23 @@ func TestEvictionWritesBack(t *testing.T) {
 	_ = hits
 }
 
-// Update changes the pooled page in place and leaves it as a Write of the
-// same bytes would: dirty and written back on eviction and Flush, with no
-// pool hit counted. An unchanged or failed Update leaves the page clean.
+// emptying adapts a plain page writer to UpdateIndexed: a fn that changes
+// the page empties the frame's index, which keeps the index true of the
+// bytes without knowing how the change moved them.
+func emptying(fn func(payload []byte) (bool, error)) func([]byte, *[]uint16) (bool, error) {
+	return func(payload []byte, index *[]uint16) (bool, error) {
+		changed, err := fn(payload)
+		if changed && err == nil {
+			*index = (*index)[:0]
+		}
+		return changed, err
+	}
+}
+
+// UpdateIndexed changes the pooled page in place and leaves it as a Write
+// of the same bytes would: dirty and written back on eviction and Flush,
+// with no pool hit counted. An unchanged or failed update leaves the page
+// clean.
 func TestUpdateInPlace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.pg")
 	reg := obs.NewRegistry()
@@ -160,10 +174,10 @@ func TestUpdateInPlace(t *testing.T) {
 
 	boom := errors.New("boom")
 	hits, misses := p.Stats()
-	if err := p.Update(a, func([]byte) (bool, error) { return false, nil }); err != nil {
+	if err := p.UpdateIndexed(a, emptying(func([]byte) (bool, error) { return false, nil })); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Update(a, func([]byte) (bool, error) { return false, boom }); !errors.Is(err, boom) {
+	if err := p.UpdateIndexed(a, emptying(func([]byte) (bool, error) { return false, boom })); !errors.Is(err, boom) {
 		t.Fatalf("Update err = %v, want fn's", err)
 	}
 	if h, m := p.Stats(); h != hits || m != misses {
@@ -173,10 +187,10 @@ func TestUpdateInPlace(t *testing.T) {
 		t.Errorf("unchanged pages: Flush wrote %d", n)
 	}
 
-	if err := p.Update(a, func(page []byte) (bool, error) {
+	if err := p.UpdateIndexed(a, emptying(func(page []byte) (bool, error) {
 		copy(page, "after!")
 		return true, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if n := flushWrites(); n != 1 {
@@ -185,10 +199,10 @@ func TestUpdateInPlace(t *testing.T) {
 
 	// A changed page evicted before any Flush is written back, and an
 	// Update of a page out of the pool loads it first.
-	if err := p.Update(a, func(page []byte) (bool, error) {
+	if err := p.UpdateIndexed(a, emptying(func(page []byte) (bool, error) {
 		copy(page, "third!")
 		return true, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -197,10 +211,10 @@ func TestUpdateInPlace(t *testing.T) {
 		}
 	}
 	var seen string
-	if err := p.Update(a, func(page []byte) (bool, error) {
+	if err := p.UpdateIndexed(a, emptying(func(page []byte) (bool, error) {
 		seen = string(page[:6])
 		return false, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if _, m := p.Stats(); seen != "third!" || m == misses {
@@ -209,7 +223,7 @@ func TestUpdateInPlace(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Update(a, func([]byte) (bool, error) { return true, nil }); err == nil {
+	if err := p.UpdateIndexed(a, emptying(func([]byte) (bool, error) { return true, nil })); err == nil {
 		t.Error("update after close should fail")
 	}
 	p2, err := Open(path, Options{PoolPages: 2})
@@ -351,7 +365,7 @@ func TestRepeatEvictionReusesLedgerCopy(t *testing.T) {
 	noop := func([]byte) error { return nil }
 	evictDirty := func() {
 		v++
-		if err := p.Update(a, dirty); err != nil {
+		if err := p.UpdateIndexed(a, emptying(dirty)); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range ids[1:] {
@@ -373,8 +387,9 @@ func TestRepeatEvictionReusesLedgerCopy(t *testing.T) {
 }
 
 // A frame's index stays beside the bytes it was derived from: a hit and an
-// Update that changes nothing keep it; a Write, an Update that changes the
-// page, and a miss that reads the page into a recycled frame empty it.
+// update that changes nothing keep it; a Write, an emptying update that
+// changes the page, and a miss that reads the page into a recycled frame
+// empty it.
 func TestIndexDroppedWhenBytesChange(t *testing.T) {
 	p, _ := tempPager(t, 2)
 	a, _ := p.Allocate()
@@ -396,12 +411,12 @@ func TestIndexDroppedWhenBytesChange(t *testing.T) {
 	}
 	update := func(id PageID, change bool) {
 		t.Helper()
-		if err := p.Update(id, func(payload []byte) (bool, error) {
+		if err := p.UpdateIndexed(id, emptying(func(payload []byte) (bool, error) {
 			if change {
 				payload[0]++
 			}
 			return change, nil
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,8 +450,8 @@ func TestIndexDroppedWhenBytesChange(t *testing.T) {
 }
 
 // An UpdateIndexed that changes the page leaves its frame the index fn left
-// it, and the next ViewIndexed is handed that index; Update still empties
-// it. A Flush releases the index of every frame it writes back, keeping no
+// it, and the next ViewIndexed is handed that index; an emptying update
+// empties it. A Flush releases the index of every frame it writes back, keeping no
 // capacity, and leaves a clean frame's index as it was.
 func TestUpdateIndexedKeepsIndex(t *testing.T) {
 	p, _ := tempPager(t, 4)
@@ -474,10 +489,10 @@ func TestUpdateIndexedKeepsIndex(t *testing.T) {
 	if got, _ := seen(a); !slices.Equal(got, []uint16{3, 4, 5}) {
 		t.Errorf("after a changing UpdateIndexed: index %v, want the one it left, [3 4 5]", got)
 	}
-	if err := p.Update(a, func(payload []byte) (bool, error) {
+	if err := p.UpdateIndexed(a, emptying(func(payload []byte) (bool, error) {
 		payload[0]++
 		return true, nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := seen(a, 6); len(got) != 0 {

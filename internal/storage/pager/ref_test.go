@@ -130,13 +130,13 @@ func runRef(t *testing.T, ops []byte) {
 			if !ok {
 				continue
 			}
-			if err := p.Update(live[i], func(page []byte) (bool, error) {
+			if err := p.UpdateIndexed(live[i], emptying(func(page []byte) (bool, error) {
 				if v%2 == 1 {
 					return false, nil
 				}
 				page[at] = v
 				return true, nil
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			if v%2 == 0 {
