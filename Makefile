@@ -49,9 +49,10 @@ race-storage:
 
 # Inner-loop subset, outside ci.
 # Query kernels and every engine under the race detector: the Essentials
-# closures, and the snapshots the Concurrent engines pin for them.
+# closures, the snapshots the Concurrent engines pin for them, and
+# plan.Walk, the breadth-first walker algo's kernels run on.
 race-kernels:
-	$(GO) test -race ./internal/algo/... ./internal/engines/...
+	$(GO) test -race ./internal/algo/... ./internal/query/plan/ ./internal/engines/...
 
 # Inner-loop subset, outside ci.
 # The observability substrate and its differential twins under the race
@@ -137,6 +138,7 @@ fuzz-smoke:
 	$(GO) test ./internal/storage/btree/ -run '^$$' -fuzz FuzzLeafSplice -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/pager/ -run '^$$' -fuzz FuzzPagerMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memgraph/ -run '^$$' -fuzz FuzzGraphMatchesMapReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/algo/ -run '^$$' -fuzz FuzzWalkMatchesReference -fuzztime $(FUZZTIME)
 
 # Overload drill: build the real gdbserver binary, burst it at 2× the
 # configured capacity with the in-process loadgen client, run a

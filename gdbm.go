@@ -161,13 +161,13 @@ type (
 	// Path is a node/edge sequence.
 	Path = algo.Path
 	// Pattern is a query graph for subgraph isomorphism.
-	Pattern = algo.Pattern
+	Pattern = plan.Pattern
 	// PatternNode constrains one matched node.
-	PatternNode = algo.PatternNode
+	PatternNode = plan.PatternNode
 	// PatternEdge constrains one matched edge.
-	PatternEdge = algo.PatternEdge
+	PatternEdge = plan.PatternEdge
 	// Match is one pattern embedding.
-	Match = algo.Match
+	Match = plan.Match
 	// PathExpr is a compiled regular path expression.
 	PathExpr = plan.PathExpr
 	// PathSemantics selects reachability or simple-path semantics.
@@ -212,7 +212,7 @@ var (
 	// MatchPath evaluates a path expression from a start node.
 	MatchPath = plan.MatchPath
 	// NewPattern builds a pattern graph.
-	NewPattern = algo.NewPattern
+	NewPattern = plan.NewPattern
 	// MatchPattern enumerates pattern embeddings.
 	MatchPattern = plan.MatchPattern
 	// Degrees computes degree statistics.

@@ -1,9 +1,14 @@
-// Package algo implements the survey's four classes of essential graph
-// queries (Section IV): adjacency queries (node/edge adjacency,
-// k-neighborhood), reachability queries (fixed-length paths, regular simple
-// paths, shortest paths) and summarization (aggregates and graph
-// properties), plus the Pattern type of the fourth class, pattern matching,
-// which plan.MatchPattern evaluates. All functions operate on the
+// Package algo implements the survey's essential graph queries (Section
+// IV): adjacency queries (node/edge adjacency, k-neighborhood),
+// reachability queries (fixed-length paths, shortest paths) and
+// summarization (aggregates and graph properties). The breadth-first
+// family — BFS, Neighborhood, Reachable, ShortestPath, and through them
+// Distance and Diameter — runs on plan.Walk, the walker behind
+// plan.PathExpand, and reads a store's id pairs where it has them. The
+// package keeps FixedLengthPaths (simple-path enumeration),
+// WeightedShortestPath (Dijkstra), Adjacent and EdgesAdjacent, Degrees and
+// the aggregates. Regular paths and patterns, the other two classes, run on
+// plan.MatchPath and plan.MatchPattern. All functions operate on the
 // model.Graph read interface, so every binary-edge engine shares them.
 package algo
 
@@ -11,6 +16,7 @@ import (
 	"context"
 
 	"gdbm/internal/model"
+	"gdbm/internal/query/plan"
 )
 
 // Adjacent reports whether a and b are neighbors: an edge exists between
@@ -41,44 +47,23 @@ func EdgesAdjacent(g model.Graph, e1, e2 model.EdgeID) (bool, error) {
 }
 
 // Neighborhood returns the k-neighborhood of start: every node reachable in
-// at most k hops following dir, excluding start itself. The result is in
-// BFS-discovery order.
+// at most k hops following dir, excluding start itself, in BFS order: by
+// depth, then in the store's Neighbors order.
 func Neighborhood(g model.Graph, start model.NodeID, k int, dir model.Direction) ([]model.NodeID, error) {
 	return NeighborhoodCtx(context.Background(), g, start, k, dir)
 }
 
-// NeighborhoodCtx is Neighborhood with cooperative cancellation: the level-
-// synchronous expansion checks ctx between levels and returns ctx.Err()
-// once the context is done, so server deadlines stop the walk mid-kernel.
+// NeighborhoodCtx is Neighborhood under ctx, walked by plan.Walk.
 func NeighborhoodCtx(ctx context.Context, g model.Graph, start model.NodeID, k int, dir model.Direction) ([]model.NodeID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if _, err := g.Node(start); err != nil {
-		return nil, err
-	}
-	visited := map[model.NodeID]bool{start: true}
-	frontier := []model.NodeID{start}
 	var out []model.NodeID
-	for depth := 0; depth < k && len(frontier) > 0; depth++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	err := plan.Walk(ctx, g, start, dir, k, func(id, _ model.NodeID, _ model.EdgeID, depth int) bool {
+		if depth > 0 {
+			out = append(out, id)
 		}
-		var next []model.NodeID
-		for _, id := range frontier {
-			err := g.Neighbors(id, dir, func(_ model.Edge, n model.Node) bool {
-				if !visited[n.ID] {
-					visited[n.ID] = true
-					next = append(next, n.ID)
-					out = append(out, n.ID)
-				}
-				return true
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		frontier = next
+		return k > 0 // Walk reads max 0 as unbounded
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -89,45 +74,11 @@ func BFS(g model.Graph, start model.NodeID, dir model.Direction, visit func(id m
 	return BFSCtx(context.Background(), g, start, dir, visit)
 }
 
-// BFSCtx is BFS with cooperative cancellation: the walk checks ctx at every
-// level boundary and returns ctx.Err() once the context is done, so a
-// query whose deadline has passed stops burning CPU mid-traversal.
+// BFSCtx is BFS under ctx, walked by plan.Walk: it checks ctx before the
+// walk and at every level boundary, so a query whose deadline has passed
+// stops burning CPU mid-traversal.
 func BFSCtx(ctx context.Context, g model.Graph, start model.NodeID, dir model.Direction, visit func(id model.NodeID, depth int) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if _, err := g.Node(start); err != nil {
-		return err
-	}
-	visited := map[model.NodeID]bool{start: true}
-	type item struct {
-		id    model.NodeID
-		depth int
-	}
-	queue := []item{{start, 0}}
-	depth := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.depth > depth {
-			depth = cur.depth
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if !visit(cur.id, cur.depth) {
-			return nil
-		}
-		err := g.Neighbors(cur.id, dir, func(_ model.Edge, n model.Node) bool {
-			if !visited[n.ID] {
-				visited[n.ID] = true
-				queue = append(queue, item{n.ID, cur.depth + 1})
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return plan.Walk(ctx, g, start, dir, 0, func(id, _ model.NodeID, _ model.EdgeID, depth int) bool {
+		return visit(id, depth)
+	})
 }

@@ -63,6 +63,10 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 			_, err := ReachableCtx(ctx, g, first, last, model.Out)
 			return err
 		},
+		"ReachableCtx from == to": func() error {
+			_, err := ReachableCtx(ctx, g, first, first, model.Out)
+			return err
+		},
 		"FixedLengthPathsCtx": func() error {
 			_, err := FixedLengthPathsCtx(ctx, g, first, last, 14, model.Out, 0)
 			return err

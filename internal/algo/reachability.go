@@ -1,12 +1,14 @@
 package algo
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"math"
 
 	"gdbm/internal/model"
+	"gdbm/internal/query/plan"
 )
 
 // Path is a node sequence with the edges that join consecutive nodes;
@@ -24,22 +26,12 @@ func Reachable(g model.Graph, from, to model.NodeID, dir model.Direction) (bool,
 	return ReachableCtx(context.Background(), g, from, to, dir)
 }
 
-// ReachableCtx is Reachable with cooperative cancellation through the
-// underlying BFS.
+// ReachableCtx is Reachable under ctx, walked by plan.Walk.
 func ReachableCtx(ctx context.Context, g model.Graph, from, to model.NodeID, dir model.Direction) (bool, error) {
-	if from == to {
-		if _, err := g.Node(from); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
 	found := false
-	err := BFSCtx(ctx, g, from, dir, func(id model.NodeID, _ int) bool {
-		if id == to {
-			found = true
-			return false
-		}
-		return true
+	err := plan.Walk(ctx, g, from, dir, 0, func(id, _ model.NodeID, _ model.EdgeID, _ int) bool {
+		found = id == to
+		return !found
 	})
 	return found, err
 }
@@ -127,51 +119,27 @@ func ShortestPath(g model.Graph, from, to model.NodeID, dir model.Direction) (Pa
 	return ShortestPathCtx(context.Background(), g, from, to, dir)
 }
 
-// ShortestPathCtx is ShortestPath with cooperative cancellation: the BFS
-// expansion checks ctx as it dequeues and returns ctx.Err() once the
-// context is done.
+// ShortestPathCtx is ShortestPath under ctx, walked by plan.Walk: the
+// first path the walk finds to to is a shortest one.
 func ShortestPathCtx(ctx context.Context, g model.Graph, from, to model.NodeID, dir model.Direction) (Path, error) {
-	if err := ctx.Err(); err != nil {
-		return Path{}, err
-	}
-	if _, err := g.Node(from); err != nil {
-		return Path{}, err
-	}
-	if _, err := g.Node(to); err != nil {
-		return Path{}, err
-	}
-	if from == to {
-		return Path{Nodes: []model.NodeID{from}}, nil
-	}
-	parent := map[model.NodeID]parentHop{from: {}}
-	queue := []model.NodeID{from}
-	for len(queue) > 0 {
-		if err := ctx.Err(); err != nil {
-			return Path{}, err
-		}
-		cur := queue[0]
-		queue = queue[1:]
-		var reached bool
-		err := g.Neighbors(cur, dir, func(e model.Edge, n model.Node) bool {
-			if _, seen := parent[n.ID]; seen {
-				return true
-			}
-			parent[n.ID] = parentHop{cur, e.ID}
-			if n.ID == to {
-				reached = true
+	parent := map[model.NodeID]parentHop{}
+	var toErr error
+	err := plan.Walk(ctx, g, from, dir, 0, func(id, prev model.NodeID, via model.EdgeID, depth int) bool {
+		if depth == 0 { // the walk has read from's record; to's comes next
+			if _, toErr = g.Node(to); toErr != nil {
 				return false
 			}
-			queue = append(queue, n.ID)
-			return true
-		})
-		if err != nil {
-			return Path{}, err
 		}
-		if reached {
-			return assemble(parent, from, to), nil
-		}
+		parent[id] = parentHop{prev, via}
+		return id != to
+	})
+	if err = cmp.Or(err, toErr); err != nil {
+		return Path{}, err
 	}
-	return Path{}, fmt.Errorf("no path from %d to %d: %w", from, to, model.ErrNotFound)
+	if _, ok := parent[to]; !ok {
+		return Path{}, fmt.Errorf("no path from %d to %d: %w", from, to, model.ErrNotFound)
+	}
+	return assemble(parent, from, to), nil
 }
 
 // parentHop records how a node was first reached during a search.

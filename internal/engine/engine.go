@@ -73,20 +73,27 @@ type Features struct {
 // cannot answer that query class; the probe executes every non-nil field
 // and only then marks support.
 type Essentials struct {
-	NodeAdjacency    func(a, b model.NodeID) (bool, error)
-	EdgeAdjacency    func(e1, e2 model.EdgeID) (bool, error)
+	NodeAdjacency func(a, b model.NodeID) (bool, error)
+	EdgeAdjacency func(e1, e2 model.EdgeID) (bool, error)
+	// KNeighborhood lists the nodes within k hops of n in either
+	// direction, n excluded, by depth, then in the store's Neighbors order.
 	KNeighborhood    func(n model.NodeID, k int) ([]model.NodeID, error)
 	FixedLengthPaths func(from, to model.NodeID, length int) ([]algo.Path, error)
 	ShortestPath     func(from, to model.NodeID) (algo.Path, error)
 	Summarization    func(kind algo.AggKind, label, prop string) (model.Value, error)
 }
 
-// TraversalEssentials is the Table VII row of the traversal-framework
-// engines (DEX, Neo4j, InfiniteGraph): adjacency, fixed-length and shortest
-// paths over the live graph, and k-neighborhood and summarization over a
-// snapshot that pin acquires. The kernels run under ctx.
+// TraversalEssentials is the one constructor of the engines' Table VII
+// rows: adjacency, fixed-length and shortest paths over the live graph,
+// and k-neighborhood and summarization over a snapshot that pin acquires,
+// or over the live graph when pin is nil. The kernels run under ctx. An
+// engine sets to nil the classes its row lacks, and replaces a closure its
+// archetype answers its own way.
 func TraversalEssentials(ctx context.Context, live model.Graph,
 	pin func() (model.Graph, model.ReleaseFunc, error)) Essentials {
+	if pin == nil {
+		pin = func() (model.Graph, model.ReleaseFunc, error) { return live, func() {}, nil }
+	}
 	return Essentials{
 		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
 			return algo.Adjacent(live, a, b, model.Both)
@@ -200,8 +207,9 @@ type Persistent interface {
 // Concurrent is implemented by engines the survey profiles as concurrent-
 // capable servers (systems shipped with a transaction/concurrency story,
 // Section II): their read path may be shared by many goroutines at once.
-// Their Essentials closures pin a snapshot and run the sequential Ctx
-// kernels of internal/algo over it.
+// Their Essentials closures pin a snapshot for k-neighborhood and
+// summarization and run the sequential Ctx kernels over it; the other
+// classes read the live graph (TraversalEssentials).
 //
 // AcquireSnapshot returns a Graph that is safe for unsynchronized use by
 // any number of concurrent readers until released, at frozen isolation: the

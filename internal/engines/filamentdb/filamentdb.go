@@ -8,7 +8,6 @@ package filamentdb
 import (
 	"context"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/kvgraph"
 	"gdbm/internal/model"
@@ -70,22 +69,12 @@ func (db *DB) Features() engine.Features {
 }
 
 // Essentials implements engine.Engine: adjacency, k-neighborhood and
-// summarization per its Table VII row. The kernels run under ctx.
+// summarization per its Table VII row, over the live store. The kernels
+// run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.Graph, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.Graph, e1, e2)
-		},
-		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			return algo.NeighborhoodCtx(ctx, db.Graph, n, k, model.Both)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodePropCtx(ctx, db.Graph, label, prop, kind)
-		},
-	}
+	es := engine.TraversalEssentials(ctx, db.Graph, nil)
+	es.FixedLengthPaths, es.ShortestPath = nil, nil
+	return es
 }
 
 // LoadNode implements engine.Loader.

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/kvgraph"
 	"gdbm/internal/model"
@@ -125,37 +124,23 @@ func (db *DB) Features() engine.Features {
 
 // Essentials implements engine.Engine: G-Store's language carries the graph
 // instructions (PATH, NEIGHBORS, REACH), so all five composable classes of
-// its Table VII row route through the language or its kernels, under ctx.
+// its Table VII row route through the language or its kernels, under ctx;
+// k-neighborhood goes through the language itself.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.g, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.g, e1, e2)
-		},
-		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			res, err := engine.QueryContext(ctx, db, fmt.Sprintf("SELECT NEIGHBORS OF %d DEPTH %d", n, k))
-			if err != nil {
-				return nil, err
-			}
-			out := make([]model.NodeID, 0, len(res.Rows))
-			for _, r := range res.Rows {
-				id, _ := r[0].AsInt()
-				out = append(out, model.NodeID(id))
-			}
-			return out, nil
-		},
-		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPathsCtx(ctx, db.g, from, to, length, model.Out, 0)
-		},
-		ShortestPath: func(from, to model.NodeID) (algo.Path, error) {
-			return algo.ShortestPathCtx(ctx, db.g, from, to, model.Out)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodePropCtx(ctx, db.g, label, prop, kind)
-		},
+	es := engine.TraversalEssentials(ctx, db.g, nil)
+	es.KNeighborhood = func(n model.NodeID, k int) ([]model.NodeID, error) {
+		res, err := engine.QueryContext(ctx, db, fmt.Sprintf("SELECT NEIGHBORS OF %d DEPTH %d", n, k))
+		if err != nil {
+			return nil, err
+		}
+		out := make([]model.NodeID, 0, len(res.Rows))
+		for _, r := range res.Rows {
+			id, _ := r[0].AsInt()
+			out = append(out, model.NodeID(id))
+		}
+		return out, nil
 	}
+	return es
 }
 
 // LoadNode implements engine.Loader.

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/constraint"
 	"gdbm/internal/engine"
 	"gdbm/internal/engines/propcore"
@@ -158,17 +157,9 @@ func (db *DB) Features() engine.Features {
 // surface composes node/edge adjacency and summarization only; the
 // summarization kernel runs under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.Core, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.Core, e1, e2)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodePropCtx(ctx, db.Core, label, prop, kind)
-		},
-	}
+	es := engine.TraversalEssentials(ctx, db.Core, nil)
+	es.KNeighborhood, es.FixedLengthPaths, es.ShortestPath = nil, nil, nil
+	return es
 }
 
 // Close implements engine.Engine.

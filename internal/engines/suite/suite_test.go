@@ -15,7 +15,9 @@ import (
 	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/engine/capability"
+	"gdbm/internal/gen"
 	"gdbm/internal/model"
+	"gdbm/internal/obs"
 	"gdbm/internal/query/plan"
 
 	_ "gdbm/internal/engines/bitmapdb"
@@ -276,6 +278,52 @@ func readAnswers(t *testing.T, e engine.Engine, a, b model.NodeID) reopenAnswers
 	slices.Sort(ans.indexed)
 	slices.Sort(ans.scanned)
 	return ans
+}
+
+// TestKNeighborhoodReadsIDPairs holds the kv-backed engines' Table VII
+// walk to the store's id pairs: a 2-neighborhood on a 500-node R-MAT reads
+// the start's record and no other, no edge record, and one adjacency scan
+// per stored direction of each node it expands (the start and its
+// 1-neighborhood), as many as a walk over Neighbors records makes.
+func TestKNeighborhoodReadsIDPairs(t *testing.T) {
+	for _, name := range []string{"vertexkv", "filamentdb", "gstore"} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			opts := engine.Options{Metrics: reg}
+			if capability.NeedsDir(name) {
+				opts.Dir = t.TempDir()
+			}
+			e, err := engine.Open(name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			ids, err := gen.Generate(gen.Spec{Kind: gen.RMAT, Nodes: 500, EdgesPerNode: 4, Seed: 3}, e.(engine.Loader))
+			if err != nil {
+				t.Fatal(err)
+			}
+			es := e.Essentials(context.Background())
+			near, err := es.KNeighborhood(ids[0], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, edges, scans := reg.Counter("kvgraph.node_reads"), reg.Counter("kvgraph.edge_reads"), reg.Counter("kvgraph.adj_scans")
+			n0, e0, s0 := nodes.Value(), edges.Value(), scans.Value()
+			far, err := es.KNeighborhood(ids[0], 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(far) <= len(near) {
+				t.Fatalf("2-neighborhood has %d nodes, 1-neighborhood %d: the walk must reach depth 2", len(far), len(near))
+			}
+			if n, e := nodes.Value()-n0, edges.Value()-e0; n > 1 || e != 0 {
+				t.Errorf("KNeighborhood(k=2) read %d node and %d edge records, want at most 1 and 0", n, e)
+			}
+			if got, want := scans.Value()-s0, uint64(2*(1+len(near))); got != want {
+				t.Errorf("KNeighborhood(k=2) made %d adjacency scans, want %d", got, want)
+			}
+		})
+	}
 }
 
 // TestPersistence is the reopen probe behind Table I's storage cells: every

@@ -388,75 +388,58 @@ func (db *DB) Features() engine.Features {
 // not part of its query surface (Table VII row). Everything runs under ctx;
 // k-neighborhood and the unlabelled aggregate run over a pinned snapshot.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.Core, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.Core, e1, e2)
-		},
-		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			g, release, err := db.AcquireSnapshot()
-			if err != nil {
-				return nil, err
+	es := engine.TraversalEssentials(ctx, db.Core, db.AcquireSnapshot)
+	es.FixedLengthPaths, es.ShortestPath = nil, nil
+	pinned := es.Summarization
+	es.Summarization = func(kind algo.AggKind, label, prop string) (model.Value, error) {
+		// In the triple model a "label" is a type statement, not a node
+		// label: filter subjects by an outgoing type edge.
+		if label == "" {
+			return pinned(kind, "", prop)
+		}
+		typeTerm, ok := db.TermID(label)
+		if !ok {
+			if kind == algo.AggCount {
+				return model.Int(0), nil
 			}
-			defer release()
-			return algo.NeighborhoodCtx(ctx, g, n, k, model.Both)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			// In the triple model a "label" is a type statement, not a
-			// node label: filter subjects by an outgoing type edge.
-			if label == "" {
-				g, release, err := db.AcquireSnapshot()
-				if err != nil {
-					return model.Null(), err
-				}
-				defer release()
-				return algo.AggregateNodePropCtx(ctx, g, "", prop, kind)
-			}
-			typeTerm, ok := db.TermID(label)
-			if !ok {
-				if kind == algo.AggCount {
-					return model.Int(0), nil
-				}
-				return model.Null(), nil
-			}
-			if err := ctx.Err(); err != nil {
-				return model.Null(), err
-			}
-			agg := algo.NewAggregator(kind)
-			var iterErr error
-			err := db.Core.Nodes(func(n model.Node) bool {
-				typed := false
-				if err := db.Core.Neighbors(n.ID, model.Out, func(e model.Edge, far model.Node) bool {
-					if e.Label == "type" && far.ID == typeTerm {
-						typed = true
-						return false
-					}
-					return true
-				}); err != nil {
-					iterErr = err
+			return model.Null(), nil
+		}
+		if err := ctx.Err(); err != nil {
+			return model.Null(), err
+		}
+		agg := algo.NewAggregator(kind)
+		var iterErr error
+		err := db.Core.Nodes(func(n model.Node) bool {
+			typed := false
+			if err := db.Core.Neighbors(n.ID, model.Out, func(e model.Edge, far model.Node) bool {
+				if e.Label == "type" && far.ID == typeTerm {
+					typed = true
 					return false
 				}
-				if !typed {
-					return true
-				}
-				if kind == algo.AggCount {
-					agg.Add(model.Int(1))
-				} else {
-					agg.Add(n.Props.Get(prop))
-				}
 				return true
-			})
-			if iterErr != nil {
-				return model.Null(), iterErr
+			}); err != nil {
+				iterErr = err
+				return false
 			}
-			if err != nil {
-				return model.Null(), err
+			if !typed {
+				return true
 			}
-			return agg.Result(), nil
-		},
+			if kind == algo.AggCount {
+				agg.Add(model.Int(1))
+			} else {
+				agg.Add(n.Props.Get(prop))
+			}
+			return true
+		})
+		if iterErr != nil {
+			return model.Null(), iterErr
+		}
+		if err != nil {
+			return model.Null(), err
+		}
+		return agg.Result(), nil
 	}
+	return es
 }
 
 // AcquireSnapshot implements engine.Concurrent over the store's

@@ -8,7 +8,6 @@ package vertexkv
 import (
 	"context"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/engine"
 	"gdbm/internal/kvgraph"
 	"gdbm/internal/model"
@@ -71,25 +70,11 @@ func (db *DB) Features() engine.Features {
 
 // Essentials implements engine.Engine: adjacency, k-neighborhood,
 // fixed-length paths and summarization (no shortest-path utility) per its
-// Table VII row. The kernels run under ctx.
+// Table VII row, over the live store. The kernels run under ctx.
 func (db *DB) Essentials(ctx context.Context) engine.Essentials {
-	return engine.Essentials{
-		NodeAdjacency: func(a, b model.NodeID) (bool, error) {
-			return algo.Adjacent(db.Graph, a, b, model.Both)
-		},
-		EdgeAdjacency: func(e1, e2 model.EdgeID) (bool, error) {
-			return algo.EdgesAdjacent(db.Graph, e1, e2)
-		},
-		KNeighborhood: func(n model.NodeID, k int) ([]model.NodeID, error) {
-			return algo.NeighborhoodCtx(ctx, db.Graph, n, k, model.Both)
-		},
-		FixedLengthPaths: func(from, to model.NodeID, length int) ([]algo.Path, error) {
-			return algo.FixedLengthPathsCtx(ctx, db.Graph, from, to, length, model.Out, 0)
-		},
-		Summarization: func(kind algo.AggKind, label, prop string) (model.Value, error) {
-			return algo.AggregateNodePropCtx(ctx, db.Graph, label, prop, kind)
-		},
-	}
+	es := engine.TraversalEssentials(ctx, db.Graph, nil)
+	es.ShortestPath = nil
+	return es
 }
 
 // LoadNode implements engine.Loader.

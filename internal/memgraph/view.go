@@ -149,8 +149,15 @@ func (v *view) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir mo
 		return buf, true, model.NodeNotFound(id)
 	}
 	edges := v.edges.dir
+	need := 0
 	if dir != model.In {
-		buf = slices.Grow(buf, len(n.out)) // once, not by doubling
+		need += len(n.out)
+	}
+	if dir != model.Out {
+		need += len(n.in)
+	}
+	buf = slices.Grow(buf, need) // once, not by doubling
+	if dir != model.In {
 		for _, eid := range n.out {
 			if e := listed(edges, eid); label == "" || e.Label == label {
 				buf = append(buf, model.NeighborID{Edge: eid, Node: e.To})
@@ -158,7 +165,6 @@ func (v *view) AppendNeighborIDs(buf []model.NeighborID, id model.NodeID, dir mo
 		}
 	}
 	if dir != model.Out {
-		buf = slices.Grow(buf, len(n.in))
 		for _, eid := range n.in {
 			if e := listed(edges, eid); label == "" || e.Label == label {
 				buf = append(buf, model.NeighborID{Edge: eid, Node: e.From})

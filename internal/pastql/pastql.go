@@ -60,7 +60,7 @@ type Ops struct {
 	RegularPaths  func(g model.Graph, start model.NodeID, expr string) ([]model.NodeID, error)
 	ShortestPath  func(g model.Graph, from, to model.NodeID) (algo.Path, error)
 	Distance      func(g model.Graph, a, b model.NodeID) (int, error)
-	Pattern       func(g model.Graph, p *algo.Pattern) ([]algo.Match, error)
+	Pattern       func(g model.Graph, p *plan.Pattern) ([]plan.Match, error)
 	Summarize     func(g model.Graph, kind algo.AggKind, label, prop string) (model.Value, error)
 }
 
@@ -114,7 +114,7 @@ func distance(g model.Graph, a, b model.NodeID) (int, error) {
 // node-injective matches (plan.MatchPattern). GraphLog's reading, a pattern
 // compiled to a datalog rule over edge triples, would need k-ary rule heads,
 // which the reason engine lacks, so GraphLog runs this too.
-func pattern(g model.Graph, p *algo.Pattern) ([]algo.Match, error) {
+func pattern(g model.Graph, p *plan.Pattern) ([]plan.Match, error) {
 	return plan.MatchPattern(context.TODO(), g, p, 0)
 }
 

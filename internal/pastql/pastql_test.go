@@ -7,6 +7,7 @@ import (
 	"gdbm/internal/engine"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
+	"gdbm/internal/query/plan"
 )
 
 func formalGraph(t *testing.T) (*memgraph.Graph, []model.NodeID) {
@@ -110,9 +111,9 @@ func TestAllOpsExecute(t *testing.T) {
 				}
 			}
 			if l.Ops.Pattern != nil {
-				pat, _ := algo.NewPattern(
-					[]algo.PatternNode{{Var: "x"}, {Var: "y"}},
-					[]algo.PatternEdge{{From: 0, To: 1, Label: "b"}},
+				pat, _ := plan.NewPattern(
+					[]plan.PatternNode{{Var: "x"}, {Var: "y"}},
+					[]plan.PatternEdge{{From: 0, To: 1, Label: "b"}},
 				)
 				ms, err := l.Ops.Pattern(g, pat)
 				if err != nil || len(ms) != 2 {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/query"
@@ -275,9 +274,9 @@ func TestCancelMidMatch(t *testing.T) {
 			g.AddEdge("e", ids[i], ids[i+w], nil)
 		}
 	}
-	pat, err := algo.NewPattern(
-		[]algo.PatternNode{{Var: "a"}, {Var: "b"}, {Var: "c"}},
-		[]algo.PatternEdge{{From: 0, To: 1}, {From: 1, To: 2}},
+	pat, err := NewPattern(
+		[]PatternNode{{Var: "a"}, {Var: "b"}, {Var: "c"}},
+		[]PatternEdge{{From: 0, To: 1}, {From: 1, To: 2}},
 	)
 	if err != nil {
 		t.Fatal(err)

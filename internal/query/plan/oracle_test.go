@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
 	"gdbm/internal/query"
@@ -294,18 +293,18 @@ func TestMatchPatternMatchesInjectiveOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := oracleGraph(t, rng)
 		nodes, edges := oraclePattern(rng, []model.Direction{model.Out}, false)
-		pn := make([]algo.PatternNode, len(nodes))
+		pn := make([]PatternNode, len(nodes))
 		for i, n := range nodes {
-			pn[i] = algo.PatternNode{Label: n.Label, Props: n.Props}
+			pn[i] = PatternNode{Label: n.Label, Props: n.Props}
 			if rng.Intn(3) > 0 {
 				pn[i].Var = n.Var
 			}
 		}
-		pe := make([]algo.PatternEdge, len(edges))
+		pe := make([]PatternEdge, len(edges))
 		for i, e := range edges {
-			pe[i] = algo.PatternEdge{From: e.From, To: e.To, Label: e.Label}
+			pe[i] = PatternEdge{From: e.From, To: e.To, Label: e.Label}
 		}
-		p, err := algo.NewPattern(pn, pe)
+		p, err := NewPattern(pn, pe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -331,6 +331,45 @@ func MatchPath(ctx context.Context, g model.Graph, p *PathExpr, start model.Node
 	return out, err
 }
 
+// Walk visits what start reaches along edges walked in dir, breadth first:
+// start at depth 0, then every other node once, at its least depth, in the
+// order PathExpand binds the walk _* from start — by depth, then in the
+// store's Neighbors order. Each node comes with the node it was first
+// reached from and the edge it came through; start comes with both zero.
+// max bounds the depth (0 = unbounded). Walk stops, returning nil, once
+// visit returns false. It reads a store's id pairs where it has them, and
+// runs under ctx: checked before the walk, as the walk enters each depth,
+// and every cancelStride reads.
+func Walk(ctx context.Context, g model.Graph, start model.NodeID, dir model.Direction, max int, visit func(n, from model.NodeID, via model.EdgeID, depth int) bool) error {
+	src, ok := g.(Source)
+	if !ok {
+		src = UnindexedSource{g}
+	}
+	src = WithCancel(ctx, src)
+	first, err := src.Node(start) // WithCancel's first read checks ctx
+	if err != nil {
+		return err
+	}
+	w := newPathWalker(src, labelStar("", dir), 0, max, false)
+	depth := 0
+	err = w.run(first, Reachability, func(n model.Node) error {
+		if w.depth != depth {
+			depth = w.depth
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if !visit(n.ID, w.from, w.via, depth) {
+			return errStop
+		}
+		return nil
+	})
+	if err == errStop {
+		return nil
+	}
+	return err
+}
+
 // nodeRow is a leaf that emits one row, binding Var to Node.
 type nodeRow struct {
 	Var  string
@@ -372,6 +411,8 @@ type pathWalker struct {
 	depth int
 	visit func(model.Edge, model.Node, bool) error // visitReach, bound once
 	buf   []model.NeighborID
+	from  model.NodeID // reachability: the node being expanded
+	via   model.EdgeID // reachability: the edge to the node being bound
 
 	path   []model.NodeID // simple paths: the nodes on the current path
 	budget int
@@ -428,6 +469,7 @@ func (w *pathWalker) reach(from model.Node) error {
 	for w.depth = 1; lo < len(w.queue) && (w.max == 0 || w.depth <= w.max); w.depth++ {
 		hi := len(w.queue)
 		for _, e := range w.queue[lo:hi] {
+			w.from = e.node
 			for _, st := range w.p.steps[e.state] {
 				w.to = st.to
 				if err := eachNeighbor(w.src, &w.buf, e.node, st.dir, st.label, w.visit); err != nil {
@@ -440,17 +482,18 @@ func (w *pathWalker) reach(from model.Node) error {
 	return nil
 }
 
-func (w *pathWalker) visitReach(_ model.Edge, n model.Node, records bool) error {
+func (w *pathWalker) visitReach(e model.Edge, n model.Node, records bool) error {
 	seen := w.seen[w.to]
-	if _, ok := seen[n.ID]; ok {
-		return nil
+	had := len(seen)
+	if seen[n.ID] = struct{}{}; len(seen) == had {
+		return nil // one hash per pair: the insert tells a new node by the count
 	}
-	seen[n.ID] = struct{}{}
 	pair := pathPair{n.ID, w.to}
 	if w.max == 0 || w.depth < w.max { // a pair at depth max is never expanded
 		w.queue = append(w.queue, pair)
 	}
 	if w.p.accept[w.to] && w.depth >= w.min && w.firstAcceptance(pair) {
+		w.via = e.ID
 		return w.bind(n, records)
 	}
 	return nil

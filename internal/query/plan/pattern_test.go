@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"gdbm/internal/algo"
 	"gdbm/internal/algo/algotest"
 	"gdbm/internal/memgraph"
 	"gdbm/internal/model"
@@ -32,9 +31,9 @@ func socialGraph(t *testing.T) (*memgraph.Graph, map[string]model.NodeID) {
 	return g, ids
 }
 
-func matchAll(t *testing.T, g model.Graph, nodes []algo.PatternNode, edges []algo.PatternEdge, limit int) []algo.Match {
+func matchAll(t *testing.T, g model.Graph, nodes []PatternNode, edges []PatternEdge, limit int) []Match {
 	t.Helper()
-	p, err := algo.NewPattern(nodes, edges)
+	p, err := NewPattern(nodes, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +56,14 @@ func TestPatternSingleNodeByLabel(t *testing.T) {
 	g.AddNode("Person", nil)
 	g.AddNode("Person", nil)
 	g.AddNode("City", nil)
-	if m := matchAll(t, g, []algo.PatternNode{{Var: "x", Label: "Person"}}, nil, 0); len(m) != 2 {
+	if m := matchAll(t, g, []PatternNode{{Var: "x", Label: "Person"}}, nil, 0); len(m) != 2 {
 		t.Errorf("matches = %v", m)
 	}
 }
 
 func TestPatternPropConstraint(t *testing.T) {
 	g, ids := socialGraph(t)
-	m := matchAll(t, g, []algo.PatternNode{{Var: "x", Props: model.Props("name", "bob")}}, nil, 0)
+	m := matchAll(t, g, []PatternNode{{Var: "x", Props: model.Props("name", "bob")}}, nil, 0)
 	if len(m) != 1 || m[0]["x"] != ids["bob"] {
 		t.Errorf("matches = %v", m)
 	}
@@ -73,8 +72,8 @@ func TestPatternPropConstraint(t *testing.T) {
 func TestPatternEdge(t *testing.T) {
 	g, ids := socialGraph(t)
 	m := matchAll(t, g,
-		[]algo.PatternNode{{Var: "a"}, {Var: "b"}},
-		[]algo.PatternEdge{{From: 0, To: 1, Label: "knows"}}, 0)
+		[]PatternNode{{Var: "a"}, {Var: "b"}},
+		[]PatternEdge{{From: 0, To: 1, Label: "knows"}}, 0)
 	if len(m) != 2 {
 		t.Fatalf("knows matches = %d: %v", len(m), m)
 	}
@@ -95,8 +94,8 @@ func TestPatternTriangleInjective(t *testing.T) {
 	g.AddEdge("e", b, c, nil)
 	g.AddEdge("e", c, a, nil)
 	m := matchAll(t, g,
-		[]algo.PatternNode{{Var: "x"}, {Var: "y"}, {Var: "z"}},
-		[]algo.PatternEdge{{From: 0, To: 1, Label: "e"}, {From: 1, To: 2, Label: "e"}, {From: 2, To: 0, Label: "e"}}, 0)
+		[]PatternNode{{Var: "x"}, {Var: "y"}, {Var: "z"}},
+		[]PatternEdge{{From: 0, To: 1, Label: "e"}, {From: 1, To: 2, Label: "e"}, {From: 2, To: 0, Label: "e"}}, 0)
 	// Directed triangle has 3 rotations.
 	if len(m) != 3 {
 		t.Errorf("triangle matches = %d", len(m))
@@ -116,8 +115,8 @@ func TestPatternNoSelfMatchOnTwoCycle(t *testing.T) {
 	g.AddEdge("e", a, b, nil)
 	g.AddEdge("e", b, a, nil)
 	m := matchAll(t, g,
-		[]algo.PatternNode{{Var: "x"}, {Var: "y"}},
-		[]algo.PatternEdge{{From: 0, To: 1}, {From: 1, To: 0}}, 0)
+		[]PatternNode{{Var: "x"}, {Var: "y"}},
+		[]PatternEdge{{From: 0, To: 1}, {From: 1, To: 0}}, 0)
 	if len(m) != 2 {
 		t.Errorf("2-cycle matches = %d", len(m))
 	}
@@ -131,8 +130,8 @@ func TestPatternLimit(t *testing.T) {
 		g.AddEdge("spoke", hub, leaf, nil)
 	}
 	m := matchAll(t, g,
-		[]algo.PatternNode{{Var: "h", Label: "Hub"}, {Var: "l", Label: "Leaf"}},
-		[]algo.PatternEdge{{From: 0, To: 1, Label: "spoke"}}, 3)
+		[]PatternNode{{Var: "h", Label: "Hub"}, {Var: "l", Label: "Leaf"}},
+		[]PatternEdge{{From: 0, To: 1, Label: "spoke"}}, 3)
 	if len(m) != 3 {
 		t.Errorf("limited matches = %d", len(m))
 	}
@@ -142,7 +141,7 @@ func TestPatternDisconnectedComponents(t *testing.T) {
 	g := memgraph.New()
 	g.AddNode("A", nil)
 	g.AddNode("B", nil)
-	if m := matchAll(t, g, []algo.PatternNode{{Var: "x", Label: "A"}, {Var: "y", Label: "B"}}, nil, 0); len(m) != 1 {
+	if m := matchAll(t, g, []PatternNode{{Var: "x", Label: "A"}, {Var: "y", Label: "B"}}, nil, 0); len(m) != 1 {
 		t.Errorf("cross product match = %v", m)
 	}
 }
@@ -150,8 +149,8 @@ func TestPatternDisconnectedComponents(t *testing.T) {
 func TestPatternAnonymousVars(t *testing.T) {
 	g, _ := socialGraph(t)
 	m := matchAll(t, g,
-		[]algo.PatternNode{{}, {}},
-		[]algo.PatternEdge{{From: 0, To: 1, Label: "works"}}, 0)
+		[]PatternNode{{}, {}},
+		[]PatternEdge{{From: 0, To: 1, Label: "works"}}, 0)
 	if len(m) != 2 {
 		t.Fatalf("matches = %v", m)
 	}
@@ -169,8 +168,8 @@ func TestPatternParallelEdgesMatchOnce(t *testing.T) {
 	g.AddEdge("e", a, b, nil)
 	g.AddEdge("e", a, b, nil)
 	m := matchAll(t, g,
-		[]algo.PatternNode{{Var: "x"}, {Var: "y"}},
-		[]algo.PatternEdge{{From: 0, To: 1}}, 0)
+		[]PatternNode{{Var: "x"}, {Var: "y"}},
+		[]PatternEdge{{From: 0, To: 1}}, 0)
 	if len(m) != 1 || m[0]["x"] != a || m[0]["y"] != b {
 		t.Errorf("matches = %v, want one x=%d y=%d", m, a, b)
 	}
@@ -179,9 +178,9 @@ func TestPatternParallelEdgesMatchOnce(t *testing.T) {
 // TestMatchPatternPropagatesScanError: a failing read anywhere in the
 // search surfaces as the error, never as a silently short answer.
 func TestMatchPatternPropagatesScanError(t *testing.T) {
-	p, err := algo.NewPattern(
-		[]algo.PatternNode{{Label: "P"}, {Label: "Q"}},
-		[]algo.PatternEdge{{From: 0, To: 1, Label: "a"}},
+	p, err := NewPattern(
+		[]PatternNode{{Label: "P"}, {Label: "Q"}},
+		[]PatternEdge{{From: 0, To: 1, Label: "a"}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +218,7 @@ func (g *neighborCounter) Neighbors(id model.NodeID, dir model.Direction, fn fun
 func TestBareGraphWalksIDAdjacency(t *testing.T) {
 	mg, ids := socialGraph(t)
 	g := &neighborCounter{Graph: mg}
-	m := matchAll(t, g, []algo.PatternNode{{Label: "P"}, {Label: "P"}}, []algo.PatternEdge{{From: 0, To: 1, Label: "knows"}}, 0)
+	m := matchAll(t, g, []PatternNode{{Label: "P"}, {Label: "P"}}, []PatternEdge{{From: 0, To: 1, Label: "knows"}}, 0)
 	if len(m) != 2 {
 		t.Fatalf("knows matches = %v", m)
 	}
@@ -235,5 +234,30 @@ func TestBareGraphWalksIDAdjacency(t *testing.T) {
 	}
 	if g.calls != 0 {
 		t.Errorf("%d Neighbors calls, want none", g.calls)
+	}
+}
+
+func TestPatternValidation(t *testing.T) {
+	_, err := NewPattern(
+		[]PatternNode{{Var: "a"}},
+		[]PatternEdge{{From: 0, To: 5}},
+	)
+	if err == nil {
+		t.Error("out-of-range edge endpoint should fail")
+	}
+	_, err = NewPattern([]PatternNode{{Var: "a"}, {Var: "a"}}, nil)
+	if err == nil {
+		t.Error("a repeated variable should fail")
+	}
+	_, err = NewPattern([]PatternNode{{Var: "_1"}, {}}, nil)
+	if err == nil {
+		t.Error("a variable equal to an anonymous node's name should fail")
+	}
+	p, err := NewPattern([]PatternNode{{Var: "a"}, {}, {}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Var(0) != "a" || p.Var(1) != "_1" || p.Var(2) != "_2" {
+		t.Errorf("names = %q %q %q", p.Var(0), p.Var(1), p.Var(2))
 	}
 }
